@@ -98,7 +98,7 @@ def assemble_operator(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t_index: i
 
 def _banded_backward_matrix(op: DiscreteOperator, dt: float, extra_diag=None,
                             mode: str = "clamp-to-data"):
-    """Banded form of the full (nx+2) system (I - dt A).
+    """Banded form of the full (nx+2) system (I - dt A); dt < 0 gives I + |dt| A.
 
     clamp-to-data: boundary rows are identity (Dirichlet).  reflecting:
     boundary rows keep only the inner face flux (zero flux through the
@@ -142,31 +142,54 @@ def solve_backward_step(op: DiscreteOperator, dt: float, rhs_full: np.ndarray,
     return solve_banded((1, 1), ab, rhs_full)
 
 
+def _banded_transpose(ab: np.ndarray) -> np.ndarray:
+    """Transpose a (1, 1)-banded matrix in solve_banded storage."""
+    out = np.zeros_like(ab)
+    out[1] = ab[1]
+    out[0, 1:] = ab[2, :-1]
+    out[2, :-1] = ab[0, 1:]
+    return out
+
+
+def _banded_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Product of a (1, 1)-banded matrix in solve_banded storage with v along axis 0."""
+    v = np.asarray(v, dtype=float)
+    shape = (-1,) + (1,) * (v.ndim - 1)
+    out = ab[1].reshape(shape) * v
+    out[:-1] += ab[0, 1:].reshape(shape) * v[1:]
+    out[1:] += ab[2, :-1].reshape(shape) * v[:-1]
+    return out
+
+
 @dataclass(frozen=True)
 class TransitionKernel:
-    """One-step Markov law of the grid chain over dt (row-stochastic)."""
+    """One-step Markov law of the grid chain over dt (row-stochastic), held banded.
+
+    ``bands`` are the three diagonals in solve_banded layout: of M = I - dt A
+    for the implicit scheme (P = M^{-1}), of P = I + dt A itself for the
+    explicit one.  P is never formed; ``apply`` and ``apply_T`` take one
+    banded solve or one tridiagonal product, on a vector or on the columns of
+    an (nx + 2, k) array.  ``clamp_magnitude`` reads 0.0 because nothing is
+    clipped: no dense P exists whose round-off negatives could be.
+    """
 
     t_index: int
     scheme: str
-    P: np.ndarray
-    clamp_magnitude: float
+    bands: np.ndarray
+    clamp_magnitude = 0.0
+
+    def _act(self, ab: np.ndarray, v: np.ndarray) -> np.ndarray:
+        if self.scheme == "implicit":
+            return solve_banded((1, 1), ab, v)
+        return _banded_matvec(ab, v)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.P @ v
+        """P v: the conditional expectation of v one step ahead."""
+        return self._act(self.bands, v)
 
     def apply_T(self, p: np.ndarray) -> np.ndarray:
-        return self.P.T @ p
-
-
-def reflecting_step_matrix(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t_index: int) -> np.ndarray:
-    """Banded (I - dt A) with zero-flux rows at the truncation.
-
-    The reflecting variant conserves interior mass under transpose evolution;
-    it is the standard surrogate for 'the domain continues beyond the
-    truncation' when accounting measure mass up to the edge.
-    """
-    op = assemble_operator(spec, grid, t_index)
-    return _banded_backward_matrix(op, grid.dt, mode="reflecting")
+        """P^T p: the law p carried one step forward."""
+        return self._act(_banded_transpose(self.bands), p)
 
 
 def transition_kernel(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t_index: int,
@@ -174,37 +197,22 @@ def transition_kernel(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t_index: i
     """Transition kernel for the step t_index -> t_index + 1.
 
     Explicit: P = I + dt A, valid under the positivity CFL dt <= dx^2 / Lambda.
-    Implicit: P = (I - dt A)^{-1}; the M-matrix structure makes P nonnegative,
-    tiny negative round-off is clamped to zero and the clamp magnitude kept.
+    Implicit: P = (I - dt A)^{-1}, nonnegative by the M-matrix structure.
     Boundary rows absorb under clamp-to-data and bounce under reflecting.
     """
     op = assemble_operator(spec, grid, t_index)
     mode = spec.boundary_mode if mode is None else mode
-    n = grid.nx + 2
     if scheme == "explicit":
         if grid.dt > grid.dx**2 / spec.coefficients.Lambda_ell * (1.0 + 1e-12):
             raise CflViolation(
                 f"explicit kernel needs dt <= dx^2/Lambda = {grid.dx**2 / spec.coefficients.Lambda_ell:.3e},"
                 f" got dt = {grid.dt:.3e}")
-        P = np.eye(n)
-        idx = np.arange(1, n - 1)
-        P[idx, idx] += grid.dt * op.diag
-        P[idx, idx - 1] += grid.dt * op.lower
-        P[idx, idx + 1] += grid.dt * op.upper
-        if mode == "reflecting":
-            P[0, 0] = 1.0 - grid.dt * op.lower[0]
-            P[0, 1] = grid.dt * op.lower[0]
-            P[-1, -1] = 1.0 - grid.dt * op.upper[-1]
-            P[-1, -2] = grid.dt * op.upper[-1]
-        clamp = 0.0
+        bands = _banded_backward_matrix(op, -grid.dt, mode=mode)
     elif scheme == "implicit":
-        ab = _banded_backward_matrix(op, grid.dt, mode=mode)
-        P = solve_banded((1, 1), ab, np.eye(n))
-        clamp = float(max(0.0, -P.min()))
-        np.clip(P, 0.0, None, out=P)
+        bands = _banded_backward_matrix(op, grid.dt, mode=mode)
     else:
         raise ValueError(f"unknown kernel scheme {scheme!r}")
-    return TransitionKernel(t_index=t_index, scheme=scheme, P=P, clamp_magnitude=clamp)
+    return TransitionKernel(t_index=t_index, scheme=scheme, bands=bands)
 
 
 @dataclass(frozen=True)

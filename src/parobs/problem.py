@@ -143,8 +143,8 @@ _REL_TOL = 1e-12
 def _finite_or_raise(values, what, where):
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
-        bad = np.argwhere(~np.isfinite(values))
-        raise EvaluatorFailure(f"{what} is non-finite at probe {where} (index {bad[0]})")
+        at = f" (index {np.argwhere(~np.isfinite(values))[0]})" if values.ndim else ""
+        raise EvaluatorFailure(f"{what} is non-finite at probe {where}{at}")
     return values
 
 

@@ -16,7 +16,8 @@ Schema (all numeric values parse as floats unless noted):
     calibration.*        = frozen bias constants from the refinement pre-study
 
 Lines starting with '#' are comments.  Unknown keys are rejected so typos
-cannot silently change a run.
+cannot silently change a run, and so are non-finite numbers and
+grid.nx, grid.nt, mc.paths or mc.dt_path below or at zero.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = ["Scenario", "load_scenario", "build_family", "FAMILIES"]
 
 _SECTIONS = ("scenario", "problem", "grid", "mc", "tolerances", "calibration")
 _INT_KEYS = {"grid.nx", "grid.nt", "mc.paths", "mc.seed", "mc.basis_degree"}
+_POSITIVE_KEYS = {"grid.nx", "grid.nt", "mc.paths", "mc.dt_path"}
 
 
 @dataclass
@@ -67,15 +69,25 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
+def _parse_number(key: str, text: str):
+    """An int for integer keys, a finite float otherwise; positive where required."""
+    try:
+        value = int(text) if key in _INT_KEYS else float(text)
+    except ValueError as exc:
+        raise ScenarioError(f"key {key!r}: {exc}") from exc
+    if not np.isfinite(value):
+        raise ScenarioError(f"key {key!r}: value {text!r} is not finite")
+    if key in _POSITIVE_KEYS and not value > 0:
+        raise ScenarioError(f"key {key!r}: value {text!r} must be positive")
+    return value
+
+
 def _pop_float(kv: dict, key: str, default=None) -> float:
     if key not in kv:
         if default is None:
             raise ScenarioError(f"missing required key {key!r}")
         return float(default)
-    try:
-        return float(kv.pop(key))
-    except ValueError as exc:
-        raise ScenarioError(f"key {key!r}: {exc}") from exc
+    return _parse_number(key, kv.pop(key))
 
 
 def build_family(family: str, params: dict) -> ObstacleProblemSpec:
@@ -198,7 +210,7 @@ def load_scenario(path) -> Scenario:
         out = {}
         for k in [k for k in kv if k.startswith(section + ".")]:
             short = k.split(".", 1)[1]
-            out[short] = int(kv.pop(k)) if k in _INT_KEYS else float(kv.pop(k))
+            out[short] = _parse_number(k, kv.pop(k))
         return out
 
     grid_params = take("grid")

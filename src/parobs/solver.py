@@ -37,6 +37,8 @@ __all__ = [
     "terminal_field",
     "boundary_values",
     "central_gradient",
+    "z_field",
+    "frozen_driver_field",
     "solve_penalized",
     "as_obstacle_solution",
     "solve_unconstrained",
@@ -95,6 +97,14 @@ def central_gradient(row: np.ndarray, dx: float) -> np.ndarray:
 def _sigma_row(spec: ObstacleProblemSpec, t: float, x_nodes: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.sqrt(np.asarray(spec.coefficients.a(t, x_nodes), dtype=float)),
                            x_nodes.shape).astype(float)
+
+
+def z_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, u: np.ndarray) -> np.ndarray:
+    """sigma Du on every slice of a grid field u of shape (nt + 1, nx + 2)."""
+    z = np.empty_like(u)
+    for k, t in enumerate(grid.t_nodes):
+        z[k] = _sigma_row(spec, float(t), grid.x_nodes) * central_gradient(u[k], grid.dx)
+    return z
 
 
 def _driver_row(spec: ObstacleProblemSpec, t: float, x_nodes: np.ndarray,
@@ -551,12 +561,13 @@ def v_gamma_norm(grid: SpaceTimeGrid, weight: Weight, fld: np.ndarray, gamma: fl
     return float(np.sqrt(sup_term + l2_term + 0.5 * lam * grad_term))
 
 
-def _frozen_driver_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
-                         v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
+def frozen_driver_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
+                        u: np.ndarray) -> np.ndarray:
+    """f(t, x, u, sigma Du) on every slice of a grid field u."""
+    z = z_field(spec, grid, u)
+    out = np.empty_like(u)
     for k, t in enumerate(grid.t_nodes):
-        z = _sigma_row(spec, float(t), grid.x_nodes) * central_gradient(v[k], grid.dx)
-        out[k] = spec.driver.f(float(t), grid.x_nodes, v[k], z)
+        out[k] = spec.driver.f(float(t), grid.x_nodes, u[k], z[k])
     return out
 
 
@@ -582,7 +593,7 @@ def picard_outer(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, inner: str = "p
     lam = spec.coefficients.lambda_ell
     if spec.driver.L == 0.0:
         zero = np.zeros((grid.nt + 1, grid.nx + 2))
-        sol = run_inner(_frozen_driver_field(spec, grid, zero))
+        sol = run_inner(frozen_driver_field(spec, grid, zero))
         return sol, PicardTrace(gamma=gamma, distances=[], ratios=[])
 
     v = np.zeros((grid.nt + 1, grid.nx + 2))
@@ -590,7 +601,7 @@ def picard_outer(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, inner: str = "p
     expanding = 0
     sol = None
     for it in range(max_outer):
-        sol = run_inner(_frozen_driver_field(spec, grid, v))
+        sol = run_inner(frozen_driver_field(spec, grid, v))
         d = v_gamma_norm(grid, spec.weight, sol.u_values - v, gamma, lam)
         distances.append(d)
         if len(distances) >= 2 and distances[-2] > 0:

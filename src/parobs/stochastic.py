@@ -19,17 +19,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import InnerDivergence, MissingDerivative, RegressionSingular
-from .grid import SpaceTimeGrid, _banded_backward_matrix, assemble_operator, interp_space_time, transition_kernel
+from .grid import SpaceTimeGrid, interp_space_time, transition_kernel
 from .problem import ObstacleProblemSpec
 from .solver import (
     ObstacleSolution,
     boundary_values,
     central_gradient,
+    frozen_driver_field,
     obstacle_field,
     terminal_field,
+    z_field,
+    _contact_tol,
     _sigma_row,
 )
 
@@ -198,16 +200,6 @@ class RbsdeEstimate:
         return out
 
 
-def _kernel_apply(spec, grid, t_index, vec, scheme):
-    """Action of the one-step chain kernel P on a value vector."""
-    op = assemble_operator(spec, grid, t_index)
-    if scheme == "implicit":
-        ab = _banded_backward_matrix(op, grid.dt, mode=spec.boundary_mode)
-        return solve_banded((1, 1), ab, vec)
-    kern = transition_kernel(spec, grid, t_index, scheme=scheme)
-    return kern.apply(vec)
-
-
 def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
                    x_index: int, scheme: str = "implicit") -> RbsdeEstimate:
     """Exact reflected backward dynamic programming on the grid chain.
@@ -234,7 +226,7 @@ def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
     for j in range(n_slices - 2, -1, -1):
         k = s_index + j
         t = float(grid.t_nodes[k])
-        cont = _kernel_apply(spec, grid, k, Y[j + 1], scheme)
+        cont = transition_kernel(spec, grid, k, scheme=scheme).apply(Y[j + 1])
         sig = _sigma_row(spec, t, grid.x_nodes)
         z_proxy = sig * central_gradient(cont, grid.dx)
         y = cont.copy()
@@ -452,7 +444,7 @@ def snell_envelope_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     bnd = boundary_values(spec, grid, h_field) if clamp else None
     V = terminal_field(spec, grid).copy()
     for k in range(grid.nt - 1, s_index - 1, -1):
-        cont = _kernel_apply(spec, grid, k, V, scheme)
+        cont = transition_kernel(spec, grid, k, scheme=scheme).apply(V)
         V = np.maximum(h_field[k], cont + grid.dt * reward_field[k])
         if clamp:
             V[0], V[-1] = bnd[k]
@@ -462,12 +454,7 @@ def snell_envelope_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
 def solution_reward_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
                           sol: ObstacleSolution) -> np.ndarray:
     """f(t, x, u, sigma Du) on the grid, frozen along the solved field."""
-    out = np.empty_like(sol.u_values)
-    for k, t in enumerate(grid.t_nodes):
-        sig = _sigma_row(spec, float(t), grid.x_nodes)
-        z = sig * central_gradient(sol.u_values[k], grid.dx)
-        out[k] = spec.driver.f(float(t), grid.x_nodes, sol.u_values[k], z)
-    return out
+    return frozen_driver_field(spec, grid, sol.u_values)
 
 
 def optimal_stopping_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
@@ -480,13 +467,9 @@ def optimal_stopping_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     the running reward read from the solved field.
     """
     h_field = obstacle_field(spec, grid)
-    ctol = 1e-9 * (1.0 + float(np.max(np.abs(h_field))))
+    ctol = _contact_tol(spec, h_field)
     gap_field = sol.u_values - h_field
-    sig_field = np.empty_like(sol.u_values)
-    z_field = np.empty_like(sol.u_values)
-    for k, t in enumerate(grid.t_nodes):
-        sig_field[k] = _sigma_row(spec, float(t), grid.x_nodes)
-        z_field[k] = sig_field[k] * central_gradient(sol.u_values[k], grid.dx)
+    z_grid = z_field(spec, grid, sol.u_values)
 
     n, m = ensemble.n_steps, ensemble.path_count
     dt = ensemble.dt_path
@@ -507,7 +490,7 @@ def optimal_stopping_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
         running = idx[~stop_now]
         if running.size:
             u_itp = interp_space_time(grid, sol.u_values, t, xk[running])
-            z_itp = interp_space_time(grid, z_field, t, xk[running])
+            z_itp = interp_space_time(grid, z_grid, t, xk[running])
             fval = np.asarray(spec.driver.f(t, xk[running], u_itp, z_itp), dtype=float)
             reward[running] += np.broadcast_to(fval, running.shape) * dt
     if alive.any():

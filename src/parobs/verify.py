@@ -15,27 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .grid import (
-    SpaceTimeGrid,
-    interp_space_time,
-    reflecting_step_matrix,
-    solve_density,
-    transition_kernel,
-)
+from .grid import SpaceTimeGrid, interp_space_time, solve_density, transition_kernel
 from .problem import ObstacleProblemSpec, Weight
-from .solver import (
-    ObstacleSolution,
-    central_gradient,
-    obstacle_field,
-    solve_penalized,
-    solve_psor,
-    _sigma_row,
-)
+from .solver import ObstacleSolution, solve_penalized, solve_psor, z_field
 from .stochastic import (
     PathEnsemble,
-    _kernel_apply,
     rbsde_chain_dp,
     rbsde_reflected_mc,
     simulate_paths,
@@ -54,15 +39,6 @@ __all__ = [
 ]
 
 _TINY = 1e-12
-
-
-def _banded_transpose(ab: np.ndarray) -> np.ndarray:
-    """Transpose a (1, 1)-banded matrix in solve_banded storage."""
-    out = np.zeros_like(ab)
-    out[1] = ab[1]
-    out[0, 1:] = ab[2, :-1]
-    out[2, :-1] = ab[0, 1:]
-    return out
 
 
 @dataclass
@@ -155,14 +131,11 @@ def check_representation_z(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     """Time-integrated RMS distance between sigma Du along paths and the MC Z."""
     if sol is None:
         sol = solve_psor(spec, grid)
-    z_field = np.empty_like(sol.u_values)
-    for k, t in enumerate(grid.t_nodes):
-        sig = _sigma_row(spec, float(t), grid.x_nodes)
-        z_field[k] = sig * central_gradient(sol.u_values[k], grid.dx)
+    z_grid = z_field(spec, grid, sol.u_values)
     mc = rbsde_reflected_mc(spec, ensemble, basis_degree)
     acc = 0.0
     for k in range(ensemble.n_steps):
-        zpde = interp_space_time(grid, z_field, float(ensemble.t_nodes[k]), ensemble.X[k])
+        zpde = interp_space_time(grid, z_grid, float(ensemble.t_nodes[k]), ensemble.X[k])
         acc += float(np.mean((zpde - mc.Z[k]) ** 2)) * ensemble.dt_path
     value = float(np.sqrt(acc))
     return _report("representation-z", value, z_budget, z_budget, 0.0, provenance,
@@ -275,8 +248,7 @@ def check_interval_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t1: f
         w[1:-1] = grid.dx
         for k in range(k1, min(k2, grid.nt)):
             right += float(np.sum(w[f_mask] * chain.dK[k - k1, f_mask]))
-            ab = reflecting_step_matrix(spec, grid, k)
-            w = solve_banded((1, 1), _banded_transpose(ab), w)
+            w = transition_kernel(spec, grid, k, mode="reflecting").apply_T(w)
 
     scale = max(abs(left), abs(right))
     rel = 0.0 if scale < _TINY else abs(left - right) / scale
@@ -318,9 +290,7 @@ def check_ac_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: P
     """
     if sol is None:
         sol = solve_psor(spec, grid)
-    z_field = np.empty_like(sol.u_values)
-    for k, t in enumerate(grid.t_nodes):
-        z_field[k] = _sigma_row(spec, float(t), grid.x_nodes) * central_gradient(sol.u_values[k], grid.dx)
+    z_grid = z_field(spec, grid, sol.u_values)
 
     n, m = ensemble.n_steps, ensemble.path_count
     dt = ensemble.dt_path
@@ -331,7 +301,7 @@ def check_ac_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: P
         t = float(ensemble.t_nodes[k])
         xk = ensemble.X[k]
         u_itp = interp_space_time(grid, sol.u_values, t, xk)
-        z_itp = interp_space_time(grid, z_field, t, xk)
+        z_itp = interp_space_time(grid, z_grid, t, xk)
         r_itp = interp_space_time(grid, sol.r_values, t, xk)
         fval = np.asarray(spec.driver.f(t, xk, u_itp, z_itp), dtype=float)
         total += fval * dt + r_itp * dt - z_itp * ensemble.dW[k]
@@ -343,12 +313,10 @@ def check_ac_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: P
     # exact chain expectation of K_T from the snapped ensemble start
     s_idx, x_idx = _snap_indices(grid, float(ensemble.t_nodes[0]), ensemble.x_start)
     chain = rbsde_chain_dp(spec, grid, s_idx, x_idx)
-    law = np.zeros(grid.nx + 2)
-    law[x_idx] = 1.0
+    dens = solve_density(spec, grid, s_idx, x_idx)
     k_chain = 0.0
-    for k in range(s_idx, grid.nt):
-        k_chain += float(np.sum(law * chain.dK[k - s_idx]))
-        law = transition_kernel(spec, grid, k, scheme="implicit").apply_T(law)
+    for rel_k in range(grid.nt - s_idx):
+        k_chain += float(np.sum(dens.values[rel_k] * chain.dK[rel_k]))
 
     mean_gap = abs(float(k_tilde.mean()) - k_chain)
     stat = 3.0 * 1.96 * float(k_tilde.std(ddof=1)) / np.sqrt(m)
@@ -413,7 +381,7 @@ def check_weighted_bounds(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     v = bump**2
     max_shape = 0.0
     for k in range(grid.nt - 1, -1, -1):
-        v = _kernel_apply(spec, grid, k, v, "implicit")
+        v = transition_kernel(spec, grid, k).apply(v)
         t_gap = spec.T - float(grid.t_nodes[k])
         if t_gap >= 0.25 * spec.T:
             ratio = float(np.max(v[1:-1] * rho[1:-1] ** 2)) * np.sqrt(t_gap) / norm_sq

@@ -92,6 +92,36 @@ def test_scenario_parser_rejects_garbage(tmp_path):
         load_scenario(p)
 
 
+def test_nonfinite_horizon_exits_2_before_solving(tmp_path, capsys):
+    cfg = tmp_path / "nan_T.cfg"
+    cfg.write_text(scenario_path("constant").read_text().replace("problem.T = 1.0",
+                                                                 "problem.T = nan"))
+    code = run(["--scenario", cfg, "--out", tmp_path / "o", "solve"])
+    assert code == 2
+    assert "kind=ScenarioError" in capsys.readouterr().err
+
+
+def test_zero_paths_exits_2_instead_of_writing_nan(tmp_path):
+    cfg = tmp_path / "zero_paths.cfg"
+    cfg.write_text(scenario_path("constant").read_text().replace("mc.paths = 2000",
+                                                                 "mc.paths = 0"))
+    code = run(["--scenario", cfg, "--out", tmp_path / "o", "moments"])
+    assert code == 2
+    assert not (tmp_path / "o" / "moments.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["problem.x_lo = -inf", "grid.nx = 0", "grid.nt = -3",
+                                  "mc.dt_path = 0", "calibration.fk_bias = nan"])
+def test_scenario_parser_rejects_out_of_range_numbers(tmp_path, line):
+    key = line.split(" =", 1)[0]
+    text = "".join(row + "\n" for row in scenario_path("constant").read_text().splitlines()
+                   if not row.startswith(key + " "))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + line + "\n")
+    with pytest.raises(ScenarioError, match=key):
+        load_scenario(cfg)
+
+
 def test_penalization_study_csv(tmp_path):
     code = run(["--scenario", scenario_path("constant"), "--out", tmp_path,
                 "study", "--study", "penalization", "--max-level", 6])

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,9 +94,10 @@ def _grid_with_cfl_dt(spec, nx):
 def test_explicit_kernel_quarter_half_quarter():
     spec, grid = _grid_with_cfl_dt(_const_spec(), 99)
     kern = transition_kernel(spec, grid, 0, scheme="explicit")
+    P = kern.apply(np.eye(grid.nx + 2))
     mid = grid.nx // 2
-    assert kern.P[mid, mid - 1:mid + 2] == pytest.approx([0.25, 0.5, 0.25])
-    assert np.max(np.abs(kern.P.sum(axis=1) - 1.0)) <= 1e-12
+    assert P[mid, mid - 1:mid + 2] == pytest.approx([0.25, 0.5, 0.25])
+    assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def test_explicit_kernel_cfl_violation():
@@ -103,27 +107,35 @@ def test_explicit_kernel_cfl_violation():
         transition_kernel(spec, grid, 0, scheme="explicit")
 
 
-def test_implicit_kernel_matches_dense_inverse():
-    spec = _sine_spec()
-    grid = SpaceTimeGrid.build(spec, 18, 6)
-    kern = transition_kernel(spec, grid, 2, scheme="implicit")
-    op = assemble_operator(spec, grid, 2)
+def _dense_step_matrix(spec, grid, t_index):
+    """Dense clamp-to-data M = I - dt A, built entry by entry as an oracle."""
+    op = assemble_operator(spec, grid, t_index)
     n = grid.nx + 2
     dense = np.eye(n)
     idx = np.arange(1, n - 1)
     dense[idx, idx] -= grid.dt * op.diag
     dense[idx, idx - 1] -= grid.dt * op.lower
     dense[idx, idx + 1] -= grid.dt * op.upper
-    assert np.allclose(kern.P, np.linalg.inv(dense), atol=1e-12)
-    assert kern.P.min() >= 0.0
+    return dense
+
+
+def test_implicit_kernel_matches_dense_inverse():
+    spec = _sine_spec()
+    grid = SpaceTimeGrid.build(spec, 18, 6)
+    kern = transition_kernel(spec, grid, 2, scheme="implicit")
+    n = grid.nx + 2
+    dense = _dense_step_matrix(spec, grid, 2)
+    P = kern.apply(np.eye(n))
+    assert np.allclose(P, np.linalg.inv(dense), atol=1e-12)
+    assert P.min() >= 0.0
     assert kern.clamp_magnitude <= 1e-14
-    assert np.max(np.abs(kern.P.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def test_implicit_kernel_interior_symmetry():
     spec = _const_spec()
     grid = SpaceTimeGrid.build(spec, 99, 20)
-    P = transition_kernel(spec, grid, 0).P
+    P = transition_kernel(spec, grid, 0).apply(np.eye(grid.nx + 2))
     mid = 50
     assert P[mid, mid + 3] == pytest.approx(P[mid, mid - 3], rel=1e-10)
     assert P[30, 40] == pytest.approx(P[40, 30], rel=1e-10)
@@ -158,7 +170,7 @@ def test_density_single_step_is_kernel_row():
     grid = SpaceTimeGrid.build(spec, 60, 40)
     dens = solve_density(spec, grid, grid.nt - 1, 30)
     kern = transition_kernel(spec, grid, grid.nt - 1)
-    assert np.allclose(dens.values[-1], kern.P[30], atol=1e-14)
+    assert np.allclose(dens.values[-1], kern.apply(np.eye(grid.nx + 2))[30], atol=1e-14)
 
 
 def test_density_refinement_first_order_or_better():
@@ -242,7 +254,54 @@ def test_reflecting_kernel_conserves_total_mass(heat_scenario):
         boundary_mode="reflecting")
     grid = SpaceTimeGrid.build(spec, 80, 40)
     kern = transition_kernel(spec, grid, 0)
-    assert np.max(np.abs(kern.P.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(kern.apply(np.eye(grid.nx + 2)).sum(axis=1) - 1.0)) <= 1e-12
     dens = solve_density(spec, grid, 0, 41)
     total = dens.values.sum(axis=1)
     assert np.max(np.abs(total - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme, mode", [("implicit", "clamp-to-data"), ("implicit", "reflecting"),
+                                          ("explicit", "clamp-to-data"), ("explicit", "reflecting")])
+def test_kernel_apply_T_is_the_transpose_of_apply(scheme, mode):
+    spec, grid = _grid_with_cfl_dt(_const_spec(), 29)
+    spec = dataclasses.replace(spec, boundary_mode=mode)
+    kern = transition_kernel(spec, grid, 0, scheme=scheme)
+    eye = np.eye(grid.nx + 2)
+    P = kern.apply(eye)
+    assert np.allclose(kern.apply_T(eye), P.T, rtol=0.0, atol=1e-15)
+    v = np.random.default_rng(5).standard_normal(grid.nx + 2)
+    assert np.allclose(kern.apply(v), P @ v, rtol=0.0, atol=1e-15)
+
+
+def test_solve_density_matches_dense_inverse_recursion(sine_scenario):
+    spec = sine_scenario.spec
+    grid = SpaceTimeGrid.build(spec, 200, int(sine_scenario.grid_params["nt"]))
+    x0 = (grid.nx + 2) // 2
+    dens = solve_density(spec, grid, 0, x0)
+    p = np.zeros(grid.nx + 2)
+    p[x0] = 1.0
+    for k in range(grid.nt):
+        p = np.linalg.inv(_dense_step_matrix(spec, grid, k)).T @ p
+        assert np.max(np.abs(dens.values[k + 1] - p)) <= 1e-14
+
+
+@pytest.mark.parametrize("mode", ["clamp-to-data", "reflecting"])
+def test_banded_forward_evolution_is_nonnegative(all_scenarios, mode):
+    for name, sc in all_scenarios.items():
+        spec = dataclasses.replace(sc.spec, boundary_mode=mode)
+        grid = SpaceTimeGrid.build(spec, 800, int(sc.grid_params["nt"]))
+        dens = solve_density(spec, grid, 0, (grid.nx + 2) // 2)
+        assert dens.values.min() >= 0.0, name
+
+
+def test_density_and_kernel_memory_stay_linear_in_nx(sine_scenario):
+    spec = sine_scenario.spec
+    grid = SpaceTimeGrid.build(spec, 4000, 2)
+    tracemalloc.start()
+    try:
+        solve_density(spec, grid, 0, (grid.nx + 2) // 2)
+        transition_kernel(spec, grid, 0).apply(np.ones(grid.nx + 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # one dense (nx + 2)^2 kernel alone would take 128 MB

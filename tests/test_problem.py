@@ -67,6 +67,14 @@ def test_evaluator_failure_on_nonfinite():
         validate_hypotheses(spec)
 
 
+def test_scalar_evaluator_failure_names_no_empty_index():
+    spec = _spec(a=lambda t, x: np.full_like(np.asarray(x, float), np.nan))
+    with pytest.raises(EvaluatorFailure) as info:
+        validate_hypotheses(spec)
+    assert "index" not in str(info.value)
+    assert str(info.value).startswith("a is non-finite at probe (")
+
+
 def test_validation_is_deterministic():
     spec = _spec(f=lambda t, x, y, z: -0.05 * np.asarray(y, float), L=0.05, M=0.05)
     r1 = validate_hypotheses(spec, probe_count=128, seed=9)
