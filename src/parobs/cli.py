@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from .solver import (
 from .stochastic import (
     moment_ratio_probe,
     optimal_stopping_value,
+    rbsde_reflected_mc,
     simulate_paths,
 )
 from .verify import (
@@ -167,13 +169,16 @@ def _run_checks(sc: Scenario, grid: SpaceTimeGrid, names, seed: int):
             "paths": int(mc["paths"]), "seed": seed}
     sol = solve_psor(spec, grid, **_solver_kwargs(sc, _PSOR_TOL_KEYS))
     probe_x = 0.5 * (spec.x_lo + spec.x_hi)
-    ens_cache = []
+    degree = int(mc["basis_degree"])
 
+    @functools.cache
     def ens():
-        if not ens_cache:
-            ens_cache.append(simulate_paths(spec, 0.0, probe_x, float(mc["dt_path"]),
-                                            int(mc["paths"]), seed))
-        return ens_cache[0]
+        return simulate_paths(spec, 0.0, probe_x, float(mc["dt_path"]), int(mc["paths"]), seed)
+
+    @functools.cache
+    def lsmc():
+        # one reflected-mc estimate on the shared ensemble serves both checks
+        return rbsde_reflected_mc(spec, ens(), degree)
 
     reports = []
     for name in names:
@@ -184,9 +189,9 @@ def _run_checks(sc: Scenario, grid: SpaceTimeGrid, names, seed: int):
                                          bias_constant=cal.get("fk_bias", 1.0),
                                          provenance=prov)
         elif name == "representation-z":
-            rep = check_representation_z(spec, grid, ens(), sol=sol,
-                                         basis_degree=int(mc["basis_degree"]),
-                                         z_budget=cal.get("z_budget", 0.05), provenance=prov)
+            rep = check_representation_z(spec, grid, ens(), sol=sol, basis_degree=degree,
+                                         z_budget=cal.get("z_budget", 0.05), provenance=prov,
+                                         mc=lsmc())
         elif name == "measure-identity":
             rep = check_measure_identity(spec, grid, 0.0, probe_x,
                                          default_test_functions(spec), sol=sol,
@@ -197,10 +202,9 @@ def _run_checks(sc: Scenario, grid: SpaceTimeGrid, names, seed: int):
         elif name == "skorokhod":
             rep = check_skorokhod(sol, provenance=prov)
         elif name == "ac-measure":
-            rep = check_ac_measure(spec, grid, ens(), sol=sol,
-                                   basis_degree=int(mc["basis_degree"]),
+            rep = check_ac_measure(spec, grid, ens(), sol=sol, basis_degree=degree,
                                    residual_budget=cal.get("ac_residual_budget", 0.05),
-                                   provenance=prov)
+                                   provenance=prov, mc=lsmc())
         elif name == "weighted-bounds":
             rep = check_weighted_bounds(spec, grid, bounds=(cal.get("weighted_lo", 0.2),
                                                             cal.get("weighted_hi", 5.0)),

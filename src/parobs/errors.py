@@ -42,4 +42,4 @@ class MissingDerivative(ParobsError):
 
 
 class RegressionSingular(ParobsError):
-    """Least-squares design matrix is rank deficient (basis too rich for the sample)."""
+    """Regression basis is rank deficient on the sample (too rich, or no spread)."""

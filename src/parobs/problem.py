@@ -109,8 +109,8 @@ class ObstacleProblemSpec:
     boundary_mode: str = "clamp-to-data"
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("T must be positive")
+        if not (np.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"T must be finite and positive, got {self.T}")
         if not self.x_lo < self.x_hi:
             raise ValueError("need x_lo < x_hi")
         if self.boundary_mode not in ("clamp-to-data", "reflecting"):

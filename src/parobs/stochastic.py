@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InnerDivergence, MissingDerivative, RegressionSingular
 from .grid import SpaceTimeGrid, interp_space_time, transition_kernel
@@ -251,19 +252,47 @@ def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
                          obstacle_slack=slack)
 
 
-def _design_matrix(x: np.ndarray, degree: int) -> np.ndarray:
-    m, s = float(x.mean()), float(x.std())
-    if s > 1e-12 * (1.0 + abs(m)):
-        x = (x - m) / s
-    return np.vander(x, degree + 1, increasing=True)
+def _basis(x: np.ndarray, degree: int) -> np.ndarray:
+    """Probabilists' Hermite rows He_0 .. He_degree of the standardized x, (degree + 1, m).
+
+    Built by He_{k+1} = z He_k - k He_{k-1}; the rows span the same space as
+    the monomials 1, x, .., x^degree, and for a near-Gaussian cloud their Gram
+    matrix is close to diag(0!, 1!, .., degree!) times the sample size.
+    """
+    B = np.empty((degree + 1, x.size))
+    B[0] = 1.0
+    if degree >= 1:
+        mean, spread = float(x.mean()), float(x.std())
+        if spread <= 1e-12 * (1.0 + abs(mean)):
+            raise RegressionSingular(
+                f"sample spread {spread:.3g} too small for a degree-{degree} basis")
+        B[1] = (x - mean) / spread
+        for k in range(1, degree):
+            np.multiply(B[1], B[k], out=B[k + 1])
+            B[k + 1] -= k * B[k - 1]
+    return B
 
 
-def _regress(design: np.ndarray, target: np.ndarray) -> np.ndarray:
-    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < design.shape[1]:
-        raise RegressionSingular(
-            f"design matrix rank {rank} < {design.shape[1]}; basis too rich for the sample")
-    return coef
+class _Projection:
+    """Least-squares projection onto the Hermite basis of one regression date.
+
+    The Gram matrix G = B B^T is rank-tested and Cholesky-factored once; every
+    ``fit`` at that date reuses the factor.
+    """
+
+    def __init__(self, x: np.ndarray, degree: int):
+        self.B = _basis(x, degree)
+        gram = self.B @ self.B.T
+        eig = np.linalg.eigvalsh(gram)
+        if eig[0] <= 1e-12 * eig[-1]:
+            raise RegressionSingular(
+                f"Gram eigenvalue ratio {eig[0] / eig[-1]:.3g} <= 1e-12; "
+                "basis too rich for the sample")
+        self._factor = cho_factor(gram, lower=True)
+
+    def fit(self, target: np.ndarray) -> np.ndarray:
+        """Fitted values of the least-squares regression of ``target`` on the basis."""
+        return cho_solve(self._factor, self.B @ target) @ self.B
 
 
 def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree: int,
@@ -311,6 +340,8 @@ def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree
     dK = np.zeros((n, m))
     V = np.asarray(obs.phi(ensemble.X[n]), dtype=float)
     Y[n] = V.copy()
+    h_n = np.asarray(obs.h(float(ensemble.t_nodes[n]), ensemble.X[n]), dtype=float)
+    slack = max(0.0, float(np.max(h_n - Y[n])))
 
     batch_y0 = None
     for k in range(n - 1, -1, -1):
@@ -332,10 +363,10 @@ def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree
                 yb, _ = resolve(t, xk[sl], cont_b, zk_b, h_k[sl])
                 batch_y0.append(float(yb.mean()))
         else:
-            design = _design_matrix(xk, basis_degree)
-            cont = design @ _regress(design, V)
+            proj = _Projection(xk, basis_degree)
+            cont = proj.fit(V)
             z_target = (V - cont) * ensemble.dW[k] / dt
-            zk = design @ _regress(design, z_target)
+            zk = proj.fit(z_target)
         y_fit, c_fit = resolve(t, xk, cont, zk, h_k)
         f_val = np.asarray(f(t, xk, y_fit, zk), dtype=float)
         if kind == "reflected":
@@ -350,15 +381,11 @@ def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree
             V = np.where(c_fit < h_k, (vstar + dt * nq * h_k) / (1.0 + dt * nq), vstar)
         Y[k] = y_fit
         Z[k] = zk
+        slack = max(slack, float(np.max(h_k - y_fit)))
 
     y0 = float(Y[0].mean())
     ci = 1.96 * float(np.std(batch_y0, ddof=1)) / np.sqrt(len(batch_y0))
-    slack = 0.0
-    for k in range(n + 1):
-        t = float(ensemble.t_nodes[k])
-        h_k = np.asarray(obs.h(t, ensemble.X[k]), dtype=float)
-        slack = max(slack, float(np.max(h_k - Y[k])))
-    return Y, Z, dK, y0, ci, max(slack, 0.0)
+    return Y, Z, dK, y0, ci, slack
 
 
 def rbsde_penalized_mc(spec: ObstacleProblemSpec, ensemble: PathEnsemble, n_penalty: int,

@@ -21,6 +21,7 @@ from .problem import ObstacleProblemSpec, Weight
 from .solver import ObstacleSolution, solve_penalized, solve_psor, z_field
 from .stochastic import (
     PathEnsemble,
+    RbsdeEstimate,
     rbsde_chain_dp,
     rbsde_reflected_mc,
     simulate_paths,
@@ -107,8 +108,8 @@ def check_representation_u(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, probe
         s_idx, x_idx = _snap_indices(grid, s, x)
         s_snap, x_snap = float(grid.t_nodes[s_idx]), float(grid.x_nodes[x_idx])
         u_val = float(sol.u_values[s_idx, x_idx])
-        ens = simulate_paths(spec, s_snap, x_snap, dt_path, paths, seed + j)
-        mc = rbsde_reflected_mc(spec, ens, degree)
+        mc = rbsde_reflected_mc(spec, simulate_paths(spec, s_snap, x_snap, dt_path, paths,
+                                                     seed + j), degree)
         bias = bias_constant * (grid.dt + grid.dx**2)
         stat = 3.0 * mc.ci
         mc_budget = stat + bias
@@ -120,6 +121,7 @@ def check_representation_u(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, probe
         rows.append({"s": s_snap, "x": x_snap, "u": u_val, "mc_Y0": mc.Y0, "mc_ci": mc.ci,
                      "chain_Y0": float(chain.Y[s_idx, x_idx]), "mc_disc": mc_disc,
                      "mc_budget": mc_budget, "chain_disc": chain_disc})
+        del mc  # the next probe is simulated with no ensemble or estimate held
     return _report("representation-u", worst, 1.0, worst_bias, worst_stat, provenance,
                    {"probes": rows, "chain_budget": chain_budget})
 
@@ -127,12 +129,18 @@ def check_representation_u(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, probe
 def check_representation_z(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
                            ensemble: PathEnsemble, sol: ObstacleSolution | None = None,
                            basis_degree: int = 3, z_budget: float = 0.1,
-                           provenance: dict | None = None) -> CheckReport:
-    """Time-integrated RMS distance between sigma Du along paths and the MC Z."""
+                           provenance: dict | None = None,
+                           mc: RbsdeEstimate | None = None) -> CheckReport:
+    """Time-integrated RMS distance between sigma Du along paths and the MC Z.
+
+    ``mc`` is the reflected-mc estimate on ``ensemble`` at ``basis_degree``;
+    it is computed here when not given.
+    """
     if sol is None:
         sol = solve_psor(spec, grid)
     z_grid = z_field(spec, grid, sol.u_values)
-    mc = rbsde_reflected_mc(spec, ensemble, basis_degree)
+    if mc is None:
+        mc = rbsde_reflected_mc(spec, ensemble, basis_degree)
     acc = 0.0
     for k in range(ensemble.n_steps):
         zpde = interp_space_time(grid, z_grid, float(ensemble.t_nodes[k]), ensemble.X[k])
@@ -278,7 +286,8 @@ def check_skorokhod(sol: ObstacleSolution, n_penalty: int | None = None,
 def check_ac_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: PathEnsemble,
                      sol: ObstacleSolution | None = None, basis_degree: int = 3,
                      residual_budget: float = 5e-2, k_bias_constant: float = 2.0,
-                     provenance: dict | None = None) -> CheckReport:
+                     provenance: dict | None = None,
+                     mc: RbsdeEstimate | None = None) -> CheckReport:
     """Absolute-continuity check: K~ = int r(t, X_t) dt built from the grid
     density must make (u, sigma Du, K~) satisfy the backward equation along
     paths, and its terminal mean must match the chain K expectation.
@@ -286,7 +295,9 @@ def check_ac_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: P
     The reflected-mc terminal K is reported alongside for reference: its
     per-date increments (h - C)^+ collect the positive part of the regression
     error, a bias whose ratio to the CI does not shrink with the sample size,
-    so the exact chain expectation is the sound comparison target.
+    so the exact chain expectation is the sound comparison target.  ``mc`` is
+    that estimate on ``ensemble`` at ``basis_degree``; it is computed here
+    when not given.
     """
     if sol is None:
         sol = solve_psor(spec, grid)
@@ -323,8 +334,9 @@ def check_ac_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: P
     k_budget = stat + k_bias_constant * (grid.dt + grid.dx**2)
     worst = max(res_rms / residual_budget, mean_gap / max(k_budget, _TINY))
 
-    mc = rbsde_reflected_mc(spec, ensemble, basis_degree)
-    k_mc_mean = float(mc.K_cumulative()[-1].mean())
+    if mc is None:
+        mc = rbsde_reflected_mc(spec, ensemble, basis_degree)
+    k_mc_mean = float(mc.dK.sum(axis=0).mean())
     return _report("ac-measure", worst, 1.0, residual_budget, stat, provenance,
                    {"bsde_residual_rms": res_rms, "k_mean_gap": mean_gap,
                     "k_tilde_mean": float(k_tilde.mean()), "k_chain_mean": k_chain,

@@ -77,3 +77,14 @@ def gaussian_kernel_weight_ratio(phi, rho, T, x_grid):
     num = float(np.sum(inner * rho(x_grid)) * dx)
     den = float(np.sum(np.abs(phi(x_grid)) * rho(x_grid)) * dx)
     return num / den
+
+
+def lstsq_polynomial_fit(x, y, degree):
+    """Fitted values of the least-squares regression of y on the monomials
+    1, z, .., z^degree of the standardized x, by SVD (``np.linalg.lstsq``)."""
+    mean, spread = float(x.mean()), float(x.std())
+    if spread > 1e-12 * (1.0 + abs(mean)):
+        x = (x - mean) / spread
+    design = np.vander(x, degree + 1, increasing=True)
+    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    return design @ coef

@@ -3,6 +3,7 @@ import pytest
 
 from parobs.cli import main
 from parobs.errors import ScenarioError
+from parobs.grid import SpaceTimeGrid
 from parobs.scenarios import load_scenario
 
 from conftest import scenario_path
@@ -195,3 +196,50 @@ def test_tolerance_overrides_reach_the_solver(tmp_path):
     grid = SpaceTimeGrid.build(sc.spec, 20, 10)
     sol = solve_psor(sc.spec, grid, **kwargs)
     assert sol.diagnostics["lcp_tol"] == 1e-6
+
+
+def _small_put(tmp_path):
+    text = scenario_path("american_put").read_text()
+    for key, value in (("grid.nx", "40"), ("grid.nt", "40"), ("mc.paths", "2000"),
+                       ("mc.dt_path", "0.0125")):
+        text = "".join(row + "\n" for row in text.splitlines() if not row.startswith(key + " "))
+        text += f"{key} = {value}\n"
+    cfg = tmp_path / "small_put.cfg"
+    cfg.write_text(text)
+    return cfg
+
+
+def test_verify_all_shares_one_reflected_mc_estimate(tmp_path, monkeypatch):
+    import parobs.cli
+    import parobs.verify
+    from parobs.stochastic import rbsde_reflected_mc
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rbsde_reflected_mc(*args, **kwargs)
+
+    monkeypatch.setattr(parobs.cli, "rbsde_reflected_mc", counted)
+    monkeypatch.setattr(parobs.verify, "rbsde_reflected_mc", counted)
+    code = run(["--scenario", _small_put(tmp_path), "--out", tmp_path / "o", "verify"])
+    assert code == 0
+    # three representation-u probes plus one estimate shared by
+    # representation-z and ac-measure
+    assert len(calls) == 4
+
+
+def test_shared_estimate_gives_the_same_reports(tmp_path):
+    from parobs.solver import solve_psor
+    from parobs.stochastic import rbsde_reflected_mc, simulate_paths
+    from parobs.verify import check_ac_measure, check_representation_z
+
+    sc = load_scenario(_small_put(tmp_path))
+    spec = sc.spec
+    grid = SpaceTimeGrid.build(spec, 40, 40)
+    sol = solve_psor(spec, grid)
+    ens = simulate_paths(spec, 0.0, 0.0, 0.0125, 2000, seed=5)
+    mc = rbsde_reflected_mc(spec, ens, 3)
+    for check in (check_representation_z, check_ac_measure):
+        assert check(spec, grid, ens, sol=sol, basis_degree=3, mc=mc) == \
+            check(spec, grid, ens, sol=sol, basis_degree=3)

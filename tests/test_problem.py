@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,12 @@ def test_every_shipped_scenario_passes(all_scenarios):
     for name, sc in all_scenarios.items():
         report = validate_hypotheses(sc.spec, probe_count=256, seed=0)
         assert report.passed, f"{name}: {[e.name for e in report.entries if not e.passed]}"
+
+
+@pytest.mark.parametrize("T", [float("nan"), float("inf")])
+def test_spec_rejects_nonfinite_horizon(T):
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(_spec(), T=T)
 
 
 def test_spec_rejects_bad_geometry():

@@ -17,9 +17,10 @@ from parobs.stochastic import (
     simulate_paths,
     snell_envelope_value,
     solution_reward_field,
+    _Projection,
 )
 
-from oracles import binomial_american_put
+from oracles import binomial_american_put, lstsq_polynomial_fit
 
 
 def _const_family(a0=1.0, value=1.0, T=1.0):
@@ -241,6 +242,39 @@ def test_regression_singular_for_degenerate_cloud():
     ens = simulate_paths(spec, 0.0, 1.0, 0.1, 1024, seed=26)
     with pytest.raises(RegressionSingular):
         rbsde_reflected_mc(spec, ens, 3)
+
+
+def test_regression_singular_for_degenerate_cloud_at_origin():
+    spec = _const_family(a0=1e-30)
+    ens = simulate_paths(spec, 0.0, 0.0, 0.1, 1024, seed=26)
+    with pytest.raises(RegressionSingular):
+        rbsde_reflected_mc(spec, ens, 3)
+
+
+def test_regression_singular_for_two_point_cloud():
+    rng = np.random.default_rng(41)
+    x = np.where(rng.random(5000) < 0.3, -1.0, 2.0)
+    with pytest.raises(RegressionSingular):
+        _Projection(x, 3)
+    # a degree-0 fit needs no spread: it is the sample mean
+    y = rng.standard_normal(5000)
+    assert np.allclose(_Projection(np.full(5000, 1.0), 0).fit(y), y.mean(), rtol=1e-14)
+
+
+@pytest.mark.parametrize("cloud", ["gaussian", "uniform", "skewed"])
+def test_projection_matches_lstsq_oracle(cloud):
+    rng = np.random.default_rng(["gaussian", "uniform", "skewed"].index(cloud))
+    m = 20_000
+    x = {"gaussian": lambda: 0.3 + 0.2 * rng.standard_normal(m),
+         "uniform": lambda: rng.uniform(-1.0, 3.0, m),
+         "skewed": lambda: rng.gamma(4.0, 1.0, m)}[cloud]()  # skewness 1
+    targets = (np.sin(2.0 * x) + 0.3 * rng.standard_normal(m),
+               np.maximum(1.0 - x, 0.0) * rng.standard_normal(m))
+    for degree in range(7):
+        proj = _Projection(x, degree)
+        for y in targets:  # one factorization serves both right-hand sides
+            ref = lstsq_polynomial_fit(x, y, degree)
+            assert np.max(np.abs(proj.fit(y) - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_basis_degree_capped_and_path_floor():
