@@ -1,7 +1,7 @@
 """Numerical toolkit for parabolic obstacle problems in divergence form.
 
-Solves the Cauchy obstacle problem by penalization and by a projected-SOR
-complementarity oracle, simulates the associated diffusion and reflected
+Solves the Cauchy obstacle problem by penalization and by an exact active-set
+complementarity solve, simulates the associated diffusion and reflected
 BSDE, and machine-checks the representation identities tying the two halves
 together.
 """

@@ -2,8 +2,7 @@
 
 Outputs are CSV files with a provenance comment line (scenario name, content
 hash, seed) and numbers serialized with 17 significant digits, so identical
-invocations produce byte-identical files.  ``--threads`` is accepted as a
-scheduling hint only; results never depend on it.
+invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error,
 3 numeric failure inside a solver or scheme.
@@ -81,18 +80,13 @@ def _load(args) -> tuple[Scenario, SpaceTimeGrid, int]:
     return sc, grid, seed
 
 
-_PSOR_TOL_KEYS = ("lcp_tol", "omega", "max_sweeps", "stall_window")
+_PSOR_TOL_KEYS = ("lcp_tol", "inner_tol", "max_inner")
 _PENALIZED_TOL_KEYS = ("inner_tol", "max_inner")
 
 
 def _solver_kwargs(sc: Scenario, keys) -> dict:
     """Scenario tolerance overrides for the matching solver arguments."""
-    out = {}
-    for key in keys:
-        if key in sc.tolerances:
-            value = sc.tolerances[key]
-            out[key] = int(value) if key in ("max_sweeps", "stall_window", "max_inner") else value
-    return out
+    return {key: sc.tolerances[key] for key in keys if key in sc.tolerances}
 
 
 def _solution_rows(grid, sol):
@@ -147,9 +141,10 @@ def cmd_study(args) -> int:
         write_csv(out / "picard_study.csv", prov + f" gamma={_f17(trace.gamma)}",
                   ["iteration", "distance", "ratio"], rows)
     elif args.study == "stability":
+        # shifted down, so that h2 <= h1 <= phi at T wherever h1 touches phi
         eps = args.eps
         h1 = sc.spec.obstacle.h
-        h2 = lambda t, x: np.asarray(h1(t, x), dtype=float) + eps
+        h2 = lambda t, x: np.asarray(h1(t, x), dtype=float) - eps
         rep = obstacle_stability(sc.spec, grid, h1, h2)
         write_csv(out / "stability_study.csv", prov,
                   ["eps", "solution_distance", "obstacle_distance", "ratio", "passed"],
@@ -294,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenario", required=True, help="path to a scenario .cfg file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="scheduling hint; never affects results")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve the obstacle problem")

@@ -30,7 +30,7 @@ class MonotonicityViolation(ParobsError):
 
 
 class LcpStall(ParobsError):
-    """PSOR complementarity residual plateaued above tolerance."""
+    """Active-set complementarity step still changing after n + 1 solves."""
 
 
 class NoContraction(ParobsError):

@@ -12,12 +12,12 @@ Schema (all numeric values parse as floats unless noted):
     mc.paths, mc.seed    = ensemble size and master seed (ints)
     mc.dt_path           = path step
     mc.basis_degree      = regression basis degree (int)
-    tolerances.*         = optional solver tolerance overrides
+    tolerances.*         = optional solver tolerance overrides (keys in _KEYS)
     calibration.*        = frozen bias constants from the refinement pre-study
 
-Lines starting with '#' are comments.  Unknown keys are rejected so typos
-cannot silently change a run, and so are non-finite numbers and
-grid.nx, grid.nt, mc.paths or mc.dt_path below or at zero.
+Lines starting with '#' are comments.  Unknown keys are rejected in every
+section so typos cannot silently change a run, and so are non-finite numbers
+and grid.nx, grid.nt, mc.paths, mc.dt_path or tolerances.max_inner <= 0.
 """
 
 from __future__ import annotations
@@ -34,8 +34,15 @@ from .problem import Coefficients, Driver, ObstacleData, ObstacleProblemSpec, We
 __all__ = ["Scenario", "load_scenario", "build_family", "FAMILIES"]
 
 _SECTIONS = ("scenario", "problem", "grid", "mc", "tolerances", "calibration")
-_INT_KEYS = {"grid.nx", "grid.nt", "mc.paths", "mc.seed", "mc.basis_degree"}
-_POSITIVE_KEYS = {"grid.nx", "grid.nt", "mc.paths", "mc.dt_path"}
+_KEYS = {  # the numeric sections' keys; build_family checks problem.*
+    "grid": ("nx", "nt"),
+    "mc": ("paths", "seed", "dt_path", "basis_degree"),
+    "tolerances": ("lcp_tol", "inner_tol", "max_inner"),
+    "calibration": ("fk_bias", "z_budget", "ac_residual_budget", "weighted_lo", "weighted_hi"),
+}
+_INT_KEYS = {"grid.nx", "grid.nt", "mc.paths", "mc.seed", "mc.basis_degree",
+             "tolerances.max_inner"}
+_POSITIVE_KEYS = {"grid.nx", "grid.nt", "mc.paths", "mc.dt_path", "tolerances.max_inner"}
 
 
 @dataclass
@@ -210,6 +217,8 @@ def load_scenario(path) -> Scenario:
         out = {}
         for k in [k for k in kv if k.startswith(section + ".")]:
             short = k.split(".", 1)[1]
+            if short not in _KEYS[section]:
+                raise ScenarioError(f"unknown key {k!r}; {section} takes {list(_KEYS[section])}")
             out[short] = _parse_number(k, kv.pop(k))
         return out
 

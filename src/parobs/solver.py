@@ -6,14 +6,21 @@ Two routes solve the same discrete problem:
   approximation with penalty level n; the constraint force is the field
   r = n (u - h)^-.
 * ``solve_psor``: backward implicit Euler where each step is the linear
-  complementarity problem min(u - h, M u - b) = 0 solved by projected SOR;
-  the constraint force is r = (M u - b) / dt on the contact set.
+  complementarity problem min(u - h, M u - b) = 0, M = I - dt A, solved
+  exactly by an active-set (policy-iteration) step that ends within
+  nx + 3 banded solves; the constraint force is r = (M u - b) / dt on the
+  contact set.
 
-Both march on the truncated cylinder with Dirichlet clamp-to-data boundary
-values max(h(t, x_b), phi(x_b)).  The reflection measure is represented by
-the nonnegative cell density r with cell mass r dx dt; the continuum measure
-need not be absolutely continuous, so weak (test-function) comparisons are
-the honest ones and live in the verify module.
+Both, and the obstacle-free ``solve_unconstrained``, run on one backward
+marcher (``_march``) that owns the time loop, the clamp-to-data boundary
+values max(h(t, x_b), phi(x_b)), the lagged-driver fixed point within each
+step and the divergence guard; the routes differ only in the linear or
+complementarity solve they hand it per iterate.
+
+The reflection measure is represented by the nonnegative cell density r with
+cell mass r dx dt; the continuum measure need not be absolutely continuous, so
+weak (test-function) comparisons are the honest ones and live in the verify
+module.
 """
 
 from __future__ import annotations
@@ -21,9 +28,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .errors import InnerDivergence, LcpStall, MonotonicityViolation, NoContraction
-from .grid import DiscreteOperator, SpaceTimeGrid, assemble_operator, solve_backward_step
+from .grid import (
+    DiscreteOperator,
+    SpaceTimeGrid,
+    _banded_backward_matrix,
+    _banded_matvec,
+    assemble_operator,
+    solve_backward_step,
+)
 from .problem import ObstacleProblemSpec, Weight
 
 __all__ = [
@@ -56,17 +71,19 @@ __all__ = [
 DEFAULT_INNER_TOL = 1e-11
 DEFAULT_LCP_TOL = 1e-10
 DEFAULT_MONO_TOL = 1e-8
-DEFAULT_OMEGA = 1.5
+DEFAULT_MAX_INNER = 200
 
 
 # ---------------------------------------------------------------------------
 # grid fields
 
-def obstacle_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid) -> np.ndarray:
-    h = np.empty((grid.nt + 1, grid.nx + 2))
+def obstacle_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, h=None) -> np.ndarray:
+    """The obstacle (``spec``'s, or the function ``h(t, x)``) on every grid slice."""
+    h = spec.obstacle.h if h is None else h
+    out = np.empty((grid.nt + 1, grid.nx + 2))
     for k, t in enumerate(grid.t_nodes):
-        h[k] = spec.obstacle.h(float(t), grid.x_nodes)
-    return h
+        out[k] = h(float(t), grid.x_nodes)
+    return out
 
 
 def terminal_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid) -> np.ndarray:
@@ -75,13 +92,11 @@ def terminal_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid) -> np.ndarray
 
 def boundary_values(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
                     h_field: np.ndarray | None = None) -> np.ndarray:
-    """Clamp-to-data Dirichlet values at the two truncation nodes, per slice."""
-    if h_field is None:
-        h_field = obstacle_field(spec, grid)
-    phi = terminal_field(spec, grid)
-    out = np.empty((grid.nt + 1, 2))
-    out[:, 0] = np.maximum(h_field[:, 0], phi[0])
-    out[:, 1] = np.maximum(h_field[:, -1], phi[-1])
+    """Clamp-to-data Dirichlet values at the two truncation nodes, per slice:
+    max(h, phi), or phi alone when no obstacle field is given."""
+    out = np.tile(terminal_field(spec, grid)[[0, -1]], (grid.nt + 1, 1))
+    if h_field is not None:
+        out = np.maximum(h_field[:, [0, -1]], out)
     return out
 
 
@@ -173,10 +188,61 @@ def _contact_tol(spec: ObstacleProblemSpec, h_field: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# penalized route
+# one backward marcher
+
+def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, h_field=None,
+           exact: bool = True, driver_field: np.ndarray | None = None,
+           inner_tol: float = DEFAULT_INNER_TOL, max_inner: int = DEFAULT_MAX_INNER,
+           label: str = "inner iteration"):
+    """Backward implicit Euler from u(T) = phi with the driver lagged in each step.
+
+    ``solve(k, op, b, v)`` maps the iterate v and b = u_{k+1} + dt f(t_k, ., v,
+    sigma D v), whose edge entries hold the clamp-to-data values (phi alone
+    without an obstacle), to the next iterate.  A step ends when an iterate
+    moves by at most ``inner_tol``, or after one ``exact`` solve when b does
+    not depend on v (L = 0 or a frozen driver).  Returns u, iterations per step.
+    """
+    dt = grid.dt
+    u = np.empty((grid.nt + 1, grid.nx + 2))
+    u[grid.nt] = terminal_field(spec, grid)
+    bnd = boundary_values(spec, grid, h_field) if spec.boundary_mode == "clamp-to-data" else None
+    once = exact and (spec.driver.L <= 0.0 or driver_field is not None)
+    scale = 1.0 + float(np.max(np.abs(u[grid.nt])))
+    if h_field is not None:
+        scale += float(np.max(np.abs(h_field)))
+    iterations = np.zeros(grid.nt, dtype=int)
+
+    for k in range(grid.nt - 1, -1, -1):
+        op = assemble_operator(spec, grid, k)
+        t = float(grid.t_nodes[k])
+        frow = None if driver_field is None else driver_field[k]
+        v = u[k + 1].copy()
+        if bnd is not None:
+            v[0], v[-1] = bnd[k]
+        for m in range(max_inner):
+            b = u[k + 1] + dt * _driver_row(spec, t, grid.x_nodes, v, grid.dx, frow)
+            if bnd is not None:
+                b[0], b[-1] = bnd[k]
+            v_new = solve(k, op, b, v)
+            diff = float(np.max(np.abs(v_new - v)))
+            v = v_new
+            if not np.isfinite(diff) or np.max(np.abs(v)) > 1e12 * scale:
+                raise InnerDivergence(f"{label} diverged at step {k}")
+            if once or diff <= inner_tol:
+                iterations[k] = m + 1
+                break
+        else:
+            raise InnerDivergence(f"{label} did not converge within {max_inner} iterations "
+                                  f"at step {k}; reduce dt relative to L")
+        u[k] = v
+    return u, iterations
+
+
+# ---------------------------------------------------------------------------
+# penalized and unconstrained routes
 
 def solve_penalized(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_penalty: int,
-                    inner_tol: float = DEFAULT_INNER_TOL, max_inner: int = 200,
+                    inner_tol: float = DEFAULT_INNER_TOL, max_inner: int = DEFAULT_MAX_INNER,
                     driver_field: np.ndarray | None = None,
                     obstacle_field_override: np.ndarray | None = None) -> PenalizedSolution:
     """Backward implicit Euler for the penalized equation at level n.
@@ -191,45 +257,19 @@ def solve_penalized(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_penalty: i
         raise ValueError("n_penalty must be >= 1")
     mode = spec.boundary_mode
     h_field = obstacle_field(spec, grid) if obstacle_field_override is None else obstacle_field_override
-    bnd = boundary_values(spec, grid, h_field) if mode == "clamp-to-data" else None
-    dt, nq = grid.dt, float(n_penalty)
+    dtn = grid.dt * float(n_penalty)
 
-    u = np.empty((grid.nt + 1, grid.nx + 2))
-    u[grid.nt] = terminal_field(spec, grid)
-    counts = np.zeros(grid.nt, dtype=int)
-    blowup = 1e12 * (1.0 + float(np.max(np.abs(u[grid.nt]))) + float(np.max(np.abs(h_field))))
-
-    for k in range(grid.nt - 1, -1, -1):
-        op = assemble_operator(spec, grid, k)
-        t = float(grid.t_nodes[k])
-        h_row = h_field[k]
-        v = u[k + 1].copy()
+    def penalized(k, op, b, v):
+        active = v < h_field[k]
         if mode == "clamp-to-data":
-            v[0], v[-1] = bnd[k]
-        frow = None if driver_field is None else driver_field[k]
-        for m in range(max_inner):
-            fv = _driver_row(spec, t, grid.x_nodes, v, grid.dx, frow)
-            active = (v < h_row).astype(float)
-            rhs = u[k + 1] + dt * fv + dt * nq * h_row * active
-            if mode == "clamp-to-data":
-                active[0] = active[-1] = 0.0
-                rhs[0], rhs[-1] = bnd[k]
-            v_new = solve_backward_step(op, dt, rhs, extra_diag=dt * nq * active, mode=mode)
-            diff = float(np.max(np.abs(v_new - v)))
-            v = v_new
-            if diff <= inner_tol:
-                counts[k] = m + 1
-                break
-            if not np.isfinite(diff) or np.max(np.abs(v)) > blowup:
-                raise InnerDivergence(
-                    f"penalized inner iteration diverged at step {k} (n = {n_penalty})")
-        else:
-            raise InnerDivergence(
-                f"penalized inner iteration did not converge within {max_inner} iterations "
-                f"at step {k} (n = {n_penalty}); reduce dt relative to L and n")
-        u[k] = v
+            active[0] = active[-1] = False
+        return solve_backward_step(op, grid.dt, b + dtn * h_field[k] * active,
+                                   extra_diag=dtn * active, mode=mode)
 
-    r = nq * np.maximum(h_field - u, 0.0)
+    u, counts = _march(spec, grid, penalized, h_field, exact=False,
+                          driver_field=driver_field, inner_tol=inner_tol, max_inner=max_inner,
+                          label=f"penalized inner iteration (n = {n_penalty})")
+    r = float(n_penalty) * np.maximum(h_field - u, 0.0)
     return PenalizedSolution(n_penalty=n_penalty, u_values=u, r_values=r,
                              inner_iteration_counts=counts)
 
@@ -248,202 +288,96 @@ def as_obstacle_solution(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
 
 
 def solve_unconstrained(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
-                        inner_tol: float = DEFAULT_INNER_TOL, max_inner: int = 200,
+                        inner_tol: float = DEFAULT_INNER_TOL, max_inner: int = DEFAULT_MAX_INNER,
                         driver_field: np.ndarray | None = None) -> np.ndarray:
     """Plain implicit stepping for the Cauchy problem (no obstacle).
 
     Under clamp-to-data the boundary follows the terminal data extension.
     """
-    mode = spec.boundary_mode
-    dt = grid.dt
-    phi = terminal_field(spec, grid)
-    u = np.empty((grid.nt + 1, grid.nx + 2))
-    u[grid.nt] = phi
-    for k in range(grid.nt - 1, -1, -1):
-        op = assemble_operator(spec, grid, k)
-        t = float(grid.t_nodes[k])
-        v = u[k + 1].copy()
-        if mode == "clamp-to-data":
-            v[0], v[-1] = phi[0], phi[-1]
-        frow = None if driver_field is None else driver_field[k]
-        for m in range(max_inner):
-            fv = _driver_row(spec, t, grid.x_nodes, v, grid.dx, frow)
-            rhs = u[k + 1] + dt * fv
-            if mode == "clamp-to-data":
-                rhs[0], rhs[-1] = phi[0], phi[-1]
-            v_new = solve_backward_step(op, dt, rhs, mode=mode)
-            diff = float(np.max(np.abs(v_new - v)))
-            v = v_new
-            if diff <= inner_tol:
-                break
-        else:
-            raise InnerDivergence(f"unconstrained step {k} did not converge")
-        u[k] = v
-    return u
+    def plain(k, op, b, v):
+        return solve_backward_step(op, grid.dt, b, mode=spec.boundary_mode)
+
+    return _march(spec, grid, plain, driver_field=driver_field, inner_tol=inner_tol,
+                  max_inner=max_inner, label="unconstrained step")[0]
 
 
 # ---------------------------------------------------------------------------
-# PSOR route
+# complementarity route
 
-def _psor_step(op: DiscreteOperator, dt: float, b: np.ndarray, h_row: np.ndarray,
-               v0: np.ndarray, bnd_lo: float, bnd_hi: float, omega: float,
-               lcp_tol: float, max_sweeps: int, stall_window: int):
-    """Solve min(v - h, M v - b) = 0, M = I - dt A, by red-black projected SOR.
+def _lcp_step(op: DiscreteOperator, dt: float, b: np.ndarray, h_row: np.ndarray,
+              v0: np.ndarray, mode: str, lcp_tol: float):
+    """Solve min(v - h, M v - b) = 0, M = I - dt A, by policy iteration.
 
-    ``b`` and ``h_row`` are interior vectors; returns (full field, sweeps).
+    M is the full (nx + 2) banded system of ``mode``; clamp-to-data boundary
+    rows are identity rows, never active.  Each iteration takes the active set
+    S = {v - h < M v - b} of the last iterate (of v0, plus the nodes where
+    v0 <= h), sets v = h on S and solves M v = b off S by one banded solve.
+    For an M-matrix (Howard's algorithm) S changes at most n times, so the
+    step ends within n + 1 solves: when max|min(v - h, M v - b)| <= lcp_tol or
+    when S repeats, v then being exact.  Returns (v, solves, M v - b).
     """
-    nx = b.size
-    dmat = 1.0 - dt * op.diag
-    lo = -dt * op.lower
-    up = -dt * op.upper
-    vp = np.empty(nx + 2)
-    vp[0], vp[-1] = bnd_lo, bnd_hi
-    vp[1:-1] = np.maximum(h_row, v0)
-
-    even = np.arange(2, nx + 1, 2)  # full-grid interior indices
-    odd = np.arange(1, nx + 1, 2)
-
-    def sweep_color(idx):
-        rel = idx - 1
-        gs = (b[rel] - lo[rel] * vp[idx - 1] - up[rel] * vp[idx + 1]) / dmat[rel]
-        vp[idx] = np.maximum(h_row[rel], vp[idx] + omega * (gs - vp[idx]))
-
-    best = np.inf
-    since_best = 0
-    for sweep in range(1, max_sweeps + 1):
-        sweep_color(odd)
-        sweep_color(even)
-        mv = dmat * vp[1:-1] + lo * vp[:-2] + up * vp[2:]
-        res = float(np.max(np.abs(np.minimum(vp[1:-1] - h_row, mv - b))))
-        if res <= lcp_tol:
-            return vp, sweep
-        if res < best * (1.0 - 1e-3):
-            best, since_best = res, 0
-        else:
-            since_best += 1
-            if since_best >= stall_window:
-                raise LcpStall(
-                    f"PSOR residual plateaued at {res:.3e} > lcp_tol {lcp_tol:.1e}")
-    raise LcpStall(f"PSOR exceeded {max_sweeps} sweeps (residual {res:.3e})")
-
-
-def _psor_step_full(op: DiscreteOperator, dt: float, b: np.ndarray, h_row: np.ndarray,
-                    v0: np.ndarray, omega: float, lcp_tol: float, max_sweeps: int,
-                    stall_window: int):
-    """Red-black projected SOR with zero-flux rows: all nodes are unknowns."""
+    ab = _banded_backward_matrix(op, dt, mode=mode)
     n = b.size
-    dmat = np.empty(n)
-    dmat[1:-1] = 1.0 - dt * op.diag
-    dmat[0] = 1.0 + dt * op.lower[0]
-    dmat[-1] = 1.0 + dt * op.upper[-1]
-    L = np.zeros(n)
-    U = np.zeros(n)
-    L[1:-1] = -dt * op.lower
-    L[-1] = -dt * op.upper[-1]
-    U[1:-1] = -dt * op.upper
-    U[0] = -dt * op.lower[0]
-    v = np.maximum(h_row, v0)
-
-    def neighbors():
-        left = np.empty(n)
-        left[1:] = v[:-1]
-        left[0] = 0.0
-        right = np.empty(n)
-        right[:-1] = v[1:]
-        right[-1] = 0.0
-        return left, right
-
-    colors = (np.arange(1, n, 2), np.arange(0, n, 2))
-    best = np.inf
-    since_best = 0
-    for sweep in range(1, max_sweeps + 1):
-        for idx in colors:
-            left, right = neighbors()
-            gs = (b[idx] - L[idx] * left[idx] - U[idx] * right[idx]) / dmat[idx]
-            v[idx] = np.maximum(h_row[idx], v[idx] + omega * (gs - v[idx]))
-        left, right = neighbors()
-        mv = dmat * v + L * left + U * right
-        res = float(np.max(np.abs(np.minimum(v - h_row, mv - b))))
-        if res <= lcp_tol:
-            return v, sweep
-        if res < best * (1.0 - 1e-3):
-            best, since_best = res, 0
-        else:
-            since_best += 1
-            if since_best >= stall_window:
-                raise LcpStall(f"PSOR residual plateaued at {res:.3e} > lcp_tol {lcp_tol:.1e}")
-    raise LcpStall(f"PSOR exceeded {max_sweeps} sweeps (residual {res:.3e})")
+    free = np.ones(n, dtype=bool)  # rows that may be active
+    if mode == "clamp-to-data":
+        free[[0, -1]] = False
+    act = free & ((v0 <= h_row) | (v0 - h_row < _banded_matvec(ab, v0) - b))
+    for solves in range(1, n + 2):
+        A, rhs = ab, b
+        if act.any():
+            hs = np.where(act, h_row, 0.0)
+            rhs = b - (_banded_matvec(ab, hs) - ab[1] * hs)
+            rhs[act] = h_row[act]
+            A = ab.copy()  # decouple the active nodes: v = h holds exactly there
+            A[:, act] = 0.0
+            A[1, act] = 1.0
+            A[0, 1:][act[:-1]] = 0.0
+            A[2, :-1][act[1:]] = 0.0
+        v = solve_banded((1, 1), A, rhs)
+        w = _banded_matvec(ab, v) - b
+        new = free & (v - h_row < w)
+        if np.max(np.abs(np.minimum(v - h_row, w))) <= lcp_tol or np.array_equal(new, act):
+            return v, solves, w
+        act = new
+    raise LcpStall(f"active set still changing after {n + 1} policy iterations "
+                   f"(residual {np.max(np.abs(np.minimum(v - h_row, w))):.3e})")
 
 
 def solve_psor(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
-               lcp_tol: float = DEFAULT_LCP_TOL, omega: float = DEFAULT_OMEGA,
-               max_sweeps: int = 50_000, stall_window: int = 500,
-               refine_tol: float = 1e-11, max_refine: int = 50,
+               lcp_tol: float = DEFAULT_LCP_TOL, inner_tol: float = DEFAULT_INNER_TOL,
+               max_inner: int = DEFAULT_MAX_INNER,
                driver_field: np.ndarray | None = None,
                obstacle_field_override: np.ndarray | None = None) -> ObstacleSolution:
-    """Backward stepping with a projected-SOR linear complementarity solve per step.
+    """Backward stepping with an exact complementarity solve (``_lcp_step``) per step.
 
-    The driver is lagged and Picard-refined within each step whenever it
-    actually depends on (y, z).  The measure density is r = (M u - b) / dt on
-    the contact set and exactly zero off it.
+    The name is kept from the projected-SOR step this replaced, because
+    ``solve --method psor`` and the callers across the package use it.  The
+    measure density is r = (M u - b) / dt on the contact set and zero off it.
+    ``sweep_counts`` are the active-set solves per step, summed over the
+    driver refinements that ``refine_counts`` counts.
     """
-    mode = spec.boundary_mode
     h_field = obstacle_field(spec, grid) if obstacle_field_override is None else obstacle_field_override
-    bnd = boundary_values(spec, grid, h_field) if mode == "clamp-to-data" else None
     dt = grid.dt
-    ctol = _contact_tol(spec, h_field)
-
-    u = np.empty((grid.nt + 1, grid.nx + 2))
-    r = np.zeros_like(u)
-    contact = np.zeros(u.shape, dtype=bool)
-    u[grid.nt] = terminal_field(spec, grid)
-    contact[grid.nt] = u[grid.nt] - h_field[grid.nt] <= ctol
+    resid = np.empty((grid.nt, grid.nx + 2))
     sweep_counts = np.zeros(grid.nt, dtype=int)
-    refine_counts = np.zeros(grid.nt, dtype=int)
-    needs_refine = spec.driver.L > 0 and driver_field is None
 
-    for k in range(grid.nt - 1, -1, -1):
-        op = assemble_operator(spec, grid, k)
-        t = float(grid.t_nodes[k])
-        frow = None if driver_field is None else driver_field[k]
-        v = u[k + 1].copy()
-        if mode == "clamp-to-data":
-            v[0], v[-1] = bnd[k]
-        for refine in range(max_refine):
-            fv = _driver_row(spec, t, grid.x_nodes, v, grid.dx, frow)
-            if mode == "clamp-to-data":
-                b = u[k + 1, 1:-1] + dt * fv[1:-1]
-                vp, sweeps = _psor_step(op, dt, b, h_field[k, 1:-1], v[1:-1],
-                                        bnd[k, 0], bnd[k, 1], omega, lcp_tol,
-                                        max_sweeps, stall_window)
-            else:
-                b = u[k + 1] + dt * fv
-                vp, sweeps = _psor_step_full(op, dt, b, h_field[k], v, omega,
-                                             lcp_tol, max_sweeps, stall_window)
-            sweep_counts[k] += sweeps
-            change = float(np.max(np.abs(vp - v)))
-            v = vp
-            if not needs_refine or change <= refine_tol:
-                refine_counts[k] = refine + 1
-                break
-        else:
-            raise InnerDivergence(f"driver refinement did not settle at step {k}")
-        u[k] = v
-        # residual-based measure density on the binding set; the support uses
-        # the tighter lcp_tol so that min(u - h, r) stays below lcp_tol even
-        # though r carries a 1/dt amplification of the step residual
-        fv = _driver_row(spec, t, grid.x_nodes, v, grid.dx, frow)
-        b = u[k + 1, 1:-1] + dt * fv[1:-1]
-        dmat = 1.0 - dt * op.diag
-        mv = dmat * v[1:-1] - dt * op.lower * v[:-2] - dt * op.upper * v[2:]
-        binding = v[1:-1] - h_field[k, 1:-1] <= lcp_tol
-        r[k, 1:-1] = np.where(binding, np.maximum(mv - b, 0.0) / dt, 0.0)
-        contact[k, 1:-1] = v[1:-1] - h_field[k, 1:-1] <= ctol
-        contact[k, 0] = u[k, 0] - h_field[k, 0] <= ctol
-        contact[k, -1] = u[k, -1] - h_field[k, -1] <= ctol
+    def lcp(k, op, b, v):
+        v, solves, resid[k] = _lcp_step(op, dt, b, h_field[k], v, spec.boundary_mode, lcp_tol)
+        sweep_counts[k] += solves
+        return v
 
+    u, refine_counts = _march(
+        spec, grid, lcp, h_field, driver_field=driver_field, inner_tol=inner_tol,
+        max_inner=max_inner, label="driver refinement")
+    # residual-based measure density on the binding set; the support uses
+    # the tighter lcp_tol so that min(u - h, r) stays below lcp_tol even
+    # though r carries a 1/dt amplification of the step residual
+    r = np.zeros_like(u)
+    binding = u[:-1, 1:-1] - h_field[:-1, 1:-1] <= lcp_tol
+    r[:-1, 1:-1] = np.where(binding, np.maximum(resid[:, 1:-1], 0.0) / dt, 0.0)
+    ctol = _contact_tol(spec, h_field)
     return ObstacleSolution(
-        u_values=u, r_values=r, contact_mask=contact, method="psor",
+        u_values=u, r_values=r, contact_mask=u - h_field <= ctol, method="psor",
         diagnostics={
             "sweep_counts": sweep_counts,
             "refine_counts": refine_counts,
@@ -490,10 +424,8 @@ def penalization_study(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedul
     n_schedule = [int(n) for n in n_schedule]
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")
-    h_field = obstacle_field(spec, grid)
     levels, sups, norms, dists = [], [], [], []
     prev = None
-    last = None
     for n in n_schedule:
         sol = solve_penalized(spec, grid, n, inner_tol=inner_tol)
         levels.append(n)
@@ -511,19 +443,11 @@ def penalization_study(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedul
             sups.append(float(np.max(np.abs(delta))))
             norms.append(_space_time_norm(grid, spec.weight, delta))
         prev = sol
-        last = sol
         if float(np.max(sol.r_values)) == 0.0:
             break
 
-    ctol = _contact_tol(spec, h_field)
-    limit = ObstacleSolution(
-        u_values=last.u_values, r_values=last.r_values,
-        contact_mask=h_field - last.u_values >= -ctol,
-        method="penalized-limit",
-        diagnostics={"n_final": last.n_penalty,
-                     "inner_iteration_counts": last.inner_iteration_counts,
-                     "h_field": h_field},
-    )
+    limit = as_obstacle_solution(spec, grid, prev)
+    limit.method = "penalized-limit"
     study = PenalizationStudy(
         n_levels=levels,
         sup_increments=np.asarray(sups), norm_increments=np.asarray(norms),
@@ -591,16 +515,14 @@ def picard_outer(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, inner: str = "p
 
     gamma = contraction_gamma(spec)
     lam = spec.coefficients.lambda_ell
+    v = np.zeros((grid.nt + 1, grid.nx + 2))
     if spec.driver.L == 0.0:
-        zero = np.zeros((grid.nt + 1, grid.nx + 2))
-        sol = run_inner(frozen_driver_field(spec, grid, zero))
+        sol = run_inner(frozen_driver_field(spec, grid, v))
         return sol, PicardTrace(gamma=gamma, distances=[], ratios=[])
 
-    v = np.zeros((grid.nt + 1, grid.nx + 2))
     distances, ratios = [], []
     expanding = 0
-    sol = None
-    for it in range(max_outer):
+    for _ in range(max_outer):
         sol = run_inner(frozen_driver_field(spec, grid, v))
         d = v_gamma_norm(grid, spec.weight, sol.u_values - v, gamma, lam)
         distances.append(d)
@@ -703,19 +625,15 @@ def apriori_norm_report(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
 
 def obstacle_stability(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, h1, h2,
                        delta: float = 0.0, stability_C: float = 3.0) -> StabilityReport:
-    """Sup-norm solution distance against sup-norm obstacle distance (PSOR both).
+    """Sup-norm solution distance against sup-norm obstacle distance (both by solve_psor).
 
     Both obstacles must stay below the terminal value at T.
     """
     phi = terminal_field(spec, grid)
-    fields = []
-    for h_eval in (h1, h2):
-        hf = np.empty((grid.nt + 1, grid.nx + 2))
-        for k, t in enumerate(grid.t_nodes):
-            hf[k] = h_eval(float(t), grid.x_nodes)
+    fields = [obstacle_field(spec, grid, h) for h in (h1, h2)]
+    for hf in fields:
         if np.max(hf[grid.nt] - phi) > 1e-12 * (1.0 + np.max(np.abs(phi))):
             raise ValueError("obstacle exceeds the terminal value at T")
-        fields.append(hf)
     sols = [solve_psor(spec, grid, obstacle_field_override=hf) for hf in fields]
     k_max = int(np.searchsorted(grid.t_nodes, spec.T - delta + 1e-12, side="right"))
     du = float(np.max(np.abs(sols[0].u_values[:k_max] - sols[1].u_values[:k_max])))

@@ -269,7 +269,7 @@ def check_skorokhod(sol: ObstacleSolution, n_penalty: int | None = None,
                     provenance: dict | None = None) -> CheckReport:
     """Normalized flat-off-contact functional sum (u - h) r / sum r.
 
-    Exactly zero off contact for PSOR by construction; of size C / n for a
+    Exactly zero off contact for ``solve_psor`` by construction; of size C / n for a
     penalized solution at level n.
     """
     h_field = sol.diagnostics.get("h_field")
@@ -407,7 +407,7 @@ def check_minimality(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedule,
                      sol_psor: ObstacleSolution | None = None, mono_tol: float = 1e-8,
                      gap_budget: float = 1e-3,
                      provenance: dict | None = None) -> CheckReport:
-    """Penalized solutions approach the unique PSOR solution from below."""
+    """Penalized solutions approach the unique complementarity solution from below."""
     if sol_psor is None:
         sol_psor = solve_psor(spec, grid)
     overshoot = 0.0

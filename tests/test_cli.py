@@ -134,12 +134,15 @@ def test_penalization_study_csv(tmp_path):
     assert np.all(rows[:, 1:] == 0.0)
 
 
-def test_stability_study_csv(tmp_path):
-    code = run(["--scenario", scenario_path("heat_bump"), "--out", tmp_path,
+@pytest.mark.parametrize("name", ["american_put", "constant", "heat_bump", "obstacle_quad",
+                                  "sine_coef"])
+def test_stability_study_csv(tmp_path, name):
+    code = run(["--scenario", scenario_path(name), "--out", tmp_path,
                 "study", "--study", "stability", "--eps", 1e-3])
     assert code == 0
     txt = (tmp_path / "stability_study.csv").read_text().splitlines()
     row = txt[2].split(",")
+    assert float(row[2]) == pytest.approx(1e-3)  # sup |h1 - h2| = eps
     assert float(row[3]) <= 3.0  # ratio within the configured constant
     assert int(float(row[4])) == 1
 
@@ -166,11 +169,10 @@ def test_simulate_and_moments_and_stop_value(tmp_path):
     assert float(row[3]) <= 1e-12
 
 
-def test_outputs_byte_identical_across_threads(tmp_path):
+def test_outputs_byte_identical_across_runs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    for out, threads in ((a, 1), (b, 8)):
-        code = run(["--scenario", scenario_path("obstacle_quad"), "--out", out,
-                    "--threads", threads, "verify",
+    for out in (a, b):
+        code = run(["--scenario", scenario_path("obstacle_quad"), "--out", out, "verify",
                     "--checks", "skorokhod,measure-identity,minimality"])
         assert code == 0
     for name in ("verify_report.csv", "verify_report.txt"):
@@ -180,6 +182,20 @@ def test_outputs_byte_identical_across_threads(tmp_path):
 def test_unknown_flag_exits_2(tmp_path):
     assert run(["--scenario", scenario_path("constant"), "--out", tmp_path,
                 "solve", "--definitely-not-a-flag"]) == 2
+    assert run(["--scenario", scenario_path("constant"), "--out", tmp_path,
+                "--threads", 2, "solve"]) == 2
+
+
+@pytest.mark.parametrize("line", ["grid.nxx = 100", "mc.pathz = 10", "tolerances.lcp_tl = 1e-6",
+                                  "tolerances.omega = 1.5", "calibration.z_budgett = 9"])
+def test_unknown_key_in_any_section_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(scenario_path("constant").read_text() + line + "\n")
+    code = run(["--scenario", cfg, "--out", tmp_path / "o", "solve"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "kind=ScenarioError" in err and line.split(" =")[0] in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_tolerance_overrides_reach_the_solver(tmp_path):

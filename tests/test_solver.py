@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import parobs.solver as solver_mod
-from parobs.errors import InnerDivergence, LcpStall, MonotonicityViolation, NoContraction
-from parobs.grid import SpaceTimeGrid, assemble_operator
+from parobs.errors import InnerDivergence, MonotonicityViolation, NoContraction
+from parobs.grid import DiscreteOperator, SpaceTimeGrid, _banded_backward_matrix, assemble_operator
 from parobs.problem import Coefficients, Driver, ObstacleData, ObstacleProblemSpec, Weight
 from parobs.solver import (
+    DEFAULT_LCP_TOL,
     PenalizedSolution,
+    _lcp_step,
     apriori_norm_report,
     contraction_gamma,
     energy_identity_residual,
@@ -21,7 +23,7 @@ from parobs.solver import (
     terminal_field,
 )
 
-from oracles import dense_lcp_solve
+from oracles import dense_lcp_solve, psor_lcp_solve
 
 
 def _zeros(t, x):
@@ -211,12 +213,16 @@ def test_inner_divergence_for_stiff_driver():
         solve_penalized(spec, grid, 4)
 
 
-def test_lcp_stall_guard(put_scenario):
-    # an unreachable tolerance stalls at the round-off floor
+def test_zero_lcp_tolerance_terminates(put_scenario):
+    # a residual of exactly zero is out of reach in floating point; the
+    # active-set step still ends, when its active set repeats
     spec = put_scenario.spec
     grid = SpaceTimeGrid.build(spec, 40, 10)
-    with pytest.raises(LcpStall):
-        solve_psor(spec, grid, lcp_tol=0.0, stall_window=3)
+    sol = solve_psor(spec, grid, lcp_tol=0.0)
+    h_field = sol.diagnostics["h_field"]
+    off = ~sol.contact_mask
+    assert np.all(np.minimum(sol.u_values - h_field, sol.r_values)[off] == 0.0)
+    assert np.all(sol.diagnostics["sweep_counts"] <= grid.nx + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +374,7 @@ def test_obstacle_stability_deactivated_pair(heat_scenario):
 
 
 def test_replacement_inactive_and_put(heat_scenario, put_scenario):
-    # zero in exact arithmetic; the PSOR iteration floor is ~lcp_tol / dt
+    # zero in exact arithmetic
     grid_h = SpaceTimeGrid.build(heat_scenario.spec, 60, 40)
     assert obstacle_replacement_check(heat_scenario.spec, grid_h) <= 1e-8
     grid_p = SpaceTimeGrid.build(put_scenario.spec, 200, 200)
@@ -414,3 +420,51 @@ def test_reflecting_mode_matches_clamp_in_the_interior(heat_scenario):
     u_r = solve_psor(refl, grid).u_values
     core = np.abs(grid.x_nodes) <= 4.0
     assert np.max(np.abs(u_c[:, core] - u_r[:, core])) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the active-set step against the enumeration and PSOR oracles
+
+def _random_step(rng, n, mode):
+    """One step system on n nodes: random positive face coefficients and dt,
+    random obstacle, data and warm start (dx = 1)."""
+    a = rng.uniform(0.05, 2.0, n - 1)
+    op = DiscreteOperator(t_index=0, t=0.0, lower=0.5 * a[:-1],
+                          diag=-0.5 * (a[:-1] + a[1:]), upper=0.5 * a[1:])
+    dt = rng.uniform(0.01, 5.0)
+    h = rng.normal(size=n)
+    b = rng.normal(size=n)
+    if mode == "clamp-to-data":
+        b[[0, -1]] = np.maximum(b[[0, -1]], h[[0, -1]])  # boundary values max(h, data)
+    return op, dt, b, h, rng.normal(size=n)
+
+
+def _checked_step(op, dt, b, h, v0, mode):
+    n = b.size
+    v, solves, w = _lcp_step(op, dt, b, h, v0, mode, DEFAULT_LCP_TOL)
+    assert np.all(v >= h)
+    assert np.max(np.abs(np.minimum(v - h, w))) <= DEFAULT_LCP_TOL
+    assert 1 <= solves <= n + 1
+    return v
+
+
+@pytest.mark.parametrize("mode", ["clamp-to-data", "reflecting"])
+def test_lcp_step_matches_active_set_enumeration(mode):
+    rng = np.random.default_rng(20260808 if mode == "reflecting" else 7)
+    for _ in range(24):
+        n = int(rng.integers(3, 13))
+        op, dt, b, h, v0 = _random_step(rng, n, mode)
+        v = _checked_step(op, dt, b, h, v0, mode)
+        ab = _banded_backward_matrix(op, dt, mode=mode)
+        M = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+        assert np.max(np.abs(v - dense_lcp_solve(M, b, h))) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["clamp-to-data", "reflecting"])
+def test_lcp_step_matches_psor_oracle(mode):
+    rng = np.random.default_rng(11 if mode == "reflecting" else 3)
+    for _ in range(4):
+        op, dt, b, h, v0 = _random_step(rng, 100, mode)
+        v = _checked_step(op, dt, b, h, v0, mode)
+        ab = _banded_backward_matrix(op, dt, mode=mode)
+        assert np.max(np.abs(v - psor_lcp_solve(ab, b, h))) <= 1e-8
