@@ -58,6 +58,7 @@ from .solver import (
     solve_unconstrained,
 )
 from .stochastic import (
+    LsmcEstimate,
     PathEnsemble,
     RbsdeEstimate,
     estimate_g_integral,

@@ -70,6 +70,8 @@ def _provenance(sc: Scenario, seed: int) -> str:
 
 
 def _load(args) -> tuple[Scenario, SpaceTimeGrid, int]:
+    if args.seed is not None and args.seed < 0:
+        raise ScenarioError(f"--seed must be non-negative, got {args.seed}")
     sc = load_scenario(args.scenario)
     report = validate_hypotheses(sc.spec)
     if not report.passed:
@@ -124,6 +126,9 @@ def cmd_study(args) -> int:
     out = Path(args.out)
     prov = _provenance(sc, seed) + f" study={args.study}"
     if args.study == "penalization":
+        if args.max_level < 4:
+            raise ScenarioError(f"--max-level must be at least 4 (the schedule starts "
+                                f"at 2^4), got {args.max_level}")
         schedule = [2**j for j in range(4, args.max_level + 1)]
         psor = solve_psor(sc.spec, grid)
         limit, study = penalization_study(sc.spec, grid, schedule, reference=psor)
@@ -247,7 +252,8 @@ def cmd_simulate(args) -> int:
     spec = sc.spec
     mc = sc.mc_params
     x0 = 0.5 * (spec.x_lo + spec.x_hi)
-    ens = simulate_paths(spec, 0.0, x0, float(mc["dt_path"]), int(mc["paths"]), seed)
+    ens = simulate_paths(spec, 0.0, x0, float(mc["dt_path"]), int(mc["paths"]), seed,
+                         store_dw=False)
     rows = [(t, float(ens.X[k].mean()), float(ens.X[k].var()),
              float(ens.X[k].min()), float(ens.X[k].max()))
             for k, t in enumerate(ens.t_nodes)]
@@ -262,7 +268,7 @@ def cmd_stop_value(args) -> int:
     sol = solve_psor(spec, grid)
     x0 = 0.5 * (spec.x_lo + spec.x_hi)
     ens = simulate_paths(spec, 0.0, x0, float(sc.mc_params["dt_path"]),
-                         int(sc.mc_params["paths"]), seed)
+                         int(sc.mc_params["paths"]), seed, store_dw=False)
     sv = optimal_stopping_value(spec, grid, sol, ens, 0.0, x0)
     write_csv(Path(args.out) / "stop_value.csv", _provenance(sc, seed),
               ["rule_value", "rule_ci", "snell_value", "gap"],

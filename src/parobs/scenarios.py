@@ -16,8 +16,9 @@ Schema (all numeric values parse as floats unless noted):
     calibration.*        = frozen bias constants from the refinement pre-study
 
 Lines starting with '#' are comments.  Unknown keys are rejected in every
-section so typos cannot silently change a run, and so are non-finite numbers
-and grid.nx, grid.nt, mc.paths, mc.dt_path or tolerances.max_inner <= 0.
+section so typos cannot silently change a run, and so are non-finite numbers,
+grid.nx, grid.nt, mc.paths, mc.dt_path or tolerances.max_inner <= 0, a
+negative mc.seed and an mc.basis_degree outside 0..6.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from .errors import ScenarioError
 from .problem import Coefficients, Driver, ObstacleData, ObstacleProblemSpec, Weight
+from .stochastic import MAX_BASIS_DEGREE
 
 __all__ = ["Scenario", "load_scenario", "build_family", "FAMILIES"]
 
@@ -43,6 +45,7 @@ _KEYS = {  # the numeric sections' keys; build_family checks problem.*
 _INT_KEYS = {"grid.nx", "grid.nt", "mc.paths", "mc.seed", "mc.basis_degree",
              "tolerances.max_inner"}
 _POSITIVE_KEYS = {"grid.nx", "grid.nt", "mc.paths", "mc.dt_path", "tolerances.max_inner"}
+_RANGES = {"mc.seed": (0, np.inf), "mc.basis_degree": (0, MAX_BASIS_DEGREE)}  # bounds included
 
 
 @dataclass
@@ -77,7 +80,8 @@ def _parse_kv(text: str) -> dict:
 
 
 def _parse_number(key: str, text: str):
-    """An int for integer keys, a finite float otherwise; positive where required."""
+    """An int for integer keys, a finite float otherwise; positive or within
+    its range where required."""
     try:
         value = int(text) if key in _INT_KEYS else float(text)
     except ValueError as exc:
@@ -86,6 +90,9 @@ def _parse_number(key: str, text: str):
         raise ScenarioError(f"key {key!r}: value {text!r} is not finite")
     if key in _POSITIVE_KEYS and not value > 0:
         raise ScenarioError(f"key {key!r}: value {text!r} must be positive")
+    lo, hi = _RANGES.get(key, (-np.inf, np.inf))
+    if not lo <= value <= hi:
+        raise ScenarioError(f"key {key!r}: value {text!r} outside [{lo}, {hi}]")
     return value
 
 

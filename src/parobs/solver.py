@@ -416,12 +416,15 @@ def penalization_study(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedul
                        reference: ObstacleSolution | None = None):
     """Run the penalty schedule, assert nodewise monotone increase, return the limit.
 
-    The schedule must be strictly increasing.  If a level produces an exactly
-    inactive penalty (r = 0) the study short-circuits: all later levels solve
-    the same unconstrained problem.  With a ``reference`` solution the study
-    also records each level's sup distance to it.
+    The schedule must be nonempty and strictly increasing.  If a level
+    produces an exactly inactive penalty (r = 0) the study short-circuits:
+    all later levels solve the same unconstrained problem.  With a
+    ``reference`` solution the study also records each level's sup distance
+    to it.
     """
     n_schedule = [int(n) for n in n_schedule]
+    if not n_schedule:
+        raise ValueError("n_schedule is empty")
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")
     levels, sups, norms, dists = [], [], [], []

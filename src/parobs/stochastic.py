@@ -16,7 +16,7 @@ and the first paths of a larger ensemble coincide with a smaller one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -39,6 +39,7 @@ from .solver import (
 __all__ = [
     "PathEnsemble",
     "RbsdeEstimate",
+    "LsmcEstimate",
     "MomentRatio",
     "GIntegral",
     "ConvergenceTable",
@@ -56,6 +57,7 @@ __all__ = [
 
 BLOCK_SIZE = 8192  # fixed stream granularity; part of the reproducibility contract
 N_BATCHES = 10
+MAX_BASIS_DEGREE = 6
 
 
 @dataclass
@@ -138,11 +140,12 @@ def _batch_slices(m: int):
 def moment_ratio_probe(ensemble: PathEnsemble, p_exponent: float = 4.0) -> MomentRatio:
     """Ratio of the p-th moment of the running sup to the terminal p-th moment.
 
-    Defined for p >= 4 only (the range the estimate is proved for); the CI is
-    1.96 times the spread of the ratio over ten contiguous path batches.
+    Defined for finite p >= 4 only (the range the estimate is proved for);
+    the CI is 1.96 times the spread of the ratio over ten contiguous path
+    batches.
     """
-    if p_exponent < 4:
-        raise ValueError("p_exponent must be >= 4")
+    if not (np.isfinite(p_exponent) and p_exponent >= 4):
+        raise ValueError(f"p_exponent must be a finite number >= 4, got {p_exponent}")
     sup = np.abs(ensemble.X[0]).copy()
     for k in range(1, ensemble.n_steps + 1):
         np.maximum(sup, np.abs(ensemble.X[k]), out=sup)
@@ -183,6 +186,7 @@ def estimate_g_integral(ensemble: PathEnsemble, g) -> GIntegral:
 
 @dataclass
 class RbsdeEstimate:
+    """The chain-dp triple on the grid: one row of Y, Z, dK per time slice."""
     scheme: str
     Y0: float
     ci: float
@@ -190,15 +194,7 @@ class RbsdeEstimate:
     Y: np.ndarray
     Z: np.ndarray
     dK: np.ndarray
-    n_penalty: int | None = None
-    basis_degree: int | None = None
     obstacle_slack: float = 0.0
-
-    def K_cumulative(self) -> np.ndarray:
-        """K with K(s) = 0; one more row than dK."""
-        out = np.zeros((self.dK.shape[0] + 1,) + self.dK.shape[1:])
-        np.cumsum(self.dK, axis=0, out=out[1:])
-        return out
 
 
 def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
@@ -277,7 +273,7 @@ class _Projection:
     """Least-squares projection onto the Hermite basis of one regression date.
 
     The Gram matrix G = B B^T is rank-tested and Cholesky-factored once; every
-    ``fit`` at that date reuses the factor.
+    ``coef`` at that date reuses the factor.
     """
 
     def __init__(self, x: np.ndarray, degree: int):
@@ -290,41 +286,108 @@ class _Projection:
                 "basis too rich for the sample")
         self._factor = cho_factor(gram, lower=True)
 
+    def coef(self, target: np.ndarray) -> np.ndarray:
+        """Basis coefficients of the least-squares regression of ``target``."""
+        return cho_solve(self._factor, self.B @ target)
+
     def fit(self, target: np.ndarray) -> np.ndarray:
         """Fitted values of the least-squares regression of ``target`` on the basis."""
-        return cho_solve(self._factor, self.B @ target) @ self.B
+        return _fitted(self.coef(target), self.B, target.size)
 
 
-def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree: int,
-                 kind: str, n_penalty: float = 0.0):
-    """Shared LSMC backward loop for the reflected and penalized schemes.
+class _StartProjection:
+    """The start date's projection: all paths coincide, so there is no basis
+    and the fit is the sample mean, carried as coefficient 0."""
 
-    The regression target is the realized per-path value V, not the fitted
-    field: exercising (or penalizing against) the realized rollforward keeps
-    the well-known upward bias of fitted-value iteration from compounding
-    over many reflection dates.  The estimator fields Y, Z, dK are the fitted
-    quantities; at the start slice all paths coincide, so the regression
-    degenerates to the plain mean there.
+    B = None
+
+    def __init__(self, degree: int):
+        self.size = degree + 1
+
+    def coef(self, target: np.ndarray) -> np.ndarray:
+        c = np.zeros(self.size)
+        c[0] = target.mean()
+        return c
+
+
+def _fitted(c: np.ndarray, B: np.ndarray | None, m: int) -> np.ndarray:
+    """Fitted values c @ B of basis coefficients; with no basis (the start date,
+    where all paths coincide) the fit is the constant c[0]."""
+    return np.full(m, c[0]) if B is None else c @ B
+
+
+@dataclass(eq=False)
+class LsmcEstimate:
+    """A least-squares Monte Carlo estimate of the RBSDE triple (Y, Z, K),
+    stored as its per-date regression coefficients.
+
+    ``coef[k]`` holds the continuation and Z coefficients on the Hermite
+    basis of X[k], shaped (n, 2, basis_degree + 1); date 0 holds the two
+    sample means in column 0.  ``at(k)`` rebuilds the date's basis and re-runs
+    its value update, so Y, Z and dK are evaluated one date at a time and no
+    (n, m) field is ever held; ``z_at(k)`` skips the value update.  ``K_T``
+    is the per-path terminal K, summed in backward date order.
     """
-    if ensemble.dW is None:
-        raise ValueError("ensemble must store Brownian increments for regression schemes")
-    if basis_degree > 6:
-        raise ValueError("basis degree is capped at 6")
-    if ensemble.path_count < 1000:
-        raise ValueError("regression schemes need at least 1000 paths")
-    n, m = ensemble.n_steps, ensemble.path_count
-    dt = ensemble.dt_path
-    obs = spec.obstacle
-    f = spec.driver.f
-    nq = float(n_penalty)
+    scheme: str
+    Y0: float
+    ci: float
+    t_nodes: np.ndarray
+    coef: np.ndarray = field(repr=False)
+    K_T: np.ndarray = field(repr=False)
+    spec: ObstacleProblemSpec = field(repr=False)
+    ensemble: PathEnsemble = field(repr=False)
+    basis_degree: int
+    n_penalty: int | None = None
+    obstacle_slack: float = 0.0
 
-    def resolve(t, xk, cont, zk, h_k):
+    def at(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Y_k, Z_k, dK_k) per path at date k, 0 <= k < ensemble.n_steps;
+        bit-identical to the values of the backward pass."""
+        y, _, z, dk, _ = self._evaluate(k, self._basis_at(k))
+        return y, z, dk
+
+    def z_at(self, k: int) -> np.ndarray:
+        """Z_k alone, as in ``at(k)``, without re-running the value update."""
+        return _fitted(self.coef[k, 1], self._basis_at(k), self.ensemble.path_count)
+
+    def _basis_at(self, k: int) -> np.ndarray | None:
+        n = self.ensemble.n_steps
+        if not 0 <= k < n:
+            raise IndexError(f"date {k} outside 0..{n - 1}")
+        return None if k == 0 else _basis(self.ensemble.X[k], self.basis_degree)
+
+    def _evaluate(self, k: int, B: np.ndarray | None):
+        """The date-k update from ``coef[k]``: fitted continuation and Z, the
+        per-path implicit value step and the K increment.
+
+        Returns (y, c, z, dK, h): fitted value, pre-reflection value, Z,
+        K increment and obstacle, one entry per path.
+        """
+        m = self.ensemble.path_count
+        t = float(self.t_nodes[k])
+        xk = self.ensemble.X[k]
+        cont = _fitted(self.coef[k, 0], B, m)
+        zk = _fitted(self.coef[k, 1], B, m)
+        h_k = np.broadcast_to(np.asarray(self.spec.obstacle.h(t, xk), dtype=float),
+                              (m,)).astype(float)
+        y, c = self._resolve(t, xk, cont, zk, h_k)
+        if self.scheme == "reflected-mc":
+            dk = np.maximum(h_k - c, 0.0)
+        else:
+            dk = self.ensemble.dt_path * float(self.n_penalty) * np.maximum(h_k - y, 0.0)
+        return y, c, zk, dk, h_k
+
+    def _resolve(self, t, xk, cont, zk, h_k):
         """Per-path implicit value update; returns (fitted y, pre-reflection c)."""
+        dt = self.ensemble.dt_path
+        f = self.spec.driver.f
+        reflected = self.scheme == "reflected-mc"
+        nq = 0.0 if reflected else float(self.n_penalty)
         y = cont
         c = cont
         for _ in range(100):
             c = cont + dt * np.asarray(f(t, xk, y, zk), dtype=float)
-            if kind == "reflected":
+            if reflected:
                 y_new = np.maximum(h_k, c)
             else:
                 # exact scalar solve of y = c + dt n (y - h)^-: the penalty is
@@ -333,82 +396,94 @@ def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree
             if np.max(np.abs(y_new - y)) <= 1e-13 * (1.0 + np.max(np.abs(y_new))):
                 return y_new, c
             y = y_new
-        raise InnerDivergence(f"{kind}-mc driver iteration stalled")
+        raise InnerDivergence(f"{self.scheme} driver iteration stalled")
 
-    Y = np.empty((n + 1, m))
-    Z = np.empty((n, m))
-    dK = np.zeros((n, m))
+
+def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree: int,
+                 scheme: str, n_penalty: int | None = None) -> LsmcEstimate:
+    """Shared LSMC backward loop for the reflected and penalized schemes.
+
+    The regression target is the realized per-path value V, not the fitted
+    field: exercising (or penalizing against) the realized rollforward keeps
+    the well-known upward bias of fitted-value iteration from compounding
+    over many reflection dates.  Each date stores only its two coefficient
+    vectors; its fitted Y, Z, dK come from ``LsmcEstimate._evaluate``, the
+    same function the accessor calls.  At the start date all paths coincide,
+    so the regression degenerates to the plain mean there.
+    """
+    if ensemble.dW is None:
+        raise ValueError("ensemble must store Brownian increments for regression schemes")
+    if not 0 <= basis_degree <= MAX_BASIS_DEGREE:
+        raise ValueError(f"basis degree must lie in 0..{MAX_BASIS_DEGREE}")
+    if ensemble.path_count < 1000:
+        raise ValueError("regression schemes need at least 1000 paths")
+    n, m = ensemble.n_steps, ensemble.path_count
+    dt = ensemble.dt_path
+    obs = spec.obstacle
+    f = spec.driver.f
+    nq = float(n_penalty or 0)
+    est = LsmcEstimate(scheme=scheme, Y0=float("nan"), ci=float("nan"),
+                       t_nodes=ensemble.t_nodes.copy(),
+                       coef=np.zeros((n, 2, basis_degree + 1)), K_T=np.zeros(m),
+                       spec=spec, ensemble=ensemble, basis_degree=basis_degree,
+                       n_penalty=n_penalty)
+
     V = np.asarray(obs.phi(ensemble.X[n]), dtype=float)
-    Y[n] = V.copy()
     h_n = np.asarray(obs.h(float(ensemble.t_nodes[n]), ensemble.X[n]), dtype=float)
-    slack = max(0.0, float(np.max(h_n - Y[n])))
+    slack = max(0.0, float(np.max(h_n - V)))
 
-    batch_y0 = None
     for k in range(n - 1, -1, -1):
         t = float(ensemble.t_nodes[k])
         xk = ensemble.X[k]
-        h_k = np.broadcast_to(np.asarray(obs.h(t, xk), dtype=float), (m,)).astype(float)
+        proj = _Projection(xk, basis_degree) if k > 0 else _StartProjection(basis_degree)
+        est.coef[k, 0] = proj.coef(V)
+        # centering the Z target with the fitted continuation changes nothing
+        # in expectation (E[C(X) dW] = 0) and removes the O(1/dt) variance
+        # carried by the level of V
+        z_target = (V - _fitted(est.coef[k, 0], proj.B, m)) * ensemble.dW[k] / dt
+        est.coef[k, 1] = proj.coef(z_target)
+        y_fit, c_fit, zk, dk, h_k = est._evaluate(k, proj.B)
         if k == 0:
-            cont = np.full(m, V.mean())
-            # centering the Z target with the fitted continuation changes
-            # nothing in expectation (E[C(X) dW] = 0) and removes the O(1/dt)
-            # variance carried by the level of V
-            z_target = (V - cont) * ensemble.dW[k] / dt
-            zk = np.full(m, z_target.mean())
             batch_y0 = []
             for sl in _batch_slices(m):
                 cont_b = np.full(sl.stop - sl.start, V[sl].mean())
                 zk_b = np.full(sl.stop - sl.start,
                                ((V[sl] - V[sl].mean()) * ensemble.dW[k, sl] / dt).mean())
-                yb, _ = resolve(t, xk[sl], cont_b, zk_b, h_k[sl])
+                yb, _ = est._resolve(t, xk[sl], cont_b, zk_b, h_k[sl])
                 batch_y0.append(float(yb.mean()))
-        else:
-            proj = _Projection(xk, basis_degree)
-            cont = proj.fit(V)
-            z_target = (V - cont) * ensemble.dW[k] / dt
-            zk = proj.fit(z_target)
-        y_fit, c_fit = resolve(t, xk, cont, zk, h_k)
         f_val = np.asarray(f(t, xk, y_fit, zk), dtype=float)
-        if kind == "reflected":
-            dK[k] = np.maximum(h_k - c_fit, 0.0)
+        if scheme == "reflected-mc":
             V = np.where(h_k >= c_fit, h_k, V + dt * f_val)
         else:
             # same implicit scalar map applied to the realized value on the
             # fitted active set, so accumulated regression noise is damped
             # toward h instead of compounding through the stiff penalty
-            dK[k] = dt * nq * np.maximum(h_k - y_fit, 0.0)
             vstar = V + dt * f_val
             V = np.where(c_fit < h_k, (vstar + dt * nq * h_k) / (1.0 + dt * nq), vstar)
-        Y[k] = y_fit
-        Z[k] = zk
+        est.K_T += dk
         slack = max(slack, float(np.max(h_k - y_fit)))
 
-    y0 = float(Y[0].mean())
-    ci = 1.96 * float(np.std(batch_y0, ddof=1)) / np.sqrt(len(batch_y0))
-    return Y, Z, dK, y0, ci, slack
+    est.Y0 = float(y_fit.mean())
+    est.ci = 1.96 * float(np.std(batch_y0, ddof=1)) / np.sqrt(len(batch_y0))
+    est.obstacle_slack = slack
+    return est
 
 
 def rbsde_penalized_mc(spec: ObstacleProblemSpec, ensemble: PathEnsemble, n_penalty: int,
-                       basis_degree: int = 3) -> RbsdeEstimate:
+                       basis_degree: int = 3) -> LsmcEstimate:
     """Least-squares Monte Carlo for the BSDE with driver f + n (y - h)^-.
 
     The stiff penalty is resolved per path by the exact scalar implicit step,
     and K accumulates n (Y - h)^- dt.
     """
-    Y, Z, dK, y0, ci, slack = _mc_backward(spec, ensemble, basis_degree, "penalized",
-                                           n_penalty=float(n_penalty))
-    return RbsdeEstimate(scheme="penalized-mc", Y0=y0, ci=ci, t_nodes=ensemble.t_nodes.copy(),
-                         Y=Y, Z=Z, dK=dK, n_penalty=n_penalty, basis_degree=basis_degree,
-                         obstacle_slack=slack)
+    return _mc_backward(spec, ensemble, basis_degree, "penalized-mc", n_penalty=n_penalty)
 
 
 def rbsde_reflected_mc(spec: ObstacleProblemSpec, ensemble: PathEnsemble,
-                       basis_degree: int = 3) -> RbsdeEstimate:
+                       basis_degree: int = 3) -> LsmcEstimate:
     """Discretely reflected LSMC: Y = max(h, continuation + dt f), and K grows
     by the reflection deficit only where the obstacle binds."""
-    Y, Z, dK, y0, ci, slack = _mc_backward(spec, ensemble, basis_degree, "reflected")
-    return RbsdeEstimate(scheme="reflected-mc", Y0=y0, ci=ci, t_nodes=ensemble.t_nodes.copy(),
-                         Y=Y, Z=Z, dK=dK, basis_degree=basis_degree, obstacle_slack=slack)
+    return _mc_backward(spec, ensemble, basis_degree, "reflected-mc")
 
 
 @dataclass
@@ -423,28 +498,45 @@ class ConvergenceTable:
 def penalization_convergence_mc(spec: ObstacleProblemSpec, ensemble: PathEnsemble,
                                 n_schedule, basis_degree: int = 3) -> ConvergenceTable:
     """Sup-in-time estimator distances between the penalized and reflected
-    schemes under common random numbers, per penalty level."""
+    schemes under common random numbers, per penalty level.
+
+    The RMS distances are streamed forward date by date through the
+    estimates' accessors, with K accumulated in forward date order.  Y
+    carries no terminal row: it is phi(X_T) in both schemes, a distance of 0.
+    """
     ref = rbsde_reflected_mc(spec, ensemble, basis_degree)
-    ref_K = ref.K_cumulative()
-    rows_y, rows_k, ci_y, ci_k = [], [], [], []
-    slices = _batch_slices(ensemble.path_count)
-    for n in n_schedule:
-        pen = rbsde_penalized_mc(spec, ensemble, int(n), basis_degree)
-        pen_K = pen.K_cumulative()
+    pens = [rbsde_penalized_mc(spec, ensemble, int(n), basis_degree) for n in n_schedule]
+    m, n_steps = ensemble.path_count, ensemble.n_steps
+    slices = [slice(None)] + _batch_slices(m)
 
-        def sup_rms(a, b, sl=slice(None)):
-            d = a[:, sl] - b[:, sl]
-            return float(np.max(np.sqrt(np.mean(d * d, axis=1))))
+    def rms(d):
+        """RMS of d over the whole ensemble (entry 0) and over each batch."""
+        return [float(np.sqrt(np.mean(d[sl] * d[sl]))) for sl in slices]
 
-        rows_y.append(sup_rms(pen.Y, ref.Y))
-        rows_k.append(sup_rms(pen_K, ref_K))
-        by = [sup_rms(pen.Y, ref.Y, sl) for sl in slices]
-        bk = [sup_rms(pen_K, ref_K, sl) for sl in slices]
-        ci_y.append(1.96 * float(np.std(by, ddof=1)) / np.sqrt(len(by)))
-        ci_k.append(1.96 * float(np.std(bk, ddof=1)) / np.sqrt(len(bk)))
+    # RMS distance per (level, date, slice); the terminal Y row stays 0
+    y_rms = np.zeros((len(pens), n_steps + 1, len(slices)))
+    k_rms = np.zeros_like(y_rms)
+    ref_K = np.zeros(m)
+    pen_K = [np.zeros(m) for _ in pens]
+    for k in range(n_steps):
+        ref_y, _, ref_dk = ref.at(k)
+        for j, pen in enumerate(pens):
+            pen_y, _, pen_dk = pen.at(k)
+            y_rms[j, k] = rms(pen_y - ref_y)
+            k_rms[j, k] = rms(pen_K[j] - ref_K)
+            pen_K[j] += pen_dk
+        ref_K += ref_dk
+    for j in range(len(pens)):
+        k_rms[j, n_steps] = rms(pen_K[j] - ref_K)
+
+    y_sup, k_sup = y_rms.max(axis=1), k_rms.max(axis=1)   # (level, slice)
+
+    def ci(batches):
+        return 1.96 * np.std(batches, axis=1, ddof=1) / np.sqrt(batches.shape[1])
+
     return ConvergenceTable(n_schedule=[int(n) for n in n_schedule],
-                            y_distance=np.asarray(rows_y), k_distance=np.asarray(rows_k),
-                            y_ci=np.asarray(ci_y), k_ci=np.asarray(ci_k))
+                            y_distance=y_sup[:, 0], k_distance=k_sup[:, 0],
+                            y_ci=ci(y_sup[:, 1:]), k_ci=ci(k_sup[:, 1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from .grid import SpaceTimeGrid, interp_space_time, solve_density, transition_ke
 from .problem import ObstacleProblemSpec, Weight
 from .solver import ObstacleSolution, solve_penalized, solve_psor, z_field
 from .stochastic import (
+    LsmcEstimate,
     PathEnsemble,
-    RbsdeEstimate,
     rbsde_chain_dp,
     rbsde_reflected_mc,
     simulate_paths,
@@ -130,7 +130,7 @@ def check_representation_z(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
                            ensemble: PathEnsemble, sol: ObstacleSolution | None = None,
                            basis_degree: int = 3, z_budget: float = 0.1,
                            provenance: dict | None = None,
-                           mc: RbsdeEstimate | None = None) -> CheckReport:
+                           mc: LsmcEstimate | None = None) -> CheckReport:
     """Time-integrated RMS distance between sigma Du along paths and the MC Z.
 
     ``mc`` is the reflected-mc estimate on ``ensemble`` at ``basis_degree``;
@@ -144,7 +144,7 @@ def check_representation_z(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     acc = 0.0
     for k in range(ensemble.n_steps):
         zpde = interp_space_time(grid, z_grid, float(ensemble.t_nodes[k]), ensemble.X[k])
-        acc += float(np.mean((zpde - mc.Z[k]) ** 2)) * ensemble.dt_path
+        acc += float(np.mean((zpde - mc.z_at(k)) ** 2)) * ensemble.dt_path
     value = float(np.sqrt(acc))
     return _report("representation-z", value, z_budget, z_budget, 0.0, provenance,
                    {"mse_time_integral": acc, "paths": ensemble.path_count})
@@ -210,8 +210,9 @@ def check_measure_identity(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s: fl
         per_path = {name: np.zeros(paths) for name, _ in test_functions}
         for k in range(ens.n_steps):
             t = float(ens.t_nodes[k])
+            _, _, dk = mc.at(k)
             for name, xi in test_functions:
-                per_path[name] += np.asarray(xi(t, ens.X[k]), dtype=float) * mc.dK[k]
+                per_path[name] += np.asarray(xi(t, ens.X[k]), dtype=float) * dk
         for name, _ in test_functions:
             lefts[name] = float(per_path[name].mean())
             stat = max(stat, 1.96 * float(per_path[name].std(ddof=1)) / np.sqrt(paths))
@@ -287,7 +288,7 @@ def check_ac_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: P
                      sol: ObstacleSolution | None = None, basis_degree: int = 3,
                      residual_budget: float = 5e-2, k_bias_constant: float = 2.0,
                      provenance: dict | None = None,
-                     mc: RbsdeEstimate | None = None) -> CheckReport:
+                     mc: LsmcEstimate | None = None) -> CheckReport:
     """Absolute-continuity check: K~ = int r(t, X_t) dt built from the grid
     density must make (u, sigma Du, K~) satisfy the backward equation along
     paths, and its terminal mean must match the chain K expectation.
@@ -336,7 +337,7 @@ def check_ac_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: P
 
     if mc is None:
         mc = rbsde_reflected_mc(spec, ensemble, basis_degree)
-    k_mc_mean = float(mc.dK.sum(axis=0).mean())
+    k_mc_mean = float(mc.K_T.mean())
     return _report("ac-measure", worst, 1.0, residual_budget, stat, provenance,
                    {"bsde_residual_rms": res_rms, "k_mean_gap": mean_gap,
                     "k_tilde_mean": float(k_tilde.mean()), "k_chain_mean": k_chain,

@@ -118,3 +118,81 @@ def lstsq_polynomial_fit(x, y, degree):
     design = np.vander(x, degree + 1, increasing=True)
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     return design @ coef
+
+
+def storing_lsmc(spec, ensemble, basis_degree, kind, n_penalty=0.0):
+    """The LSMC backward loop with every field stored: Y (n + 1, m), Z and dK
+    (n, m), plus Y0, its batch CI and the obstacle slack.
+
+    ``kind`` is "reflected" or "penalized".  Same arithmetic as the package
+    schemes, but it materializes the per-date values as it goes instead of
+    keeping regression coefficients, so it is the reference their accessors
+    must reproduce bit for bit.
+    """
+    from parobs.stochastic import _Projection
+
+    n, m = ensemble.n_steps, ensemble.path_count
+    dt = ensemble.dt_path
+    obs = spec.obstacle
+    f = spec.driver.f
+    nq = float(n_penalty)
+    edges = np.linspace(0, m, 11).astype(int)
+    batches = [slice(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+
+    def resolve(t, xk, cont, zk, h_k):
+        y = cont
+        c = cont
+        for _ in range(100):
+            c = cont + dt * np.asarray(f(t, xk, y, zk), dtype=float)
+            if kind == "reflected":
+                y_new = np.maximum(h_k, c)
+            else:
+                y_new = np.maximum(c, (c + dt * nq * h_k) / (1.0 + dt * nq))
+            if np.max(np.abs(y_new - y)) <= 1e-13 * (1.0 + np.max(np.abs(y_new))):
+                return y_new, c
+            y = y_new
+        raise RuntimeError("driver iteration stalled")
+
+    Y = np.empty((n + 1, m))
+    Z = np.empty((n, m))
+    dK = np.zeros((n, m))
+    V = np.asarray(obs.phi(ensemble.X[n]), dtype=float)
+    Y[n] = V.copy()
+    h_n = np.asarray(obs.h(float(ensemble.t_nodes[n]), ensemble.X[n]), dtype=float)
+    slack = max(0.0, float(np.max(h_n - Y[n])))
+    batch_y0 = None
+    for k in range(n - 1, -1, -1):
+        t = float(ensemble.t_nodes[k])
+        xk = ensemble.X[k]
+        h_k = np.broadcast_to(np.asarray(obs.h(t, xk), dtype=float), (m,)).astype(float)
+        if k == 0:
+            cont = np.full(m, V.mean())
+            z_target = (V - cont) * ensemble.dW[k] / dt
+            zk = np.full(m, z_target.mean())
+            batch_y0 = []
+            for sl in batches:
+                cont_b = np.full(sl.stop - sl.start, V[sl].mean())
+                zk_b = np.full(sl.stop - sl.start,
+                               ((V[sl] - V[sl].mean()) * ensemble.dW[k, sl] / dt).mean())
+                yb, _ = resolve(t, xk[sl], cont_b, zk_b, h_k[sl])
+                batch_y0.append(float(yb.mean()))
+        else:
+            proj = _Projection(xk, basis_degree)
+            cont = proj.fit(V)
+            z_target = (V - cont) * ensemble.dW[k] / dt
+            zk = proj.fit(z_target)
+        y_fit, c_fit = resolve(t, xk, cont, zk, h_k)
+        f_val = np.asarray(f(t, xk, y_fit, zk), dtype=float)
+        if kind == "reflected":
+            dK[k] = np.maximum(h_k - c_fit, 0.0)
+            V = np.where(h_k >= c_fit, h_k, V + dt * f_val)
+        else:
+            dK[k] = dt * nq * np.maximum(h_k - y_fit, 0.0)
+            vstar = V + dt * f_val
+            V = np.where(c_fit < h_k, (vstar + dt * nq * h_k) / (1.0 + dt * nq), vstar)
+        Y[k] = y_fit
+        Z[k] = zk
+        slack = max(slack, float(np.max(h_k - y_fit)))
+    y0 = float(Y[0].mean())
+    ci = 1.96 * float(np.std(batch_y0, ddof=1)) / np.sqrt(len(batch_y0))
+    return Y, Z, dK, y0, ci, slack

@@ -259,3 +259,66 @@ def test_shared_estimate_gives_the_same_reports(tmp_path):
     for check in (check_representation_z, check_ac_measure):
         assert check(spec, grid, ens, sol=sol, basis_degree=3, mc=mc) == \
             check(spec, grid, ens, sol=sol, basis_degree=3)
+
+
+@pytest.mark.parametrize("line", ["mc.basis_degree = -1", "mc.basis_degree = 7",
+                                  "mc.seed = -5"])
+def test_mc_keys_out_of_range_exit_2_before_solving(tmp_path, capsys, monkeypatch, line):
+    import parobs.cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran before the scenario was rejected")
+
+    monkeypatch.setattr(parobs.cli, "solve_psor", no_solve)
+    key = line.split(" =", 1)[0]
+    text = "".join(row + "\n" for row in scenario_path("constant").read_text().splitlines()
+                   if not row.startswith(key + " "))
+    cfg = tmp_path / "bad_mc.cfg"
+    cfg.write_text(text + line + "\n")
+    code = run(["--scenario", cfg, "--out", tmp_path / "o", "verify"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "kind=ScenarioError" in err and key in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    code = run(["--scenario", scenario_path("constant"), "--out", tmp_path / "o",
+                "--seed", -5, "stop-value"])
+    assert code == 2
+    assert "kind=ScenarioError" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("p", ["nan", "inf"])
+def test_moments_nonfinite_exponent_exits_2(tmp_path, capsys, p):
+    code = run(["--scenario", scenario_path("constant"), "--out", tmp_path / "o",
+                "moments", "--p", p])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o" / "moments.csv").exists()
+
+
+def test_penalization_study_max_level_below_schedule_start_exits_2(tmp_path, capsys):
+    code = run(["--scenario", scenario_path("constant"), "--out", tmp_path / "o",
+                "study", "--study", "penalization", "--max-level", 3])
+    assert code == 2
+    assert "max-level" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_and_stop_value_hold_no_increments(tmp_path, monkeypatch):
+    import parobs.cli
+    from parobs.stochastic import simulate_paths
+
+    ensembles = []
+
+    def recorded(*args, **kwargs):
+        ensembles.append(simulate_paths(*args, **kwargs))
+        return ensembles[-1]
+
+    monkeypatch.setattr(parobs.cli, "simulate_paths", recorded)
+    for command in ("simulate", "stop-value"):
+        assert run(["--scenario", scenario_path("constant"), "--out", tmp_path, command]) == 0
+    assert len(ensembles) == 2
+    assert all(ens.dW is None for ens in ensembles)

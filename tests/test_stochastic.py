@@ -20,7 +20,7 @@ from parobs.stochastic import (
     _Projection,
 )
 
-from oracles import binomial_american_put, lstsq_polynomial_fit
+from oracles import binomial_american_put, lstsq_polynomial_fit, storing_lsmc
 
 
 def _const_family(a0=1.0, value=1.0, T=1.0):
@@ -184,14 +184,31 @@ def test_chain_dp_monotone_in_obstacle(put_scenario):
 # ---------------------------------------------------------------------------
 # regression schemes
 
+def _fields(est):
+    """An LSMC estimate's per-date values stacked into (Y, Z, dK) fields, Y
+    with its terminal row phi(X_T): (n + 1, m), (n, m), (n, m)."""
+    rows = [est.at(k) for k in range(est.ensemble.n_steps)]
+    y_T = np.asarray(est.spec.obstacle.phi(est.ensemble.X[-1]), dtype=float)
+    return (np.vstack([r[0] for r in rows] + [y_T]), np.vstack([r[1] for r in rows]),
+            np.vstack([r[2] for r in rows]))
+
+
+def _k_cumulative(dK):
+    """K with K(s) = 0; one more row than dK."""
+    out = np.zeros((dK.shape[0] + 1,) + dK.shape[1:])
+    np.cumsum(dK, axis=0, out=out[1:])
+    return out
+
+
 def test_mc_schemes_exact_on_constant(constant_scenario):
     spec = constant_scenario.spec
     ens = simulate_paths(spec, 0.0, 0.0, 0.05, 4000, seed=21)
     for est in (rbsde_reflected_mc(spec, ens, 2),
                 rbsde_penalized_mc(spec, ens, 64, 2)):
+        _, Z, dK = _fields(est)
         assert est.Y0 == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(est.dK)) <= 1e-12
-        assert np.max(np.abs(est.Z)) <= 1e-12
+        assert np.max(np.abs(dK)) <= 1e-12
+        assert np.max(np.abs(Z)) <= 1e-12
         assert est.obstacle_slack <= 1e-12
 
 
@@ -199,20 +216,22 @@ def test_penalized_mc_inactive_collapses_to_terminal_mean(heat_scenario):
     spec = heat_scenario.spec
     ens = simulate_paths(spec, 0.0, 0.0, 0.05, 4000, seed=22)
     est = rbsde_penalized_mc(spec, ens, 256, 3)
+    _, _, dK = _fields(est)
     assert est.Y0 == pytest.approx(float(np.mean(spec.obstacle.phi(ens.X[-1]))), abs=1e-12)
-    assert np.max(est.dK) == 0.0
+    assert np.max(dK) == 0.0
 
 
 def test_reflected_mc_contact_everywhere(quad_scenario):
     spec = quad_scenario.spec
     ens = simulate_paths(spec, 0.0, 0.0, spec.T / 100, 20_000, seed=23)
     est = rbsde_reflected_mc(spec, ens, 3)
+    Y, _, dK = _fields(est)
     h_vals = np.array([spec.obstacle.h(float(t), ens.X[k])
                        for k, t in enumerate(ens.t_nodes)])
     # Y sticks to the obstacle except for fit extrapolation at extreme paths
-    assert np.mean(np.abs(est.Y - h_vals)) <= 5e-3
-    assert np.quantile(np.abs(est.Y - h_vals), 0.99) <= 2e-2
-    k_total = est.K_cumulative()[-1].mean()
+    assert np.mean(np.abs(Y - h_vals)) <= 5e-3
+    assert np.quantile(np.abs(Y - h_vals), 0.99) <= 2e-2
+    k_total = _k_cumulative(dK)[-1].mean()
     assert k_total == pytest.approx(spec.T, rel=5e-2)  # r = 1 so K_T = T
 
 
@@ -220,7 +239,7 @@ def test_k_monotone_and_zero_at_start(put_scenario):
     spec = put_scenario.spec
     ens = simulate_paths(spec, 0.0, -0.2, spec.T / 100, 5000, seed=24)
     for est in (rbsde_reflected_mc(spec, ens, 3), rbsde_penalized_mc(spec, ens, 256, 3)):
-        K = est.K_cumulative()
+        K = _k_cumulative(_fields(est)[2])
         assert np.all(K[0] == 0.0)
         assert np.min(np.diff(K, axis=0)) >= 0.0
     chain = rbsde_chain_dp(spec, SpaceTimeGrid.build(spec, 60, 40), 0, 20)
@@ -233,7 +252,8 @@ def test_discrete_skorokhod_flat_off_contact(put_scenario):
     est = rbsde_reflected_mc(spec, ens, 3)
     for k in range(ens.n_steps):
         h_k = np.asarray(spec.obstacle.h(float(ens.t_nodes[k]), ens.X[k]), float)
-        gap = (est.Y[k] - h_k) * est.dK[k]
+        y_k, _, dk_k = est.at(k)
+        gap = (y_k - h_k) * dk_k
         assert np.max(np.abs(gap)) <= 1e-12  # dK > 0 only where Y = h exactly
 
 
@@ -277,11 +297,53 @@ def test_projection_matches_lstsq_oracle(cloud):
             assert np.max(np.abs(proj.fit(y) - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("name", ["put_scenario", "sine_scenario"])
+def test_lsmc_accessors_match_storing_oracle(name, request):
+    spec = request.getfixturevalue(name).spec
+    x0 = 0.5 * (spec.x_lo + spec.x_hi)
+    ens = simulate_paths(spec, 0.0, x0, spec.T / 40, 3000, seed=32)
+    for kind, n_penalty, est in (("reflected", 0, rbsde_reflected_mc(spec, ens, 3)),
+                                 ("penalized", 256, rbsde_penalized_mc(spec, ens, 256, 3))):
+        Y, Z, dK, y0, ci, slack = storing_lsmc(spec, ens, 3, kind, n_penalty)
+        assert (est.Y0, est.ci, est.obstacle_slack) == (y0, ci, slack)
+        for k in range(ens.n_steps):
+            y_k, z_k, dk_k = est.at(k)
+            assert np.array_equal(y_k, Y[k]) and np.array_equal(z_k, Z[k])
+            assert np.array_equal(dk_k, dK[k]) and np.array_equal(est.z_at(k), Z[k])
+        for accessor in (est.at, est.z_at):
+            with pytest.raises(IndexError):
+                accessor(ens.n_steps)
+        # K_T is summed in the scheme's backward date order
+        k_back = np.zeros(ens.path_count)
+        for k in range(ens.n_steps - 1, -1, -1):
+            k_back += dK[k]
+        assert np.array_equal(est.K_T, k_back)
+        assert np.allclose(est.K_T, dK.sum(axis=0), rtol=1e-14, atol=0.0)
+
+
+def test_reflected_mc_holds_no_path_by_date_field(put_scenario):
+    import tracemalloc
+
+    spec = put_scenario.spec
+    ens = simulate_paths(spec, 0.0, 0.0, spec.T / 200, 20_000, seed=33)
+    field_bytes = ens.n_steps * ens.path_count * 8  # one (n, m) float64 field: 32 MB
+    tracemalloc.start()
+    try:
+        est = rbsde_reflected_mc(spec, ens, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= field_bytes / 4
+    assert est.coef.shape == (200, 2, 4) and est.K_T.shape == (20_000,)
+
+
 def test_basis_degree_capped_and_path_floor():
     spec = _const_family()
     ens = simulate_paths(spec, 0.0, 0.0, 0.1, 1200, seed=27)
     with pytest.raises(ValueError):
         rbsde_reflected_mc(spec, ens, 7)
+    with pytest.raises(ValueError, match="0..6"):
+        rbsde_reflected_mc(spec, ens, -1)
     small = simulate_paths(spec, 0.0, 0.0, 0.1, 200, seed=27)
     with pytest.raises(ValueError):
         rbsde_reflected_mc(spec, small, 3)
@@ -356,4 +418,5 @@ def test_estimates_deterministic_for_fixed_inputs(put_scenario):
     a = rbsde_reflected_mc(spec, e1, 3)
     b = rbsde_reflected_mc(spec, e2, 3)
     assert a.Y0 == b.Y0 and a.ci == b.ci
-    assert np.array_equal(a.Y, b.Y) and np.array_equal(a.dK, b.dK)
+    (a_Y, _, a_dK), (b_Y, _, b_dK) = _fields(a), _fields(b)
+    assert np.array_equal(a_Y, b_Y) and np.array_equal(a_dK, b_dK)

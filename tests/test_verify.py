@@ -207,7 +207,7 @@ def test_mc_z_estimator_against_closed_form_gradient(heat_scenario):
     acc = 0.0
     for k in range(ens.n_steps):
         exact = heat_bump_gradient(float(ens.t_nodes[k]), ens.X[k], spec.T)
-        acc += float(np.mean((exact - mc.Z[k]) ** 2)) * ens.dt_path
+        acc += float(np.mean((exact - mc.z_at(k)) ** 2)) * ens.dt_path
     assert np.sqrt(acc) <= 0.2  # same budget the scenario freezes for rep-z
 
 
