@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParobsError, ScenarioError
-from .grid import SpaceTimeGrid
+from .grid import SpaceTimeGrid, solve_density
 from .problem import validate_hypotheses
 from .scenarios import Scenario, load_scenario
 from .solver import (
@@ -32,10 +32,12 @@ from .solver import (
 from .stochastic import (
     moment_ratio_probe,
     optimal_stopping_value,
+    rbsde_chain_dp,
     rbsde_reflected_mc,
     simulate_paths,
 )
 from .verify import (
+    _snap_indices,
     check_ac_measure,
     check_interval_measure,
     check_measure_identity,
@@ -49,6 +51,9 @@ from .verify import (
 
 ALL_CHECKS = ("representation-u", "representation-z", "measure-identity", "interval-measure",
               "skorokhod", "ac-measure", "weighted-bounds", "minimality")
+# the checks that read the shared chain-dp field or density
+_CHAIN_CHECKS = frozenset({"representation-u", "measure-identity", "interval-measure",
+                           "ac-measure"})
 
 
 def _f17(v) -> str:
@@ -84,6 +89,7 @@ def _load(args) -> tuple[Scenario, SpaceTimeGrid, int]:
 
 _PSOR_TOL_KEYS = ("lcp_tol", "inner_tol", "max_inner")
 _PENALIZED_TOL_KEYS = ("inner_tol", "max_inner")
+_STUDY_TOL_KEYS = ("inner_tol",)
 
 
 def _solver_kwargs(sc: Scenario, keys) -> dict:
@@ -130,8 +136,9 @@ def cmd_study(args) -> int:
             raise ScenarioError(f"--max-level must be at least 4 (the schedule starts "
                                 f"at 2^4), got {args.max_level}")
         schedule = [2**j for j in range(4, args.max_level + 1)]
-        psor = solve_psor(sc.spec, grid)
-        limit, study = penalization_study(sc.spec, grid, schedule, reference=psor)
+        psor = solve_psor(sc.spec, grid, **_solver_kwargs(sc, _PSOR_TOL_KEYS))
+        limit, study = penalization_study(sc.spec, grid, schedule, reference=psor,
+                                          **_solver_kwargs(sc, _STUDY_TOL_KEYS))
         rows = []
         for idx, n in enumerate(study.n_levels):
             sup_inc = study.sup_increments[idx - 1] if idx >= 1 else 0.0
@@ -169,25 +176,39 @@ def _run_checks(sc: Scenario, grid: SpaceTimeGrid, names, seed: int):
             "paths": int(mc["paths"]), "seed": seed}
     sol = solve_psor(spec, grid, **_solver_kwargs(sc, _PSOR_TOL_KEYS))
     probe_x = 0.5 * (spec.x_lo + spec.x_hi)
+    _, x_idx = _snap_indices(grid, 0.0, probe_x)
     degree = int(mc["basis_degree"])
 
+    # Each object below is built at most once per run.  The shared ensemble
+    # starts at the grid node the checks snap probe_x to, with the run seed:
+    # it is representation-u's first probe (evaluated after the other two, so
+    # their ensembles are freed before it is built), and the chain-dp and
+    # density references of ac-measure start at the same node.
     @functools.cache
     def ens():
-        return simulate_paths(spec, 0.0, probe_x, float(mc["dt_path"]), int(mc["paths"]), seed)
+        return simulate_paths(spec, 0.0, float(grid.x_nodes[x_idx]), float(mc["dt_path"]),
+                              int(mc["paths"]), seed)
 
     @functools.cache
     def lsmc():
-        # one reflected-mc estimate on the shared ensemble serves both checks
         return rbsde_reflected_mc(spec, ens(), degree)
 
+    @functools.cache
+    def chain():
+        return rbsde_chain_dp(spec, grid, 0, x_idx)
+
+    @functools.cache
+    def dens():
+        return solve_density(spec, grid, 0, x_idx)
+
     reports = []
-    for name in names:
+    for i, name in enumerate(names):
         if name == "representation-u":
             probes = [(0.0, probe_x), (0.25 * spec.T, probe_x),
                       (0.0, probe_x + 0.25 * (spec.x_hi - spec.x_lo) / 2)]
             rep = check_representation_u(spec, grid, probes, mc, sol=sol,
                                          bias_constant=cal.get("fk_bias", 1.0),
-                                         provenance=prov)
+                                         provenance=prov, probe0_mc=lsmc, chain=chain())
         elif name == "representation-z":
             rep = check_representation_z(spec, grid, ens(), sol=sol, basis_degree=degree,
                                          z_budget=cal.get("z_budget", 0.05), provenance=prov,
@@ -195,16 +216,17 @@ def _run_checks(sc: Scenario, grid: SpaceTimeGrid, names, seed: int):
         elif name == "measure-identity":
             rep = check_measure_identity(spec, grid, 0.0, probe_x,
                                          default_test_functions(spec), sol=sol,
-                                         mc_params=mc, provenance=prov)
+                                         mc_params=mc, provenance=prov, chain=chain(),
+                                         dens=dens())
         elif name == "interval-measure":
             rep = check_interval_measure(spec, grid, 0.0, spec.T, (spec.x_lo, spec.x_hi),
-                                         sol=sol, provenance=prov)
+                                         sol=sol, provenance=prov, chain=chain())
         elif name == "skorokhod":
             rep = check_skorokhod(sol, provenance=prov)
         elif name == "ac-measure":
             rep = check_ac_measure(spec, grid, ens(), sol=sol, basis_degree=degree,
                                    residual_budget=cal.get("ac_residual_budget", 0.05),
-                                   provenance=prov, mc=lsmc())
+                                   provenance=prov, mc=lsmc(), chain=chain(), dens=dens())
         elif name == "weighted-bounds":
             rep = check_weighted_bounds(spec, grid, bounds=(cal.get("weighted_lo", 0.2),
                                                             cal.get("weighted_hi", 5.0)),
@@ -215,6 +237,11 @@ def _run_checks(sc: Scenario, grid: SpaceTimeGrid, names, seed: int):
         else:
             raise ScenarioError(f"unknown check {name!r}")
         reports.append(rep)
+        if _CHAIN_CHECKS.isdisjoint(names[i + 1:]):
+            # no later check reads them: the remaining checks run without the
+            # fields held, as when each check built its own
+            chain.cache_clear()
+            dens.cache_clear()
     return reports
 
 
@@ -265,7 +292,7 @@ def cmd_simulate(args) -> int:
 def cmd_stop_value(args) -> int:
     sc, grid, seed = _load(args)
     spec = sc.spec
-    sol = solve_psor(spec, grid)
+    sol = solve_psor(spec, grid, **_solver_kwargs(sc, _PSOR_TOL_KEYS))
     x0 = 0.5 * (spec.x_lo + spec.x_hi)
     ens = simulate_paths(spec, 0.0, x0, float(sc.mc_params["dt_path"]),
                          int(sc.mc_params["paths"]), seed, store_dw=False)
@@ -277,6 +304,9 @@ def cmd_stop_value(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    # checked before the ensemble is simulated; moment_ratio_probe checks it too
+    if not (np.isfinite(args.p) and args.p >= 4):
+        raise ScenarioError(f"--p must be a finite number >= 4, got {args.p}")
     sc, grid, seed = _load(args)
     spec = sc.spec
     x0 = 0.5 * (spec.x_lo + spec.x_hi)

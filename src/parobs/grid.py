@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -26,10 +27,12 @@ __all__ = [
     "TransitionKernel",
     "DensityTable",
     "AronsonEnvelope",
+    "InterpStencil",
     "assemble_operator",
     "transition_kernel",
     "solve_density",
     "aronson_envelope_check",
+    "interp_stencil",
     "interp_space_time",
 ]
 
@@ -363,16 +366,34 @@ def aronson_envelope_check(density: DensityTable, spec: ObstacleProblemSpec,
                            trimmed_points=n_points)
 
 
-def interp_space_time(grid: SpaceTimeGrid, field: np.ndarray, t, x) -> np.ndarray:
-    """Interpolate a grid field: piecewise linear in x, left-constant in t.
+class InterpStencil(NamedTuple):
+    """Time row ``k``, left node ``j`` and weight ``w`` of a space-time
+    interpolation; ``gather`` evaluates any grid field on it."""
+    k: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
 
-    ``field`` has shape (nt + 1, nx + 2); t and x broadcast.  Queries are
-    clamped to the cylinder.
-    """
+    def gather(self, field: np.ndarray) -> np.ndarray:
+        return (1.0 - self.w) * field[self.k, self.j] + self.w * field[self.k, self.j + 1]
+
+
+def interp_stencil(grid: SpaceTimeGrid, t, x) -> InterpStencil:
+    """The stencil of ``interp_space_time`` at (t, x): left-constant in t,
+    piecewise linear in x, queries clamped to the cylinder."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     k = np.clip(np.floor(t / grid.dt + 1e-12).astype(int), 0, grid.nt)
     xq = np.clip(x, grid.x_nodes[0], grid.x_nodes[-1])
     j = np.clip(((xq - grid.x_nodes[0]) / grid.dx).astype(int), 0, grid.nx)
     w = (xq - grid.x_nodes[j]) / grid.dx
-    return (1.0 - w) * field[k, j] + w * field[k, j + 1]
+    return InterpStencil(k, j, w)
+
+
+def interp_space_time(grid: SpaceTimeGrid, field: np.ndarray, t, x) -> np.ndarray:
+    """Interpolate a grid field: piecewise linear in x, left-constant in t.
+
+    ``field`` has shape (nt + 1, nx + 2); t and x broadcast.  Queries are
+    clamped to the cylinder.  Several fields at the same points share one
+    ``interp_stencil``.
+    """
+    return interp_stencil(grid, t, x).gather(field)

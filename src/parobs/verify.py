@@ -13,15 +13,24 @@ holds; the raw per-part numbers live in ``details``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .grid import SpaceTimeGrid, interp_space_time, solve_density, transition_kernel
+from .grid import (
+    DensityTable,
+    SpaceTimeGrid,
+    interp_space_time,
+    interp_stencil,
+    solve_density,
+    transition_kernel,
+)
 from .problem import ObstacleProblemSpec, Weight
 from .solver import ObstacleSolution, solve_penalized, solve_psor, z_field
 from .stochastic import (
     LsmcEstimate,
     PathEnsemble,
+    RbsdeEstimate,
     rbsde_chain_dp,
     rbsde_reflected_mc,
     simulate_paths,
@@ -67,6 +76,30 @@ def _snap_indices(grid: SpaceTimeGrid, s: float, x: float):
     return s_idx, x_idx
 
 
+def _chain_from(spec, grid, s_idx: int, chain: RbsdeEstimate | None) -> RbsdeEstimate:
+    """The chain-dp field from slice ``s_idx``: ``chain`` when given, else built.
+
+    The field does not depend on the start node, so one estimate from
+    ``s_idx`` serves every check that starts there.
+    """
+    if chain is None:
+        return rbsde_chain_dp(spec, grid, s_idx, 0)
+    if len(chain.t_nodes) != grid.nt - s_idx + 1:
+        raise ValueError(f"chain-dp estimate starts at slice {grid.nt + 1 - len(chain.t_nodes)}, "
+                         f"the check needs slice {s_idx}")
+    return chain
+
+
+def _density_from(spec, grid, s_idx: int, x_idx: int, dens: DensityTable | None) -> DensityTable:
+    """The density from node (s_idx, x_idx): ``dens`` when given, else solved."""
+    if dens is None:
+        return solve_density(spec, grid, s_idx, x_idx)
+    if (dens.s_index, dens.x_index) != (s_idx, x_idx):
+        raise ValueError(f"density starts at node {(dens.s_index, dens.x_index)}, "
+                         f"the check needs node {(s_idx, x_idx)}")
+    return dens
+
+
 def _mass_vector_evolution(spec, grid, start_index, rho=None):
     """Evolve the start measure dx (optionally rho-weighted) forward, slice by slice.
 
@@ -87,41 +120,54 @@ def _mass_vector_evolution(spec, grid, start_index, rho=None):
 def check_representation_u(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, probes,
                            mc_params: dict, sol: ObstacleSolution | None = None,
                            bias_constant: float = 1.0, chain_budget: float = 1e-3,
-                           provenance: dict | None = None) -> CheckReport:
+                           provenance: dict | None = None,
+                           probe0_mc: Callable[[], LsmcEstimate] | None = None,
+                           chain: RbsdeEstimate | None = None) -> CheckReport:
     """Feynman-Kac check: grid solution against reflected-mc and chain-dp values.
 
     Per probe, the Monte Carlo budget is 3 CI + bias_constant (dt + dx^2); the
-    chain comparison must sit within ``chain_budget``.
+    chain comparison must sit within ``chain_budget``.  Probe ``j`` simulates
+    with seed ``seed + j`` from its snapped node.  ``probe0_mc`` returns the
+    reflected-mc estimate on probe 0's ensemble and ``chain`` is the chain-dp
+    estimate from slice 0; each is computed here when not given.  Probe 0 is
+    evaluated last, so that a shared estimate behind ``probe0_mc`` is built
+    only once no other probe's ensemble is alive.
     """
     if sol is None:
         sol = solve_psor(spec, grid)
-    chain = rbsde_chain_dp(spec, grid, 0, 1)
+    chain = _chain_from(spec, grid, 0, chain)
     paths = int(mc_params.get("paths", 10_000))
     dt_path = float(mc_params.get("dt_path", grid.dt))
     seed = int(mc_params.get("seed", 0))
     degree = int(mc_params.get("basis_degree", 3))
+    bias = bias_constant * (grid.dt + grid.dx**2)
 
-    rows = []
-    worst = 0.0
-    worst_bias = worst_stat = 0.0
-    for j, (s, x) in enumerate(probes):
-        s_idx, x_idx = _snap_indices(grid, s, x)
+    rows = [None] * len(probes)
+    ratios = [0.0] * len(probes)
+    stats = [0.0] * len(probes)
+    for j in ([*range(1, len(probes)), 0] if probes else []):
+        s_idx, x_idx = _snap_indices(grid, *probes[j])
         s_snap, x_snap = float(grid.t_nodes[s_idx]), float(grid.x_nodes[x_idx])
         u_val = float(sol.u_values[s_idx, x_idx])
-        mc = rbsde_reflected_mc(spec, simulate_paths(spec, s_snap, x_snap, dt_path, paths,
-                                                     seed + j), degree)
-        bias = bias_constant * (grid.dt + grid.dx**2)
-        stat = 3.0 * mc.ci
-        mc_budget = stat + bias
+        if j == 0 and probe0_mc is not None:
+            mc = probe0_mc()
+        else:
+            mc = rbsde_reflected_mc(spec, simulate_paths(spec, s_snap, x_snap, dt_path, paths,
+                                                         seed + j), degree)
+        stats[j] = 3.0 * mc.ci
+        mc_budget = stats[j] + bias
         mc_disc = abs(u_val - mc.Y0)
         chain_disc = abs(u_val - chain.Y[s_idx, x_idx])
-        ratio = max(mc_disc / max(mc_budget, _TINY), chain_disc / chain_budget)
+        ratios[j] = max(mc_disc / max(mc_budget, _TINY), chain_disc / chain_budget)
+        rows[j] = {"s": s_snap, "x": x_snap, "u": u_val, "mc_Y0": mc.Y0, "mc_ci": mc.ci,
+                   "chain_Y0": float(chain.Y[s_idx, x_idx]), "mc_disc": mc_disc,
+                   "mc_budget": mc_budget, "chain_disc": chain_disc}
+        del mc  # the next probe is simulated with no ensemble or estimate held
+    worst = 0.0
+    worst_bias = worst_stat = 0.0
+    for ratio, stat in zip(ratios, stats):
         if ratio >= worst:
             worst, worst_bias, worst_stat = ratio, bias, stat
-        rows.append({"s": s_snap, "x": x_snap, "u": u_val, "mc_Y0": mc.Y0, "mc_ci": mc.ci,
-                     "chain_Y0": float(chain.Y[s_idx, x_idx]), "mc_disc": mc_disc,
-                     "mc_budget": mc_budget, "chain_disc": chain_disc})
-        del mc  # the next probe is simulated with no ensemble or estimate held
     return _report("representation-u", worst, 1.0, worst_bias, worst_stat, provenance,
                    {"probes": rows, "chain_budget": chain_budget})
 
@@ -164,14 +210,18 @@ def check_measure_identity(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s: fl
                            test_functions=None, sol: ObstacleSolution | None = None,
                            mc_params: dict | None = None, rel_budget: float = 5e-2,
                            method: str = "chain-dp",
-                           provenance: dict | None = None) -> CheckReport:
+                           provenance: dict | None = None,
+                           chain: RbsdeEstimate | None = None,
+                           dens: DensityTable | None = None) -> CheckReport:
     """E int xi dK against the p-weighted cell sums of the measure density.
 
     The left side uses the exact chain-dp increments weighted by the discrete
     density (default) or reflected-mc K along simulated paths.  The MC route
     is only quantitative when the regression basis spans the value function:
     its per-date increments (h - C)^+ inherit the full basis misfit, which
-    swamps increments of size r dt on kinked payoffs.
+    swamps increments of size r dt on kinked payoffs.  ``chain`` (the chain-dp
+    estimate from the snapped start slice) and ``dens`` (the density from the
+    snapped start node) are computed here when not given.
     """
     if sol is None:
         sol = solve_psor(spec, grid)
@@ -179,7 +229,7 @@ def check_measure_identity(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s: fl
         test_functions = default_test_functions(spec)
     mc_params = mc_params or {}
     s_idx, x_idx = _snap_indices(grid, s, x)
-    dens = solve_density(spec, grid, s_idx, x_idx)
+    dens = _density_from(spec, grid, s_idx, x_idx, dens)
 
     # right side: sum of xi p r over cells, one pass per test function
     rights = {name: 0.0 for name, _ in test_functions}
@@ -193,7 +243,7 @@ def check_measure_identity(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s: fl
     lefts = {name: 0.0 for name, _ in test_functions}
     stat = 0.0
     if method == "chain-dp":
-        chain = rbsde_chain_dp(spec, grid, s_idx, x_idx)
+        chain = _chain_from(spec, grid, s_idx, chain)
         for rel_k, k in enumerate(range(s_idx, grid.nt)):
             t = float(grid.t_nodes[k])
             row = dens.values[rel_k] * chain.dK[rel_k]
@@ -233,9 +283,14 @@ def check_measure_identity(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s: fl
 def check_interval_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t1: float, t2: float,
                            F: tuple[float, float], sol: ObstacleSolution | None = None,
                            rel_budget: float = 5e-2,
-                           provenance: dict | None = None) -> CheckReport:
+                           provenance: dict | None = None,
+                           chain: RbsdeEstimate | None = None) -> CheckReport:
     """mu([t1, t2] x F) from cell sums against the chain expectation from every
-    grid start integrated over the truncation."""
+    grid start integrated over the truncation.
+
+    ``chain`` is the chain-dp estimate from the first slice at or after t1;
+    it is computed here when not given.
+    """
     if sol is None:
         sol = solve_psor(spec, grid)
     k1 = int(np.ceil(t1 / grid.dt - 1e-12))
@@ -249,7 +304,7 @@ def check_interval_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t1: f
 
     right = 0.0
     if k2 > k1 and k1 < grid.nt:
-        chain = rbsde_chain_dp(spec, grid, k1, 1)
+        chain = _chain_from(spec, grid, k1, chain)
         # evolve the dx start measure with the mass-conserving reflecting
         # kernel: the continuum identity integrates starts over all of R, so
         # flux through the truncation must cancel rather than absorb
@@ -284,11 +339,40 @@ def check_skorokhod(sol: ObstacleSolution, n_penalty: int | None = None,
                    {"numerator": num, "normalizer": den, "n_penalty": n_penalty})
 
 
+def _ac_path_sums(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: PathEnsemble,
+                  sol: ObstacleSolution) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path backward-equation residual of (u, sigma Du, K~) and K~_T.
+
+    One interpolation stencil per date serves u, sigma Du and r.
+    """
+    z_grid = z_field(spec, grid, sol.u_values)
+    n, m = ensemble.n_steps, ensemble.path_count
+    dt = ensemble.dt_path
+    total = np.zeros(m)
+    k_tilde = np.zeros(m)
+    for k in range(n):
+        t = float(ensemble.t_nodes[k])
+        xk = ensemble.X[k]
+        stencil = interp_stencil(grid, t, xk)
+        u_itp = stencil.gather(sol.u_values)
+        z_itp = stencil.gather(z_grid)
+        r_itp = stencil.gather(sol.r_values)
+        if k == 0:
+            u_start = u_itp
+        fval = np.asarray(spec.driver.f(t, xk, u_itp, z_itp), dtype=float)
+        total += fval * dt + r_itp * dt - z_itp * ensemble.dW[k]
+        k_tilde += r_itp * dt
+    phi_T = np.asarray(spec.obstacle.phi(ensemble.X[n]), dtype=float)
+    return phi_T + total - u_start, k_tilde
+
+
 def check_ac_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: PathEnsemble,
                      sol: ObstacleSolution | None = None, basis_degree: int = 3,
                      residual_budget: float = 5e-2, k_bias_constant: float = 2.0,
                      provenance: dict | None = None,
-                     mc: LsmcEstimate | None = None) -> CheckReport:
+                     mc: LsmcEstimate | None = None,
+                     chain: RbsdeEstimate | None = None,
+                     dens: DensityTable | None = None) -> CheckReport:
     """Absolute-continuity check: K~ = int r(t, X_t) dt built from the grid
     density must make (u, sigma Du, K~) satisfy the backward equation along
     paths, and its terminal mean must match the chain K expectation.
@@ -297,35 +381,21 @@ def check_ac_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: P
     per-date increments (h - C)^+ collect the positive part of the regression
     error, a bias whose ratio to the CI does not shrink with the sample size,
     so the exact chain expectation is the sound comparison target.  ``mc`` is
-    that estimate on ``ensemble`` at ``basis_degree``; it is computed here
-    when not given.
+    that estimate on ``ensemble`` at ``basis_degree``.  ``chain`` (the
+    chain-dp estimate from the snapped start slice) and ``dens`` (the density
+    from the snapped start node) are the chain-side references.  Each is
+    computed here when not given.
     """
     if sol is None:
         sol = solve_psor(spec, grid)
-    z_grid = z_field(spec, grid, sol.u_values)
-
-    n, m = ensemble.n_steps, ensemble.path_count
-    dt = ensemble.dt_path
-    total = np.zeros(m)
-    k_tilde = np.zeros(m)
-    u_start = interp_space_time(grid, sol.u_values, float(ensemble.t_nodes[0]), ensemble.X[0])
-    for k in range(n):
-        t = float(ensemble.t_nodes[k])
-        xk = ensemble.X[k]
-        u_itp = interp_space_time(grid, sol.u_values, t, xk)
-        z_itp = interp_space_time(grid, z_grid, t, xk)
-        r_itp = interp_space_time(grid, sol.r_values, t, xk)
-        fval = np.asarray(spec.driver.f(t, xk, u_itp, z_itp), dtype=float)
-        total += fval * dt + r_itp * dt - z_itp * ensemble.dW[k]
-        k_tilde += r_itp * dt
-    phi_T = np.asarray(spec.obstacle.phi(ensemble.X[n]), dtype=float)
-    residual = phi_T + total - u_start
+    residual, k_tilde = _ac_path_sums(spec, grid, ensemble, sol)
+    m = ensemble.path_count
     res_rms = float(np.sqrt(np.mean(residual**2)))
 
     # exact chain expectation of K_T from the snapped ensemble start
     s_idx, x_idx = _snap_indices(grid, float(ensemble.t_nodes[0]), ensemble.x_start)
-    chain = rbsde_chain_dp(spec, grid, s_idx, x_idx)
-    dens = solve_density(spec, grid, s_idx, x_idx)
+    chain = _chain_from(spec, grid, s_idx, chain)
+    dens = _density_from(spec, grid, s_idx, x_idx, dens)
     k_chain = 0.0
     for rel_k in range(grid.nt - s_idx):
         k_chain += float(np.sum(dens.values[rel_k] * chain.dK[rel_k]))

@@ -196,3 +196,30 @@ def storing_lsmc(spec, ensemble, basis_degree, kind, n_penalty=0.0):
     y0 = float(Y[0].mean())
     ci = 1.96 * float(np.std(batch_y0, ddof=1)) / np.sqrt(len(batch_y0))
     return Y, Z, dK, y0, ci, slack
+
+
+def three_pass_ac_path_sums(spec, grid, ensemble, sol):
+    """``ac-measure``'s path loop with one full ``interp_space_time`` pass per
+    field: the per-path backward-equation residual of (u, sigma Du, K~) and
+    K~_T.  The package gathers all three fields from one stencil per date and
+    must reproduce these arrays bit for bit."""
+    from parobs.grid import interp_space_time
+    from parobs.solver import z_field
+
+    z_grid = z_field(spec, grid, sol.u_values)
+    n, m = ensemble.n_steps, ensemble.path_count
+    dt = ensemble.dt_path
+    total = np.zeros(m)
+    k_tilde = np.zeros(m)
+    u_start = interp_space_time(grid, sol.u_values, float(ensemble.t_nodes[0]), ensemble.X[0])
+    for k in range(n):
+        t = float(ensemble.t_nodes[k])
+        xk = ensemble.X[k]
+        u_itp = interp_space_time(grid, sol.u_values, t, xk)
+        z_itp = interp_space_time(grid, z_grid, t, xk)
+        r_itp = interp_space_time(grid, sol.r_values, t, xk)
+        fval = np.asarray(spec.driver.f(t, xk, u_itp, z_itp), dtype=float)
+        total += fval * dt + r_itp * dt - z_itp * ensemble.dW[k]
+        k_tilde += r_itp * dt
+    phi_T = np.asarray(spec.obstacle.phi(ensemble.X[n]), dtype=float)
+    return phi_T + total - u_start, k_tilde

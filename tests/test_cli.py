@@ -228,37 +228,146 @@ def _small_put(tmp_path):
 def test_verify_all_shares_one_reflected_mc_estimate(tmp_path, monkeypatch):
     import parobs.cli
     import parobs.verify
-    from parobs.stochastic import rbsde_reflected_mc
+    from parobs import stochastic
+    from parobs.grid import solve_density
 
-    calls = []
+    calls = {"rbsde_reflected_mc": 0, "rbsde_chain_dp": 0, "solve_density": 0}
+    seeds = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return rbsde_reflected_mc(*args, **kwargs)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(parobs.cli, "rbsde_reflected_mc", counted)
-    monkeypatch.setattr(parobs.verify, "rbsde_reflected_mc", counted)
-    code = run(["--scenario", _small_put(tmp_path), "--out", tmp_path / "o", "verify"])
+    def recorded(spec, s, x, dt_path, path_count, seed, **kwargs):
+        seeds.append(seed)
+        return stochastic.simulate_paths(spec, s, x, dt_path, path_count, seed, **kwargs)
+
+    for fn in (stochastic.rbsde_reflected_mc, stochastic.rbsde_chain_dp, solve_density):
+        for module in (parobs.cli, parobs.verify):
+            monkeypatch.setattr(module, fn.__name__, counted(fn))
+    for module in (parobs.cli, parobs.verify):
+        monkeypatch.setattr(module, "simulate_paths", recorded)
+    cfg = _small_put(tmp_path)
+    code = run(["--scenario", cfg, "--out", tmp_path / "o", "verify"])
     assert code == 0
-    # three representation-u probes plus one estimate shared by
-    # representation-z and ac-measure
-    assert len(calls) == 4
+    # representation-u probes 1 and 2 each simulate and regress their own
+    # ensemble; probe 0 is the shared estimate, which representation-z and
+    # ac-measure reuse, and it is built last so no second ensemble is alive
+    assert calls == {"rbsde_reflected_mc": 3, "rbsde_chain_dp": 1, "solve_density": 1}
+    seed = int(load_scenario(cfg).mc_params["seed"])
+    assert seeds == [seed + 1, seed + 2, seed]
+
+
+def _small_put_setup(tmp_path):
+    from parobs.solver import solve_psor
+
+    sc = load_scenario(_small_put(tmp_path))
+    grid = SpaceTimeGrid.build(sc.spec, 40, 40)
+    return sc.spec, grid, solve_psor(sc.spec, grid)
 
 
 def test_shared_estimate_gives_the_same_reports(tmp_path):
-    from parobs.solver import solve_psor
     from parobs.stochastic import rbsde_reflected_mc, simulate_paths
     from parobs.verify import check_ac_measure, check_representation_z
 
-    sc = load_scenario(_small_put(tmp_path))
-    spec = sc.spec
-    grid = SpaceTimeGrid.build(spec, 40, 40)
-    sol = solve_psor(spec, grid)
+    spec, grid, sol = _small_put_setup(tmp_path)
     ens = simulate_paths(spec, 0.0, 0.0, 0.0125, 2000, seed=5)
     mc = rbsde_reflected_mc(spec, ens, 3)
     for check in (check_representation_z, check_ac_measure):
         assert check(spec, grid, ens, sol=sol, basis_degree=3, mc=mc) == \
             check(spec, grid, ens, sol=sol, basis_degree=3)
+
+
+def test_shared_probe0_estimate_gives_the_same_representation_u(tmp_path):
+    from parobs.stochastic import rbsde_reflected_mc, simulate_paths
+    from parobs.verify import _snap_indices, check_representation_u
+
+    spec, grid, sol = _small_put_setup(tmp_path)
+    mc_params = {"paths": 2000, "dt_path": 0.0125, "seed": 5, "basis_degree": 3}
+    probes = [(0.0, 0.0), (0.25 * spec.T, 0.0), (0.0, 0.5)]
+    _, x_idx = _snap_indices(grid, 0.0, 0.0)
+    shared = rbsde_reflected_mc(spec, simulate_paths(spec, 0.0, float(grid.x_nodes[x_idx]),
+                                                     0.0125, 2000, 5), 3)
+    assert check_representation_u(spec, grid, probes, mc_params, sol=sol,
+                                  probe0_mc=lambda: shared) == \
+        check_representation_u(spec, grid, probes, mc_params, sol=sol)
+
+
+def test_verify_representation_u_matches_unshared_probes(tmp_path):
+    from parobs.cli import _run_checks
+    from parobs.verify import check_representation_u
+
+    spec, grid, sol = _small_put_setup(tmp_path)
+    sc = load_scenario(_small_put(tmp_path))
+    seed = int(sc.mc_params["seed"])
+    probe_x = 0.5 * (spec.x_lo + spec.x_hi)
+    probes = [(0.0, probe_x), (0.25 * spec.T, probe_x),
+              (0.0, probe_x + 0.25 * (spec.x_hi - spec.x_lo) / 2)]
+    shared, = _run_checks(sc, grid, ["representation-u"], seed)
+    own = check_representation_u(spec, grid, probes, {**sc.mc_params, "seed": seed}, sol=sol,
+                                 bias_constant=sc.calibration["fk_bias"],
+                                 provenance=shared.provenance)
+    assert shared == own
+
+
+def test_cached_chain_and_density_give_the_same_reports(tmp_path):
+    from parobs.grid import solve_density
+    from parobs.stochastic import rbsde_chain_dp, simulate_paths
+    from parobs.verify import (_snap_indices, check_ac_measure, check_interval_measure,
+                               check_measure_identity, check_representation_u)
+
+    spec, grid, sol = _small_put_setup(tmp_path)
+    _, x_idx = _snap_indices(grid, 0.0, 0.0)
+    chain = rbsde_chain_dp(spec, grid, 0, x_idx)
+    dens = solve_density(spec, grid, 0, x_idx)
+    mc_params = {"paths": 1000, "dt_path": 0.0125, "seed": 5, "basis_degree": 3}
+    ens = simulate_paths(spec, 0.0, float(grid.x_nodes[x_idx]), 0.0125, 2000, seed=5)
+    checks = [
+        (lambda **kw: check_representation_u(spec, grid, [(0.0, 0.0), (0.1, 0.3)], mc_params,
+                                             sol=sol, **kw), {"chain": chain}),
+        (lambda **kw: check_measure_identity(spec, grid, 0.0, 0.0, sol=sol, **kw),
+         {"chain": chain, "dens": dens}),
+        (lambda **kw: check_interval_measure(spec, grid, 0.0, spec.T, (-1.0, 1.0), sol=sol, **kw),
+         {"chain": chain}),
+        (lambda **kw: check_ac_measure(spec, grid, ens, sol=sol, **kw),
+         {"chain": chain, "dens": dens}),
+    ]
+    for check, cached in checks:
+        assert check(**cached) == check()
+
+
+def test_cached_objects_must_start_where_the_check_does(tmp_path):
+    from parobs.grid import solve_density
+    from parobs.stochastic import rbsde_chain_dp
+    from parobs.verify import check_interval_measure, check_measure_identity
+
+    spec, grid, sol = _small_put_setup(tmp_path)
+    with pytest.raises(ValueError, match="slice"):
+        check_interval_measure(spec, grid, 0.0, spec.T, (-1.0, 1.0), sol=sol,
+                               chain=rbsde_chain_dp(spec, grid, 3, 1))
+    with pytest.raises(ValueError, match="node"):
+        check_measure_identity(spec, grid, 0.0, 0.0, sol=sol,
+                               dens=solve_density(spec, grid, 0, 1))
+
+
+def test_ac_measure_one_stencil_matches_three_interpolation_passes(tmp_path):
+    from oracles import three_pass_ac_path_sums
+    from parobs.stochastic import simulate_paths
+    from parobs.verify import _ac_path_sums
+
+    spec, grid, sol = _small_put_setup(tmp_path)
+    ens = simulate_paths(spec, 0.0, 0.0, 0.0125, 3000, seed=11)
+    # push some paths onto and past both truncation edges, so the clamped
+    # branch of the stencil is exercised on every date
+    ens.X[:, :5] = spec.x_lo - np.linspace(0.0, 1.0, 5)
+    ens.X[:, 5:10] = spec.x_hi + np.linspace(0.0, 1.0, 5)
+    residual, k_tilde = _ac_path_sums(spec, grid, ens, sol)
+    ref_residual, ref_k_tilde = three_pass_ac_path_sums(spec, grid, ens, sol)
+    assert np.array_equal(residual, ref_residual)
+    assert np.array_equal(k_tilde, ref_k_tilde)
+    assert np.all(np.isfinite(residual))
 
 
 @pytest.mark.parametrize("line", ["mc.basis_degree = -1", "mc.basis_degree = 7",
@@ -297,6 +406,48 @@ def test_moments_nonfinite_exponent_exits_2(tmp_path, capsys, p):
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "o" / "moments.csv").exists()
+
+
+@pytest.mark.parametrize("p", ["nan", "3"])
+def test_moments_bad_exponent_exits_2_before_simulating(tmp_path, capsys, monkeypatch, p):
+    import parobs.cli
+
+    def no_simulate(*args, **kwargs):
+        raise AssertionError("the ensemble was simulated before --p was rejected")
+
+    monkeypatch.setattr(parobs.cli, "simulate_paths", no_simulate)
+    code = run(["--scenario", scenario_path("constant"), "--out", tmp_path / "o",
+                "moments", "--p", p])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--p" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["stop-value"],
+                                     ["study", "--study", "penalization", "--max-level", "5"]],
+                         ids=["stop-value", "study-penalization"])
+def test_tolerance_overrides_reach_stop_value_and_study(tmp_path, monkeypatch, command):
+    import parobs.cli
+    from parobs.solver import penalization_study, solve_psor
+
+    recorded = {}
+
+    def record(fn):
+        def wrapper(*args, **kwargs):
+            recorded[fn.__name__] = kwargs
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(parobs.cli, "solve_psor", record(solve_psor))
+    monkeypatch.setattr(parobs.cli, "penalization_study", record(penalization_study))
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text(scenario_path("constant").read_text()
+                   + "tolerances.lcp_tol = 1e-3\ntolerances.inner_tol = 1e-11\n")
+    assert run(["--scenario", cfg, "--out", tmp_path / "o", *command]) == 0
+    assert recorded["solve_psor"] == {"lcp_tol": 0.001, "inner_tol": 1e-11}
+    if command[0] == "study":
+        assert recorded["penalization_study"]["inner_tol"] == 1e-11
 
 
 def test_penalization_study_max_level_below_schedule_start_exits_2(tmp_path, capsys):
