@@ -60,14 +60,21 @@ def _f17(v) -> str:
     return format(float(v), ".17g")
 
 
-def write_csv(path: Path, provenance: str, header: list, rows) -> None:
+def _csv_line(row) -> str:
+    """One CSV line: numbers with 17 significant digits, anything else as str."""
+    return ",".join(_f17(v) if isinstance(v, (int, float, np.floating)) else str(v)
+                    for v in row) + "\n"
+
+
+def write_csv(path: Path, provenance: str, header: list, lines) -> None:
+    """Every CSV the CLI writes goes through here: a provenance comment, the
+    header, then ``lines``, text blocks of whole lines (``_csv_line`` for the
+    short tables, ``_solution_slabs`` for solution.csv)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(f"# {provenance}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_f17(v) if isinstance(v, (int, float, np.floating)) else str(v)
-                              for v in row) + "\n")
+        fh.writelines(lines)
 
 
 def _provenance(sc: Scenario, seed: int) -> str:
@@ -97,10 +104,17 @@ def _solver_kwargs(sc: Scenario, keys) -> dict:
     return {key: sc.tolerances[key] for key in keys if key in sc.tolerances}
 
 
-def _solution_rows(grid, sol):
-    for k, t in enumerate(grid.t_nodes):
-        for i, x in enumerate(grid.x_nodes):
-            yield (t, x, sol.u_values[k, i], sol.r_values[k, i], int(sol.contact_mask[k, i]))
+def _solution_slabs(grid, sol):
+    """solution.csv's lines, one text block per time slab.  Each x node is
+    formatted once and each slab's values are converted to Python numbers in
+    one go; the text is what _csv_line gives row by row."""
+    xs = [f"{x:.17g}" for x in grid.x_nodes.tolist()]
+    for k, t in enumerate(grid.t_nodes.tolist()):
+        lead = f"{t:.17g},"
+        yield "".join(f"{lead}{x},{u:.17g},{r:.17g},{int(c)}\n"
+                      for x, u, r, c in zip(xs, sol.u_values[k].tolist(),
+                                            sol.r_values[k].tolist(),
+                                            sol.contact_mask[k].tolist()))
 
 
 def cmd_solve(args) -> int:
@@ -122,12 +136,15 @@ def cmd_solve(args) -> int:
         raise ScenarioError(f"unknown method {args.method!r}")
     prov = _provenance(sc, seed) + f" method={args.method}"
     write_csv(out / "solution.csv", prov, ["t", "x", "u", "r", "contact"],
-              _solution_rows(grid, sol))
-    write_csv(out / "diagnostics.csv", prov, diag_header, diag_rows)
+              _solution_slabs(grid, sol))
+    write_csv(out / "diagnostics.csv", prov, diag_header, map(_csv_line, diag_rows))
     return 0
 
 
 def cmd_study(args) -> int:
+    # checked before the scenario is loaded, as moments checks --p
+    if args.study == "stability" and not (np.isfinite(args.eps) and args.eps > 0):
+        raise ScenarioError(f"--eps must be a finite number > 0, got {args.eps}")
     sc, grid, seed = _load(args)
     out = Path(args.out)
     prov = _provenance(sc, seed) + f" study={args.study}"
@@ -145,13 +162,14 @@ def cmd_study(args) -> int:
             norm_inc = study.norm_increments[idx - 1] if idx >= 1 else 0.0
             rows.append((n, sup_inc, norm_inc, study.distances_to_reference[idx]))
         write_csv(out / "penalization_study.csv", prov,
-                  ["n", "sup_increment", "norm_increment", "distance_to_psor"], rows)
+                  ["n", "sup_increment", "norm_increment", "distance_to_psor"],
+                  map(_csv_line, rows))
     elif args.study == "picard":
         sol, trace = picard_outer(sc.spec, grid)
         rows = [(i + 1, d, trace.ratios[i - 1] if i >= 1 else 0.0)
                 for i, d in enumerate(trace.distances)]
         write_csv(out / "picard_study.csv", prov + f" gamma={_f17(trace.gamma)}",
-                  ["iteration", "distance", "ratio"], rows)
+                  ["iteration", "distance", "ratio"], map(_csv_line, rows))
     elif args.study == "stability":
         # shifted down, so that h2 <= h1 <= phi at T wherever h1 touches phi
         eps = args.eps
@@ -160,8 +178,8 @@ def cmd_study(args) -> int:
         rep = obstacle_stability(sc.spec, grid, h1, h2)
         write_csv(out / "stability_study.csv", prov,
                   ["eps", "solution_distance", "obstacle_distance", "ratio", "passed"],
-                  [(eps, rep.solution_distance, rep.obstacle_distance, rep.ratio,
-                    int(rep.passed))])
+                  [_csv_line((eps, rep.solution_distance, rep.obstacle_distance, rep.ratio,
+                              int(rep.passed)))])
     else:
         raise ScenarioError(f"unknown study {args.study!r}")
     return 0
@@ -257,7 +275,8 @@ def cmd_verify(args) -> int:
     rows = [(r.name, r.discrepancy, r.budget, r.bias_part, r.stat_part, int(r.passed))
             for r in reports]
     write_csv(out / "verify_report.csv", prov,
-              ["check", "discrepancy", "budget", "bias_part", "stat_part", "passed"], rows)
+              ["check", "discrepancy", "budget", "bias_part", "stat_part", "passed"],
+              map(_csv_line, rows))
     lines = [f"# {prov}"]
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
@@ -285,7 +304,7 @@ def cmd_simulate(args) -> int:
              float(ens.X[k].min()), float(ens.X[k].max()))
             for k, t in enumerate(ens.t_nodes)]
     write_csv(Path(args.out) / "ensemble_summary.csv", _provenance(sc, seed),
-              ["t", "mean", "var", "min", "max"], rows)
+              ["t", "mean", "var", "min", "max"], map(_csv_line, rows))
     return 0
 
 
@@ -299,7 +318,7 @@ def cmd_stop_value(args) -> int:
     sv = optimal_stopping_value(spec, grid, sol, ens, 0.0, x0)
     write_csv(Path(args.out) / "stop_value.csv", _provenance(sc, seed),
               ["rule_value", "rule_ci", "snell_value", "gap"],
-              [(sv.rule_value, sv.rule_ci, sv.snell_value, sv.gap)])
+              [_csv_line((sv.rule_value, sv.rule_ci, sv.snell_value, sv.gap))])
     return 0
 
 
@@ -315,7 +334,7 @@ def cmd_moments(args) -> int:
     mr = moment_ratio_probe(ens, args.p)
     write_csv(Path(args.out) / "moments.csv", _provenance(sc, seed),
               ["p", "ratio", "ci", "sup_moment", "terminal_moment"],
-              [(mr.p, mr.ratio, mr.ci, mr.sup_moment, mr.terminal_moment)])
+              [_csv_line((mr.p, mr.ratio, mr.ci, mr.sup_moment, mr.terminal_moment))])
     return 0
 
 

@@ -9,11 +9,11 @@ to share across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import EvaluatorFailure
 
@@ -153,14 +153,38 @@ def _rel_excess(lhs, rhs):
     return np.maximum(lhs - rhs, 0.0) / (1.0 + np.abs(rhs))
 
 
+def _scrambled_halton(n: int, seed: int) -> np.ndarray:
+    """First n points of Owen's randomized Halton sequence in [0, 1)^4.
+
+    Owen 2017, "A randomized Halton algorithm in R" (arXiv 1706.02808): in
+    base b (2, 3, 5, 7), digit j of the point index is mapped through its own
+    random permutation of range(b), for every j with b^-(j+1) > 2^-54.  The
+    permutations, their order of drawing and the digit sum (the weight 1/b
+    divided by b once per digit) follow scipy.stats.qmc.Halton(d=4, seed=seed),
+    so the points are bit-identical to it.
+    """
+    rng = np.random.default_rng(seed)
+    columns = []
+    for base in (2, 3, 5, 7):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        value, rest, weight = np.zeros(n), np.arange(n), 1.0 / base
+        for perm in perms:
+            value += perm[rest % base] * weight
+            rest //= base
+            weight /= base
+        columns.append(value)
+    return np.column_stack(columns)
+
+
 def _probe_points(spec: ObstacleProblemSpec, probe_count: int, seed: int):
     """Deterministic quasi-random probes in Q_T x value-space.
 
     The (y, z) box is scaled from the sampled data so moderate solution values
     are representative probes.
     """
-    halton = qmc.Halton(d=4, seed=seed)
-    raw = halton.random(probe_count)
+    raw = _scrambled_halton(probe_count, seed)
     t = raw[:, 0] * spec.T
     x = spec.x_lo + raw[:, 1] * (spec.x_hi - spec.x_lo)
     phi_x = _finite_or_raise(spec.obstacle.phi(x), "phi", "probe grid")
@@ -256,8 +280,7 @@ def lipschitz_probe(driver: Driver, probe_count: int = 128, seed: int = 0,
     """
     if probe_count < 2:
         raise ValueError("probe_count must be >= 2")
-    halton = qmc.Halton(d=4, seed=seed)
-    raw = halton.random(probe_count)
+    raw = _scrambled_halton(probe_count, seed)
     t = t_range[0] + raw[:, 0] * (t_range[1] - t_range[0])
     x = x_range[0] + raw[:, 1] * (x_range[1] - x_range[0])
     y = (2.0 * raw[:, 2] - 1.0) * value_scale

@@ -2,6 +2,7 @@
 package so each check has a second route to the same number."""
 
 import numpy as np
+from scipy.stats import qmc
 
 
 def binomial_american_put(s0, strike, rate, sigma, T, steps):
@@ -223,3 +224,24 @@ def three_pass_ac_path_sums(spec, grid, ensemble, sol):
         k_tilde += r_itp * dt
     phi_T = np.asarray(spec.obstacle.phi(ensemble.X[n]), dtype=float)
     return phi_T + total - u_start, k_tilde
+
+
+def scipy_halton(n, seed):
+    """scipy's scrambled Halton points in [0, 1)^4, the reference for the
+    package's numpy version of the same sequence."""
+    return qmc.Halton(d=4, seed=seed).random(n)
+
+
+def per_value_solution_csv(path, provenance, grid, sol):
+    """solution.csv written node by node, formatting one numpy scalar at a
+    time.  The CLI formats whole time slabs and must write the same bytes."""
+    def cell(v):
+        return format(float(v), ".17g") if isinstance(v, (int, float, np.floating)) else str(v)
+
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {provenance}\n")
+        fh.write("t,x,u,r,contact\n")
+        for k, t in enumerate(grid.t_nodes):
+            for i, x in enumerate(grid.x_nodes):
+                row = (t, x, sol.u_values[k, i], sol.r_values[k, i], int(sol.contact_mask[k, i]))
+                fh.write(",".join(cell(v) for v in row) + "\n")

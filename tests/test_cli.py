@@ -7,6 +7,7 @@ from parobs.grid import SpaceTimeGrid
 from parobs.scenarios import load_scenario
 
 from conftest import scenario_path
+from oracles import per_value_solution_csv
 
 
 def run(args):
@@ -473,3 +474,64 @@ def test_simulate_and_stop_value_hold_no_increments(tmp_path, monkeypatch):
         assert run(["--scenario", scenario_path("constant"), "--out", tmp_path, command]) == 0
     assert len(ensembles) == 2
     assert all(ens.dW is None for ens in ensembles)
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+def test_stability_study_bad_eps_exits_2_before_solving(tmp_path, capsys, monkeypatch, eps):
+    import parobs.cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before --eps was rejected")
+
+    monkeypatch.setattr(parobs.cli, "solve_psor", no_solve)
+    code = run(["--scenario", scenario_path("constant"), "--out", tmp_path / "o",
+                "study", "--study", "stability", "--eps", eps])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--eps" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("method", ["psor", "penalized"])
+def test_solution_csv_matches_per_value_writer(tmp_path, monkeypatch, method):
+    import parobs.cli
+
+    solved = {}
+
+    def record(fn):
+        def wrapper(spec, grid, *args, **kwargs):
+            solved["grid"] = grid
+            solved["sol"] = fn(spec, grid, *args, **kwargs)
+            return solved["sol"]
+        return wrapper
+
+    monkeypatch.setattr(parobs.cli, "solve_psor", record(parobs.cli.solve_psor))
+    monkeypatch.setattr(parobs.cli, "as_obstacle_solution",
+                        record(parobs.cli.as_obstacle_solution))
+    code = run(["--scenario", scenario_path("obstacle_quad"), "--out", tmp_path,
+                "solve", "--method", method])
+    assert code == 0
+    written = (tmp_path / "solution.csv").read_bytes()
+    provenance = written.split(b"\n", 1)[0].decode()[2:]
+    per_value_solution_csv(tmp_path / "oracle.csv", provenance, solved["grid"], solved["sol"])
+    assert written == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_solution_csv_matches_per_value_writer_on_awkward_values(tmp_path):
+    from parobs.cli import _solution_slabs, write_csv
+    from parobs.solver import ObstacleSolution
+
+    grid = SpaceTimeGrid(nx=2, nt=1, dx=1.0, dt=1.0, x_nodes=np.array([-0.0, 0.1, 1e300, 3.0]),
+                         t_nodes=np.array([0.0, 1.0 / 3.0]))
+    u = np.array([[-0.0, 5e-324, 1e300, 2.0], [0.1, 1.0 / 3.0, -7.0, 2.0 ** 60]])
+    r = np.array([[0.0, -1e-300, 12345678901234567.0, 0.30000000000000004],
+                  [-5e-324, 1.0, 1e22, np.pi]])
+    contact = np.array([[True, False, True, False], [False, False, True, True]])
+    sol = ObstacleSolution(u_values=u, r_values=r, contact_mask=contact, method="synthetic")
+    write_csv(tmp_path / "solution.csv", "synthetic", ["t", "x", "u", "r", "contact"],
+              _solution_slabs(grid, sol))
+    per_value_solution_csv(tmp_path / "oracle.csv", "synthetic", grid, sol)
+    written = (tmp_path / "solution.csv").read_bytes()
+    assert written == (tmp_path / "oracle.csv").read_bytes()
+    assert written.splitlines()[2:4] == [b"0,-0,-0,0,1",
+                                         b"0,0.10000000000000001,4.9406564584124654e-324,-1e-300,0"]

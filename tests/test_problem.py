@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +14,12 @@ from parobs.problem import (
     ObstacleData,
     ObstacleProblemSpec,
     Weight,
+    _scrambled_halton,
     lipschitz_probe,
     validate_hypotheses,
 )
 
-from oracles import brute_force_lipschitz
+from oracles import brute_force_lipschitz, scipy_halton
 
 
 def _zeros(t, x):
@@ -140,3 +145,22 @@ def test_spec_rejects_bad_geometry():
     with pytest.raises(ValueError):
         ObstacleProblemSpec(coefficients=good.coefficients, driver=good.driver,
                             obstacle=good.obstacle, T=1.0, x_lo=2.0, x_hi=-2.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 7, 12345])
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 1000])
+def test_scrambled_halton_matches_scipy(seed, n):
+    assert np.array_equal(_scrambled_halton(n, seed), scipy_halton(n, seed))
+
+
+def test_import_does_not_load_scipy_stats():
+    import parobs
+
+    # a fresh interpreter, importing the same parobs the tests import
+    src = str(Path(parobs.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, parobs, parobs.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
