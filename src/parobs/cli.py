@@ -145,13 +145,13 @@ def cmd_study(args) -> int:
     # checked before the scenario is loaded, as moments checks --p
     if args.study == "stability" and not (np.isfinite(args.eps) and args.eps > 0):
         raise ScenarioError(f"--eps must be a finite number > 0, got {args.eps}")
+    if args.study == "penalization" and args.max_level < 4:
+        raise ScenarioError(f"--max-level must be at least 4 (the schedule starts "
+                            f"at 2^4), got {args.max_level}")
     sc, grid, seed = _load(args)
     out = Path(args.out)
     prov = _provenance(sc, seed) + f" study={args.study}"
     if args.study == "penalization":
-        if args.max_level < 4:
-            raise ScenarioError(f"--max-level must be at least 4 (the schedule starts "
-                                f"at 2^4), got {args.max_level}")
         schedule = [2**j for j in range(4, args.max_level + 1)]
         psor = solve_psor(sc.spec, grid, **_solver_kwargs(sc, _PSOR_TOL_KEYS))
         limit, study = penalization_study(sc.spec, grid, schedule, reference=psor,

@@ -1,4 +1,4 @@
-"""Space-time grid, flux-form operator, Markov transition kernels, densities.
+"""Space-time grid, flux-form operator, the one-step kernel, densities.
 
 The operator is assembled in finite-volume (flux) form at cell midpoints,
 
@@ -7,11 +7,16 @@ The operator is assembled in finite-volume (flux) form at cell midpoints,
 which preserves the divergence structure exactly: interior row sums are zero
 and discrete summation by parts holds to machine precision.  The grid carries
 nx interior nodes plus the two truncation-boundary nodes.
+
+``transition_kernel`` holds the banded step matrix M = I - dt A with the
+boundary rows of its mode.  It is the step of every time loop: the solvers'
+backward steps (``apply``, or ``solve_backward_step`` with a penalty
+diagonal), the chain recursions (``apply``) and the forward laws
+(``evolve_law``, by ``apply_T``).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,6 +35,8 @@ __all__ = [
     "InterpStencil",
     "assemble_operator",
     "transition_kernel",
+    "solve_backward_step",
+    "evolve_law",
     "solve_density",
     "aronson_envelope_check",
     "interp_stencil",
@@ -55,10 +62,6 @@ class SpaceTimeGrid:
         dx = (spec.x_hi - spec.x_lo) / (nx + 1)
         dt = spec.T / nt
         return cls(nx=nx, nt=nt, dx=dx, dt=dt, x_nodes=x_nodes, t_nodes=t_nodes)
-
-    @property
-    def interior(self) -> slice:
-        return slice(1, self.nx + 1)
 
 
 @dataclass(frozen=True)
@@ -99,15 +102,12 @@ def assemble_operator(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t_index: i
     return DiscreteOperator(t_index=t_index, t=t, lower=lower, diag=-(lower + upper), upper=upper)
 
 
-def _banded_backward_matrix(op: DiscreteOperator, dt: float, extra_diag=None,
-                            mode: str = "clamp-to-data"):
+def _banded_backward_matrix(op: DiscreteOperator, dt: float, mode: str = "clamp-to-data"):
     """Banded form of the full (nx+2) system (I - dt A); dt < 0 gives I + |dt| A.
 
     clamp-to-data: boundary rows are identity (Dirichlet).  reflecting:
     boundary rows keep only the inner face flux (zero flux through the
-    truncation), which preserves constants and conserves mass.  ``extra_diag``
-    adds to the diagonal: interior length nx, or full length nx + 2 in
-    reflecting mode.
+    truncation), which preserves constants and conserves mass.
     """
     n = op.diag.size + 2
     ab = np.zeros((3, n))
@@ -123,26 +123,7 @@ def _banded_backward_matrix(op: DiscreteOperator, dt: float, extra_diag=None,
         ab[2, -2] = -dt * op.upper[-1]
     else:
         raise ValueError(f"unknown boundary mode {mode!r}")
-    if extra_diag is not None:
-        extra_diag = np.asarray(extra_diag, dtype=float)
-        if extra_diag.size == n:
-            ab[1] += extra_diag
-        else:
-            ab[1, 1:-1] += extra_diag
     return ab
-
-
-def solve_backward_step(op: DiscreteOperator, dt: float, rhs_full: np.ndarray,
-                        extra_diag=None, mode: str = "clamp-to-data") -> np.ndarray:
-    """Solve (I - dt A) u = rhs on the full node set.
-
-    Under clamp-to-data the boundary rows are identity, so rhs_full[0] and
-    rhs_full[-1] are the boundary values themselves; under reflecting all
-    nodes are unknowns.  ``extra_diag`` adds to the diagonal (used for the
-    implicit penalty term).
-    """
-    ab = _banded_backward_matrix(op, dt, extra_diag, mode)
-    return solve_banded((1, 1), ab, rhs_full)
 
 
 def _banded_transpose(ab: np.ndarray) -> np.ndarray:
@@ -170,14 +151,18 @@ class TransitionKernel:
 
     ``bands`` are the three diagonals in solve_banded layout: of M = I - dt A
     for the implicit scheme (P = M^{-1}), of P = I + dt A itself for the
-    explicit one.  P is never formed; ``apply`` and ``apply_T`` take one
-    banded solve or one tridiagonal product, on a vector or on the columns of
-    an (nx + 2, k) array.  ``clamp_magnitude`` reads 0.0 because nothing is
-    clipped: no dense P exists whose round-off negatives could be.
+    explicit one, with the boundary rows of ``mode``: identity rows under
+    clamp-to-data, zero-flux rows under reflecting.  The implicit kernel is
+    also the solvers' backward step: ``apply`` solves M u = b.  P is never
+    formed; ``apply`` and ``apply_T`` take one banded solve or one
+    tridiagonal product, on a vector or on the columns of an (nx + 2, k)
+    array.  ``clamp_magnitude`` reads 0.0 because nothing is clipped: no
+    dense P exists whose round-off negatives could be.
     """
 
     t_index: int
     scheme: str
+    mode: str
     bands: np.ndarray
     clamp_magnitude = 0.0
 
@@ -201,7 +186,7 @@ def transition_kernel(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t_index: i
 
     Explicit: P = I + dt A, valid under the positivity CFL dt <= dx^2 / Lambda.
     Implicit: P = (I - dt A)^{-1}, nonnegative by the M-matrix structure.
-    Boundary rows absorb under clamp-to-data and bounce under reflecting.
+    ``mode`` defaults to the spec's boundary mode.
     """
     op = assemble_operator(spec, grid, t_index)
     mode = spec.boundary_mode if mode is None else mode
@@ -210,12 +195,40 @@ def transition_kernel(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t_index: i
             raise CflViolation(
                 f"explicit kernel needs dt <= dx^2/Lambda = {grid.dx**2 / spec.coefficients.Lambda_ell:.3e},"
                 f" got dt = {grid.dt:.3e}")
-        bands = _banded_backward_matrix(op, -grid.dt, mode=mode)
+        bands = _banded_backward_matrix(op, -grid.dt, mode)
     elif scheme == "implicit":
-        bands = _banded_backward_matrix(op, grid.dt, mode=mode)
+        bands = _banded_backward_matrix(op, grid.dt, mode)
     else:
         raise ValueError(f"unknown kernel scheme {scheme!r}")
-    return TransitionKernel(t_index=t_index, scheme=scheme, bands=bands)
+    return TransitionKernel(t_index=t_index, scheme=scheme, mode=mode, bands=bands)
+
+
+def solve_backward_step(kern: TransitionKernel, rhs_full: np.ndarray,
+                        extra_diag: np.ndarray) -> np.ndarray:
+    """Solve (M + diag(extra_diag)) u = rhs on the full node set, M = I - dt A
+    the implicit kernel's bands; ``extra_diag`` (length nx + 2) is the
+    implicit penalty term.  Without it the step is ``kern.apply(rhs)``.
+    """
+    if kern.scheme != "implicit":
+        raise ValueError("a backward step needs the implicit kernel")
+    ab = kern.bands.copy()
+    ab[1] += extra_diag
+    return solve_banded((1, 1), ab, rhs_full)
+
+
+def evolve_law(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, w0: np.ndarray, s_index: int,
+               mode: str | None = None):
+    """Carry the law (or any start measure) w0 at slice s_index forward by the
+    implicit kernels: yields (k, w_k), w_{k+1} = P_k^T w_k, for k = s_index .. nt.
+
+    ``mode`` defaults to the spec's boundary mode; reflecting rows conserve
+    total mass, clamp-to-data rows keep what reaches the boundary nodes.
+    """
+    w = w0
+    yield s_index, w
+    for k in range(s_index, grid.nt):
+        w = transition_kernel(spec, grid, k, mode=mode).apply_T(w)
+        yield k + 1, w
 
 
 @dataclass(frozen=True)
@@ -223,8 +236,8 @@ class DensityTable:
     """Discrete fundamental solution started from a unit point mass.
 
     ``values[k]`` is the probability mass per node at t_nodes[k]; divide by dx
-    for a density.  ``mass`` tracks interior mass per slice; everything lost
-    through the truncation boundary sits in the absorbing boundary nodes.
+    for a density.  ``mass`` tracks interior mass per slice; under
+    clamp-to-data what crosses the truncation stays in the boundary nodes.
     """
 
     s_index: int
@@ -239,24 +252,9 @@ class DensityTable:
     def density(self) -> np.ndarray:
         return self.values / self.dx
 
-    def to_csv(self, path, provenance: str = "") -> None:
-        with open(path, "w", newline="") as fh:
-            if provenance:
-                fh.write(f"# {provenance}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t", "y", "p"])
-            dens = self.density()
-            for k, t in enumerate(self.t_nodes):
-                for j, y in enumerate(self.x_nodes):
-                    writer.writerow([_f17(t), _f17(y), _f17(dens[k, j])])
-
-
-def _f17(v: float) -> str:
-    return format(float(v), ".17g")
-
 
 def solve_density(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int, x_index: int,
-                  scheme: str = "implicit", mass_tol: float = 1e-3) -> DensityTable:
+                  mass_tol: float = 1e-3) -> DensityTable:
     """Forward-iterate p(t_{k+1}) = P^T p(t_k) from a point mass at (s, x).
 
     ``mass_ok`` flags whether every interior slice keeps mass within mass_tol
@@ -266,12 +264,11 @@ def solve_density(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int, 
         raise ValueError("s_index must satisfy 0 <= s_index < nt")
     if not 0 <= x_index <= grid.nx + 1:
         raise ValueError("x_index out of range")
-    n_slices = grid.nt - s_index + 1
-    values = np.zeros((n_slices, grid.nx + 2))
-    values[0, x_index] = 1.0
-    for step, k in enumerate(range(s_index, grid.nt)):
-        kern = transition_kernel(spec, grid, k, scheme=scheme)
-        values[step + 1] = kern.apply_T(values[step])
+    values = np.empty((grid.nt - s_index + 1, grid.nx + 2))
+    start = np.zeros(grid.nx + 2)
+    start[x_index] = 1.0
+    for k, p in evolve_law(spec, grid, start, s_index):
+        values[k - s_index] = p
     mass = values[:, 1:-1].sum(axis=1)
     return DensityTable(
         s_index=s_index, x_index=x_index,

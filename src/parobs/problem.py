@@ -49,9 +49,6 @@ class Coefficients:
         if not (0.0 < self.lambda_ell <= self.Lambda_ell):
             raise ValueError("need 0 < lambda_ell <= Lambda_ell")
 
-    def sigma(self, t, x):
-        return np.sqrt(self.a(t, x))
-
 
 @dataclass(frozen=True)
 class Driver:

@@ -14,8 +14,12 @@ Two routes solve the same discrete problem:
 Both, and the obstacle-free ``solve_unconstrained``, run on one backward
 marcher (``_march``) that owns the time loop, the clamp-to-data boundary
 values max(h(t, x_b), phi(x_b)), the lagged-driver fixed point within each
-step and the divergence guard; the routes differ only in the linear or
-complementarity solve they hand it per iterate.
+step and the divergence guard.  Its step object is the grid's implicit
+``transition_kernel``, the banded M = I - dt A that is also the chain's
+transition law; the routes differ only in what they do with it per iterate:
+``kern.apply``, ``solve_backward_step`` with the penalty diagonal, or
+``_lcp_step`` on ``kern.bands``.  ``sigma_du`` is the one place sigma Du is
+formed on a grid row.
 
 The reflection measure is represented by the nonnegative cell density r with
 cell mass r dx dt; the continuum measure need not be absolutely continuous, so
@@ -31,14 +35,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import InnerDivergence, LcpStall, MonotonicityViolation, NoContraction
-from .grid import (
-    DiscreteOperator,
-    SpaceTimeGrid,
-    _banded_backward_matrix,
-    _banded_matvec,
-    assemble_operator,
-    solve_backward_step,
-)
+from .grid import SpaceTimeGrid, _banded_matvec, solve_backward_step, transition_kernel
 from .problem import ObstacleProblemSpec, Weight
 
 __all__ = [
@@ -52,6 +49,7 @@ __all__ = [
     "terminal_field",
     "boundary_values",
     "central_gradient",
+    "sigma_du",
     "z_field",
     "frozen_driver_field",
     "solve_penalized",
@@ -109,26 +107,27 @@ def central_gradient(row: np.ndarray, dx: float) -> np.ndarray:
     return g
 
 
-def _sigma_row(spec: ObstacleProblemSpec, t: float, x_nodes: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(np.sqrt(np.asarray(spec.coefficients.a(t, x_nodes), dtype=float)),
-                           x_nodes.shape).astype(float)
+def sigma_du(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t: float,
+             row: np.ndarray) -> np.ndarray:
+    """sigma Du at time t on one grid row: sqrt(a(t, x)) times ``central_gradient``."""
+    a = np.asarray(spec.coefficients.a(t, grid.x_nodes), dtype=float)
+    sigma = np.broadcast_to(np.sqrt(a), grid.x_nodes.shape).astype(float)
+    return sigma * central_gradient(row, grid.dx)
 
 
 def z_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, u: np.ndarray) -> np.ndarray:
     """sigma Du on every slice of a grid field u of shape (nt + 1, nx + 2)."""
     z = np.empty_like(u)
     for k, t in enumerate(grid.t_nodes):
-        z[k] = _sigma_row(spec, float(t), grid.x_nodes) * central_gradient(u[k], grid.dx)
+        z[k] = sigma_du(spec, grid, float(t), u[k])
     return z
 
 
-def _driver_row(spec: ObstacleProblemSpec, t: float, x_nodes: np.ndarray,
-                u_row: np.ndarray, dx: float, driver_field_row=None) -> np.ndarray:
-    """f(t, x, u, sigma Du) on all nodes; a frozen field row short-circuits."""
-    if driver_field_row is not None:
-        return driver_field_row
-    z = _sigma_row(spec, t, x_nodes) * central_gradient(u_row, dx)
-    return np.broadcast_to(np.asarray(spec.driver.f(t, x_nodes, u_row, z), dtype=float),
+def _driver_row(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t: float,
+                u_row: np.ndarray) -> np.ndarray:
+    """f(t, x, u, sigma Du) on all nodes."""
+    z = sigma_du(spec, grid, t, u_row)
+    return np.broadcast_to(np.asarray(spec.driver.f(t, grid.x_nodes, u_row, z), dtype=float),
                            u_row.shape).astype(float)
 
 
@@ -196,11 +195,12 @@ def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, h_field=None,
            label: str = "inner iteration"):
     """Backward implicit Euler from u(T) = phi with the driver lagged in each step.
 
-    ``solve(k, op, b, v)`` maps the iterate v and b = u_{k+1} + dt f(t_k, ., v,
-    sigma D v), whose edge entries hold the clamp-to-data values (phi alone
-    without an obstacle), to the next iterate.  A step ends when an iterate
-    moves by at most ``inner_tol``, or after one ``exact`` solve when b does
-    not depend on v (L = 0 or a frozen driver).  Returns u, iterations per step.
+    ``solve(k, kern, b, v)`` maps the step's implicit kernel, the iterate v
+    and b = u_{k+1} + dt f(t_k, ., v, sigma D v), whose edge entries hold the
+    clamp-to-data values (phi alone without an obstacle), to the next
+    iterate.  A step ends when an iterate moves by at most ``inner_tol``, or
+    after one ``exact`` solve when b does not depend on v (L = 0 or a frozen
+    driver).  Returns u, iterations per step.
     """
     dt = grid.dt
     u = np.empty((grid.nt + 1, grid.nx + 2))
@@ -213,17 +213,17 @@ def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, h_field=None,
     iterations = np.zeros(grid.nt, dtype=int)
 
     for k in range(grid.nt - 1, -1, -1):
-        op = assemble_operator(spec, grid, k)
+        kern = transition_kernel(spec, grid, k)
         t = float(grid.t_nodes[k])
-        frow = None if driver_field is None else driver_field[k]
         v = u[k + 1].copy()
         if bnd is not None:
             v[0], v[-1] = bnd[k]
         for m in range(max_inner):
-            b = u[k + 1] + dt * _driver_row(spec, t, grid.x_nodes, v, grid.dx, frow)
+            f = _driver_row(spec, grid, t, v) if driver_field is None else driver_field[k]
+            b = u[k + 1] + dt * f
             if bnd is not None:
                 b[0], b[-1] = bnd[k]
-            v_new = solve(k, op, b, v)
+            v_new = solve(k, kern, b, v)
             diff = float(np.max(np.abs(v_new - v)))
             v = v_new
             if not np.isfinite(diff) or np.max(np.abs(v)) > 1e12 * scale:
@@ -242,9 +242,8 @@ def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, h_field=None,
 # penalized and unconstrained routes
 
 def solve_penalized(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_penalty: int,
-                    inner_tol: float = DEFAULT_INNER_TOL, max_inner: int = DEFAULT_MAX_INNER,
-                    driver_field: np.ndarray | None = None,
-                    obstacle_field_override: np.ndarray | None = None) -> PenalizedSolution:
+                    inner_tol: float = DEFAULT_INNER_TOL,
+                    max_inner: int = DEFAULT_MAX_INNER) -> PenalizedSolution:
     """Backward implicit Euler for the penalized equation at level n.
 
     Each step solves (I - dt A) u_k = u_{k+1} + dt [f(t_k, ., u_k, sigma D u_k)
@@ -256,19 +255,18 @@ def solve_penalized(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_penalty: i
     if n_penalty < 1:
         raise ValueError("n_penalty must be >= 1")
     mode = spec.boundary_mode
-    h_field = obstacle_field(spec, grid) if obstacle_field_override is None else obstacle_field_override
+    h_field = obstacle_field(spec, grid)
     dtn = grid.dt * float(n_penalty)
 
-    def penalized(k, op, b, v):
+    def penalized(k, kern, b, v):
         active = v < h_field[k]
         if mode == "clamp-to-data":
             active[0] = active[-1] = False
-        return solve_backward_step(op, grid.dt, b + dtn * h_field[k] * active,
-                                   extra_diag=dtn * active, mode=mode)
+        return solve_backward_step(kern, b + dtn * h_field[k] * active, dtn * active)
 
     u, counts = _march(spec, grid, penalized, h_field, exact=False,
-                          driver_field=driver_field, inner_tol=inner_tol, max_inner=max_inner,
-                          label=f"penalized inner iteration (n = {n_penalty})")
+                       inner_tol=inner_tol, max_inner=max_inner,
+                       label=f"penalized inner iteration (n = {n_penalty})")
     r = float(n_penalty) * np.maximum(h_field - u, 0.0)
     return PenalizedSolution(n_penalty=n_penalty, u_values=u, r_values=r,
                              inner_iteration_counts=counts)
@@ -288,35 +286,32 @@ def as_obstacle_solution(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
 
 
 def solve_unconstrained(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
-                        inner_tol: float = DEFAULT_INNER_TOL, max_inner: int = DEFAULT_MAX_INNER,
-                        driver_field: np.ndarray | None = None) -> np.ndarray:
+                        inner_tol: float = DEFAULT_INNER_TOL,
+                        max_inner: int = DEFAULT_MAX_INNER) -> np.ndarray:
     """Plain implicit stepping for the Cauchy problem (no obstacle).
 
     Under clamp-to-data the boundary follows the terminal data extension.
     """
-    def plain(k, op, b, v):
-        return solve_backward_step(op, grid.dt, b, mode=spec.boundary_mode)
-
-    return _march(spec, grid, plain, driver_field=driver_field, inner_tol=inner_tol,
+    return _march(spec, grid, lambda k, kern, b, v: kern.apply(b), inner_tol=inner_tol,
                   max_inner=max_inner, label="unconstrained step")[0]
 
 
 # ---------------------------------------------------------------------------
 # complementarity route
 
-def _lcp_step(op: DiscreteOperator, dt: float, b: np.ndarray, h_row: np.ndarray,
-              v0: np.ndarray, mode: str, lcp_tol: float):
+def _lcp_step(ab: np.ndarray, b: np.ndarray, h_row: np.ndarray, v0: np.ndarray,
+              mode: str, lcp_tol: float):
     """Solve min(v - h, M v - b) = 0, M = I - dt A, by policy iteration.
 
-    M is the full (nx + 2) banded system of ``mode``; clamp-to-data boundary
-    rows are identity rows, never active.  Each iteration takes the active set
-    S = {v - h < M v - b} of the last iterate (of v0, plus the nodes where
-    v0 <= h), sets v = h on S and solves M v = b off S by one banded solve.
+    ``ab`` holds M, the full (nx + 2) banded system of ``mode`` (an implicit
+    kernel's ``bands``); clamp-to-data boundary rows are identity rows, never
+    active.  Each iteration takes the active set S = {v - h < M v - b} of the
+    last iterate (of v0, plus the nodes where v0 <= h), sets v = h on S and
+    solves M v = b off S by one banded solve.
     For an M-matrix (Howard's algorithm) S changes at most n times, so the
     step ends within n + 1 solves: when max|min(v - h, M v - b)| <= lcp_tol or
     when S repeats, v then being exact.  Returns (v, solves, M v - b).
     """
-    ab = _banded_backward_matrix(op, dt, mode=mode)
     n = b.size
     free = np.ones(n, dtype=bool)  # rows that may be active
     if mode == "clamp-to-data":
@@ -361,8 +356,8 @@ def solve_psor(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     resid = np.empty((grid.nt, grid.nx + 2))
     sweep_counts = np.zeros(grid.nt, dtype=int)
 
-    def lcp(k, op, b, v):
-        v, solves, resid[k] = _lcp_step(op, dt, b, h_field[k], v, spec.boundary_mode, lcp_tol)
+    def lcp(k, kern, b, v):
+        v, solves, resid[k] = _lcp_step(kern.bands, b, h_field[k], v, spec.boundary_mode, lcp_tol)
         sweep_counts[k] += solves
         return v
 
@@ -498,35 +493,25 @@ def frozen_driver_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     return out
 
 
-def picard_outer(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, inner: str = "psor",
-                 max_outer: int = 50, outer_tol: float = 1e-8,
-                 n_penalty: int = 2**12):
-    """Iterate v -> solution of the linear obstacle problem with frozen driver.
+def picard_outer(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
+                 max_outer: int = 50, outer_tol: float = 1e-8):
+    """Iterate v -> ``solve_psor`` of the linear obstacle problem with frozen driver.
 
     Distances between consecutive iterates are measured in the e^{gamma t}
     weighted norm with the contraction exponent from ``contraction_gamma``.
     Drivers with L = 0 need one pass and produce an empty trace.
     """
-    if inner not in ("psor", "penalized"):
-        raise ValueError(f"unknown inner solver {inner!r}")
-
-    def run_inner(driver_field):
-        if inner == "psor":
-            return solve_psor(spec, grid, driver_field=driver_field)
-        return as_obstacle_solution(
-            spec, grid, solve_penalized(spec, grid, n_penalty, driver_field=driver_field))
-
     gamma = contraction_gamma(spec)
     lam = spec.coefficients.lambda_ell
     v = np.zeros((grid.nt + 1, grid.nx + 2))
     if spec.driver.L == 0.0:
-        sol = run_inner(frozen_driver_field(spec, grid, v))
+        sol = solve_psor(spec, grid, driver_field=frozen_driver_field(spec, grid, v))
         return sol, PicardTrace(gamma=gamma, distances=[], ratios=[])
 
     distances, ratios = [], []
     expanding = 0
     for _ in range(max_outer):
-        sol = run_inner(frozen_driver_field(spec, grid, v))
+        sol = solve_psor(spec, grid, driver_field=frozen_driver_field(spec, grid, v))
         d = v_gamma_norm(grid, spec.weight, sol.u_values - v, gamma, lam)
         distances.append(d)
         if len(distances) >= 2 and distances[-2] > 0:
@@ -576,7 +561,7 @@ def energy_identity_residual(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
         du = np.diff(u[k]) / grid.dx
         dweighted = np.diff(u[k] * xi2) / grid.dx
         grad_term = float(np.sum(a_mid * du * dweighted) * grid.dx)
-        fv = _driver_row(spec, t, grid.x_nodes, u[k], grid.dx)
+        fv = _driver_row(spec, grid, t, u[k])
         f_term = 2.0 * float(np.sum(fv * u[k] * xi2) * grid.dx)
         mu_term = 2.0 * float(np.sum(r[k] * u[k] * xi2) * grid.dx)
         increments[k] = (grad_term - f_term - mu_term) * grid.dt

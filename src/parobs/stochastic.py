@@ -27,13 +27,12 @@ from .problem import ObstacleProblemSpec
 from .solver import (
     ObstacleSolution,
     boundary_values,
-    central_gradient,
     frozen_driver_field,
     obstacle_field,
+    sigma_du,
     terminal_field,
     z_field,
     _contact_tol,
-    _sigma_row,
 )
 
 __all__ = [
@@ -198,7 +197,7 @@ class RbsdeEstimate:
 
 
 def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
-                   x_index: int, scheme: str = "implicit") -> RbsdeEstimate:
+                   x_index: int) -> RbsdeEstimate:
     """Exact reflected backward dynamic programming on the grid chain.
 
     Conditional expectations are exact kernel applications, so the estimate
@@ -218,14 +217,13 @@ def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
     Z = np.empty_like(Y)
     dK = np.zeros_like(Y)
     Y[-1] = terminal_field(spec, grid)
-    Z[-1] = _sigma_row(spec, spec.T, grid.x_nodes) * central_gradient(Y[-1], grid.dx)
+    Z[-1] = sigma_du(spec, grid, spec.T, Y[-1])
 
     for j in range(n_slices - 2, -1, -1):
         k = s_index + j
         t = float(grid.t_nodes[k])
-        cont = transition_kernel(spec, grid, k, scheme=scheme).apply(Y[j + 1])
-        sig = _sigma_row(spec, t, grid.x_nodes)
-        z_proxy = sig * central_gradient(cont, grid.dx)
+        cont = transition_kernel(spec, grid, k).apply(Y[j + 1])
+        z_proxy = sigma_du(spec, grid, t, cont)
         y = cont.copy()
         for _ in range(100):
             c = cont + dt * np.asarray(spec.driver.f(t, grid.x_nodes, y, z_proxy), dtype=float)
@@ -240,7 +238,7 @@ def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
         if clamp:
             Y[j, 0], Y[j, -1] = bnd[k]
             dK[j, 0] = dK[j, -1] = 0.0
-        Z[j] = sig * central_gradient(Y[j], grid.dx)
+        Z[j] = sigma_du(spec, grid, t, Y[j])
 
     slack = float(np.max(np.maximum(h_field[s_index:] - Y, 0.0)))
     return RbsdeEstimate(scheme="chain-dp", Y0=float(Y[0, x_index]), ci=0.0,
@@ -551,8 +549,7 @@ class StoppingValue:
 
 
 def snell_envelope_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
-                         reward_field: np.ndarray, s_index: int, x_index: int,
-                         scheme: str = "implicit") -> float:
+                         reward_field: np.ndarray, s_index: int, x_index: int) -> float:
     """Exhaustive optimal-stopping value on the grid chain by backward induction.
 
     ``reward_field`` is the running reward f evaluated along the solved field,
@@ -563,7 +560,7 @@ def snell_envelope_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     bnd = boundary_values(spec, grid, h_field) if clamp else None
     V = terminal_field(spec, grid).copy()
     for k in range(grid.nt - 1, s_index - 1, -1):
-        cont = transition_kernel(spec, grid, k, scheme=scheme).apply(V)
+        cont = transition_kernel(spec, grid, k).apply(V)
         V = np.maximum(h_field[k], cont + grid.dt * reward_field[k])
         if clamp:
             V[0], V[-1] = bnd[k]
@@ -578,7 +575,7 @@ def solution_reward_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
 
 def optimal_stopping_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
                            sol: ObstacleSolution, ensemble: PathEnsemble,
-                           s: float, x: float, scheme: str = "implicit") -> StoppingValue:
+                           s: float, x: float) -> StoppingValue:
     """Value of the first-contact stopping rule versus the exhaustive chain value.
 
     The rule stops at the first time u(t, X_t) touches the obstacle (within
@@ -620,6 +617,6 @@ def optimal_stopping_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     s_index = int(np.clip(round(s / grid.dt), 0, grid.nt - 1))
     x_index = int(np.clip(round((x - grid.x_nodes[0]) / grid.dx), 0, grid.nx + 1))
     snell = snell_envelope_value(spec, grid, solution_reward_field(spec, grid, sol),
-                                 s_index, x_index, scheme=scheme)
+                                 s_index, x_index)
     return StoppingValue(rule_value=rule_value, rule_ci=rule_ci, snell_value=snell,
                          gap=abs(rule_value - snell))

@@ -20,6 +20,7 @@ import numpy as np
 from .grid import (
     DensityTable,
     SpaceTimeGrid,
+    evolve_law,
     interp_space_time,
     interp_stencil,
     solve_density,
@@ -98,21 +99,6 @@ def _density_from(spec, grid, s_idx: int, x_idx: int, dens: DensityTable | None)
         raise ValueError(f"density starts at node {(dens.s_index, dens.x_index)}, "
                          f"the check needs node {(s_idx, x_idx)}")
     return dens
-
-
-def _mass_vector_evolution(spec, grid, start_index, rho=None):
-    """Evolve the start measure dx (optionally rho-weighted) forward, slice by slice.
-
-    Yields (k, w_k) with w_k[i] = sum_j dx rho_j P(X_{t_k} = x_i | X_{t_s} = x_j)
-    for interior starts j, for k = start_index .. nt.
-    """
-    w = np.zeros(grid.nx + 2)
-    w[1:-1] = grid.dx if rho is None else grid.dx * rho[1:-1]
-    yield start_index, w
-    for k in range(start_index, grid.nt):
-        kern = transition_kernel(spec, grid, k, scheme="implicit")
-        w = kern.apply_T(w)
-        yield k + 1, w
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +294,12 @@ def check_interval_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t1: f
         # evolve the dx start measure with the mass-conserving reflecting
         # kernel: the continuum identity integrates starts over all of R, so
         # flux through the truncation must cancel rather than absorb
-        w = np.zeros(grid.nx + 2)
-        w[1:-1] = grid.dx
-        for k in range(k1, min(k2, grid.nt)):
+        w0 = np.zeros(grid.nx + 2)
+        w0[1:-1] = grid.dx
+        for k, w in evolve_law(spec, grid, w0, k1, mode="reflecting"):
+            if k >= min(k2, grid.nt):
+                break
             right += float(np.sum(w[f_mask] * chain.dK[k - k1, f_mask]))
-            w = transition_kernel(spec, grid, k, mode="reflecting").apply_T(w)
 
     scale = max(abs(left), abs(right))
     rel = 0.0 if scale < _TINY else abs(left - right) / scale
@@ -435,7 +422,10 @@ def check_weighted_bounds(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     if g is None:
         g = lambda t, x: np.ones_like(x)
 
-    evo = list(_mass_vector_evolution(spec, grid, 0, rho=rho))
+    # the rho dx start measure over interior starts, carried to every slice
+    w0 = np.zeros(grid.nx + 2)
+    w0[1:-1] = grid.dx * rho[1:-1]
+    evo = list(evolve_law(spec, grid, w0, 0))
     w_final = evo[-1][1]
 
     rows = {}

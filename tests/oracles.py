@@ -245,3 +245,46 @@ def per_value_solution_csv(path, provenance, grid, sol):
             for i, x in enumerate(grid.x_nodes):
                 row = (t, x, sol.u_values[k, i], sol.r_values[k, i], int(sol.contact_mask[k, i]))
                 fh.write(",".join(cell(v) for v in row) + "\n")
+
+
+def assembled_step_solve(op, dt, rhs_full, extra_diag=None, mode="clamp-to-data"):
+    """One backward step assembled from the operator, as the solvers took it
+    before they stepped through the kernel: the banded (I - dt A) of ``mode``
+    plus ``extra_diag`` (interior length nx or full length nx + 2), solved by
+    ``solve_banded``.  The package's kernel step must match it bit for bit."""
+    from scipy.linalg import solve_banded
+
+    n = op.diag.size + 2
+    ab = np.zeros((3, n))
+    ab[1, 1:-1] = 1.0 - dt * op.diag
+    ab[0, 2:] = -dt * op.upper
+    ab[2, :n - 2] = -dt * op.lower
+    if mode == "clamp-to-data":
+        ab[1, 0] = ab[1, -1] = 1.0
+    else:
+        ab[1, 0] = 1.0 + dt * op.lower[0]
+        ab[0, 1] = -dt * op.lower[0]
+        ab[1, -1] = 1.0 + dt * op.upper[-1]
+        ab[2, -2] = -dt * op.upper[-1]
+    if extra_diag is not None:
+        extra_diag = np.asarray(extra_diag, dtype=float)
+        if extra_diag.size == n:
+            ab[1] += extra_diag
+        else:
+            ab[1, 1:-1] += extra_diag
+    return solve_banded((1, 1), ab, rhs_full)
+
+
+def mass_vector_evolution(spec, grid, start_index, rho=None):
+    """The rho dx start measure over interior starts carried forward slice by
+    slice with one implicit kernel per step, as ``weighted-bounds`` did with
+    its own loop; yields (k, w_k) for k = start_index .. nt."""
+    from parobs.grid import transition_kernel
+
+    w = np.zeros(grid.nx + 2)
+    w[1:-1] = grid.dx if rho is None else grid.dx * rho[1:-1]
+    yield start_index, w
+    for k in range(start_index, grid.nt):
+        kern = transition_kernel(spec, grid, k, scheme="implicit")
+        w = kern.apply_T(w)
+        yield k + 1, w

@@ -451,11 +451,19 @@ def test_tolerance_overrides_reach_stop_value_and_study(tmp_path, monkeypatch, c
         assert recorded["penalization_study"]["inner_tol"] == 1e-11
 
 
-def test_penalization_study_max_level_below_schedule_start_exits_2(tmp_path, capsys):
+def test_penalization_study_max_level_below_schedule_start_exits_2(tmp_path, capsys,
+                                                                  monkeypatch):
+    import parobs.cli
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("the scenario was loaded before --max-level was rejected")
+
+    monkeypatch.setattr(parobs.cli, "load_scenario", no_load)
     code = run(["--scenario", scenario_path("constant"), "--out", tmp_path / "o",
                 "study", "--study", "penalization", "--max-level", 3])
     assert code == 2
-    assert "max-level" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--max-level" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -9,11 +9,15 @@ from parobs.grid import (
     SpaceTimeGrid,
     aronson_envelope_check,
     assemble_operator,
+    evolve_law,
     interp_space_time,
+    solve_backward_step,
     solve_density,
     transition_kernel,
 )
 from parobs.problem import Coefficients, Driver, ObstacleData, ObstacleProblemSpec, Weight
+
+from oracles import assembled_step_solve, mass_vector_evolution
 
 
 def _const_spec(a0=1.0, T=1.0, half_width=8.0, nx_center=True):
@@ -219,18 +223,6 @@ def test_aronson_degenerate_grid_raises():
         aronson_envelope_check(dens, spec, trim_mass=2.0)
 
 
-def test_density_csv_export(tmp_path):
-    spec = _const_spec()
-    grid = SpaceTimeGrid.build(spec, 8, 4)
-    dens = solve_density(spec, grid, 0, 5)
-    out = tmp_path / "density.csv"
-    dens.to_csv(out, provenance="test")
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# test"
-    assert lines[1] == "t,y,p"
-    assert len(lines) == 2 + 5 * 10
-
-
 def test_interp_space_time_matches_nodes():
     spec = _const_spec()
     grid = SpaceTimeGrid.build(spec, 20, 10)
@@ -305,3 +297,76 @@ def test_density_and_kernel_memory_stay_linear_in_nx(sine_scenario):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20  # one dense (nx + 2)^2 kernel alone would take 128 MB
+
+
+# ---------------------------------------------------------------------------
+# the one step operator: solver steps and forward laws through the kernel
+
+def _random_row_spec(rng, nx, mode):
+    """A spec on [-1, 1] whose coefficient at the nx + 1 cell faces is a fixed
+    random row, scaled in t so that every step has its own row."""
+    row = rng.uniform(0.05, 3.0, nx + 1)
+    base = _const_spec()
+    return dataclasses.replace(
+        base, coefficients=Coefficients(a=lambda t, x: row * (1.0 + t), a_x=None,
+                                        lambda_ell=0.05, Lambda_ell=6.0),
+        T=rng.uniform(0.01, 2.0), x_lo=-1.0, x_hi=1.0, boundary_mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["clamp-to-data", "reflecting"])
+def test_kernel_step_is_the_assembled_step_bit_for_bit(mode):
+    rng = np.random.default_rng(808 if mode == "reflecting" else 17)
+    for _ in range(40):
+        nx = int(rng.integers(1, 120))
+        spec = _random_row_spec(rng, nx, mode)
+        grid = SpaceTimeGrid.build(spec, nx, int(rng.integers(1, 6)))
+        k = int(rng.integers(0, grid.nt))
+        kern = transition_kernel(spec, grid, k)
+        assert kern.mode == mode
+        op = assemble_operator(spec, grid, k)
+        b = rng.normal(size=nx + 2)
+        extra = rng.uniform(0.0, 50.0, nx + 2) * (rng.random(nx + 2) < 0.5)
+        if mode == "clamp-to-data":
+            extra[[0, -1]] = 0.0
+        assert np.array_equal(kern.apply(b), assembled_step_solve(op, grid.dt, b, mode=mode))
+        assert np.array_equal(solve_backward_step(kern, b, extra),
+                              assembled_step_solve(op, grid.dt, b, extra, mode))
+
+
+def test_backward_step_rejects_the_explicit_kernel():
+    spec, grid = _grid_with_cfl_dt(_const_spec(), 29)
+    kern = transition_kernel(spec, grid, 0, scheme="explicit")
+    with pytest.raises(ValueError):
+        solve_backward_step(kern, np.ones(grid.nx + 2), np.zeros(grid.nx + 2))
+
+
+@pytest.mark.parametrize("mode", ["clamp-to-data", "reflecting"])
+def test_evolve_law_is_the_mass_vector_loop(mode):
+    rng = np.random.default_rng(99 if mode == "reflecting" else 5)
+    for _ in range(12):
+        nx = int(rng.integers(1, 150))
+        spec = _random_row_spec(rng, nx, mode)
+        grid = SpaceTimeGrid.build(spec, nx, int(rng.integers(1, 40)))
+        s_index = int(rng.integers(0, grid.nt))
+        rho = rng.uniform(0.1, 2.0, nx + 2)
+        w0 = np.zeros(nx + 2)
+        w0[1:-1] = grid.dx * rho[1:-1]
+        laws = list(evolve_law(spec, grid, w0, s_index))
+        ref = list(mass_vector_evolution(spec, grid, s_index, rho=rho))
+        assert [k for k, _ in laws] == [k for k, _ in ref] == list(range(s_index, grid.nt + 1))
+        assert all(np.array_equal(w, w_ref) for (_, w), (_, w_ref) in zip(laws, ref))
+
+
+@pytest.mark.parametrize("mode", ["clamp-to-data", "reflecting"])
+def test_evolve_law_stays_nonnegative_and_reflecting_keeps_mass(mode):
+    rng = np.random.default_rng(2024 if mode == "reflecting" else 4)
+    for _ in range(12):
+        nx = int(rng.integers(1, 150))
+        spec = _random_row_spec(rng, nx, mode)
+        grid = SpaceTimeGrid.build(spec, nx, int(rng.integers(1, 40)))
+        w0 = rng.uniform(0.0, 1.0, nx + 2) * (rng.random(nx + 2) < 0.7)
+        w0[int(rng.integers(0, nx + 2))] += 1.0
+        for _, w in evolve_law(spec, grid, w0, int(rng.integers(0, grid.nt))):
+            assert w.min() >= 0.0
+            if mode == "reflecting":
+                assert abs(w.sum() - w0.sum()) <= 1e-13 * w0.sum()

@@ -439,9 +439,9 @@ def _random_step(rng, n, mode):
     return op, dt, b, h, rng.normal(size=n)
 
 
-def _checked_step(op, dt, b, h, v0, mode):
+def _checked_step(ab, b, h, v0, mode):
     n = b.size
-    v, solves, w = _lcp_step(op, dt, b, h, v0, mode, DEFAULT_LCP_TOL)
+    v, solves, w = _lcp_step(ab, b, h, v0, mode, DEFAULT_LCP_TOL)
     assert np.all(v >= h)
     assert np.max(np.abs(np.minimum(v - h, w))) <= DEFAULT_LCP_TOL
     assert 1 <= solves <= n + 1
@@ -454,8 +454,8 @@ def test_lcp_step_matches_active_set_enumeration(mode):
     for _ in range(24):
         n = int(rng.integers(3, 13))
         op, dt, b, h, v0 = _random_step(rng, n, mode)
-        v = _checked_step(op, dt, b, h, v0, mode)
         ab = _banded_backward_matrix(op, dt, mode=mode)
+        v = _checked_step(ab, b, h, v0, mode)
         M = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
         assert np.max(np.abs(v - dense_lcp_solve(M, b, h))) <= 1e-12
 
@@ -465,6 +465,6 @@ def test_lcp_step_matches_psor_oracle(mode):
     rng = np.random.default_rng(11 if mode == "reflecting" else 3)
     for _ in range(4):
         op, dt, b, h, v0 = _random_step(rng, 100, mode)
-        v = _checked_step(op, dt, b, h, v0, mode)
         ab = _banded_backward_matrix(op, dt, mode=mode)
+        v = _checked_step(ab, b, h, v0, mode)
         assert np.max(np.abs(v - psor_lcp_solve(ab, b, h))) <= 1e-8
