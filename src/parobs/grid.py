@@ -12,7 +12,10 @@ nx interior nodes plus the two truncation-boundary nodes.
 boundary rows of its mode.  It is the step of every time loop: the solvers'
 backward steps (``apply``, or ``solve_backward_step`` with a penalty
 diagonal), the chain recursions (``apply``) and the forward laws
-(``evolve_law``, by ``apply_T``).
+(``evolve_law``, by ``apply_T``).  Every banded solve in the package goes
+through ``_tridiagonal_solve``, which calls LAPACK ``dgtsv`` directly: the
+routine ``scipy.linalg.solve_banded`` ends in for (1, 1) bands, without the
+wrapper's per-call cost.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .errors import CflViolation, GridTooCoarse
 from .problem import ObstacleProblemSpec
@@ -126,6 +130,26 @@ def _banded_backward_matrix(op: DiscreteOperator, dt: float, mode: str = "clamp-
     return ab
 
 
+def _tridiagonal_solve(ab: np.ndarray, b: np.ndarray, diag: np.ndarray | None = None) -> np.ndarray:
+    """Solve the (1, 1)-banded system ``ab`` (solve_banded storage) for b.
+
+    ``diag``, when given, replaces the main diagonal ``ab[1]``.  One LAPACK
+    ``dgtsv`` call, the routine ``solve_banded((1, 1), ab, b)`` ends in, so
+    the result is the same to the bit; b may be 1-D or (n, k).  Kept from
+    ``solve_banded``: ``ValueError`` for NaN or inf anywhere in ab, diag or
+    b, ``LinAlgError`` for a singular system, and no input is overwritten.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()
+            and (diag is None or np.isfinite(diag).all())):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dgtsv(ab[2, :-1], ab[1] if diag is None else diag, ab[0, 1:], b)[3:]
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x
+
+
 def _banded_transpose(ab: np.ndarray) -> np.ndarray:
     """Transpose a (1, 1)-banded matrix in solve_banded storage."""
     out = np.zeros_like(ab)
@@ -154,7 +178,8 @@ class TransitionKernel:
     explicit one, with the boundary rows of ``mode``: identity rows under
     clamp-to-data, zero-flux rows under reflecting.  The implicit kernel is
     also the solvers' backward step: ``apply`` solves M u = b.  P is never
-    formed; ``apply`` and ``apply_T`` take one banded solve or one
+    formed; ``apply`` and ``apply_T`` take one banded solve
+    (``_tridiagonal_solve``, LAPACK ``dgtsv`` called directly) or one
     tridiagonal product, on a vector or on the columns of an (nx + 2, k)
     array.  ``clamp_magnitude`` reads 0.0 because nothing is clipped: no
     dense P exists whose round-off negatives could be.
@@ -168,7 +193,7 @@ class TransitionKernel:
 
     def _act(self, ab: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.scheme == "implicit":
-            return solve_banded((1, 1), ab, v)
+            return _tridiagonal_solve(ab, v)
         return _banded_matvec(ab, v)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -208,12 +233,11 @@ def solve_backward_step(kern: TransitionKernel, rhs_full: np.ndarray,
     """Solve (M + diag(extra_diag)) u = rhs on the full node set, M = I - dt A
     the implicit kernel's bands; ``extra_diag`` (length nx + 2) is the
     implicit penalty term.  Without it the step is ``kern.apply(rhs)``.
+    The shared bands are not copied: only the sum diagonal is new.
     """
     if kern.scheme != "implicit":
         raise ValueError("a backward step needs the implicit kernel")
-    ab = kern.bands.copy()
-    ab[1] += extra_diag
-    return solve_banded((1, 1), ab, rhs_full)
+    return _tridiagonal_solve(kern.bands, rhs_full, kern.bands[1] + extra_diag)
 
 
 def evolve_law(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, w0: np.ndarray, s_index: int,

@@ -18,8 +18,11 @@ step and the divergence guard.  Its step object is the grid's implicit
 ``transition_kernel``, the banded M = I - dt A that is also the chain's
 transition law; the routes differ only in what they do with it per iterate:
 ``kern.apply``, ``solve_backward_step`` with the penalty diagonal, or
-``_lcp_step`` on ``kern.bands``.  ``sigma_du`` is the one place sigma Du is
-formed on a grid row.
+``_lcp_step`` on ``kern.bands``; each banded solve is the grid's
+``_tridiagonal_solve``.  ``sigma_du`` forms sigma Du on a grid row: the
+sigma row sqrt(a(t, x)) (``_sigma_row``) times ``central_gradient``.  Loops
+that need several rows at one t (the marcher's inner iterates, the chain-dp
+step) take the sigma row once per step.
 
 The reflection measure is represented by the nonnegative cell density r with
 cell mass r dx dt; the continuum measure need not be absolutely continuous, so
@@ -32,10 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import InnerDivergence, LcpStall, MonotonicityViolation, NoContraction
-from .grid import SpaceTimeGrid, _banded_matvec, solve_backward_step, transition_kernel
+from .grid import (SpaceTimeGrid, _banded_matvec, _tridiagonal_solve, solve_backward_step,
+                   transition_kernel)
 from .problem import ObstacleProblemSpec, Weight
 
 __all__ = [
@@ -107,12 +110,20 @@ def central_gradient(row: np.ndarray, dx: float) -> np.ndarray:
     return g
 
 
+def _sigma_row(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t: float) -> np.ndarray:
+    """sigma = sqrt(a(t, x)) on all nodes."""
+    a = np.asarray(spec.coefficients.a(t, grid.x_nodes), dtype=float)
+    return np.broadcast_to(np.sqrt(a), grid.x_nodes.shape).astype(float)
+
+
 def sigma_du(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t: float,
              row: np.ndarray) -> np.ndarray:
-    """sigma Du at time t on one grid row: sqrt(a(t, x)) times ``central_gradient``."""
-    a = np.asarray(spec.coefficients.a(t, grid.x_nodes), dtype=float)
-    sigma = np.broadcast_to(np.sqrt(a), grid.x_nodes.shape).astype(float)
-    return sigma * central_gradient(row, grid.dx)
+    """sigma Du at time t on one grid row: ``_sigma_row`` times ``central_gradient``.
+
+    A loop that forms several rows at one t takes ``_sigma_row`` once and
+    multiplies it by each row's ``central_gradient``: the same product.
+    """
+    return _sigma_row(spec, grid, t) * central_gradient(row, grid.dx)
 
 
 def z_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, u: np.ndarray) -> np.ndarray:
@@ -124,9 +135,9 @@ def z_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, u: np.ndarray) -> np
 
 
 def _driver_row(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t: float,
-                u_row: np.ndarray) -> np.ndarray:
-    """f(t, x, u, sigma Du) on all nodes."""
-    z = sigma_du(spec, grid, t, u_row)
+                u_row: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """f(t, x, u, sigma Du) on all nodes, ``sigma`` the ``_sigma_row`` at t."""
+    z = sigma * central_gradient(u_row, grid.dx)
     return np.broadcast_to(np.asarray(spec.driver.f(t, grid.x_nodes, u_row, z), dtype=float),
                            u_row.shape).astype(float)
 
@@ -200,7 +211,8 @@ def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, h_field=None,
     clamp-to-data values (phi alone without an obstacle), to the next
     iterate.  A step ends when an iterate moves by at most ``inner_tol``, or
     after one ``exact`` solve when b does not depend on v (L = 0 or a frozen
-    driver).  Returns u, iterations per step.
+    driver).  The sigma row that sigma D v needs is evaluated once per
+    step, not per iterate.  Returns u, iterations per step.
     """
     dt = grid.dt
     u = np.empty((grid.nt + 1, grid.nx + 2))
@@ -215,11 +227,12 @@ def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, h_field=None,
     for k in range(grid.nt - 1, -1, -1):
         kern = transition_kernel(spec, grid, k)
         t = float(grid.t_nodes[k])
+        sigma = _sigma_row(spec, grid, t) if driver_field is None else None
         v = u[k + 1].copy()
         if bnd is not None:
             v[0], v[-1] = bnd[k]
         for m in range(max_inner):
-            f = _driver_row(spec, grid, t, v) if driver_field is None else driver_field[k]
+            f = _driver_row(spec, grid, t, v, sigma) if driver_field is None else driver_field[k]
             b = u[k + 1] + dt * f
             if bnd is not None:
                 b[0], b[-1] = bnd[k]
@@ -307,7 +320,8 @@ def _lcp_step(ab: np.ndarray, b: np.ndarray, h_row: np.ndarray, v0: np.ndarray,
     kernel's ``bands``); clamp-to-data boundary rows are identity rows, never
     active.  Each iteration takes the active set S = {v - h < M v - b} of the
     last iterate (of v0, plus the nodes where v0 <= h), sets v = h on S and
-    solves M v = b off S by one banded solve.
+    solves M v = b off S by one banded solve of the decoupled system (the
+    grid's ``_tridiagonal_solve``, LAPACK ``dgtsv`` called directly).
     For an M-matrix (Howard's algorithm) S changes at most n times, so the
     step ends within n + 1 solves: when max|min(v - h, M v - b)| <= lcp_tol or
     when S repeats, v then being exact.  Returns (v, solves, M v - b).
@@ -328,7 +342,7 @@ def _lcp_step(ab: np.ndarray, b: np.ndarray, h_row: np.ndarray, v0: np.ndarray,
             A[1, act] = 1.0
             A[0, 1:][act[:-1]] = 0.0
             A[2, :-1][act[1:]] = 0.0
-        v = solve_banded((1, 1), A, rhs)
+        v = _tridiagonal_solve(A, rhs)
         w = _banded_matvec(ab, v) - b
         new = free & (v - h_row < w)
         if np.max(np.abs(np.minimum(v - h_row, w))) <= lcp_tol or np.array_equal(new, act):
@@ -386,22 +400,28 @@ def solve_psor(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
 # ---------------------------------------------------------------------------
 # penalization schedule
 
-def weighted_l2_sq(grid: SpaceTimeGrid, weight: Weight, row: np.ndarray) -> float:
-    rho2 = weight.rho(grid.x_nodes) ** 2
-    return float(np.sum(row**2 * rho2) * grid.dx)
-
-
-def weighted_grad_sq(grid: SpaceTimeGrid, weight: Weight, row: np.ndarray) -> float:
+def _weight_profile(grid: SpaceTimeGrid, weight: Weight) -> tuple[np.ndarray, np.ndarray]:
+    """rho^2 at the nodes and at the cell midpoints."""
     mid = 0.5 * (grid.x_nodes[:-1] + grid.x_nodes[1:])
-    rho2 = weight.rho(mid) ** 2
-    g = np.diff(row) / grid.dx
-    return float(np.sum(g**2 * rho2) * grid.dx)
+    return weight.rho(grid.x_nodes) ** 2, weight.rho(mid) ** 2
+
+
+def _l2_sq(row: np.ndarray, rho2: np.ndarray, dx: float) -> float:
+    """Weighted L2 norm squared of one row, rho2 from ``_weight_profile``."""
+    return float(np.sum(row**2 * rho2) * dx)
+
+
+def _grad_sq(row: np.ndarray, rho2_mid: np.ndarray, dx: float) -> float:
+    """Weighted L2 norm squared of one row's cell gradients."""
+    g = np.diff(row) / dx
+    return float(np.sum(g**2 * rho2_mid) * dx)
 
 
 def _space_time_norm(grid: SpaceTimeGrid, weight: Weight, fld: np.ndarray) -> float:
+    rho2, rho2_mid = _weight_profile(grid, weight)
     total = 0.0
     for k in range(grid.nt + 1):
-        total += (weighted_l2_sq(grid, weight, fld[k]) + weighted_grad_sq(grid, weight, fld[k])) * grid.dt
+        total += (_l2_sq(fld[k], rho2, grid.dx) + _grad_sq(fld[k], rho2_mid, grid.dx)) * grid.dt
     return float(np.sqrt(total))
 
 
@@ -472,14 +492,15 @@ def v_gamma_norm(grid: SpaceTimeGrid, weight: Weight, fld: np.ndarray, gamma: fl
     norm plus the space-time weighted L2 norms of the field and its gradient,
     all under the multiplier e^{gamma t}."""
     wk = np.exp(gamma * grid.t_nodes)
+    rho2, rho2_mid = _weight_profile(grid, weight)
     sup_term = 0.0
     l2_term = 0.0
     grad_term = 0.0
     for k in range(grid.nt + 1):
-        sl = weighted_l2_sq(grid, weight, fld[k])
+        sl = _l2_sq(fld[k], rho2, grid.dx)
         sup_term = max(sup_term, wk[k] * sl)
         l2_term += wk[k] * sl * grid.dt
-        grad_term += wk[k] * weighted_grad_sq(grid, weight, fld[k]) * grid.dt
+        grad_term += wk[k] * _grad_sq(fld[k], rho2_mid, grid.dx) * grid.dt
     return float(np.sqrt(sup_term + l2_term + 0.5 * lam * grad_term))
 
 
@@ -561,7 +582,7 @@ def energy_identity_residual(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
         du = np.diff(u[k]) / grid.dx
         dweighted = np.diff(u[k] * xi2) / grid.dx
         grad_term = float(np.sum(a_mid * du * dweighted) * grid.dx)
-        fv = _driver_row(spec, grid, t, u[k])
+        fv = _driver_row(spec, grid, t, u[k], _sigma_row(spec, grid, t))
         f_term = 2.0 * float(np.sum(fv * u[k] * xi2) * grid.dx)
         mu_term = 2.0 * float(np.sum(r[k] * u[k] * xi2) * grid.dx)
         increments[k] = (grad_term - f_term - mu_term) * grid.dt
@@ -584,25 +605,25 @@ def apriori_norm_report(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     """
     u, r = sol.u_values, sol.r_values
     p_plus = np.maximum(np.asarray(dominating_p, dtype=float), 0.0)
-    rho2 = weight.rho(grid.x_nodes) ** 2
+    rho2, rho2_mid = _weight_profile(grid, weight)
+    dx = grid.dx
 
-    sup_u = max(weighted_l2_sq(grid, weight, u[k]) for k in range(grid.nt + 1))
-    grad_u = sum(weighted_grad_sq(grid, weight, u[k]) * grid.dt for k in range(grid.nt + 1))
+    sup_u = max(_l2_sq(u[k], rho2, dx) for k in range(grid.nt + 1))
+    grad_u = sum(_grad_sq(u[k], rho2_mid, dx) * grid.dt for k in range(grid.nt + 1))
     mu_term = float(sum(np.sum(np.abs(u[k]) * rho2 * r[k]) * grid.dx * grid.dt
                         for k in range(grid.nt + 1)))
     left = sup_u + grad_u + mu_term
 
     phi = u[grid.nt]
-    sup_p = max(weighted_l2_sq(grid, weight, p_plus[k]) for k in range(grid.nt + 1))
-    right = weighted_l2_sq(grid, weight, phi) + sup_p
+    sup_p = max(_l2_sq(p_plus[k], rho2, dx) for k in range(grid.nt + 1))
+    right = _l2_sq(phi, rho2, dx) + sup_p
     for k in range(grid.nt):
         dpdt = (p_plus[k + 1] - p_plus[k]) / grid.dt
         g_row = np.broadcast_to(
             np.asarray(spec.driver.g(float(grid.t_nodes[k]), grid.x_nodes), dtype=float),
             grid.x_nodes.shape)
-        right += (weighted_l2_sq(grid, weight, dpdt)
-                  + weighted_grad_sq(grid, weight, p_plus[k])
-                  + weighted_l2_sq(grid, weight, g_row)) * grid.dt
+        right += (_l2_sq(dpdt, rho2, dx) + _grad_sq(p_plus[k], rho2_mid, dx)
+                  + _l2_sq(g_row, rho2, dx)) * grid.dt
 
     if right > 0:
         ratio = left / right

@@ -27,12 +27,14 @@ from .problem import ObstacleProblemSpec
 from .solver import (
     ObstacleSolution,
     boundary_values,
+    central_gradient,
     frozen_driver_field,
     obstacle_field,
     sigma_du,
     terminal_field,
     z_field,
     _contact_tol,
+    _sigma_row,
 )
 
 __all__ = [
@@ -223,7 +225,8 @@ def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
         k = s_index + j
         t = float(grid.t_nodes[k])
         cont = transition_kernel(spec, grid, k).apply(Y[j + 1])
-        z_proxy = sigma_du(spec, grid, t, cont)
+        sigma = _sigma_row(spec, grid, t)  # one a(t, x) row serves both sigma Du
+        z_proxy = sigma * central_gradient(cont, grid.dx)
         y = cont.copy()
         for _ in range(100):
             c = cont + dt * np.asarray(spec.driver.f(t, grid.x_nodes, y, z_proxy), dtype=float)
@@ -238,7 +241,7 @@ def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
         if clamp:
             Y[j, 0], Y[j, -1] = bnd[k]
             dK[j, 0] = dK[j, -1] = 0.0
-        Z[j] = sigma_du(spec, grid, t, Y[j])
+        Z[j] = sigma * central_gradient(Y[j], grid.dx)
 
     slack = float(np.max(np.maximum(h_field[s_index:] - Y, 0.0)))
     return RbsdeEstimate(scheme="chain-dp", Y0=float(Y[0, x_index]), ci=0.0,

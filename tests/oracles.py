@@ -247,6 +247,14 @@ def per_value_solution_csv(path, provenance, grid, sol):
                 fh.write(",".join(cell(v) for v in row) + "\n")
 
 
+def reference_banded_solve(ab, b):
+    """``scipy.linalg.solve_banded((1, 1), ab, b)``: the wrapper the package's
+    direct LAPACK ``dgtsv`` call must match bit for bit."""
+    from scipy.linalg import solve_banded
+
+    return solve_banded((1, 1), ab, b)
+
+
 def assembled_step_solve(op, dt, rhs_full, extra_diag=None, mode="clamp-to-data"):
     """One backward step assembled from the operator, as the solvers took it
     before they stepped through the kernel: the banded (I - dt A) of ``mode``

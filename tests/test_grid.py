@@ -1,12 +1,19 @@
+import ast
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
+import parobs
+import parobs.solver as solver_mod
 from parobs.errors import CflViolation, GridTooCoarse
 from parobs.grid import (
     SpaceTimeGrid,
+    _banded_transpose,
+    _tridiagonal_solve,
     aronson_envelope_check,
     assemble_operator,
     evolve_law,
@@ -17,7 +24,7 @@ from parobs.grid import (
 )
 from parobs.problem import Coefficients, Driver, ObstacleData, ObstacleProblemSpec, Weight
 
-from oracles import assembled_step_solve, mass_vector_evolution
+from oracles import assembled_step_solve, mass_vector_evolution, reference_banded_solve
 
 
 def _const_spec(a0=1.0, T=1.0, half_width=8.0, nx_center=True):
@@ -370,3 +377,112 @@ def test_evolve_law_stays_nonnegative_and_reflecting_keeps_mass(mode):
             assert w.min() >= 0.0
             if mode == "reflecting":
                 assert abs(w.sum() - w0.sum()) <= 1e-13 * w0.sum()
+
+
+# ---------------------------------------------------------------------------
+# the one banded solve: LAPACK dgtsv called directly
+
+def _assert_matches_reference(ab, b, diag=None):
+    ab0, b0 = ab.copy(), b.copy()
+    full = ab
+    if diag is not None:
+        full = ab.copy()
+        full[1] = diag
+    x = _tridiagonal_solve(ab, b, diag)
+    assert np.array_equal(x, reference_banded_solve(full, b))
+    assert x.shape == b.shape
+    assert np.array_equal(ab, ab0) and np.array_equal(b, b0)  # inputs untouched
+
+
+@pytest.mark.parametrize("mode", ["clamp-to-data", "reflecting"])
+def test_tridiagonal_solve_is_solve_banded_on_kernel_bands(mode):
+    rng = np.random.default_rng(31 if mode == "reflecting" else 13)
+    for _ in range(40):
+        nx = int(rng.integers(1, 200))
+        spec = _random_row_spec(rng, nx, mode)
+        grid = SpaceTimeGrid.build(spec, nx, int(rng.integers(1, 6)))
+        kern = transition_kernel(spec, grid, int(rng.integers(0, grid.nt)))
+        extra = rng.uniform(0.0, 1e4, nx + 2) * (rng.random(nx + 2) < 0.5)
+        for b in (rng.normal(size=nx + 2), rng.normal(size=(nx + 2, int(rng.integers(1, 9))))):
+            _assert_matches_reference(kern.bands, b)
+            _assert_matches_reference(_banded_transpose(kern.bands), b)
+            _assert_matches_reference(kern.bands, b, kern.bands[1] + extra)
+
+
+@pytest.mark.parametrize("mode", ["clamp-to-data", "reflecting"])
+def test_tridiagonal_solve_is_solve_banded_on_lcp_systems(monkeypatch, mode):
+    """Every decoupled active-set system that ``_lcp_step`` solves."""
+    seen = []
+
+    def recording(ab, b, diag=None):
+        seen.append((ab.copy(), b.copy()))
+        return _tridiagonal_solve(ab, b, diag)
+
+    monkeypatch.setattr(solver_mod, "_tridiagonal_solve", recording)
+    rng = np.random.default_rng(77 if mode == "reflecting" else 66)
+    for _ in range(12):
+        nx = int(rng.integers(1, 120))
+        spec = _random_row_spec(rng, nx, mode)
+        grid = SpaceTimeGrid.build(spec, nx, 2)
+        ab = transition_kernel(spec, grid, 0).bands
+        h = rng.normal(size=nx + 2)
+        b = rng.normal(size=nx + 2)
+        if mode == "clamp-to-data":
+            b[[0, -1]] = np.maximum(b[[0, -1]], h[[0, -1]])
+        solver_mod._lcp_step(ab, b, h, rng.normal(size=nx + 2), mode, 1e-10)
+    assert len(seen) > 12  # some steps took more than one active set
+    for A, rhs in seen:
+        _assert_matches_reference(A, rhs)
+
+
+@pytest.mark.parametrize("where", ["lower", "diag", "upper", "diag-override", "rhs"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tridiagonal_solve_rejects_nonfinite_input(where, bad):
+    rng = np.random.default_rng(5)
+    n = 9
+    ab = rng.uniform(-1.0, 1.0, (3, n))
+    ab[1] += 4.0
+    b = rng.normal(size=(n, 2))
+    diag = ab[1].copy() if where == "diag-override" else None
+    target = {"lower": (ab, (2, 3)), "diag": (ab, (1, 3)), "upper": (ab, (0, 3)),
+              "diag-override": (diag, 3), "rhs": (b, (3, 1))}[where]
+    target[0][target[1]] = bad
+    with pytest.raises(ValueError):
+        _tridiagonal_solve(ab, b, diag)
+    if diag is None:
+        with pytest.raises(ValueError):
+            reference_banded_solve(ab, b)
+
+
+def test_tridiagonal_solve_rejects_a_singular_system():
+    ab = np.array([[0.0, 1.0, 0.0, 1.0],
+                   [1.0, 0.0, 1.0, 2.0],
+                   [0.0, 1.0, 1.0, 0.0]])  # row 1 of the matrix is zero
+    b = np.ones(4)
+    with pytest.raises(LinAlgError, match="singular"):
+        reference_banded_solve(ab, b)
+    with pytest.raises(LinAlgError, match="singular"):
+        _tridiagonal_solve(ab, b)
+    regular = ab.copy()
+    regular[1, 1] = 2.0
+    _tridiagonal_solve(regular, b)
+    with pytest.raises(LinAlgError, match="singular"):
+        _tridiagonal_solve(regular, b, ab[1])
+
+
+def test_no_module_imports_solve_banded():
+    """One banded-solve entry point: ``grid._tridiagonal_solve``."""
+    src = Path(parobs.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            if "solve_banded" in names:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -468,3 +470,27 @@ def test_lcp_step_matches_psor_oracle(mode):
         ab = _banded_backward_matrix(op, dt, mode=mode)
         v = _checked_step(ab, b, h, v0, mode)
         assert np.max(np.abs(v - psor_lcp_solve(ab, b, h))) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# fixed costs per step
+
+def test_march_evaluates_the_sigma_row_once_per_step(put_scenario):
+    """The penalized put iterates several times per step, but the sigma row
+    of sigma D v, a(t_k, x) on the nx + 2 nodes, is evaluated once per step (the
+    operator assembly's a(t_k, .) at the nx + 1 cell faces is counted apart)."""
+    spec = put_scenario.spec
+    grid = SpaceTimeGrid.build(spec, 60, 40)
+    calls = []
+
+    def counting_a(t, x):
+        calls.append(np.shape(x))
+        return spec.coefficients.a(t, x)
+
+    counted = dataclasses.replace(
+        spec, coefficients=dataclasses.replace(spec.coefficients, a=counting_a))
+    pen = solve_penalized(counted, grid, 1024)
+    assert calls.count((grid.nx + 2,)) == grid.nt
+    assert calls.count((grid.nx + 1,)) == grid.nt
+    assert int(pen.inner_iteration_counts.min()) > 1
+    assert np.array_equal(pen.u_values, solve_penalized(spec, grid, 1024).u_values)

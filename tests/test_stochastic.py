@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from parobs.errors import MissingDerivative, RegressionSingular
 from parobs.grid import SpaceTimeGrid, solve_density
 from parobs.problem import Coefficients, Driver, ObstacleData, ObstacleProblemSpec, Weight
 from parobs.scenarios import build_family
-from parobs.solver import solve_psor, solve_unconstrained
+from parobs.solver import solve_psor, solve_unconstrained, z_field
 from parobs.stochastic import (
     estimate_g_integral,
     moment_ratio_probe,
@@ -155,6 +157,27 @@ def test_chain_dp_inactive_equals_plain_solver(heat_scenario):
     free = solve_unconstrained(spec, grid)
     assert np.max(np.abs(est.Y - free)) <= 1e-10
     assert np.max(est.dK) == 0.0
+
+
+def test_chain_dp_takes_one_sigma_row_per_step(sine_scenario):
+    """Z is sigma Du of Y slice by slice (``z_field``, to the bit), from one
+    a(t_k, x) row per step on the nx + 2 nodes."""
+    spec = sine_scenario.spec
+    grid = SpaceTimeGrid.build(spec, 50, 30)
+    calls = []
+
+    def counting_a(t, x):
+        calls.append(np.shape(x))
+        return spec.coefficients.a(t, x)
+
+    counted = dataclasses.replace(
+        spec, coefficients=dataclasses.replace(spec.coefficients, a=counting_a))
+    s_index = 4
+    est = rbsde_chain_dp(counted, grid, s_index, 10)
+    assert calls.count((grid.nx + 2,)) == grid.nt - s_index + 1
+    field = np.zeros((grid.nt + 1, grid.nx + 2))
+    field[s_index:] = est.Y
+    assert np.array_equal(est.Z, z_field(spec, grid, field)[s_index:])
 
 
 def test_chain_dp_put_against_binomial(put_scenario):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from parobs.grid import SpaceTimeGrid
+import parobs.grid as grid_mod
+from parobs.grid import SpaceTimeGrid, evolve_law
 from parobs.solver import as_obstacle_solution, solve_penalized, solve_psor
-from parobs.stochastic import simulate_paths
+from parobs.stochastic import rbsde_chain_dp, simulate_paths
 from parobs.verify import (
     check_ac_measure,
     check_interval_measure,
@@ -219,3 +220,33 @@ def test_representation_z_exact_zero_on_constant(constant_scenario):
     rep = check_representation_z(spec, grid, ens, sol=sol, z_budget=1e-8)
     assert rep.passed
     assert rep.discrepancy <= 1e-12
+
+
+@pytest.mark.parametrize("t1, t2", [(0.0, None), (0.1, 0.3), (0.25, 0.26)])
+def test_interval_measure_carries_the_law_only_to_the_last_slice_summed(
+        monkeypatch, quad_scenario, quad200, t1, t2):
+    """Each summed slice after the first costs one kernel step, and none is
+    taken past the last one; the sum is the unbounded loop's to the bit."""
+    spec = quad_scenario.spec
+    grid, sol = quad200
+    t2 = spec.T if t2 is None else t2
+    k1 = int(np.ceil(t1 / grid.dt - 1e-12))
+    k_end = min(int(np.floor(t2 / grid.dt + 1e-12)), grid.nt)
+    chain = rbsde_chain_dp(spec, grid, k1, 0)
+    f_mask = (grid.x_nodes >= -1.0 - 1e-12) & (grid.x_nodes <= 1.0 + 1e-12)
+    f_mask[0] = f_mask[-1] = False
+    w0 = np.zeros(grid.nx + 2)
+    w0[1:-1] = grid.dx
+    right = 0.0
+    for k, w in evolve_law(spec, grid, w0, k1, mode="reflecting"):
+        if k >= k_end:
+            break
+        right += float(np.sum(w[f_mask] * chain.dK[k - k1, f_mask]))
+
+    steps = []
+    real = grid_mod.transition_kernel
+    monkeypatch.setattr(grid_mod, "transition_kernel",
+                        lambda *a, **kw: steps.append(a[2]) or real(*a, **kw))
+    rep = check_interval_measure(spec, grid, t1, t2, (-1.0, 1.0), sol=sol, chain=chain)
+    assert steps == list(range(k1, k_end - 1))  # slices summed: k1 .. k_end - 1
+    assert rep.details["right"] == right
