@@ -37,6 +37,7 @@ from .stochastic import (
     simulate_paths,
 )
 from .verify import (
+    CALIBRATION_DEFAULTS,
     _snap_indices,
     check_ac_measure,
     check_interval_measure,
@@ -46,7 +47,6 @@ from .verify import (
     check_representation_z,
     check_skorokhod,
     check_weighted_bounds,
-    default_test_functions,
 )
 
 ALL_CHECKS = ("representation-u", "representation-z", "measure-identity", "interval-measure",
@@ -187,7 +187,7 @@ def cmd_study(args) -> int:
 
 def _run_checks(sc: Scenario, grid: SpaceTimeGrid, names, seed: int):
     spec = sc.spec
-    cal = sc.calibration
+    cal = {**CALIBRATION_DEFAULTS, **sc.calibration}
     mc = dict(sc.mc_params)
     mc["seed"] = seed
     prov = {"scenario": sc.name, "hash": sc.content_hash, "nx": grid.nx, "nt": grid.nt,
@@ -225,17 +225,15 @@ def _run_checks(sc: Scenario, grid: SpaceTimeGrid, names, seed: int):
             probes = [(0.0, probe_x), (0.25 * spec.T, probe_x),
                       (0.0, probe_x + 0.25 * (spec.x_hi - spec.x_lo) / 2)]
             rep = check_representation_u(spec, grid, probes, mc, sol=sol,
-                                         bias_constant=cal.get("fk_bias", 1.0),
+                                         bias_constant=cal["fk_bias"],
                                          provenance=prov, probe0_mc=lsmc, chain=chain())
         elif name == "representation-z":
             rep = check_representation_z(spec, grid, ens(), sol=sol, basis_degree=degree,
-                                         z_budget=cal.get("z_budget", 0.05), provenance=prov,
+                                         z_budget=cal["z_budget"], provenance=prov,
                                          mc=lsmc())
         elif name == "measure-identity":
-            rep = check_measure_identity(spec, grid, 0.0, probe_x,
-                                         default_test_functions(spec), sol=sol,
-                                         mc_params=mc, provenance=prov, chain=chain(),
-                                         dens=dens())
+            rep = check_measure_identity(spec, grid, 0.0, probe_x, sol=sol, mc_params=mc,
+                                         provenance=prov, chain=chain(), dens=dens())
         elif name == "interval-measure":
             rep = check_interval_measure(spec, grid, 0.0, spec.T, (spec.x_lo, spec.x_hi),
                                          sol=sol, provenance=prov, chain=chain())
@@ -243,11 +241,10 @@ def _run_checks(sc: Scenario, grid: SpaceTimeGrid, names, seed: int):
             rep = check_skorokhod(sol, provenance=prov)
         elif name == "ac-measure":
             rep = check_ac_measure(spec, grid, ens(), sol=sol, basis_degree=degree,
-                                   residual_budget=cal.get("ac_residual_budget", 0.05),
+                                   residual_budget=cal["ac_residual_budget"],
                                    provenance=prov, mc=lsmc(), chain=chain(), dens=dens())
         elif name == "weighted-bounds":
-            rep = check_weighted_bounds(spec, grid, bounds=(cal.get("weighted_lo", 0.2),
-                                                            cal.get("weighted_hi", 5.0)),
+            rep = check_weighted_bounds(spec, grid, bounds=(cal["weighted_lo"], cal["weighted_hi"]),
                                         provenance=prov)
         elif name == "minimality":
             rep = check_minimality(spec, grid, [2**j for j in range(4, 13, 2)],

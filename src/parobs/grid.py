@@ -16,6 +16,8 @@ diagonal), the chain recursions (``apply``) and the forward laws
 through ``_tridiagonal_solve``, which calls LAPACK ``dgtsv`` directly: the
 routine ``scipy.linalg.solve_banded`` ends in for (1, 1) bands, without the
 wrapper's per-call cost.
+``MASS_TOL`` is a density's allowed mass loss; ``ENVELOPE_C_MAX`` and
+``ENVELOPE_BURN_IN_FRAC`` bound and trim the Aronson envelope fit.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ __all__ = [
     "interp_space_time",
 ]
 
+MASS_TOL = 1e-3
+ENVELOPE_C_MAX = 64.0
+ENVELOPE_BURN_IN_FRAC = 0.4
 
 @dataclass(frozen=True)
 class SpaceTimeGrid:
@@ -92,14 +97,18 @@ class DiscreteOperator:
         return self.lower + self.diag + self.upper
 
 
+def _full_row(values, shape) -> np.ndarray:
+    """``values`` as a float array of ``shape``, copied only to convert or broadcast."""
+    row = np.asarray(values, dtype=float)
+    return row if row.shape == shape else np.broadcast_to(row, shape).astype(float)
+
+
 def assemble_operator(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t_index: int) -> DiscreteOperator:
     if not 0 <= t_index <= grid.nt:
         raise ValueError(f"t_index {t_index} out of range")
     t = float(grid.t_nodes[t_index])
     mid = 0.5 * (grid.x_nodes[:-1] + grid.x_nodes[1:])  # nx + 1 midpoints
-    a_mid = np.asarray(spec.coefficients.a(t, mid), dtype=float)
-    if a_mid.shape != mid.shape:
-        a_mid = np.broadcast_to(a_mid, mid.shape).astype(float)
+    a_mid = _full_row(spec.coefficients.a(t, mid), mid.shape)
     scale = 1.0 / (2.0 * grid.dx**2)
     lower = a_mid[:-1] * scale
     upper = a_mid[1:] * scale
@@ -277,11 +286,11 @@ class DensityTable:
         return self.values / self.dx
 
 
-def solve_density(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int, x_index: int,
-                  mass_tol: float = 1e-3) -> DensityTable:
+def solve_density(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
+                  x_index: int) -> DensityTable:
     """Forward-iterate p(t_{k+1}) = P^T p(t_k) from a point mass at (s, x).
 
-    ``mass_ok`` flags whether every interior slice keeps mass within mass_tol
+    ``mass_ok`` flags whether every interior slice keeps mass within MASS_TOL
     of one; a False value signals the truncation is too narrow for this start.
     """
     if not 0 <= s_index < grid.nt:
@@ -298,7 +307,7 @@ def solve_density(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int, 
         s_index=s_index, x_index=x_index,
         t_nodes=grid.t_nodes[s_index:].copy(), x_nodes=grid.x_nodes.copy(),
         dx=grid.dx, values=values, mass=mass,
-        mass_ok=bool(np.min(mass) >= 1.0 - mass_tol),
+        mass_ok=bool(np.min(mass) >= 1.0 - MASS_TOL),
     )
 
 
@@ -336,12 +345,11 @@ def _envelope_gap(density: DensityTable, C: float, side: str, trim_mask: np.ndar
 
 
 def aronson_envelope_check(density: DensityTable, spec: ObstacleProblemSpec,
-                           trim_mass: float = 1e-8, c_max: float = 64.0,
-                           burn_in_frac: float = 0.4) -> AronsonEnvelope:
+                           trim_mass: float = 1e-8) -> AronsonEnvelope:
     """Fit the smallest two-sided Gaussian envelope constants for the density.
 
     Points carrying less than ``trim_mass`` per node are excluded, as is the
-    initial layer of slices (fraction ``burn_in_frac``): the discrete kernel
+    initial layer of slices (ENVELOPE_BURN_IN_FRAC): the discrete kernel
     starts as a near-delta whose standardized tails carry an excess kurtosis
     of order dt / (t - s), so envelope constants are only meaningful after the
     chain has mixed.  Both envelopes are monotone in C, so bisection applies.
@@ -349,7 +357,7 @@ def aronson_envelope_check(density: DensityTable, spec: ObstacleProblemSpec,
     n_slices = len(density.t_nodes)
     if n_slices < 3:
         raise GridTooCoarse("density table has too few time slices to trim")
-    first = max(1, int(burn_in_frac * (n_slices - 1)) + 1)
+    first = max(1, int(ENVELOPE_BURN_IN_FRAC * (n_slices - 1)) + 1)
     trim_mask = density.values > trim_mass
     trim_mask[:first] = False
     trim_mask[:, 0] = trim_mask[:, -1] = False
@@ -362,14 +370,14 @@ def aronson_envelope_check(density: DensityTable, spec: ObstacleProblemSpec,
         lo, hi = 1.0, 1.0
         if _envelope_gap(density, lo, side, trim_mask, x0) <= 0.0:
             # C = 1 already works: tighten below 1 to report the smallest constant
-            lo = 1.0 / c_max
+            lo = 1.0 / ENVELOPE_C_MAX
             if _envelope_gap(density, lo, side, trim_mask, x0) <= 0.0:
                 return lo
             hi = 1.0
         else:
             while _envelope_gap(density, hi, side, trim_mask, x0) > 0.0:
                 hi *= 2.0
-                if hi > c_max:
+                if hi > ENVELOPE_C_MAX:
                     return float("inf")
             lo = hi / 2.0
         for _ in range(60):

@@ -4,7 +4,8 @@ All model symbols live here.  Evaluators follow one calling convention:
 ``t`` is a scalar, the remaining arguments are numpy arrays (or scalars) that
 broadcast together, and the result has the broadcast shape.  Evaluators must
 be pure; every object in this module is immutable after construction and safe
-to share across workers.
+to share across workers.  ``lipschitz_probe`` samples the box ``PROBE_T_RANGE``
+x ``PROBE_X_RANGE`` x [-``PROBE_VALUE_SCALE``, ``PROBE_VALUE_SCALE``]^2.
 """
 
 from __future__ import annotations
@@ -135,6 +136,9 @@ class HypothesisReport:
 
 
 _REL_TOL = 1e-12
+PROBE_T_RANGE = (0.0, 1.0)
+PROBE_X_RANGE = (-8.0, 8.0)
+PROBE_VALUE_SCALE = 4.0
 
 
 def _finite_or_raise(values, what, where):
@@ -265,10 +269,7 @@ def _lipschitz_scan(driver: Driver, t, x, y, z):
     return best, witness
 
 
-def lipschitz_probe(driver: Driver, probe_count: int = 128, seed: int = 0,
-                    t_range: tuple[float, float] = (0.0, 1.0),
-                    x_range: tuple[float, float] = (-8.0, 8.0),
-                    value_scale: float = 4.0) -> float:
+def lipschitz_probe(driver: Driver, probe_count: int = 128, seed: int = 0) -> float:
     """Estimate the driver's Lipschitz constant in (y, z) by probing pairs.
 
     The estimate is the max of |df| / (|dy| + |dz|) over quasi-random base
@@ -278,9 +279,9 @@ def lipschitz_probe(driver: Driver, probe_count: int = 128, seed: int = 0,
     if probe_count < 2:
         raise ValueError("probe_count must be >= 2")
     raw = _scrambled_halton(probe_count, seed)
-    t = t_range[0] + raw[:, 0] * (t_range[1] - t_range[0])
-    x = x_range[0] + raw[:, 1] * (x_range[1] - x_range[0])
-    y = (2.0 * raw[:, 2] - 1.0) * value_scale
-    z = (2.0 * raw[:, 3] - 1.0) * value_scale
+    t = PROBE_T_RANGE[0] + raw[:, 0] * (PROBE_T_RANGE[1] - PROBE_T_RANGE[0])
+    x = PROBE_X_RANGE[0] + raw[:, 1] * (PROBE_X_RANGE[1] - PROBE_X_RANGE[0])
+    y = (2.0 * raw[:, 2] - 1.0) * PROBE_VALUE_SCALE
+    z = (2.0 * raw[:, 3] - 1.0) * PROBE_VALUE_SCALE
     best, _ = _lipschitz_scan(driver, t, x, y, z)
     return best

@@ -13,7 +13,7 @@ Schema (all numeric values parse as floats unless noted):
     mc.dt_path           = path step
     mc.basis_degree      = regression basis degree (int)
     tolerances.*         = optional solver tolerance overrides (keys in _KEYS)
-    calibration.*        = frozen bias constants from the refinement pre-study
+    calibration.*        = frozen budgets, keys and defaults in verify.CALIBRATION_DEFAULTS
 
 Lines starting with '#' are comments.  Unknown keys are rejected in every
 section so typos cannot silently change a run, and so are non-finite numbers,
@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ScenarioError
 from .problem import Coefficients, Driver, ObstacleData, ObstacleProblemSpec, Weight
 from .stochastic import MAX_BASIS_DEGREE
+from .verify import CALIBRATION_DEFAULTS
 
 __all__ = ["Scenario", "load_scenario", "build_family", "FAMILIES"]
 
@@ -40,7 +41,7 @@ _KEYS = {  # the numeric sections' keys; build_family checks problem.*
     "grid": ("nx", "nt"),
     "mc": ("paths", "seed", "dt_path", "basis_degree"),
     "tolerances": ("lcp_tol", "inner_tol", "max_inner"),
-    "calibration": ("fk_bias", "z_budget", "ac_residual_budget", "weighted_lo", "weighted_hi"),
+    "calibration": tuple(CALIBRATION_DEFAULTS),
 }
 _INT_KEYS = {"grid.nx", "grid.nt", "mc.paths", "mc.seed", "mc.basis_degree",
              "tolerances.max_inner"}

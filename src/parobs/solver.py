@@ -22,7 +22,9 @@ transition law; the routes differ only in what they do with it per iterate:
 ``_tridiagonal_solve``.  ``sigma_du`` forms sigma Du on a grid row: the
 sigma row sqrt(a(t, x)) (``_sigma_row``) times ``central_gradient``.  Loops
 that need several rows at one t (the marcher's inner iterates, the chain-dp
-step) take the sigma row once per step.
+step) take the sigma row once per step.  Besides the ``DEFAULT_*`` tolerances,
+``PICARD_MAX_OUTER`` and ``PICARD_OUTER_TOL`` end ``picard_outer``, and
+``STABILITY_C`` is the distance ratio ``obstacle_stability`` passes.
 
 The reflection measure is represented by the nonnegative cell density r with
 cell mass r dx dt; the continuum measure need not be absolutely continuous, so
@@ -37,8 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InnerDivergence, LcpStall, MonotonicityViolation, NoContraction
-from .grid import (SpaceTimeGrid, _banded_matvec, _tridiagonal_solve, solve_backward_step,
-                   transition_kernel)
+from .grid import (SpaceTimeGrid, _banded_matvec, _full_row, _tridiagonal_solve,
+                   solve_backward_step, transition_kernel)
 from .problem import ObstacleProblemSpec, Weight
 
 __all__ = [
@@ -73,6 +75,9 @@ DEFAULT_INNER_TOL = 1e-11
 DEFAULT_LCP_TOL = 1e-10
 DEFAULT_MONO_TOL = 1e-8
 DEFAULT_MAX_INNER = 200
+PICARD_MAX_OUTER = 50
+PICARD_OUTER_TOL = 1e-8
+STABILITY_C = 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +118,7 @@ def central_gradient(row: np.ndarray, dx: float) -> np.ndarray:
 def _sigma_row(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t: float) -> np.ndarray:
     """sigma = sqrt(a(t, x)) on all nodes."""
     a = np.asarray(spec.coefficients.a(t, grid.x_nodes), dtype=float)
-    return np.broadcast_to(np.sqrt(a), grid.x_nodes.shape).astype(float)
+    return _full_row(np.sqrt(a), grid.x_nodes.shape)
 
 
 def sigma_du(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t: float,
@@ -138,8 +143,7 @@ def _driver_row(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t: float,
                 u_row: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """f(t, x, u, sigma Du) on all nodes, ``sigma`` the ``_sigma_row`` at t."""
     z = sigma * central_gradient(u_row, grid.dx)
-    return np.broadcast_to(np.asarray(spec.driver.f(t, grid.x_nodes, u_row, z), dtype=float),
-                           u_row.shape).astype(float)
+    return _full_row(spec.driver.f(t, grid.x_nodes, u_row, z), u_row.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +430,6 @@ def _space_time_norm(grid: SpaceTimeGrid, weight: Weight, fld: np.ndarray) -> fl
 
 
 def penalization_study(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedule,
-                       mono_tol: float = DEFAULT_MONO_TOL,
                        inner_tol: float = DEFAULT_INNER_TOL,
                        reference: ObstacleSolution | None = None):
     """Run the penalty schedule, assert nodewise monotone increase, return the limit.
@@ -452,7 +455,7 @@ def penalization_study(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedul
         if prev is not None:
             delta = sol.u_values - prev.u_values
             worst = float(delta.min())
-            if worst < -mono_tol:
+            if worst < -DEFAULT_MONO_TOL:
                 k, i = np.unravel_index(int(np.argmin(delta)), delta.shape)
                 raise MonotonicityViolation(
                     f"u_n decreased by {-worst:.3e} at t = {grid.t_nodes[k]:.6g}, "
@@ -514,8 +517,7 @@ def frozen_driver_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     return out
 
 
-def picard_outer(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
-                 max_outer: int = 50, outer_tol: float = 1e-8):
+def picard_outer(spec: ObstacleProblemSpec, grid: SpaceTimeGrid):
     """Iterate v -> ``solve_psor`` of the linear obstacle problem with frozen driver.
 
     Distances between consecutive iterates are measured in the e^{gamma t}
@@ -531,7 +533,7 @@ def picard_outer(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
 
     distances, ratios = [], []
     expanding = 0
-    for _ in range(max_outer):
+    for _ in range(PICARD_MAX_OUTER):
         sol = solve_psor(spec, grid, driver_field=frozen_driver_field(spec, grid, v))
         d = v_gamma_norm(grid, spec.weight, sol.u_values - v, gamma, lam)
         distances.append(d)
@@ -544,10 +546,11 @@ def picard_outer(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
                     f"outer ratios exceeded 1 for 3 consecutive iterations (last {ratio:.3f}); "
                     f"grid too coarse for declared L, lambda, Lambda")
         v = sol.u_values
-        if d <= outer_tol:
+        if d <= PICARD_OUTER_TOL:
             break
     else:
-        raise NoContraction(f"picard outer loop did not reach {outer_tol} in {max_outer} iterations")
+        raise NoContraction(f"picard outer loop did not reach {PICARD_OUTER_TOL} in "
+                            f"{PICARD_MAX_OUTER} iterations")
     trace = PicardTrace(gamma=gamma, distances=distances, ratios=ratios)
     return sol, trace
 
@@ -632,8 +635,7 @@ def apriori_norm_report(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     return AprioriReport(left=float(left), right=float(right), ratio=float(ratio))
 
 
-def obstacle_stability(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, h1, h2,
-                       delta: float = 0.0, stability_C: float = 3.0) -> StabilityReport:
+def obstacle_stability(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, h1, h2) -> StabilityReport:
     """Sup-norm solution distance against sup-norm obstacle distance (both by solve_psor).
 
     Both obstacles must stay below the terminal value at T.
@@ -644,15 +646,14 @@ def obstacle_stability(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, h1, h2,
         if np.max(hf[grid.nt] - phi) > 1e-12 * (1.0 + np.max(np.abs(phi))):
             raise ValueError("obstacle exceeds the terminal value at T")
     sols = [solve_psor(spec, grid, obstacle_field_override=hf) for hf in fields]
-    k_max = int(np.searchsorted(grid.t_nodes, spec.T - delta + 1e-12, side="right"))
-    du = float(np.max(np.abs(sols[0].u_values[:k_max] - sols[1].u_values[:k_max])))
-    dh = float(np.max(np.abs(fields[0][:k_max] - fields[1][:k_max])))
+    du = float(np.max(np.abs(sols[0].u_values - sols[1].u_values)))
+    dh = float(np.max(np.abs(fields[0] - fields[1])))
     if dh == 0.0:
         ratio = 0.0 if du == 0.0 else float("inf")
     else:
         ratio = du / dh
     return StabilityReport(solution_distance=du, obstacle_distance=dh, ratio=ratio,
-                           passed=bool(ratio <= stability_C))
+                           passed=bool(ratio <= STABILITY_C))
 
 
 def obstacle_replacement_check(spec: ObstacleProblemSpec, grid: SpaceTimeGrid) -> float:

@@ -570,12 +570,6 @@ def snell_envelope_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     return float(V[x_index])
 
 
-def solution_reward_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
-                          sol: ObstacleSolution) -> np.ndarray:
-    """f(t, x, u, sigma Du) on the grid, frozen along the solved field."""
-    return frozen_driver_field(spec, grid, sol.u_values)
-
-
 def optimal_stopping_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
                            sol: ObstacleSolution, ensemble: PathEnsemble,
                            s: float, x: float) -> StoppingValue:
@@ -619,7 +613,7 @@ def optimal_stopping_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     rule_ci = 1.96 * float(reward.std(ddof=1)) / np.sqrt(m) if m > 1 else 0.0
     s_index = int(np.clip(round(s / grid.dt), 0, grid.nt - 1))
     x_index = int(np.clip(round((x - grid.x_nodes[0]) / grid.dx), 0, grid.nx + 1))
-    snell = snell_envelope_value(spec, grid, solution_reward_field(spec, grid, sol),
+    snell = snell_envelope_value(spec, grid, frozen_driver_field(spec, grid, sol.u_values),
                                  s_index, x_index)
     return StoppingValue(rule_value=rule_value, rule_ci=rule_ci, snell_value=snell,
                          gap=abs(rule_value - snell))

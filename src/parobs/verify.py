@@ -7,7 +7,9 @@ pure: identical inputs give identical reports.
 
 Multi-part checks are normalized: ``discrepancy`` is the worst measured-over-
 allowed ratio and the budget is 1, so pass <=> discrepancy <= budget always
-holds; the raw per-part numbers live in ``details``.
+holds; the raw per-part numbers live in ``details``.  ``CALIBRATION_DEFAULTS``
+holds each ``calibration.*`` budget a scenario leaves out; the fixed budgets
+are the other module constants.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .grid import (
     solve_density,
     transition_kernel,
 )
-from .problem import ObstacleProblemSpec, Weight
-from .solver import ObstacleSolution, solve_penalized, solve_psor, z_field
+from .problem import ObstacleProblemSpec
+from .solver import DEFAULT_MONO_TOL, ObstacleSolution, solve_penalized, solve_psor, z_field
 from .stochastic import (
     LsmcEstimate,
     PathEnsemble,
@@ -51,6 +53,14 @@ __all__ = [
 ]
 
 _TINY = 1e-12
+CALIBRATION_DEFAULTS = {"fk_bias": 1.0, "z_budget": 0.05, "ac_residual_budget": 5e-2,
+                        "weighted_lo": 0.2, "weighted_hi": 5.0}
+REL_BUDGET = 5e-2
+SKOROKHOD_PSOR_BUDGET = 1e-8
+SKOROKHOD_PENALTY_CONSTANT = 10.0
+K_BIAS_CONSTANT = 2.0
+WEIGHTED_PHIS = (("one", np.ones_like), ("gauss-bump", lambda x: np.exp(-0.5 * x**2)),
+                 ("tilted", lambda x: 1.0 / (1.0 + x**2)))
 
 
 @dataclass
@@ -106,7 +116,8 @@ def _density_from(spec, grid, s_idx: int, x_idx: int, dens: DensityTable | None)
 
 def check_representation_u(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, probes,
                            mc_params: dict, sol: ObstacleSolution | None = None,
-                           bias_constant: float = 1.0, chain_budget: float = 1e-3,
+                           bias_constant: float = CALIBRATION_DEFAULTS["fk_bias"],
+                           chain_budget: float = 1e-3,
                            provenance: dict | None = None,
                            probe0_mc: Callable[[], LsmcEstimate] | None = None,
                            chain: RbsdeEstimate | None = None) -> CheckReport:
@@ -161,7 +172,8 @@ def check_representation_u(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, probe
 
 def check_representation_z(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
                            ensemble: PathEnsemble, sol: ObstacleSolution | None = None,
-                           basis_degree: int = 3, z_budget: float = 0.1,
+                           basis_degree: int = 3,
+                           z_budget: float = CALIBRATION_DEFAULTS["z_budget"],
                            provenance: dict | None = None,
                            mc: LsmcEstimate | None = None) -> CheckReport:
     """Time-integrated RMS distance between sigma Du along paths and the MC Z.
@@ -194,9 +206,8 @@ def default_test_functions(spec: ObstacleProblemSpec):
 
 
 def check_measure_identity(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s: float, x: float,
-                           test_functions=None, sol: ObstacleSolution | None = None,
-                           mc_params: dict | None = None, rel_budget: float = 5e-2,
-                           method: str = "chain-dp",
+                           sol: ObstacleSolution | None = None,
+                           mc_params: dict | None = None, method: str = "chain-dp",
                            provenance: dict | None = None,
                            chain: RbsdeEstimate | None = None,
                            dens: DensityTable | None = None) -> CheckReport:
@@ -212,8 +223,7 @@ def check_measure_identity(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s: fl
     """
     if sol is None:
         sol = solve_psor(spec, grid)
-    if test_functions is None:
-        test_functions = default_test_functions(spec)
+    test_functions = default_test_functions(spec)
     mc_params = mc_params or {}
     s_idx, x_idx = _snap_indices(grid, s, x)
     dens = _density_from(spec, grid, s_idx, x_idx, dens)
@@ -263,13 +273,12 @@ def check_measure_identity(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s: fl
         scale = max(abs(l), abs(r))
         rel = 0.0 if scale < _TINY else abs(l - r) / scale
         rows[name] = {"left": l, "right": r, "rel": rel}
-        worst = max(worst, rel / rel_budget)
-    return _report("measure-identity", worst, 1.0, rel_budget, stat, provenance, rows)
+        worst = max(worst, rel / REL_BUDGET)
+    return _report("measure-identity", worst, 1.0, REL_BUDGET, stat, provenance, rows)
 
 
 def check_interval_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t1: float, t2: float,
                            F: tuple[float, float], sol: ObstacleSolution | None = None,
-                           rel_budget: float = 5e-2,
                            provenance: dict | None = None,
                            chain: RbsdeEstimate | None = None) -> CheckReport:
     """mu([t1, t2] x F) from cell sums against the chain expectation from every
@@ -304,17 +313,16 @@ def check_interval_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t1: f
 
     scale = max(abs(left), abs(right))
     rel = 0.0 if scale < _TINY else abs(left - right) / scale
-    return _report("interval-measure", rel / rel_budget, 1.0, rel_budget, 0.0, provenance,
+    return _report("interval-measure", rel / REL_BUDGET, 1.0, REL_BUDGET, 0.0, provenance,
                    {"left": left, "right": right, "t1": t1, "t2": t2, "F": list(F)})
 
 
 def check_skorokhod(sol: ObstacleSolution, n_penalty: int | None = None,
-                    psor_budget: float = 1e-8, penalty_constant: float = 10.0,
                     provenance: dict | None = None) -> CheckReport:
     """Normalized flat-off-contact functional sum (u - h) r / sum r.
 
     Exactly zero off contact for ``solve_psor`` by construction; of size C / n for a
-    penalized solution at level n.
+    penalized solution at level n (C = SKOROKHOD_PENALTY_CONSTANT).
     """
     h_field = sol.diagnostics.get("h_field")
     if h_field is None:
@@ -322,7 +330,7 @@ def check_skorokhod(sol: ObstacleSolution, n_penalty: int | None = None,
     num = float(np.sum((sol.u_values - h_field) * sol.r_values))
     den = float(np.sum(sol.r_values))
     value = 0.0 if den < _TINY else abs(num) / den
-    budget = psor_budget if n_penalty is None else penalty_constant / float(n_penalty)
+    budget = SKOROKHOD_PSOR_BUDGET if n_penalty is None else SKOROKHOD_PENALTY_CONSTANT / n_penalty
     return _report("skorokhod", value, budget, budget, 0.0, provenance,
                    {"numerator": num, "normalizer": den, "n_penalty": n_penalty})
 
@@ -356,7 +364,7 @@ def _ac_path_sums(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: Path
 
 def check_ac_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: PathEnsemble,
                      sol: ObstacleSolution | None = None, basis_degree: int = 3,
-                     residual_budget: float = 5e-2, k_bias_constant: float = 2.0,
+                     residual_budget: float = CALIBRATION_DEFAULTS["ac_residual_budget"],
                      provenance: dict | None = None,
                      mc: LsmcEstimate | None = None,
                      chain: RbsdeEstimate | None = None,
@@ -390,7 +398,7 @@ def check_ac_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: P
 
     mean_gap = abs(float(k_tilde.mean()) - k_chain)
     stat = 3.0 * 1.96 * float(k_tilde.std(ddof=1)) / np.sqrt(m)
-    k_budget = stat + k_bias_constant * (grid.dt + grid.dx**2)
+    k_budget = stat + K_BIAS_CONSTANT * (grid.dt + grid.dx**2)
     worst = max(res_rms / residual_budget, mean_gap / max(k_budget, _TINY))
 
     if mc is None:
@@ -403,25 +411,17 @@ def check_ac_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: P
 
 
 def check_weighted_bounds(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
-                          weight: Weight | None = None, phis=None, g=None,
-                          bounds: tuple[float, float] = (0.2, 5.0),
+                          bounds: tuple[float, float] = (CALIBRATION_DEFAULTS["weighted_lo"],
+                                                         CALIBRATION_DEFAULTS["weighted_hi"]),
                           provenance: dict | None = None) -> CheckReport:
     """Two-sided weighted-norm equivalence ratios for terminal and running data.
 
-    R(phi) compares the rho-weighted mass of E |phi(X_T)| against that of phi;
+    R(phi) compares the rho-weighted mass of E |phi(X_T)| against that of phi
+    (phi in WEIGHTED_PHIS, running data g = 1, rho the spec's weight);
     the check also reports the max pointwise kernel-bound ratio
     E |phi(X_T)|^2 rho^2(x) sqrt(T - s) / |phi|^2_{2, rho}.
     """
-    weight = weight or spec.weight
-    rho = weight.rho(grid.x_nodes)
-    if phis is None:
-        phis = [
-            ("one", lambda x: np.ones_like(x)),
-            ("gauss-bump", lambda x: np.exp(-0.5 * x**2)),
-            ("tilted", lambda x: 1.0 / (1.0 + x**2)),
-        ]
-    if g is None:
-        g = lambda t, x: np.ones_like(x)
+    rho = spec.weight.rho(grid.x_nodes)
 
     # the rho dx start measure over interior starts, carried to every slice
     w0 = np.zeros(grid.nx + 2)
@@ -432,7 +432,7 @@ def check_weighted_bounds(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     rows = {}
     worst = 0.0
     lo, hi = bounds
-    for name, phi_fn in phis:
+    for name, phi_fn in WEIGHTED_PHIS:
         vals = np.abs(np.asarray(phi_fn(grid.x_nodes), dtype=float))
         num = float(np.sum(vals * w_final))
         den = float(np.sum(vals[1:-1] * rho[1:-1]) * grid.dx)
@@ -441,11 +441,9 @@ def check_weighted_bounds(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
         worst = max(worst, R / hi, lo / R if R > 0 else float("inf"))
 
     g_num = g_den = 0.0
-    for k, w in evo:
-        t = float(grid.t_nodes[k])
-        gv = np.abs(np.asarray(g(t, grid.x_nodes), dtype=float))
-        g_num += float(np.sum(gv * w)) * grid.dt
-        g_den += float(np.sum(gv[1:-1] * rho[1:-1]) * grid.dx) * grid.dt
+    for _, w in evo:
+        g_num += float(np.sum(w)) * grid.dt
+        g_den += float(np.sum(rho[1:-1]) * grid.dx) * grid.dt
     R_g = g_num / g_den if g_den > 0 else float("inf")
     worst = max(worst, R_g / hi, lo / R_g if R_g > 0 else float("inf"))
 
@@ -466,8 +464,7 @@ def check_weighted_bounds(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
 
 
 def check_minimality(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedule,
-                     sol_psor: ObstacleSolution | None = None, mono_tol: float = 1e-8,
-                     gap_budget: float = 1e-3,
+                     sol_psor: ObstacleSolution | None = None, gap_budget: float = 1e-3,
                      provenance: dict | None = None) -> CheckReport:
     """Penalized solutions approach the unique complementarity solution from below."""
     if sol_psor is None:
@@ -479,7 +476,7 @@ def check_minimality(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedule,
         overshoot = max(overshoot, float(np.max(pen.u_values - sol_psor.u_values)))
         last = pen
     gap = float(np.max(np.abs(last.u_values - sol_psor.u_values)))
-    worst = max(overshoot / mono_tol, gap / gap_budget)
+    worst = max(overshoot / DEFAULT_MONO_TOL, gap / gap_budget)
     return _report("minimality", worst, 1.0, gap_budget, 0.0, provenance,
                    {"overshoot": overshoot, "final_gap": gap,
                     "n_final": int(n_schedule[-1])})

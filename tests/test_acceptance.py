@@ -17,6 +17,7 @@ from parobs.grid import SpaceTimeGrid, solve_density
 from parobs.solver import (
     contraction_gamma,
     energy_identity_residual,
+    frozen_driver_field,
     penalization_study,
     picard_outer,
     solve_penalized,
@@ -30,7 +31,6 @@ from parobs.stochastic import (
     rbsde_reflected_mc,
     simulate_paths,
     snell_envelope_value,
-    solution_reward_field,
 )
 from parobs.verify import (
     check_measure_identity,
@@ -275,7 +275,7 @@ def test_criterion_12_optimal_stopping(put_scenario, quad_scenario, put200, quad
     ix = atm_index(qgrid)
     chain_q = rbsde_chain_dp(quad_scenario.spec, qgrid, 0, ix)
     snell_q = snell_envelope_value(quad_scenario.spec, qgrid,
-                                   solution_reward_field(quad_scenario.spec, qgrid, qsol),
+                                   frozen_driver_field(quad_scenario.spec, qgrid, qsol.u_values),
                                    0, ix)
     exact_ok = abs(snell_q - chain_q.Y0) <= 1e-12
     report("criterion-12 optimal-stopping", gap_ok and exact_ok,

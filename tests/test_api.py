@@ -1,0 +1,94 @@
+"""Inventory of the public API: defaulted parameters and the names the
+benchmark binds.
+
+Adding a keyword option to a public function is a deliberate edit of the
+bound below, and renaming a function, parameter or constant that ``bench/``
+reads fails here before it fails the benchmark.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+import sys
+from pathlib import Path
+
+import parobs
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+MAX_DEFAULTED = 61
+# parameters no caller set, folded into module constants
+REMOVED = {
+    "grid.solve_density": ("mass_tol",),
+    "grid.aronson_envelope_check": ("c_max", "burn_in_frac"),
+    "problem.lipschitz_probe": ("t_range", "x_range", "value_scale"),
+    "solver.penalization_study": ("mono_tol",),
+    "solver.picard_outer": ("max_outer", "outer_tol"),
+    "solver.obstacle_stability": ("delta", "stability_C"),
+    "verify.check_measure_identity": ("rel_budget", "test_functions"),
+    "verify.check_interval_measure": ("rel_budget",),
+    "verify.check_skorokhod": ("psor_budget", "penalty_constant"),
+    "verify.check_ac_measure": ("k_bias_constant",),
+    "verify.check_minimality": ("mono_tol",),
+    "verify.check_weighted_bounds": ("weight", "phis", "g"),
+}
+# arguments the tracer's probes read from a bound call
+PROBE_PARAMETERS = {
+    "grid.transition_kernel": ("grid", "t_index", "scheme", "mode"),
+    "grid.interp_space_time": ("t", "x"),
+    "solver.solve_psor": ("grid",),
+    "solver.solve_penalized": ("grid",),
+    "stochastic.rbsde_reflected_mc": ("ensemble", "basis_degree"),
+    "stochastic.rbsde_penalized_mc": ("ensemble", "basis_degree"),
+    "cli.write_csv": ("path",),
+}
+
+
+def _public_functions():
+    """module.name -> function, for every public function defined in parobs."""
+    out = {}
+    for info in pkgutil.iter_modules(parobs.__path__):
+        mod = importlib.import_module(f"parobs.{info.name}")
+        for name, obj in vars(mod).items():
+            if (not name.startswith("_") and inspect.isfunction(obj)
+                    and obj.__module__ == mod.__name__):
+                out[f"{info.name}.{name}"] = obj
+    return out
+
+
+def _parameters(qualname):
+    return inspect.signature(_public_functions()[qualname]).parameters
+
+
+def test_defaulted_parameter_count_is_bounded():
+    defaulted = [f"{q}({p.name})" for q, fn in _public_functions().items()
+                 for p in inspect.signature(fn).parameters.values()
+                 if p.default is not inspect.Parameter.empty]
+    assert len(defaulted) <= MAX_DEFAULTED, defaulted
+
+
+def test_folded_parameters_stay_gone():
+    back = [(q, p) for q, names in REMOVED.items() for p in names if p in _parameters(q)]
+    assert back == []
+    assert not hasattr(importlib.import_module("parobs.stochastic"), "solution_reward_field")
+
+
+def test_names_the_benchmark_binds_are_present():
+    from parobs.grid import TransitionKernel
+    from parobs.scenarios import Scenario
+    from parobs.solver import DEFAULT_LCP_TOL
+
+    sys.path.insert(0, str(BENCH))
+    try:
+        import tracer
+    finally:
+        sys.path.remove(str(BENCH))
+    functions = _public_functions()
+    traced = set(tracer._probes()) | {n for names in tracer.TIMES.values() for n in names}
+    assert sorted(traced - set(functions)) == []
+    for qualname, params in PROBE_PARAMETERS.items():
+        assert set(params) <= set(_parameters(qualname)), qualname
+    assert isinstance(float(TransitionKernel.clamp_magnitude), float)
+    assert isinstance(_parameters("verify.check_minimality")["gap_budget"].default, float)
+    assert DEFAULT_LCP_TOL > 0
+    assert "tolerances" in {f.name for f in dataclasses.fields(Scenario)}

@@ -543,3 +543,36 @@ def test_solution_csv_matches_per_value_writer_on_awkward_values(tmp_path):
     assert written == (tmp_path / "oracle.csv").read_bytes()
     assert written.splitlines()[2:4] == [b"0,-0,-0,0,1",
                                          b"0,0.10000000000000001,4.9406564584124654e-324,-1e-300,0"]
+
+
+def test_budgets_without_calibration_lines_equal_the_check_defaults(tmp_path, monkeypatch):
+    """With no calibration.* line in the scenario, every budget the CLI
+    passes is the default of the check it calls, so a direct check call and
+    ``verify`` judge by the same budget."""
+    import inspect
+
+    import parobs.cli
+    from parobs.cli import _run_checks
+    from parobs.verify import CheckReport
+
+    cfg = _small_put(tmp_path)
+    cfg.write_text("".join(row + "\n" for row in cfg.read_text().splitlines()
+                           if not row.startswith("calibration.")))
+    sc = load_scenario(cfg)
+    assert sc.calibration == {}
+    budgets = {"check_representation_u": "bias_constant", "check_representation_z": "z_budget",
+               "check_ac_measure": "residual_budget", "check_weighted_bounds": "bounds"}
+    passed, defaults = {}, {}
+    for name, param in budgets.items():
+        check = getattr(parobs.cli, name)
+        defaults[name] = inspect.signature(check).parameters[param].default
+
+        def recording(*args, _name=name, _param=param, **kwargs):
+            passed[_name] = kwargs[_param]
+            return CheckReport(_name, 0.0, 1.0, 0.0, 0.0, True)
+        monkeypatch.setattr(parobs.cli, name, recording)
+    grid = SpaceTimeGrid.build(sc.spec, 40, 40)
+    _run_checks(sc, grid, ("representation-u", "representation-z", "ac-measure",
+                           "weighted-bounds"), 1)
+    # fk_bias, z_budget, ac_residual_budget, and (weighted_lo, weighted_hi)
+    assert passed == defaults

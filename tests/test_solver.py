@@ -494,3 +494,30 @@ def test_march_evaluates_the_sigma_row_once_per_step(put_scenario):
     assert calls.count((grid.nx + 1,)) == grid.nt
     assert int(pen.inner_iteration_counts.min()) > 1
     assert np.array_equal(pen.u_values, solve_penalized(spec, grid, 1024).u_values)
+
+
+def test_driver_and_sigma_rows_equal_the_broadcast_copies(put_scenario):
+    """``_driver_row`` and ``_sigma_row`` equal the broadcast-and-copy rows
+    they replaced, for evaluators that return full rows and scalars; a float
+    row of the right shape is returned as is, not copied."""
+    spec = put_scenario.spec
+    grid = SpaceTimeGrid.build(spec, 30, 10)
+    t, u_row, shape = 0.1, np.cos(grid.x_nodes), grid.x_nodes.shape
+    stored = np.linspace(-1.0, 1.0, grid.nx + 2)
+    drivers = (lambda t, x, y, z: 0.05 * y - 0.02 * z, lambda t, x, y, z: 0.25,
+               lambda t, x, y, z: stored)
+    for a in (lambda t, x: 0.09 * np.ones_like(x), lambda t, x: 0.09):
+        for f in drivers:
+            s = dataclasses.replace(
+                spec, coefficients=dataclasses.replace(spec.coefficients, a=a),
+                driver=dataclasses.replace(spec.driver, f=f))
+            sigma = solver_mod._sigma_row(s, grid, t)
+            old_sigma = np.broadcast_to(np.sqrt(np.asarray(a(t, grid.x_nodes), dtype=float)),
+                                        shape).astype(float)
+            assert sigma.shape == shape and np.array_equal(sigma, old_sigma)
+            z = sigma * solver_mod.central_gradient(u_row, grid.dx)
+            old = np.broadcast_to(np.asarray(f(t, grid.x_nodes, u_row, z), dtype=float),
+                                  shape).astype(float)
+            row = solver_mod._driver_row(s, grid, t, u_row, sigma)
+            assert row.shape == shape and row.dtype == float and np.array_equal(row, old)
+    assert solver_mod._driver_row(s, grid, t, u_row, sigma) is stored

@@ -7,7 +7,7 @@ from parobs.errors import MissingDerivative, RegressionSingular
 from parobs.grid import SpaceTimeGrid, solve_density
 from parobs.problem import Coefficients, Driver, ObstacleData, ObstacleProblemSpec, Weight
 from parobs.scenarios import build_family
-from parobs.solver import solve_psor, solve_unconstrained, z_field
+from parobs.solver import frozen_driver_field, solve_psor, solve_unconstrained, z_field
 from parobs.stochastic import (
     estimate_g_integral,
     moment_ratio_probe,
@@ -18,7 +18,6 @@ from parobs.stochastic import (
     rbsde_reflected_mc,
     simulate_paths,
     snell_envelope_value,
-    solution_reward_field,
     _Projection,
 )
 
@@ -420,7 +419,8 @@ def test_snell_equals_chain_dp_without_driver_dependence(quad_scenario):
     sol = solve_psor(spec, grid)
     ix = 30
     chain = rbsde_chain_dp(spec, grid, 0, ix)
-    snell = snell_envelope_value(spec, grid, solution_reward_field(spec, grid, sol), 0, ix)
+    snell = snell_envelope_value(spec, grid, frozen_driver_field(spec, grid, sol.u_values),
+                                 0, ix)
     assert snell == chain.Y0  # bit-identical recursions when f ignores (y, z)
 
 

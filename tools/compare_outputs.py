@@ -1,0 +1,105 @@
+"""Compare every CLI output of the working tree against a git ref.
+
+    python tools/compare_outputs.py <git-ref>
+
+Extracts <git-ref> with ``git archive`` into a temporary directory, then runs
+45 command x scenario pairs against both trees: ``solve`` with both methods,
+``study`` penalization, picard and stability, ``verify --checks all``,
+``simulate``, ``stop-value`` and ``moments``, each on the five scenarios
+under ``scenarios/``.  Each tree runs with its own ``src`` on PYTHONPATH and
+its own scenario files, under the same relative paths, so error text that
+names a path matches too.  Any difference in the CSVs, ``verify_report.txt``,
+stdout, stderr or exit code is reported.  Exit status: 0 when every pair is
+byte-identical, 1 otherwise.
+
+Uses the standard library only; runs two CLI processes at a time.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SCENARIOS = ("american_put", "constant", "heat_bump", "obstacle_quad", "sine_coef")
+COMMANDS = {
+    "solve-psor": ["solve", "--method", "psor"],
+    "solve-penalized": ["solve", "--method", "penalized"],
+    "study-penalization": ["study", "--study", "penalization"],
+    "study-picard": ["study", "--study", "picard"],
+    "study-stability": ["study", "--study", "stability"],
+    "verify": ["verify", "--checks", "all"],
+    "simulate": ["simulate"],
+    "stop-value": ["stop-value"],
+    "moments": ["moments"],
+}
+# one thread per BLAS and OpenMP pool, so the two concurrent runs do not
+# contend; both trees run under the same settings
+ENV_PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def run_pair(tree: Path, run_root: Path, command: str, scenario: str) -> dict:
+    """One CLI call in ``run_root``; returns its exit code, streams and output files."""
+    out = Path("out") / f"{command}-{scenario}"
+    argv = [sys.executable, "-m", "parobs.cli", "--scenario", f"scenarios/{scenario}.cfg",
+            "--out", str(out), *COMMANDS[command]]
+    env = {**os.environ, **ENV_PINS, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run(argv, cwd=run_root, env=env, capture_output=True)
+    files = {p.name: p.read_bytes() for p in sorted((run_root / out).glob("*"))
+             if p.suffix == ".csv" or p.name == "verify_report.txt"}
+    return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
+            "files": files}
+
+
+def differences(a: dict, b: dict) -> list:
+    diffs = [key for key in ("exit", "stdout", "stderr") if a[key] != b[key]]
+    for name in sorted(set(a["files"]) | set(b["files"])):
+        if a["files"].get(name) != b["files"].get(name):
+            diffs.append(name)
+    return diffs
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        sys.stderr.write(__doc__)
+        return 2
+    ref = argv[0]
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        tmp = Path(tmp)
+        base = tmp / "ref"
+        base.mkdir()
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", ref],
+                                 stdout=subprocess.PIPE)
+        if archive.returncode != 0:  # git has said why on stderr
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive.stdout, check=True)
+        roots = {}
+        for side, tree in (("ref", base), ("work", REPO)):
+            roots[side] = tmp / f"run-{side}"
+            roots[side].mkdir()
+            (roots[side] / "scenarios").symlink_to(tree / "scenarios")
+        pairs = [(c, s) for c in COMMANDS for s in SCENARIOS]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = {(side, c, s): pool.submit(run_pair, tree, roots[side], c, s)
+                       for c, s in pairs
+                       for side, tree in (("ref", base), ("work", REPO))}
+            results = {key: f.result() for key, f in futures.items()}
+    failed = 0
+    for c, s in pairs:
+        ref_run, work_run = results[("ref", c, s)], results[("work", c, s)]
+        diffs = differences(ref_run, work_run)
+        status = "identical" if not diffs else "DIFFERS: " + ", ".join(diffs)
+        print(f"{c:<20} {s:<14} exit {ref_run['exit']}/{work_run['exit']}  "
+              f"{len(work_run['files'])} files  {status}")
+        failed += bool(diffs)
+    print(f"{len(pairs) - failed} of {len(pairs)} pairs byte-identical against {ref}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
