@@ -297,9 +297,8 @@ def cmd_simulate(args) -> int:
     x0 = 0.5 * (spec.x_lo + spec.x_hi)
     ens = simulate_paths(spec, 0.0, x0, float(mc["dt_path"]), int(mc["paths"]), seed,
                          store_dw=False)
-    rows = [(t, float(ens.X[k].mean()), float(ens.X[k].var()),
-             float(ens.X[k].min()), float(ens.X[k].max()))
-            for k, t in enumerate(ens.t_nodes)]
+    rows = [(t, float(xk.mean()), float(xk.var()), float(xk.min()), float(xk.max()))
+            for t, xk in zip(ens.t_nodes, ens.rows())]
     write_csv(Path(args.out) / "ensemble_summary.csv", _provenance(sc, seed),
               ["t", "mean", "var", "min", "max"], map(_csv_line, rows))
     return 0

@@ -403,6 +403,9 @@ class InterpStencil(NamedTuple):
     w: np.ndarray
 
     def gather(self, field: np.ndarray) -> np.ndarray:
+        if self.k.ndim == 0:  # one time row: index it once, then gather in 1-D
+            row = field[int(self.k)]
+            return (1.0 - self.w) * row[self.j] + self.w * row[self.j + 1]
         return (1.0 - self.w) * field[self.k, self.j] + self.w * field[self.k, self.j + 1]
 
 

@@ -11,18 +11,28 @@ Three routes estimate the RBSDE triple (Y, Z, K):
 Paths are generated from counter-based Philox streams keyed by (seed, block);
 the block layout is a fixed module constant, so ensembles are bit-identical
 for fixed (seed, path_count, dt_path) regardless of how work is scheduled,
-and the first paths of a larger ensemble coincide with a smaller one.
+and the first paths of a larger ensemble coincide with a smaller one.  One
+lockstep stepper serves every consumer: per date, each block draws one row of
+normals and one Euler step runs on the full row of paths.
+
+An ensemble holds only what costs draws to recompute: ``dW`` and X
+checkpoints, from which ``PathEnsemble.x(k)`` replays any date bit for bit
+(checkpointed reversal, after Griewank and Walther's ``revolve``), or nothing
+at all for the forward-only consumers (``moment_ratio_probe``,
+``estimate_g_integral``, ``optimal_stopping_value``), which fold each date as
+the stepper produces it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InnerDivergence, MissingDerivative, RegressionSingular
-from .grid import SpaceTimeGrid, interp_space_time, transition_kernel
+from .grid import SpaceTimeGrid, _full_row, interp_space_time, transition_kernel
 from .problem import ObstacleProblemSpec
 from .solver import (
     ObstacleSolution,
@@ -61,20 +71,128 @@ N_BATCHES = 10
 MAX_BASIS_DEGREE = 6
 
 
-@dataclass
+def _normal_rows(seed: int, path_count: int, n_steps: int):
+    """Per date, the (path_count,) row of standard normals, drawn in lockstep.
+
+    Each block of ``BLOCK_SIZE`` paths owns a Philox stream keyed by
+    (seed, block) and draws one full ``BLOCK_SIZE`` row per date, so path i
+    sees the same stream for any path_count (prefix stability); the tail of
+    the last block is drawn and unused.  The yielded row is a view of one
+    buffer that the next date overwrites.
+    """
+    n_blocks = -(-path_count // BLOCK_SIZE)
+    rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[seed, b])))
+            for b in range(n_blocks)]
+    z = np.empty(n_blocks * BLOCK_SIZE)
+    for _ in range(n_steps):
+        for b, rng in enumerate(rngs):
+            rng.standard_normal(out=z[b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE])
+        yield z[:path_count]
+
+
+def _euler_step(coef, t: float, xk: np.ndarray, dt: float, dw: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """One Euler-Maruyama step of dX = (a_x / 2) dt + sqrt(a) dW on a full row."""
+    drift = 0.5 * np.asarray(coef.a_x(t, xk), dtype=float)
+    sig = np.sqrt(np.asarray(coef.a(t, xk), dtype=float))
+    return np.add(xk + drift * dt, sig * dw, out=out)
+
+
+class _Checkpoints:
+    """The X rows an ensemble holds: X at every ``stride``-th date and X_T,
+    read-only.  ``nbytes`` counts them.  There is no date indexing: rows are
+    read through ``PathEnsemble.x`` and ``PathEnsemble.rows``, so a stale
+    ``ensemble.X[k]`` raises instead of reading a checkpoint row."""
+
+    __slots__ = ("stride", "rows")
+
+    def __init__(self, stride: int, rows: np.ndarray):
+        rows.flags.writeable = False
+        self.stride = stride
+        self.rows = rows
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes
+
+
+@dataclass(eq=False)
 class PathEnsemble:
+    """Euler-Maruyama paths from (s, x_start), held as their Brownian increments.
+
+    A stored ensemble (``store_dw=True``) holds ``dW`` whole, (n_steps, M),
+    and ``X`` only at every ceil(sqrt(n_steps))-th date and at T.  ``x(k)``
+    replays the segment holding date k from its checkpoint through the same
+    Euler step with the stored increments, so every row is bit-identical to
+    the one the forward pass computed; one replayed segment is cached, and
+    each replay writes a fresh array.  A streaming ensemble
+    (``store_dw=False``) holds no rows: ``rows()`` runs the stepper again,
+    drawing the same normals, and yields one date at a time.  Stored rows and
+    increments are read-only.
+    """
+    spec: ObstacleProblemSpec = field(repr=False)
     s: float
     x_start: float
     dt_path: float
     path_count: int
     seed: int
     t_nodes: np.ndarray          # n_steps + 1 times from s to T
-    X: np.ndarray                # (n_steps + 1, M)
-    dW: np.ndarray | None        # (n_steps, M); None when not stored
+    X: _Checkpoints = field(repr=False)
+    dW: np.ndarray | None = field(repr=False)   # (n_steps, M); None when streaming
+    _segment: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def n_steps(self) -> int:
         return len(self.t_nodes) - 1
+
+    def x(self, k: int) -> np.ndarray:
+        """X_k for 0 <= k <= n_steps, one entry per path (stored ensembles only)."""
+        if self.dW is None:
+            raise ValueError("a streaming ensemble (store_dw=False) is read forward "
+                             "through rows()")
+        n = self.n_steps
+        if not 0 <= k <= n:
+            raise IndexError(f"date {k} outside 0..{n}")
+        if k == n:
+            return self.X.rows[-1]
+        j, r = divmod(k, self.X.stride)
+        if r == 0:
+            return self.X.rows[j]
+        if self._segment is None or self._segment[0] != j:
+            self._segment = (j, self._replay(j))
+        return self._segment[1][r - 1]
+
+    def rows(self):
+        """Yield X_0 .. X_{n_steps} in date order."""
+        if self.dW is not None:
+            for k in range(self.n_steps + 1):
+                yield self.x(k)
+        else:
+            yield from self._step()
+
+    def _replay(self, j: int) -> np.ndarray:
+        """X at the dates strictly between checkpoint j and the next one."""
+        start = j * self.X.stride
+        stop = min(start + self.X.stride, self.n_steps)
+        seg = np.empty((stop - start - 1, self.path_count))
+        xk = self.X.rows[j]
+        for i, k in enumerate(range(start, stop - 1)):
+            xk = _euler_step(self.spec.coefficients, float(self.t_nodes[k]), xk, self.dt_path,
+                             self.dW[k], out=seg[i])
+        seg.flags.writeable = False
+        return seg
+
+    def _step(self, dW: np.ndarray | None = None):
+        """The lockstep stepper: yield X_0 .. X_{n_steps}, drawing each date's
+        normals as it goes; each increment row is written to ``dW`` when given."""
+        coef = self.spec.coefficients
+        sdt = np.sqrt(self.dt_path)
+        xk = np.full(self.path_count, self.x_start)
+        yield xk
+        for k, z in enumerate(_normal_rows(self.seed, self.path_count, self.n_steps)):
+            dw = np.multiply(sdt, z, out=None if dW is None else dW[k])
+            xk = _euler_step(coef, float(self.t_nodes[k]), xk, self.dt_path, dw)
+            yield xk
 
 
 def simulate_paths(spec: ObstacleProblemSpec, s: float, x: float, dt_path: float,
@@ -82,7 +200,9 @@ def simulate_paths(spec: ObstacleProblemSpec, s: float, x: float, dt_path: float
     """Euler-Maruyama paths of dX = (a_x / 2) dt + sqrt(a) dW started at (s, x).
 
     The drift a_x / 2 is the Ito form of the divergence-form generator for
-    continuously differentiable coefficients; ``a_x`` must be supplied.
+    continuously differentiable coefficients; ``a_x`` must be supplied.  With
+    ``store_dw`` the paths are simulated here and kept as increments plus
+    checkpoints; without it nothing is simulated until ``rows()`` is read.
     """
     coef = spec.coefficients
     if coef.a_x is None:
@@ -94,34 +214,23 @@ def simulate_paths(spec: ObstacleProblemSpec, s: float, x: float, dt_path: float
     if abs(n_steps * dt_path - horizon) > 1e-9 * max(1.0, spec.T):
         raise ValueError("dt_path must divide T - s")
     t_nodes = s + dt_path * np.arange(n_steps + 1)
-
-    X = np.empty((n_steps + 1, path_count))
-    dW = np.empty((n_steps, path_count)) if store_dw else None
-    sdt = np.sqrt(dt_path)
-    done = 0
-    block = 0
-    while done < path_count:
-        bs = min(BLOCK_SIZE, path_count - done)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[seed, block])))
-        # always draw the full block so path i sees the same stream for any
-        # path_count (prefix stability); the tail of the last block is unused
-        z = rng.standard_normal((n_steps, BLOCK_SIZE))[:, :bs]
-        cols = slice(done, done + bs)
-        X[0, cols] = x
-        xk = np.full(bs, float(x))
-        for k in range(n_steps):
-            t = float(t_nodes[k])
-            drift = 0.5 * np.asarray(coef.a_x(t, xk), dtype=float)
-            sig = np.sqrt(np.asarray(coef.a(t, xk), dtype=float))
-            dw = sdt * z[k]
-            xk = xk + drift * dt_path + sig * dw
-            X[k + 1, cols] = xk
-            if store_dw:
-                dW[k, cols] = dw
-        done += bs
-        block += 1
-    return PathEnsemble(s=s, x_start=float(x), dt_path=dt_path, path_count=path_count,
-                        seed=seed, t_nodes=t_nodes, X=X, dW=dW)
+    # ceil(sqrt(n_steps)) dates between checkpoints balances the checkpoint
+    # rows against the rows of one replayed segment
+    stride = math.isqrt(max(n_steps - 1, 0)) + 1
+    ens = PathEnsemble(spec=spec, s=s, x_start=float(x), dt_path=dt_path,
+                       path_count=path_count, seed=seed, t_nodes=t_nodes,
+                       X=_Checkpoints(stride, np.empty((0, path_count))), dW=None)
+    if not store_dw:
+        return ens
+    dW = np.empty((n_steps, path_count))
+    marks = np.empty((len(range(0, n_steps, stride)) + 1, path_count))
+    for k, xk in enumerate(ens._step(dW)):
+        if k % stride == 0:
+            marks[k // stride] = xk
+    marks[-1] = xk
+    dW.flags.writeable = False
+    ens.X, ens.dW = _Checkpoints(stride, marks), dW
+    return ens
 
 
 @dataclass
@@ -147,11 +256,14 @@ def moment_ratio_probe(ensemble: PathEnsemble, p_exponent: float = 4.0) -> Momen
     """
     if not (np.isfinite(p_exponent) and p_exponent >= 4):
         raise ValueError(f"p_exponent must be a finite number >= 4, got {p_exponent}")
-    sup = np.abs(ensemble.X[0]).copy()
-    for k in range(1, ensemble.n_steps + 1):
-        np.maximum(sup, np.abs(ensemble.X[k]), out=sup)
+    sup = None
+    for xk in ensemble.rows():   # the running sup is folded date by date
+        if sup is None:
+            sup = np.abs(xk)
+        else:
+            np.maximum(sup, np.abs(xk), out=sup)
     sup_p = sup**p_exponent
-    term_p = np.abs(ensemble.X[-1]) ** p_exponent
+    term_p = np.abs(xk) ** p_exponent
     num, den = float(sup_p.mean()), float(term_p.mean())
     ratios = []
     for sl in _batch_slices(ensemble.path_count):
@@ -172,9 +284,9 @@ def estimate_g_integral(ensemble: PathEnsemble, g) -> GIntegral:
     """Monte Carlo estimate of E integral_s^T |g(t, X_t)|^2 dt (trapezoid in t)."""
     n, m = ensemble.n_steps, ensemble.path_count
     acc = np.zeros(m)
-    for k in range(n + 1):
+    for k, xk in enumerate(ensemble.rows()):
         w = 0.5 if k in (0, n) else 1.0
-        vals = np.asarray(g(float(ensemble.t_nodes[k]), ensemble.X[k]), dtype=float)
+        vals = np.asarray(g(float(ensemble.t_nodes[k]), xk), dtype=float)
         acc += w * np.broadcast_to(vals, (m,)) ** 2
     acc *= ensemble.dt_path
     value = float(acc.mean())
@@ -323,7 +435,7 @@ class LsmcEstimate:
     stored as its per-date regression coefficients.
 
     ``coef[k]`` holds the continuation and Z coefficients on the Hermite
-    basis of X[k], shaped (n, 2, basis_degree + 1); date 0 holds the two
+    basis of X_k, shaped (n, 2, basis_degree + 1); date 0 holds the two
     sample means in column 0.  ``at(k)`` rebuilds the date's basis and re-runs
     its value update, so Y, Z and dK are evaluated one date at a time and no
     (n, m) field is ever held; ``z_at(k)`` skips the value update.  ``K_T``
@@ -355,7 +467,7 @@ class LsmcEstimate:
         n = self.ensemble.n_steps
         if not 0 <= k < n:
             raise IndexError(f"date {k} outside 0..{n - 1}")
-        return None if k == 0 else _basis(self.ensemble.X[k], self.basis_degree)
+        return None if k == 0 else _basis(self.ensemble.x(k), self.basis_degree)
 
     def _evaluate(self, k: int, B: np.ndarray | None):
         """The date-k update from ``coef[k]``: fitted continuation and Z, the
@@ -366,11 +478,10 @@ class LsmcEstimate:
         """
         m = self.ensemble.path_count
         t = float(self.t_nodes[k])
-        xk = self.ensemble.X[k]
+        xk = self.ensemble.x(k)
         cont = _fitted(self.coef[k, 0], B, m)
         zk = _fitted(self.coef[k, 1], B, m)
-        h_k = np.broadcast_to(np.asarray(self.spec.obstacle.h(t, xk), dtype=float),
-                              (m,)).astype(float)
+        h_k = _full_row(self.spec.obstacle.h(t, xk), (m,))
         y, c = self._resolve(t, xk, cont, zk, h_k)
         if self.scheme == "reflected-mc":
             dk = np.maximum(h_k - c, 0.0)
@@ -429,13 +540,14 @@ def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree
                        spec=spec, ensemble=ensemble, basis_degree=basis_degree,
                        n_penalty=n_penalty)
 
-    V = np.asarray(obs.phi(ensemble.X[n]), dtype=float)
-    h_n = np.asarray(obs.h(float(ensemble.t_nodes[n]), ensemble.X[n]), dtype=float)
+    x_n = ensemble.x(n)
+    V = np.asarray(obs.phi(x_n), dtype=float)
+    h_n = np.asarray(obs.h(float(ensemble.t_nodes[n]), x_n), dtype=float)
     slack = max(0.0, float(np.max(h_n - V)))
 
     for k in range(n - 1, -1, -1):
         t = float(ensemble.t_nodes[k])
-        xk = ensemble.X[k]
+        xk = ensemble.x(k)
         proj = _Projection(xk, basis_degree) if k > 0 else _StartProjection(basis_degree)
         est.coef[k, 0] = proj.coef(V)
         # centering the Z target with the fitted continuation changes nothing
@@ -588,11 +700,10 @@ def optimal_stopping_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     dt = ensemble.dt_path
     reward = np.zeros(m)
     alive = np.ones(m, dtype=bool)
-    for k in range(n):
-        t = float(ensemble.t_nodes[k])
-        xk = ensemble.X[k]
-        if not alive.any():
+    for k, xk in enumerate(ensemble.rows()):
+        if k == n or not alive.any():
             break
+        t = float(ensemble.t_nodes[k])
         g = interp_space_time(grid, gap_field, t, xk[alive])
         idx = np.flatnonzero(alive)
         stop_now = g <= ctol
@@ -607,7 +718,7 @@ def optimal_stopping_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
             fval = np.asarray(spec.driver.f(t, xk[running], u_itp, z_itp), dtype=float)
             reward[running] += np.broadcast_to(fval, running.shape) * dt
     if alive.any():
-        reward[alive] += np.asarray(spec.obstacle.phi(ensemble.X[n, alive]), dtype=float)
+        reward[alive] += np.asarray(spec.obstacle.phi(xk[alive]), dtype=float)  # xk is X_T
 
     rule_value = float(reward.mean())
     rule_ci = 1.96 * float(reward.std(ddof=1)) / np.sqrt(m) if m > 1 else 0.0

@@ -124,20 +124,22 @@ def check_representation_u(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, probe
     """Feynman-Kac check: grid solution against reflected-mc and chain-dp values.
 
     Per probe, the Monte Carlo budget is 3 CI + bias_constant (dt + dx^2); the
-    chain comparison must sit within ``chain_budget``.  Probe ``j`` simulates
-    with seed ``seed + j`` from its snapped node.  ``probe0_mc`` returns the
-    reflected-mc estimate on probe 0's ensemble and ``chain`` is the chain-dp
-    estimate from slice 0; each is computed here when not given.  Probe 0 is
-    evaluated last, so that a shared estimate behind ``probe0_mc`` is built
-    only once no other probe's ensemble is alive.
+    chain comparison must sit within ``chain_budget``.  ``mc_params`` holds
+    the scenario's ``paths``, ``dt_path``, ``seed`` and ``basis_degree``, all
+    required.  Probe ``j`` simulates with seed ``seed + j`` from its snapped
+    node.  ``probe0_mc`` returns the reflected-mc estimate on probe 0's
+    ensemble and ``chain`` is the chain-dp estimate from slice 0; each is
+    computed here when not given.  Probe 0 is evaluated last, so that a
+    shared estimate behind ``probe0_mc`` is built only once no other probe's
+    ensemble is alive.
     """
     if sol is None:
         sol = solve_psor(spec, grid)
     chain = _chain_from(spec, grid, 0, chain)
-    paths = int(mc_params.get("paths", 10_000))
-    dt_path = float(mc_params.get("dt_path", grid.dt))
-    seed = int(mc_params.get("seed", 0))
-    degree = int(mc_params.get("basis_degree", 3))
+    paths = int(mc_params["paths"])
+    dt_path = float(mc_params["dt_path"])
+    seed = int(mc_params["seed"])
+    degree = int(mc_params["basis_degree"])
     bias = bias_constant * (grid.dt + grid.dx**2)
 
     rows = [None] * len(probes)
@@ -188,7 +190,7 @@ def check_representation_z(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
         mc = rbsde_reflected_mc(spec, ensemble, basis_degree)
     acc = 0.0
     for k in range(ensemble.n_steps):
-        zpde = interp_space_time(grid, z_grid, float(ensemble.t_nodes[k]), ensemble.X[k])
+        zpde = interp_space_time(grid, z_grid, float(ensemble.t_nodes[k]), ensemble.x(k))
         acc += float(np.mean((zpde - mc.z_at(k)) ** 2)) * ensemble.dt_path
     value = float(np.sqrt(acc))
     return _report("representation-z", value, z_budget, z_budget, 0.0, provenance,
@@ -215,6 +217,7 @@ def check_measure_identity(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s: fl
 
     The left side uses the exact chain-dp increments weighted by the discrete
     density (default) or reflected-mc K along simulated paths.  The MC route
+    (``mc_params`` with every ``mc.*`` key, as in ``check_representation_u``)
     is only quantitative when the regression basis spans the value function:
     its per-date increments (h - C)^+ inherit the full basis misfit, which
     swamps increments of size r dt on kinked payoffs.  ``chain`` (the chain-dp
@@ -224,7 +227,6 @@ def check_measure_identity(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s: fl
     if sol is None:
         sol = solve_psor(spec, grid)
     test_functions = default_test_functions(spec)
-    mc_params = mc_params or {}
     s_idx, x_idx = _snap_indices(grid, s, x)
     dens = _density_from(spec, grid, s_idx, x_idx, dens)
 
@@ -247,10 +249,12 @@ def check_measure_identity(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s: fl
             for name, xi in test_functions:
                 lefts[name] += float(np.sum(np.asarray(xi(t, grid.x_nodes), dtype=float) * row))
     elif method == "reflected-mc":
-        paths = int(mc_params.get("paths", 10_000))
-        dt_path = float(mc_params.get("dt_path", grid.dt))
-        seed = int(mc_params.get("seed", 0))
-        degree = int(mc_params.get("basis_degree", 3))
+        if mc_params is None:
+            raise ValueError("the reflected-mc route needs mc_params")
+        paths = int(mc_params["paths"])
+        dt_path = float(mc_params["dt_path"])
+        seed = int(mc_params["seed"])
+        degree = int(mc_params["basis_degree"])
         ens = simulate_paths(spec, float(grid.t_nodes[s_idx]), float(grid.x_nodes[x_idx]),
                              dt_path, paths, seed)
         mc = rbsde_reflected_mc(spec, ens, degree)
@@ -259,7 +263,7 @@ def check_measure_identity(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s: fl
             t = float(ens.t_nodes[k])
             _, _, dk = mc.at(k)
             for name, xi in test_functions:
-                per_path[name] += np.asarray(xi(t, ens.X[k]), dtype=float) * dk
+                per_path[name] += np.asarray(xi(t, ens.x(k)), dtype=float) * dk
         for name, _ in test_functions:
             lefts[name] = float(per_path[name].mean())
             stat = max(stat, 1.96 * float(per_path[name].std(ddof=1)) / np.sqrt(paths))
@@ -348,7 +352,7 @@ def _ac_path_sums(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: Path
     k_tilde = np.zeros(m)
     for k in range(n):
         t = float(ensemble.t_nodes[k])
-        xk = ensemble.X[k]
+        xk = ensemble.x(k)
         stencil = interp_stencil(grid, t, xk)
         u_itp = stencil.gather(sol.u_values)
         z_itp = stencil.gather(z_grid)
@@ -358,7 +362,7 @@ def _ac_path_sums(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: Path
         fval = np.asarray(spec.driver.f(t, xk, u_itp, z_itp), dtype=float)
         total += fval * dt + r_itp * dt - z_itp * ensemble.dW[k]
         k_tilde += r_itp * dt
-    phi_T = np.asarray(spec.obstacle.phi(ensemble.X[n]), dtype=float)
+    phi_T = np.asarray(spec.obstacle.phi(ensemble.x(n)), dtype=float)
     return phi_T + total - u_start, k_tilde
 
 

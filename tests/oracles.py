@@ -1,8 +1,76 @@
 """Independent oracles used by the tests: kept deliberately separate from the
 package so each check has a second route to the same number."""
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.stats import qmc
+
+
+@dataclass
+class StoredEnsemble:
+    """Every X and dW row of an ensemble held whole, as the package held them
+    before it kept only increments and checkpoints."""
+    s: float
+    x_start: float
+    dt_path: float
+    path_count: int
+    seed: int
+    t_nodes: np.ndarray          # n_steps + 1 times from s to T
+    X: np.ndarray                # (n_steps + 1, M)
+    dW: np.ndarray | None        # (n_steps, M); None when not stored
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.t_nodes) - 1
+
+
+def stored_simulate_paths(spec, s, x, dt_path, path_count, seed, store_dw=True):
+    """The storing simulator, block by block: each block of BLOCK_SIZE paths
+    draws its (n_steps, BLOCK_SIZE) normals at once and steps its own columns.
+    The package's lockstep stepper and checkpoint replay must reproduce every
+    X and dW row bit for bit."""
+    from parobs.errors import MissingDerivative
+    from parobs.stochastic import BLOCK_SIZE
+
+    coef = spec.coefficients
+    if coef.a_x is None:
+        raise MissingDerivative("path simulation needs the coefficient derivative a_x")
+    horizon = spec.T - s
+    if dt_path <= 0 or dt_path > horizon + 1e-15:
+        raise ValueError("need 0 < dt_path <= T - s")
+    n_steps = int(round(horizon / dt_path))
+    if abs(n_steps * dt_path - horizon) > 1e-9 * max(1.0, spec.T):
+        raise ValueError("dt_path must divide T - s")
+    t_nodes = s + dt_path * np.arange(n_steps + 1)
+
+    X = np.empty((n_steps + 1, path_count))
+    dW = np.empty((n_steps, path_count)) if store_dw else None
+    sdt = np.sqrt(dt_path)
+    done = 0
+    block = 0
+    while done < path_count:
+        bs = min(BLOCK_SIZE, path_count - done)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[seed, block])))
+        # always draw the full block so path i sees the same stream for any
+        # path_count (prefix stability); the tail of the last block is unused
+        z = rng.standard_normal((n_steps, BLOCK_SIZE))[:, :bs]
+        cols = slice(done, done + bs)
+        X[0, cols] = x
+        xk = np.full(bs, float(x))
+        for k in range(n_steps):
+            t = float(t_nodes[k])
+            drift = 0.5 * np.asarray(coef.a_x(t, xk), dtype=float)
+            sig = np.sqrt(np.asarray(coef.a(t, xk), dtype=float))
+            dw = sdt * z[k]
+            xk = xk + drift * dt_path + sig * dw
+            X[k + 1, cols] = xk
+            if store_dw:
+                dW[k, cols] = dw
+        done += bs
+        block += 1
+    return StoredEnsemble(s=s, x_start=float(x), dt_path=dt_path, path_count=path_count,
+                          seed=seed, t_nodes=t_nodes, X=X, dW=dW)
 
 
 def binomial_american_put(s0, strike, rate, sigma, T, steps):
@@ -125,7 +193,8 @@ def storing_lsmc(spec, ensemble, basis_degree, kind, n_penalty=0.0):
     """The LSMC backward loop with every field stored: Y (n + 1, m), Z and dK
     (n, m), plus Y0, its batch CI and the obstacle slack.
 
-    ``kind`` is "reflected" or "penalized".  Same arithmetic as the package
+    ``kind`` is "reflected" or "penalized"; ``ensemble`` holds X whole, as
+    ``stored_simulate_paths`` returns it.  Same arithmetic as the package
     schemes, but it materializes the per-date values as it goes instead of
     keeping regression coefficients, so it is the reference their accessors
     must reproduce bit for bit.
@@ -201,9 +270,10 @@ def storing_lsmc(spec, ensemble, basis_degree, kind, n_penalty=0.0):
 
 def three_pass_ac_path_sums(spec, grid, ensemble, sol):
     """``ac-measure``'s path loop with one full ``interp_space_time`` pass per
-    field: the per-path backward-equation residual of (u, sigma Du, K~) and
-    K~_T.  The package gathers all three fields from one stencil per date and
-    must reproduce these arrays bit for bit."""
+    field, on an ensemble that holds X whole (``stored_simulate_paths``): the
+    per-path backward-equation residual of (u, sigma Du, K~) and K~_T.  The
+    package gathers all three fields from one stencil per date and must
+    reproduce these arrays bit for bit."""
     from parobs.grid import interp_space_time
     from parobs.solver import z_field
 

@@ -60,6 +60,15 @@ def _parameters(qualname):
     return inspect.signature(_public_functions()[qualname]).parameters
 
 
+def _tracer():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import tracer
+    finally:
+        sys.path.remove(str(BENCH))
+    return tracer
+
+
 def test_defaulted_parameter_count_is_bounded():
     defaulted = [f"{q}({p.name})" for q, fn in _public_functions().items()
                  for p in inspect.signature(fn).parameters.values()
@@ -78,11 +87,7 @@ def test_names_the_benchmark_binds_are_present():
     from parobs.scenarios import Scenario
     from parobs.solver import DEFAULT_LCP_TOL
 
-    sys.path.insert(0, str(BENCH))
-    try:
-        import tracer
-    finally:
-        sys.path.remove(str(BENCH))
+    tracer = _tracer()
     functions = _public_functions()
     traced = set(tracer._probes()) | {n for names in tracer.TIMES.values() for n in names}
     assert sorted(traced - set(functions)) == []
@@ -92,3 +97,27 @@ def test_names_the_benchmark_binds_are_present():
     assert isinstance(_parameters("verify.check_minimality")["gap_budget"].default, float)
     assert DEFAULT_LCP_TOL > 0
     assert "tolerances" in {f.name for f in dataclasses.fields(Scenario)}
+
+
+def test_ensembles_keep_the_attributes_the_tracer_reads():
+    """The tracer sizes every ``simulate_paths`` result by ``X.nbytes`` and
+    ``dW``, counts draws from ``n_steps`` and ``path_count``, and keys each
+    LSMC call by its ensemble's seed, start and step."""
+    from parobs.scenarios import build_family
+    from parobs.stochastic import simulate_paths
+
+    assert list(_parameters("stochastic.simulate_paths")) == [
+        "spec", "s", "x", "dt_path", "path_count", "seed", "store_dw"]
+    spec = build_family("constant", {"problem.T": 1.0, "problem.x_lo": -8.0,
+                                     "problem.x_hi": 8.0, "problem.alpha": 1.0,
+                                     "problem.value": 1.0, "problem.a0": 1.0})
+    probes = _tracer()._probes()
+    for store_dw in (True, False):
+        ens = simulate_paths(spec, 0.0, 0.5, 0.1, 1000, 3, store_dw=store_dw)
+        held = probes["stochastic.simulate_paths"]({}, ens)
+        assert held == {"used": 10 * 1000, "drawn": 10 * 8192,
+                        "bytes": ens.X.nbytes + (ens.dW.nbytes if store_dw else 0)}
+        assert (ens.dW is not None) == store_dw
+        key = probes["stochastic.rbsde_reflected_mc"]({"ensemble": ens, "basis_degree": 3},
+                                                      None)["key"]
+        assert key == (3, 0.0, 0.5, 0.1, 1000, 3)

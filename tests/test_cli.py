@@ -215,10 +215,10 @@ def test_tolerance_overrides_reach_the_solver(tmp_path):
     assert sol.diagnostics["lcp_tol"] == 1e-6
 
 
-def _small_put(tmp_path):
+def _small_put(tmp_path, extra=()):
     text = scenario_path("american_put").read_text()
     for key, value in (("grid.nx", "40"), ("grid.nt", "40"), ("mc.paths", "2000"),
-                       ("mc.dt_path", "0.0125")):
+                       ("mc.dt_path", "0.0125"), *extra):
         text = "".join(row + "\n" for row in text.splitlines() if not row.startswith(key + " "))
         text += f"{key} = {value}\n"
     cfg = tmp_path / "small_put.cfg"
@@ -261,10 +261,10 @@ def test_verify_all_shares_one_reflected_mc_estimate(tmp_path, monkeypatch):
     assert seeds == [seed + 1, seed + 2, seed]
 
 
-def _small_put_setup(tmp_path):
+def _small_put_setup(tmp_path, extra=()):
     from parobs.solver import solve_psor
 
-    sc = load_scenario(_small_put(tmp_path))
+    sc = load_scenario(_small_put(tmp_path, extra))
     grid = SpaceTimeGrid.build(sc.spec, 40, 40)
     return sc.spec, grid, solve_psor(sc.spec, grid)
 
@@ -354,18 +354,20 @@ def test_cached_objects_must_start_where_the_check_does(tmp_path):
 
 
 def test_ac_measure_one_stencil_matches_three_interpolation_passes(tmp_path):
-    from oracles import three_pass_ac_path_sums
+    from oracles import stored_simulate_paths, three_pass_ac_path_sums
     from parobs.stochastic import simulate_paths
     from parobs.verify import _ac_path_sums
 
-    spec, grid, sol = _small_put_setup(tmp_path)
+    # a truncation narrow enough that paths leave it through both edges on
+    # their own, so the clamped branch of the stencil is exercised
+    spec, grid, sol = _small_put_setup(tmp_path, (("problem.x_lo", "-0.4"),
+                                                  ("problem.x_hi", "0.4")))
     ens = simulate_paths(spec, 0.0, 0.0, 0.0125, 3000, seed=11)
-    # push some paths onto and past both truncation edges, so the clamped
-    # branch of the stencil is exercised on every date
-    ens.X[:, :5] = spec.x_lo - np.linspace(0.0, 1.0, 5)
-    ens.X[:, 5:10] = spec.x_hi + np.linspace(0.0, 1.0, 5)
+    assert min(float(xk.min()) for xk in ens.rows()) < spec.x_lo
+    assert max(float(xk.max()) for xk in ens.rows()) > spec.x_hi
     residual, k_tilde = _ac_path_sums(spec, grid, ens, sol)
-    ref_residual, ref_k_tilde = three_pass_ac_path_sums(spec, grid, ens, sol)
+    stored = stored_simulate_paths(spec, 0.0, 0.0, 0.0125, 3000, seed=11)
+    ref_residual, ref_k_tilde = three_pass_ac_path_sums(spec, grid, stored, sol)
     assert np.array_equal(residual, ref_residual)
     assert np.array_equal(k_tilde, ref_k_tilde)
     assert np.all(np.isfinite(residual))

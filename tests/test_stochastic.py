@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from parobs.problem import Coefficients, Driver, ObstacleData, ObstacleProblemSp
 from parobs.scenarios import build_family
 from parobs.solver import frozen_driver_field, solve_psor, solve_unconstrained, z_field
 from parobs.stochastic import (
+    BLOCK_SIZE,
     estimate_g_integral,
     moment_ratio_probe,
     optimal_stopping_value,
@@ -21,7 +23,12 @@ from parobs.stochastic import (
     _Projection,
 )
 
-from oracles import binomial_american_put, lstsq_polynomial_fit, storing_lsmc
+from oracles import (
+    binomial_american_put,
+    lstsq_polynomial_fit,
+    stored_simulate_paths,
+    storing_lsmc,
+)
 
 
 def _const_family(a0=1.0, value=1.0, T=1.0):
@@ -34,22 +41,113 @@ def _const_family(a0=1.0, value=1.0, T=1.0):
 # ---------------------------------------------------------------------------
 # path simulation
 
+def _terminal(ens):
+    """X_T of an ensemble, read forward without holding the other dates."""
+    for xk in ens.rows():
+        pass
+    return xk
+
+
 def test_paths_reproducible_and_prefix_stable():
     spec = _const_family()
     e1 = simulate_paths(spec, 0.0, 0.3, 0.05, 1000, seed=42)
     e2 = simulate_paths(spec, 0.0, 0.3, 0.05, 1000, seed=42)
-    assert np.array_equal(e1.X, e2.X) and np.array_equal(e1.dW, e2.dW)
     bigger = simulate_paths(spec, 0.0, 0.3, 0.05, 1500, seed=42)
-    assert np.array_equal(bigger.X[:, :1000], e1.X)
     other = simulate_paths(spec, 0.0, 0.3, 0.05, 1000, seed=43)
-    assert not np.array_equal(other.X, e1.X)
+    assert np.array_equal(e1.dW, e2.dW) and np.array_equal(bigger.dW[:, :1000], e1.dW)
+    for k in range(e1.n_steps + 1):
+        assert np.array_equal(e1.x(k), e2.x(k))
+        assert np.array_equal(bigger.x(k)[:1000], e1.x(k))
+    assert not np.array_equal(other.x(e1.n_steps), e1.x(e1.n_steps))
+
+
+SCENARIO_FIXTURES = ["constant_scenario", "heat_scenario", "sine_scenario", "put_scenario",
+                     "quad_scenario"]
+
+
+@pytest.mark.parametrize("name", SCENARIO_FIXTURES)
+@pytest.mark.parametrize("start", [0.0, 0.25], ids=["s=0", "s=T/4"])
+def test_ensemble_rows_equal_the_storing_simulator(name, start, request):
+    """Lockstep draws, checkpoints and segment replay give every X_k and dW_k
+    of the block-by-block storing simulator, read in any order."""
+    spec = request.getfixturevalue(name).spec
+    s, x0 = start * spec.T, 0.5 * (spec.x_lo + spec.x_hi)
+    dt = (spec.T - s) / 40
+    m = 3 * BLOCK_SIZE + 123
+    ref = stored_simulate_paths(spec, s, x0, dt, m, seed=17)
+    ens = simulate_paths(spec, s, x0, dt, m, seed=17)
+    n = ens.n_steps
+    assert n == ref.n_steps and np.array_equal(ens.t_nodes, ref.t_nodes)
+    assert np.array_equal(ens.dW, ref.dW)
+    shuffled = list(np.random.default_rng(3).permutation(n + 1))
+    for order in (range(n + 1), range(n, -1, -1), shuffled):
+        for k in order:
+            assert np.array_equal(ens.x(k), ref.X[k]), k
+            if k < n:
+                assert np.array_equal(ens.dW[k], ref.dW[k]), k
+    streamed = simulate_paths(spec, s, x0, dt, m, seed=17, store_dw=False)
+    for k, (a, b, c) in enumerate(zip(streamed.rows(), ens.rows(), ref.X, strict=True)):
+        assert np.array_equal(a, c) and np.array_equal(b, c), k
+
+
+def test_ensemble_holds_increments_and_checkpoints_only():
+    spec = _const_family()
+    ens = simulate_paths(spec, 0.0, 0.0, 0.01, 3000, seed=5)   # n = 100, stride 10
+    assert ens.X.stride == 10
+    assert ens.X.nbytes == 11 * 3000 * 8 and ens.dW.nbytes == 100 * 3000 * 8
+    with pytest.raises(TypeError):
+        ens.X[3]   # no date indexing: a stale X[k] must not read a checkpoint row
+    with pytest.raises(IndexError):
+        ens.x(ens.n_steps + 1)
+    # a replayed row a caller holds survives the replay of another segment
+    held = ens.x(15)
+    kept = held.copy()
+    ens.x(95)
+    assert np.array_equal(held, kept) and np.array_equal(ens.x(15), kept)
+    for row in (ens.x(10), ens.x(15), ens.dW[0]):
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+    streamed = simulate_paths(spec, 0.0, 0.0, 0.01, 3000, seed=5, store_dw=False)
+    assert streamed.dW is None and streamed.X.nbytes == 0
+    with pytest.raises(ValueError, match="rows"):
+        streamed.x(0)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_stored_simulation_peaks_near_its_increments():
+    spec = _const_family()
+    n, m = 200, 20_000
+    ens, peak = _traced_peak(lambda: simulate_paths(spec, 0.0, 0.0, spec.T / n, m, seed=6))
+    assert ens.n_steps == n
+    assert peak <= 1.25 * n * m * 8
+
+
+def test_streaming_moment_probe_holds_no_path_by_date_field():
+    spec = _const_family()
+    n, m = 200, 20_000
+    ens = simulate_paths(spec, 0.0, 0.0, spec.T / n, m, seed=6, store_dw=False)
+    mr, peak = _traced_peak(lambda: moment_ratio_probe(ens, 4.0))
+    assert peak <= n * m * 8 / 8
+    ref = stored_simulate_paths(spec, 0.0, 0.0, spec.T / n, m, seed=6, store_dw=False)
+    sup = np.abs(ref.X).max(axis=0)
+    assert mr.sup_moment == float((sup**4.0).mean())
+    assert mr.terminal_moment == float((np.abs(ref.X[-1]) ** 4.0).mean())
 
 
 def test_brownian_variance_and_increment_mean():
     spec = _const_family()
     ens = simulate_paths(spec, 0.0, 0.0, 0.01, 40_000, seed=7)
-    assert np.all(ens.X[0] == 0.0)
-    var = ens.X[-1].var()
+    assert np.all(ens.x(0) == 0.0)
+    var = ens.x(ens.n_steps).var()
     ci = 3.0 * np.sqrt(2.0 / ens.path_count)  # var of chi2 estimate ~ 2 T^2 / M
     assert abs(var - 1.0) <= ci
     means = np.abs(ens.dW.mean(axis=1))
@@ -59,7 +157,7 @@ def test_brownian_variance_and_increment_mean():
 def test_scaled_diffusion_variance():
     spec = _const_family(a0=4.0)
     ens = simulate_paths(spec, 0.0, 1.0, 0.01, 40_000, seed=11, store_dw=False)
-    assert abs(ens.X[-1].var() - 4.0) <= 4.0 * 3.0 * np.sqrt(2.0 / ens.path_count)
+    assert abs(_terminal(ens).var() - 4.0) <= 4.0 * 3.0 * np.sqrt(2.0 / ens.path_count)
 
 
 def test_missing_derivative_raises():
@@ -82,7 +180,7 @@ def test_sine_law_matches_grid_density(sine_scenario):
     # histogram on blocks of 4 cells to keep per-bin noise below the budget
     stride = 4
     edges = grid.x_nodes[::stride]
-    hist, _ = np.histogram(ens.X[-1], bins=edges)
+    hist, _ = np.histogram(_terminal(ens), bins=edges)
     emp = hist / ens.path_count
     pde = np.add.reduceat(dens.values[-1][:len(edges) - 1 + (len(grid.x_nodes) - len(edges))],
                           np.arange(0, (len(edges) - 1) * stride, stride))[:len(edges) - 1]
@@ -210,7 +308,7 @@ def _fields(est):
     """An LSMC estimate's per-date values stacked into (Y, Z, dK) fields, Y
     with its terminal row phi(X_T): (n + 1, m), (n, m), (n, m)."""
     rows = [est.at(k) for k in range(est.ensemble.n_steps)]
-    y_T = np.asarray(est.spec.obstacle.phi(est.ensemble.X[-1]), dtype=float)
+    y_T = np.asarray(est.spec.obstacle.phi(est.ensemble.x(est.ensemble.n_steps)), dtype=float)
     return (np.vstack([r[0] for r in rows] + [y_T]), np.vstack([r[1] for r in rows]),
             np.vstack([r[2] for r in rows]))
 
@@ -239,7 +337,7 @@ def test_penalized_mc_inactive_collapses_to_terminal_mean(heat_scenario):
     ens = simulate_paths(spec, 0.0, 0.0, 0.05, 4000, seed=22)
     est = rbsde_penalized_mc(spec, ens, 256, 3)
     _, _, dK = _fields(est)
-    assert est.Y0 == pytest.approx(float(np.mean(spec.obstacle.phi(ens.X[-1]))), abs=1e-12)
+    assert est.Y0 == pytest.approx(float(np.mean(spec.obstacle.phi(ens.x(ens.n_steps)))), abs=1e-12)
     assert np.max(dK) == 0.0
 
 
@@ -248,8 +346,7 @@ def test_reflected_mc_contact_everywhere(quad_scenario):
     ens = simulate_paths(spec, 0.0, 0.0, spec.T / 100, 20_000, seed=23)
     est = rbsde_reflected_mc(spec, ens, 3)
     Y, _, dK = _fields(est)
-    h_vals = np.array([spec.obstacle.h(float(t), ens.X[k])
-                       for k, t in enumerate(ens.t_nodes)])
+    h_vals = np.array([spec.obstacle.h(float(t), xk) for t, xk in zip(ens.t_nodes, ens.rows())])
     # Y sticks to the obstacle except for fit extrapolation at extreme paths
     assert np.mean(np.abs(Y - h_vals)) <= 5e-3
     assert np.quantile(np.abs(Y - h_vals), 0.99) <= 2e-2
@@ -273,7 +370,7 @@ def test_discrete_skorokhod_flat_off_contact(put_scenario):
     ens = simulate_paths(spec, 0.0, -0.2, spec.T / 100, 5000, seed=25)
     est = rbsde_reflected_mc(spec, ens, 3)
     for k in range(ens.n_steps):
-        h_k = np.asarray(spec.obstacle.h(float(ens.t_nodes[k]), ens.X[k]), float)
+        h_k = np.asarray(spec.obstacle.h(float(ens.t_nodes[k]), ens.x(k)), float)
         y_k, _, dk_k = est.at(k)
         gap = (y_k - h_k) * dk_k
         assert np.max(np.abs(gap)) <= 1e-12  # dK > 0 only where Y = h exactly
@@ -324,9 +421,10 @@ def test_lsmc_accessors_match_storing_oracle(name, request):
     spec = request.getfixturevalue(name).spec
     x0 = 0.5 * (spec.x_lo + spec.x_hi)
     ens = simulate_paths(spec, 0.0, x0, spec.T / 40, 3000, seed=32)
+    stored = stored_simulate_paths(spec, 0.0, x0, spec.T / 40, 3000, seed=32)
     for kind, n_penalty, est in (("reflected", 0, rbsde_reflected_mc(spec, ens, 3)),
                                  ("penalized", 256, rbsde_penalized_mc(spec, ens, 256, 3))):
-        Y, Z, dK, y0, ci, slack = storing_lsmc(spec, ens, 3, kind, n_penalty)
+        Y, Z, dK, y0, ci, slack = storing_lsmc(spec, stored, 3, kind, n_penalty)
         assert (est.Y0, est.ci, est.obstacle_slack) == (y0, ci, slack)
         for k in range(ens.n_steps):
             y_k, z_k, dk_k = est.at(k)
@@ -344,17 +442,10 @@ def test_lsmc_accessors_match_storing_oracle(name, request):
 
 
 def test_reflected_mc_holds_no_path_by_date_field(put_scenario):
-    import tracemalloc
-
     spec = put_scenario.spec
     ens = simulate_paths(spec, 0.0, 0.0, spec.T / 200, 20_000, seed=33)
     field_bytes = ens.n_steps * ens.path_count * 8  # one (n, m) float64 field: 32 MB
-    tracemalloc.start()
-    try:
-        est = rbsde_reflected_mc(spec, ens, 3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    est, peak = _traced_peak(lambda: rbsde_reflected_mc(spec, ens, 3))
     assert peak <= field_bytes / 4
     assert est.coef.shape == (200, 2, 4) and est.K_T.shape == (20_000,)
 

@@ -30,7 +30,8 @@ def test_representation_u_trivial_on_constant(constant_scenario):
     spec = constant_scenario.spec
     grid = SpaceTimeGrid.build(spec, 40, 30)
     rep = check_representation_u(spec, grid, [(0.0, 0.0), (0.3, 2.0)],
-                                 {"paths": 1000, "dt_path": spec.T / 30, "seed": 1})
+                                 {"paths": 1000, "dt_path": spec.T / 30, "seed": 1,
+                                  "basis_degree": 3})
     assert rep.passed
     assert rep.discrepancy == pytest.approx(0.0, abs=1e-9)
 
@@ -39,7 +40,8 @@ def test_representation_u_reduces_to_feynman_kac_when_inactive(heat_scenario):
     spec = heat_scenario.spec
     grid = SpaceTimeGrid.build(spec, 120, 100)
     rep = check_representation_u(spec, grid, [(0.0, 0.0)],
-                                 {"paths": 20_000, "dt_path": spec.T / 100, "seed": 3})
+                                 {"paths": 20_000, "dt_path": spec.T / 100, "seed": 3,
+                                  "basis_degree": 3})
     assert rep.passed
 
 
@@ -156,7 +158,7 @@ def test_reports_are_pure(put_scenario):
     r1 = check_skorokhod(sol)
     r2 = check_skorokhod(sol)
     assert (r1.discrepancy, r1.budget, r1.passed) == (r2.discrepancy, r2.budget, r2.passed)
-    mcp = {"paths": 2000, "dt_path": spec.T / 40, "seed": 4}
+    mcp = {"paths": 2000, "dt_path": spec.T / 40, "seed": 4, "basis_degree": 3}
     m1 = check_measure_identity(spec, grid, 0.0, -0.2, sol=sol, mc_params=mcp,
                                 method="reflected-mc")
     m2 = check_measure_identity(spec, grid, 0.0, -0.2, sol=sol, mc_params=mcp,
@@ -170,9 +172,11 @@ def test_statistical_budget_halves_with_four_times_paths(heat_scenario):
     sol = solve_psor(spec, grid)
     probes = [(0.0, 0.0)]
     small = check_representation_u(spec, grid, probes,
-                                   {"paths": 4000, "dt_path": spec.T / 80, "seed": 9}, sol=sol)
+                                   {"paths": 4000, "dt_path": spec.T / 80, "seed": 9,
+                                    "basis_degree": 3}, sol=sol)
     big = check_representation_u(spec, grid, probes,
-                                 {"paths": 16_000, "dt_path": spec.T / 80, "seed": 9}, sol=sol)
+                                 {"paths": 16_000, "dt_path": spec.T / 80, "seed": 9,
+                                  "basis_degree": 3}, sol=sol)
     ratio = big.stat_part / small.stat_part
     assert ratio == pytest.approx(0.5, abs=0.15)
 
@@ -192,7 +196,8 @@ def test_scheme_agreement_on_cheap_scenarios(constant_scenario, heat_scenario, s
         grid = SpaceTimeGrid.build(spec, 100, 80)
         sol = solve_psor(spec, grid)
         rep = check_representation_u(spec, grid, [(0.0, 0.0)],
-                                     {"paths": 20_000, "dt_path": spec.T / 80, "seed": 13},
+                                     {"paths": 20_000, "dt_path": spec.T / 80, "seed": 13,
+                                      "basis_degree": 3},
                                      sol=sol, bias_constant=sc.calibration["fk_bias"])
         assert rep.passed, sc.name
 
@@ -207,7 +212,7 @@ def test_mc_z_estimator_against_closed_form_gradient(heat_scenario):
     mc = rbsde_reflected_mc(spec, ens, 3)
     acc = 0.0
     for k in range(ens.n_steps):
-        exact = heat_bump_gradient(float(ens.t_nodes[k]), ens.X[k], spec.T)
+        exact = heat_bump_gradient(float(ens.t_nodes[k]), ens.x(k), spec.T)
         acc += float(np.mean((exact - mc.z_at(k)) ** 2)) * ens.dt_path
     assert np.sqrt(acc) <= 0.2  # same budget the scenario freezes for rep-z
 

@@ -9,8 +9,9 @@ Extracts <git-ref> with ``git archive`` into a temporary directory, then runs
 under ``scenarios/``.  Each tree runs with its own ``src`` on PYTHONPATH and
 its own scenario files, under the same relative paths, so error text that
 names a path matches too.  Any difference in the CSVs, ``verify_report.txt``,
-stdout, stderr or exit code is reported.  Exit status: 0 when every pair is
-byte-identical, 1 otherwise.
+stdout, stderr or exit code is reported.  Each line also shows both sides'
+peak RSS, the child's own ``ru_maxrss``; it is informational only.  Exit
+status: 0 when every pair is byte-identical, 1 otherwise.
 
 Uses the standard library only; runs two CLI processes at a time.
 """
@@ -43,16 +44,24 @@ ENV_PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREAD
 
 
 def run_pair(tree: Path, run_root: Path, command: str, scenario: str) -> dict:
-    """One CLI call in ``run_root``; returns its exit code, streams and output files."""
+    """One CLI call in ``run_root``; returns its exit code, streams, output
+    files and peak RSS in MB."""
     out = Path("out") / f"{command}-{scenario}"
     argv = [sys.executable, "-m", "parobs.cli", "--scenario", f"scenarios/{scenario}.cfg",
             "--out", str(out), *COMMANDS[command]]
     env = {**os.environ, **ENV_PINS, "PYTHONPATH": str(tree / "src")}
-    proc = subprocess.run(argv, cwd=run_root, env=env, capture_output=True)
+    with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
+        proc = subprocess.Popen(argv, cwd=run_root, env=env, stdout=stdout, stderr=stderr)
+        # reap the child here, so its own resource usage is what we read
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        stdout.seek(0)
+        stderr.seek(0)
+        streams = {"stdout": stdout.read(), "stderr": stderr.read()}
     files = {p.name: p.read_bytes() for p in sorted((run_root / out).glob("*"))
              if p.suffix == ".csv" or p.name == "verify_report.txt"}
-    return {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr,
-            "files": files}
+    return {"exit": proc.returncode, **streams, "files": files,
+            "peak_rss_mb": usage.ru_maxrss / 1024}  # Linux reports kilobytes
 
 
 def differences(a: dict, b: dict) -> list:
@@ -95,6 +104,7 @@ def main(argv=None) -> int:
         diffs = differences(ref_run, work_run)
         status = "identical" if not diffs else "DIFFERS: " + ", ".join(diffs)
         print(f"{c:<20} {s:<14} exit {ref_run['exit']}/{work_run['exit']}  "
+              f"rss {ref_run['peak_rss_mb']:.0f}/{work_run['peak_rss_mb']:.0f} MB  "
               f"{len(work_run['files'])} files  {status}")
         failed += bool(diffs)
     print(f"{len(pairs) - failed} of {len(pairs)} pairs byte-identical against {ref}")
