@@ -73,6 +73,7 @@ from .stochastic import (
 )
 from .verify import (
     CheckReport,
+    VerifyContext,
     check_ac_measure,
     check_interval_measure,
     check_measure_identity,

@@ -11,14 +11,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage/validation error,
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParobsError, ScenarioError
-from .grid import SpaceTimeGrid, solve_density
+from .grid import SpaceTimeGrid
 from .problem import validate_hypotheses
 from .scenarios import Scenario, load_scenario
 from .solver import (
@@ -29,31 +28,8 @@ from .solver import (
     solve_penalized,
     solve_psor,
 )
-from .stochastic import (
-    moment_ratio_probe,
-    optimal_stopping_value,
-    rbsde_chain_dp,
-    rbsde_reflected_mc,
-    simulate_paths,
-)
-from .verify import (
-    CALIBRATION_DEFAULTS,
-    _snap_indices,
-    check_ac_measure,
-    check_interval_measure,
-    check_measure_identity,
-    check_minimality,
-    check_representation_u,
-    check_representation_z,
-    check_skorokhod,
-    check_weighted_bounds,
-)
-
-ALL_CHECKS = ("representation-u", "representation-z", "measure-identity", "interval-measure",
-              "skorokhod", "ac-measure", "weighted-bounds", "minimality")
-# the checks that read the shared chain-dp field or density
-_CHAIN_CHECKS = frozenset({"representation-u", "measure-identity", "interval-measure",
-                           "ac-measure"})
+from .stochastic import moment_ratio_probe, optimal_stopping_value, simulate_paths
+from .verify import VerifyContext, run_checks, select_checks
 
 
 def _f17(v) -> str:
@@ -185,88 +161,14 @@ def cmd_study(args) -> int:
     return 0
 
 
-def _run_checks(sc: Scenario, grid: SpaceTimeGrid, names, seed: int):
-    spec = sc.spec
-    cal = {**CALIBRATION_DEFAULTS, **sc.calibration}
-    mc = dict(sc.mc_params)
-    mc["seed"] = seed
-    prov = {"scenario": sc.name, "hash": sc.content_hash, "nx": grid.nx, "nt": grid.nt,
-            "paths": int(mc["paths"]), "seed": seed}
-    sol = solve_psor(spec, grid, **_solver_kwargs(sc, _PSOR_TOL_KEYS))
-    probe_x = 0.5 * (spec.x_lo + spec.x_hi)
-    _, x_idx = _snap_indices(grid, 0.0, probe_x)
-    degree = int(mc["basis_degree"])
-
-    # Each object below is built at most once per run.  The shared ensemble
-    # starts at the grid node the checks snap probe_x to, with the run seed:
-    # it is representation-u's first probe (evaluated after the other two, so
-    # their ensembles are freed before it is built), and the chain-dp and
-    # density references of ac-measure start at the same node.
-    @functools.cache
-    def ens():
-        return simulate_paths(spec, 0.0, float(grid.x_nodes[x_idx]), float(mc["dt_path"]),
-                              int(mc["paths"]), seed)
-
-    @functools.cache
-    def lsmc():
-        return rbsde_reflected_mc(spec, ens(), degree)
-
-    @functools.cache
-    def chain():
-        return rbsde_chain_dp(spec, grid, 0, x_idx)
-
-    @functools.cache
-    def dens():
-        return solve_density(spec, grid, 0, x_idx)
-
-    reports = []
-    for i, name in enumerate(names):
-        if name == "representation-u":
-            probes = [(0.0, probe_x), (0.25 * spec.T, probe_x),
-                      (0.0, probe_x + 0.25 * (spec.x_hi - spec.x_lo) / 2)]
-            rep = check_representation_u(spec, grid, probes, mc, sol=sol,
-                                         bias_constant=cal["fk_bias"],
-                                         provenance=prov, probe0_mc=lsmc, chain=chain())
-        elif name == "representation-z":
-            rep = check_representation_z(spec, grid, ens(), sol=sol, basis_degree=degree,
-                                         z_budget=cal["z_budget"], provenance=prov,
-                                         mc=lsmc())
-        elif name == "measure-identity":
-            rep = check_measure_identity(spec, grid, 0.0, probe_x, sol=sol, mc_params=mc,
-                                         provenance=prov, chain=chain(), dens=dens())
-        elif name == "interval-measure":
-            rep = check_interval_measure(spec, grid, 0.0, spec.T, (spec.x_lo, spec.x_hi),
-                                         sol=sol, provenance=prov, chain=chain())
-        elif name == "skorokhod":
-            rep = check_skorokhod(sol, provenance=prov)
-        elif name == "ac-measure":
-            rep = check_ac_measure(spec, grid, ens(), sol=sol, basis_degree=degree,
-                                   residual_budget=cal["ac_residual_budget"],
-                                   provenance=prov, mc=lsmc(), chain=chain(), dens=dens())
-        elif name == "weighted-bounds":
-            rep = check_weighted_bounds(spec, grid, bounds=(cal["weighted_lo"], cal["weighted_hi"]),
-                                        provenance=prov)
-        elif name == "minimality":
-            rep = check_minimality(spec, grid, [2**j for j in range(4, 13, 2)],
-                                   sol_psor=sol, provenance=prov)
-        else:
-            raise ScenarioError(f"unknown check {name!r}")
-        reports.append(rep)
-        if _CHAIN_CHECKS.isdisjoint(names[i + 1:]):
-            # no later check reads them: the remaining checks run without the
-            # fields held, as when each check built its own
-            chain.cache_clear()
-            dens.cache_clear()
-    return reports
-
-
 def cmd_verify(args) -> int:
+    names = select_checks(args.checks)  # checked before the scenario is loaded
     sc, grid, seed = _load(args)
-    names = ALL_CHECKS if args.checks == "all" else tuple(args.checks.split(","))
-    for name in names:
-        if name not in ALL_CHECKS:
-            raise ScenarioError(f"unknown check {name!r}; choose from {ALL_CHECKS}")
-    reports = _run_checks(sc, grid, names, seed)
+    mc = {**sc.mc_params, "seed": seed}
+    ctx = VerifyContext(sc.spec, grid, mc, sc.calibration, _solver_kwargs(sc, _PSOR_TOL_KEYS),
+                        {"scenario": sc.name, "hash": sc.content_hash, "nx": grid.nx,
+                         "nt": grid.nt, "paths": int(mc["paths"]), "seed": seed})
+    reports = run_checks(ctx, names)
     out = Path(args.out)
     prov = _provenance(sc, seed)
     rows = [(r.name, r.discrepancy, r.budget, r.bias_part, r.stat_part, int(r.passed))

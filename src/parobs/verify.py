@@ -10,16 +10,26 @@ allowed ratio and the budget is 1, so pass <=> discrepancy <= budget always
 holds; the raw per-part numbers live in ``details``.  ``CALIBRATION_DEFAULTS``
 holds each ``calibration.*`` budget a scenario leaves out; the fixed budgets
 are the other module constants.
+
+A check reads the objects it shares with other checks (the complementarity
+solution, the Monte Carlo ensemble and its reflected-LSMC fit, the chain-dp
+field and the densities) from a ``VerifyContext``, which builds each of them
+once, on first read.  ``CHECKS`` is the one table of the checks ``verify``
+runs: per name, the shared objects the check reads and how it is called.
+``run_checks`` runs names from it in order and releases each shared object
+after the last check that reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import ScenarioError
 from .grid import (
     DensityTable,
     SpaceTimeGrid,
@@ -42,6 +52,11 @@ from .stochastic import (
 
 __all__ = [
     "CheckReport",
+    "VerifyContext",
+    "CHECKS",
+    "ALL_CHECKS",
+    "select_checks",
+    "run_checks",
     "check_representation_u",
     "check_representation_z",
     "check_measure_identity",
@@ -88,58 +103,91 @@ def _snap_indices(grid: SpaceTimeGrid, s: float, x: float):
     return s_idx, x_idx
 
 
-def _chain_from(spec, grid, s_idx: int, chain: RbsdeEstimate | None) -> RbsdeEstimate:
-    """The chain-dp field from slice ``s_idx``: ``chain`` when given, else built.
+class VerifyContext:
+    """One verify run's inputs and the objects its checks share.
 
-    The field does not depend on the start node, so one estimate from
-    ``s_idx`` serves every check that starts there.
+    ``mc_params`` holds ``paths``, ``dt_path``, ``seed`` and ``basis_degree``;
+    ``calibration`` overrides ``CALIBRATION_DEFAULTS``; ``solver_kwargs``
+    reach the complementarity solve.  Each shared object is built on first
+    read and kept until ``release`` drops it:
+
+    * ``sol``: the complementarity (PSOR) solution;
+    * ``lsmc``: the reflected-LSMC fit on the run's ensemble (its
+      ``ensemble``), simulated from time 0 at the grid node ``x_index`` that
+      the domain midpoint ``probe_x`` snaps to, with the run seed;
+    * ``chain``: the chain-dp field from slice 0; its row k is the row k of
+      the field from any start slice k1 <= k, bit for bit;
+    * ``densities``: the densities ``density`` has solved, keyed by start node.
     """
-    if chain is None:
-        return rbsde_chain_dp(spec, grid, s_idx, 0)
-    if len(chain.t_nodes) != grid.nt - s_idx + 1:
-        raise ValueError(f"chain-dp estimate starts at slice {grid.nt + 1 - len(chain.t_nodes)}, "
-                         f"the check needs slice {s_idx}")
-    return chain
 
+    def __init__(self, spec: ObstacleProblemSpec, grid: SpaceTimeGrid, mc_params: dict,
+                 calibration: dict | None = None, solver_kwargs: dict | None = None,
+                 provenance: dict | None = None):
+        self.spec, self.grid = spec, grid
+        self.paths = int(mc_params["paths"])
+        self.dt_path = float(mc_params["dt_path"])
+        self.seed = int(mc_params["seed"])
+        self.basis_degree = int(mc_params["basis_degree"])
+        self.calibration = {**CALIBRATION_DEFAULTS, **(calibration or {})}
+        self.solver_kwargs = solver_kwargs or {}
+        self.provenance = provenance
+        self.probe_x = 0.5 * (spec.x_lo + spec.x_hi)
+        _, self.x_index = _snap_indices(grid, 0.0, self.probe_x)
 
-def _density_from(spec, grid, s_idx: int, x_idx: int, dens: DensityTable | None) -> DensityTable:
-    """The density from node (s_idx, x_idx): ``dens`` when given, else solved."""
-    if dens is None:
-        return solve_density(spec, grid, s_idx, x_idx)
-    if (dens.s_index, dens.x_index) != (s_idx, x_idx):
-        raise ValueError(f"density starts at node {(dens.s_index, dens.x_index)}, "
-                         f"the check needs node {(s_idx, x_idx)}")
-    return dens
+    @cached_property
+    def sol(self) -> ObstacleSolution:
+        return solve_psor(self.spec, self.grid, **self.solver_kwargs)
+
+    @cached_property
+    def lsmc(self) -> LsmcEstimate:
+        return self._fit(0, self.x_index, self.seed)
+
+    @cached_property
+    def chain(self) -> RbsdeEstimate:
+        return rbsde_chain_dp(self.spec, self.grid, 0, self.x_index)
+
+    @cached_property
+    def densities(self) -> dict:
+        return {}
+
+    def density(self, s_idx: int, x_idx: int) -> DensityTable:
+        """The density from grid node (s_idx, x_idx)."""
+        if (s_idx, x_idx) not in self.densities:
+            self.densities[s_idx, x_idx] = solve_density(self.spec, self.grid, s_idx, x_idx)
+        return self.densities[s_idx, x_idx]
+
+    def reflected_mc(self, s_idx: int, x_idx: int, seed: int) -> LsmcEstimate:
+        """The reflected-LSMC fit on an ensemble from grid node (s_idx, x_idx)
+        with ``seed``: ``lsmc`` for its node and seed, else a fit not kept."""
+        if (s_idx, x_idx, seed) == (0, self.x_index, self.seed):
+            return self.lsmc
+        return self._fit(s_idx, x_idx, seed)
+
+    def _fit(self, s_idx: int, x_idx: int, seed: int) -> LsmcEstimate:
+        ens = simulate_paths(self.spec, float(self.grid.t_nodes[s_idx]),
+                             float(self.grid.x_nodes[x_idx]), self.dt_path, self.paths, seed)
+        return rbsde_reflected_mc(self.spec, ens, self.basis_degree)
+
+    def release(self, name: str) -> None:
+        """Drop the shared object ``name``; a later read builds it again."""
+        vars(self).pop(name, None)
 
 
 # ---------------------------------------------------------------------------
 
-def check_representation_u(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, probes,
-                           mc_params: dict, sol: ObstacleSolution | None = None,
+def check_representation_u(ctx: VerifyContext, probes,
                            bias_constant: float = CALIBRATION_DEFAULTS["fk_bias"],
                            chain_budget: float = 1e-3,
-                           provenance: dict | None = None,
-                           probe0_mc: Callable[[], LsmcEstimate] | None = None,
-                           chain: RbsdeEstimate | None = None) -> CheckReport:
+                           provenance: dict | None = None) -> CheckReport:
     """Feynman-Kac check: grid solution against reflected-mc and chain-dp values.
 
     Per probe, the Monte Carlo budget is 3 CI + bias_constant (dt + dx^2); the
-    chain comparison must sit within ``chain_budget``.  ``mc_params`` holds
-    the scenario's ``paths``, ``dt_path``, ``seed`` and ``basis_degree``, all
-    required.  Probe ``j`` simulates with seed ``seed + j`` from its snapped
-    node.  ``probe0_mc`` returns the reflected-mc estimate on probe 0's
-    ensemble and ``chain`` is the chain-dp estimate from slice 0; each is
-    computed here when not given.  Probe 0 is evaluated last, so that a
-    shared estimate behind ``probe0_mc`` is built only once no other probe's
-    ensemble is alive.
+    chain comparison must sit within ``chain_budget``.  Probe ``j`` is fitted
+    by ``ctx.reflected_mc`` from its snapped node with seed ``seed + j``.
+    Probe 0 is evaluated last, so that when it is the context's shared fit,
+    that fit is built only once no other probe's ensemble is alive.
     """
-    if sol is None:
-        sol = solve_psor(spec, grid)
-    chain = _chain_from(spec, grid, 0, chain)
-    paths = int(mc_params["paths"])
-    dt_path = float(mc_params["dt_path"])
-    seed = int(mc_params["seed"])
-    degree = int(mc_params["basis_degree"])
+    grid, sol, chain = ctx.grid, ctx.sol, ctx.chain
     bias = bias_constant * (grid.dt + grid.dx**2)
 
     rows = [None] * len(probes)
@@ -149,11 +197,7 @@ def check_representation_u(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, probe
         s_idx, x_idx = _snap_indices(grid, *probes[j])
         s_snap, x_snap = float(grid.t_nodes[s_idx]), float(grid.x_nodes[x_idx])
         u_val = float(sol.u_values[s_idx, x_idx])
-        if j == 0 and probe0_mc is not None:
-            mc = probe0_mc()
-        else:
-            mc = rbsde_reflected_mc(spec, simulate_paths(spec, s_snap, x_snap, dt_path, paths,
-                                                         seed + j), degree)
+        mc = ctx.reflected_mc(s_idx, x_idx, ctx.seed + j)
         stats[j] = 3.0 * mc.ci
         mc_budget = stats[j] + bias
         mc_disc = abs(u_val - mc.Y0)
@@ -172,22 +216,15 @@ def check_representation_u(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, probe
                    {"probes": rows, "chain_budget": chain_budget})
 
 
-def check_representation_z(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
-                           ensemble: PathEnsemble, sol: ObstacleSolution | None = None,
-                           basis_degree: int = 3,
+def check_representation_z(ctx: VerifyContext,
                            z_budget: float = CALIBRATION_DEFAULTS["z_budget"],
-                           provenance: dict | None = None,
-                           mc: LsmcEstimate | None = None) -> CheckReport:
-    """Time-integrated RMS distance between sigma Du along paths and the MC Z.
-
-    ``mc`` is the reflected-mc estimate on ``ensemble`` at ``basis_degree``;
-    it is computed here when not given.
-    """
-    if sol is None:
-        sol = solve_psor(spec, grid)
-    z_grid = z_field(spec, grid, sol.u_values)
-    if mc is None:
-        mc = rbsde_reflected_mc(spec, ensemble, basis_degree)
+                           provenance: dict | None = None) -> CheckReport:
+    """Time-integrated RMS distance between sigma Du along the context's
+    ensemble and the Z of its reflected-LSMC fit."""
+    grid = ctx.grid
+    z_grid = z_field(ctx.spec, grid, ctx.sol.u_values)
+    mc = ctx.lsmc
+    ensemble = mc.ensemble
     acc = 0.0
     for k in range(ensemble.n_steps):
         zpde = interp_space_time(grid, z_grid, float(ensemble.t_nodes[k]), ensemble.x(k))
@@ -207,58 +244,35 @@ def default_test_functions(spec: ObstacleProblemSpec):
     ]
 
 
-def check_measure_identity(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s: float, x: float,
-                           sol: ObstacleSolution | None = None,
-                           mc_params: dict | None = None, method: str = "chain-dp",
-                           provenance: dict | None = None,
-                           chain: RbsdeEstimate | None = None,
-                           dens: DensityTable | None = None) -> CheckReport:
+def check_measure_identity(ctx: VerifyContext, s: float, x: float, method: str = "chain-dp",
+                           provenance: dict | None = None) -> CheckReport:
     """E int xi dK against the p-weighted cell sums of the measure density.
 
     The left side uses the exact chain-dp increments weighted by the discrete
-    density (default) or reflected-mc K along simulated paths.  The MC route
-    (``mc_params`` with every ``mc.*`` key, as in ``check_representation_u``)
-    is only quantitative when the regression basis spans the value function:
-    its per-date increments (h - C)^+ inherit the full basis misfit, which
-    swamps increments of size r dt on kinked payoffs.  ``chain`` (the chain-dp
-    estimate from the snapped start slice) and ``dens`` (the density from the
-    snapped start node) are computed here when not given.
+    density (default) or reflected-mc K along paths simulated from the
+    snapped start with the context's seed.  The MC route is only quantitative
+    when the regression basis spans the value function: its per-date
+    increments (h - C)^+ inherit the full basis misfit, which swamps
+    increments of size r dt on kinked payoffs.
     """
-    if sol is None:
-        sol = solve_psor(spec, grid)
+    spec, grid, sol = ctx.spec, ctx.grid, ctx.sol
     test_functions = default_test_functions(spec)
     s_idx, x_idx = _snap_indices(grid, s, x)
-    dens = _density_from(spec, grid, s_idx, x_idx, dens)
 
-    # right side: sum of xi p r over cells, one pass per test function
-    rights = {name: 0.0 for name, _ in test_functions}
-    for rel_k, k in enumerate(range(s_idx, grid.nt)):
-        t = float(grid.t_nodes[k])
-        pm = dens.values[rel_k]
-        row = pm * sol.r_values[k] * grid.dt
-        for name, xi in test_functions:
-            rights[name] += float(np.sum(np.asarray(xi(t, grid.x_nodes), dtype=float) * row))
-
+    # left side first, so the chain-dp pass or the fit runs with no density held
     lefts = {name: 0.0 for name, _ in test_functions}
     stat = 0.0
     if method == "chain-dp":
-        chain = _chain_from(spec, grid, s_idx, chain)
+        chain, dens = ctx.chain, ctx.density(s_idx, x_idx)
         for rel_k, k in enumerate(range(s_idx, grid.nt)):
             t = float(grid.t_nodes[k])
-            row = dens.values[rel_k] * chain.dK[rel_k]
+            row = dens.values[rel_k] * chain.dK[k]
             for name, xi in test_functions:
                 lefts[name] += float(np.sum(np.asarray(xi(t, grid.x_nodes), dtype=float) * row))
     elif method == "reflected-mc":
-        if mc_params is None:
-            raise ValueError("the reflected-mc route needs mc_params")
-        paths = int(mc_params["paths"])
-        dt_path = float(mc_params["dt_path"])
-        seed = int(mc_params["seed"])
-        degree = int(mc_params["basis_degree"])
-        ens = simulate_paths(spec, float(grid.t_nodes[s_idx]), float(grid.x_nodes[x_idx]),
-                             dt_path, paths, seed)
-        mc = rbsde_reflected_mc(spec, ens, degree)
-        per_path = {name: np.zeros(paths) for name, _ in test_functions}
+        mc = ctx.reflected_mc(s_idx, x_idx, ctx.seed)
+        ens = mc.ensemble
+        per_path = {name: np.zeros(ens.path_count) for name, _ in test_functions}
         for k in range(ens.n_steps):
             t = float(ens.t_nodes[k])
             _, _, dk = mc.at(k)
@@ -266,9 +280,19 @@ def check_measure_identity(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s: fl
                 per_path[name] += np.asarray(xi(t, ens.x(k)), dtype=float) * dk
         for name, _ in test_functions:
             lefts[name] = float(per_path[name].mean())
-            stat = max(stat, 1.96 * float(per_path[name].std(ddof=1)) / np.sqrt(paths))
+            stat = max(stat, 1.96 * float(per_path[name].std(ddof=1)) / np.sqrt(ens.path_count))
     else:
         raise ValueError(f"unknown method {method!r}")
+
+    # right side: sum of xi p r over cells, one pass per test function
+    dens = ctx.density(s_idx, x_idx)
+    rights = {name: 0.0 for name, _ in test_functions}
+    for rel_k, k in enumerate(range(s_idx, grid.nt)):
+        t = float(grid.t_nodes[k])
+        pm = dens.values[rel_k]
+        row = pm * sol.r_values[k] * grid.dt
+        for name, xi in test_functions:
+            rights[name] += float(np.sum(np.asarray(xi(t, grid.x_nodes), dtype=float) * row))
 
     rows = {}
     worst = 0.0
@@ -281,30 +305,25 @@ def check_measure_identity(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s: fl
     return _report("measure-identity", worst, 1.0, REL_BUDGET, stat, provenance, rows)
 
 
-def check_interval_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t1: float, t2: float,
-                           F: tuple[float, float], sol: ObstacleSolution | None = None,
-                           provenance: dict | None = None,
-                           chain: RbsdeEstimate | None = None) -> CheckReport:
+def check_interval_measure(ctx: VerifyContext, t1: float, t2: float, F: tuple[float, float],
+                           provenance: dict | None = None) -> CheckReport:
     """mu([t1, t2] x F) from cell sums against the chain expectation from every
     grid start integrated over the truncation.
 
-    ``chain`` is the chain-dp estimate from the first slice at or after t1;
-    it is computed here when not given.
+    mu lives on [0, T], so a window that starts before 0 is summed from 0.
     """
-    if sol is None:
-        sol = solve_psor(spec, grid)
-    k1 = int(np.ceil(t1 / grid.dt - 1e-12))
+    spec, grid, sol = ctx.spec, ctx.grid, ctx.sol
+    k1 = max(int(np.ceil(t1 / grid.dt - 1e-12)), 0)
     k2 = int(np.floor(t2 / grid.dt + 1e-12))  # steps with t1 <= t_k < t2
     f_mask = (grid.x_nodes >= F[0] - 1e-12) & (grid.x_nodes <= F[1] + 1e-12)
     f_mask[0] = f_mask[-1] = False
 
     left = 0.0
-    for k in range(max(k1, 0), min(k2, grid.nt)):
+    for k in range(k1, min(k2, grid.nt)):
         left += float(np.sum(sol.r_values[k, f_mask])) * grid.dx * grid.dt
 
     right = 0.0
     if k2 > k1 and k1 < grid.nt:
-        chain = _chain_from(spec, grid, k1, chain)
         # evolve the dx start measure with the mass-conserving reflecting
         # kernel: the continuum identity integrates starts over all of R, so
         # flux through the truncation must cancel rather than absorb; the
@@ -313,7 +332,7 @@ def check_interval_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t1: f
         w0[1:-1] = grid.dx
         laws = evolve_law(spec, grid, w0, k1, mode="reflecting")
         for k, w in islice(laws, min(k2, grid.nt) - k1):
-            right += float(np.sum(w[f_mask] * chain.dK[k - k1, f_mask]))
+            right += float(np.sum(w[f_mask] * ctx.chain.dK[k, f_mask]))
 
     scale = max(abs(left), abs(right))
     rel = 0.0 if scale < _TINY else abs(left - right) / scale
@@ -366,47 +385,34 @@ def _ac_path_sums(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: Path
     return phi_T + total - u_start, k_tilde
 
 
-def check_ac_measure(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: PathEnsemble,
-                     sol: ObstacleSolution | None = None, basis_degree: int = 3,
+def check_ac_measure(ctx: VerifyContext,
                      residual_budget: float = CALIBRATION_DEFAULTS["ac_residual_budget"],
-                     provenance: dict | None = None,
-                     mc: LsmcEstimate | None = None,
-                     chain: RbsdeEstimate | None = None,
-                     dens: DensityTable | None = None) -> CheckReport:
+                     provenance: dict | None = None) -> CheckReport:
     """Absolute-continuity check: K~ = int r(t, X_t) dt built from the grid
     density must make (u, sigma Du, K~) satisfy the backward equation along
-    paths, and its terminal mean must match the chain K expectation.
+    the context's ensemble, and its terminal mean must match the chain K
+    expectation from the ensemble's start node.
 
-    The reflected-mc terminal K is reported alongside for reference: its
-    per-date increments (h - C)^+ collect the positive part of the regression
-    error, a bias whose ratio to the CI does not shrink with the sample size,
-    so the exact chain expectation is the sound comparison target.  ``mc`` is
-    that estimate on ``ensemble`` at ``basis_degree``.  ``chain`` (the
-    chain-dp estimate from the snapped start slice) and ``dens`` (the density
-    from the snapped start node) are the chain-side references.  Each is
-    computed here when not given.
+    The terminal K of the context's reflected-LSMC fit is reported alongside
+    for reference: its per-date increments (h - C)^+ collect the positive
+    part of the regression error, a bias whose ratio to the CI does not
+    shrink with the sample size, so the exact chain expectation is the sound
+    comparison target.
     """
-    if sol is None:
-        sol = solve_psor(spec, grid)
-    residual, k_tilde = _ac_path_sums(spec, grid, ensemble, sol)
-    m = ensemble.path_count
+    grid, mc = ctx.grid, ctx.lsmc
+    residual, k_tilde = _ac_path_sums(ctx.spec, grid, mc.ensemble, ctx.sol)
     res_rms = float(np.sqrt(np.mean(residual**2)))
 
-    # exact chain expectation of K_T from the snapped ensemble start
-    s_idx, x_idx = _snap_indices(grid, float(ensemble.t_nodes[0]), ensemble.x_start)
-    chain = _chain_from(spec, grid, s_idx, chain)
-    dens = _density_from(spec, grid, s_idx, x_idx, dens)
+    chain, dens = ctx.chain, ctx.density(0, ctx.x_index)
     k_chain = 0.0
-    for rel_k in range(grid.nt - s_idx):
-        k_chain += float(np.sum(dens.values[rel_k] * chain.dK[rel_k]))
+    for k in range(grid.nt):
+        k_chain += float(np.sum(dens.values[k] * chain.dK[k]))
 
     mean_gap = abs(float(k_tilde.mean()) - k_chain)
-    stat = 3.0 * 1.96 * float(k_tilde.std(ddof=1)) / np.sqrt(m)
+    stat = 3.0 * 1.96 * float(k_tilde.std(ddof=1)) / np.sqrt(k_tilde.size)
     k_budget = stat + K_BIAS_CONSTANT * (grid.dt + grid.dx**2)
     worst = max(res_rms / residual_budget, mean_gap / max(k_budget, _TINY))
 
-    if mc is None:
-        mc = rbsde_reflected_mc(spec, ensemble, basis_degree)
     k_mc_mean = float(mc.K_T.mean())
     return _report("ac-measure", worst, 1.0, residual_budget, stat, provenance,
                    {"bsde_residual_rms": res_rms, "k_mean_gap": mean_gap,
@@ -467,20 +473,72 @@ def check_weighted_bounds(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     return _report("weighted-bounds", worst, 1.0, hi, 0.0, provenance, details)
 
 
-def check_minimality(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedule,
-                     sol_psor: ObstacleSolution | None = None, gap_budget: float = 1e-3,
+def check_minimality(ctx: VerifyContext, n_schedule, gap_budget: float = 1e-3,
                      provenance: dict | None = None) -> CheckReport:
     """Penalized solutions approach the unique complementarity solution from below."""
-    if sol_psor is None:
-        sol_psor = solve_psor(spec, grid)
     overshoot = 0.0
     last = None
     for n in n_schedule:
-        pen = solve_penalized(spec, grid, int(n))
-        overshoot = max(overshoot, float(np.max(pen.u_values - sol_psor.u_values)))
+        pen = solve_penalized(ctx.spec, ctx.grid, int(n))
+        overshoot = max(overshoot, float(np.max(pen.u_values - ctx.sol.u_values)))
         last = pen
-    gap = float(np.max(np.abs(last.u_values - sol_psor.u_values)))
+    gap = float(np.max(np.abs(last.u_values - ctx.sol.u_values)))
     worst = max(overshoot / DEFAULT_MONO_TOL, gap / gap_budget)
     return _report("minimality", worst, 1.0, gap_budget, 0.0, provenance,
                    {"overshoot": overshoot, "final_gap": gap,
                     "n_final": int(n_schedule[-1])})
+
+
+# ---------------------------------------------------------------------------
+# The registry of the checks `verify` runs
+
+class Check(NamedTuple):
+    reads: tuple[str, ...]  # the context's shared objects the check reads
+    run: Callable[[VerifyContext], CheckReport]
+
+
+# Each entry calls its check through this module's globals, so a rebinding of
+# a ``check_*`` attribute reaches the registry too.
+CHECKS = {
+    "representation-u": Check(("sol", "chain", "lsmc"), lambda c: check_representation_u(
+        c, [(0.0, c.probe_x), (0.25 * c.spec.T, c.probe_x),
+            (0.0, c.probe_x + 0.25 * (c.spec.x_hi - c.spec.x_lo) / 2)],
+        bias_constant=c.calibration["fk_bias"], provenance=c.provenance)),
+    "representation-z": Check(("sol", "lsmc"), lambda c: check_representation_z(
+        c, z_budget=c.calibration["z_budget"], provenance=c.provenance)),
+    "measure-identity": Check(("sol", "chain", "densities"), lambda c: check_measure_identity(
+        c, 0.0, c.probe_x, provenance=c.provenance)),
+    "interval-measure": Check(("sol", "chain"), lambda c: check_interval_measure(
+        c, 0.0, c.spec.T, (c.spec.x_lo, c.spec.x_hi), provenance=c.provenance)),
+    "skorokhod": Check(("sol",), lambda c: check_skorokhod(c.sol, provenance=c.provenance)),
+    "ac-measure": Check(("sol", "lsmc", "chain", "densities"), lambda c: check_ac_measure(
+        c, residual_budget=c.calibration["ac_residual_budget"], provenance=c.provenance)),
+    "weighted-bounds": Check((), lambda c: check_weighted_bounds(
+        c.spec, c.grid, bounds=(c.calibration["weighted_lo"], c.calibration["weighted_hi"]),
+        provenance=c.provenance)),
+    "minimality": Check(("sol",), lambda c: check_minimality(
+        c, [2**j for j in range(4, 13, 2)], provenance=c.provenance)),
+}
+ALL_CHECKS = tuple(CHECKS)
+
+
+def select_checks(text: str) -> tuple[str, ...]:
+    """The check names of a ``--checks`` value: 'all' or comma-separated names."""
+    names = ALL_CHECKS if text == "all" else tuple(text.split(","))
+    for name in names:
+        if name not in CHECKS:
+            raise ScenarioError(f"unknown check {name!r}; choose from {ALL_CHECKS}")
+    return names
+
+
+def run_checks(ctx: VerifyContext, names) -> list[CheckReport]:
+    """The reports of the named checks, run in order on ``ctx``.  Each shared
+    object is released after the last of them that reads it, so the checks
+    after it run without it held."""
+    last = {obj: i for i, name in enumerate(names) for obj in CHECKS[name].reads}
+    reports = []
+    for i, name in enumerate(names):
+        reports.append(CHECKS[name].run(ctx))
+        for obj in [obj for obj, j in last.items() if j == i]:
+            ctx.release(obj)
+    return reports

@@ -33,6 +33,7 @@ from parobs.stochastic import (
     snell_envelope_value,
 )
 from parobs.verify import (
+    VerifyContext,
     check_measure_identity,
     check_representation_u,
     check_skorokhod,
@@ -141,12 +142,11 @@ def test_criterion_3_skorokhod(all_scenarios, penalization_runs):
 
 
 def test_criterion_4_feynman_kac(put_scenario, put200, put_chain):
-    grid, sol = put200
+    grid, _ = put200
     spec = put_scenario.spec
     t0 = time.time()
     probes = [(0.0, 0.0), (0.0, -0.15), (0.0, 0.15), (0.125, 0.0), (0.25, -0.1)]
-    mcp = dict(put_scenario.mc_params)
-    rep = check_representation_u(spec, grid, probes, mcp, sol=sol,
+    rep = check_representation_u(VerifyContext(spec, grid, put_scenario.mc_params), probes,
                                  bias_constant=put_scenario.calibration["fk_bias"],
                                  chain_budget=1e-3)
     elapsed = time.time() - t0
@@ -160,15 +160,16 @@ def test_criterion_4_feynman_kac(put_scenario, put200, put_chain):
 
 def test_criterion_5_measure_identity(put_scenario, quad_scenario, put200, quad200):
     results = []
-    for sc, (grid, sol) in ((put_scenario, put200), (quad_scenario, quad200)):
-        rep = check_measure_identity(sc.spec, grid, 0.0, 0.0, sol=sol, method="chain-dp")
+    for sc, (grid, _) in ((put_scenario, put200), (quad_scenario, quad200)):
+        rep = check_measure_identity(VerifyContext(sc.spec, grid, sc.mc_params), 0.0, 0.0,
+                                     method="chain-dp")
         worst = max(v["rel"] for v in rep.details.values())
         results.append((f"{sc.name} chain", worst))
         assert rep.passed
     mcp = dict(quad_scenario.mc_params)
     mcp["paths"] = 100_000
-    rep_mc = check_measure_identity(quad_scenario.spec, quad200[0], 0.0, 0.0,
-                                    sol=quad200[1], mc_params=mcp, method="reflected-mc")
+    rep_mc = check_measure_identity(VerifyContext(quad_scenario.spec, quad200[0], mcp), 0.0, 0.0,
+                                    method="reflected-mc")
     worst_mc = max(v["rel"] for v in rep_mc.details.values())
     results.append((f"{quad_scenario.name} reflected-mc", worst_mc))
     passed = rep_mc.passed and all(w <= 5e-2 for _, w in results)

@@ -16,8 +16,10 @@ from pathlib import Path
 import parobs
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-MAX_DEFAULTED = 61
-# parameters no caller set, folded into module constants
+MAX_DEFAULTED = 43
+# parameters no caller set, folded into module constants, and the checks'
+# shared objects and Monte Carlo settings, which they now read from a
+# ``VerifyContext``
 REMOVED = {
     "grid.solve_density": ("mass_tol",),
     "grid.aronson_envelope_check": ("c_max", "burn_in_frac"),
@@ -25,11 +27,15 @@ REMOVED = {
     "solver.penalization_study": ("mono_tol",),
     "solver.picard_outer": ("max_outer", "outer_tol"),
     "solver.obstacle_stability": ("delta", "stability_C"),
-    "verify.check_measure_identity": ("rel_budget", "test_functions"),
-    "verify.check_interval_measure": ("rel_budget",),
+    "verify.check_representation_u": ("mc_params", "sol", "probe0_mc", "chain"),
+    "verify.check_representation_z": ("ensemble", "sol", "basis_degree", "mc"),
+    "verify.check_measure_identity": ("rel_budget", "test_functions", "sol", "mc_params",
+                                      "chain", "dens"),
+    "verify.check_interval_measure": ("rel_budget", "sol", "chain"),
     "verify.check_skorokhod": ("psor_budget", "penalty_constant"),
-    "verify.check_ac_measure": ("k_bias_constant",),
-    "verify.check_minimality": ("mono_tol",),
+    "verify.check_ac_measure": ("k_bias_constant", "ensemble", "sol", "basis_degree", "mc",
+                                "chain", "dens"),
+    "verify.check_minimality": ("mono_tol", "sol_psor"),
     "verify.check_weighted_bounds": ("weight", "phis", "g"),
 }
 # arguments the tracer's probes read from a bound call
@@ -60,13 +66,16 @@ def _parameters(qualname):
     return inspect.signature(_public_functions()[qualname]).parameters
 
 
-def _tracer():
+def _bench_module(name):
     sys.path.insert(0, str(BENCH))
     try:
-        import tracer
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH))
-    return tracer
+
+
+def _tracer():
+    return _bench_module("tracer")
 
 
 def test_defaulted_parameter_count_is_bounded():
@@ -80,6 +89,8 @@ def test_folded_parameters_stay_gone():
     back = [(q, p) for q, names in REMOVED.items() for p in names if p in _parameters(q)]
     assert back == []
     assert not hasattr(importlib.import_module("parobs.stochastic"), "solution_reward_field")
+    verify = importlib.import_module("parobs.verify")
+    assert not hasattr(verify, "_chain_from") and not hasattr(verify, "_density_from")
 
 
 def test_names_the_benchmark_binds_are_present():
@@ -121,3 +132,27 @@ def test_ensembles_keep_the_attributes_the_tracer_reads():
         key = probes["stochastic.rbsde_reflected_mc"]({"ensemble": ens, "basis_degree": 3},
                                                       None)["key"]
         assert key == (3, 0.0, 0.5, 0.1, 1000, 3)
+
+
+def test_the_check_registry_is_what_the_tracer_times(tmp_path):
+    """The tracer times each check by rebinding ``verify.check_*``; the
+    registry calls every check through those module attributes, so a run of
+    ``verify`` under an installed tracer records one span per check."""
+    from parobs.cli import main
+    from parobs.verify import CHECKS
+
+    tracer = _tracer()
+    assert tuple(CHECKS) == tracer.CHECKS
+    assert set(_bench_module("workloads").VERIFY_GRID_CHECKS.split(",")) <= set(CHECKS)
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "constant.cfg"
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        code = main(["--scenario", str(scenario), "--out", str(tmp_path), "verify",
+                     "--checks", "skorokhod,weighted-bounds"])
+    finally:
+        traced.uninstall()
+    assert code == 0
+    names = [span[0] for span in traced.spans]
+    assert names.count("verify.check_skorokhod") == 1
+    assert names.count("verify.check_weighted_bounds") == 1

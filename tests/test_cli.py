@@ -58,6 +58,13 @@ def test_unknown_check_exits_2(tmp_path):
     assert code == 2
 
 
+def test_unknown_check_exits_2_before_loading_the_scenario(tmp_path, capsys):
+    code = run(["--scenario", tmp_path / "nope.cfg", "--out", tmp_path,
+                "verify", "--checks", "skorokhod,bogus"])
+    assert code == 2
+    assert "unknown check 'bogus'" in capsys.readouterr().err
+
+
 def test_numeric_failure_exits_3(tmp_path):
     bad = tmp_path / "stiff.cfg"
     bad.write_text(
@@ -227,7 +234,6 @@ def _small_put(tmp_path, extra=()):
 
 
 def test_verify_all_shares_one_reflected_mc_estimate(tmp_path, monkeypatch):
-    import parobs.cli
     import parobs.verify
     from parobs import stochastic
     from parobs.grid import solve_density
@@ -246,10 +252,8 @@ def test_verify_all_shares_one_reflected_mc_estimate(tmp_path, monkeypatch):
         return stochastic.simulate_paths(spec, s, x, dt_path, path_count, seed, **kwargs)
 
     for fn in (stochastic.rbsde_reflected_mc, stochastic.rbsde_chain_dp, solve_density):
-        for module in (parobs.cli, parobs.verify):
-            monkeypatch.setattr(module, fn.__name__, counted(fn))
-    for module in (parobs.cli, parobs.verify):
-        monkeypatch.setattr(module, "simulate_paths", recorded)
+        monkeypatch.setattr(parobs.verify, fn.__name__, counted(fn))
+    monkeypatch.setattr(parobs.verify, "simulate_paths", recorded)
     cfg = _small_put(tmp_path)
     code = run(["--scenario", cfg, "--out", tmp_path / "o", "verify"])
     assert code == 0
@@ -269,88 +273,83 @@ def _small_put_setup(tmp_path, extra=()):
     return sc.spec, grid, solve_psor(sc.spec, grid)
 
 
+def _small_put_context(tmp_path):
+    """The context ``verify`` builds for the small put."""
+    from parobs.verify import VerifyContext
+
+    sc = load_scenario(_small_put(tmp_path))
+    return VerifyContext(sc.spec, SpaceTimeGrid.build(sc.spec, 40, 40), sc.mc_params,
+                         sc.calibration)
+
+
 def test_shared_estimate_gives_the_same_reports(tmp_path):
-    from parobs.stochastic import rbsde_reflected_mc, simulate_paths
-    from parobs.verify import check_ac_measure, check_representation_z
+    """representation-z and ac-measure read one shared fit from one context
+    and report what each reports on a context of its own."""
+    from parobs.verify import run_checks
 
-    spec, grid, sol = _small_put_setup(tmp_path)
-    ens = simulate_paths(spec, 0.0, 0.0, 0.0125, 2000, seed=5)
-    mc = rbsde_reflected_mc(spec, ens, 3)
-    for check in (check_representation_z, check_ac_measure):
-        assert check(spec, grid, ens, sol=sol, basis_degree=3, mc=mc) == \
-            check(spec, grid, ens, sol=sol, basis_degree=3)
-
-
-def test_shared_probe0_estimate_gives_the_same_representation_u(tmp_path):
-    from parobs.stochastic import rbsde_reflected_mc, simulate_paths
-    from parobs.verify import _snap_indices, check_representation_u
-
-    spec, grid, sol = _small_put_setup(tmp_path)
-    mc_params = {"paths": 2000, "dt_path": 0.0125, "seed": 5, "basis_degree": 3}
-    probes = [(0.0, 0.0), (0.25 * spec.T, 0.0), (0.0, 0.5)]
-    _, x_idx = _snap_indices(grid, 0.0, 0.0)
-    shared = rbsde_reflected_mc(spec, simulate_paths(spec, 0.0, float(grid.x_nodes[x_idx]),
-                                                     0.0125, 2000, 5), 3)
-    assert check_representation_u(spec, grid, probes, mc_params, sol=sol,
-                                  probe0_mc=lambda: shared) == \
-        check_representation_u(spec, grid, probes, mc_params, sol=sol)
+    names = ["representation-z", "ac-measure"]
+    shared = run_checks(_small_put_context(tmp_path), names)
+    assert shared == [run_checks(_small_put_context(tmp_path), [name])[0] for name in names]
 
 
 def test_verify_representation_u_matches_unshared_probes(tmp_path):
-    from parobs.cli import _run_checks
-    from parobs.verify import check_representation_u
+    """The registry's representation-u takes probe 0 from the context's
+    shared fit; every probe reads what a fresh ensemble from its snapped node
+    with seed ``seed + j`` gives."""
+    from parobs.stochastic import rbsde_reflected_mc, simulate_paths
+    from parobs.verify import run_checks
 
-    spec, grid, sol = _small_put_setup(tmp_path)
-    sc = load_scenario(_small_put(tmp_path))
-    seed = int(sc.mc_params["seed"])
-    probe_x = 0.5 * (spec.x_lo + spec.x_hi)
-    probes = [(0.0, probe_x), (0.25 * spec.T, probe_x),
-              (0.0, probe_x + 0.25 * (spec.x_hi - spec.x_lo) / 2)]
-    shared, = _run_checks(sc, grid, ["representation-u"], seed)
-    own = check_representation_u(spec, grid, probes, {**sc.mc_params, "seed": seed}, sol=sol,
-                                 bias_constant=sc.calibration["fk_bias"],
-                                 provenance=shared.provenance)
-    assert shared == own
-
-
-def test_cached_chain_and_density_give_the_same_reports(tmp_path):
-    from parobs.grid import solve_density
-    from parobs.stochastic import rbsde_chain_dp, simulate_paths
-    from parobs.verify import (_snap_indices, check_ac_measure, check_interval_measure,
-                               check_measure_identity, check_representation_u)
-
-    spec, grid, sol = _small_put_setup(tmp_path)
-    _, x_idx = _snap_indices(grid, 0.0, 0.0)
-    chain = rbsde_chain_dp(spec, grid, 0, x_idx)
-    dens = solve_density(spec, grid, 0, x_idx)
-    mc_params = {"paths": 1000, "dt_path": 0.0125, "seed": 5, "basis_degree": 3}
-    ens = simulate_paths(spec, 0.0, float(grid.x_nodes[x_idx]), 0.0125, 2000, seed=5)
-    checks = [
-        (lambda **kw: check_representation_u(spec, grid, [(0.0, 0.0), (0.1, 0.3)], mc_params,
-                                             sol=sol, **kw), {"chain": chain}),
-        (lambda **kw: check_measure_identity(spec, grid, 0.0, 0.0, sol=sol, **kw),
-         {"chain": chain, "dens": dens}),
-        (lambda **kw: check_interval_measure(spec, grid, 0.0, spec.T, (-1.0, 1.0), sol=sol, **kw),
-         {"chain": chain}),
-        (lambda **kw: check_ac_measure(spec, grid, ens, sol=sol, **kw),
-         {"chain": chain, "dens": dens}),
-    ]
-    for check, cached in checks:
-        assert check(**cached) == check()
+    ctx = _small_put_context(tmp_path)
+    rep, = run_checks(ctx, ["representation-u"])
+    assert vars(ctx).keys().isdisjoint({"sol", "lsmc", "chain"})  # released after the check
+    probes = rep.details["probes"]
+    assert (probes[0]["s"], probes[0]["x"]) == (0.0, float(ctx.grid.x_nodes[ctx.x_index]))
+    for j, row in enumerate(probes):
+        ens = simulate_paths(ctx.spec, row["s"], row["x"], ctx.dt_path, ctx.paths, ctx.seed + j)
+        own = rbsde_reflected_mc(ctx.spec, ens, ctx.basis_degree)
+        assert (row["mc_Y0"], row["mc_ci"]) == (own.Y0, own.ci)
 
 
-def test_cached_objects_must_start_where_the_check_does(tmp_path):
-    from parobs.grid import solve_density
-    from parobs.stochastic import rbsde_chain_dp
-    from parobs.verify import check_interval_measure, check_measure_identity
+def test_registry_releases_the_ensemble_after_its_last_reader(tmp_path, monkeypatch):
+    """Under representation-z,skorokhod,minimality the ensemble and its fit
+    are released after representation-z, so minimality runs without them."""
+    import weakref
 
-    spec, grid, sol = _small_put_setup(tmp_path)
-    with pytest.raises(ValueError, match="slice"):
-        check_interval_measure(spec, grid, 0.0, spec.T, (-1.0, 1.0), sol=sol,
-                               chain=rbsde_chain_dp(spec, grid, 3, 1))
-    with pytest.raises(ValueError, match="node"):
-        check_measure_identity(spec, grid, 0.0, 0.0, sol=sol,
-                               dens=solve_density(spec, grid, 0, 1))
+    import parobs.verify
+    from parobs import stochastic
+
+    ensembles = []
+
+    def recorded(*args, **kwargs):
+        ens = stochastic.simulate_paths(*args, **kwargs)
+        ensembles.append(weakref.ref(ens))
+        return ens
+
+    alive = []
+    real_minimality = parobs.verify.check_minimality
+
+    def minimality(*args, **kwargs):
+        alive.extend(ref() is not None for ref in ensembles)
+        return real_minimality(*args, **kwargs)
+
+    monkeypatch.setattr(parobs.verify, "simulate_paths", recorded)
+    monkeypatch.setattr(parobs.verify, "check_minimality", minimality)
+    code = run(["--scenario", _small_put(tmp_path), "--out", tmp_path / "o", "verify",
+                "--checks", "representation-z,skorokhod,minimality"])
+    assert code == 0
+    assert alive == [False]
+
+
+def test_each_registry_entry_builds_the_objects_it_declares(tmp_path):
+    """Run alone on a fresh context, a check builds exactly the shared
+    objects its entry lists, so release after the last reader frees
+    everything a run built."""
+    from parobs.verify import CHECKS
+
+    for name, check in CHECKS.items():
+        ctx = _small_put_context(tmp_path)
+        check.run(ctx)
+        assert set(vars(ctx)) & {"sol", "lsmc", "chain", "densities"} == set(check.reads), name
 
 
 def test_ac_measure_one_stencil_matches_three_interpolation_passes(tmp_path):
@@ -553,8 +552,7 @@ def test_budgets_without_calibration_lines_equal_the_check_defaults(tmp_path, mo
     ``verify`` judge by the same budget."""
     import inspect
 
-    import parobs.cli
-    from parobs.cli import _run_checks
+    import parobs.verify
     from parobs.verify import CheckReport
 
     cfg = _small_put(tmp_path)
@@ -566,15 +564,15 @@ def test_budgets_without_calibration_lines_equal_the_check_defaults(tmp_path, mo
                "check_ac_measure": "residual_budget", "check_weighted_bounds": "bounds"}
     passed, defaults = {}, {}
     for name, param in budgets.items():
-        check = getattr(parobs.cli, name)
+        check = getattr(parobs.verify, name)
         defaults[name] = inspect.signature(check).parameters[param].default
 
         def recording(*args, _name=name, _param=param, **kwargs):
             passed[_name] = kwargs[_param]
             return CheckReport(_name, 0.0, 1.0, 0.0, 0.0, True)
-        monkeypatch.setattr(parobs.cli, name, recording)
-    grid = SpaceTimeGrid.build(sc.spec, 40, 40)
-    _run_checks(sc, grid, ("representation-u", "representation-z", "ac-measure",
-                           "weighted-bounds"), 1)
+        monkeypatch.setattr(parobs.verify, name, recording)
+    code = run(["--scenario", cfg, "--out", tmp_path / "o", "verify", "--checks",
+                "representation-u,representation-z,ac-measure,weighted-bounds"])
+    assert code == 0
     # fk_bias, z_budget, ac_residual_budget, and (weighted_lo, weighted_hi)
     assert passed == defaults

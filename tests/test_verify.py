@@ -6,6 +6,7 @@ from parobs.grid import SpaceTimeGrid, evolve_law
 from parobs.solver import as_obstacle_solution, solve_penalized, solve_psor
 from parobs.stochastic import rbsde_chain_dp, simulate_paths
 from parobs.verify import (
+    VerifyContext,
     check_ac_measure,
     check_interval_measure,
     check_measure_identity,
@@ -20,18 +21,23 @@ from parobs.verify import (
 from oracles import gaussian_kernel_weight_ratio
 
 
+def _mc(paths, dt_path, seed):
+    return {"paths": paths, "dt_path": dt_path, "seed": seed, "basis_degree": 3}
+
+
 @pytest.fixture(scope="module")
 def quad200(quad_scenario):
+    """A context on obstacle-quad at 200 x 200; the tests share its solution,
+    chain-dp field and densities."""
     grid = SpaceTimeGrid.build(quad_scenario.spec, 200, 200)
-    return grid, solve_psor(quad_scenario.spec, grid)
+    return VerifyContext(quad_scenario.spec, grid, quad_scenario.mc_params)
 
 
 def test_representation_u_trivial_on_constant(constant_scenario):
     spec = constant_scenario.spec
     grid = SpaceTimeGrid.build(spec, 40, 30)
-    rep = check_representation_u(spec, grid, [(0.0, 0.0), (0.3, 2.0)],
-                                 {"paths": 1000, "dt_path": spec.T / 30, "seed": 1,
-                                  "basis_degree": 3})
+    rep = check_representation_u(VerifyContext(spec, grid, _mc(1000, spec.T / 30, 1)),
+                                 [(0.0, 0.0), (0.3, 2.0)])
     assert rep.passed
     assert rep.discrepancy == pytest.approx(0.0, abs=1e-9)
 
@@ -39,55 +45,55 @@ def test_representation_u_trivial_on_constant(constant_scenario):
 def test_representation_u_reduces_to_feynman_kac_when_inactive(heat_scenario):
     spec = heat_scenario.spec
     grid = SpaceTimeGrid.build(spec, 120, 100)
-    rep = check_representation_u(spec, grid, [(0.0, 0.0)],
-                                 {"paths": 20_000, "dt_path": spec.T / 100, "seed": 3,
-                                  "basis_degree": 3})
+    rep = check_representation_u(VerifyContext(spec, grid, _mc(20_000, spec.T / 100, 3)),
+                                 [(0.0, 0.0)])
     assert rep.passed
 
 
 def test_representation_z_closed_form_heat(heat_scenario):
     spec = heat_scenario.spec
     grid = SpaceTimeGrid.build(spec, 150, 100)
-    sol = solve_psor(spec, grid)
-    ens = simulate_paths(spec, 0.0, 0.0, spec.T / 100, 20_000, 5)
-    rep = check_representation_z(spec, grid, ens, sol=sol, z_budget=0.2)
+    ctx = VerifyContext(spec, grid, _mc(20_000, spec.T / 100, 5))
+    rep = check_representation_z(ctx, z_budget=0.2)
     assert rep.passed
 
 
 def test_measure_identity_trivial_and_active(heat_scenario, quad_scenario, quad200):
     spec_h = heat_scenario.spec
     grid_h = SpaceTimeGrid.build(spec_h, 80, 60)
-    rep = check_measure_identity(spec_h, grid_h, 0.0, 0.0)
+    rep = check_measure_identity(VerifyContext(spec_h, grid_h, heat_scenario.mc_params), 0.0, 0.0)
     assert rep.passed
     assert all(v["left"] == 0.0 and v["right"] == 0.0 for v in rep.details.values())
 
-    grid_q, sol_q = quad200
-    rep_q = check_measure_identity(quad_scenario.spec, grid_q, 0.0, 0.0, sol=sol_q)
+    rep_q = check_measure_identity(quad200, 0.0, 0.0)
     assert rep_q.passed
     assert rep_q.discrepancy <= 1e-10  # both sides identical sums on the chain
 
-    mcp = {"paths": 20_000, "dt_path": quad_scenario.spec.T / 200, "seed": 6, "basis_degree": 3}
-    rep_mc = check_measure_identity(quad_scenario.spec, grid_q, 0.0, 0.0, sol=sol_q,
-                                    mc_params=mcp, method="reflected-mc")
+    ctx_mc = VerifyContext(quad_scenario.spec, quad200.grid,
+                           _mc(20_000, quad_scenario.spec.T / 200, 6))
+    rep_mc = check_measure_identity(ctx_mc, 0.0, 0.0, method="reflected-mc")
     assert rep_mc.passed
 
 
 def test_interval_measure_windows(quad_scenario, quad200):
     spec = quad_scenario.spec
-    grid, sol = quad200
-    total = check_interval_measure(spec, grid, 0.0, spec.T, (spec.x_lo, spec.x_hi), sol=sol)
+    total = check_interval_measure(quad200, 0.0, spec.T, (spec.x_lo, spec.x_hi))
     assert total.passed
-    window = check_interval_measure(spec, grid, 0.1, 0.3, (-1.0, 1.0), sol=sol)
+    window = check_interval_measure(quad200, 0.1, 0.3, (-1.0, 1.0))
     assert window.passed
-    degenerate = check_interval_measure(spec, grid, 0.2, 0.2, (spec.x_lo, spec.x_hi), sol=sol)
+    degenerate = check_interval_measure(quad200, 0.2, 0.2, (spec.x_lo, spec.x_hi))
     assert degenerate.details["left"] == 0.0 and degenerate.details["right"] == 0.0
+    # mu lives on [0, T]: a window opened before 0 sums what the one from 0 does
+    early = check_interval_measure(quad200, -0.1, 0.3, (-1.0, 1.0)).details
+    from_0 = check_interval_measure(quad200, 0.0, 0.3, (-1.0, 1.0)).details
+    assert (early["left"], early["right"]) == (from_0["left"], from_0["right"]) != (0.0, 0.0)
 
 
 def test_interval_measure_outside_contact(put_scenario):
     spec = put_scenario.spec
     grid = SpaceTimeGrid.build(spec, 100, 80)
-    sol = solve_psor(spec, grid)
-    rep = check_interval_measure(spec, grid, 0.0, spec.T, (1.0, 2.0), sol=sol)
+    rep = check_interval_measure(VerifyContext(spec, grid, put_scenario.mc_params), 0.0, spec.T,
+                                 (1.0, 2.0))
     # far out of the money u - h sits below the binding tolerance, leaving
     # residual dust in r; both sides are zero up to that dust
     assert rep.details["left"] <= 1e-12 and rep.details["right"] <= 1e-12
@@ -118,8 +124,8 @@ def test_skorokhod_guards_zero_normalizer(heat_scenario):
 def test_ac_measure_inactive(heat_scenario):
     spec = heat_scenario.spec
     grid = SpaceTimeGrid.build(spec, 100, 80)
-    ens = simulate_paths(spec, 0.0, 0.0, spec.T / 80, 10_000, 8)
-    rep = check_ac_measure(spec, grid, ens, residual_budget=0.05)
+    rep = check_ac_measure(VerifyContext(spec, grid, _mc(10_000, spec.T / 80, 8)),
+                           residual_budget=0.05)
     assert rep.passed
     assert rep.details["k_tilde_mean"] == 0.0
 
@@ -141,12 +147,14 @@ def test_weighted_bounds_unit_ratio_and_quadrature_oracle(heat_scenario):
 
 def test_minimality_equalities(heat_scenario, quad_scenario):
     grid_h = SpaceTimeGrid.build(heat_scenario.spec, 60, 40)
-    rep_h = check_minimality(heat_scenario.spec, grid_h, [16, 64])
+    rep_h = check_minimality(VerifyContext(heat_scenario.spec, grid_h, heat_scenario.mc_params),
+                             [16, 64])
     assert rep_h.passed
     assert rep_h.details["final_gap"] <= 1e-8
 
     grid_q = SpaceTimeGrid.build(quad_scenario.spec, 60, 40)
-    rep_q = check_minimality(quad_scenario.spec, grid_q, [256, 4096])
+    rep_q = check_minimality(VerifyContext(quad_scenario.spec, grid_q, quad_scenario.mc_params),
+                             [256, 4096])
     assert rep_q.passed
     assert rep_q.details["overshoot"] <= 1e-10
 
@@ -158,25 +166,17 @@ def test_reports_are_pure(put_scenario):
     r1 = check_skorokhod(sol)
     r2 = check_skorokhod(sol)
     assert (r1.discrepancy, r1.budget, r1.passed) == (r2.discrepancy, r2.budget, r2.passed)
-    mcp = {"paths": 2000, "dt_path": spec.T / 40, "seed": 4, "basis_degree": 3}
-    m1 = check_measure_identity(spec, grid, 0.0, -0.2, sol=sol, mc_params=mcp,
-                                method="reflected-mc")
-    m2 = check_measure_identity(spec, grid, 0.0, -0.2, sol=sol, mc_params=mcp,
-                                method="reflected-mc")
+    m1, m2 = (check_measure_identity(VerifyContext(spec, grid, _mc(2000, spec.T / 40, 4)),
+                                     0.0, -0.2, method="reflected-mc") for _ in range(2))
     assert m1.details == m2.details
 
 
 def test_statistical_budget_halves_with_four_times_paths(heat_scenario):
     spec = heat_scenario.spec
     grid = SpaceTimeGrid.build(spec, 100, 80)
-    sol = solve_psor(spec, grid)
     probes = [(0.0, 0.0)]
-    small = check_representation_u(spec, grid, probes,
-                                   {"paths": 4000, "dt_path": spec.T / 80, "seed": 9,
-                                    "basis_degree": 3}, sol=sol)
-    big = check_representation_u(spec, grid, probes,
-                                 {"paths": 16_000, "dt_path": spec.T / 80, "seed": 9,
-                                  "basis_degree": 3}, sol=sol)
+    small = check_representation_u(VerifyContext(spec, grid, _mc(4000, spec.T / 80, 9)), probes)
+    big = check_representation_u(VerifyContext(spec, grid, _mc(16_000, spec.T / 80, 9)), probes)
     ratio = big.stat_part / small.stat_part
     assert ratio == pytest.approx(0.5, abs=0.15)
 
@@ -194,11 +194,8 @@ def test_scheme_agreement_on_cheap_scenarios(constant_scenario, heat_scenario, s
     for sc in (constant_scenario, heat_scenario, sine_scenario):
         spec = sc.spec
         grid = SpaceTimeGrid.build(spec, 100, 80)
-        sol = solve_psor(spec, grid)
-        rep = check_representation_u(spec, grid, [(0.0, 0.0)],
-                                     {"paths": 20_000, "dt_path": spec.T / 80, "seed": 13,
-                                      "basis_degree": 3},
-                                     sol=sol, bias_constant=sc.calibration["fk_bias"])
+        rep = check_representation_u(VerifyContext(spec, grid, _mc(20_000, spec.T / 80, 13)),
+                                     [(0.0, 0.0)], bias_constant=sc.calibration["fk_bias"])
         assert rep.passed, sc.name
 
 
@@ -220,9 +217,8 @@ def test_mc_z_estimator_against_closed_form_gradient(heat_scenario):
 def test_representation_z_exact_zero_on_constant(constant_scenario):
     spec = constant_scenario.spec
     grid = SpaceTimeGrid.build(spec, 40, 30)
-    sol = solve_psor(spec, grid)
-    ens = simulate_paths(spec, 0.0, 0.0, spec.T / 30, 2000, 16)
-    rep = check_representation_z(spec, grid, ens, sol=sol, z_budget=1e-8)
+    rep = check_representation_z(VerifyContext(spec, grid, _mc(2000, spec.T / 30, 16)),
+                                 z_budget=1e-8)
     assert rep.passed
     assert rep.discrepancy <= 1e-12
 
@@ -231,9 +227,12 @@ def test_representation_z_exact_zero_on_constant(constant_scenario):
 def test_interval_measure_carries_the_law_only_to_the_last_slice_summed(
         monkeypatch, quad_scenario, quad200, t1, t2):
     """Each summed slice after the first costs one kernel step, and none is
-    taken past the last one; the sum is the unbounded loop's to the bit."""
+    taken past the last one; the sum is the unbounded loop's on the chain-dp
+    field started at the window's first slice, to the bit, although the
+    check reads the context's field from slice 0 at a row offset."""
     spec = quad_scenario.spec
-    grid, sol = quad200
+    grid = quad200.grid
+    quad200.sol, quad200.chain  # built before the kernel calls are counted
     t2 = spec.T if t2 is None else t2
     k1 = int(np.ceil(t1 / grid.dt - 1e-12))
     k_end = min(int(np.floor(t2 / grid.dt + 1e-12)), grid.nt)
@@ -252,6 +251,20 @@ def test_interval_measure_carries_the_law_only_to_the_last_slice_summed(
     real = grid_mod.transition_kernel
     monkeypatch.setattr(grid_mod, "transition_kernel",
                         lambda *a, **kw: steps.append(a[2]) or real(*a, **kw))
-    rep = check_interval_measure(spec, grid, t1, t2, (-1.0, 1.0), sol=sol, chain=chain)
+    rep = check_interval_measure(quad200, t1, t2, (-1.0, 1.0))
     assert steps == list(range(k1, k_end - 1))  # slices summed: k1 .. k_end - 1
     assert rep.details["right"] == right
+
+
+@pytest.mark.parametrize("name", ["put_scenario", "quad_scenario", "sine_scenario"])
+def test_chain_from_slice_0_serves_later_starts_by_row_offset(request, name):
+    """Row k of the chain-dp field from slice 0 is row k - k1 of the field
+    from slice k1, bit for bit, which is how the checks read the context's
+    one field from any start slice."""
+    spec = request.getfixturevalue(name).spec
+    grid = SpaceTimeGrid.build(spec, 60, 100)
+    whole = rbsde_chain_dp(spec, grid, 0, 0)
+    for k1 in (1, 17, 50, 99):
+        late = rbsde_chain_dp(spec, grid, k1, 0)
+        for field in ("Y", "Z", "dK"):
+            assert np.array_equal(getattr(whole, field)[k1:], getattr(late, field)), (k1, field)

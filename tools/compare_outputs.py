@@ -3,10 +3,12 @@
     python tools/compare_outputs.py <git-ref>
 
 Extracts <git-ref> with ``git archive`` into a temporary directory, then runs
-45 command x scenario pairs against both trees: ``solve`` with both methods,
-``study`` penalization, picard and stability, ``verify --checks all``,
-``simulate``, ``stop-value`` and ``moments``, each on the five scenarios
-under ``scenarios/``.  Each tree runs with its own ``src`` on PYTHONPATH and
+55 command x scenario pairs against both trees: ``solve`` with both methods,
+``study`` penalization, picard and stability, ``verify`` with three check
+lists (``all``, the benchmark's grid-side subset, and the Monte Carlo checks
+out of their default order, so that the release of shared objects is compared
+under more than one order), ``simulate``, ``stop-value`` and ``moments``,
+each on the five scenarios under ``scenarios/``.  Each tree runs with its own ``src`` on PYTHONPATH and
 its own scenario files, under the same relative paths, so error text that
 names a path matches too.  Any difference in the CSVs, ``verify_report.txt``,
 stdout, stderr or exit code is reported.  Each line also shows both sides'
@@ -34,6 +36,9 @@ COMMANDS = {
     "study-picard": ["study", "--study", "picard"],
     "study-stability": ["study", "--study", "stability"],
     "verify": ["verify", "--checks", "all"],
+    "verify-grid": ["verify", "--checks",
+                    "measure-identity,interval-measure,skorokhod,weighted-bounds,minimality"],
+    "verify-mc": ["verify", "--checks", "ac-measure,representation-z,representation-u"],
     "simulate": ["simulate"],
     "stop-value": ["stop-value"],
     "moments": ["moments"],
