@@ -2,7 +2,8 @@
 
 All model symbols live here.  Evaluators follow one calling convention:
 ``t`` is a scalar, the remaining arguments are numpy arrays (or scalars) that
-broadcast together, and the result has the broadcast shape.  Evaluators must
+broadcast together, and the result broadcasts against the arguments: a
+coefficient that does not depend on (t, x) may return a scalar.  Evaluators must
 be pure; every object in this module is immutable after construction and safe
 to share across workers.  ``lipschitz_probe`` samples the box ``PROBE_T_RANGE``
 x ``PROBE_X_RANGE`` x [-``PROBE_VALUE_SCALE``, ``PROBE_VALUE_SCALE``]^2.

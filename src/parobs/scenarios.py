@@ -121,8 +121,7 @@ def build_family(family: str, params: dict) -> ObstacleProblemSpec:
     if family == "constant":
         c = _pop_float(params, "problem.value", 1.0)
         a0 = _pop_float(params, "problem.a0", 1.0)
-        coef = Coefficients(a=lambda t, x: a0 * np.ones_like(np.asarray(x, dtype=float)),
-                            a_x=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
+        coef = Coefficients(a=lambda t, x: a0, a_x=lambda t, x: 0.0,
                             lambda_ell=a0, Lambda_ell=a0)
         driver = Driver(f=lambda t, x, y, z: np.zeros_like(np.asarray(y, dtype=float)),
                         L=0.0, M_growth=0.0,
@@ -159,8 +158,7 @@ def build_family(family: str, params: dict) -> ObstacleProblemSpec:
         sigma = _pop_float(params, "problem.sigma", 0.2)
         kappa = (rate - 0.5 * sigma**2) / sigma  # drift carried by the z-argument
         a0 = sigma**2
-        coef = Coefficients(a=lambda t, x: a0 * np.ones_like(np.asarray(x, dtype=float)),
-                            a_x=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
+        coef = Coefficients(a=lambda t, x: a0, a_x=lambda t, x: 0.0,
                             lambda_ell=a0, Lambda_ell=a0)
         L = max(rate, abs(kappa))
         driver = Driver(f=lambda t, x, y, z: -rate * np.asarray(y, dtype=float) + kappa * np.asarray(z, dtype=float),
@@ -174,8 +172,7 @@ def build_family(family: str, params: dict) -> ObstacleProblemSpec:
         c1 = _pop_float(params, "problem.c1", 0.0)
         c2 = _pop_float(params, "problem.c2", -1.0)
         a0 = _pop_float(params, "problem.a0", 1.0)
-        coef = Coefficients(a=lambda t, x: a0 * np.ones_like(np.asarray(x, dtype=float)),
-                            a_x=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
+        coef = Coefficients(a=lambda t, x: a0, a_x=lambda t, x: 0.0,
                             lambda_ell=a0, Lambda_ell=a0)
         driver = Driver(f=lambda t, x, y, z: np.zeros_like(np.asarray(y, dtype=float)),
                         L=0.0, M_growth=0.0,

@@ -15,12 +15,15 @@ and the first paths of a larger ensemble coincide with a smaller one.  One
 lockstep stepper serves every consumer: per date, each block draws one row of
 normals and one Euler step runs on the full row of paths.
 
-An ensemble holds only what costs draws to recompute: ``dW`` and X
-checkpoints, from which ``PathEnsemble.x(k)`` replays any date bit for bit
-(checkpointed reversal, after Griewank and Walther's ``revolve``), or nothing
-at all for the forward-only consumers (``moment_ratio_probe``,
-``estimate_g_integral``, ``optimal_stopping_value``), which fold each date as
-the stepper produces it.
+A stored ensemble holds no increment row: it keeps X at checkpoint dates and,
+at each of them, every block's Philox state.  ``PathEnsemble.x(k)`` and
+``PathEnsemble.dw(k)`` replay the segment holding date k from its checkpoint,
+re-drawing the segment's normals from the saved states (a counter-based
+stream, after Salmon et al., SC 2011) and re-running the Euler step, so every
+row is bit-identical to the forward pass (checkpointed reversal, after
+Griewank and Walther's ``revolve``).  The forward-only consumers
+(``moment_ratio_probe``, ``estimate_g_integral``, ``optimal_stopping_value``)
+hold nothing at all: they fold each date as the stepper produces it.
 """
 
 from __future__ import annotations
@@ -71,23 +74,38 @@ N_BATCHES = 10
 MAX_BASIS_DEGREE = 6
 
 
-def _normal_rows(seed: int, path_count: int, n_steps: int):
-    """Per date, the (path_count,) row of standard normals, drawn in lockstep.
+class _BlockStreams:
+    """The per-block Philox streams of an ensemble, drawn in lockstep.
 
     Each block of ``BLOCK_SIZE`` paths owns a Philox stream keyed by
     (seed, block) and draws one full ``BLOCK_SIZE`` row per date, so path i
     sees the same stream for any path_count (prefix stability); the tail of
-    the last block is drawn and unused.  The yielded row is a view of one
-    buffer that the next date overwrites.
+    the last block is drawn and unused.  ``state()`` is where every stream
+    stands (a Philox state is its counter, key and a four-word buffer, 80
+    bytes per block), and after ``restore`` the streams draw the same rows
+    again, bit for bit.
     """
-    n_blocks = -(-path_count // BLOCK_SIZE)
-    rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[seed, b])))
-            for b in range(n_blocks)]
-    z = np.empty(n_blocks * BLOCK_SIZE)
-    for _ in range(n_steps):
-        for b, rng in enumerate(rngs):
-            rng.standard_normal(out=z[b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE])
-        yield z[:path_count]
+
+    def __init__(self, seed: int, path_count: int):
+        n_blocks = -(-path_count // BLOCK_SIZE)
+        self.rngs = [np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=[seed, b]))) for b in range(n_blocks)]
+        self.z = np.empty(n_blocks * BLOCK_SIZE)
+        self.path_count = path_count
+
+    def draw(self) -> np.ndarray:
+        """The next date's (path_count,) row of standard normals, a view of one
+        buffer that the next draw overwrites."""
+        for b, rng in enumerate(self.rngs):
+            rng.standard_normal(out=self.z[b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE])
+        return self.z[:self.path_count]
+
+    def state(self) -> tuple:
+        return tuple(rng.bit_generator.state for rng in self.rngs)
+
+    def restore(self, state: tuple) -> None:
+        for rng, block_state in zip(self.rngs, state, strict=True):
+            rng.bit_generator.state = block_state
 
 
 def _euler_step(coef, t: float, xk: np.ndarray, dt: float, dw: np.ndarray,
@@ -116,19 +134,48 @@ class _Checkpoints:
         return self.rows.nbytes
 
 
+class _StreamStates:
+    """What an ensemble holds in place of its increments: ``states[j]`` is
+    every block's stream state at checkpoint j, its arrays read-only.
+    ``nbytes`` counts those arrays.  There is no date indexing: increments
+    are re-drawn and read through ``PathEnsemble.dw``, so a stale
+    ``ensemble.dW[k]`` raises."""
+
+    __slots__ = ("states",)
+
+    def __init__(self, states: list):
+        self.states = tuple(states)
+        for a in self._arrays():
+            a.flags.writeable = False
+
+    def _arrays(self):
+        for state in self.states:
+            for block_state in state:
+                yield from block_state["state"].values()   # counter and key
+                yield block_state["buffer"]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self._arrays())
+
+
 @dataclass(eq=False)
 class PathEnsemble:
-    """Euler-Maruyama paths from (s, x_start), held as their Brownian increments.
+    """Euler-Maruyama paths from (s, x_start), held as X checkpoints and the
+    stream states that re-draw their increments.
 
-    A stored ensemble (``store_dw=True``) holds ``dW`` whole, (n_steps, M),
-    and ``X`` only at every ceil(sqrt(n_steps))-th date and at T.  ``x(k)``
-    replays the segment holding date k from its checkpoint through the same
-    Euler step with the stored increments, so every row is bit-identical to
-    the one the forward pass computed; one replayed segment is cached, and
-    each replay writes a fresh array.  A streaming ensemble
-    (``store_dw=False``) holds no rows: ``rows()`` runs the stepper again,
-    drawing the same normals, and yields one date at a time.  Stored rows and
-    increments are read-only.
+    A stored ensemble (``store_dw=True``) holds ``X`` at every
+    ``X.stride``-th date and at T, and in ``dW`` every block's Philox state
+    at each of those dates; it holds no increment row.  ``x(k)`` and
+    ``dw(k)`` replay the segment holding date k: from its checkpoint the
+    streams re-draw the segment's normals, ``sqrt(dt_path) * z`` forms its
+    increments and the same Euler step its X rows, so every row is
+    bit-identical to the one the forward pass computed.  One replayed
+    segment, both kinds of row, is cached; the old one is dropped before the
+    next is built, and each replay writes fresh arrays.  A streaming
+    ensemble (``store_dw=False``) holds no rows and no states: ``rows()``
+    runs the stepper again, drawing the same normals, and yields one date at
+    a time.  Held and replayed rows are read-only.
     """
     spec: ObstacleProblemSpec = field(repr=False)
     s: float
@@ -138,7 +185,7 @@ class PathEnsemble:
     seed: int
     t_nodes: np.ndarray          # n_steps + 1 times from s to T
     X: _Checkpoints = field(repr=False)
-    dW: np.ndarray | None = field(repr=False)   # (n_steps, M); None when streaming
+    dW: _StreamStates | None = field(repr=False)   # None when streaming
     _segment: tuple | None = field(default=None, init=False, repr=False)
 
     @property
@@ -147,20 +194,22 @@ class PathEnsemble:
 
     def x(self, k: int) -> np.ndarray:
         """X_k for 0 <= k <= n_steps, one entry per path (stored ensembles only)."""
-        if self.dW is None:
-            raise ValueError("a streaming ensemble (store_dw=False) is read forward "
-                             "through rows()")
-        n = self.n_steps
+        n = self._stored_steps()
         if not 0 <= k <= n:
             raise IndexError(f"date {k} outside 0..{n}")
         if k == n:
             return self.X.rows[-1]
         j, r = divmod(k, self.X.stride)
-        if r == 0:
-            return self.X.rows[j]
-        if self._segment is None or self._segment[0] != j:
-            self._segment = (j, self._replay(j))
-        return self._segment[1][r - 1]
+        return self.X.rows[j] if r == 0 else self._segment_rows(j)[0][r - 1]
+
+    def dw(self, k: int) -> np.ndarray:
+        """The increment W_{k+1} - W_k for 0 <= k < n_steps, one entry per path
+        (stored ensembles only)."""
+        n = self._stored_steps()
+        if not 0 <= k < n:
+            raise IndexError(f"date {k} outside 0..{n - 1}")
+        j, r = divmod(k, self.X.stride)
+        return self._segment_rows(j)[1][r]
 
     def rows(self):
         """Yield X_0 .. X_{n_steps} in date order."""
@@ -170,27 +219,50 @@ class PathEnsemble:
         else:
             yield from self._step()
 
-    def _replay(self, j: int) -> np.ndarray:
-        """X at the dates strictly between checkpoint j and the next one."""
+    def _stored_steps(self) -> int:
+        if self.dW is None:
+            raise ValueError("a streaming ensemble (store_dw=False) is read forward "
+                             "through rows()")
+        return self.n_steps
+
+    def _segment_rows(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._segment is None or self._segment[0] != j:
+            self._segment = None   # drop the old segment before the next is built
+            self._segment = (j, *self._replay(j))
+        return self._segment[1:]
+
+    def _replay(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Segment j: X at the dates strictly between checkpoint j and the next
+        one, and the increments of the dates from checkpoint j up to the next
+        one, re-drawn from the stream states held at checkpoint j."""
+        m = self.path_count
         start = j * self.X.stride
         stop = min(start + self.X.stride, self.n_steps)
-        seg = np.empty((stop - start - 1, self.path_count))
+        streams = _BlockStreams(self.seed, m)
+        streams.restore(self.dW.states[j])
+        xs, dws = np.empty((stop - start - 1, m)), np.empty((stop - start, m))
+        sdt = np.sqrt(self.dt_path)
         xk = self.X.rows[j]
-        for i, k in enumerate(range(start, stop - 1)):
-            xk = _euler_step(self.spec.coefficients, float(self.t_nodes[k]), xk, self.dt_path,
-                             self.dW[k], out=seg[i])
-        seg.flags.writeable = False
-        return seg
+        for i, k in enumerate(range(start, stop)):
+            np.multiply(sdt, streams.draw(), out=dws[i])
+            if k + 1 < stop:   # X_stop is the next checkpoint
+                xk = _euler_step(self.spec.coefficients, float(self.t_nodes[k]), xk,
+                                 self.dt_path, dws[i], out=xs[i])
+        xs.flags.writeable = dws.flags.writeable = False
+        return xs, dws
 
-    def _step(self, dW: np.ndarray | None = None):
+    def _step(self, streams: _BlockStreams | None = None):
         """The lockstep stepper: yield X_0 .. X_{n_steps}, drawing each date's
-        normals as it goes; each increment row is written to ``dW`` when given."""
+        normals from ``streams`` (fresh ones by default) as it goes; when X_k
+        is yielded, the streams stand at date k's draw."""
         coef = self.spec.coefficients
+        if streams is None:
+            streams = _BlockStreams(self.seed, self.path_count)
         sdt = np.sqrt(self.dt_path)
         xk = np.full(self.path_count, self.x_start)
         yield xk
-        for k, z in enumerate(_normal_rows(self.seed, self.path_count, self.n_steps)):
-            dw = np.multiply(sdt, z, out=None if dW is None else dW[k])
+        for k in range(self.n_steps):
+            dw = np.multiply(sdt, streams.draw())
             xk = _euler_step(coef, float(self.t_nodes[k]), xk, self.dt_path, dw)
             yield xk
 
@@ -201,8 +273,9 @@ def simulate_paths(spec: ObstacleProblemSpec, s: float, x: float, dt_path: float
 
     The drift a_x / 2 is the Ito form of the divergence-form generator for
     continuously differentiable coefficients; ``a_x`` must be supplied.  With
-    ``store_dw`` the paths are simulated here and kept as increments plus
-    checkpoints; without it nothing is simulated until ``rows()`` is read.
+    ``store_dw`` the paths are simulated here and kept replayable: X
+    checkpoints plus the stream states that re-draw the increments between
+    them.  Without it nothing is simulated until ``rows()`` is read.
     """
     coef = spec.coefficients
     if coef.a_x is None:
@@ -214,22 +287,23 @@ def simulate_paths(spec: ObstacleProblemSpec, s: float, x: float, dt_path: float
     if abs(n_steps * dt_path - horizon) > 1e-9 * max(1.0, spec.T):
         raise ValueError("dt_path must divide T - s")
     t_nodes = s + dt_path * np.arange(n_steps + 1)
-    # ceil(sqrt(n_steps)) dates between checkpoints balances the checkpoint
-    # rows against the rows of one replayed segment
-    stride = math.isqrt(max(n_steps - 1, 0)) + 1
+    # a replayed segment holds two rows per date (X and dW), so ceil(sqrt(n/2))
+    # dates between checkpoints balances the checkpoint rows against them
+    stride = math.isqrt(max(n_steps - 1, 0) // 2) + 1
     ens = PathEnsemble(spec=spec, s=s, x_start=float(x), dt_path=dt_path,
                        path_count=path_count, seed=seed, t_nodes=t_nodes,
                        X=_Checkpoints(stride, np.empty((0, path_count))), dW=None)
     if not store_dw:
         return ens
-    dW = np.empty((n_steps, path_count))
+    streams = _BlockStreams(seed, path_count)
     marks = np.empty((len(range(0, n_steps, stride)) + 1, path_count))
-    for k, xk in enumerate(ens._step(dW)):
-        if k % stride == 0:
+    states = []
+    for k, xk in enumerate(ens._step(streams)):
+        if k % stride == 0 and k < n_steps:
             marks[k // stride] = xk
+            states.append(streams.state())
     marks[-1] = xk
-    dW.flags.writeable = False
-    ens.X, ens.dW = _Checkpoints(stride, marks), dW
+    ens.X, ens.dW = _Checkpoints(stride, marks), _StreamStates(states)
     return ens
 
 
@@ -524,7 +598,7 @@ def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree
     so the regression degenerates to the plain mean there.
     """
     if ensemble.dW is None:
-        raise ValueError("ensemble must store Brownian increments for regression schemes")
+        raise ValueError("regression schemes need a stored ensemble (store_dw=True)")
     if not 0 <= basis_degree <= MAX_BASIS_DEGREE:
         raise ValueError(f"basis degree must lie in 0..{MAX_BASIS_DEGREE}")
     if ensemble.path_count < 1000:
@@ -547,13 +621,13 @@ def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree
 
     for k in range(n - 1, -1, -1):
         t = float(ensemble.t_nodes[k])
-        xk = ensemble.x(k)
+        xk, dw = ensemble.x(k), ensemble.dw(k)
         proj = _Projection(xk, basis_degree) if k > 0 else _StartProjection(basis_degree)
         est.coef[k, 0] = proj.coef(V)
         # centering the Z target with the fitted continuation changes nothing
         # in expectation (E[C(X) dW] = 0) and removes the O(1/dt) variance
         # carried by the level of V
-        z_target = (V - _fitted(est.coef[k, 0], proj.B, m)) * ensemble.dW[k] / dt
+        z_target = (V - _fitted(est.coef[k, 0], proj.B, m)) * dw / dt
         est.coef[k, 1] = proj.coef(z_target)
         y_fit, c_fit, zk, dk, h_k = est._evaluate(k, proj.B)
         if k == 0:
@@ -561,7 +635,7 @@ def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree
             for sl in _batch_slices(m):
                 cont_b = np.full(sl.stop - sl.start, V[sl].mean())
                 zk_b = np.full(sl.stop - sl.start,
-                               ((V[sl] - V[sl].mean()) * ensemble.dW[k, sl] / dt).mean())
+                               ((V[sl] - V[sl].mean()) * dw[sl] / dt).mean())
                 yb, _ = est._resolve(t, xk[sl], cont_b, zk_b, h_k[sl])
                 batch_y0.append(float(yb.mean()))
         f_val = np.asarray(f(t, xk, y_fit, zk), dtype=float)
@@ -575,6 +649,7 @@ def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree
             V = np.where(c_fit < h_k, (vstar + dt * nq * h_k) / (1.0 + dt * nq), vstar)
         est.K_T += dk
         slack = max(slack, float(np.max(h_k - y_fit)))
+        del xk, dw   # hold no row of this segment while the next one is replayed
 
     est.Y0 = float(y_fit.mean())
     est.ci = 1.96 * float(np.std(batch_y0, ddof=1)) / np.sqrt(len(batch_y0))
@@ -614,8 +689,10 @@ def penalization_convergence_mc(spec: ObstacleProblemSpec, ensemble: PathEnsembl
     schemes under common random numbers, per penalty level.
 
     The RMS distances are streamed forward date by date through the
-    estimates' accessors, with K accumulated in forward date order.  Y
-    carries no terminal row: it is phi(X_T) in both schemes, a distance of 0.
+    estimates' date updates, with K accumulated in forward date order; all
+    levels share the ensemble and the basis degree, so each date's basis is
+    built once for all of them.  Y carries no terminal row: it is phi(X_T)
+    in both schemes, a distance of 0.
     """
     ref = rbsde_reflected_mc(spec, ensemble, basis_degree)
     pens = [rbsde_penalized_mc(spec, ensemble, int(n), basis_degree) for n in n_schedule]
@@ -632,9 +709,10 @@ def penalization_convergence_mc(spec: ObstacleProblemSpec, ensemble: PathEnsembl
     ref_K = np.zeros(m)
     pen_K = [np.zeros(m) for _ in pens]
     for k in range(n_steps):
-        ref_y, _, ref_dk = ref.at(k)
+        B = ref._basis_at(k)
+        ref_y, _, _, ref_dk, _ = ref._evaluate(k, B)
         for j, pen in enumerate(pens):
-            pen_y, _, pen_dk = pen.at(k)
+            pen_y, _, _, pen_dk, _ = pen._evaluate(k, B)
             y_rms[j, k] = rms(pen_y - ref_y)
             k_rms[j, k] = rms(pen_K[j] - ref_K)
             pen_K[j] += pen_dk

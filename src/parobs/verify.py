@@ -12,12 +12,15 @@ holds each ``calibration.*`` budget a scenario leaves out; the fixed budgets
 are the other module constants.
 
 A check reads the objects it shares with other checks (the complementarity
-solution, the Monte Carlo ensemble and its reflected-LSMC fit, the chain-dp
-field and the densities) from a ``VerifyContext``, which builds each of them
-once, on first read.  ``CHECKS`` is the one table of the checks ``verify``
-runs: per name, the shared objects the check reads and how it is called.
-``run_checks`` runs names from it in order and releases each shared object
-after the last check that reads it.
+solution, the Monte Carlo ensemble and its reflected-LSMC fit, the forward
+sweep over that ensemble, the chain-dp field and the densities) from a
+``VerifyContext``, which builds each of them once, on first read.  The sweep
+is one replay pass over the stored ensemble for ``representation-z`` and
+``ac-measure`` together: per date one replayed row, one interpolation stencil
+and one gather of sigma Du serve both checks.  ``CHECKS`` is the one table of
+the checks ``verify`` runs: per name, the shared objects the check reads and
+how it is called.  ``run_checks`` runs names from it in order and releases
+each shared object after the last check that reads it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .grid import (
     DensityTable,
     SpaceTimeGrid,
     evolve_law,
-    interp_space_time,
     interp_stencil,
     solve_density,
     transition_kernel,
@@ -43,7 +45,6 @@ from .problem import ObstacleProblemSpec
 from .solver import DEFAULT_MONO_TOL, ObstacleSolution, solve_penalized, solve_psor, z_field
 from .stochastic import (
     LsmcEstimate,
-    PathEnsemble,
     RbsdeEstimate,
     rbsde_chain_dp,
     rbsde_reflected_mc,
@@ -115,6 +116,8 @@ class VerifyContext:
     * ``lsmc``: the reflected-LSMC fit on the run's ensemble (its
       ``ensemble``), simulated from time 0 at the grid node ``x_index`` that
       the domain midpoint ``probe_x`` snaps to, with the run seed;
+    * ``sweep``: the ``PathSweep`` sums of one forward pass over that
+      ensemble, read by ``representation-z`` and ``ac-measure``;
     * ``chain``: the chain-dp field from slice 0; its row k is the row k of
       the field from any start slice k1 <= k, bit for bit;
     * ``densities``: the densities ``density`` has solved, keyed by start node.
@@ -141,6 +144,10 @@ class VerifyContext:
     @cached_property
     def lsmc(self) -> LsmcEstimate:
         return self._fit(0, self.x_index, self.seed)
+
+    @cached_property
+    def sweep(self) -> PathSweep:
+        return _path_sweep(self.spec, self.grid, self.sol, self.lsmc)
 
     @cached_property
     def chain(self) -> RbsdeEstimate:
@@ -220,18 +227,11 @@ def check_representation_z(ctx: VerifyContext,
                            z_budget: float = CALIBRATION_DEFAULTS["z_budget"],
                            provenance: dict | None = None) -> CheckReport:
     """Time-integrated RMS distance between sigma Du along the context's
-    ensemble and the Z of its reflected-LSMC fit."""
-    grid = ctx.grid
-    z_grid = z_field(ctx.spec, grid, ctx.sol.u_values)
-    mc = ctx.lsmc
-    ensemble = mc.ensemble
-    acc = 0.0
-    for k in range(ensemble.n_steps):
-        zpde = interp_space_time(grid, z_grid, float(ensemble.t_nodes[k]), ensemble.x(k))
-        acc += float(np.mean((zpde - mc.z_at(k)) ** 2)) * ensemble.dt_path
+    ensemble and the Z of its reflected-LSMC fit, from the context's sweep."""
+    acc = ctx.sweep.z_mse
     value = float(np.sqrt(acc))
     return _report("representation-z", value, z_budget, z_budget, 0.0, provenance,
-                   {"mse_time_integral": acc, "paths": ensemble.path_count})
+                   {"mse_time_integral": acc, "paths": ctx.lsmc.ensemble.path_count})
 
 
 def default_test_functions(spec: ObstacleProblemSpec):
@@ -358,15 +358,26 @@ def check_skorokhod(sol: ObstacleSolution, n_penalty: int | None = None,
                    {"numerator": num, "normalizer": den, "n_penalty": n_penalty})
 
 
-def _ac_path_sums(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: PathEnsemble,
-                  sol: ObstacleSolution) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path backward-equation residual of (u, sigma Du, K~) and K~_T.
+class PathSweep(NamedTuple):
+    """What ``representation-z`` and ``ac-measure`` read from one forward
+    pass over an ensemble (``_path_sweep``)."""
+    z_mse: float             # time integral of the mean squared sigma Du - Z gap
+    residual: np.ndarray     # per-path backward-equation residual of (u, sigma Du, K~)
+    k_tilde: np.ndarray      # per-path K~_T = int r(t, X_t) dt
 
-    One interpolation stencil per date serves u, sigma Du and r.
+
+def _path_sweep(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, sol: ObstacleSolution,
+                mc: LsmcEstimate) -> PathSweep:
+    """The ``PathSweep`` of the ensemble of ``mc``, in one forward pass.
+
+    Per date: one replayed row of X and dW, one interpolation stencil that
+    serves u, sigma Du and r, and the fit's Z.
     """
     z_grid = z_field(spec, grid, sol.u_values)
+    ensemble = mc.ensemble
     n, m = ensemble.n_steps, ensemble.path_count
     dt = ensemble.dt_path
+    z_mse = 0.0
     total = np.zeros(m)
     k_tilde = np.zeros(m)
     for k in range(n):
@@ -378,11 +389,12 @@ def _ac_path_sums(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, ensemble: Path
         r_itp = stencil.gather(sol.r_values)
         if k == 0:
             u_start = u_itp
+        z_mse += float(np.mean((z_itp - mc.z_at(k)) ** 2)) * dt
         fval = np.asarray(spec.driver.f(t, xk, u_itp, z_itp), dtype=float)
-        total += fval * dt + r_itp * dt - z_itp * ensemble.dW[k]
+        total += fval * dt + r_itp * dt - z_itp * ensemble.dw(k)
         k_tilde += r_itp * dt
     phi_T = np.asarray(spec.obstacle.phi(ensemble.x(n)), dtype=float)
-    return phi_T + total - u_start, k_tilde
+    return PathSweep(z_mse, phi_T + total - u_start, k_tilde)
 
 
 def check_ac_measure(ctx: VerifyContext,
@@ -400,7 +412,7 @@ def check_ac_measure(ctx: VerifyContext,
     comparison target.
     """
     grid, mc = ctx.grid, ctx.lsmc
-    residual, k_tilde = _ac_path_sums(ctx.spec, grid, mc.ensemble, ctx.sol)
+    residual, k_tilde = ctx.sweep.residual, ctx.sweep.k_tilde
     res_rms = float(np.sqrt(np.mean(residual**2)))
 
     chain, dens = ctx.chain, ctx.density(0, ctx.x_index)
@@ -504,15 +516,16 @@ CHECKS = {
         c, [(0.0, c.probe_x), (0.25 * c.spec.T, c.probe_x),
             (0.0, c.probe_x + 0.25 * (c.spec.x_hi - c.spec.x_lo) / 2)],
         bias_constant=c.calibration["fk_bias"], provenance=c.provenance)),
-    "representation-z": Check(("sol", "lsmc"), lambda c: check_representation_z(
+    "representation-z": Check(("sol", "lsmc", "sweep"), lambda c: check_representation_z(
         c, z_budget=c.calibration["z_budget"], provenance=c.provenance)),
     "measure-identity": Check(("sol", "chain", "densities"), lambda c: check_measure_identity(
         c, 0.0, c.probe_x, provenance=c.provenance)),
     "interval-measure": Check(("sol", "chain"), lambda c: check_interval_measure(
         c, 0.0, c.spec.T, (c.spec.x_lo, c.spec.x_hi), provenance=c.provenance)),
     "skorokhod": Check(("sol",), lambda c: check_skorokhod(c.sol, provenance=c.provenance)),
-    "ac-measure": Check(("sol", "lsmc", "chain", "densities"), lambda c: check_ac_measure(
-        c, residual_budget=c.calibration["ac_residual_budget"], provenance=c.provenance)),
+    "ac-measure": Check(("sol", "lsmc", "sweep", "chain", "densities"), lambda c: (
+        check_ac_measure(c, residual_budget=c.calibration["ac_residual_budget"],
+                         provenance=c.provenance))),
     "weighted-bounds": Check((), lambda c: check_weighted_bounds(
         c.spec, c.grid, bounds=(c.calibration["weighted_lo"], c.calibration["weighted_hi"]),
         provenance=c.provenance)),

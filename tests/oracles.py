@@ -268,6 +268,42 @@ def storing_lsmc(spec, ensemble, basis_degree, kind, n_penalty=0.0):
     return Y, Z, dK, y0, ci, slack
 
 
+def stored_convergence_table(spec, ensemble, n_schedule, basis_degree):
+    """``penalization_convergence_mc``'s distances from fields held whole:
+    ``storing_lsmc`` per level on an ensemble that holds X and dW whole.
+
+    Returns (y_distance, k_distance, y_ci, k_ci): per level, the sup over
+    dates of the RMS distance of Y and of K (summed in forward date order) to
+    the reflected scheme over all paths, and 1.96 standard errors of that sup
+    over ten contiguous path batches.
+    """
+    m, n = ensemble.path_count, ensemble.n_steps
+    edges = np.linspace(0, m, 11).astype(int)
+    slices = [slice(None)] + [slice(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+
+    def running_k(dK):
+        K = np.zeros((n + 1, m))
+        for k in range(n):
+            K[k + 1] = K[k] + dK[k]
+        return K
+
+    Y_ref, _, dK_ref, _, _, _ = storing_lsmc(spec, ensemble, basis_degree, "reflected")
+    K_ref = running_k(dK_ref)
+    y_sup, k_sup = [], []
+    for n_penalty in n_schedule:
+        Y, _, dK, _, _, _ = storing_lsmc(spec, ensemble, basis_degree, "penalized", n_penalty)
+        dy, dk = Y[:n] - Y_ref[:n], running_k(dK) - K_ref
+        y_sup.append([max(0.0, max(float(np.sqrt(np.mean(d[sl] * d[sl]))) for d in dy))
+                      for sl in slices])
+        k_sup.append([max(float(np.sqrt(np.mean(d[sl] * d[sl]))) for d in dk) for sl in slices])
+    y_sup, k_sup = np.array(y_sup), np.array(k_sup)
+
+    def ci(batches):
+        return 1.96 * np.std(batches, axis=1, ddof=1) / np.sqrt(batches.shape[1])
+
+    return y_sup[:, 0], k_sup[:, 0], ci(y_sup[:, 1:]), ci(k_sup[:, 1:])
+
+
 def three_pass_ac_path_sums(spec, grid, ensemble, sol):
     """``ac-measure``'s path loop with one full ``interp_space_time`` pass per
     field, on an ensemble that holds X whole (``stored_simulate_paths``): the

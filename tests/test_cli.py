@@ -273,11 +273,11 @@ def _small_put_setup(tmp_path, extra=()):
     return sc.spec, grid, solve_psor(sc.spec, grid)
 
 
-def _small_put_context(tmp_path):
+def _small_put_context(tmp_path, extra=()):
     """The context ``verify`` builds for the small put."""
     from parobs.verify import VerifyContext
 
-    sc = load_scenario(_small_put(tmp_path))
+    sc = load_scenario(_small_put(tmp_path, extra))
     return VerifyContext(sc.spec, SpaceTimeGrid.build(sc.spec, 40, 40), sc.mc_params,
                          sc.calibration)
 
@@ -346,16 +346,44 @@ def test_each_registry_entry_builds_the_objects_it_declares(tmp_path):
     everything a run built."""
     from parobs.verify import CHECKS
 
+    shared = {"sol", "lsmc", "sweep", "chain", "densities"}
     for name, check in CHECKS.items():
         ctx = _small_put_context(tmp_path)
         check.run(ctx)
-        assert set(vars(ctx)) & {"sol", "lsmc", "chain", "densities"} == set(check.reads), name
+        assert set(vars(ctx)) & shared == set(check.reads), name
+
+
+@pytest.mark.parametrize("checks", ["all", "ac-measure,representation-z,representation-u"])
+def test_verify_peaks_below_one_path_by_date_field(tmp_path, checks):
+    """A verify run on 2e4 paths and 200 dates never holds one (n, m) float64
+    field, also when representation-u's probes 1 and 2 simulate and fit their
+    own ensembles while the shared ensemble and fit are held for probe 0."""
+    import tracemalloc
+
+    from parobs.verify import run_checks, select_checks
+
+    n, m = 200, 20_000
+    ctx = _small_put_context(tmp_path, (("mc.paths", str(m)), ("mc.dt_path", "0.0025")))
+    assert ctx.spec.T / ctx.dt_path == pytest.approx(n)
+    tracemalloc.start()
+    try:
+        reports = run_checks(ctx, select_checks(checks))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.name for r in reports] == list(select_checks(checks))
+    assert peak < n * m * 8
 
 
 def test_ac_measure_one_stencil_matches_three_interpolation_passes(tmp_path):
+    """The shared sweep's one stencil per date gives ac-measure's sums of
+    three interpolation passes over the stored paths and representation-z's
+    sum of its own pass, bit for bit."""
     from oracles import stored_simulate_paths, three_pass_ac_path_sums
-    from parobs.stochastic import simulate_paths
-    from parobs.verify import _ac_path_sums
+    from parobs.grid import interp_space_time
+    from parobs.solver import z_field
+    from parobs.stochastic import rbsde_reflected_mc, simulate_paths
+    from parobs.verify import _path_sweep
 
     # a truncation narrow enough that paths leave it through both edges on
     # their own, so the clamped branch of the stencil is exercised
@@ -364,12 +392,18 @@ def test_ac_measure_one_stencil_matches_three_interpolation_passes(tmp_path):
     ens = simulate_paths(spec, 0.0, 0.0, 0.0125, 3000, seed=11)
     assert min(float(xk.min()) for xk in ens.rows()) < spec.x_lo
     assert max(float(xk.max()) for xk in ens.rows()) > spec.x_hi
-    residual, k_tilde = _ac_path_sums(spec, grid, ens, sol)
+    mc = rbsde_reflected_mc(spec, ens, 3)
+    z_mse, residual, k_tilde = _path_sweep(spec, grid, sol, mc)
     stored = stored_simulate_paths(spec, 0.0, 0.0, 0.0125, 3000, seed=11)
     ref_residual, ref_k_tilde = three_pass_ac_path_sums(spec, grid, stored, sol)
     assert np.array_equal(residual, ref_residual)
     assert np.array_equal(k_tilde, ref_k_tilde)
     assert np.all(np.isfinite(residual))
+    z_grid, ref_z_mse = z_field(spec, grid, sol.u_values), 0.0
+    for k in range(stored.n_steps):
+        zpde = interp_space_time(grid, z_grid, float(stored.t_nodes[k]), stored.X[k])
+        ref_z_mse += float(np.mean((zpde - mc.z_at(k)) ** 2)) * stored.dt_path
+    assert z_mse == ref_z_mse > 0.0
 
 
 @pytest.mark.parametrize("line", ["mc.basis_degree = -1", "mc.basis_degree = 7",

@@ -521,3 +521,34 @@ def test_driver_and_sigma_rows_equal_the_broadcast_copies(put_scenario):
             row = solver_mod._driver_row(s, grid, t, u_row, sigma)
             assert row.shape == shape and row.dtype == float and np.array_equal(row, old)
     assert solver_mod._driver_row(s, grid, t, u_row, sigma) is stored
+
+
+@pytest.mark.parametrize("family", ["constant", "american-put", "custom-polynomial"])
+def test_constant_coefficient_families_return_scalars(family):
+    """The families with a constant coefficient return the scalars a0 and
+    0.0; the Euler step, the sigma row and the operator they give equal those
+    of full-row copies of the same coefficients, bit for bit."""
+    from parobs.scenarios import build_family
+    from parobs.stochastic import _euler_step
+
+    spec = build_family(family, {"problem.T": 0.5, "problem.x_lo": -2.0, "problem.x_hi": 2.0,
+                                 **({"problem.sigma": 0.3} if family == "american-put"
+                                    else {"problem.a0": 1.7})})
+    coef = spec.coefficients
+    x = np.random.default_rng(8).normal(0.0, 0.7, 5000)
+    assert np.ndim(coef.a(0.1, x)) == 0 and np.ndim(coef.a_x(0.1, x)) == 0
+    assert coef.a_x(0.1, x) == 0.0 and coef.a(0.1, x) == coef.lambda_ell
+    full = dataclasses.replace(coef, a=lambda t, x: coef.a(t, x) * np.ones_like(x),
+                               a_x=lambda t, x: np.full_like(x, coef.a_x(t, x)))
+    full_spec = dataclasses.replace(spec, coefficients=full)
+    dw = np.random.default_rng(9).normal(0.0, 0.05, x.size)
+    assert np.array_equal(_euler_step(coef, 0.1, x, 0.0025, dw),
+                          _euler_step(full, 0.1, x, 0.0025, dw))
+    grid = SpaceTimeGrid.build(spec, 30, 10)
+    for k in (0, 4, grid.nt):
+        t = float(grid.t_nodes[k])
+        assert np.array_equal(solver_mod._sigma_row(spec, grid, t),
+                              solver_mod._sigma_row(full_spec, grid, t))
+        op, full_op = assemble_operator(spec, grid, k), assemble_operator(full_spec, grid, k)
+        for band in ("lower", "diag", "upper"):
+            assert np.array_equal(getattr(op, band), getattr(full_op, band)), band

@@ -26,6 +26,7 @@ from parobs.stochastic import (
 from oracles import (
     binomial_american_put,
     lstsq_polynomial_fit,
+    stored_convergence_table,
     stored_simulate_paths,
     storing_lsmc,
 )
@@ -48,17 +49,28 @@ def _terminal(ens):
     return xk
 
 
+def _orders(n, seed=3):
+    """Dates 0 .. n - 1 read forward, backward and in a seeded random order."""
+    return range(n), range(n - 1, -1, -1), list(np.random.default_rng(seed).permutation(n))
+
+
 def test_paths_reproducible_and_prefix_stable():
     spec = _const_family()
     e1 = simulate_paths(spec, 0.0, 0.3, 0.05, 1000, seed=42)
     e2 = simulate_paths(spec, 0.0, 0.3, 0.05, 1000, seed=42)
     bigger = simulate_paths(spec, 0.0, 0.3, 0.05, 1500, seed=42)
     other = simulate_paths(spec, 0.0, 0.3, 0.05, 1000, seed=43)
-    assert np.array_equal(e1.dW, e2.dW) and np.array_equal(bigger.dW[:, :1000], e1.dW)
+    ref = stored_simulate_paths(spec, 0.0, 0.3, 0.05, 1500, seed=42)
+    for order in _orders(e1.n_steps):
+        for k in order:
+            assert np.array_equal(e1.dw(k), e2.dw(k)) and np.array_equal(e1.dw(k), ref.dW[k, :1000])
+            assert np.array_equal(bigger.dw(k)[:1000], e1.dw(k))
+            assert np.array_equal(bigger.dw(k), ref.dW[k])
     for k in range(e1.n_steps + 1):
         assert np.array_equal(e1.x(k), e2.x(k))
         assert np.array_equal(bigger.x(k)[:1000], e1.x(k))
     assert not np.array_equal(other.x(e1.n_steps), e1.x(e1.n_steps))
+    assert not any(np.array_equal(other.dw(k), e1.dw(k)) for k in range(e1.n_steps))
 
 
 SCENARIO_FIXTURES = ["constant_scenario", "heat_scenario", "sine_scenario", "put_scenario",
@@ -78,39 +90,75 @@ def test_ensemble_rows_equal_the_storing_simulator(name, start, request):
     ens = simulate_paths(spec, s, x0, dt, m, seed=17)
     n = ens.n_steps
     assert n == ref.n_steps and np.array_equal(ens.t_nodes, ref.t_nodes)
-    assert np.array_equal(ens.dW, ref.dW)
-    shuffled = list(np.random.default_rng(3).permutation(n + 1))
-    for order in (range(n + 1), range(n, -1, -1), shuffled):
+    for order in _orders(n + 1):
         for k in order:
             assert np.array_equal(ens.x(k), ref.X[k]), k
             if k < n:
-                assert np.array_equal(ens.dW[k], ref.dW[k]), k
+                assert np.array_equal(ens.dw(k), ref.dW[k]), k
+    for order in _orders(n, seed=4):   # increments alone, re-drawn in any order
+        for k in order:
+            assert np.array_equal(ens.dw(k), ref.dW[k]), k
     streamed = simulate_paths(spec, s, x0, dt, m, seed=17, store_dw=False)
     for k, (a, b, c) in enumerate(zip(streamed.rows(), ens.rows(), ref.X, strict=True)):
         assert np.array_equal(a, c) and np.array_equal(b, c), k
 
 
 def test_ensemble_holds_increments_and_checkpoints_only():
+    """A stored ensemble holds X checkpoints and, in place of its increments,
+    one Philox state per block and checkpoint: no increment row."""
     spec = _const_family()
-    ens = simulate_paths(spec, 0.0, 0.0, 0.01, 3000, seed=5)   # n = 100, stride 10
-    assert ens.X.stride == 10
-    assert ens.X.nbytes == 11 * 3000 * 8 and ens.dW.nbytes == 100 * 3000 * 8
-    with pytest.raises(TypeError):
-        ens.X[3]   # no date indexing: a stale X[k] must not read a checkpoint row
-    with pytest.raises(IndexError):
-        ens.x(ens.n_steps + 1)
-    # a replayed row a caller holds survives the replay of another segment
-    held = ens.x(15)
-    kept = held.copy()
+    ens = simulate_paths(spec, 0.0, 0.0, 0.01, 3000, seed=5)   # n = 100, stride 8
+    assert ens.X.stride == 8   # ceil(sqrt(100 / 2))
+    # 13 checkpoints (dates 0, 8, .., 96) plus X_T; one block of 3000 paths,
+    # whose state is a 4-word counter, a 2-word key and a 4-word buffer
+    assert ens.X.nbytes == 14 * 3000 * 8 and ens.dW.nbytes == 13 * 1 * 10 * 8
+    for holder in (ens.X, ens.dW):
+        with pytest.raises(TypeError):
+            holder[3]   # no date indexing: a stale X[k] or dW[k] must not read a row
+    for bad in (ens.n_steps + 1, -1):
+        with pytest.raises(IndexError):
+            ens.x(bad)
+    for bad in (ens.n_steps, -1):
+        with pytest.raises(IndexError):
+            ens.dw(bad)
+    # replayed rows a caller holds survive the replay of another segment
+    held, held_dw = ens.x(15), ens.dw(15)
+    kept, kept_dw = held.copy(), held_dw.copy()
     ens.x(95)
     assert np.array_equal(held, kept) and np.array_equal(ens.x(15), kept)
-    for row in (ens.x(10), ens.x(15), ens.dW[0]):
+    assert np.array_equal(held_dw, kept_dw) and np.array_equal(ens.dw(15), kept_dw)
+    for row in (ens.x(8), ens.x(15), ens.dw(0), ens.dw(15), ens.x(ens.n_steps)):
         with pytest.raises(ValueError):
             row[0] = 1.0
+    for state in ens.dW.states:
+        with pytest.raises(ValueError):
+            state[0]["state"]["counter"][0] = 1
     streamed = simulate_paths(spec, 0.0, 0.0, 0.01, 3000, seed=5, store_dw=False)
     assert streamed.dW is None and streamed.X.nbytes == 0
-    with pytest.raises(ValueError, match="rows"):
-        streamed.x(0)
+    for accessor in (streamed.x, streamed.dw):
+        with pytest.raises(ValueError, match="rows"):
+            accessor(0)
+
+
+def test_replay_drops_the_old_segment_before_building_the_next():
+    """Moving to another segment frees the cached one (X and dW rows) before
+    the next is replayed, so at most one segment is alive."""
+    import weakref
+
+    spec = _const_family()
+    ens = simulate_paths(spec, 0.0, 0.0, 0.01, 3000, seed=5)
+    ens.x(15)
+    old = [weakref.ref(rows) for rows in ens._segment[1:]]
+    alive_at_replay = []
+    real_replay = ens._replay
+
+    def replay(j):
+        alive_at_replay.append([ref() is not None for ref in old])
+        return real_replay(j)
+
+    ens._replay = replay
+    ens.dw(95)
+    assert alive_at_replay == [[False, False]]
 
 
 def _traced_peak(fn):
@@ -124,11 +172,13 @@ def _traced_peak(fn):
 
 
 def test_stored_simulation_peaks_near_its_increments():
+    """A stored simulation holds its 21 checkpoint rows and the stepper's
+    working rows, far below the (n, m) increment field it used to hold."""
     spec = _const_family()
     n, m = 200, 20_000
     ens, peak = _traced_peak(lambda: simulate_paths(spec, 0.0, 0.0, spec.T / n, m, seed=6))
-    assert ens.n_steps == n
-    assert peak <= 1.25 * n * m * 8
+    assert ens.n_steps == n and ens.X.nbytes == 21 * m * 8
+    assert peak <= n * m * 8 / 5   # 0.14 of the field measured; 1.11 while dW was held
 
 
 def test_streaming_moment_probe_holds_no_path_by_date_field():
@@ -150,8 +200,14 @@ def test_brownian_variance_and_increment_mean():
     var = ens.x(ens.n_steps).var()
     ci = 3.0 * np.sqrt(2.0 / ens.path_count)  # var of chi2 estimate ~ 2 T^2 / M
     assert abs(var - 1.0) <= ci
-    means = np.abs(ens.dW.mean(axis=1))
-    assert np.max(means) <= 4.0 * np.sqrt(ens.dt_path / ens.path_count)
+    ref = stored_simulate_paths(spec, 0.0, 0.0, 0.01, 40_000, seed=7)
+    for order in _orders(ens.n_steps):
+        means = np.full(ens.n_steps, np.nan)
+        for k in order:
+            row = ens.dw(k)
+            assert np.array_equal(row, ref.dW[k]), k
+            means[k] = abs(row.mean())
+        assert np.max(means) <= 4.0 * np.sqrt(ens.dt_path / ens.path_count)
 
 
 def test_scaled_diffusion_variance():
@@ -476,6 +532,34 @@ def test_convergence_table_inactive_within_noise(heat_scenario):
     tab = penalization_convergence_mc(spec, ens, [16, 256], 3)
     assert np.max(tab.y_distance) <= 1e-10
     assert np.max(tab.k_distance) <= 1e-10
+
+
+def test_convergence_sweep_builds_each_basis_once(put_scenario, monkeypatch):
+    """The forward sweep builds each date's basis once for every level, and
+    its table equals the one from fields held whole, bit for bit."""
+    import parobs.stochastic as stochastic
+
+    spec = put_scenario.spec
+    x0 = 0.5 * (spec.x_lo + spec.x_hi)
+    ens = simulate_paths(spec, 0.0, x0, spec.T / 40, 3000, seed=34)
+    schedule = [16, 256, 4096]
+    calls = []
+
+    def counted(x, degree):
+        calls.append(degree)
+        return real_basis(x, degree)
+
+    real_basis = stochastic._basis
+    monkeypatch.setattr(stochastic, "_basis", counted)
+    tab = penalization_convergence_mc(spec, ens, schedule, 3)
+    n = ens.n_steps
+    # one basis per date k > 0 in each backward pass, then one per date in the sweep
+    assert len(calls) == (len(schedule) + 1) * (n - 1) + (n - 1)
+    stored = stored_simulate_paths(spec, 0.0, x0, spec.T / 40, 3000, seed=34)
+    ref = stored_convergence_table(spec, stored, schedule, 3)
+    for got, want in zip((tab.y_distance, tab.k_distance, tab.y_ci, tab.k_ci), ref, strict=True):
+        assert np.array_equal(got, want)
+    assert np.all(tab.y_distance > 0.0) and np.all(tab.k_distance > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ each on the five scenarios under ``scenarios/``.  Each tree runs with its own ``
 its own scenario files, under the same relative paths, so error text that
 names a path matches too.  Any difference in the CSVs, ``verify_report.txt``,
 stdout, stderr or exit code is reported.  Each line also shows both sides'
-peak RSS, the child's own ``ru_maxrss``; it is informational only.  Exit
-status: 0 when every pair is byte-identical, 1 otherwise.
+peak RSS, the child's own ``ru_maxrss``, and the last line names the pair
+with the largest working-tree-over-ref peak-RSS ratio; both are
+informational only.  Exit status: 0 when every pair is byte-identical, 1
+otherwise.
 
 Uses the standard library only; runs two CLI processes at a time.
 """
@@ -113,6 +115,13 @@ def main(argv=None) -> int:
               f"{len(work_run['files'])} files  {status}")
         failed += bool(diffs)
     print(f"{len(pairs) - failed} of {len(pairs)} pairs byte-identical against {ref}")
+
+    def rss_ratio(pair):
+        return results[("work", *pair)]["peak_rss_mb"] / results[("ref", *pair)]["peak_rss_mb"]
+
+    c, s = max(pairs, key=rss_ratio)
+    print(f"largest peak-RSS ratio: {c} {s}, {results[('ref', c, s)]['peak_rss_mb']:.0f} -> "
+          f"{results[('work', c, s)]['peak_rss_mb']:.0f} MB ({rss_ratio((c, s)):.2f}x)")
     return 1 if failed else 0
 
 
