@@ -82,15 +82,17 @@ def _solver_kwargs(sc: Scenario, keys) -> dict:
 
 def _solution_slabs(grid, sol):
     """solution.csv's lines, one text block per time slab.  Each x node is
-    formatted once and each slab's values are converted to Python numbers in
-    one go; the text is what _csv_line gives row by row."""
-    xs = [f"{x:.17g}" for x in grid.x_nodes.tolist()]
+    formatted once, and each slab is one %-format of a line template repeated
+    over the nodes, applied to the slab's values interleaved; "%.17g" and "%d"
+    give the text _csv_line gives row by row."""
+    n = grid.x_nodes.size
+    vals = [None] * (4 * n)
+    vals[0::4] = [f"{x:.17g}" for x in grid.x_nodes.tolist()]
     for k, t in enumerate(grid.t_nodes.tolist()):
-        lead = f"{t:.17g},"
-        yield "".join(f"{lead}{x},{u:.17g},{r:.17g},{int(c)}\n"
-                      for x, u, r, c in zip(xs, sol.u_values[k].tolist(),
-                                            sol.r_values[k].tolist(),
-                                            sol.contact_mask[k].tolist()))
+        vals[1::4] = sol.u_values[k].tolist()
+        vals[2::4] = sol.r_values[k].tolist()
+        vals[3::4] = sol.contact_mask[k].tolist()
+        yield (f"{t:.17g},%s,%.17g,%.17g,%d\n" * n) % tuple(vals)
 
 
 def cmd_solve(args) -> int:

@@ -22,7 +22,10 @@ class GridTooCoarse(ParobsError):
 
 
 class InnerDivergence(ParobsError):
-    """Per-step fixed-point iteration failed to converge."""
+    """Per-step fixed-point iteration failed to converge; ``level`` is the
+    failing level's index in a marched penalty ladder (0 for one solve)."""
+
+    level = 0
 
 
 class MonotonicityViolation(ParobsError):

@@ -11,11 +11,11 @@ nx interior nodes plus the two truncation-boundary nodes.
 ``transition_kernel`` holds the banded step matrix M = I - dt A with the
 boundary rows of its mode.  It is the step of every time loop: the solvers'
 backward steps (``apply``, or ``solve_backward_step`` with a penalty
-diagonal), the chain recursions (``apply``) and the forward laws
-(``evolve_law``, by ``apply_T``).  Every banded solve in the package goes
-through ``_tridiagonal_solve``, which calls LAPACK ``dgtsv`` directly: the
-routine ``scipy.linalg.solve_banded`` ends in for (1, 1) bands, without the
-wrapper's per-call cost.
+diagonal per level of a penalty ladder), the chain recursions (``apply``)
+and the forward laws (``evolve_law``, by ``apply_T``).  Every banded solve
+in the package goes through ``_tridiagonal_solve``, which calls LAPACK
+``dgtsv`` directly: the routine ``scipy.linalg.solve_banded`` ends in for
+(1, 1) bands, without the wrapper's per-call cost.
 ``MASS_TOL`` is a density's allowed mass loss; ``ENVELOPE_C_MAX`` and
 ``ENVELOPE_BURN_IN_FRAC`` bound and trim the Aronson envelope fit.
 """
@@ -144,14 +144,26 @@ def _tridiagonal_solve(ab: np.ndarray, b: np.ndarray, diag: np.ndarray | None = 
 
     ``diag``, when given, replaces the main diagonal ``ab[1]``.  One LAPACK
     ``dgtsv`` call, the routine ``solve_banded((1, 1), ab, b)`` ends in, so
-    the result is the same to the bit; b may be 1-D or (n, k).  Kept from
+    the result is the same to the bit; b may be 1-D or (n, k).  A batch of L
+    systems that share the off-diagonals passes ``diag`` and b as (L, n):
+    row l of the result solves with diag[l] and b[l], one ``dgtsv`` call per
+    row after one finiteness check of the whole batch.  Kept from
     ``solve_banded``: ``ValueError`` for NaN or inf anywhere in ab, diag or
     b, ``LinAlgError`` for a singular system, and no input is overwritten.
     """
     if not (np.isfinite(ab).all() and np.isfinite(b).all()
             and (diag is None or np.isfinite(diag).all())):
         raise ValueError("array must not contain infs or NaNs")
-    x, info = dgtsv(ab[2, :-1], ab[1] if diag is None else diag, ab[0, 1:], b)[3:]
+    if diag is not None and diag.ndim == 2:
+        x = np.empty(b.shape)
+        for row, d, rhs in zip(x, diag, b):
+            row[:] = _gtsv(ab, d, rhs)
+        return x
+    return _gtsv(ab, ab[1] if diag is None else diag, b)
+
+
+def _gtsv(ab: np.ndarray, diag: np.ndarray, b: np.ndarray) -> np.ndarray:
+    x, info = dgtsv(ab[2, :-1], diag, ab[0, 1:], b)[3:]
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
@@ -242,7 +254,8 @@ def solve_backward_step(kern: TransitionKernel, rhs_full: np.ndarray,
     """Solve (M + diag(extra_diag)) u = rhs on the full node set, M = I - dt A
     the implicit kernel's bands; ``extra_diag`` (length nx + 2) is the
     implicit penalty term.  Without it the step is ``kern.apply(rhs)``.
-    The shared bands are not copied: only the sum diagonal is new.
+    The shared bands are not copied: only the sum diagonal is new.  With
+    rhs and extra_diag of shape (L, nx + 2), row l solves its own system.
     """
     if kern.scheme != "implicit":
         raise ValueError("a backward step needs the implicit kernel")

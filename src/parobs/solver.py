@@ -14,17 +14,24 @@ Two routes solve the same discrete problem:
 Both, and the obstacle-free ``solve_unconstrained``, run on one backward
 marcher (``_march``) that owns the time loop, the clamp-to-data boundary
 values max(h(t, x_b), phi(x_b)), the lagged-driver fixed point within each
-step and the divergence guard.  Its step object is the grid's implicit
-``transition_kernel``, the banded M = I - dt A that is also the chain's
-transition law; the routes differ only in what they do with it per iterate:
-``kern.apply``, ``solve_backward_step`` with the penalty diagonal, or
-``_lcp_step`` on ``kern.bands``; each banded solve is the grid's
-``_tridiagonal_solve``.  ``sigma_du`` forms sigma Du on a grid row: the
-sigma row sqrt(a(t, x)) (``_sigma_row``) times ``central_gradient``.  Loops
-that need several rows at one t (the marcher's inner iterates, the chain-dp
-step) take the sigma row once per step.  Besides the ``DEFAULT_*`` tolerances,
-``PICARD_MAX_OUTER`` and ``PICARD_OUTER_TOL`` end ``picard_outer``, and
-``STABILITY_C`` is the distance ratio ``obstacle_stability`` passes.
+step and the divergence guard.  It carries a leading level axis: the levels
+of a penalty ladder march in lockstep, sharing each step's kernel and sigma
+row, and a level whose iterate has converged is frozen while the others
+iterate, so every level is bit for bit its lone march; a single solve is a
+ladder of one.  ``penalization_study`` and ``verify.check_minimality`` march
+their levels together and fold each slice as it comes, holding no level's
+field.  The step object is the grid's implicit ``transition_kernel``, the
+banded M = I - dt A that is also the chain's transition law, built once per
+march when a(t, x) returns a constant scalar; the routes differ only in what
+they do with it per iterate: ``kern.apply``, ``solve_backward_step`` with
+one penalty diagonal per level, or ``_lcp_step`` on ``kern.bands``; each
+banded solve is the grid's ``_tridiagonal_solve``.  ``sigma_du`` forms
+sigma Du on a grid row: the sigma row sqrt(a(t, x)) (``_sigma_row``) times
+``central_gradient``.  Loops that need several rows at one t (the marcher's
+inner iterates, the chain-dp step) take the sigma row once per step.
+Besides the ``DEFAULT_*`` tolerances, ``PICARD_MAX_OUTER`` and
+``PICARD_OUTER_TOL`` end ``picard_outer``, and ``STABILITY_C`` is the
+distance ratio ``obstacle_stability`` passes.
 
 The reflection measure is represented by the nonnegative cell density r with
 cell mass r dx dt; the continuum measure need not be absolutely continuous, so
@@ -107,11 +114,12 @@ def boundary_values(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
 
 
 def central_gradient(row: np.ndarray, dx: float) -> np.ndarray:
-    """Central difference in the interior, one-sided at the boundary nodes."""
+    """Central difference in the interior, one-sided at the boundary nodes,
+    along the last axis (a row, or a stack of rows)."""
     g = np.empty_like(row)
-    g[1:-1] = (row[2:] - row[:-2]) / (2.0 * dx)
-    g[0] = (row[1] - row[0]) / dx
-    g[-1] = (row[-1] - row[-2]) / dx
+    g[..., 1:-1] = (row[..., 2:] - row[..., :-2]) / (2.0 * dx)
+    g[..., 0] = (row[..., 1] - row[..., 0]) / dx
+    g[..., -1] = (row[..., -1] - row[..., -2]) / dx
     return g
 
 
@@ -141,7 +149,8 @@ def z_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, u: np.ndarray) -> np
 
 def _driver_row(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t: float,
                 u_row: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """f(t, x, u, sigma Du) on all nodes, ``sigma`` the ``_sigma_row`` at t."""
+    """f(t, x, u, sigma Du) on all nodes, ``sigma`` the ``_sigma_row`` at t;
+    on a stack of rows u, one evaluation of f for all of them."""
     z = sigma * central_gradient(u_row, grid.dx)
     return _full_row(spec.driver.f(t, grid.x_nodes, u_row, z), u_row.shape)
 
@@ -204,59 +213,147 @@ def _contact_tol(spec: ObstacleProblemSpec, h_field: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # one backward marcher
 
-def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, h_field=None,
-           exact: bool = True, driver_field: np.ndarray | None = None,
-           inner_tol: float = DEFAULT_INNER_TOL, max_inner: int = DEFAULT_MAX_INNER,
-           label: str = "inner iteration"):
-    """Backward implicit Euler from u(T) = phi with the driver lagged in each step.
+def _abs_max(a: np.ndarray) -> float:
+    """max |a|, exactly, without the ``np.abs`` temporary."""
+    return max(float(a.max()), -float(a.min()))
 
-    ``solve(k, kern, b, v)`` maps the step's implicit kernel, the iterate v
-    and b = u_{k+1} + dt f(t_k, ., v, sigma D v), whose edge entries hold the
-    clamp-to-data values (phi alone without an obstacle), to the next
-    iterate.  A step ends when an iterate moves by at most ``inner_tol``, or
-    after one ``exact`` solve when b does not depend on v (L = 0 or a frozen
-    driver).  The sigma row that sigma D v needs is evaluated once per
-    step, not per iterate.  Returns u, iterations per step.
+
+def _step_kernels(spec: ObstacleProblemSpec, grid: SpaceTimeGrid):
+    """(k, t_k, implicit kernel of step k) for k = nt - 1 .. 0.
+
+    The bands depend on a(t_k, .) alone.  While ``a`` returns a scalar (the
+    constant-coefficient families), a kernel is built only when that scalar
+    changes, so a constant a builds one kernel per march; the steps share its
+    bands read-only.  An ``a`` that returns a row builds one kernel per step.
+    """
+    mid = 0.5 * (grid.x_nodes[:-1] + grid.x_nodes[1:])
+    kern, scalar = None, True
+    for k in range(grid.nt - 1, -1, -1):
+        t = float(grid.t_nodes[k])
+        if scalar:
+            a = spec.coefficients.a(t, mid)
+            scalar = np.ndim(a) == 0
+        if not scalar or kern is None or a != a_kern:
+            kern, a_kern = transition_kernel(spec, grid, k), a
+        yield k, t, kern
+
+
+def _diverged(label: str, level: int, what: str) -> InnerDivergence:
+    err = InnerDivergence(f"{label} {what}")
+    err.level = level
+    return err
+
+
+def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, labels, h_field=None,
+           exact: bool = True, driver_field: np.ndarray | None = None,
+           inner_tol: float = DEFAULT_INNER_TOL, max_inner: int = DEFAULT_MAX_INNER):
+    """Backward implicit Euler from u(T) = phi with the driver lagged in each
+    step, for a ladder of levels (one per entry of ``labels``) in lockstep.
+
+    Row l of an iterate belongs to level l.  ``solve(k, kern, b, v, rows)``
+    maps the step's implicit kernel, the iterates v of the levels ``rows``
+    and their b = u_{k+1} + dt f(t_k, ., v, sigma D v), whose edge entries
+    hold the clamp-to-data values (phi alone without an obstacle), to their
+    next iterates.  A level's step ends when its iterate moves by at most
+    ``inner_tol``, or after one ``exact`` solve when b does not depend on v
+    (L = 0 or a frozen driver); the level is then frozen while the others
+    iterate, so each level's arithmetic and iteration count are those of its
+    lone march.  The levels of a step share one kernel (``_step_kernels``:
+    one per march for a constant a) and one sigma row; their driver rows and
+    right-hand sides are formed together.
+
+    Yields (k, u_k, its_k) for k = nt .. 0: the slice of each live level and
+    its iterations in step k (zeros at k = nt).  No field is held.  A level
+    that diverges stops with every later level, so the live levels are a
+    leading run of the ladder; the first diverged level's ``InnerDivergence``,
+    its ``level`` attribute set, is raised when no level is left or after
+    slice 0, as a level-by-level run would raise first.
     """
     dt = grid.dt
-    u = np.empty((grid.nt + 1, grid.nx + 2))
-    u[grid.nt] = terminal_field(spec, grid)
+    u_next = np.tile(terminal_field(spec, grid), (len(labels), 1))
     bnd = boundary_values(spec, grid, h_field) if spec.boundary_mode == "clamp-to-data" else None
     once = exact and (spec.driver.L <= 0.0 or driver_field is not None)
-    scale = 1.0 + float(np.max(np.abs(u[grid.nt])))
+    scale = 1.0 + _abs_max(u_next[0])
     if h_field is not None:
-        scale += float(np.max(np.abs(h_field)))
-    iterations = np.zeros(grid.nt, dtype=int)
+        scale += _abs_max(h_field)
+    blowup = 1e12 * scale  # an iterate above it has diverged
+    error = None
+    yield grid.nt, u_next, np.zeros(len(labels), dtype=int)
 
-    for k in range(grid.nt - 1, -1, -1):
-        kern = transition_kernel(spec, grid, k)
-        t = float(grid.t_nodes[k])
+    for k, t, kern in _step_kernels(spec, grid):
         sigma = _sigma_row(spec, grid, t) if driver_field is None else None
-        v = u[k + 1].copy()
+        live = len(u_next)
+        v = u_next.copy()
         if bnd is not None:
-            v[0], v[-1] = bnd[k]
+            v[:, 0], v[:, -1] = bnd[k]
+        its = np.zeros(live, dtype=int)
+        # the levels still iterating in this step, their iterates and u_{k+1}
+        rows, cur, base = np.arange(live), v, u_next
         for m in range(max_inner):
-            f = _driver_row(spec, grid, t, v, sigma) if driver_field is None else driver_field[k]
-            b = u[k + 1] + dt * f
+            f = _driver_row(spec, grid, t, cur, sigma) if driver_field is None else driver_field[k]
+            b = base + dt * f
             if bnd is not None:
-                b[0], b[-1] = bnd[k]
-            v_new = solve(k, kern, b, v)
-            diff = float(np.max(np.abs(v_new - v)))
-            v = v_new
-            if not np.isfinite(diff) or np.max(np.abs(v)) > 1e12 * scale:
-                raise InnerDivergence(f"{label} diverged at step {k}")
-            if once or diff <= inner_tol:
-                iterations[k] = m + 1
+                b[:, 0], b[:, -1] = bnd[k]
+            new = solve(k, kern, b, cur, rows)
+            diff = np.abs(new - cur).max(axis=1)
+            bad = ~np.isfinite(diff) | (np.abs(new).max(axis=1) > blowup)
+            done = (diff <= inner_tol) | once
+            cur = new
+            if not (bad.any() or done.any()):
+                continue
+            done &= ~bad
+            v[rows[done]] = new[done]
+            its[rows[done]] = m + 1
+            if bad.any():
+                live = int(rows[bad][0])
+                error = _diverged(labels[live], live, f"diverged at step {k}")
+            keep = ~done & ~bad & (rows < live)
+            rows, cur, base = rows[keep], new[keep], base[keep]
+            if not rows.size:
                 break
         else:
-            raise InnerDivergence(f"{label} did not converge within {max_inner} iterations "
-                                  f"at step {k}; reduce dt relative to L")
-        u[k] = v
-    return u, iterations
+            live = int(rows[0])
+            error = _diverged(labels[live], live, f"did not converge within {max_inner} "
+                              f"iterations at step {k}; reduce dt relative to L")
+        if not live:
+            raise error
+        u_next = v[:live]
+        yield k, u_next, its[:live]
+    if error is not None:
+        raise error
+
+
+def _one_level(march, grid: SpaceTimeGrid):
+    """The field and the per-step iteration counts of a one-level march."""
+    u = np.empty((grid.nt + 1, grid.nx + 2))
+    counts = np.zeros(grid.nt, dtype=int)
+    for k, rows, its in march:
+        u[k] = rows[0]
+        if k < grid.nt:
+            counts[k] = its[0]
+    return u, counts
 
 
 # ---------------------------------------------------------------------------
 # penalized and unconstrained routes
+
+def _penalized_march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels,
+                     h_field: np.ndarray, inner_tol: float, max_inner: int):
+    """``_march`` of the penalized step for the penalty levels ``n_levels``
+    in lockstep, ``h_field`` the obstacle on every slice."""
+    mode = spec.boundary_mode
+    dtn = grid.dt * np.array([float(n) for n in n_levels])[:, None]
+
+    def penalized(k, kern, b, v, rows):
+        active = v < h_field[k]
+        if mode == "clamp-to-data":
+            active[:, 0] = active[:, -1] = False
+        dtn_rows = dtn[rows]
+        return solve_backward_step(kern, b + dtn_rows * h_field[k] * active, dtn_rows * active)
+
+    return _march(spec, grid, penalized, [f"penalized inner iteration (n = {n})" for n in n_levels],
+                  h_field, exact=False, inner_tol=inner_tol, max_inner=max_inner)
+
 
 def solve_penalized(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_penalty: int,
                     inner_tol: float = DEFAULT_INNER_TOL,
@@ -267,23 +364,13 @@ def solve_penalized(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_penalty: i
     + n (u_k - h_k)^-].  The stiff penalty is resolved implicitly on the
     current active set, which is the node-wise exact damping of the penalty
     term by 1 / (1 + dt n) and keeps the inner fixed point contractive for
-    every n; only the driver lag limits dt.
+    every n; only the driver lag limits dt.  A penalty ladder of one level.
     """
     if n_penalty < 1:
         raise ValueError("n_penalty must be >= 1")
-    mode = spec.boundary_mode
     h_field = obstacle_field(spec, grid)
-    dtn = grid.dt * float(n_penalty)
-
-    def penalized(k, kern, b, v):
-        active = v < h_field[k]
-        if mode == "clamp-to-data":
-            active[0] = active[-1] = False
-        return solve_backward_step(kern, b + dtn * h_field[k] * active, dtn * active)
-
-    u, counts = _march(spec, grid, penalized, h_field, exact=False,
-                       inner_tol=inner_tol, max_inner=max_inner,
-                       label=f"penalized inner iteration (n = {n_penalty})")
+    u, counts = _one_level(_penalized_march(spec, grid, [n_penalty], h_field, inner_tol,
+                                            max_inner), grid)
     r = float(n_penalty) * np.maximum(h_field - u, 0.0)
     return PenalizedSolution(n_penalty=n_penalty, u_values=u, r_values=r,
                              inner_iteration_counts=counts)
@@ -309,8 +396,9 @@ def solve_unconstrained(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
 
     Under clamp-to-data the boundary follows the terminal data extension.
     """
-    return _march(spec, grid, lambda k, kern, b, v: kern.apply(b), inner_tol=inner_tol,
-                  max_inner=max_inner, label="unconstrained step")[0]
+    return _one_level(_march(spec, grid, lambda k, kern, b, v, rows: kern.apply(b.T).T,
+                             ["unconstrained step"], inner_tol=inner_tol,
+                             max_inner=max_inner), grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +462,15 @@ def solve_psor(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     resid = np.empty((grid.nt, grid.nx + 2))
     sweep_counts = np.zeros(grid.nt, dtype=int)
 
-    def lcp(k, kern, b, v):
-        v, solves, resid[k] = _lcp_step(kern.bands, b, h_field[k], v, spec.boundary_mode, lcp_tol)
+    def lcp(k, kern, b, v, rows):
+        v, solves, resid[k] = _lcp_step(kern.bands, b[0], h_field[k], v[0], spec.boundary_mode,
+                                        lcp_tol)
         sweep_counts[k] += solves
-        return v
+        return v[None]
 
-    u, refine_counts = _march(
-        spec, grid, lcp, h_field, driver_field=driver_field, inner_tol=inner_tol,
-        max_inner=max_inner, label="driver refinement")
+    u, refine_counts = _one_level(_march(
+        spec, grid, lcp, ["driver refinement"], h_field, driver_field=driver_field,
+        inner_tol=inner_tol, max_inner=max_inner), grid)
     # residual-based measure density on the binding set; the support uses
     # the tighter lcp_tol so that min(u - h, r) stays below lcp_tol even
     # though r carries a 1/dt amplification of the step residual
@@ -421,12 +510,55 @@ def _grad_sq(row: np.ndarray, rho2_mid: np.ndarray, dx: float) -> float:
     return float(np.sum(g**2 * rho2_mid) * dx)
 
 
-def _space_time_norm(grid: SpaceTimeGrid, weight: Weight, fld: np.ndarray) -> float:
-    rho2, rho2_mid = _weight_profile(grid, weight)
-    total = 0.0
-    for k in range(grid.nt + 1):
-        total += (_l2_sq(fld[k], rho2, grid.dx) + _grad_sq(fld[k], rho2_mid, grid.dx)) * grid.dt
-    return float(np.sqrt(total))
+def _fold_ladder(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels, u_before: np.ndarray,
+                 h_field: np.ndarray, inner_tol: float, ref: np.ndarray | None) -> dict:
+    """March the penalty levels ``n_levels`` in lockstep and fold each slice
+    into the study's statistics, per level j, with ``u_before`` the field of
+    the level before the first:
+
+    * ``worst``, ``at``: the min of u_j - u_{j-1} and its first (k, i) in C
+      order, as ``np.argmin`` of the whole field would find it;
+    * ``sup``: max |u_j - u_{j-1}|;
+    * ``terms``: row k's term of the space-time norm of u_j - u_{j-1};
+    * ``gap``: max (h - u_j), at most 0 exactly when r_j = n_j (h - u_j)^+
+      is 0 everywhere;
+    * ``dist``: max |u_j - ref|, when a reference field is given;
+    * ``counts``: the inner iterations per step; ``u_last``: the last
+      level's field.
+
+    ``done`` is the number of leading levels that completed and ``error``
+    the divergence that stopped the others (None when all did).
+    """
+    nl = len(n_levels)
+    rho2, rho2_mid = _weight_profile(grid, spec.weight)
+    out = {"worst": np.full(nl, np.inf), "at": [None] * nl, "sup": np.zeros(nl),
+           "terms": np.zeros((nl, grid.nt + 1)), "gap": np.full(nl, -np.inf),
+           "dist": np.zeros(nl), "counts": np.zeros((nl, grid.nt), dtype=int),
+           "u_last": np.empty((grid.nt + 1, grid.nx + 2)), "done": nl, "error": None}
+    worst, at, sup, terms, gap, dist = (out[key] for key in
+                                        ("worst", "at", "sup", "terms", "gap", "dist"))
+    try:
+        for k, rows, its in _penalized_march(spec, grid, n_levels, h_field, inner_tol,
+                                             DEFAULT_MAX_INNER):
+            live = len(rows)
+            delta = rows - np.concatenate((u_before[k][None], rows[:-1]))
+            lo = delta.min(axis=1)
+            for j in np.flatnonzero(lo <= worst[:live]):  # slices come in falling k
+                worst[j], at[j] = lo[j], (k, int(np.argmin(delta[j])))
+            sup[:live] = np.maximum(sup[:live], np.max(np.abs(delta), axis=1))
+            terms[:live, k] = (np.sum(delta**2 * rho2, axis=1) * grid.dx
+                               + np.sum((np.diff(delta, axis=1) / grid.dx) ** 2 * rho2_mid,
+                                        axis=1) * grid.dx) * grid.dt
+            gap[:live] = np.maximum(gap[:live], np.max(h_field[k] - rows, axis=1))
+            if ref is not None:
+                dist[:live] = np.maximum(dist[:live], np.max(np.abs(rows - ref[k]), axis=1))
+            if k < grid.nt:
+                out["counts"][:live, k] = its
+            if live == nl:
+                out["u_last"][k] = rows[-1]
+    except InnerDivergence as exc:
+        out["done"], out["error"] = exc.level, exc
+    return out
 
 
 def penalization_study(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedule,
@@ -439,35 +571,57 @@ def penalization_study(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedul
     all later levels solve the same unconstrained problem.  With a
     ``reference`` solution the study also records each level's sup distance
     to it.
+
+    The first level marches alone, so an inactive obstacle costs one level;
+    the others march in lockstep (``_fold_ladder``), so the only fields held
+    are the first level's and the limit's.  The outcome is that of a
+    level-by-level run: in schedule order each level raises its divergence,
+    then its monotonicity violation against the level before, then ends the
+    study if its penalty is inactive.  A limit other than the first or the
+    last level marches once more, alone.
     """
     n_schedule = [int(n) for n in n_schedule]
     if not n_schedule:
         raise ValueError("n_schedule is empty")
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")
-    levels, sups, norms, dists = [], [], [], []
-    prev = None
-    for n in n_schedule:
-        sol = solve_penalized(spec, grid, n, inner_tol=inner_tol)
-        levels.append(n)
-        if reference is not None:
-            dists.append(float(np.max(np.abs(sol.u_values - reference.u_values))))
-        if prev is not None:
-            delta = sol.u_values - prev.u_values
-            worst = float(delta.min())
+    ref = None if reference is None else reference.u_values
+    limit = solve_penalized(spec, grid, n_schedule[0], inner_tol=inner_tol)
+    levels, sups, norms = [n_schedule[0]], [], []
+    dists = [] if ref is None else [float(np.max(np.abs(limit.u_values - ref)))]
+
+    if len(n_schedule) > 1 and float(np.max(limit.r_values)) != 0.0:
+        ladder, u_first, limit = n_schedule[1:], limit.u_values, None
+        h_field = obstacle_field(spec, grid)
+        folds = _fold_ladder(spec, grid, ladder, u_first, h_field, inner_tol, ref)
+        del u_first
+        for j, n in enumerate(ladder):
+            if j == folds["done"]:
+                raise folds["error"]
+            levels.append(n)
+            if ref is not None:
+                dists.append(float(folds["dist"][j]))
+            worst = float(folds["worst"][j])
             if worst < -DEFAULT_MONO_TOL:
-                k, i = np.unravel_index(int(np.argmin(delta)), delta.shape)
+                k, i = folds["at"][j]
                 raise MonotonicityViolation(
                     f"u_n decreased by {-worst:.3e} at t = {grid.t_nodes[k]:.6g}, "
-                    f"x = {grid.x_nodes[i]:.6g} between n = {prev.n_penalty} and n = {n}; "
+                    f"x = {grid.x_nodes[i]:.6g} between n = {n_schedule[j]} and n = {n}; "
                     f"inner_tol may be too loose")
-            sups.append(float(np.max(np.abs(delta))))
-            norms.append(_space_time_norm(grid, spec.weight, delta))
-        prev = sol
-        if float(np.max(sol.r_values)) == 0.0:
-            break
+            sups.append(float(folds["sup"][j]))
+            # the row terms summed in forward order: cumsum adds sequentially
+            norms.append(float(np.sqrt(np.cumsum(folds["terms"][j])[-1])))
+            if folds["gap"][j] <= 0.0:
+                break
+        if j < len(ladder) - 1:
+            limit = solve_penalized(spec, grid, n, inner_tol=inner_tol)
+        else:
+            u = folds["u_last"]
+            limit = PenalizedSolution(n_penalty=n, u_values=u,
+                                      r_values=float(n) * np.maximum(h_field - u, 0.0),
+                                      inner_iteration_counts=folds["counts"][j])
 
-    limit = as_obstacle_solution(spec, grid, prev)
+    limit = as_obstacle_solution(spec, grid, limit)
     limit.method = "penalized-limit"
     study = PenalizationStudy(
         n_levels=levels,

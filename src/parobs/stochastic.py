@@ -46,6 +46,7 @@ from .solver import (
     sigma_du,
     terminal_field,
     z_field,
+    _abs_max,
     _contact_tol,
     _sigma_row,
 )
@@ -543,9 +544,10 @@ class LsmcEstimate:
             raise IndexError(f"date {k} outside 0..{n - 1}")
         return None if k == 0 else _basis(self.ensemble.x(k), self.basis_degree)
 
-    def _evaluate(self, k: int, B: np.ndarray | None):
+    def _evaluate(self, k: int, B: np.ndarray | None, cont: np.ndarray | None = None):
         """The date-k update from ``coef[k]``: fitted continuation and Z, the
-        per-path implicit value step and the K increment.
+        per-path implicit value step and the K increment.  ``cont``, when
+        given, is the fitted continuation the caller has already formed.
 
         Returns (y, c, z, dK, h): fitted value, pre-reflection value, Z,
         K increment and obstacle, one entry per path.
@@ -553,7 +555,8 @@ class LsmcEstimate:
         m = self.ensemble.path_count
         t = float(self.t_nodes[k])
         xk = self.ensemble.x(k)
-        cont = _fitted(self.coef[k, 0], B, m)
+        if cont is None:
+            cont = _fitted(self.coef[k, 0], B, m)
         zk = _fitted(self.coef[k, 1], B, m)
         h_k = _full_row(self.spec.obstacle.h(t, xk), (m,))
         y, c = self._resolve(t, xk, cont, zk, h_k)
@@ -579,7 +582,7 @@ class LsmcEstimate:
                 # exact scalar solve of y = c + dt n (y - h)^-: the penalty is
                 # damped by 1 / (1 + dt n), so the update is stable for all n
                 y_new = np.maximum(c, (c + dt * nq * h_k) / (1.0 + dt * nq))
-            if np.max(np.abs(y_new - y)) <= 1e-13 * (1.0 + np.max(np.abs(y_new))):
+            if _abs_max(y_new - y) <= 1e-13 * (1.0 + _abs_max(y_new)):
                 return y_new, c
             y = y_new
         raise InnerDivergence(f"{self.scheme} driver iteration stalled")
@@ -627,9 +630,11 @@ def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree
         # centering the Z target with the fitted continuation changes nothing
         # in expectation (E[C(X) dW] = 0) and removes the O(1/dt) variance
         # carried by the level of V
-        z_target = (V - _fitted(est.coef[k, 0], proj.B, m)) * dw / dt
+        cont = _fitted(est.coef[k, 0], proj.B, m)
+        z_target = (V - cont) * dw / dt
         est.coef[k, 1] = proj.coef(z_target)
-        y_fit, c_fit, zk, dk, h_k = est._evaluate(k, proj.B)
+        y_fit, c_fit, zk, dk, h_k = est._evaluate(k, proj.B, cont)
+        del cont
         if k == 0:
             batch_y0 = []
             for sl in _batch_slices(m):

@@ -402,3 +402,110 @@ def mass_vector_evolution(spec, grid, start_index, rho=None):
         kern = transition_kernel(spec, grid, k, scheme="implicit")
         w = kern.apply_T(w)
         yield k + 1, w
+
+
+def lone_penalized(spec, grid, n_penalty, inner_tol=1e-11, max_inner=200):
+    """One penalty level marched alone, as the package did before its levels
+    marched in lockstep: one implicit kernel built per step, one row per
+    iterate.  Returns a ``PenalizedSolution``; the lockstep levels must match
+    it bit for bit, iteration counts included."""
+    from parobs.errors import InnerDivergence
+    from parobs.grid import solve_backward_step, transition_kernel
+    from parobs.solver import (PenalizedSolution, _driver_row, _sigma_row, boundary_values,
+                               obstacle_field, terminal_field)
+
+    dt = grid.dt
+    h_field = obstacle_field(spec, grid)
+    dtn = dt * float(n_penalty)
+    label = f"penalized inner iteration (n = {n_penalty})"
+    u = np.empty((grid.nt + 1, grid.nx + 2))
+    u[grid.nt] = terminal_field(spec, grid)
+    bnd = boundary_values(spec, grid, h_field) if spec.boundary_mode == "clamp-to-data" else None
+    scale = 1.0 + float(np.max(np.abs(u[grid.nt]))) + float(np.max(np.abs(h_field)))
+    counts = np.zeros(grid.nt, dtype=int)
+    for k in range(grid.nt - 1, -1, -1):
+        kern = transition_kernel(spec, grid, k)
+        t = float(grid.t_nodes[k])
+        sigma = _sigma_row(spec, grid, t)
+        v = u[k + 1].copy()
+        if bnd is not None:
+            v[0], v[-1] = bnd[k]
+        for m in range(max_inner):
+            b = u[k + 1] + dt * _driver_row(spec, grid, t, v, sigma)
+            if bnd is not None:
+                b[0], b[-1] = bnd[k]
+            active = v < h_field[k]
+            if bnd is not None:
+                active[0] = active[-1] = False
+            v_new = solve_backward_step(kern, b + dtn * h_field[k] * active, dtn * active)
+            diff = float(np.max(np.abs(v_new - v)))
+            v = v_new
+            if not np.isfinite(diff) or np.max(np.abs(v)) > 1e12 * scale:
+                raise InnerDivergence(f"{label} diverged at step {k}")
+            if diff <= inner_tol:
+                counts[k] = m + 1
+                break
+        else:
+            raise InnerDivergence(f"{label} did not converge within {max_inner} iterations "
+                                  f"at step {k}; reduce dt relative to L")
+        u[k] = v
+    r = float(n_penalty) * np.maximum(h_field - u, 0.0)
+    return PenalizedSolution(n_penalty=n_penalty, u_values=u, r_values=r,
+                             inner_iteration_counts=counts)
+
+
+def sequential_penalization_study(spec, grid, n_schedule, inner_tol=1e-11, reference=None):
+    """The penalization study as a loop over the levels, each solved whole by
+    ``lone_penalized`` and compared with the one before: the loop the package
+    ran before it marched the levels in lockstep.  Returns (limit, study)."""
+    from parobs.errors import MonotonicityViolation
+    from parobs.solver import (DEFAULT_MONO_TOL, PenalizationStudy, _grad_sq, _l2_sq,
+                               _weight_profile, as_obstacle_solution)
+
+    def space_time_norm(fld):
+        rho2, rho2_mid = _weight_profile(grid, spec.weight)
+        total = 0.0
+        for k in range(grid.nt + 1):
+            total += (_l2_sq(fld[k], rho2, grid.dx) + _grad_sq(fld[k], rho2_mid, grid.dx)) * grid.dt
+        return float(np.sqrt(total))
+
+    n_schedule = [int(n) for n in n_schedule]
+    levels, sups, norms, dists = [], [], [], []
+    prev = None
+    for n in n_schedule:
+        sol = lone_penalized(spec, grid, n, inner_tol=inner_tol)
+        levels.append(n)
+        if reference is not None:
+            dists.append(float(np.max(np.abs(sol.u_values - reference.u_values))))
+        if prev is not None:
+            delta = sol.u_values - prev.u_values
+            worst = float(delta.min())
+            if worst < -DEFAULT_MONO_TOL:
+                k, i = np.unravel_index(int(np.argmin(delta)), delta.shape)
+                raise MonotonicityViolation(
+                    f"u_n decreased by {-worst:.3e} at t = {grid.t_nodes[k]:.6g}, "
+                    f"x = {grid.x_nodes[i]:.6g} between n = {prev.n_penalty} and n = {n}; "
+                    f"inner_tol may be too loose")
+            sups.append(float(np.max(np.abs(delta))))
+            norms.append(space_time_norm(delta))
+        prev = sol
+        if float(np.max(sol.r_values)) == 0.0:
+            break
+    limit = as_obstacle_solution(spec, grid, prev)
+    limit.method = "penalized-limit"
+    return limit, PenalizationStudy(
+        n_levels=levels, sup_increments=np.asarray(sups), norm_increments=np.asarray(norms),
+        monotone=True, distances_to_reference=np.asarray(dists) if reference is not None else None)
+
+
+def sequential_minimality(spec, grid, sol, n_schedule):
+    """The minimality statistics as a loop over the levels, each solved whole
+    by ``lone_penalized``: (overshoot, final_gap) against the complementarity
+    solution ``sol``."""
+    overshoot = 0.0
+    last = None
+    for n in n_schedule:
+        pen = lone_penalized(spec, grid, int(n))
+        overshoot = max(overshoot, float(np.max(pen.u_values - sol.u_values)))
+        last = pen
+    return overshoot, float(np.max(np.abs(last.u_values - sol.u_values)))

@@ -470,6 +470,35 @@ def test_tridiagonal_solve_rejects_a_singular_system():
         _tridiagonal_solve(regular, b, ab[1])
 
 
+def test_tridiagonal_solve_batches_diagonals_row_by_row():
+    """(L, n) diagonals and right-hand sides: row l is the 1-D solve with
+    diag[l] and b[l], bit for bit; no input is overwritten, and a NaN in one
+    row or one singular row fails the batch as it fails the row."""
+    rng = np.random.default_rng(41)
+    n, levels = 57, 5
+    ab = rng.uniform(-1.0, 0.0, (3, n))
+    ab[1] = 3.0
+    diag = ab[1] + rng.uniform(0.0, 1e3, (levels, n)) * (rng.random((levels, n)) < 0.5)
+    b = rng.normal(size=(levels, n))
+    ab0, diag0, b0 = ab.copy(), diag.copy(), b.copy()
+    x = _tridiagonal_solve(ab, b, diag)
+    assert x.shape == b.shape
+    for row, d, rhs in zip(x, diag, b):
+        assert np.array_equal(row, _tridiagonal_solve(ab, rhs, d))
+    assert np.array_equal(ab, ab0) and np.array_equal(diag, diag0) and np.array_equal(b, b0)
+    bad = b.copy()
+    bad[3, 7] = np.nan
+    with pytest.raises(ValueError):
+        _tridiagonal_solve(ab, bad, diag)
+    singular = diag.copy()
+    singular[2] = 0.0
+    singular[2, 1:] = ab[1, 1:]
+    ab_zero_row = ab.copy()
+    ab_zero_row[0, 1] = ab_zero_row[2, 0] = 0.0  # row 0 of the matrix is then diag[0] alone
+    with pytest.raises(LinAlgError, match="singular"):
+        _tridiagonal_solve(ab_zero_row, b, singular)
+
+
 def test_no_module_imports_solve_banded():
     """One banded-solve entry point: ``grid._tridiagonal_solve``."""
     src = Path(parobs.__file__).parent

@@ -1,0 +1,195 @@
+"""The penalty ladder: levels marched in lockstep by one backward pass.
+
+Every level of a lockstep march must be the lone march of that level, bit
+for bit, and the penalization study and the minimality check built on it
+must equal their level-by-level loops, errors included.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import parobs.solver as solver_mod
+from parobs.errors import InnerDivergence, MonotonicityViolation
+from parobs.grid import SpaceTimeGrid
+from parobs.problem import Coefficients, Driver, ObstacleData, ObstacleProblemSpec, Weight
+from parobs.solver import (_penalized_march, obstacle_field, penalization_study, solve_penalized,
+                           solve_psor)
+from parobs.verify import VerifyContext, check_minimality
+
+from oracles import (lone_penalized, sequential_minimality, sequential_penalization_study)
+
+SCENARIOS = ["constant_scenario", "heat_scenario", "sine_scenario", "put_scenario",
+             "quad_scenario"]
+MINIMALITY = [2**j for j in range(4, 13, 2)]
+STUDY = [2**j for j in range(4, 13)]
+
+
+def _grid(spec):
+    return SpaceTimeGrid.build(spec, 60, 40)
+
+
+def _lockstep(spec, grid, levels):
+    """Every level's field and iteration counts from one lockstep march."""
+    u = np.empty((len(levels), grid.nt + 1, grid.nx + 2))
+    counts = np.zeros((len(levels), grid.nt), dtype=int)
+    for k, rows, its in _penalized_march(spec, grid, levels, obstacle_field(spec, grid), 1e-11,
+                                         200):
+        assert len(rows) == len(levels)
+        u[:, k] = rows
+        if k < grid.nt:
+            counts[:, k] = its
+    return u, counts
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_lockstep_levels_are_their_lone_marches(name, request):
+    spec = request.getfixturevalue(name).spec
+    grid = _grid(spec)
+    h_field = obstacle_field(spec, grid)
+    u, counts = _lockstep(spec, grid, MINIMALITY)
+    for level, n in enumerate(MINIMALITY):
+        lone = lone_penalized(spec, grid, n)
+        one = solve_penalized(spec, grid, n)
+        for sol in (lone, one):
+            assert np.array_equal(u[level], sol.u_values)
+            assert np.array_equal(float(n) * np.maximum(h_field - u[level], 0.0), sol.r_values)
+            assert np.array_equal(counts[level], sol.inner_iteration_counts)
+
+
+def _assert_same_study(got, want):
+    (limit, study), (ref_limit, ref_study) = got, want
+    assert study.n_levels == ref_study.n_levels
+    for key in ("sup_increments", "norm_increments", "distances_to_reference"):
+        assert np.array_equal(getattr(study, key), getattr(ref_study, key)), key
+    assert study.monotone and limit.method == ref_limit.method == "penalized-limit"
+    for key in ("u_values", "r_values", "contact_mask"):
+        assert np.array_equal(getattr(limit, key), getattr(ref_limit, key)), key
+    assert limit.diagnostics["n_penalty"] == ref_limit.diagnostics["n_penalty"]
+    assert np.array_equal(limit.diagnostics["inner_iteration_counts"],
+                          ref_limit.diagnostics["inner_iteration_counts"])
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_study_and_minimality_equal_their_level_loops(name, request):
+    sc = request.getfixturevalue(name)
+    grid = _grid(sc.spec)
+    ctx = VerifyContext(sc.spec, grid, sc.mc_params)
+    _assert_same_study(penalization_study(sc.spec, grid, STUDY, reference=ctx.sol),
+                       sequential_penalization_study(sc.spec, grid, STUDY, reference=ctx.sol))
+    _assert_same_study(penalization_study(sc.spec, grid, STUDY[:1]),
+                       sequential_penalization_study(sc.spec, grid, STUDY[:1]))
+    rep = check_minimality(ctx, MINIMALITY)
+    overshoot, gap = sequential_minimality(sc.spec, grid, ctx.sol, MINIMALITY)
+    assert (rep.details["overshoot"], rep.details["final_gap"]) == (overshoot, gap)
+    assert rep.discrepancy == max(overshoot / solver_mod.DEFAULT_MONO_TOL, gap / 1e-3)
+
+
+def test_a_limit_inside_the_schedule_marches_again(monkeypatch, put_scenario):
+    """A level past the first whose penalty is inactive ends the study; when
+    it is not the last level its field, never held by the ladder, is marched
+    again alone.  Forced here on the put at level 256: the study must equal
+    the level loop run up to 256."""
+    spec = put_scenario.spec
+    grid = _grid(spec)
+    fold = solver_mod._fold_ladder
+
+    def inactive_at_256(spec_, grid_, n_levels, *args):
+        out = fold(spec_, grid_, n_levels, *args)
+        out["gap"][n_levels.index(256)] = 0.0
+        return out
+
+    monkeypatch.setattr(solver_mod, "_fold_ladder", inactive_at_256)
+    ref = solve_psor(spec, grid)
+    _assert_same_study(penalization_study(spec, grid, STUDY, reference=ref),
+                       sequential_penalization_study(spec, grid, [16, 32, 64, 128, 256],
+                                                     reference=ref))
+
+
+def _with_trigger(spec, grid, node, triggers):
+    """``spec`` with its driver replaced by 1e20 at grid node ``node`` on the
+    steps k of ``triggers`` {k: threshold} where the iterate exceeds the
+    threshold: the levels that climb past it there diverge."""
+    base = spec.driver.f
+    x_star = grid.x_nodes[node]
+    t_thr = {float(grid.t_nodes[k]): thr for k, thr in triggers.items()}
+
+    def f(t, x, y, z):
+        out = np.asarray(base(t, x, y, z), dtype=float)
+        if t not in t_thr:
+            return out
+        return np.where((x == x_star) & (np.asarray(y) > t_thr[t]), 1e20, out)
+
+    return dataclasses.replace(spec, driver=dataclasses.replace(spec.driver, f=f))
+
+
+def _raised(fn):
+    with pytest.raises((InnerDivergence, MonotonicityViolation)) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+def test_later_level_divergence_raises_as_the_level_loop(put_scenario):
+    """On the put at node 15, u_64 < 0.4148 < u_256 at t_0 and
+    u_256 < 0.4151 < u_1024 at t_5: levels 1024 and 4096 diverge first in the
+    march (at step 5), level 256 later (at step 0); the level loop raises
+    level 256's divergence, and so must the ladder."""
+    spec = put_scenario.spec
+    grid = SpaceTimeGrid.build(spec, 40, 20)
+    bad = _with_trigger(spec, grid, 15, {0: 0.4148, 5: 0.4151})
+    want = (InnerDivergence, "penalized inner iteration (n = 256) diverged at step 0")
+    assert _raised(lambda: sequential_penalization_study(bad, grid, STUDY)) == want
+    assert _raised(lambda: penalization_study(bad, grid, STUDY)) == want
+    sol = solve_psor(spec, grid)
+    assert _raised(lambda: sequential_minimality(bad, grid, sol, MINIMALITY)) == want
+    ctx = VerifyContext(bad, grid, put_scenario.mc_params)
+    ctx.sol = sol
+    assert _raised(lambda: check_minimality(ctx, MINIMALITY)) == want
+
+
+def _non_monotone_spec(kappa=4.0):
+    """A put payoff with the driver kappa z: on a grid with kappa sigma dx > a
+    the central-difference drift breaks the discrete comparison principle, and
+    u_n decreases in n between n = 2 and n = 4."""
+    payoff = lambda x: np.maximum(1.0 - np.exp(np.asarray(x, float)), 0.0)
+    return ObstacleProblemSpec(
+        coefficients=Coefficients(a=lambda t, x: 1.0, a_x=lambda t, x: 0.0,
+                                  lambda_ell=1.0, Lambda_ell=1.0),
+        driver=Driver(f=lambda t, x, y, z: kappa * np.asarray(z, float), L=kappa,
+                      M_growth=kappa, g=lambda t, x: np.zeros_like(np.asarray(x, float))),
+        obstacle=ObstacleData(h=lambda t, x: payoff(x), phi=payoff, h_growth=(1.0, 0.0)),
+        T=0.5, weight=Weight(1.0), x_lo=-3.0, x_hi=3.0)
+
+
+@pytest.mark.parametrize("schedule, threshold, kind", [
+    ([2, 4, 8, 16, 32], 0.83, MonotonicityViolation),  # 16 and 32 diverge, after the break
+    ([2, 4, 8], 0.6, InnerDivergence),                  # 4 diverges before its comparison
+])
+def test_errors_keep_the_level_loop_order(schedule, threshold, kind):
+    """At node 1 and t_0 the levels reach 0.56, 0.69, 0.80, 0.86 and 0.89
+    for n = 2, 4, 8, 16, 32."""
+    spec = _non_monotone_spec()
+    grid = SpaceTimeGrid.build(spec, 8, 10)
+    bad = _with_trigger(spec, grid, 1, {0: threshold})
+    want = _raised(lambda: sequential_penalization_study(bad, grid, schedule))
+    assert want[0] is kind
+    assert _raised(lambda: penalization_study(bad, grid, schedule)) == want
+
+
+def test_minimality_holds_less_than_one_field(sine_scenario):
+    """At nx = 800 the check holds, beyond the context's solution, less than
+    one (nt + 1, nx + 2) field: the level-by-level loop held several."""
+    spec = sine_scenario.spec
+    grid = SpaceTimeGrid.build(spec, 800, 100)
+    ctx = VerifyContext(spec, grid, sine_scenario.mc_params)
+    ctx.sol
+    tracemalloc.start()
+    try:
+        rep = check_minimality(ctx, MINIMALITY)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < (grid.nt + 1) * (grid.nx + 2) * 8

@@ -191,18 +191,16 @@ def test_penalized_invariants():
     assert np.max(pen.r_values * overshoot) == 0.0
 
 
-def test_monotonicity_violation_guard(monkeypatch, quad_scenario):
-    spec = quad_scenario.spec
-    grid = SpaceTimeGrid.build(spec, 20, 10)
-
-    def fake(spec_, grid_, n, **kwargs):
-        u = np.full((grid_.nt + 1, grid_.nx + 2), -float(n))
-        return PenalizedSolution(n_penalty=n, u_values=u, r_values=np.ones_like(u),
-                                 inner_iteration_counts=np.zeros(grid_.nt, dtype=int))
-
-    monkeypatch.setattr(solver_mod, "solve_penalized", fake)
-    with pytest.raises(MonotonicityViolation):
-        penalization_study(spec, grid, [2, 4])
+def test_monotonicity_violation_guard():
+    """The drift kappa z on a grid with kappa sigma dx > a breaks the discrete
+    comparison principle: u_n decreases between n = 2 and n = 4."""
+    payoff = lambda x: np.maximum(1.0 - np.exp(np.asarray(x, float)), 0.0)
+    spec = _make_spec(h=lambda t, x: payoff(x), phi=payoff,
+                      f=lambda t, x, y, z: 4.0 * np.asarray(z, float), L=4.0,
+                      x_lo=-3.0, x_hi=3.0, h_growth=(1.0, 0.0))
+    grid = SpaceTimeGrid.build(spec, 8, 10)
+    with pytest.raises(MonotonicityViolation, match="between n = 2 and n = 4"):
+        penalization_study(spec, grid, [2, 4, 8])
 
 
 def test_inner_divergence_for_stiff_driver():
@@ -477,8 +475,9 @@ def test_lcp_step_matches_psor_oracle(mode):
 
 def test_march_evaluates_the_sigma_row_once_per_step(put_scenario):
     """The penalized put iterates several times per step, but the sigma row
-    of sigma D v, a(t_k, x) on the nx + 2 nodes, is evaluated once per step (the
-    operator assembly's a(t_k, .) at the nx + 1 cell faces is counted apart)."""
+    of sigma D v, a(t_k, x) on the nx + 2 nodes, is evaluated once per step.  At
+    the nx + 1 cell faces the march probes a(t_k, .) once per step; the put's a
+    is a constant scalar, so its one kernel build adds one face call."""
     spec = put_scenario.spec
     grid = SpaceTimeGrid.build(spec, 60, 40)
     calls = []
@@ -491,7 +490,7 @@ def test_march_evaluates_the_sigma_row_once_per_step(put_scenario):
         spec, coefficients=dataclasses.replace(spec.coefficients, a=counting_a))
     pen = solve_penalized(counted, grid, 1024)
     assert calls.count((grid.nx + 2,)) == grid.nt
-    assert calls.count((grid.nx + 1,)) == grid.nt
+    assert calls.count((grid.nx + 1,)) == grid.nt + 1
     assert int(pen.inner_iteration_counts.min()) > 1
     assert np.array_equal(pen.u_values, solve_penalized(spec, grid, 1024).u_values)
 
@@ -552,3 +551,48 @@ def test_constant_coefficient_families_return_scalars(family):
         op, full_op = assemble_operator(spec, grid, k), assemble_operator(full_spec, grid, k)
         for band in ("lower", "diag", "upper"):
             assert np.array_equal(getattr(op, band), getattr(full_op, band)), band
+
+
+def _arrays(result):
+    """The arrays of a solver's result, for bitwise comparison."""
+    if isinstance(result, np.ndarray):
+        return [result]
+    if isinstance(result, PenalizedSolution):
+        return [result.u_values, result.r_values, result.inner_iteration_counts]
+    d = result.diagnostics
+    return [result.u_values, result.r_values, result.contact_mask, d["sweep_counts"],
+            d["refine_counts"]]
+
+
+@pytest.mark.parametrize("name", ["constant_scenario", "heat_scenario", "sine_scenario",
+                                  "put_scenario", "quad_scenario"])
+def test_march_builds_one_kernel_for_a_constant_coefficient(name, request, monkeypatch):
+    """A coefficient that returns a scalar builds one kernel per march, and a
+    scalar that changes with t one per change; every output equals that of
+    the same coefficient returned as full rows, one kernel per step."""
+    spec = request.getfixturevalue(name).spec
+    grid = SpaceTimeGrid.build(spec, 60, 40)
+    built = []
+    real = solver_mod.transition_kernel
+    monkeypatch.setattr(solver_mod, "transition_kernel",
+                        lambda *args, **kwargs: built.append(args[2]) or real(*args, **kwargs))
+
+    def with_a(a):
+        return dataclasses.replace(spec, coefficients=dataclasses.replace(spec.coefficients, a=a))
+
+    def rows_of(a):
+        return with_a(lambda t, x: np.broadcast_to(np.asarray(a(t, x), float), np.shape(x)).copy())
+
+    a_spec = spec.coefficients.a
+    a_of_t = lambda t, x: 1.0 + t  # a scalar that changes at every step
+    scalar = np.ndim(a_spec(0.0, grid.x_nodes)) == 0
+    for solve in (solve_psor, lambda s, g: solve_penalized(s, g, 256), solve_unconstrained):
+        for a, kernels in ((a_spec, 1 if scalar else grid.nt), (a_of_t, grid.nt)):
+            built.clear()
+            got = solve(with_a(a), grid)
+            assert len(built) == kernels
+            built.clear()
+            want = solve(rows_of(a), grid)
+            assert len(built) == grid.nt
+            assert all(np.array_equal(x, y) for x, y in zip(_arrays(got), _arrays(want)))
+

@@ -497,6 +497,26 @@ def test_lsmc_accessors_match_storing_oracle(name, request):
         assert np.allclose(est.K_T, dK.sum(axis=0), rtol=1e-14, atol=0.0)
 
 
+def test_lsmc_forms_each_continuation_once(monkeypatch, put_scenario):
+    """The backward pass fits each date's continuation once, for the Z target
+    and the value update alike (two ``_fitted`` calls per date, with Z's),
+    and stays bit-identical to the storing oracle."""
+    import parobs.stochastic as stochastic
+
+    spec = put_scenario.spec
+    ens = simulate_paths(spec, 0.0, 0.0, spec.T / 40, 3000, seed=34)
+    stored = stored_simulate_paths(spec, 0.0, 0.0, spec.T / 40, 3000, seed=34)
+    calls = []
+    real = stochastic._fitted
+    monkeypatch.setattr(stochastic, "_fitted",
+                        lambda *args: calls.append(args[1] is None) or real(*args))
+    est = rbsde_reflected_mc(spec, ens, 3)
+    assert len(calls) == 2 * ens.n_steps
+    Y, _, _, y0, ci, slack = storing_lsmc(spec, stored, 3, "reflected")
+    assert (est.Y0, est.ci, est.obstacle_slack) == (y0, ci, slack)
+    assert all(np.array_equal(est.at(k)[0], Y[k]) for k in range(ens.n_steps))
+
+
 def test_reflected_mc_holds_no_path_by_date_field(put_scenario):
     spec = put_scenario.spec
     ens = simulate_paths(spec, 0.0, 0.0, spec.T / 200, 20_000, seed=33)

@@ -12,10 +12,11 @@ each on the five scenarios under ``scenarios/``.  Each tree runs with its own ``
 its own scenario files, under the same relative paths, so error text that
 names a path matches too.  Any difference in the CSVs, ``verify_report.txt``,
 stdout, stderr or exit code is reported.  Each line also shows both sides'
-peak RSS, the child's own ``ru_maxrss``, and the last line names the pair
-with the largest working-tree-over-ref peak-RSS ratio; both are
-informational only.  Exit status: 0 when every pair is byte-identical, 1
-otherwise.
+wall seconds and peak RSS, the child's own ``ru_maxrss``, and the last
+line names the pairs with the largest working-tree-over-ref peak-RSS and
+wall ratios; these are informational only, and the wall seconds are those
+of two runs sharing the machine.  Exit status: 0 when every pair is
+byte-identical, 1 otherwise.
 
 Uses the standard library only; runs two CLI processes at a time.
 """
@@ -26,6 +27,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -52,22 +54,24 @@ ENV_PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREAD
 
 def run_pair(tree: Path, run_root: Path, command: str, scenario: str) -> dict:
     """One CLI call in ``run_root``; returns its exit code, streams, output
-    files and peak RSS in MB."""
+    files, wall seconds and peak RSS in MB."""
     out = Path("out") / f"{command}-{scenario}"
     argv = [sys.executable, "-m", "parobs.cli", "--scenario", f"scenarios/{scenario}.cfg",
             "--out", str(out), *COMMANDS[command]]
     env = {**os.environ, **ENV_PINS, "PYTHONPATH": str(tree / "src")}
     with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
+        start = time.perf_counter()
         proc = subprocess.Popen(argv, cwd=run_root, env=env, stdout=stdout, stderr=stderr)
         # reap the child here, so its own resource usage is what we read
         _, status, usage = os.wait4(proc.pid, 0)
+        wall_s = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
         stdout.seek(0)
         stderr.seek(0)
         streams = {"stdout": stdout.read(), "stderr": stderr.read()}
     files = {p.name: p.read_bytes() for p in sorted((run_root / out).glob("*"))
              if p.suffix == ".csv" or p.name == "verify_report.txt"}
-    return {"exit": proc.returncode, **streams, "files": files,
+    return {"exit": proc.returncode, **streams, "files": files, "wall_s": wall_s,
             "peak_rss_mb": usage.ru_maxrss / 1024}  # Linux reports kilobytes
 
 
@@ -111,17 +115,23 @@ def main(argv=None) -> int:
         diffs = differences(ref_run, work_run)
         status = "identical" if not diffs else "DIFFERS: " + ", ".join(diffs)
         print(f"{c:<20} {s:<14} exit {ref_run['exit']}/{work_run['exit']}  "
+              f"wall {ref_run['wall_s']:.2f}/{work_run['wall_s']:.2f} s  "
               f"rss {ref_run['peak_rss_mb']:.0f}/{work_run['peak_rss_mb']:.0f} MB  "
               f"{len(work_run['files'])} files  {status}")
         failed += bool(diffs)
     print(f"{len(pairs) - failed} of {len(pairs)} pairs byte-identical against {ref}")
 
-    def rss_ratio(pair):
-        return results[("work", *pair)]["peak_rss_mb"] / results[("ref", *pair)]["peak_rss_mb"]
+    def largest(key, fmt, unit):
+        """The pair with the largest working-tree-over-ref ratio of ``key``."""
+        def ratio(pair):
+            return results[("work", *pair)][key] / results[("ref", *pair)][key]
 
-    c, s = max(pairs, key=rss_ratio)
-    print(f"largest peak-RSS ratio: {c} {s}, {results[('ref', c, s)]['peak_rss_mb']:.0f} -> "
-          f"{results[('work', c, s)]['peak_rss_mb']:.0f} MB ({rss_ratio((c, s)):.2f}x)")
+        c, s = max(pairs, key=ratio)
+        return (f"{c} {s}, {results[('ref', c, s)][key]:{fmt}} -> "
+                f"{results[('work', c, s)][key]:{fmt}} {unit} ({ratio((c, s)):.2f}x)")
+
+    print(f"largest peak-RSS ratio: {largest('peak_rss_mb', '.0f', 'MB')}; "
+          f"largest wall ratio: {largest('wall_s', '.2f', 's')}")
     return 1 if failed else 0
 
 
