@@ -72,7 +72,6 @@ def _load(args) -> tuple[Scenario, SpaceTimeGrid, int]:
 
 _PSOR_TOL_KEYS = ("lcp_tol", "inner_tol", "max_inner")
 _PENALIZED_TOL_KEYS = ("inner_tol", "max_inner")
-_STUDY_TOL_KEYS = ("inner_tol",)
 
 
 def _solver_kwargs(sc: Scenario, keys) -> dict:
@@ -133,7 +132,7 @@ def cmd_study(args) -> int:
         schedule = [2**j for j in range(4, args.max_level + 1)]
         psor = solve_psor(sc.spec, grid, **_solver_kwargs(sc, _PSOR_TOL_KEYS))
         limit, study = penalization_study(sc.spec, grid, schedule, reference=psor,
-                                          **_solver_kwargs(sc, _STUDY_TOL_KEYS))
+                                          **_solver_kwargs(sc, _PENALIZED_TOL_KEYS))
         rows = []
         for idx, n in enumerate(study.n_levels):
             sup_inc = study.sup_increments[idx - 1] if idx >= 1 else 0.0
@@ -143,7 +142,7 @@ def cmd_study(args) -> int:
                   ["n", "sup_increment", "norm_increment", "distance_to_psor"],
                   map(_csv_line, rows))
     elif args.study == "picard":
-        sol, trace = picard_outer(sc.spec, grid)
+        sol, trace = picard_outer(sc.spec, grid, **_solver_kwargs(sc, _PSOR_TOL_KEYS))
         rows = [(i + 1, d, trace.ratios[i - 1] if i >= 1 else 0.0)
                 for i, d in enumerate(trace.distances)]
         write_csv(out / "picard_study.csv", prov + f" gamma={_f17(trace.gamma)}",
@@ -153,7 +152,7 @@ def cmd_study(args) -> int:
         eps = args.eps
         h1 = sc.spec.obstacle.h
         h2 = lambda t, x: np.asarray(h1(t, x), dtype=float) - eps
-        rep = obstacle_stability(sc.spec, grid, h1, h2)
+        rep = obstacle_stability(sc.spec, grid, h1, h2, **_solver_kwargs(sc, _PSOR_TOL_KEYS))
         write_csv(out / "stability_study.csv", prov,
                   ["eps", "solution_distance", "obstacle_distance", "ratio", "passed"],
                   [_csv_line((eps, rep.solution_distance, rep.obstacle_distance, rep.ratio,
@@ -167,10 +166,7 @@ def cmd_verify(args) -> int:
     names = select_checks(args.checks)  # checked before the scenario is loaded
     sc, grid, seed = _load(args)
     mc = {**sc.mc_params, "seed": seed}
-    ctx = VerifyContext(sc.spec, grid, mc, sc.calibration, _solver_kwargs(sc, _PSOR_TOL_KEYS),
-                        {"scenario": sc.name, "hash": sc.content_hash, "nx": grid.nx,
-                         "nt": grid.nt, "paths": int(mc["paths"]), "seed": seed})
-    reports = run_checks(ctx, names)
+    reports = run_checks(VerifyContext(sc.spec, grid, mc, sc.calibration, sc.tolerances), names)
     out = Path(args.out)
     prov = _provenance(sc, seed)
     rows = [(r.name, r.discrepancy, r.budget, r.bias_part, r.stat_part, int(r.passed))

@@ -206,7 +206,6 @@ class TransitionKernel:
     dense P exists whose round-off negatives could be.
     """
 
-    t_index: int
     scheme: str
     mode: str
     bands: np.ndarray
@@ -246,7 +245,7 @@ def transition_kernel(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t_index: i
         bands = _banded_backward_matrix(op, grid.dt, mode)
     else:
         raise ValueError(f"unknown kernel scheme {scheme!r}")
-    return TransitionKernel(t_index=t_index, scheme=scheme, mode=mode, bands=bands)
+    return TransitionKernel(scheme=scheme, mode=mode, bands=bands)
 
 
 def solve_backward_step(kern: TransitionKernel, rhs_full: np.ndarray,
@@ -286,7 +285,6 @@ class DensityTable:
     clamp-to-data what crosses the truncation stays in the boundary nodes.
     """
 
-    s_index: int
     x_index: int
     t_nodes: np.ndarray
     x_nodes: np.ndarray
@@ -317,7 +315,7 @@ def solve_density(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
         values[k - s_index] = p
     mass = values[:, 1:-1].sum(axis=1)
     return DensityTable(
-        s_index=s_index, x_index=x_index,
+        x_index=x_index,
         t_nodes=grid.t_nodes[s_index:].copy(), x_nodes=grid.x_nodes.copy(),
         dx=grid.dx, values=values, mass=mass,
         mass_ok=bool(np.min(mass) >= 1.0 - MASS_TOL),
@@ -329,7 +327,6 @@ class AronsonEnvelope:
     c_low: float
     C_high: float
     passed: bool
-    trimmed_points: int
 
 
 def _envelope_gap(density: DensityTable, C: float, side: str, trim_mask: np.ndarray,
@@ -374,8 +371,7 @@ def aronson_envelope_check(density: DensityTable, spec: ObstacleProblemSpec,
     trim_mask = density.values > trim_mass
     trim_mask[:first] = False
     trim_mask[:, 0] = trim_mask[:, -1] = False
-    n_points = int(trim_mask.sum())
-    if n_points == 0:
+    if not trim_mask.any():
         raise GridTooCoarse("trimmed region is empty")
     x0 = float(density.x_nodes[density.x_index])
 
@@ -404,8 +400,7 @@ def aronson_envelope_check(density: DensityTable, spec: ObstacleProblemSpec,
     c_high = fit("upper")
     c_low = fit("lower")
     passed = np.isfinite(c_high) and np.isfinite(c_low)
-    return AronsonEnvelope(c_low=float(c_low), C_high=float(c_high), passed=bool(passed),
-                           trimmed_points=n_points)
+    return AronsonEnvelope(c_low=float(c_low), C_high=float(c_high), passed=bool(passed))
 
 
 class InterpStencil(NamedTuple):

@@ -12,12 +12,13 @@ Schema (all numeric values parse as floats unless noted):
     mc.paths, mc.seed    = ensemble size and master seed (ints)
     mc.dt_path           = path step
     mc.basis_degree      = regression basis degree (int)
-    tolerances.*         = optional solver tolerance overrides (keys in _KEYS)
+    tolerances.*         = optional solver tolerance overrides, keys and defaults in
+                           verify.TOLERANCE_DEFAULTS
     calibration.*        = frozen budgets, keys and defaults in verify.CALIBRATION_DEFAULTS
 
 Lines starting with '#' are comments.  Unknown keys are rejected in every
 section so typos cannot silently change a run, and so are non-finite numbers,
-grid.nx, grid.nt, mc.paths, mc.dt_path or tolerances.max_inner <= 0, a
+grid.nx, grid.nt, mc.paths, mc.dt_path or a tolerances.* value <= 0, a
 negative mc.seed and an mc.basis_degree outside 0..6.
 """
 
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import ScenarioError
 from .problem import Coefficients, Driver, ObstacleData, ObstacleProblemSpec, Weight
 from .stochastic import MAX_BASIS_DEGREE
-from .verify import CALIBRATION_DEFAULTS
+from .verify import CALIBRATION_DEFAULTS, TOLERANCE_DEFAULTS
 
 __all__ = ["Scenario", "load_scenario", "build_family", "FAMILIES"]
 
@@ -40,12 +41,13 @@ _SECTIONS = ("scenario", "problem", "grid", "mc", "tolerances", "calibration")
 _KEYS = {  # the numeric sections' keys; build_family checks problem.*
     "grid": ("nx", "nt"),
     "mc": ("paths", "seed", "dt_path", "basis_degree"),
-    "tolerances": ("lcp_tol", "inner_tol", "max_inner"),
+    "tolerances": tuple(TOLERANCE_DEFAULTS),
     "calibration": tuple(CALIBRATION_DEFAULTS),
 }
 _INT_KEYS = {"grid.nx", "grid.nt", "mc.paths", "mc.seed", "mc.basis_degree",
              "tolerances.max_inner"}
-_POSITIVE_KEYS = {"grid.nx", "grid.nt", "mc.paths", "mc.dt_path", "tolerances.max_inner"}
+_POSITIVE_KEYS = {"grid.nx", "grid.nt", "mc.paths", "mc.dt_path", "tolerances.lcp_tol",
+                  "tolerances.inner_tol", "tolerances.max_inner"}
 _RANGES = {"mc.seed": (0, np.inf), "mc.basis_degree": (0, MAX_BASIS_DEGREE)}  # bounds included
 
 

@@ -511,10 +511,11 @@ def _grad_sq(row: np.ndarray, rho2_mid: np.ndarray, dx: float) -> float:
 
 
 def _fold_ladder(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels, u_before: np.ndarray,
-                 h_field: np.ndarray, inner_tol: float, ref: np.ndarray | None) -> dict:
-    """March the penalty levels ``n_levels`` in lockstep and fold each slice
-    into the study's statistics, per level j, with ``u_before`` the field of
-    the level before the first:
+                 h_field: np.ndarray, ref: np.ndarray | None, inner_tol: float = DEFAULT_INNER_TOL,
+                 max_inner: int = DEFAULT_MAX_INNER) -> dict:
+    """March the penalty levels ``n_levels`` in lockstep at ``inner_tol`` and
+    ``max_inner`` and fold each slice into the study's statistics, per level
+    j, with ``u_before`` the field of the level before the first:
 
     * ``worst``, ``at``: the min of u_j - u_{j-1} and its first (k, i) in C
       order, as ``np.argmin`` of the whole field would find it;
@@ -539,7 +540,7 @@ def _fold_ladder(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels, u_bef
                                         ("worst", "at", "sup", "terms", "gap", "dist"))
     try:
         for k, rows, its in _penalized_march(spec, grid, n_levels, h_field, inner_tol,
-                                             DEFAULT_MAX_INNER):
+                                             max_inner):
             live = len(rows)
             delta = rows - np.concatenate((u_before[k][None], rows[:-1]))
             lo = delta.min(axis=1)
@@ -562,15 +563,15 @@ def _fold_ladder(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels, u_bef
 
 
 def penalization_study(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedule,
-                       inner_tol: float = DEFAULT_INNER_TOL,
-                       reference: ObstacleSolution | None = None):
+                       reference: ObstacleSolution | None = None, **tolerances):
     """Run the penalty schedule, assert nodewise monotone increase, return the limit.
 
     The schedule must be nonempty and strictly increasing.  If a level
     produces an exactly inactive penalty (r = 0) the study short-circuits:
     all later levels solve the same unconstrained problem.  With a
     ``reference`` solution the study also records each level's sup distance
-    to it.
+    to it.  ``tolerances`` (``inner_tol``, ``max_inner``, as
+    ``solve_penalized`` takes them) reach every level's march.
 
     The first level marches alone, so an inactive obstacle costs one level;
     the others march in lockstep (``_fold_ladder``), so the only fields held
@@ -586,14 +587,14 @@ def penalization_study(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedul
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")
     ref = None if reference is None else reference.u_values
-    limit = solve_penalized(spec, grid, n_schedule[0], inner_tol=inner_tol)
+    limit = solve_penalized(spec, grid, n_schedule[0], **tolerances)
     levels, sups, norms = [n_schedule[0]], [], []
     dists = [] if ref is None else [float(np.max(np.abs(limit.u_values - ref)))]
 
     if len(n_schedule) > 1 and float(np.max(limit.r_values)) != 0.0:
         ladder, u_first, limit = n_schedule[1:], limit.u_values, None
         h_field = obstacle_field(spec, grid)
-        folds = _fold_ladder(spec, grid, ladder, u_first, h_field, inner_tol, ref)
+        folds = _fold_ladder(spec, grid, ladder, u_first, h_field, ref, **tolerances)
         del u_first
         for j, n in enumerate(ladder):
             if j == folds["done"]:
@@ -614,7 +615,7 @@ def penalization_study(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedul
             if folds["gap"][j] <= 0.0:
                 break
         if j < len(ladder) - 1:
-            limit = solve_penalized(spec, grid, n, inner_tol=inner_tol)
+            limit = solve_penalized(spec, grid, n, **tolerances)
         else:
             u = folds["u_last"]
             limit = PenalizedSolution(n_penalty=n, u_values=u,
@@ -671,24 +672,26 @@ def frozen_driver_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     return out
 
 
-def picard_outer(spec: ObstacleProblemSpec, grid: SpaceTimeGrid):
+def picard_outer(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, **tolerances):
     """Iterate v -> ``solve_psor`` of the linear obstacle problem with frozen driver.
 
     Distances between consecutive iterates are measured in the e^{gamma t}
     weighted norm with the contraction exponent from ``contraction_gamma``.
     Drivers with L = 0 need one pass and produce an empty trace.
+    ``tolerances`` (``lcp_tol``, ``inner_tol``, ``max_inner``) reach every
+    ``solve_psor``.
     """
     gamma = contraction_gamma(spec)
     lam = spec.coefficients.lambda_ell
     v = np.zeros((grid.nt + 1, grid.nx + 2))
     if spec.driver.L == 0.0:
-        sol = solve_psor(spec, grid, driver_field=frozen_driver_field(spec, grid, v))
+        sol = solve_psor(spec, grid, driver_field=frozen_driver_field(spec, grid, v), **tolerances)
         return sol, PicardTrace(gamma=gamma, distances=[], ratios=[])
 
     distances, ratios = [], []
     expanding = 0
     for _ in range(PICARD_MAX_OUTER):
-        sol = solve_psor(spec, grid, driver_field=frozen_driver_field(spec, grid, v))
+        sol = solve_psor(spec, grid, driver_field=frozen_driver_field(spec, grid, v), **tolerances)
         d = v_gamma_norm(grid, spec.weight, sol.u_values - v, gamma, lam)
         distances.append(d)
         if len(distances) >= 2 and distances[-2] > 0:
@@ -789,8 +792,10 @@ def apriori_norm_report(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     return AprioriReport(left=float(left), right=float(right), ratio=float(ratio))
 
 
-def obstacle_stability(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, h1, h2) -> StabilityReport:
-    """Sup-norm solution distance against sup-norm obstacle distance (both by solve_psor).
+def obstacle_stability(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, h1, h2,
+                       **tolerances) -> StabilityReport:
+    """Sup-norm solution distance against sup-norm obstacle distance (both by
+    ``solve_psor``, which ``tolerances`` reach).
 
     Both obstacles must stay below the terminal value at T.
     """
@@ -799,7 +804,7 @@ def obstacle_stability(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, h1, h2) -
     for hf in fields:
         if np.max(hf[grid.nt] - phi) > 1e-12 * (1.0 + np.max(np.abs(phi))):
             raise ValueError("obstacle exceeds the terminal value at T")
-    sols = [solve_psor(spec, grid, obstacle_field_override=hf) for hf in fields]
+    sols = [solve_psor(spec, grid, obstacle_field_override=hf, **tolerances) for hf in fields]
     du = float(np.max(np.abs(sols[0].u_values - sols[1].u_values)))
     dh = float(np.max(np.abs(fields[0] - fields[1])))
     if dh == 0.0:

@@ -9,7 +9,9 @@ Multi-part checks are normalized: ``discrepancy`` is the worst measured-over-
 allowed ratio and the budget is 1, so pass <=> discrepancy <= budget always
 holds; the raw per-part numbers live in ``details``.  ``CALIBRATION_DEFAULTS``
 holds each ``calibration.*`` budget a scenario leaves out; the fixed budgets
-are the other module constants.
+are the other module constants.  A check reads its calibrated budgets and the
+solver tolerances from the ``VerifyContext`` it is given; its own arguments
+say only what to check.
 
 A check reads the objects it shares with other checks (the complementarity
 solution, the Monte Carlo ensemble and its reflected-LSMC fit, the forward
@@ -42,8 +44,8 @@ from .grid import (
     transition_kernel,
 )
 from .problem import ObstacleProblemSpec
-from .solver import (DEFAULT_INNER_TOL, DEFAULT_MAX_INNER, DEFAULT_MONO_TOL, ObstacleSolution,
-                     _penalized_march, solve_psor, z_field)
+from .solver import (DEFAULT_INNER_TOL, DEFAULT_LCP_TOL, DEFAULT_MAX_INNER, DEFAULT_MONO_TOL,
+                     ObstacleSolution, _penalized_march, solve_psor, z_field)
 from .stochastic import (
     LsmcEstimate,
     RbsdeEstimate,
@@ -72,7 +74,10 @@ __all__ = [
 _TINY = 1e-12
 CALIBRATION_DEFAULTS = {"fk_bias": 1.0, "z_budget": 0.05, "ac_residual_budget": 5e-2,
                         "weighted_lo": 0.2, "weighted_hi": 5.0}
+TOLERANCE_DEFAULTS = {"lcp_tol": DEFAULT_LCP_TOL, "inner_tol": DEFAULT_INNER_TOL,
+                      "max_inner": DEFAULT_MAX_INNER}
 REL_BUDGET = 5e-2
+CHAIN_BUDGET = 1e-3
 SKOROKHOD_PSOR_BUDGET = 1e-8
 SKOROKHOD_PENALTY_CONSTANT = 10.0
 K_BIAS_CONSTANT = 2.0
@@ -88,15 +93,13 @@ class CheckReport:
     bias_part: float
     stat_part: float
     passed: bool
-    provenance: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
 
 
-def _report(name, discrepancy, budget, bias, stat, provenance, details):
+def _report(name, discrepancy, budget, bias, stat, details):
     return CheckReport(name=name, discrepancy=float(discrepancy), budget=float(budget),
                        bias_part=float(bias), stat_part=float(stat),
-                       passed=bool(discrepancy <= budget), provenance=provenance or {},
-                       details=details)
+                       passed=bool(discrepancy <= budget), details=details)
 
 
 def _snap_indices(grid: SpaceTimeGrid, s: float, x: float):
@@ -109,9 +112,11 @@ class VerifyContext:
     """One verify run's inputs and the objects its checks share.
 
     ``mc_params`` holds ``paths``, ``dt_path``, ``seed`` and ``basis_degree``;
-    ``calibration`` overrides ``CALIBRATION_DEFAULTS``; ``solver_kwargs``
-    reach the complementarity solve.  Each shared object is built on first
-    read and kept until ``release`` drops it:
+    ``calibration`` overrides ``CALIBRATION_DEFAULTS`` and ``tolerances``
+    overrides ``TOLERANCE_DEFAULTS``.  Both are resolved once, here, and the
+    checks read them from the context: the tolerances reach the
+    complementarity solve and ``minimality``'s penalized march.  Each shared
+    object is built on first read and kept until ``release`` drops it:
 
     * ``sol``: the complementarity (PSOR) solution;
     * ``lsmc``: the reflected-LSMC fit on the run's ensemble (its
@@ -125,22 +130,20 @@ class VerifyContext:
     """
 
     def __init__(self, spec: ObstacleProblemSpec, grid: SpaceTimeGrid, mc_params: dict,
-                 calibration: dict | None = None, solver_kwargs: dict | None = None,
-                 provenance: dict | None = None):
+                 calibration: dict | None = None, tolerances: dict | None = None):
         self.spec, self.grid = spec, grid
         self.paths = int(mc_params["paths"])
         self.dt_path = float(mc_params["dt_path"])
         self.seed = int(mc_params["seed"])
         self.basis_degree = int(mc_params["basis_degree"])
         self.calibration = {**CALIBRATION_DEFAULTS, **(calibration or {})}
-        self.solver_kwargs = solver_kwargs or {}
-        self.provenance = provenance
+        self.tolerances = {**TOLERANCE_DEFAULTS, **(tolerances or {})}
         self.probe_x = 0.5 * (spec.x_lo + spec.x_hi)
         _, self.x_index = _snap_indices(grid, 0.0, self.probe_x)
 
     @cached_property
     def sol(self) -> ObstacleSolution:
-        return solve_psor(self.spec, self.grid, **self.solver_kwargs)
+        return solve_psor(self.spec, self.grid, **self.tolerances)
 
     @cached_property
     def lsmc(self) -> LsmcEstimate:
@@ -183,20 +186,18 @@ class VerifyContext:
 
 # ---------------------------------------------------------------------------
 
-def check_representation_u(ctx: VerifyContext, probes,
-                           bias_constant: float = CALIBRATION_DEFAULTS["fk_bias"],
-                           chain_budget: float = 1e-3,
-                           provenance: dict | None = None) -> CheckReport:
+def check_representation_u(ctx: VerifyContext, probes) -> CheckReport:
     """Feynman-Kac check: grid solution against reflected-mc and chain-dp values.
 
-    Per probe, the Monte Carlo budget is 3 CI + bias_constant (dt + dx^2); the
-    chain comparison must sit within ``chain_budget``.  Probe ``j`` is fitted
-    by ``ctx.reflected_mc`` from its snapped node with seed ``seed + j``.
+    Per probe, the Monte Carlo budget is 3 CI + fk_bias (dt + dx^2), with the
+    context's calibrated fk_bias; the chain comparison must sit within
+    ``CHAIN_BUDGET``.  Probe ``j`` is fitted by ``ctx.reflected_mc`` from its
+    snapped node with seed ``seed + j``.
     Probe 0 is evaluated last, so that when it is the context's shared fit,
     that fit is built only once no other probe's ensemble is alive.
     """
     grid, sol, chain = ctx.grid, ctx.sol, ctx.chain
-    bias = bias_constant * (grid.dt + grid.dx**2)
+    bias = ctx.calibration["fk_bias"] * (grid.dt + grid.dx**2)
 
     rows = [None] * len(probes)
     ratios = [0.0] * len(probes)
@@ -210,7 +211,7 @@ def check_representation_u(ctx: VerifyContext, probes,
         mc_budget = stats[j] + bias
         mc_disc = abs(u_val - mc.Y0)
         chain_disc = abs(u_val - chain.Y[s_idx, x_idx])
-        ratios[j] = max(mc_disc / max(mc_budget, _TINY), chain_disc / chain_budget)
+        ratios[j] = max(mc_disc / max(mc_budget, _TINY), chain_disc / CHAIN_BUDGET)
         rows[j] = {"s": s_snap, "x": x_snap, "u": u_val, "mc_Y0": mc.Y0, "mc_ci": mc.ci,
                    "chain_Y0": float(chain.Y[s_idx, x_idx]), "mc_disc": mc_disc,
                    "mc_budget": mc_budget, "chain_disc": chain_disc}
@@ -220,18 +221,18 @@ def check_representation_u(ctx: VerifyContext, probes,
     for ratio, stat in zip(ratios, stats):
         if ratio >= worst:
             worst, worst_bias, worst_stat = ratio, bias, stat
-    return _report("representation-u", worst, 1.0, worst_bias, worst_stat, provenance,
-                   {"probes": rows, "chain_budget": chain_budget})
+    return _report("representation-u", worst, 1.0, worst_bias, worst_stat,
+                   {"probes": rows, "chain_budget": CHAIN_BUDGET})
 
 
-def check_representation_z(ctx: VerifyContext,
-                           z_budget: float = CALIBRATION_DEFAULTS["z_budget"],
-                           provenance: dict | None = None) -> CheckReport:
+def check_representation_z(ctx: VerifyContext) -> CheckReport:
     """Time-integrated RMS distance between sigma Du along the context's
-    ensemble and the Z of its reflected-LSMC fit, from the context's sweep."""
+    ensemble and the Z of its reflected-LSMC fit, from the context's sweep,
+    within the calibrated ``z_budget``."""
     acc = ctx.sweep.z_mse
     value = float(np.sqrt(acc))
-    return _report("representation-z", value, z_budget, z_budget, 0.0, provenance,
+    z_budget = ctx.calibration["z_budget"]
+    return _report("representation-z", value, z_budget, z_budget, 0.0,
                    {"mse_time_integral": acc, "paths": ctx.lsmc.ensemble.path_count})
 
 
@@ -245,8 +246,8 @@ def default_test_functions(spec: ObstacleProblemSpec):
     ]
 
 
-def check_measure_identity(ctx: VerifyContext, s: float, x: float, method: str = "chain-dp",
-                           provenance: dict | None = None) -> CheckReport:
+def check_measure_identity(ctx: VerifyContext, s: float, x: float,
+                           method: str = "chain-dp") -> CheckReport:
     """E int xi dK against the p-weighted cell sums of the measure density.
 
     The left side uses the exact chain-dp increments weighted by the discrete
@@ -303,11 +304,11 @@ def check_measure_identity(ctx: VerifyContext, s: float, x: float, method: str =
         rel = 0.0 if scale < _TINY else abs(l - r) / scale
         rows[name] = {"left": l, "right": r, "rel": rel}
         worst = max(worst, rel / REL_BUDGET)
-    return _report("measure-identity", worst, 1.0, REL_BUDGET, stat, provenance, rows)
+    return _report("measure-identity", worst, 1.0, REL_BUDGET, stat, rows)
 
 
-def check_interval_measure(ctx: VerifyContext, t1: float, t2: float, F: tuple[float, float],
-                           provenance: dict | None = None) -> CheckReport:
+def check_interval_measure(ctx: VerifyContext, t1: float, t2: float,
+                           F: tuple[float, float]) -> CheckReport:
     """mu([t1, t2] x F) from cell sums against the chain expectation from every
     grid start integrated over the truncation.
 
@@ -337,12 +338,11 @@ def check_interval_measure(ctx: VerifyContext, t1: float, t2: float, F: tuple[fl
 
     scale = max(abs(left), abs(right))
     rel = 0.0 if scale < _TINY else abs(left - right) / scale
-    return _report("interval-measure", rel / REL_BUDGET, 1.0, REL_BUDGET, 0.0, provenance,
+    return _report("interval-measure", rel / REL_BUDGET, 1.0, REL_BUDGET, 0.0,
                    {"left": left, "right": right, "t1": t1, "t2": t2, "F": list(F)})
 
 
-def check_skorokhod(sol: ObstacleSolution, n_penalty: int | None = None,
-                    provenance: dict | None = None) -> CheckReport:
+def check_skorokhod(sol: ObstacleSolution, n_penalty: int | None = None) -> CheckReport:
     """Normalized flat-off-contact functional sum (u - h) r / sum r.
 
     Exactly zero off contact for ``solve_psor`` by construction; of size C / n for a
@@ -355,7 +355,7 @@ def check_skorokhod(sol: ObstacleSolution, n_penalty: int | None = None,
     den = float(np.sum(sol.r_values))
     value = 0.0 if den < _TINY else abs(num) / den
     budget = SKOROKHOD_PSOR_BUDGET if n_penalty is None else SKOROKHOD_PENALTY_CONSTANT / n_penalty
-    return _report("skorokhod", value, budget, budget, 0.0, provenance,
+    return _report("skorokhod", value, budget, budget, 0.0,
                    {"numerator": num, "normalizer": den, "n_penalty": n_penalty})
 
 
@@ -398,13 +398,12 @@ def _path_sweep(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, sol: ObstacleSol
     return PathSweep(z_mse, phi_T + total - u_start, k_tilde)
 
 
-def check_ac_measure(ctx: VerifyContext,
-                     residual_budget: float = CALIBRATION_DEFAULTS["ac_residual_budget"],
-                     provenance: dict | None = None) -> CheckReport:
+def check_ac_measure(ctx: VerifyContext) -> CheckReport:
     """Absolute-continuity check: K~ = int r(t, X_t) dt built from the grid
     density must make (u, sigma Du, K~) satisfy the backward equation along
-    the context's ensemble, and its terminal mean must match the chain K
-    expectation from the ensemble's start node.
+    the context's ensemble, within the calibrated ``ac_residual_budget``, and
+    its terminal mean must match the chain K expectation from the ensemble's
+    start node.
 
     The terminal K of the context's reflected-LSMC fit is reported alongside
     for reference: its per-date increments (h - C)^+ collect the positive
@@ -413,6 +412,7 @@ def check_ac_measure(ctx: VerifyContext,
     comparison target.
     """
     grid, mc = ctx.grid, ctx.lsmc
+    residual_budget = ctx.calibration["ac_residual_budget"]
     residual, k_tilde = ctx.sweep.residual, ctx.sweep.k_tilde
     res_rms = float(np.sqrt(np.mean(residual**2)))
 
@@ -427,23 +427,23 @@ def check_ac_measure(ctx: VerifyContext,
     worst = max(res_rms / residual_budget, mean_gap / max(k_budget, _TINY))
 
     k_mc_mean = float(mc.K_T.mean())
-    return _report("ac-measure", worst, 1.0, residual_budget, stat, provenance,
+    return _report("ac-measure", worst, 1.0, residual_budget, stat,
                    {"bsde_residual_rms": res_rms, "k_mean_gap": mean_gap,
                     "k_tilde_mean": float(k_tilde.mean()), "k_chain_mean": k_chain,
                     "k_mc_mean_reference": k_mc_mean, "k_budget": k_budget})
 
 
-def check_weighted_bounds(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
-                          bounds: tuple[float, float] = (CALIBRATION_DEFAULTS["weighted_lo"],
-                                                         CALIBRATION_DEFAULTS["weighted_hi"]),
-                          provenance: dict | None = None) -> CheckReport:
+def check_weighted_bounds(ctx: VerifyContext) -> CheckReport:
     """Two-sided weighted-norm equivalence ratios for terminal and running data.
 
     R(phi) compares the rho-weighted mass of E |phi(X_T)| against that of phi
-    (phi in WEIGHTED_PHIS, running data g = 1, rho the spec's weight);
-    the check also reports the max pointwise kernel-bound ratio
+    (phi in WEIGHTED_PHIS, running data g = 1, rho the spec's weight); each
+    ratio must lie within the calibrated [weighted_lo, weighted_hi].  The
+    check also reports the max pointwise kernel-bound ratio
     E |phi(X_T)|^2 rho^2(x) sqrt(T - s) / |phi|^2_{2, rho}.
     """
+    spec, grid = ctx.spec, ctx.grid
+    lo, hi = ctx.calibration["weighted_lo"], ctx.calibration["weighted_hi"]
     rho = spec.weight.rho(grid.x_nodes)
 
     # the rho dx start measure over interior starts, carried to every slice
@@ -454,7 +454,6 @@ def check_weighted_bounds(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
 
     rows = {}
     worst = 0.0
-    lo, hi = bounds
     for name, phi_fn in WEIGHTED_PHIS:
         vals = np.abs(np.asarray(phi_fn(grid.x_nodes), dtype=float))
         num = float(np.sum(vals * w_final))
@@ -482,15 +481,15 @@ def check_weighted_bounds(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
             ratio = float(np.max(v[1:-1] * rho[1:-1] ** 2)) * np.sqrt(t_gap) / norm_sq
             max_shape = max(max_shape, ratio)
 
-    details = {"R": rows, "R_g": R_g, "kernel_bound_max_ratio": max_shape, "bounds": list(bounds)}
-    return _report("weighted-bounds", worst, 1.0, hi, 0.0, provenance, details)
+    details = {"R": rows, "R_g": R_g, "kernel_bound_max_ratio": max_shape, "bounds": [lo, hi]}
+    return _report("weighted-bounds", worst, 1.0, hi, 0.0, details)
 
 
-def check_minimality(ctx: VerifyContext, n_schedule, gap_budget: float = 1e-3,
-                     provenance: dict | None = None) -> CheckReport:
+def check_minimality(ctx: VerifyContext, n_schedule, gap_budget: float = 1e-3) -> CheckReport:
     """Penalized solutions approach the unique complementarity solution from below.
 
-    The levels march in lockstep against the obstacle field of ``ctx.sol``;
+    The levels march in lockstep against the obstacle field of ``ctx.sol``,
+    at the context's ``inner_tol`` and ``max_inner``;
     each slice is folded into every level's overshoot max(u_n - u) and the
     last level's gap max |u_n - u|, so no level's field is held.  A level
     that diverges raises as a level-by-level run would: the first in the
@@ -501,13 +500,13 @@ def check_minimality(ctx: VerifyContext, n_schedule, gap_budget: float = 1e-3,
     over = np.full(len(levels), -np.inf)
     gap = 0.0
     for k, rows, _ in _penalized_march(ctx.spec, ctx.grid, levels, ctx.sol.diagnostics["h_field"],
-                                       DEFAULT_INNER_TOL, DEFAULT_MAX_INNER):
+                                       ctx.tolerances["inner_tol"], ctx.tolerances["max_inner"]):
         d = rows - sol[k]
         over[:len(d)] = np.maximum(over[:len(d)], np.max(d, axis=1))
         gap = max(gap, float(np.max(np.abs(d[-1]))))
     overshoot = max(0.0, *over.tolist())  # in schedule order, as the level loop took it
     worst = max(overshoot / DEFAULT_MONO_TOL, gap / gap_budget)
-    return _report("minimality", worst, 1.0, gap_budget, 0.0, provenance,
+    return _report("minimality", worst, 1.0, gap_budget, 0.0,
                    {"overshoot": overshoot, "final_gap": gap,
                     "n_final": int(n_schedule[-1])})
 
@@ -525,23 +524,18 @@ class Check(NamedTuple):
 CHECKS = {
     "representation-u": Check(("sol", "chain", "lsmc"), lambda c: check_representation_u(
         c, [(0.0, c.probe_x), (0.25 * c.spec.T, c.probe_x),
-            (0.0, c.probe_x + 0.25 * (c.spec.x_hi - c.spec.x_lo) / 2)],
-        bias_constant=c.calibration["fk_bias"], provenance=c.provenance)),
-    "representation-z": Check(("sol", "lsmc", "sweep"), lambda c: check_representation_z(
-        c, z_budget=c.calibration["z_budget"], provenance=c.provenance)),
+            (0.0, c.probe_x + 0.25 * (c.spec.x_hi - c.spec.x_lo) / 2)])),
+    "representation-z": Check(("sol", "lsmc", "sweep"), lambda c: check_representation_z(c)),
     "measure-identity": Check(("sol", "chain", "densities"), lambda c: check_measure_identity(
-        c, 0.0, c.probe_x, provenance=c.provenance)),
+        c, 0.0, c.probe_x)),
     "interval-measure": Check(("sol", "chain"), lambda c: check_interval_measure(
-        c, 0.0, c.spec.T, (c.spec.x_lo, c.spec.x_hi), provenance=c.provenance)),
-    "skorokhod": Check(("sol",), lambda c: check_skorokhod(c.sol, provenance=c.provenance)),
-    "ac-measure": Check(("sol", "lsmc", "sweep", "chain", "densities"), lambda c: (
-        check_ac_measure(c, residual_budget=c.calibration["ac_residual_budget"],
-                         provenance=c.provenance))),
-    "weighted-bounds": Check((), lambda c: check_weighted_bounds(
-        c.spec, c.grid, bounds=(c.calibration["weighted_lo"], c.calibration["weighted_hi"]),
-        provenance=c.provenance)),
+        c, 0.0, c.spec.T, (c.spec.x_lo, c.spec.x_hi))),
+    "skorokhod": Check(("sol",), lambda c: check_skorokhod(c.sol)),
+    "ac-measure": Check(("sol", "lsmc", "sweep", "chain", "densities"),
+                        lambda c: check_ac_measure(c)),
+    "weighted-bounds": Check((), lambda c: check_weighted_bounds(c)),
     "minimality": Check(("sol",), lambda c: check_minimality(
-        c, [2**j for j in range(4, 13, 2)], provenance=c.provenance)),
+        c, [2**j for j in range(4, 13, 2)])),
 }
 ALL_CHECKS = tuple(CHECKS)
 

@@ -146,9 +146,8 @@ def test_criterion_4_feynman_kac(put_scenario, put200, put_chain):
     spec = put_scenario.spec
     t0 = time.time()
     probes = [(0.0, 0.0), (0.0, -0.15), (0.0, 0.15), (0.125, 0.0), (0.25, -0.1)]
-    rep = check_representation_u(VerifyContext(spec, grid, put_scenario.mc_params), probes,
-                                 bias_constant=put_scenario.calibration["fk_bias"],
-                                 chain_budget=1e-3)
+    rep = check_representation_u(VerifyContext(spec, grid, put_scenario.mc_params,
+                                               put_scenario.calibration), probes)
     elapsed = time.time() - t0
     worst_mc = max(r["mc_disc"] / r["mc_budget"] for r in rep.details["probes"])
     worst_chain = max(r["chain_disc"] for r in rep.details["probes"])

@@ -16,10 +16,10 @@ from pathlib import Path
 import parobs
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-MAX_DEFAULTED = 43
-# parameters no caller set, folded into module constants, and the checks'
-# shared objects and Monte Carlo settings, which they now read from a
-# ``VerifyContext``
+MAX_DEFAULTED = 29
+# parameters no caller set, folded into module constants, the checks' shared
+# objects and Monte Carlo settings, and their calibrated budgets, which they
+# now read from a ``VerifyContext``, and the provenance nothing read
 REMOVED = {
     "grid.solve_density": ("mass_tol",),
     "grid.aronson_envelope_check": ("c_max", "burn_in_frac"),
@@ -27,16 +27,19 @@ REMOVED = {
     "solver.penalization_study": ("mono_tol",),
     "solver.picard_outer": ("max_outer", "outer_tol"),
     "solver.obstacle_stability": ("delta", "stability_C"),
-    "verify.check_representation_u": ("mc_params", "sol", "probe0_mc", "chain"),
-    "verify.check_representation_z": ("ensemble", "sol", "basis_degree", "mc"),
+    "verify.check_representation_u": ("mc_params", "sol", "probe0_mc", "chain",
+                                      "bias_constant", "chain_budget", "provenance"),
+    "verify.check_representation_z": ("ensemble", "sol", "basis_degree", "mc", "z_budget",
+                                      "provenance"),
     "verify.check_measure_identity": ("rel_budget", "test_functions", "sol", "mc_params",
-                                      "chain", "dens"),
-    "verify.check_interval_measure": ("rel_budget", "sol", "chain"),
-    "verify.check_skorokhod": ("psor_budget", "penalty_constant"),
+                                      "chain", "dens", "provenance"),
+    "verify.check_interval_measure": ("rel_budget", "sol", "chain", "provenance"),
+    "verify.check_skorokhod": ("psor_budget", "penalty_constant", "provenance"),
     "verify.check_ac_measure": ("k_bias_constant", "ensemble", "sol", "basis_degree", "mc",
-                                "chain", "dens"),
-    "verify.check_minimality": ("mono_tol", "sol_psor"),
-    "verify.check_weighted_bounds": ("weight", "phis", "g"),
+                                "chain", "dens", "residual_budget", "provenance"),
+    "verify.check_minimality": ("mono_tol", "sol_psor", "provenance"),
+    "verify.check_weighted_bounds": ("weight", "phis", "g", "spec", "grid", "bounds",
+                                     "provenance"),
 }
 # arguments the tracer's probes read from a bound call
 PROBE_PARAMETERS = {
@@ -91,6 +94,13 @@ def test_folded_parameters_stay_gone():
     assert not hasattr(importlib.import_module("parobs.stochastic"), "solution_reward_field")
     verify = importlib.import_module("parobs.verify")
     assert not hasattr(verify, "_chain_from") and not hasattr(verify, "_density_from")
+    assert set(inspect.signature(verify.VerifyContext).parameters) == {
+        "spec", "grid", "mc_params", "calibration", "tolerances"}
+    grid = importlib.import_module("parobs.grid")
+    never_read = {verify.CheckReport: "provenance", grid.TransitionKernel: "t_index",
+                  grid.DensityTable: "s_index", grid.AronsonEnvelope: "trimmed_points"}
+    assert [(cls.__name__, name) for cls, name in never_read.items()
+            if name in {f.name for f in dataclasses.fields(cls)}] == []
 
 
 def test_names_the_benchmark_binds_are_present():

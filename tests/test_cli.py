@@ -486,6 +486,103 @@ def test_tolerance_overrides_reach_stop_value_and_study(tmp_path, monkeypatch, c
         assert recorded["penalization_study"]["inner_tol"] == 1e-11
 
 
+_TOLERANCES = (("tolerances.lcp_tol", "1e-9"), ("tolerances.inner_tol", "1e-10"),
+               ("tolerances.max_inner", "150"))
+
+
+def _record_penalized_tolerances(monkeypatch, module):
+    """Record (inner_tol, max_inner) of every ``_penalized_march`` that
+    ``module`` starts."""
+    import parobs.solver
+
+    seen, real = [], parobs.solver._penalized_march
+
+    def recorded(spec, grid, n_levels, h_field, inner_tol, max_inner):
+        seen.append((inner_tol, max_inner))
+        return real(spec, grid, n_levels, h_field, inner_tol, max_inner)
+
+    monkeypatch.setattr(module, "_penalized_march", recorded)
+    return seen
+
+
+def test_verify_minimality_and_solution_read_the_context_tolerances(tmp_path, monkeypatch):
+    """``tolerances.*`` reach the shared complementarity solve and every
+    penalty level that ``minimality`` marches."""
+    import parobs.verify
+
+    seen = _record_penalized_tolerances(monkeypatch, parobs.verify)
+    psor = []
+    real_psor = parobs.verify.solve_psor
+    monkeypatch.setattr(parobs.verify, "solve_psor",
+                        lambda *a, **kw: psor.append(kw) or real_psor(*a, **kw))
+    code = run(["--scenario", _small_put(tmp_path, _TOLERANCES), "--out", tmp_path / "o",
+                "verify", "--checks", "minimality"])
+    assert code == 0
+    assert psor == [{"lcp_tol": 1e-9, "inner_tol": 1e-10, "max_inner": 150}]
+    assert seen == [(1e-10, 150)]
+
+
+@pytest.mark.parametrize("study", ["picard", "stability"])
+def test_picard_and_stability_studies_honour_tolerances(tmp_path, monkeypatch, study):
+    import parobs.solver
+
+    calls, real = [], parobs.solver.solve_psor
+
+    def recorded(*args, **kwargs):
+        calls.append({k: v for k, v in kwargs.items() if k in ("lcp_tol", "inner_tol",
+                                                                "max_inner")})
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parobs.solver, "solve_psor", recorded)
+    code = run(["--scenario", _small_put(tmp_path, _TOLERANCES), "--out", tmp_path / "o",
+                "study", "--study", study])
+    assert code == 0
+    assert calls and all(c == {"lcp_tol": 1e-9, "inner_tol": 1e-10, "max_inner": 150}
+                         for c in calls)
+
+
+def test_stability_study_stops_at_max_inner(tmp_path, capsys):
+    """One driver refinement cannot converge a step of the put's Lipschitz
+    driver, so ``tolerances.max_inner = 1`` stops the stability study with
+    exit 3, as it stops ``solve``."""
+    cfg = _small_put(tmp_path, (("tolerances.max_inner", "1"),))
+    for command in (["solve"], ["study", "--study", "stability"]):
+        assert run(["--scenario", cfg, "--out", tmp_path / "o", *command]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: code=3") and "within 1 iterations" in err
+
+
+def test_penalization_study_honours_max_inner(tmp_path, monkeypatch):
+    """Every level of the study, the one marched alone and the lockstep
+    ladder after it, marches at the scenario's inner_tol and max_inner."""
+    import parobs.solver
+
+    seen = _record_penalized_tolerances(monkeypatch, parobs.solver)
+    code = run(["--scenario", _small_put(tmp_path, _TOLERANCES), "--out", tmp_path / "o",
+                "study", "--study", "penalization", "--max-level", "6"])
+    assert code == 0
+    assert seen == [(1e-10, 150)] * 2  # level 2^4 alone, then 2^5 and 2^6 in lockstep
+
+
+@pytest.mark.parametrize("key", ["lcp_tol", "inner_tol"])
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_nonpositive_solver_tolerance_exits_2_before_solving(tmp_path, capsys, monkeypatch,
+                                                             key, value):
+    import parobs.cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran before the scenario was rejected")
+
+    monkeypatch.setattr(parobs.cli, "solve_psor", no_solve)
+    cfg = tmp_path / "bad_tol.cfg"
+    cfg.write_text(scenario_path("american_put").read_text() + f"tolerances.{key} = {value}\n")
+    code = run(["--scenario", cfg, "--out", tmp_path / "o", "solve", "--method", "psor"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"tolerances.{key}" in err and "positive" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_penalization_study_max_level_below_schedule_start_exits_2(tmp_path, capsys,
                                                                   monkeypatch):
     import parobs.cli
@@ -581,32 +678,30 @@ def test_solution_csv_matches_per_value_writer_on_awkward_values(tmp_path):
 
 
 def test_budgets_without_calibration_lines_equal_the_check_defaults(tmp_path, monkeypatch):
-    """With no calibration.* line in the scenario, every budget the CLI
-    passes is the default of the check it calls, so a direct check call and
-    ``verify`` judge by the same budget."""
-    import inspect
-
+    """With no calibration.* line in the scenario, every check ``verify``
+    runs reads ``CALIBRATION_DEFAULTS`` from its context, the budgets a
+    direct check call on a context built without calibration reads, so both
+    judge by the same budget."""
     import parobs.verify
-    from parobs.verify import CheckReport
+    from parobs.verify import CALIBRATION_DEFAULTS, CheckReport
 
     cfg = _small_put(tmp_path)
     cfg.write_text("".join(row + "\n" for row in cfg.read_text().splitlines()
                            if not row.startswith("calibration.")))
     sc = load_scenario(cfg)
     assert sc.calibration == {}
-    budgets = {"check_representation_u": "bias_constant", "check_representation_z": "z_budget",
-               "check_ac_measure": "residual_budget", "check_weighted_bounds": "bounds"}
-    passed, defaults = {}, {}
-    for name, param in budgets.items():
-        check = getattr(parobs.verify, name)
-        defaults[name] = inspect.signature(check).parameters[param].default
-
-        def recording(*args, _name=name, _param=param, **kwargs):
-            passed[_name] = kwargs[_param]
+    names = ("check_representation_u", "check_representation_z", "check_ac_measure",
+             "check_weighted_bounds")
+    seen = {}
+    for name in names:
+        def recording(ctx, *args, _name=name):
+            seen[_name] = dict(ctx.calibration)
             return CheckReport(_name, 0.0, 1.0, 0.0, 0.0, True)
         monkeypatch.setattr(parobs.verify, name, recording)
     code = run(["--scenario", cfg, "--out", tmp_path / "o", "verify", "--checks",
                 "representation-u,representation-z,ac-measure,weighted-bounds"])
     assert code == 0
-    # fk_bias, z_budget, ac_residual_budget, and (weighted_lo, weighted_hi)
-    assert passed == defaults
+    direct = parobs.verify.VerifyContext(sc.spec, SpaceTimeGrid.build(sc.spec, 40, 40),
+                                         sc.mc_params)
+    assert seen == {name: direct.calibration for name in names}
+    assert direct.calibration == CALIBRATION_DEFAULTS

@@ -53,8 +53,8 @@ def test_representation_u_reduces_to_feynman_kac_when_inactive(heat_scenario):
 def test_representation_z_closed_form_heat(heat_scenario):
     spec = heat_scenario.spec
     grid = SpaceTimeGrid.build(spec, 150, 100)
-    ctx = VerifyContext(spec, grid, _mc(20_000, spec.T / 100, 5))
-    rep = check_representation_z(ctx, z_budget=0.2)
+    ctx = VerifyContext(spec, grid, _mc(20_000, spec.T / 100, 5), {"z_budget": 0.2})
+    rep = check_representation_z(ctx)
     assert rep.passed
 
 
@@ -124,8 +124,8 @@ def test_skorokhod_guards_zero_normalizer(heat_scenario):
 def test_ac_measure_inactive(heat_scenario):
     spec = heat_scenario.spec
     grid = SpaceTimeGrid.build(spec, 100, 80)
-    rep = check_ac_measure(VerifyContext(spec, grid, _mc(10_000, spec.T / 80, 8)),
-                           residual_budget=0.05)
+    rep = check_ac_measure(VerifyContext(spec, grid, _mc(10_000, spec.T / 80, 8),
+                                         {"ac_residual_budget": 0.05}))
     assert rep.passed
     assert rep.details["k_tilde_mean"] == 0.0
 
@@ -133,7 +133,7 @@ def test_ac_measure_inactive(heat_scenario):
 def test_weighted_bounds_unit_ratio_and_quadrature_oracle(heat_scenario):
     spec = heat_scenario.spec
     grid = SpaceTimeGrid.build(spec, 200, 150)
-    rep = check_weighted_bounds(spec, grid)
+    rep = check_weighted_bounds(VerifyContext(spec, grid, heat_scenario.mc_params))
     assert rep.passed
     assert rep.details["R"]["one"] == pytest.approx(1.0, abs=1e-3)
     assert 0.5 <= rep.details["R"]["gauss-bump"] <= 2.0
@@ -194,8 +194,8 @@ def test_scheme_agreement_on_cheap_scenarios(constant_scenario, heat_scenario, s
     for sc in (constant_scenario, heat_scenario, sine_scenario):
         spec = sc.spec
         grid = SpaceTimeGrid.build(spec, 100, 80)
-        rep = check_representation_u(VerifyContext(spec, grid, _mc(20_000, spec.T / 80, 13)),
-                                     [(0.0, 0.0)], bias_constant=sc.calibration["fk_bias"])
+        rep = check_representation_u(VerifyContext(spec, grid, _mc(20_000, spec.T / 80, 13),
+                                                   sc.calibration), [(0.0, 0.0)])
         assert rep.passed, sc.name
 
 
@@ -217,8 +217,8 @@ def test_mc_z_estimator_against_closed_form_gradient(heat_scenario):
 def test_representation_z_exact_zero_on_constant(constant_scenario):
     spec = constant_scenario.spec
     grid = SpaceTimeGrid.build(spec, 40, 30)
-    rep = check_representation_z(VerifyContext(spec, grid, _mc(2000, spec.T / 30, 16)),
-                                 z_budget=1e-8)
+    rep = check_representation_z(VerifyContext(spec, grid, _mc(2000, spec.T / 30, 16),
+                                               {"z_budget": 1e-8}))
     assert rep.passed
     assert rep.discrepancy <= 1e-12
 
