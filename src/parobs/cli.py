@@ -70,13 +70,12 @@ def _load(args) -> tuple[Scenario, SpaceTimeGrid, int]:
     return sc, grid, seed
 
 
-_PSOR_TOL_KEYS = ("lcp_tol", "inner_tol", "max_inner")
-_PENALIZED_TOL_KEYS = ("inner_tol", "max_inner")
+def _penalized_tolerances(sc: Scenario) -> dict:
+    """The scenario's tolerance overrides but ``lcp_tol``, which penalized solves lack.
 
-
-def _solver_kwargs(sc: Scenario, keys) -> dict:
-    """Scenario tolerance overrides for the matching solver arguments."""
-    return {key: sc.tolerances[key] for key in keys if key in sc.tolerances}
+    The complementarity routes take every ``tolerances.*`` key, so they are
+    passed ``sc.tolerances`` as it is."""
+    return {key: value for key, value in sc.tolerances.items() if key != "lcp_tol"}
 
 
 def _solution_slabs(grid, sol):
@@ -98,13 +97,13 @@ def cmd_solve(args) -> int:
     sc, grid, seed = _load(args)
     out = Path(args.out)
     if args.method == "psor":
-        sol = solve_psor(sc.spec, grid, **_solver_kwargs(sc, _PSOR_TOL_KEYS))
+        sol = solve_psor(sc.spec, grid, **sc.tolerances)
         diag_rows = [(k, grid.t_nodes[k], sol.diagnostics["sweep_counts"][k],
                       sol.diagnostics["refine_counts"][k]) for k in range(grid.nt)]
         diag_header = ["step", "t", "psor_sweeps", "driver_refines"]
     elif args.method == "penalized":
         pen = solve_penalized(sc.spec, grid, args.penalty,
-                              **_solver_kwargs(sc, _PENALIZED_TOL_KEYS))
+                              **_penalized_tolerances(sc))
         sol = as_obstacle_solution(sc.spec, grid, pen)
         diag_rows = [(k, grid.t_nodes[k], pen.inner_iteration_counts[k], 0)
                      for k in range(grid.nt)]
@@ -130,9 +129,9 @@ def cmd_study(args) -> int:
     prov = _provenance(sc, seed) + f" study={args.study}"
     if args.study == "penalization":
         schedule = [2**j for j in range(4, args.max_level + 1)]
-        psor = solve_psor(sc.spec, grid, **_solver_kwargs(sc, _PSOR_TOL_KEYS))
+        psor = solve_psor(sc.spec, grid, **sc.tolerances)
         limit, study = penalization_study(sc.spec, grid, schedule, reference=psor,
-                                          **_solver_kwargs(sc, _PENALIZED_TOL_KEYS))
+                                          **_penalized_tolerances(sc))
         rows = []
         for idx, n in enumerate(study.n_levels):
             sup_inc = study.sup_increments[idx - 1] if idx >= 1 else 0.0
@@ -142,7 +141,7 @@ def cmd_study(args) -> int:
                   ["n", "sup_increment", "norm_increment", "distance_to_psor"],
                   map(_csv_line, rows))
     elif args.study == "picard":
-        sol, trace = picard_outer(sc.spec, grid, **_solver_kwargs(sc, _PSOR_TOL_KEYS))
+        sol, trace = picard_outer(sc.spec, grid, **sc.tolerances)
         rows = [(i + 1, d, trace.ratios[i - 1] if i >= 1 else 0.0)
                 for i, d in enumerate(trace.distances)]
         write_csv(out / "picard_study.csv", prov + f" gamma={_f17(trace.gamma)}",
@@ -152,7 +151,7 @@ def cmd_study(args) -> int:
         eps = args.eps
         h1 = sc.spec.obstacle.h
         h2 = lambda t, x: np.asarray(h1(t, x), dtype=float) - eps
-        rep = obstacle_stability(sc.spec, grid, h1, h2, **_solver_kwargs(sc, _PSOR_TOL_KEYS))
+        rep = obstacle_stability(sc.spec, grid, h1, h2, **sc.tolerances)
         write_csv(out / "stability_study.csv", prov,
                   ["eps", "solution_distance", "obstacle_distance", "ratio", "passed"],
                   [_csv_line((eps, rep.solution_distance, rep.obstacle_distance, rep.ratio,
@@ -207,7 +206,7 @@ def cmd_simulate(args) -> int:
 def cmd_stop_value(args) -> int:
     sc, grid, seed = _load(args)
     spec = sc.spec
-    sol = solve_psor(spec, grid, **_solver_kwargs(sc, _PSOR_TOL_KEYS))
+    sol = solve_psor(spec, grid, **sc.tolerances)
     x0 = 0.5 * (spec.x_lo + spec.x_hi)
     ens = simulate_paths(spec, 0.0, x0, float(sc.mc_params["dt_path"]),
                          int(sc.mc_params["paths"]), seed, store_dw=False)

@@ -15,7 +15,9 @@ diagonal per level of a penalty ladder), the chain recursions (``apply``)
 and the forward laws (``evolve_law``, by ``apply_T``).  Every banded solve
 in the package goes through ``_tridiagonal_solve``, which calls LAPACK
 ``dgtsv`` directly: the routine ``scipy.linalg.solve_banded`` ends in for
-(1, 1) bands, without the wrapper's per-call cost.
+(1, 1) bands, without the wrapper's per-call cost.  ``dgtsv`` is bound by
+``parobs._lapack`` from scipy's compiled wrapper without importing
+``scipy.linalg``; ``LinAlgError`` is numpy's class, which scipy re-exports.
 ``MASS_TOL`` is a density's allowed mass loss; ``ENVELOPE_C_MAX`` and
 ``ENVELOPE_BURN_IN_FRAC`` bound and trim the Aronson envelope fit.
 """
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from numpy.linalg import LinAlgError
 
+from ._lapack import dgtsv
 from .errors import CflViolation, GridTooCoarse
 from .problem import ObstacleProblemSpec
 

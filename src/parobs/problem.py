@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import numpy.random  # numpy loads it lazily, which would put the cost inside a command
 
 from .errors import EvaluatorFailure
 
@@ -142,7 +143,15 @@ PROBE_X_RANGE = (-8.0, 8.0)
 PROBE_VALUE_SCALE = 4.0
 
 
+_REAL_SCALARS = (float, int, np.floating, np.integer)
+
+
 def _finite_or_raise(values, what, where):
+    # scalar fast path: validate_hypotheses makes about 2000 single-probe calls
+    if isinstance(values, _REAL_SCALARS) or (
+            isinstance(values, np.ndarray) and values.ndim == 0 and values.dtype.kind in "biuf"):
+        if math.isfinite(float(values)):
+            return np.asarray(values, dtype=float)
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         at = f" (index {np.argwhere(~np.isfinite(values))[0]})" if values.ndim else ""

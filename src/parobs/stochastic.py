@@ -32,8 +32,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
+from ._lapack import cho_factor_lower, cho_solve_lower
 from .errors import InnerDivergence, MissingDerivative, RegressionSingular
 from .grid import SpaceTimeGrid, _full_row, interp_space_time, transition_kernel
 from .problem import ObstacleProblemSpec
@@ -472,11 +472,11 @@ class _Projection:
             raise RegressionSingular(
                 f"Gram eigenvalue ratio {eig[0] / eig[-1]:.3g} <= 1e-12; "
                 "basis too rich for the sample")
-        self._factor = cho_factor(gram, lower=True)
+        self._factor = cho_factor_lower(gram)
 
     def coef(self, target: np.ndarray) -> np.ndarray:
         """Basis coefficients of the least-squares regression of ``target``."""
-        return cho_solve(self._factor, self.B @ target)
+        return cho_solve_lower(self._factor, self.B @ target)
 
     def fit(self, target: np.ndarray) -> np.ndarray:
         """Fitted values of the least-squares regression of ``target`` on the basis."""

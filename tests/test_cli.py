@@ -206,20 +206,32 @@ def test_unknown_key_in_any_section_exits_2(tmp_path, capsys, line):
     assert not (tmp_path / "o").exists()
 
 
-def test_tolerance_overrides_reach_the_solver(tmp_path):
-    src = scenario_path("constant").read_text()
-    p = tmp_path / "loose.cfg"
-    p.write_text(src + "tolerances.lcp_tol = 1e-6\n")
-    from parobs.grid import SpaceTimeGrid
-    from parobs.solver import solve_psor
-    from parobs.cli import _solver_kwargs, _PSOR_TOL_KEYS
+def test_tolerance_overrides_reach_the_solver(tmp_path, monkeypatch):
+    """``solve --method psor`` passes every ``tolerances.*`` key to
+    ``solve_psor``; ``--method penalized`` passes all but ``lcp_tol``."""
+    import parobs.cli
 
-    sc = load_scenario(p)
-    kwargs = _solver_kwargs(sc, _PSOR_TOL_KEYS)
-    assert kwargs == {"lcp_tol": 1e-6}
-    grid = SpaceTimeGrid.build(sc.spec, 20, 10)
-    sol = solve_psor(sc.spec, grid, **kwargs)
+    recorded = {}
+
+    def record(fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            recorded[fn.__name__] = (kwargs, result)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(parobs.cli, "solve_psor", record(parobs.cli.solve_psor))
+    monkeypatch.setattr(parobs.cli, "solve_penalized", record(parobs.cli.solve_penalized))
+    cfg = tmp_path / "loose.cfg"
+    cfg.write_text(scenario_path("constant").read_text()
+                   + "tolerances.lcp_tol = 1e-6\ntolerances.inner_tol = 1e-11\n")
+    for method in ("psor", "penalized"):
+        assert run(["--scenario", cfg, "--out", tmp_path / method, "solve",
+                    "--method", method]) == 0
+    kwargs, sol = recorded["solve_psor"]
+    assert kwargs == {"lcp_tol": 1e-6, "inner_tol": 1e-11}
     assert sol.diagnostics["lcp_tol"] == 1e-6
+    assert recorded["solve_penalized"][0] == {"inner_tol": 1e-11}
 
 
 def _small_put(tmp_path, extra=()):

@@ -19,6 +19,7 @@ from parobs.problem import (
     validate_hypotheses,
 )
 
+from conftest import scenario_path
 from oracles import brute_force_lipschitz, scipy_halton
 
 
@@ -80,6 +81,22 @@ def test_scalar_evaluator_failure_names_no_empty_index():
         validate_hypotheses(spec)
     assert "index" not in str(info.value)
     assert str(info.value).startswith("a is non-finite at probe (")
+
+
+@pytest.mark.parametrize("scalar", [float, np.float64, np.array], ids=["float", "float64", "0-d"])
+def test_scalar_nan_from_h_names_its_probe(scalar):
+    """The scalar fast path of the finiteness check still names the probe."""
+    calls = []
+
+    def h(t, x):
+        if np.ndim(x):
+            return np.zeros_like(np.asarray(x, float))
+        calls.append((t, x))
+        return scalar(np.nan if len(calls) == 5 else 0.0)
+
+    with pytest.raises(EvaluatorFailure) as info:
+        validate_hypotheses(_spec(h=h))
+    assert str(info.value) == f"h is non-finite at probe {calls[4]}"
 
 
 def test_validation_is_deterministic():
@@ -164,3 +181,22 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_runs_without_scipy_package_init(tmp_path):
+    """A solve and a regression-backed check bind LAPACK from scipy's compiled
+    wrapper alone: neither ``scipy`` nor ``scipy.linalg`` is imported."""
+    import parobs
+
+    src = str(Path(parobs.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    cfg = str(scenario_path("constant"))
+    code = (
+        "import sys, parobs, parobs.cli\n"
+        "for argv in (['solve', '--method', 'psor'], ['verify', '--checks', 'representation-z']):\n"
+        f"    assert parobs.cli.main(['--scenario', {cfg!r}, '--out', {str(tmp_path)!r}] + argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "['scipy.linalg._flapack']"

@@ -8,21 +8,23 @@ Extracts <git-ref> with ``git archive`` into a temporary directory, then runs
 lists (``all``, the benchmark's grid-side subset, and the Monte Carlo checks
 out of their default order, so that the release of shared objects is compared
 under more than one order), ``simulate``, ``stop-value`` and ``moments``,
-each on the five scenarios under ``scenarios/``.  Each tree runs with its own ``src`` on PYTHONPATH and
-its own scenario files, under the same relative paths, so error text that
-names a path matches too.  Any difference in the CSVs, ``verify_report.txt``,
-stdout, stderr or exit code is reported.  Each line also shows both sides'
-wall seconds and peak RSS, the child's own ``ru_maxrss``, and the last
-line names the pairs with the largest working-tree-over-ref peak-RSS and
-wall ratios; these are informational only, and the wall seconds are those
-of two runs sharing the machine.  Exit status: 0 when every pair is
-byte-identical, 1 otherwise.
+each on the five scenarios under ``scenarios/``.  Each tree runs with its own
+``src`` on PYTHONPATH and its own scenario files, under the same relative
+paths, so error text that names a path matches too.  Any difference in the
+CSVs or ``verify_report.txt`` (compared by sha256 digest and size), stdout,
+stderr or exit code is reported.  Each line also shows both sides' wall
+seconds and peak RSS, the child's own ``ru_maxrss``, and the last line names
+the pairs with the largest working-tree-over-ref peak-RSS and wall ratios;
+these are informational only, and the wall seconds are those of two runs
+sharing the machine.  Exit status: 0 when every pair is byte-identical, 1
+otherwise.
 
 Uses the standard library only; runs two CLI processes at a time.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -52,9 +54,17 @@ COMMANDS = {
 ENV_PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
+def _digest(path: Path) -> tuple:
+    """A file's sha256 digest and size.  The tool keeps no output's bytes, so
+    its own size stays small: a forked child's ``ru_maxrss`` counts the pages
+    it shared with this process before ``exec``."""
+    with path.open("rb") as f:
+        return hashlib.file_digest(f, "sha256").hexdigest(), path.stat().st_size
+
+
 def run_pair(tree: Path, run_root: Path, command: str, scenario: str) -> dict:
     """One CLI call in ``run_root``; returns its exit code, streams, output
-    files, wall seconds and peak RSS in MB."""
+    files' digests, wall seconds and peak RSS in MB."""
     out = Path("out") / f"{command}-{scenario}"
     argv = [sys.executable, "-m", "parobs.cli", "--scenario", f"scenarios/{scenario}.cfg",
             "--out", str(out), *COMMANDS[command]]
@@ -69,7 +79,7 @@ def run_pair(tree: Path, run_root: Path, command: str, scenario: str) -> dict:
         stdout.seek(0)
         stderr.seek(0)
         streams = {"stdout": stdout.read(), "stderr": stderr.read()}
-    files = {p.name: p.read_bytes() for p in sorted((run_root / out).glob("*"))
+    files = {p.name: _digest(p) for p in sorted((run_root / out).glob("*"))
              if p.suffix == ".csv" or p.name == "verify_report.txt"}
     return {"exit": proc.returncode, **streams, "files": files, "wall_s": wall_s,
             "peak_rss_mb": usage.ru_maxrss / 1024}  # Linux reports kilobytes
