@@ -263,6 +263,31 @@ def solve_backward_step(kern: TransitionKernel, rhs_full: np.ndarray,
     return _tridiagonal_solve(kern.bands, rhs_full, kern.bands[1] + extra_diag)
 
 
+def _step_kernels(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int = 0,
+                  mode: str | None = None, backward: bool = True):
+    """(k, t_k, implicit kernel of step k in ``mode``) for the steps
+    k = s_index .. nt - 1, from the last down when ``backward``, else up.
+
+    The bands depend on a(t_k, .) alone.  While ``a`` returns a scalar (the
+    constant-coefficient families), a kernel is built only when that scalar
+    changes, so a constant a builds one kernel per march; the steps share its
+    bands read-only.  An ``a`` that returns a row builds one kernel per step.
+    Every time loop over kernels takes them from here: the solvers' marcher,
+    the chain recursions, ``evolve_law`` and the weighted-bounds check.
+    """
+    mid = 0.5 * (grid.x_nodes[:-1] + grid.x_nodes[1:])
+    steps = range(grid.nt - 1, s_index - 1, -1) if backward else range(s_index, grid.nt)
+    kern, scalar = None, True
+    for k in steps:
+        t = float(grid.t_nodes[k])
+        if scalar:
+            a = spec.coefficients.a(t, mid)
+            scalar = np.ndim(a) == 0
+        if not scalar or kern is None or a != a_kern:
+            kern, a_kern = transition_kernel(spec, grid, k, mode=mode), a
+        yield k, t, kern
+
+
 def evolve_law(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, w0: np.ndarray, s_index: int,
                mode: str | None = None):
     """Carry the law (or any start measure) w0 at slice s_index forward by the
@@ -273,8 +298,8 @@ def evolve_law(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, w0: np.ndarray, s
     """
     w = w0
     yield s_index, w
-    for k in range(s_index, grid.nt):
-        w = transition_kernel(spec, grid, k, mode=mode).apply_T(w)
+    for k, _, kern in _step_kernels(spec, grid, s_index, mode, backward=False):
+        w = kern.apply_T(w)
         yield k + 1, w
 
 

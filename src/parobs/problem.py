@@ -5,7 +5,11 @@ All model symbols live here.  Evaluators follow one calling convention:
 broadcast together, and the result broadcasts against the arguments: a
 coefficient that does not depend on (t, x) may return a scalar.  Evaluators must
 be pure; every object in this module is immutable after construction and safe
-to share across workers.  ``lipschitz_probe`` samples the box ``PROBE_T_RANGE``
+to share across workers.  The coefficients ``a`` and ``a_x`` must moreover be
+pointwise (entry i of the result depends on entry i of x alone): path
+simulation calls them on one block of paths at a time, concurrently from
+several threads on disjoint slices, and relies on a slice's result being that
+slice of the full row's.  ``lipschitz_probe`` samples the box ``PROBE_T_RANGE``
 x ``PROBE_X_RANGE`` x [-``PROBE_VALUE_SCALE``, ``PROBE_VALUE_SCALE``]^2.
 """
 

@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InnerDivergence, LcpStall, MonotonicityViolation, NoContraction
-from .grid import (SpaceTimeGrid, _banded_matvec, _full_row, _tridiagonal_solve,
-                   solve_backward_step, transition_kernel)
+from .grid import (SpaceTimeGrid, _banded_matvec, _full_row, _step_kernels, _tridiagonal_solve,
+                   solve_backward_step)
 from .problem import ObstacleProblemSpec, Weight
 
 __all__ = [
@@ -218,26 +218,6 @@ def _abs_max(a: np.ndarray) -> float:
     return max(float(a.max()), -float(a.min()))
 
 
-def _step_kernels(spec: ObstacleProblemSpec, grid: SpaceTimeGrid):
-    """(k, t_k, implicit kernel of step k) for k = nt - 1 .. 0.
-
-    The bands depend on a(t_k, .) alone.  While ``a`` returns a scalar (the
-    constant-coefficient families), a kernel is built only when that scalar
-    changes, so a constant a builds one kernel per march; the steps share its
-    bands read-only.  An ``a`` that returns a row builds one kernel per step.
-    """
-    mid = 0.5 * (grid.x_nodes[:-1] + grid.x_nodes[1:])
-    kern, scalar = None, True
-    for k in range(grid.nt - 1, -1, -1):
-        t = float(grid.t_nodes[k])
-        if scalar:
-            a = spec.coefficients.a(t, mid)
-            scalar = np.ndim(a) == 0
-        if not scalar or kern is None or a != a_kern:
-            kern, a_kern = transition_kernel(spec, grid, k), a
-        yield k, t, kern
-
-
 def _diverged(label: str, level: int, what: str) -> InnerDivergence:
     err = InnerDivergence(f"{label} {what}")
     err.level = level
@@ -258,7 +238,7 @@ def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, labels, h_fiel
     ``inner_tol``, or after one ``exact`` solve when b does not depend on v
     (L = 0 or a frozen driver); the level is then frozen while the others
     iterate, so each level's arithmetic and iteration count are those of its
-    lone march.  The levels of a step share one kernel (``_step_kernels``:
+    lone march.  The levels of a step share one kernel (``grid._step_kernels``:
     one per march for a constant a) and one sigma row; their driver rows and
     right-hand sides are formed together.
 

@@ -8,34 +8,43 @@ Three routes estimate the RBSDE triple (Y, Z, K):
   upward penalty n (y - h)^-.
 * ``rbsde_reflected_mc``: discretely reflected least-squares Monte Carlo.
 
-Paths are generated from counter-based Philox streams keyed by (seed, block);
-the block layout is a fixed module constant, so ensembles are bit-identical
-for fixed (seed, path_count, dt_path) regardless of how work is scheduled,
-and the first paths of a larger ensemble coincide with a smaller one.  One
-lockstep stepper serves every consumer: per date, each block draws one row of
-normals and one Euler step runs on the full row of paths.
+Paths are generated from counter-based Philox streams keyed by (seed, block)
+(Salmon et al., SC 2011); the block layout is a fixed module constant, and
+the first paths of a larger ensemble coincide with a smaller one.  One
+per-block routine steps every consumer's paths: it advances one block of
+``BLOCK_SIZE`` paths through a run of dates on that block's own stream,
+drawing one full row of normals per date and running the Euler step on the
+block's slice.  The blocks of a call are claimed from one shared counter by
+the calling thread and ``min(cores, n_blocks) - 1`` helper threads, ``cores``
+being the CPUs this process may run on, and the helpers are joined before the
+call returns.  A block writes only its own slices of rows the caller owns, so
+every row, checkpoint and stream state is bit-identical for any worker count
+and any order in which the blocks run.
 
 A stored ensemble holds no increment row: it keeps X at checkpoint dates and,
 at each of them, every block's Philox state.  ``PathEnsemble.x(k)`` and
 ``PathEnsemble.dw(k)`` replay the segment holding date k from its checkpoint,
-re-drawing the segment's normals from the saved states (a counter-based
-stream, after Salmon et al., SC 2011) and re-running the Euler step, so every
-row is bit-identical to the forward pass (checkpointed reversal, after
-Griewank and Walther's ``revolve``).  The forward-only consumers
-(``moment_ratio_probe``, ``estimate_g_integral``, ``optimal_stopping_value``)
-hold nothing at all: they fold each date as the stepper produces it.
+re-drawing the segment's normals from the saved states and re-running the
+Euler step, so every row is bit-identical to the forward pass (checkpointed
+reversal, after Griewank and Walther's ``revolve``).  The forward-only
+consumers (``moment_ratio_probe``, ``estimate_g_integral``,
+``optimal_stopping_value``) hold nothing at all: they fold each date as the
+stepper produces it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._lapack import cho_factor_lower, cho_solve_lower
 from .errors import InnerDivergence, MissingDerivative, RegressionSingular
-from .grid import SpaceTimeGrid, _full_row, interp_space_time, transition_kernel
+from .grid import SpaceTimeGrid, _full_row, _step_kernels, interp_space_time
 from .problem import ObstacleProblemSpec
 from .solver import (
     ObstacleSolution,
@@ -75,43 +84,69 @@ N_BATCHES = 10
 MAX_BASIS_DEGREE = 6
 
 
-class _BlockStreams:
-    """The per-block Philox streams of an ensemble, drawn in lockstep.
+def _block_rng(seed: int, b: int, state: dict | None = None) -> np.random.Generator:
+    """Block b's Philox stream, keyed by (seed, b), at its start or at ``state``.
 
-    Each block of ``BLOCK_SIZE`` paths owns a Philox stream keyed by
-    (seed, block) and draws one full ``BLOCK_SIZE`` row per date, so path i
-    sees the same stream for any path_count (prefix stability); the tail of
-    the last block is drawn and unused.  ``state()`` is where every stream
-    stands (a Philox state is its counter, key and a four-word buffer, 80
-    bytes per block), and after ``restore`` the streams draw the same rows
+    A block draws one full ``BLOCK_SIZE`` row per date, so path i sees the
+    same stream for any path_count (prefix stability); the tail of the last
+    block is drawn and unused.  A state is the stream's counter, key and a
+    four-word buffer, 80 bytes; restored, the stream draws the same rows
     again, bit for bit.
     """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=[seed, b])))
+    if state is not None:
+        rng.bit_generator.state = state
+    return rng
 
-    def __init__(self, seed: int, path_count: int):
-        n_blocks = -(-path_count // BLOCK_SIZE)
-        self.rngs = [np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=[seed, b]))) for b in range(n_blocks)]
-        self.z = np.empty(n_blocks * BLOCK_SIZE)
-        self.path_count = path_count
 
-    def draw(self) -> np.ndarray:
-        """The next date's (path_count,) row of standard normals, a view of one
-        buffer that the next draw overwrites."""
-        for b, rng in enumerate(self.rngs):
-            rng.standard_normal(out=self.z[b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE])
-        return self.z[:self.path_count]
+def _usable_cores() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    def state(self) -> tuple:
-        return tuple(rng.bit_generator.state for rng in self.rngs)
 
-    def restore(self, state: tuple) -> None:
-        for rng, block_state in zip(self.rngs, state, strict=True):
-            rng.bit_generator.state = block_state
+def _for_each_block(n_blocks: int, work) -> None:
+    """Run ``work(b)`` for b = 0 .. n_blocks - 1 on the calling thread and
+    ``min(_usable_cores(), n_blocks) - 1`` helper threads.
+
+    Every thread claims the next block from one shared counter until none is
+    left, so the caller never waits for a block that no thread has started,
+    and the helpers are joined before this returns.  A block that raises does
+    not stop the others; after the join, the lowest failing block's exception
+    is raised.  ``work`` must write only its own block's slices and call no
+    public parobs function (the bench tracer keeps one span stack).
+    """
+    claim, lock, errors = itertools.count(), threading.Lock(), {}
+
+    def run():
+        while True:
+            with lock:
+                b = next(claim)
+            if b >= n_blocks:
+                return
+            try:
+                work(b)
+            except Exception as exc:  # re-raised in the caller after the join
+                errors[b] = exc
+
+    helpers = []
+    try:
+        for _ in range(min(_usable_cores(), n_blocks) - 1):
+            helper = threading.Thread(target=run, name="parobs-block")
+            helper.start()
+            helpers.append(helper)
+        run()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def _euler_step(coef, t: float, xk: np.ndarray, dt: float, dw: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """One Euler-Maruyama step of dX = (a_x / 2) dt + sqrt(a) dW on a full row."""
+    """One Euler-Maruyama step of dX = (a_x / 2) dt + sqrt(a) dW on a row of paths."""
     drift = 0.5 * np.asarray(coef.a_x(t, xk), dtype=float)
     sig = np.sqrt(np.asarray(coef.a(t, xk), dtype=float))
     return np.add(xk + drift * dt, sig * dw, out=out)
@@ -168,15 +203,17 @@ class PathEnsemble:
     A stored ensemble (``store_dw=True``) holds ``X`` at every
     ``X.stride``-th date and at T, and in ``dW`` every block's Philox state
     at each of those dates; it holds no increment row.  ``x(k)`` and
-    ``dw(k)`` replay the segment holding date k: from its checkpoint the
-    streams re-draw the segment's normals, ``sqrt(dt_path) * z`` forms its
-    increments and the same Euler step its X rows, so every row is
+    ``dw(k)`` replay the segment holding date k: from its checkpoint each
+    block's stream re-draws the segment's normals, ``sqrt(dt_path) * z``
+    forms its increments and the same Euler step its X rows, so every row is
     bit-identical to the one the forward pass computed.  One replayed
     segment, both kinds of row, is cached; the old one is dropped before the
     next is built, and each replay writes fresh arrays.  A streaming
     ensemble (``store_dw=False``) holds no rows and no states: ``rows()``
-    runs the stepper again, drawing the same normals, and yields one date at
-    a time.  Held and replayed rows are read-only.
+    steps the paths again, drawing the same normals, and yields one date at
+    a time.  Held and replayed rows are read-only.  Simulation, each replay
+    and each streamed date step the blocks on all usable cores
+    (``_step_block``); the bytes do not depend on the worker count.
     """
     spec: ObstacleProblemSpec = field(repr=False)
     s: float
@@ -217,8 +254,19 @@ class PathEnsemble:
         if self.dW is not None:
             for k in range(self.n_steps + 1):
                 yield self.x(k)
-        else:
-            yield from self._step()
+            return
+        rngs = [_block_rng(self.seed, b) for b in range(self._n_blocks)]
+        xk = np.full(self.path_count, self.x_start)
+        yield xk
+        for k in range(self.n_steps):
+            x_next = np.empty((1, self.path_count))
+            self._advance(rngs, k, k + 1, xk, x_rows=x_next)
+            xk = x_next[0]
+            yield xk
+
+    @property
+    def _n_blocks(self) -> int:
+        return -(-self.path_count // BLOCK_SIZE)
 
     def _stored_steps(self) -> int:
         if self.dW is None:
@@ -239,33 +287,51 @@ class PathEnsemble:
         m = self.path_count
         start = j * self.X.stride
         stop = min(start + self.X.stride, self.n_steps)
-        streams = _BlockStreams(self.seed, m)
-        streams.restore(self.dW.states[j])
+        rngs = [_block_rng(self.seed, b, state)
+                for b, state in enumerate(self.dW.states[j])]
         xs, dws = np.empty((stop - start - 1, m)), np.empty((stop - start, m))
-        sdt = np.sqrt(self.dt_path)
-        xk = self.X.rows[j]
-        for i, k in enumerate(range(start, stop)):
-            np.multiply(sdt, streams.draw(), out=dws[i])
-            if k + 1 < stop:   # X_stop is the next checkpoint
-                xk = _euler_step(self.spec.coefficients, float(self.t_nodes[k]), xk,
-                                 self.dt_path, dws[i], out=xs[i])
+        self._advance(rngs, start, stop, self.X.rows[j], x_rows=xs, dw_rows=dws)
         xs.flags.writeable = dws.flags.writeable = False
         return xs, dws
 
-    def _step(self, streams: _BlockStreams | None = None):
-        """The lockstep stepper: yield X_0 .. X_{n_steps}, drawing each date's
-        normals from ``streams`` (fresh ones by default) as it goes; when X_k
-        is yielded, the streams stand at date k's draw."""
-        coef = self.spec.coefficients
-        if streams is None:
-            streams = _BlockStreams(self.seed, self.path_count)
-        sdt = np.sqrt(self.dt_path)
-        xk = np.full(self.path_count, self.x_start)
-        yield xk
-        for k in range(self.n_steps):
-            dw = np.multiply(sdt, streams.draw())
-            xk = _euler_step(coef, float(self.t_nodes[k]), xk, self.dt_path, dw)
-            yield xk
+    def _advance(self, rngs: list, k0: int, k1: int, x0, **rows) -> None:
+        """Step every block through dates [k0, k1) (``_step_block``), each
+        block on its own stream ``rngs[b]``, on the blocks' worker threads."""
+        _for_each_block(len(rngs),
+                        lambda b: self._step_block(b, rngs[b], k0, k1, x0, **rows))
+
+    def _step_block(self, b: int, rng: np.random.Generator, k0: int, k1: int, x0,
+                    x_rows: np.ndarray | None = None, dw_rows: np.ndarray | None = None,
+                    marks: np.ndarray | None = None, states: list | None = None) -> None:
+        """Advance block b's paths from X_{k0} through dates [k0, k1).
+
+        Per date the block's stream ``rng`` draws one full ``BLOCK_SIZE`` row,
+        ``sqrt(dt_path) * z`` forms the block's increments and ``_euler_step``
+        its next X.  ``x0`` is X_{k0}, a full row or the scalar start.  Only
+        block b's slices of the caller's rows are written: date k's increment
+        to ``dw_rows[k - k0]`` and X_{k+1} to ``x_rows[k - k0]`` (no step is
+        taken past the last row of a given ``x_rows``); with ``marks``, X at
+        every ``X.stride``-th date and X_{k1} to ``marks``, and the stream's
+        state at each such date to ``states[k // stride][b]``.
+        """
+        lo, hi = b * BLOCK_SIZE, min((b + 1) * BLOCK_SIZE, self.path_count)
+        coef, dt, sdt = self.spec.coefficients, self.dt_path, np.sqrt(self.dt_path)
+        stride = self.X.stride
+        z = np.empty(BLOCK_SIZE)
+        xk = x0[lo:hi] if np.ndim(x0) else np.full(hi - lo, x0)
+        for i, k in enumerate(range(k0, k1)):
+            if marks is not None and k % stride == 0:
+                marks[k // stride, lo:hi] = xk
+                states[k // stride][b] = rng.bit_generator.state
+            rng.standard_normal(out=z)
+            dw = z[:hi - lo] if dw_rows is None else dw_rows[i, lo:hi]
+            np.multiply(sdt, z[:hi - lo], out=dw)
+            if x_rows is None:
+                xk = _euler_step(coef, float(self.t_nodes[k]), xk, dt, dw)
+            elif i < len(x_rows):
+                xk = _euler_step(coef, float(self.t_nodes[k]), xk, dt, dw, out=x_rows[i, lo:hi])
+        if marks is not None:
+            marks[-1, lo:hi] = xk
 
 
 def simulate_paths(spec: ObstacleProblemSpec, s: float, x: float, dt_path: float,
@@ -296,14 +362,11 @@ def simulate_paths(spec: ObstacleProblemSpec, s: float, x: float, dt_path: float
                        X=_Checkpoints(stride, np.empty((0, path_count))), dW=None)
     if not store_dw:
         return ens
-    streams = _BlockStreams(seed, path_count)
     marks = np.empty((len(range(0, n_steps, stride)) + 1, path_count))
-    states = []
-    for k, xk in enumerate(ens._step(streams)):
-        if k % stride == 0 and k < n_steps:
-            marks[k // stride] = xk
-            states.append(streams.state())
-    marks[-1] = xk
+    states = [[None] * ens._n_blocks for _ in range(len(marks) - 1)]
+    ens._advance([_block_rng(seed, b) for b in range(ens._n_blocks)], 0, n_steps,
+                 ens.x_start, marks=marks, states=states)
+    states = [tuple(state) for state in states]
     ens.X, ens.dW = _Checkpoints(stride, marks), _StreamStates(states)
     return ens
 
@@ -408,10 +471,9 @@ def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
     Y[-1] = terminal_field(spec, grid)
     Z[-1] = sigma_du(spec, grid, spec.T, Y[-1])
 
-    for j in range(n_slices - 2, -1, -1):
-        k = s_index + j
-        t = float(grid.t_nodes[k])
-        cont = transition_kernel(spec, grid, k).apply(Y[j + 1])
+    for k, t, kern in _step_kernels(spec, grid, s_index):
+        j = k - s_index
+        cont = kern.apply(Y[j + 1])
         sigma = _sigma_row(spec, grid, t)  # one a(t, x) row serves both sigma Du
         z_proxy = sigma * central_gradient(cont, grid.dx)
         y = cont.copy()
@@ -757,8 +819,8 @@ def snell_envelope_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     h_field = obstacle_field(spec, grid)
     bnd = boundary_values(spec, grid, h_field) if clamp else None
     V = terminal_field(spec, grid).copy()
-    for k in range(grid.nt - 1, s_index - 1, -1):
-        cont = transition_kernel(spec, grid, k).apply(V)
+    for k, _, kern in _step_kernels(spec, grid, s_index):
+        cont = kern.apply(V)
         V = np.maximum(h_field[k], cont + grid.dt * reward_field[k])
         if clamp:
             V[0], V[-1] = bnd[k]

@@ -28,8 +28,8 @@ class StoredEnsemble:
 def stored_simulate_paths(spec, s, x, dt_path, path_count, seed, store_dw=True):
     """The storing simulator, block by block: each block of BLOCK_SIZE paths
     draws its (n_steps, BLOCK_SIZE) normals at once and steps its own columns.
-    The package's lockstep stepper and checkpoint replay must reproduce every
-    X and dW row bit for bit."""
+    The package's per-block stepper, on any number of threads, and its
+    checkpoint replay must reproduce every X and dW row bit for bit."""
     from parobs.errors import MissingDerivative
     from parobs.stochastic import BLOCK_SIZE
 

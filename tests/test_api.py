@@ -115,6 +115,8 @@ def test_names_the_benchmark_binds_are_present():
     for qualname, params in PROBE_PARAMETERS.items():
         assert set(params) <= set(_parameters(qualname)), qualname
     assert isinstance(float(TransitionKernel.clamp_magnitude), float)
+    assert importlib.import_module("parobs.verify").transition_kernel is \
+        importlib.import_module("parobs.grid").transition_kernel
     assert isinstance(_parameters("verify.check_minimality")["gap_budget"].default, float)
     assert DEFAULT_LCP_TOL > 0
     assert "tolerances" in {f.name for f in dataclasses.fields(Scenario)}

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import parobs.grid as grid_mod
 import parobs.solver as solver_mod
 from parobs.errors import InnerDivergence, MonotonicityViolation, NoContraction
 from parobs.grid import DiscreteOperator, SpaceTimeGrid, _banded_backward_matrix, assemble_operator
@@ -567,14 +568,21 @@ def _arrays(result):
 @pytest.mark.parametrize("name", ["constant_scenario", "heat_scenario", "sine_scenario",
                                   "put_scenario", "quad_scenario"])
 def test_march_builds_one_kernel_for_a_constant_coefficient(name, request, monkeypatch):
-    """A coefficient that returns a scalar builds one kernel per march, and a
-    scalar that changes with t one per change; every output equals that of
-    the same coefficient returned as full rows, one kernel per step."""
+    """Every loop over step kernels takes them from ``grid._step_kernels``:
+    the solvers' march, chain-dp, the Snell recursion, ``evolve_law`` and the
+    weighted-bounds check.  A coefficient that returns a scalar builds one
+    kernel per loop, and a scalar that changes with t one per change; every
+    output equals that of the same coefficient returned as full rows, one
+    kernel per step, bit for bit."""
+    from parobs.grid import evolve_law
+    from parobs.stochastic import rbsde_chain_dp, snell_envelope_value
+    from parobs.verify import VerifyContext, check_weighted_bounds
+
     spec = request.getfixturevalue(name).spec
     grid = SpaceTimeGrid.build(spec, 60, 40)
     built = []
-    real = solver_mod.transition_kernel
-    monkeypatch.setattr(solver_mod, "transition_kernel",
+    real = grid_mod.transition_kernel
+    monkeypatch.setattr(grid_mod, "transition_kernel",
                         lambda *args, **kwargs: built.append(args[2]) or real(*args, **kwargs))
 
     def with_a(a):
@@ -583,16 +591,42 @@ def test_march_builds_one_kernel_for_a_constant_coefficient(name, request, monke
     def rows_of(a):
         return with_a(lambda t, x: np.broadcast_to(np.asarray(a(t, x), float), np.shape(x)).copy())
 
+    def chain(s):
+        est = rbsde_chain_dp(s, grid, s_index, x_index)
+        return [est.Y, est.Z, est.dK, est.Y0, est.obstacle_slack]
+
+    def weighted(s):
+        rep = check_weighted_bounds(VerifyContext(s, grid, mc))
+        return [rep.discrepancy, rep.details]
+
+    reward = np.random.default_rng(5).normal(size=(grid.nt + 1, grid.nx + 2))
+    w0 = np.zeros(grid.nx + 2)
+    w0[1:-1] = grid.dx
+    s_index, x_index = 7, grid.nx // 2
+    mc = {"paths": 1000, "dt_path": spec.T / 10, "seed": 1, "basis_degree": 3}
+    nt, late = grid.nt, grid.nt - s_index
+    loops = (  # (outputs of a spec, loops over kernels, steps per loop)
+        (lambda s: _arrays(solve_psor(s, grid)), 1, nt),
+        (lambda s: _arrays(solve_penalized(s, grid, 256)), 1, nt),
+        (lambda s: _arrays(solve_unconstrained(s, grid)), 1, nt),
+        (chain, 1, late),
+        (lambda s: [snell_envelope_value(s, grid, reward, s_index, x_index)], 1, late),
+        (lambda s: [w for _, w in evolve_law(s, grid, w0, s_index)], 1, late),
+        (lambda s: [w for _, w in evolve_law(s, grid, w0, s_index, mode="reflecting")], 1, late),
+        (weighted, 2, nt),
+    )
     a_spec = spec.coefficients.a
     a_of_t = lambda t, x: 1.0 + t  # a scalar that changes at every step
     scalar = np.ndim(a_spec(0.0, grid.x_nodes)) == 0
-    for solve in (solve_psor, lambda s, g: solve_penalized(s, g, 256), solve_unconstrained):
-        for a, kernels in ((a_spec, 1 if scalar else grid.nt), (a_of_t, grid.nt)):
+    for run, n_loops, n_steps in loops:
+        for a, kernels in ((a_spec, n_loops if scalar else n_loops * n_steps),
+                           (a_of_t, n_loops * n_steps)):
             built.clear()
-            got = solve(with_a(a), grid)
+            got = run(with_a(a))
             assert len(built) == kernels
             built.clear()
-            want = solve(rows_of(a), grid)
-            assert len(built) == grid.nt
-            assert all(np.array_equal(x, y) for x, y in zip(_arrays(got), _arrays(want)))
+            want = run(rows_of(a))
+            assert len(built) == n_loops * n_steps
+            for x, y in zip(got, want, strict=True):
+                assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
 

@@ -80,7 +80,7 @@ SCENARIO_FIXTURES = ["constant_scenario", "heat_scenario", "sine_scenario", "put
 @pytest.mark.parametrize("name", SCENARIO_FIXTURES)
 @pytest.mark.parametrize("start", [0.0, 0.25], ids=["s=0", "s=T/4"])
 def test_ensemble_rows_equal_the_storing_simulator(name, start, request):
-    """Lockstep draws, checkpoints and segment replay give every X_k and dW_k
+    """Block stepping, checkpoints and segment replay give every X_k and dW_k
     of the block-by-block storing simulator, read in any order."""
     spec = request.getfixturevalue(name).spec
     s, x0 = start * spec.T, 0.5 * (spec.x_lo + spec.x_hi)

@@ -1,0 +1,247 @@
+"""Block stepping on worker threads: the bytes do not depend on the worker
+count, errors surface in the caller, no thread outlives a call, and the
+bench tracer sees the same spans with helpers as without."""
+
+import dataclasses
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import parobs.stochastic as stochastic
+from parobs.cli import main
+from parobs.stochastic import BLOCK_SIZE, rbsde_reflected_mc, simulate_paths
+
+from oracles import stored_simulate_paths
+
+SCENARIO_FIXTURES = ["constant_scenario", "heat_scenario", "sine_scenario", "put_scenario",
+                     "quad_scenario"]
+WORKERS = (1, 2, 3, 20)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the number of cores the stepper sees; returns the setter."""
+    def set_workers(n):
+        monkeypatch.setattr(stochastic, "_usable_cores", lambda: n)
+    return set_workers
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The names of the threads started since the fixture was set up."""
+    names = []
+    real_start = threading.Thread.start
+
+    def start(self):
+        names.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return names
+
+
+@pytest.mark.parametrize("name", SCENARIO_FIXTURES)
+def test_rows_do_not_depend_on_the_worker_count(name, request, workers, started):
+    """Every X_k, dW_k and streamed row equals the block-by-block storing
+    simulator's for 1, 2, 3 and 20 workers, and so do the checkpoints and
+    stream states of the 1-worker ensemble."""
+    spec = request.getfixturevalue(name).spec
+    x0 = 0.5 * (spec.x_lo + spec.x_hi)
+    dt = spec.T / 20
+    for m in (1000, BLOCK_SIZE, 3 * BLOCK_SIZE + 123):
+        ref = stored_simulate_paths(spec, 0.0, x0, dt, m, seed=31)
+        first = None
+        for w in WORKERS:
+            workers(w)
+            started.clear()
+            ens = simulate_paths(spec, 0.0, x0, dt, m, seed=31)
+            assert len(started) == min(w, -(-m // BLOCK_SIZE)) - 1, (m, w)
+            for k in range(ens.n_steps, -1, -1):
+                assert np.array_equal(ens.x(k), ref.X[k]), (m, w, k)
+                if k < ens.n_steps:
+                    assert np.array_equal(ens.dw(k), ref.dW[k]), (m, w, k)
+            streamed = simulate_paths(spec, 0.0, x0, dt, m, seed=31, store_dw=False)
+            for k, row in enumerate(streamed.rows()):
+                assert np.array_equal(row, ref.X[k]), (m, w, k)
+            if first is None:
+                first = ens
+                continue
+            assert np.array_equal(ens.X.rows, first.X.rows)
+            assert _states(ens) == _states(first)
+
+
+def _states(ens):
+    """Every block's Philox state at every checkpoint, as comparable values."""
+    return [[(b["state"]["counter"].tobytes(), b["state"]["key"].tobytes(),
+              b["buffer"].tobytes(), b["buffer_pos"], b["has_uint32"], b["uinteger"])
+             for b in state] for state in ens.dW.states]
+
+
+def test_reflected_fit_does_not_depend_on_the_worker_count(put_scenario, workers):
+    spec = put_scenario.spec
+    fits = []
+    for w in WORKERS:
+        workers(w)
+        ens = simulate_paths(spec, 0.0, 0.0, spec.T / 20, 3 * BLOCK_SIZE + 123, seed=8)
+        fits.append(rbsde_reflected_mc(spec, ens, 3))
+    for fit in fits[1:]:
+        assert np.array_equal(fit.coef, fits[0].coef)
+        assert np.array_equal(fit.K_T, fits[0].K_T)
+        assert (fit.Y0, fit.ci) == (fits[0].Y0, fits[0].ci)
+
+
+def _failing(spec, fails):
+    """``spec`` with an ``a_x`` that raises ``fails[n](t)`` on a block of n
+    paths where that returns an exception, and is the spec's otherwise."""
+    real = spec.coefficients.a_x
+
+    def a_x(t, x):
+        exc = fails.get(np.size(x), lambda t: None)(t)
+        if exc is not None:
+            raise exc
+        return real(t, x)
+    return dataclasses.replace(spec, coefficients=dataclasses.replace(spec.coefficients,
+                                                                      a_x=a_x))
+
+
+def test_a_failing_block_surfaces_in_the_caller(constant_scenario, workers):
+    """A coefficient that raises on the tail block raises in the caller with
+    its own type and text, for any worker count, in every stepping call."""
+    spec = constant_scenario.spec
+    m = 2 * BLOCK_SIZE + 123
+    bad = _failing(spec, {123: lambda t: ZeroDivisionError("tail block")})
+    good = simulate_paths(spec, 0.0, 0.0, spec.T / 20, m, seed=2)
+    for w in WORKERS:
+        workers(w)
+        with pytest.raises(ZeroDivisionError, match="^tail block$"):
+            simulate_paths(bad, 0.0, 0.0, spec.T / 20, m, seed=2)
+        with pytest.raises(ZeroDivisionError, match="^tail block$"):
+            next(r for k, r in enumerate(
+                simulate_paths(bad, 0.0, 0.0, spec.T / 20, m, seed=2, store_dw=False).rows())
+                if k == 1)
+        replaying = dataclasses.replace(good, spec=bad)
+        with pytest.raises(ZeroDivisionError, match="^tail block$"):
+            replaying.x(1)
+
+
+def test_the_lowest_failing_block_wins(constant_scenario, workers):
+    """When several blocks fail, the lowest block's exception is raised, even
+    when a higher block fails first."""
+    spec = constant_scenario.spec
+    # the tail block fails at once, the two full blocks only from t = T / 2 on
+    bad = _failing(spec, {
+        123: lambda t: ValueError("tail block"),
+        BLOCK_SIZE: lambda t: KeyError("full block") if t >= spec.T / 2 else None,
+    })
+    for w in WORKERS:
+        workers(w)
+        with pytest.raises(KeyError, match="full block"):
+            simulate_paths(bad, 0.0, 0.0, spec.T / 20, 2 * BLOCK_SIZE + 123, seed=2)
+
+    order = []
+
+    def work(b):
+        if b == 1:
+            time.sleep(0.05)   # blocks 3 and 6 fail before block 1 does
+        order.append(b)
+        if b in (1, 3, 6):
+            raise RuntimeError(f"block {b}")
+
+    for w in WORKERS:
+        workers(w)
+        order.clear()
+        with pytest.raises(RuntimeError, match="^block 1$"):
+            stochastic._for_each_block(8, work)
+        assert sorted(order) == list(range(8))   # a failure stops no other block
+
+
+def test_every_block_is_claimed_once_under_contention(put_scenario, workers):
+    """With more workers than cores and a short switch interval, the shared
+    claim counter hands out every block exactly once (a lost update would
+    run a block twice or skip one), and the rows stay the storing
+    simulator's."""
+    spec = put_scenario.spec
+    m = 5 * BLOCK_SIZE + 7
+    ref = stored_simulate_paths(spec, 0.0, 0.0, spec.T / 10, m, seed=12)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers(20)
+        for _ in range(50):
+            done = []
+            stochastic._for_each_block(64, done.append)
+            runs.append(sorted(done))
+        ens = simulate_paths(spec, 0.0, 0.0, spec.T / 10, m, seed=12)
+        rows = [ens.x(k) for k in range(ens.n_steps + 1)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == [list(range(64))] * 50
+    assert all(np.array_equal(row, ref.X[k]) for k, row in enumerate(rows))
+
+
+def test_no_thread_outlives_a_stepping_call(sine_scenario, workers):
+    spec = sine_scenario.spec
+    m = 3 * BLOCK_SIZE + 123
+    bad = _failing(spec, {123: lambda t: ArithmeticError("tail block")})
+    for w in WORKERS:
+        workers(w)
+        before = threading.active_count()
+        ens = simulate_paths(spec, 0.0, 0.0, spec.T / 20, m, seed=4)
+        assert threading.active_count() == before
+        for k in (20, 13, 5, 0):
+            ens.x(k), ens.dw(min(k, 19))
+            assert threading.active_count() == before
+        for _ in simulate_paths(spec, 0.0, 0.0, spec.T / 20, m, seed=4, store_dw=False).rows():
+            assert threading.active_count() == before
+        with pytest.raises(ArithmeticError):
+            simulate_paths(bad, 0.0, 0.0, spec.T / 20, m, seed=4)
+        assert threading.active_count() == before
+        with pytest.raises(ArithmeticError):
+            dataclasses.replace(ens, spec=bad).x(1)
+        assert threading.active_count() == before
+
+
+def test_importing_the_cli_starts_no_thread():
+    code = ("import sys, threading\n"
+            "import parobs.cli\n"
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["1", "False"]
+
+
+def test_the_tracer_sees_the_same_spans_with_helpers(tmp_path, workers, started):
+    """With the bench's tracer installed, ``verify --checks representation-z``
+    on the small put (with enough paths for three blocks) records the same
+    span names and parents with one worker as with two: the helpers call no
+    public function, so no span is opened off the caller's thread."""
+    from test_api import _tracer
+    from test_cli import _small_put
+
+    cfg = _small_put(tmp_path, (("mc.paths", str(2 * BLOCK_SIZE + 123)),))
+    spans = {}
+    for w in (1, 2):
+        workers(w)
+        started.clear()
+        tracer = _tracer().Tracer()
+        tracer.install()
+        try:
+            assert main(["--scenario", str(cfg), "--out", str(tmp_path / f"o{w}"), "verify",
+                         "--checks", "representation-z"]) == 0
+        finally:
+            tracer.uninstall()
+        assert bool(started) == (w == 2)
+        assert not tracer._stack
+        spans[w] = [(name, tracer.spans[parent][0] if parent >= 0 else None)
+                    for name, _, _, parent, _ in tracer.spans]
+    assert spans[1] == spans[2]
+    assert "stochastic.simulate_paths" in {name for name, _ in spans[1]}

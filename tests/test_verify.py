@@ -248,9 +248,14 @@ def test_interval_measure_carries_the_law_only_to_the_last_slice_summed(
         right += float(np.sum(w[f_mask] * chain.dK[k - k1, f_mask]))
 
     steps = []
-    real = grid_mod.transition_kernel
-    monkeypatch.setattr(grid_mod, "transition_kernel",
-                        lambda *a, **kw: steps.append(a[2]) or real(*a, **kw))
+    real = grid_mod._step_kernels
+
+    def counted(*args, **kwargs):   # the kernel steps taken, whether built or shared
+        for step in real(*args, **kwargs):
+            steps.append(step[0])
+            yield step
+
+    monkeypatch.setattr(grid_mod, "_step_kernels", counted)
     rep = check_interval_measure(quad200, t1, t2, (-1.0, 1.0))
     assert steps == list(range(k1, k_end - 1))  # slices summed: k1 .. k_end - 1
     assert rep.details["right"] == right

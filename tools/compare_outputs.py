@@ -13,11 +13,12 @@ each on the five scenarios under ``scenarios/``.  Each tree runs with its own
 paths, so error text that names a path matches too.  Any difference in the
 CSVs or ``verify_report.txt`` (compared by sha256 digest and size), stdout,
 stderr or exit code is reported.  Each line also shows both sides' wall
-seconds and peak RSS, the child's own ``ru_maxrss``, and the last line names
-the pairs with the largest working-tree-over-ref peak-RSS and wall ratios;
-these are informational only, and the wall seconds are those of two runs
-sharing the machine.  Exit status: 0 when every pair is byte-identical, 1
-otherwise.
+seconds, CPU seconds (user plus system, summed over the child's threads, so
+CPU above wall shows helper threads at work) and peak RSS, the child's own
+``ru_maxrss``, and the last line names the pairs with the largest
+working-tree-over-ref peak-RSS and wall ratios; these are informational
+only, and the wall seconds are those of two runs sharing the machine.
+Exit status: 0 when every pair is byte-identical, 1 otherwise.
 
 Uses the standard library only; runs two CLI processes at a time.
 """
@@ -64,7 +65,7 @@ def _digest(path: Path) -> tuple:
 
 def run_pair(tree: Path, run_root: Path, command: str, scenario: str) -> dict:
     """One CLI call in ``run_root``; returns its exit code, streams, output
-    files' digests, wall seconds and peak RSS in MB."""
+    files' digests, wall and CPU seconds and peak RSS in MB."""
     out = Path("out") / f"{command}-{scenario}"
     argv = [sys.executable, "-m", "parobs.cli", "--scenario", f"scenarios/{scenario}.cfg",
             "--out", str(out), *COMMANDS[command]]
@@ -82,6 +83,7 @@ def run_pair(tree: Path, run_root: Path, command: str, scenario: str) -> dict:
     files = {p.name: _digest(p) for p in sorted((run_root / out).glob("*"))
              if p.suffix == ".csv" or p.name == "verify_report.txt"}
     return {"exit": proc.returncode, **streams, "files": files, "wall_s": wall_s,
+            "cpu_s": usage.ru_utime + usage.ru_stime,
             "peak_rss_mb": usage.ru_maxrss / 1024}  # Linux reports kilobytes
 
 
@@ -126,6 +128,7 @@ def main(argv=None) -> int:
         status = "identical" if not diffs else "DIFFERS: " + ", ".join(diffs)
         print(f"{c:<20} {s:<14} exit {ref_run['exit']}/{work_run['exit']}  "
               f"wall {ref_run['wall_s']:.2f}/{work_run['wall_s']:.2f} s  "
+              f"cpu {ref_run['cpu_s']:.2f}/{work_run['cpu_s']:.2f} s  "
               f"rss {ref_run['peak_rss_mb']:.0f}/{work_run['peak_rss_mb']:.0f} MB  "
               f"{len(work_run['files'])} files  {status}")
         failed += bool(diffs)
