@@ -24,7 +24,6 @@ from .grid import (
     DiscreteOperator,
     SpaceTimeGrid,
     TransitionKernel,
-    aronson_envelope_check,
     assemble_operator,
     interp_space_time,
     solve_density,
@@ -45,23 +44,18 @@ from .solver import (
     ObstacleSolution,
     PenalizedSolution,
     PicardTrace,
-    apriori_norm_report,
     as_obstacle_solution,
     contraction_gamma,
-    energy_identity_residual,
-    obstacle_replacement_check,
     obstacle_stability,
     penalization_study,
     picard_outer,
     solve_penalized,
     solve_psor,
-    solve_unconstrained,
 )
 from .stochastic import (
     LsmcEstimate,
     PathEnsemble,
     RbsdeEstimate,
-    estimate_g_integral,
     moment_ratio_probe,
     optimal_stopping_value,
     penalization_convergence_mc,

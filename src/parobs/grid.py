@@ -10,16 +10,16 @@ nx interior nodes plus the two truncation-boundary nodes.
 
 ``transition_kernel`` holds the banded step matrix M = I - dt A with the
 boundary rows of its mode.  It is the step of every time loop: the solvers'
-backward steps (``apply``, or ``solve_backward_step`` with a penalty
-diagonal per level of a penalty ladder), the chain recursions (``apply``)
+backward steps (``solve_backward_step`` with a penalty diagonal per level of
+a penalty ladder, or the complementarity step on its bands), the chain
+recursions (``apply``)
 and the forward laws (``evolve_law``, by ``apply_T``).  Every banded solve
 in the package goes through ``_tridiagonal_solve``, which calls LAPACK
 ``dgtsv`` directly: the routine ``scipy.linalg.solve_banded`` ends in for
 (1, 1) bands, without the wrapper's per-call cost.  ``dgtsv`` is bound by
 ``parobs._lapack`` from scipy's compiled wrapper without importing
 ``scipy.linalg``; ``LinAlgError`` is numpy's class, which scipy re-exports.
-``MASS_TOL`` is a density's allowed mass loss; ``ENVELOPE_C_MAX`` and
-``ENVELOPE_BURN_IN_FRAC`` bound and trim the Aronson envelope fit.
+``MASS_TOL`` is a density's allowed mass loss.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from ._lapack import dgtsv
-from .errors import CflViolation, GridTooCoarse
+from .errors import CflViolation
 from .problem import ObstacleProblemSpec
 
 __all__ = [
@@ -39,21 +39,17 @@ __all__ = [
     "DiscreteOperator",
     "TransitionKernel",
     "DensityTable",
-    "AronsonEnvelope",
     "InterpStencil",
     "assemble_operator",
     "transition_kernel",
     "solve_backward_step",
     "evolve_law",
     "solve_density",
-    "aronson_envelope_check",
     "interp_stencil",
     "interp_space_time",
 ]
 
 MASS_TOL = 1e-3
-ENVELOPE_C_MAX = 64.0
-ENVELOPE_BURN_IN_FRAC = 0.4
 
 @dataclass(frozen=True)
 class SpaceTimeGrid:
@@ -199,8 +195,8 @@ class TransitionKernel:
     ``bands`` are the three diagonals in solve_banded layout: of M = I - dt A
     for the implicit scheme (P = M^{-1}), of P = I + dt A itself for the
     explicit one, with the boundary rows of ``mode``: identity rows under
-    clamp-to-data, zero-flux rows under reflecting.  The implicit kernel is
-    also the solvers' backward step: ``apply`` solves M u = b.  P is never
+    clamp-to-data, zero-flux rows under reflecting.  The implicit kernel's
+    M is also the solvers' backward step; ``apply`` solves M u = b.  P is never
     formed; ``apply`` and ``apply_T`` take one banded solve
     (``_tridiagonal_solve``, LAPACK ``dgtsv`` called directly) or one
     tridiagonal product, on a vector or on the columns of an (nx + 2, k)
@@ -347,87 +343,6 @@ def solve_density(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
         dx=grid.dx, values=values, mass=mass,
         mass_ok=bool(np.min(mass) >= 1.0 - MASS_TOL),
     )
-
-
-@dataclass(frozen=True)
-class AronsonEnvelope:
-    c_low: float
-    C_high: float
-    passed: bool
-
-
-def _envelope_gap(density: DensityTable, C: float, side: str, trim_mask: np.ndarray,
-                  x0: float) -> float:
-    """Worst signed violation of the C-envelope over the trimmed region.
-
-    The reference shape is the unit-diffusion heat kernel with variance
-    (t - s); the upper envelope is C g(.; C v), the lower C^{-1} g(.; v / C).
-    Negative gap means the envelope holds everywhere.
-    """
-    worst = -np.inf
-    dens = density.density()
-    for k in range(1, len(density.t_nodes)):
-        sel = trim_mask[k]
-        if not np.any(sel):
-            continue
-        v = density.t_nodes[k] - density.t_nodes[0]
-        r = density.x_nodes[sel] - x0
-        g = np.exp(-r**2 / (2.0 * C * v)) / np.sqrt(2.0 * np.pi * C * v) if side == "upper" \
-            else np.exp(-r**2 * C / (2.0 * v)) / np.sqrt(2.0 * np.pi * v / C)
-        env = C * g if side == "upper" else g / C
-        p = dens[k, sel]
-        gap = (p - env) if side == "upper" else (env - p)
-        worst = max(worst, float(gap.max()))
-    return worst
-
-
-def aronson_envelope_check(density: DensityTable, spec: ObstacleProblemSpec,
-                           trim_mass: float = 1e-8) -> AronsonEnvelope:
-    """Fit the smallest two-sided Gaussian envelope constants for the density.
-
-    Points carrying less than ``trim_mass`` per node are excluded, as is the
-    initial layer of slices (ENVELOPE_BURN_IN_FRAC): the discrete kernel
-    starts as a near-delta whose standardized tails carry an excess kurtosis
-    of order dt / (t - s), so envelope constants are only meaningful after the
-    chain has mixed.  Both envelopes are monotone in C, so bisection applies.
-    """
-    n_slices = len(density.t_nodes)
-    if n_slices < 3:
-        raise GridTooCoarse("density table has too few time slices to trim")
-    first = max(1, int(ENVELOPE_BURN_IN_FRAC * (n_slices - 1)) + 1)
-    trim_mask = density.values > trim_mass
-    trim_mask[:first] = False
-    trim_mask[:, 0] = trim_mask[:, -1] = False
-    if not trim_mask.any():
-        raise GridTooCoarse("trimmed region is empty")
-    x0 = float(density.x_nodes[density.x_index])
-
-    def fit(side: str) -> float:
-        lo, hi = 1.0, 1.0
-        if _envelope_gap(density, lo, side, trim_mask, x0) <= 0.0:
-            # C = 1 already works: tighten below 1 to report the smallest constant
-            lo = 1.0 / ENVELOPE_C_MAX
-            if _envelope_gap(density, lo, side, trim_mask, x0) <= 0.0:
-                return lo
-            hi = 1.0
-        else:
-            while _envelope_gap(density, hi, side, trim_mask, x0) > 0.0:
-                hi *= 2.0
-                if hi > ENVELOPE_C_MAX:
-                    return float("inf")
-            lo = hi / 2.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _envelope_gap(density, mid, side, trim_mask, x0) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return hi
-
-    c_high = fit("upper")
-    c_low = fit("lower")
-    passed = np.isfinite(c_high) and np.isfinite(c_low)
-    return AronsonEnvelope(c_low=float(c_low), C_high=float(c_high), passed=bool(passed))
 
 
 class InterpStencil(NamedTuple):

@@ -11,24 +11,24 @@ Two routes solve the same discrete problem:
   nx + 3 banded solves; the constraint force is r = (M u - b) / dt on the
   contact set.
 
-Both, and the obstacle-free ``solve_unconstrained``, run on one backward
-marcher (``_march``) that owns the time loop, the clamp-to-data boundary
-values max(h(t, x_b), phi(x_b)), the lagged-driver fixed point within each
-step and the divergence guard.  It carries a leading level axis: the levels
-of a penalty ladder march in lockstep, sharing each step's kernel and sigma
-row, and a level whose iterate has converged is frozen while the others
-iterate, so every level is bit for bit its lone march; a single solve is a
-ladder of one.  ``penalization_study`` and ``verify.check_minimality`` march
-their levels together and fold each slice as it comes, holding no level's
-field.  The step object is the grid's implicit ``transition_kernel``, the
-banded M = I - dt A that is also the chain's transition law, built once per
-march when a(t, x) returns a constant scalar; the routes differ only in what
-they do with it per iterate: ``kern.apply``, ``solve_backward_step`` with
-one penalty diagonal per level, or ``_lcp_step`` on ``kern.bands``; each
-banded solve is the grid's ``_tridiagonal_solve``.  ``sigma_du`` forms
-sigma Du on a grid row: the sigma row sqrt(a(t, x)) (``_sigma_row``) times
-``central_gradient``.  Loops that need several rows at one t (the marcher's
-inner iterates, the chain-dp step) take the sigma row once per step.
+Both run on one backward marcher (``_march``) that owns the time loop, the
+clamp-to-data boundary values max(h(t, x_b), phi(x_b)), the lagged-driver
+fixed point within each step and the divergence guard.  It carries a leading
+level axis: the levels of a penalty ladder march in lockstep, sharing each
+step's kernel and sigma row, and a level whose iterate has converged is
+frozen while the others iterate, so every level is bit for bit its lone
+march; a single solve is a ladder of one.  ``penalization_study`` and
+``verify.check_minimality`` march their levels together and fold each slice
+as it comes, holding no level's field.  The step object is the grid's
+implicit ``transition_kernel``, the banded M = I - dt A that is also the
+chain's transition law, built once per march when a(t, x) returns a constant
+scalar; the routes differ only in what they do with it per iterate:
+``solve_backward_step`` with one penalty diagonal per level, or
+``_lcp_step`` on ``kern.bands``; each banded solve is the grid's
+``_tridiagonal_solve``.  ``sigma_du`` forms sigma Du on a grid row: the
+sigma row sqrt(a(t, x)) (``_sigma_row``) times ``central_gradient``.  Loops
+that need several rows at one t (the marcher's inner iterates, the chain-dp
+step) take the sigma row once per step.
 Besides the ``DEFAULT_*`` tolerances, ``PICARD_MAX_OUTER`` and
 ``PICARD_OUTER_TOL`` end ``picard_outer``, and ``STABILITY_C`` is the
 distance ratio ``obstacle_stability`` passes.
@@ -55,7 +55,6 @@ __all__ = [
     "ObstacleSolution",
     "PicardTrace",
     "PenalizationStudy",
-    "AprioriReport",
     "StabilityReport",
     "obstacle_field",
     "terminal_field",
@@ -66,16 +65,12 @@ __all__ = [
     "frozen_driver_field",
     "solve_penalized",
     "as_obstacle_solution",
-    "solve_unconstrained",
     "solve_psor",
     "penalization_study",
     "picard_outer",
     "contraction_gamma",
     "v_gamma_norm",
-    "energy_identity_residual",
-    "apriori_norm_report",
     "obstacle_stability",
-    "obstacle_replacement_check",
 ]
 
 DEFAULT_INNER_TOL = 1e-11
@@ -104,13 +99,11 @@ def terminal_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid) -> np.ndarray
 
 
 def boundary_values(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
-                    h_field: np.ndarray | None = None) -> np.ndarray:
+                    h_field: np.ndarray) -> np.ndarray:
     """Clamp-to-data Dirichlet values at the two truncation nodes, per slice:
-    max(h, phi), or phi alone when no obstacle field is given."""
-    out = np.tile(terminal_field(spec, grid)[[0, -1]], (grid.nt + 1, 1))
-    if h_field is not None:
-        out = np.maximum(h_field[:, [0, -1]], out)
-    return out
+    max(h, phi), ``h_field`` the obstacle on every slice."""
+    phi = np.tile(terminal_field(spec, grid)[[0, -1]], (grid.nt + 1, 1))
+    return np.maximum(h_field[:, [0, -1]], phi)
 
 
 def central_gradient(row: np.ndarray, dx: float) -> np.ndarray:
@@ -192,13 +185,6 @@ class PenalizationStudy:
 
 
 @dataclass
-class AprioriReport:
-    left: float
-    right: float
-    ratio: float
-
-
-@dataclass
 class StabilityReport:
     solution_distance: float
     obstacle_distance: float
@@ -224,16 +210,17 @@ def _diverged(label: str, level: int, what: str) -> InnerDivergence:
     return err
 
 
-def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, labels, h_field=None,
+def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, labels, h_field: np.ndarray,
            exact: bool = True, driver_field: np.ndarray | None = None,
            inner_tol: float = DEFAULT_INNER_TOL, max_inner: int = DEFAULT_MAX_INNER):
     """Backward implicit Euler from u(T) = phi with the driver lagged in each
-    step, for a ladder of levels (one per entry of ``labels``) in lockstep.
+    step, for a ladder of levels (one per entry of ``labels``) in lockstep,
+    ``h_field`` the obstacle on every slice.
 
     Row l of an iterate belongs to level l.  ``solve(k, kern, b, v, rows)``
     maps the step's implicit kernel, the iterates v of the levels ``rows``
     and their b = u_{k+1} + dt f(t_k, ., v, sigma D v), whose edge entries
-    hold the clamp-to-data values (phi alone without an obstacle), to their
+    hold the clamp-to-data values, to their
     next iterates.  A level's step ends when its iterate moves by at most
     ``inner_tol``, or after one ``exact`` solve when b does not depend on v
     (L = 0 or a frozen driver); the level is then frozen while the others
@@ -253,9 +240,7 @@ def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, labels, h_fiel
     u_next = np.tile(terminal_field(spec, grid), (len(labels), 1))
     bnd = boundary_values(spec, grid, h_field) if spec.boundary_mode == "clamp-to-data" else None
     once = exact and (spec.driver.L <= 0.0 or driver_field is not None)
-    scale = 1.0 + _abs_max(u_next[0])
-    if h_field is not None:
-        scale += _abs_max(h_field)
+    scale = 1.0 + _abs_max(u_next[0]) + _abs_max(h_field)
     blowup = 1e12 * scale  # an iterate above it has diverged
     error = None
     yield grid.nt, u_next, np.zeros(len(labels), dtype=int)
@@ -315,14 +300,26 @@ def _one_level(march, grid: SpaceTimeGrid):
 
 
 # ---------------------------------------------------------------------------
-# penalized and unconstrained routes
+# penalized route
+
+def _finite_level(n) -> float:
+    """Penalty level n as a float, or ``ValueError`` naming it when it is not finite."""
+    try:
+        level = float(n)
+    except OverflowError:
+        level = np.inf
+    if not np.isfinite(level):
+        raise ValueError(f"penalty level n = {n} is not a finite float")
+    return level
+
 
 def _penalized_march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels,
                      h_field: np.ndarray, inner_tol: float, max_inner: int):
     """``_march`` of the penalized step for the penalty levels ``n_levels``
-    in lockstep, ``h_field`` the obstacle on every slice."""
+    in lockstep, ``h_field`` the obstacle on every slice.  A level that is
+    not a finite float raises ``ValueError``."""
     mode = spec.boundary_mode
-    dtn = grid.dt * np.array([float(n) for n in n_levels])[:, None]
+    dtn = grid.dt * np.array([_finite_level(n) for n in n_levels])[:, None]
 
     def penalized(k, kern, b, v, rows):
         active = v < h_field[k]
@@ -367,18 +364,6 @@ def as_obstacle_solution(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
         diagnostics={"n_penalty": pen.n_penalty, "h_field": h_field,
                      "inner_iteration_counts": pen.inner_iteration_counts},
     )
-
-
-def solve_unconstrained(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
-                        inner_tol: float = DEFAULT_INNER_TOL,
-                        max_inner: int = DEFAULT_MAX_INNER) -> np.ndarray:
-    """Plain implicit stepping for the Cauchy problem (no obstacle).
-
-    Under clamp-to-data the boundary follows the terminal data extension.
-    """
-    return _one_level(_march(spec, grid, lambda k, kern, b, v, rows: kern.apply(b.T).T,
-                             ["unconstrained step"], inner_tol=inner_tol,
-                             max_inner=max_inner), grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -644,11 +629,11 @@ def v_gamma_norm(grid: SpaceTimeGrid, weight: Weight, fld: np.ndarray, gamma: fl
 
 def frozen_driver_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
                         u: np.ndarray) -> np.ndarray:
-    """f(t, x, u, sigma Du) on every slice of a grid field u."""
-    z = z_field(spec, grid, u)
+    """f(t, x, u, sigma Du) on every slice of a grid field u (``_driver_row``)."""
     out = np.empty_like(u)
     for k, t in enumerate(grid.t_nodes):
-        out[k] = spec.driver.f(float(t), grid.x_nodes, u[k], z[k])
+        t = float(t)
+        out[k] = _driver_row(spec, grid, t, u[k], _sigma_row(spec, grid, t))
     return out
 
 
@@ -693,84 +678,7 @@ def picard_outer(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, **tolerances):
 
 
 # ---------------------------------------------------------------------------
-# identities and estimates
-
-def energy_identity_residual(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
-                             sol: ObstacleSolution, cutoff: np.ndarray) -> np.ndarray:
-    """Per-time residual of the localized energy identity.
-
-    The spatial pairing uses the exact discrete summation by parts of the
-    flux-form operator, so the residual isolates the time-quadrature error and
-    vanishes at the rate O(dt) under refinement.
-    """
-    xi = np.asarray(cutoff, dtype=float)
-    if xi.shape != grid.x_nodes.shape:
-        raise ValueError("cutoff must be a spatial grid field")
-    if xi[0] != 0.0 or xi[-1] != 0.0:
-        raise ValueError("cutoff must be compactly supported inside the truncation")
-    u = sol.u_values
-    r = sol.r_values
-    xi2 = xi**2
-    mid = 0.5 * (grid.x_nodes[:-1] + grid.x_nodes[1:])
-    phi = u[grid.nt]
-    phi_term = float(np.sum(phi**2 * xi2) * grid.dx)
-
-    increments = np.zeros(grid.nt)
-    for k in range(grid.nt):
-        t = float(grid.t_nodes[k])
-        a_mid = np.broadcast_to(np.asarray(spec.coefficients.a(t, mid), dtype=float), mid.shape)
-        du = np.diff(u[k]) / grid.dx
-        dweighted = np.diff(u[k] * xi2) / grid.dx
-        grad_term = float(np.sum(a_mid * du * dweighted) * grid.dx)
-        fv = _driver_row(spec, grid, t, u[k], _sigma_row(spec, grid, t))
-        f_term = 2.0 * float(np.sum(fv * u[k] * xi2) * grid.dx)
-        mu_term = 2.0 * float(np.sum(r[k] * u[k] * xi2) * grid.dx)
-        increments[k] = (grad_term - f_term - mu_term) * grid.dt
-
-    residual = np.zeros(grid.nt + 1)
-    tail = 0.0
-    for k in range(grid.nt - 1, -1, -1):
-        tail += increments[k]
-        residual[k] = float(np.sum(u[k]**2 * xi2) * grid.dx) - phi_term + tail
-    return residual
-
-
-def apriori_norm_report(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
-                        sol: ObstacleSolution, weight: Weight,
-                        dominating_p: np.ndarray) -> AprioriReport:
-    """Both sides of the weighted a priori estimate, without the unknown constant.
-
-    ``dominating_p`` is any field whose positive part dominates u on the
-    support of the measure; it enters only through p^+.
-    """
-    u, r = sol.u_values, sol.r_values
-    p_plus = np.maximum(np.asarray(dominating_p, dtype=float), 0.0)
-    rho2, rho2_mid = _weight_profile(grid, weight)
-    dx = grid.dx
-
-    sup_u = max(_l2_sq(u[k], rho2, dx) for k in range(grid.nt + 1))
-    grad_u = sum(_grad_sq(u[k], rho2_mid, dx) * grid.dt for k in range(grid.nt + 1))
-    mu_term = float(sum(np.sum(np.abs(u[k]) * rho2 * r[k]) * grid.dx * grid.dt
-                        for k in range(grid.nt + 1)))
-    left = sup_u + grad_u + mu_term
-
-    phi = u[grid.nt]
-    sup_p = max(_l2_sq(p_plus[k], rho2, dx) for k in range(grid.nt + 1))
-    right = _l2_sq(phi, rho2, dx) + sup_p
-    for k in range(grid.nt):
-        dpdt = (p_plus[k + 1] - p_plus[k]) / grid.dt
-        g_row = np.broadcast_to(
-            np.asarray(spec.driver.g(float(grid.t_nodes[k]), grid.x_nodes), dtype=float),
-            grid.x_nodes.shape)
-        right += (_l2_sq(dpdt, rho2, dx) + _grad_sq(p_plus[k], rho2_mid, dx)
-                  + _l2_sq(g_row, rho2, dx)) * grid.dt
-
-    if right > 0:
-        ratio = left / right
-    else:
-        ratio = 0.0 if left == 0.0 else float("inf")
-    return AprioriReport(left=float(left), right=float(right), ratio=float(ratio))
-
+# obstacle stability
 
 def obstacle_stability(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, h1, h2,
                        **tolerances) -> StabilityReport:
@@ -793,14 +701,3 @@ def obstacle_stability(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, h1, h2,
         ratio = du / dh
     return StabilityReport(solution_distance=du, obstacle_distance=dh, ratio=ratio,
                            passed=bool(ratio <= STABILITY_C))
-
-
-def obstacle_replacement_check(spec: ObstacleProblemSpec, grid: SpaceTimeGrid) -> float:
-    """Max nodewise gap between the solutions with obstacles h and h v u_free,
-    where u_free solves the unconstrained problem (both gaps vanish in the
-    continuum)."""
-    u_free = solve_unconstrained(spec, grid)
-    h_field = obstacle_field(spec, grid)
-    sol_h = solve_psor(spec, grid, obstacle_field_override=h_field)
-    sol_max = solve_psor(spec, grid, obstacle_field_override=np.maximum(h_field, u_free))
-    return float(np.max(np.abs(sol_h.u_values - sol_max.u_values)))

@@ -27,9 +27,8 @@ at each of them, every block's Philox state.  ``PathEnsemble.x(k)`` and
 re-drawing the segment's normals from the saved states and re-running the
 Euler step, so every row is bit-identical to the forward pass (checkpointed
 reversal, after Griewank and Walther's ``revolve``).  The forward-only
-consumers (``moment_ratio_probe``, ``estimate_g_integral``,
-``optimal_stopping_value``) hold nothing at all: they fold each date as the
-stepper produces it.
+consumers (``moment_ratio_probe``, ``optimal_stopping_value``) hold
+nothing at all: they fold each date as the stepper produces it.
 """
 
 from __future__ import annotations
@@ -65,12 +64,10 @@ __all__ = [
     "RbsdeEstimate",
     "LsmcEstimate",
     "MomentRatio",
-    "GIntegral",
     "ConvergenceTable",
     "StoppingValue",
     "simulate_paths",
     "moment_ratio_probe",
-    "estimate_g_integral",
     "rbsde_chain_dp",
     "rbsde_penalized_mc",
     "rbsde_reflected_mc",
@@ -410,26 +407,6 @@ def moment_ratio_probe(ensemble: PathEnsemble, p_exponent: float = 4.0) -> Momen
             ratios.append(float(sup_p[sl].mean()) / d)
     ci = 1.96 * float(np.std(ratios, ddof=1)) / np.sqrt(len(ratios)) if len(ratios) > 1 else 0.0
     return MomentRatio(p=p_exponent, ratio=num / den, ci=ci, sup_moment=num, terminal_moment=den)
-
-
-@dataclass
-class GIntegral:
-    value: float
-    ci: float
-
-
-def estimate_g_integral(ensemble: PathEnsemble, g) -> GIntegral:
-    """Monte Carlo estimate of E integral_s^T |g(t, X_t)|^2 dt (trapezoid in t)."""
-    n, m = ensemble.n_steps, ensemble.path_count
-    acc = np.zeros(m)
-    for k, xk in enumerate(ensemble.rows()):
-        w = 0.5 if k in (0, n) else 1.0
-        vals = np.asarray(g(float(ensemble.t_nodes[k]), xk), dtype=float)
-        acc += w * np.broadcast_to(vals, (m,)) ** 2
-    acc *= ensemble.dt_path
-    value = float(acc.mean())
-    ci = 1.96 * float(acc.std(ddof=1)) / np.sqrt(m) if m > 1 else 0.0
-    return GIntegral(value=value, ci=ci)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import pytest
 from parobs.grid import SpaceTimeGrid, solve_density
 from parobs.solver import (
     contraction_gamma,
-    energy_identity_residual,
     frozen_driver_field,
     penalization_study,
     picard_outer,
@@ -41,7 +40,7 @@ from parobs.verify import (
 )
 
 from conftest import scenario_path
-from oracles import binomial_american_put
+from oracles import binomial_american_put, energy_identity_residual
 
 SCHEDULE = [2**j for j in range(4, 15)]
 

@@ -717,3 +717,28 @@ def test_budgets_without_calibration_lines_equal_the_check_defaults(tmp_path, mo
                                          sc.mc_params)
     assert seen == {name: direct.calibration for name in names}
     assert direct.calibration == CALIBRATION_DEFAULTS
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--method", "penalized", "--penalty", "1" + "0" * 400],
+    ["study", "--study", "penalization", "--max-level", "1030"],
+], ids=["solve-penalty", "study-max-level"])
+def test_penalty_level_beyond_float_range_exits_2(tmp_path, command):
+    """A penalty level no float holds is a usage error, reported on one
+    ``error:`` line, not an ``OverflowError`` traceback."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "parobs.cli", "--scenario",
+                          str(scenario_path("american_put")), "--out", str(tmp_path), *command],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 2, out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: code=2 kind=ValueError")
+    assert "penalty level" in lines[0]
+    assert "Traceback" not in out.stderr

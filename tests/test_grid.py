@@ -14,7 +14,6 @@ from parobs.grid import (
     SpaceTimeGrid,
     _banded_transpose,
     _tridiagonal_solve,
-    aronson_envelope_check,
     assemble_operator,
     evolve_law,
     interp_space_time,
@@ -24,7 +23,12 @@ from parobs.grid import (
 )
 from parobs.problem import Coefficients, Driver, ObstacleData, ObstacleProblemSpec, Weight
 
-from oracles import assembled_step_solve, mass_vector_evolution, reference_banded_solve
+from oracles import (
+    aronson_envelope_check,
+    assembled_step_solve,
+    mass_vector_evolution,
+    reference_banded_solve,
+)
 
 
 def _const_spec(a0=1.0, T=1.0, half_width=8.0, nx_center=True):

@@ -12,21 +12,24 @@ from parobs.solver import (
     DEFAULT_LCP_TOL,
     PenalizedSolution,
     _lcp_step,
-    apriori_norm_report,
     contraction_gamma,
-    energy_identity_residual,
     obstacle_field,
-    obstacle_replacement_check,
     obstacle_stability,
     penalization_study,
     picard_outer,
     solve_penalized,
     solve_psor,
-    solve_unconstrained,
     terminal_field,
 )
 
-from oracles import dense_lcp_solve, psor_lcp_solve
+from oracles import (
+    apriori_norm_report,
+    dense_lcp_solve,
+    energy_identity_residual,
+    obstacle_replacement_check,
+    psor_lcp_solve,
+    unconstrained_march,
+)
 
 
 def _zeros(t, x):
@@ -73,7 +76,7 @@ def test_inactive_obstacle_matches_unconstrained(heat_scenario):
     spec = heat_scenario.spec
     grid = SpaceTimeGrid.build(spec, 80, 60)
     pen = solve_penalized(spec, grid, 64)
-    free = solve_unconstrained(spec, grid)
+    free = unconstrained_march(spec, grid)
     assert np.max(np.abs(pen.u_values - free)) <= 1e-11
     assert np.max(pen.r_values) == 0.0
 
@@ -410,7 +413,7 @@ def test_reflecting_mode_preserves_constants(constant_scenario):
     assert np.max(np.abs(psor.u_values - 1.0)) <= 1e-13
     pen = solve_penalized(spec, grid, 64)
     assert np.max(np.abs(pen.u_values - 1.0)) <= 1e-12
-    assert np.max(np.abs(solve_unconstrained(spec, grid) - 1.0)) <= 1e-13
+    assert np.max(np.abs(unconstrained_march(spec, grid) - 1.0)) <= 1e-13
 
 
 def test_reflecting_mode_matches_clamp_in_the_interior(heat_scenario):
@@ -608,7 +611,6 @@ def test_march_builds_one_kernel_for_a_constant_coefficient(name, request, monke
     loops = (  # (outputs of a spec, loops over kernels, steps per loop)
         (lambda s: _arrays(solve_psor(s, grid)), 1, nt),
         (lambda s: _arrays(solve_penalized(s, grid, 256)), 1, nt),
-        (lambda s: _arrays(solve_unconstrained(s, grid)), 1, nt),
         (chain, 1, late),
         (lambda s: [snell_envelope_value(s, grid, reward, s_index, x_index)], 1, late),
         (lambda s: [w for _, w in evolve_law(s, grid, w0, s_index)], 1, late),

@@ -8,10 +8,9 @@ from parobs.errors import MissingDerivative, RegressionSingular
 from parobs.grid import SpaceTimeGrid, solve_density
 from parobs.problem import Coefficients, Driver, ObstacleData, ObstacleProblemSpec, Weight
 from parobs.scenarios import build_family
-from parobs.solver import frozen_driver_field, solve_psor, solve_unconstrained, z_field
+from parobs.solver import frozen_driver_field, solve_psor, z_field
 from parobs.stochastic import (
     BLOCK_SIZE,
-    estimate_g_integral,
     moment_ratio_probe,
     optimal_stopping_value,
     penalization_convergence_mc,
@@ -25,10 +24,12 @@ from parobs.stochastic import (
 
 from oracles import (
     binomial_american_put,
+    estimate_g_integral,
     lstsq_polynomial_fit,
     stored_convergence_table,
     stored_simulate_paths,
     storing_lsmc,
+    unconstrained_march,
 )
 
 
@@ -307,7 +308,7 @@ def test_chain_dp_inactive_equals_plain_solver(heat_scenario):
     spec = heat_scenario.spec
     grid = SpaceTimeGrid.build(spec, 80, 60)
     est = rbsde_chain_dp(spec, grid, 0, 1)
-    free = solve_unconstrained(spec, grid)
+    free = unconstrained_march(spec, grid)
     assert np.max(np.abs(est.Y - free)) <= 1e-10
     assert np.max(est.dK) == 0.0
 
