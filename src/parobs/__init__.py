@@ -9,7 +9,6 @@ together.
 from .errors import (
     CflViolation,
     EvaluatorFailure,
-    GridTooCoarse,
     InnerDivergence,
     LcpStall,
     MissingDerivative,

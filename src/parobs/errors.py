@@ -17,10 +17,6 @@ class CflViolation(ParobsError):
     """Explicit transition kernel requested with dt > dx^2 / Lambda."""
 
 
-class GridTooCoarse(ParobsError):
-    """A diagnostic has an empty evaluation region on this grid."""
-
-
 class InnerDivergence(ParobsError):
     """Per-step fixed-point iteration failed to converge; ``level`` is the
     failing level's index in a marched penalty ladder (0 for one solve)."""

@@ -80,8 +80,6 @@ class DiscreteOperator:
     node i, which for i = 0 is the boundary node.
     """
 
-    t_index: int
-    t: float
     lower: np.ndarray
     diag: np.ndarray
     upper: np.ndarray
@@ -110,7 +108,7 @@ def assemble_operator(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t_index: i
     scale = 1.0 / (2.0 * grid.dx**2)
     lower = a_mid[:-1] * scale
     upper = a_mid[1:] * scale
-    return DiscreteOperator(t_index=t_index, t=t, lower=lower, diag=-(lower + upper), upper=upper)
+    return DiscreteOperator(lower=lower, diag=-(lower + upper), upper=upper)
 
 
 def _banded_backward_matrix(op: DiscreteOperator, dt: float, mode: str = "clamp-to-data"):

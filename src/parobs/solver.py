@@ -180,7 +180,6 @@ class PenalizationStudy:
     n_levels: list
     sup_increments: np.ndarray
     norm_increments: np.ndarray
-    monotone: bool
     distances_to_reference: np.ndarray | None = None
 
 
@@ -592,7 +591,6 @@ def penalization_study(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedul
     study = PenalizationStudy(
         n_levels=levels,
         sup_increments=np.asarray(sups), norm_increments=np.asarray(norms),
-        monotone=True,
         distances_to_reference=np.asarray(dists) if reference is not None else None,
     )
     return limit, study

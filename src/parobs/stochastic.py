@@ -27,8 +27,9 @@ at each of them, every block's Philox state.  ``PathEnsemble.x(k)`` and
 re-drawing the segment's normals from the saved states and re-running the
 Euler step, so every row is bit-identical to the forward pass (checkpointed
 reversal, after Griewank and Walther's ``revolve``).  The forward-only
-consumers (``moment_ratio_probe``, ``optimal_stopping_value``) hold
-nothing at all: they fold each date as the stepper produces it.
+consumers (``moment_ratio_probe``, ``optimal_stopping_value``) read
+``PathEnsemble.rows()``, which steps one checkpoint segment of dates per
+call and holds only that segment; they fold each date as it is yielded.
 """
 
 from __future__ import annotations
@@ -206,11 +207,14 @@ class PathEnsemble:
     bit-identical to the one the forward pass computed.  One replayed
     segment, both kinds of row, is cached; the old one is dropped before the
     next is built, and each replay writes fresh arrays.  A streaming
-    ensemble (``store_dw=False``) holds no rows and no states: ``rows()``
-    steps the paths again, drawing the same normals, and yields one date at
-    a time.  Held and replayed rows are read-only.  Simulation, each replay
-    and each streamed date step the blocks on all usable cores
-    (``_step_block``); the bytes do not depend on the worker count.
+    ensemble (``store_dw=False``) holds no rows and no states.  ``rows()``
+    reads either kind forward: it steps the paths again from fresh block
+    streams, drawing the same normals, one segment of ``X.stride`` dates per
+    call, and holds that one segment while its rows are read (1.6 MB at
+    2e4 paths and 200 dates, 8 MB at 1e5 paths).  Held and replayed rows
+    are read-only.  Simulation, each replay and each streamed segment step
+    the blocks on all usable cores (``_step_block``); the bytes do not
+    depend on the worker count.
     """
     spec: ObstacleProblemSpec = field(repr=False)
     s: float
@@ -247,18 +251,22 @@ class PathEnsemble:
         return self._segment_rows(j)[1][r]
 
     def rows(self):
-        """Yield X_0 .. X_{n_steps} in date order."""
-        if self.dW is not None:
-            for k in range(self.n_steps + 1):
-                yield self.x(k)
-            return
+        """Yield X_0 .. X_{n_steps} in date order, stored or streaming alike.
+
+        Fresh block streams step ``X.stride`` dates per ``_advance`` call into
+        one segment buffer, whose rows are yielded before the next segment is
+        stepped, so a pass holds one segment (``X.stride`` rows of
+        ``path_count``) and makes ``ceil(n_steps / X.stride)`` stepping calls.
+        """
         rngs = [_block_rng(self.seed, b) for b in range(self._n_blocks)]
         xk = np.full(self.path_count, self.x_start)
         yield xk
-        for k in range(self.n_steps):
-            x_next = np.empty((1, self.path_count))
-            self._advance(rngs, k, k + 1, xk, x_rows=x_next)
-            xk = x_next[0]
+        for k0 in range(0, self.n_steps, self.X.stride):
+            segment = np.empty((min(self.X.stride, self.n_steps - k0), self.path_count))
+            self._advance(rngs, k0, k0 + len(segment), xk, x_rows=segment)
+            xk = segment[-1].copy()   # the next segment starts from it, this one dropped
+            yield from segment[:-1]
+            del segment
             yield xk
 
     @property
@@ -415,9 +423,7 @@ def moment_ratio_probe(ensemble: PathEnsemble, p_exponent: float = 4.0) -> Momen
 @dataclass
 class RbsdeEstimate:
     """The chain-dp triple on the grid: one row of Y, Z, dK per time slice."""
-    scheme: str
     Y0: float
-    ci: float
     t_nodes: np.ndarray
     Y: np.ndarray
     Z: np.ndarray
@@ -430,7 +436,7 @@ def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
     """Exact reflected backward dynamic programming on the grid chain.
 
     Conditional expectations are exact kernel applications, so the estimate
-    carries no regression noise and a zero confidence interval.
+    carries no regression noise and no confidence interval.
     """
     if not 0 <= s_index < grid.nt:
         raise ValueError("s_index out of range")
@@ -470,9 +476,8 @@ def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
         Z[j] = sigma * central_gradient(Y[j], grid.dx)
 
     slack = float(np.max(np.maximum(h_field[s_index:] - Y, 0.0)))
-    return RbsdeEstimate(scheme="chain-dp", Y0=float(Y[0, x_index]), ci=0.0,
-                         t_nodes=grid.t_nodes[s_index:].copy(), Y=Y, Z=Z, dK=dK,
-                         obstacle_slack=slack)
+    return RbsdeEstimate(Y0=float(Y[0, x_index]), t_nodes=grid.t_nodes[s_index:].copy(),
+                         Y=Y, Z=Z, dK=dK, obstacle_slack=slack)
 
 
 def _basis(x: np.ndarray, degree: int) -> np.ndarray:

@@ -19,10 +19,10 @@ sweep over that ensemble, the chain-dp field and the densities) from a
 ``VerifyContext``, which builds each of them once, on first read.  The sweep
 is one replay pass over the stored ensemble for ``representation-z`` and
 ``ac-measure`` together: per date one replayed row, one interpolation stencil
-and one gather of sigma Du serve both checks.  ``CHECKS`` is the one table of
-the checks ``verify`` runs: per name, the shared objects the check reads and
-how it is called.  ``run_checks`` runs names from it in order and releases
-each shared object after the last check that reads it.
+and one gather of sigma Du serve both checks.  The context keeps what it
+builds until it goes itself.  ``CHECKS`` is the one table of the checks
+``verify`` runs: per name, how the check is called.  ``run_checks`` runs
+names from it in order on one context.
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ class VerifyContext:
     overrides ``TOLERANCE_DEFAULTS``.  Both are resolved once, here, and the
     checks read them from the context: the tolerances reach the
     complementarity solve and ``minimality``'s penalized march.  Each shared
-    object is built on first read and kept until ``release`` drops it:
+    object is built on first read, so a run whose checks never read one never
+    builds it, and kept as long as the context:
 
     * ``sol``: the complementarity (PSOR) solution;
     * ``lsmc``: the reflected-LSMC fit on the run's ensemble (its
@@ -179,10 +180,6 @@ class VerifyContext:
         ens = simulate_paths(self.spec, float(self.grid.t_nodes[s_idx]),
                              float(self.grid.x_nodes[x_idx]), self.dt_path, self.paths, seed)
         return rbsde_reflected_mc(self.spec, ens, self.basis_degree)
-
-    def release(self, name: str) -> None:
-        """Drop the shared object ``name``; a later read builds it again."""
-        vars(self).pop(name, None)
 
 
 # ---------------------------------------------------------------------------
@@ -515,28 +512,20 @@ def check_minimality(ctx: VerifyContext, n_schedule, gap_budget: float = 1e-3) -
 # ---------------------------------------------------------------------------
 # The registry of the checks `verify` runs
 
-class Check(NamedTuple):
-    reads: tuple[str, ...]  # the context's shared objects the check reads
-    run: Callable[[VerifyContext], CheckReport]
-
-
 # Each entry calls its check through this module's globals, so a rebinding of
 # a ``check_*`` attribute reaches the registry too.
-CHECKS = {
-    "representation-u": Check(("sol", "chain", "lsmc"), lambda c: check_representation_u(
+CHECKS: dict[str, Callable[[VerifyContext], CheckReport]] = {
+    "representation-u": lambda c: check_representation_u(
         c, [(0.0, c.probe_x), (0.25 * c.spec.T, c.probe_x),
-            (0.0, c.probe_x + 0.25 * (c.spec.x_hi - c.spec.x_lo) / 2)])),
-    "representation-z": Check(("sol", "lsmc", "sweep"), lambda c: check_representation_z(c)),
-    "measure-identity": Check(("sol", "chain", "densities"), lambda c: check_measure_identity(
-        c, 0.0, c.probe_x)),
-    "interval-measure": Check(("sol", "chain"), lambda c: check_interval_measure(
-        c, 0.0, c.spec.T, (c.spec.x_lo, c.spec.x_hi))),
-    "skorokhod": Check(("sol",), lambda c: check_skorokhod(c.sol)),
-    "ac-measure": Check(("sol", "lsmc", "sweep", "chain", "densities"),
-                        lambda c: check_ac_measure(c)),
-    "weighted-bounds": Check((), lambda c: check_weighted_bounds(c)),
-    "minimality": Check(("sol",), lambda c: check_minimality(
-        c, [2**j for j in range(4, 13, 2)])),
+            (0.0, c.probe_x + 0.25 * (c.spec.x_hi - c.spec.x_lo) / 2)]),
+    "representation-z": lambda c: check_representation_z(c),
+    "measure-identity": lambda c: check_measure_identity(c, 0.0, c.probe_x),
+    "interval-measure": lambda c: check_interval_measure(
+        c, 0.0, c.spec.T, (c.spec.x_lo, c.spec.x_hi)),
+    "skorokhod": lambda c: check_skorokhod(c.sol),
+    "ac-measure": lambda c: check_ac_measure(c),
+    "weighted-bounds": lambda c: check_weighted_bounds(c),
+    "minimality": lambda c: check_minimality(c, [2**j for j in range(4, 13, 2)]),
 }
 ALL_CHECKS = tuple(CHECKS)
 
@@ -551,13 +540,5 @@ def select_checks(text: str) -> tuple[str, ...]:
 
 
 def run_checks(ctx: VerifyContext, names) -> list[CheckReport]:
-    """The reports of the named checks, run in order on ``ctx``.  Each shared
-    object is released after the last of them that reads it, so the checks
-    after it run without it held."""
-    last = {obj: i for i, name in enumerate(names) for obj in CHECKS[name].reads}
-    reports = []
-    for i, name in enumerate(names):
-        reports.append(CHECKS[name].run(ctx))
-        for obj in [obj for obj, j in last.items() if j == i]:
-            ctx.release(obj)
-    return reports
+    """The reports of the named checks, run in order on ``ctx``."""
+    return [CHECKS[name](ctx) for name in names]

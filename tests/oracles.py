@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
+from parobs.errors import ParobsError
+
 
 @dataclass
 class StoredEnsemble:
@@ -502,7 +504,7 @@ def sequential_penalization_study(spec, grid, n_schedule, inner_tol=1e-11, refer
     limit.method = "penalized-limit"
     return limit, PenalizationStudy(
         n_levels=levels, sup_increments=np.asarray(sups), norm_increments=np.asarray(norms),
-        monotone=True, distances_to_reference=np.asarray(dists) if reference is not None else None)
+        distances_to_reference=np.asarray(dists) if reference is not None else None)
 
 
 def sequential_minimality(spec, grid, sol, n_schedule):
@@ -660,6 +662,10 @@ ENVELOPE_C_MAX = 64.0
 ENVELOPE_BURN_IN_FRAC = 0.4
 
 
+class GridTooCoarse(ParobsError):
+    """The envelope check has an empty evaluation region on this grid."""
+
+
 @dataclass(frozen=True)
 class AronsonEnvelope:
     c_low: float
@@ -702,8 +708,6 @@ def aronson_envelope_check(density: DensityTable, spec: ObstacleProblemSpec,
     of order dt / (t - s), so envelope constants are only meaningful after the
     chain has mixed.  Both envelopes are monotone in C, so bisection applies.
     """
-    from parobs.errors import GridTooCoarse
-
     n_slices = len(density.t_nodes)
     if n_slices < 3:
         raise GridTooCoarse("density table has too few time slices to trim")

@@ -313,56 +313,12 @@ def test_verify_representation_u_matches_unshared_probes(tmp_path):
 
     ctx = _small_put_context(tmp_path)
     rep, = run_checks(ctx, ["representation-u"])
-    assert vars(ctx).keys().isdisjoint({"sol", "lsmc", "chain"})  # released after the check
     probes = rep.details["probes"]
     assert (probes[0]["s"], probes[0]["x"]) == (0.0, float(ctx.grid.x_nodes[ctx.x_index]))
     for j, row in enumerate(probes):
         ens = simulate_paths(ctx.spec, row["s"], row["x"], ctx.dt_path, ctx.paths, ctx.seed + j)
         own = rbsde_reflected_mc(ctx.spec, ens, ctx.basis_degree)
         assert (row["mc_Y0"], row["mc_ci"]) == (own.Y0, own.ci)
-
-
-def test_registry_releases_the_ensemble_after_its_last_reader(tmp_path, monkeypatch):
-    """Under representation-z,skorokhod,minimality the ensemble and its fit
-    are released after representation-z, so minimality runs without them."""
-    import weakref
-
-    import parobs.verify
-    from parobs import stochastic
-
-    ensembles = []
-
-    def recorded(*args, **kwargs):
-        ens = stochastic.simulate_paths(*args, **kwargs)
-        ensembles.append(weakref.ref(ens))
-        return ens
-
-    alive = []
-    real_minimality = parobs.verify.check_minimality
-
-    def minimality(*args, **kwargs):
-        alive.extend(ref() is not None for ref in ensembles)
-        return real_minimality(*args, **kwargs)
-
-    monkeypatch.setattr(parobs.verify, "simulate_paths", recorded)
-    monkeypatch.setattr(parobs.verify, "check_minimality", minimality)
-    code = run(["--scenario", _small_put(tmp_path), "--out", tmp_path / "o", "verify",
-                "--checks", "representation-z,skorokhod,minimality"])
-    assert code == 0
-    assert alive == [False]
-
-
-def test_each_registry_entry_builds_the_objects_it_declares(tmp_path):
-    """Run alone on a fresh context, a check builds exactly the shared
-    objects its entry lists, so release after the last reader frees
-    everything a run built."""
-    from parobs.verify import CHECKS
-
-    shared = {"sol", "lsmc", "sweep", "chain", "densities"}
-    for name, check in CHECKS.items():
-        ctx = _small_put_context(tmp_path)
-        check.run(ctx)
-        assert set(vars(ctx)) & shared == set(check.reads), name
 
 
 @pytest.mark.parametrize("checks", ["all", "ac-measure,representation-z,representation-u"])

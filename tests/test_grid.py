@@ -9,7 +9,7 @@ from scipy.linalg import LinAlgError
 
 import parobs
 import parobs.solver as solver_mod
-from parobs.errors import CflViolation, GridTooCoarse
+from parobs.errors import CflViolation
 from parobs.grid import (
     SpaceTimeGrid,
     _banded_transpose,
@@ -24,6 +24,7 @@ from parobs.grid import (
 from parobs.problem import Coefficients, Driver, ObstacleData, ObstacleProblemSpec, Weight
 
 from oracles import (
+    GridTooCoarse,
     aronson_envelope_check,
     assembled_step_solve,
     mass_vector_evolution,

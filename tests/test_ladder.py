@@ -64,7 +64,7 @@ def _assert_same_study(got, want):
     assert study.n_levels == ref_study.n_levels
     for key in ("sup_increments", "norm_increments", "distances_to_reference"):
         assert np.array_equal(getattr(study, key), getattr(ref_study, key)), key
-    assert study.monotone and limit.method == ref_limit.method == "penalized-limit"
+    assert limit.method == ref_limit.method == "penalized-limit"
     for key in ("u_values", "r_values", "contact_mask"):
         assert np.array_equal(getattr(limit, key), getattr(ref_limit, key)), key
     assert limit.diagnostics["n_penalty"] == ref_limit.diagnostics["n_penalty"]

@@ -163,7 +163,6 @@ def test_penalization_monotone_and_gap(put_scenario):
     spec = put_scenario.spec
     grid = SpaceTimeGrid.build(spec, 100, 80)
     limit, study = penalization_study(spec, grid, [2**j for j in range(4, 13, 2)])
-    assert study.monotone
     assert np.all(np.diff(study.sup_increments) < 0)
     psor = solve_psor(spec, grid)
     assert np.max(limit.u_values - psor.u_values) <= 1e-7  # approach from below
@@ -433,8 +432,7 @@ def _random_step(rng, n, mode):
     """One step system on n nodes: random positive face coefficients and dt,
     random obstacle, data and warm start (dx = 1)."""
     a = rng.uniform(0.05, 2.0, n - 1)
-    op = DiscreteOperator(t_index=0, t=0.0, lower=0.5 * a[:-1],
-                          diag=-0.5 * (a[:-1] + a[1:]), upper=0.5 * a[1:])
+    op = DiscreteOperator(lower=0.5 * a[:-1], diag=-0.5 * (a[:-1] + a[1:]), upper=0.5 * a[1:])
     dt = rng.uniform(0.01, 5.0)
     h = rng.normal(size=n)
     b = rng.normal(size=n)

@@ -84,6 +84,30 @@ def _states(ens):
              for b in state] for state in ens.dW.states]
 
 
+@pytest.mark.parametrize("n", [1, 7, 20, 200])
+def test_a_streamed_pass_steps_one_segment_per_call(constant_scenario, monkeypatch, n):
+    """A pass of ``rows()`` over n dates makes ceil(n / X.stride) stepping
+    calls, one per checkpoint segment, for a streaming and a stored
+    ensemble alike, and yields the storing simulator's rows."""
+    spec = constant_scenario.spec
+    calls = []
+    real = stochastic._for_each_block
+
+    def counted(n_blocks, work):
+        calls.append(n_blocks)
+        real(n_blocks, work)
+
+    monkeypatch.setattr(stochastic, "_for_each_block", counted)
+    ref = stored_simulate_paths(spec, 0.0, 0.0, spec.T / n, 1000, seed=3)
+    for store_dw in (False, True):
+        ens = simulate_paths(spec, 0.0, 0.0, spec.T / n, 1000, seed=3, store_dw=store_dw)
+        calls.clear()
+        for k, row in enumerate(ens.rows()):
+            assert np.array_equal(row, ref.X[k]), (store_dw, k)
+        assert ens.n_steps == k == n
+        assert len(calls) == -(-n // ens.X.stride), (store_dw, ens.X.stride)
+
+
 def test_reflected_fit_does_not_depend_on_the_worker_count(put_scenario, workers):
     spec = put_scenario.spec
     fits = []

@@ -6,8 +6,9 @@ Extracts <git-ref> with ``git archive`` into a temporary directory, then runs
 55 command x scenario pairs against both trees: ``solve`` with both methods,
 ``study`` penalization, picard and stability, ``verify`` with three check
 lists (``all``, the benchmark's grid-side subset, and the Monte Carlo checks
-out of their default order, so that the release of shared objects is compared
-under more than one order), ``simulate``, ``stop-value`` and ``moments``,
+out of their default order, so that ``representation-u`` runs after the
+shared reflected-LSMC fit already exists and its probes 1 and 2 simulate
+while that fit is held), ``simulate``, ``stop-value`` and ``moments``,
 each on the five scenarios under ``scenarios/``.  Each tree runs with its own
 ``src`` on PYTHONPATH and its own scenario files, under the same relative
 paths, so error text that names a path matches too.  Any difference in the
