@@ -5,7 +5,7 @@ hash, seed) and numbers serialized with 17 significant digits, so identical
 invocations produce byte-identical files.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error,
-3 numeric failure inside a solver or scheme.
+3 numeric failure inside a solver or scheme, or an allocation that failed.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     except (ScenarioError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: code=2 kind={type(exc).__name__} detail={exc}\n")
         return 2
-    except ParobsError as exc:
+    except (ParobsError, MemoryError) as exc:
         sys.stderr.write(f"error: code=3 kind={type(exc).__name__} detail={exc}\n")
         return 3
 

@@ -89,9 +89,6 @@ class DiscreteOperator:
         return (self.lower * u_full[:-2] + self.diag * u_full[1:-1]
                 + self.upper * u_full[2:])
 
-    def row_sums(self) -> np.ndarray:
-        return self.lower + self.diag + self.upper
-
 
 def _full_row(values, shape) -> np.ndarray:
     """``values`` as a float array of ``shape``, copied only to convert or broadcast."""
@@ -301,21 +298,14 @@ def evolve_law(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, w0: np.ndarray, s
 class DensityTable:
     """Discrete fundamental solution started from a unit point mass.
 
-    ``values[k]`` is the probability mass per node at t_nodes[k]; divide by dx
-    for a density.  ``mass`` tracks interior mass per slice; under
+    ``values[k]`` is the probability mass per node k slices after the start;
+    divide by dx for a density.  ``mass`` tracks interior mass per slice; under
     clamp-to-data what crosses the truncation stays in the boundary nodes.
     """
 
-    x_index: int
-    t_nodes: np.ndarray
-    x_nodes: np.ndarray
-    dx: float
     values: np.ndarray  # (n_slices, nx + 2) mass per node
     mass: np.ndarray
     mass_ok: bool
-
-    def density(self) -> np.ndarray:
-        return self.values / self.dx
 
 
 def solve_density(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
@@ -335,12 +325,7 @@ def solve_density(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
     for k, p in evolve_law(spec, grid, start, s_index):
         values[k - s_index] = p
     mass = values[:, 1:-1].sum(axis=1)
-    return DensityTable(
-        x_index=x_index,
-        t_nodes=grid.t_nodes[s_index:].copy(), x_nodes=grid.x_nodes.copy(),
-        dx=grid.dx, values=values, mass=mass,
-        mass_ok=bool(np.min(mass) >= 1.0 - MASS_TOL),
-    )
+    return DensityTable(values=values, mass=mass, mass_ok=bool(np.min(mass) >= 1.0 - MASS_TOL))
 
 
 class InterpStencil(NamedTuple):

@@ -19,7 +19,8 @@ Schema (all numeric values parse as floats unless noted):
 Lines starting with '#' are comments.  Unknown keys are rejected in every
 section so typos cannot silently change a run, and so are non-finite numbers,
 grid.nx, grid.nt, mc.paths, mc.dt_path or a tolerances.* value <= 0, a
-negative mc.seed and an mc.basis_degree outside 0..6.
+negative mc.seed and an mc.basis_degree outside 0..6; american-put rejects
+problem.sigma <= 0.
 """
 
 from __future__ import annotations
@@ -158,6 +159,8 @@ def build_family(family: str, params: dict) -> ObstacleProblemSpec:
         strike = _pop_float(params, "problem.strike", 1.0)
         rate = _pop_float(params, "problem.rate", 0.06)
         sigma = _pop_float(params, "problem.sigma", 0.2)
+        if not sigma > 0:  # kappa divides by sigma, and a negative sigma flips its sign
+            raise ScenarioError(f"american-put needs sigma > 0, got {sigma}")
         kappa = (rate - 0.5 * sigma**2) / sigma  # drift carried by the z-argument
         a0 = sigma**2
         coef = Coefficients(a=lambda t, x: a0, a_x=lambda t, x: 0.0,

@@ -447,8 +447,6 @@ def solve_psor(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
         diagnostics={
             "sweep_counts": sweep_counts,
             "refine_counts": refine_counts,
-            "lcp_tol": lcp_tol,
-            "contact_tol": ctol,
             "h_field": h_field,
         },
     )

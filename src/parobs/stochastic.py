@@ -5,8 +5,9 @@ Three routes estimate the RBSDE triple (Y, Z, K):
 * ``rbsde_chain_dp``: exact backward dynamic programming on the grid Markov
   chain -- the noise-free oracle.
 * ``rbsde_penalized_mc``: least-squares Monte Carlo for the BSDE with the
-  upward penalty n (y - h)^-.
-* ``rbsde_reflected_mc``: discretely reflected least-squares Monte Carlo.
+  upward penalty n (y - h)^-, at a level n.
+* ``rbsde_reflected_mc``: discretely reflected least-squares Monte Carlo, the
+  same date update at n = inf, the limit of the penalized BSDEs.
 
 Paths are generated from counter-based Philox streams keyed by (seed, block)
 (Salmon et al., SC 2011); the block layout is a fixed module constant, and
@@ -52,7 +53,6 @@ from .solver import (
     central_gradient,
     frozen_driver_field,
     obstacle_field,
-    sigma_du,
     terminal_field,
     z_field,
     _abs_max,
@@ -422,17 +422,13 @@ def moment_ratio_probe(ensemble: PathEnsemble, p_exponent: float = 4.0) -> Momen
 
 @dataclass
 class RbsdeEstimate:
-    """The chain-dp triple on the grid: one row of Y, Z, dK per time slice."""
-    Y0: float
-    t_nodes: np.ndarray
+    """The chain-dp field on the grid: one row of Y and of dK per time slice,
+    from the start slice to T."""
     Y: np.ndarray
-    Z: np.ndarray
     dK: np.ndarray
-    obstacle_slack: float = 0.0
 
 
-def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
-                   x_index: int) -> RbsdeEstimate:
+def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int) -> RbsdeEstimate:
     """Exact reflected backward dynamic programming on the grid chain.
 
     Conditional expectations are exact kernel applications, so the estimate
@@ -440,8 +436,6 @@ def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
     """
     if not 0 <= s_index < grid.nt:
         raise ValueError("s_index out of range")
-    if not 0 <= x_index <= grid.nx + 1:
-        raise ValueError("x_index out of range")
     clamp = spec.boundary_mode == "clamp-to-data"
     h_field = obstacle_field(spec, grid)
     bnd = boundary_values(spec, grid, h_field) if clamp else None
@@ -449,16 +443,13 @@ def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
     n_slices = grid.nt - s_index + 1
 
     Y = np.empty((n_slices, grid.nx + 2))
-    Z = np.empty_like(Y)
     dK = np.zeros_like(Y)
     Y[-1] = terminal_field(spec, grid)
-    Z[-1] = sigma_du(spec, grid, spec.T, Y[-1])
 
     for k, t, kern in _step_kernels(spec, grid, s_index):
         j = k - s_index
         cont = kern.apply(Y[j + 1])
-        sigma = _sigma_row(spec, grid, t)  # one a(t, x) row serves both sigma Du
-        z_proxy = sigma * central_gradient(cont, grid.dx)
+        z_proxy = _sigma_row(spec, grid, t) * central_gradient(cont, grid.dx)
         y = cont.copy()
         for _ in range(100):
             c = cont + dt * np.asarray(spec.driver.f(t, grid.x_nodes, y, z_proxy), dtype=float)
@@ -473,11 +464,7 @@ def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int,
         if clamp:
             Y[j, 0], Y[j, -1] = bnd[k]
             dK[j, 0] = dK[j, -1] = 0.0
-        Z[j] = sigma * central_gradient(Y[j], grid.dx)
-
-    slack = float(np.max(np.maximum(h_field[s_index:] - Y, 0.0)))
-    return RbsdeEstimate(Y0=float(Y[0, x_index]), t_nodes=grid.t_nodes[s_index:].copy(),
-                         Y=Y, Z=Z, dK=dK, obstacle_slack=slack)
+    return RbsdeEstimate(Y=Y, dK=dK)
 
 
 def _basis(x: np.ndarray, degree: int) -> np.ndarray:
@@ -553,6 +540,9 @@ class LsmcEstimate:
     """A least-squares Monte Carlo estimate of the RBSDE triple (Y, Z, K),
     stored as its per-date regression coefficients.
 
+    ``n_penalty`` is the level n: the BSDE penalized by n (y - h)^-, or the
+    discretely reflected one at n = inf; every level runs one date update.
+
     ``coef[k]`` holds the continuation and Z coefficients on the Hermite
     basis of X_k, shaped (n, 2, basis_degree + 1); date 0 holds the two
     sample means in column 0.  ``at(k)`` rebuilds the date's basis and re-runs
@@ -560,7 +550,7 @@ class LsmcEstimate:
     (n, m) field is ever held; ``z_at(k)`` skips the value update.  ``K_T``
     is the per-path terminal K, summed in backward date order.
     """
-    scheme: str
+    n_penalty: float
     Y0: float
     ci: float
     t_nodes: np.ndarray
@@ -569,7 +559,6 @@ class LsmcEstimate:
     spec: ObstacleProblemSpec = field(repr=False)
     ensemble: PathEnsemble = field(repr=False)
     basis_degree: int
-    n_penalty: int | None = None
     obstacle_slack: float = 0.0
 
     def at(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -594,7 +583,8 @@ class LsmcEstimate:
         given, is the fitted continuation the caller has already formed.
 
         Returns (y, c, z, dK, h): fitted value, pre-reflection value, Z,
-        K increment and obstacle, one entry per path.
+        K increment and obstacle, one entry per path.  dK = y - c at every
+        level, from the date's own backward equation Y = C + dK.
         """
         m = self.ensemble.path_count
         t = float(self.t_nodes[k])
@@ -604,37 +594,34 @@ class LsmcEstimate:
         zk = _fitted(self.coef[k, 1], B, m)
         h_k = _full_row(self.spec.obstacle.h(t, xk), (m,))
         y, c = self._resolve(t, xk, cont, zk, h_k)
-        if self.scheme == "reflected-mc":
-            dk = np.maximum(h_k - c, 0.0)
-        else:
-            dk = self.ensemble.dt_path * float(self.n_penalty) * np.maximum(h_k - y, 0.0)
-        return y, c, zk, dk, h_k
+        return y, c, zk, y - c, h_k
+
+    def _toward(self, a: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """(a + w h) / (1 + w) with w = dt n: a moved toward the obstacle h
+        by the implicit penalty step; h itself at n = inf (reflection)."""
+        w = self.ensemble.dt_path * self.n_penalty
+        return h if math.isinf(w) else (a + w * h) / (1.0 + w)
 
     def _resolve(self, t, xk, cont, zk, h_k):
         """Per-path implicit value update; returns (fitted y, pre-reflection c)."""
         dt = self.ensemble.dt_path
         f = self.spec.driver.f
-        reflected = self.scheme == "reflected-mc"
-        nq = 0.0 if reflected else float(self.n_penalty)
         y = cont
         c = cont
         for _ in range(100):
             c = cont + dt * np.asarray(f(t, xk, y, zk), dtype=float)
-            if reflected:
-                y_new = np.maximum(h_k, c)
-            else:
-                # exact scalar solve of y = c + dt n (y - h)^-: the penalty is
-                # damped by 1 / (1 + dt n), so the update is stable for all n
-                y_new = np.maximum(c, (c + dt * nq * h_k) / (1.0 + dt * nq))
+            # exact scalar solve of y = c + dt n (y - h)^-: the penalty is
+            # damped by 1 / (1 + dt n), so the update is stable for all n
+            y_new = np.maximum(self._toward(c, h_k), c)
             if _abs_max(y_new - y) <= 1e-13 * (1.0 + _abs_max(y_new)):
                 return y_new, c
             y = y_new
-        raise InnerDivergence(f"{self.scheme} driver iteration stalled")
+        raise InnerDivergence(f"LSMC driver iteration stalled at level n = {self.n_penalty}")
 
 
 def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree: int,
-                 scheme: str, n_penalty: int | None = None) -> LsmcEstimate:
-    """Shared LSMC backward loop for the reflected and penalized schemes.
+                 n_penalty: float) -> LsmcEstimate:
+    """The LSMC backward loop at penalty level ``n_penalty`` (inf: reflected).
 
     The regression target is the realized per-path value V, not the fitted
     field: exercising (or penalizing against) the realized rollforward keeps
@@ -654,12 +641,10 @@ def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree
     dt = ensemble.dt_path
     obs = spec.obstacle
     f = spec.driver.f
-    nq = float(n_penalty or 0)
-    est = LsmcEstimate(scheme=scheme, Y0=float("nan"), ci=float("nan"),
+    est = LsmcEstimate(n_penalty=float(n_penalty), Y0=float("nan"), ci=float("nan"),
                        t_nodes=ensemble.t_nodes.copy(),
                        coef=np.zeros((n, 2, basis_degree + 1)), K_T=np.zeros(m),
-                       spec=spec, ensemble=ensemble, basis_degree=basis_degree,
-                       n_penalty=n_penalty)
+                       spec=spec, ensemble=ensemble, basis_degree=basis_degree)
 
     x_n = ensemble.x(n)
     V = np.asarray(obs.phi(x_n), dtype=float)
@@ -687,15 +672,11 @@ def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree
                                ((V[sl] - V[sl].mean()) * dw[sl] / dt).mean())
                 yb, _ = est._resolve(t, xk[sl], cont_b, zk_b, h_k[sl])
                 batch_y0.append(float(yb.mean()))
-        f_val = np.asarray(f(t, xk, y_fit, zk), dtype=float)
-        if scheme == "reflected-mc":
-            V = np.where(h_k >= c_fit, h_k, V + dt * f_val)
-        else:
-            # same implicit scalar map applied to the realized value on the
-            # fitted active set, so accumulated regression noise is damped
-            # toward h instead of compounding through the stiff penalty
-            vstar = V + dt * f_val
-            V = np.where(c_fit < h_k, (vstar + dt * nq * h_k) / (1.0 + dt * nq), vstar)
+        vstar = V + dt * np.asarray(f(t, xk, y_fit, zk), dtype=float)
+        # same implicit scalar map applied to the realized value on the
+        # fitted active set, so accumulated regression noise is damped
+        # toward h instead of compounding through the stiff penalty
+        V = np.where(h_k >= c_fit, est._toward(vstar, h_k), vstar)
         est.K_T += dk
         slack = max(slack, float(np.max(h_k - y_fit)))
         del xk, dw   # hold no row of this segment while the next one is replayed
@@ -711,16 +692,16 @@ def rbsde_penalized_mc(spec: ObstacleProblemSpec, ensemble: PathEnsemble, n_pena
     """Least-squares Monte Carlo for the BSDE with driver f + n (y - h)^-.
 
     The stiff penalty is resolved per path by the exact scalar implicit step,
-    and K accumulates n (Y - h)^- dt.
+    and K grows by Y - C per date, which is n (Y - h)^- dt.
     """
-    return _mc_backward(spec, ensemble, basis_degree, "penalized-mc", n_penalty=n_penalty)
+    return _mc_backward(spec, ensemble, basis_degree, n_penalty)
 
 
 def rbsde_reflected_mc(spec: ObstacleProblemSpec, ensemble: PathEnsemble,
                        basis_degree: int = 3) -> LsmcEstimate:
-    """Discretely reflected LSMC: Y = max(h, continuation + dt f), and K grows
-    by the reflection deficit only where the obstacle binds."""
-    return _mc_backward(spec, ensemble, basis_degree, "reflected-mc")
+    """Discretely reflected LSMC, the level n = inf: Y = max(h, continuation
+    + dt f), and K grows by the reflection deficit only where the obstacle binds."""
+    return _mc_backward(spec, ensemble, basis_degree, math.inf)
 
 
 @dataclass

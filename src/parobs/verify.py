@@ -157,7 +157,7 @@ class VerifyContext:
 
     @cached_property
     def chain(self) -> RbsdeEstimate:
-        return rbsde_chain_dp(self.spec, self.grid, 0, self.x_index)
+        return rbsde_chain_dp(self.spec, self.grid, 0)
 
     @cached_property
     def densities(self) -> dict:

@@ -8,6 +8,7 @@ these routines."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,15 +199,15 @@ def lstsq_polynomial_fit(x, y, degree):
     return design @ coef
 
 
-def storing_lsmc(spec, ensemble, basis_degree, kind, n_penalty=0.0):
+def storing_lsmc(spec, ensemble, basis_degree, n_penalty=math.inf):
     """The LSMC backward loop with every field stored: Y (n + 1, m), Z and dK
     (n, m), plus Y0, its batch CI and the obstacle slack.
 
-    ``kind`` is "reflected" or "penalized"; ``ensemble`` holds X whole, as
-    ``stored_simulate_paths`` returns it.  Same arithmetic as the package
-    schemes, but it materializes the per-date values as it goes instead of
-    keeping regression coefficients, so it is the reference their accessors
-    must reproduce bit for bit.
+    ``n_penalty`` is the level n, inf for the reflected scheme; ``ensemble``
+    holds X whole, as ``stored_simulate_paths`` returns it.  Same arithmetic
+    as the package schemes, dK = y - c included, but it materializes the
+    per-date values as it goes instead of keeping regression coefficients,
+    so it is the reference their accessors must reproduce bit for bit.
     """
     from parobs.stochastic import _Projection
 
@@ -214,19 +215,19 @@ def storing_lsmc(spec, ensemble, basis_degree, kind, n_penalty=0.0):
     dt = ensemble.dt_path
     obs = spec.obstacle
     f = spec.driver.f
-    nq = float(n_penalty)
+    w = dt * float(n_penalty)
     edges = np.linspace(0, m, 11).astype(int)
     batches = [slice(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+
+    def toward(a, h):
+        return h if math.isinf(w) else (a + w * h) / (1.0 + w)
 
     def resolve(t, xk, cont, zk, h_k):
         y = cont
         c = cont
         for _ in range(100):
             c = cont + dt * np.asarray(f(t, xk, y, zk), dtype=float)
-            if kind == "reflected":
-                y_new = np.maximum(h_k, c)
-            else:
-                y_new = np.maximum(c, (c + dt * nq * h_k) / (1.0 + dt * nq))
+            y_new = np.maximum(toward(c, h_k), c)
             if np.max(np.abs(y_new - y)) <= 1e-13 * (1.0 + np.max(np.abs(y_new))):
                 return y_new, c
             y = y_new
@@ -261,14 +262,9 @@ def storing_lsmc(spec, ensemble, basis_degree, kind, n_penalty=0.0):
             z_target = (V - cont) * ensemble.dW[k] / dt
             zk = proj.fit(z_target)
         y_fit, c_fit = resolve(t, xk, cont, zk, h_k)
-        f_val = np.asarray(f(t, xk, y_fit, zk), dtype=float)
-        if kind == "reflected":
-            dK[k] = np.maximum(h_k - c_fit, 0.0)
-            V = np.where(h_k >= c_fit, h_k, V + dt * f_val)
-        else:
-            dK[k] = dt * nq * np.maximum(h_k - y_fit, 0.0)
-            vstar = V + dt * f_val
-            V = np.where(c_fit < h_k, (vstar + dt * nq * h_k) / (1.0 + dt * nq), vstar)
+        dK[k] = y_fit - c_fit
+        vstar = V + dt * np.asarray(f(t, xk, y_fit, zk), dtype=float)
+        V = np.where(h_k >= c_fit, toward(vstar, h_k), vstar)
         Y[k] = y_fit
         Z[k] = zk
         slack = max(slack, float(np.max(h_k - y_fit)))
@@ -296,11 +292,11 @@ def stored_convergence_table(spec, ensemble, n_schedule, basis_degree):
             K[k + 1] = K[k] + dK[k]
         return K
 
-    Y_ref, _, dK_ref, _, _, _ = storing_lsmc(spec, ensemble, basis_degree, "reflected")
+    Y_ref, _, dK_ref, _, _, _ = storing_lsmc(spec, ensemble, basis_degree)
     K_ref = running_k(dK_ref)
     y_sup, k_sup = [], []
     for n_penalty in n_schedule:
-        Y, _, dK, _, _, _ = storing_lsmc(spec, ensemble, basis_degree, "penalized", n_penalty)
+        Y, _, dK, _, _, _ = storing_lsmc(spec, ensemble, basis_degree, n_penalty)
         dy, dk = Y[:n] - Y_ref[:n], running_k(dK) - K_ref
         y_sup.append([max(0.0, max(float(np.sqrt(np.mean(d[sl] * d[sl]))) for d in dy))
                       for sl in slices])
@@ -673,8 +669,8 @@ class AronsonEnvelope:
     passed: bool
 
 
-def _envelope_gap(density: DensityTable, C: float, side: str, trim_mask: np.ndarray,
-                  x0: float) -> float:
+def _envelope_gap(density: DensityTable, grid: SpaceTimeGrid, s_index: int, C: float, side: str,
+                  trim_mask: np.ndarray, x0: float) -> float:
     """Worst signed violation of the C-envelope over the trimmed region.
 
     The reference shape is the unit-diffusion heat kernel with variance
@@ -682,13 +678,13 @@ def _envelope_gap(density: DensityTable, C: float, side: str, trim_mask: np.ndar
     Negative gap means the envelope holds everywhere.
     """
     worst = -np.inf
-    dens = density.density()
-    for k in range(1, len(density.t_nodes)):
+    dens = density.values / grid.dx
+    for k in range(1, len(dens)):
         sel = trim_mask[k]
         if not np.any(sel):
             continue
-        v = density.t_nodes[k] - density.t_nodes[0]
-        r = density.x_nodes[sel] - x0
+        v = grid.t_nodes[s_index + k] - grid.t_nodes[s_index]
+        r = grid.x_nodes[sel] - x0
         g = np.exp(-r**2 / (2.0 * C * v)) / np.sqrt(2.0 * np.pi * C * v) if side == "upper" \
             else np.exp(-r**2 * C / (2.0 * v)) / np.sqrt(2.0 * np.pi * v / C)
         env = C * g if side == "upper" else g / C
@@ -698,9 +694,10 @@ def _envelope_gap(density: DensityTable, C: float, side: str, trim_mask: np.ndar
     return worst
 
 
-def aronson_envelope_check(density: DensityTable, spec: ObstacleProblemSpec,
+def aronson_envelope_check(density: DensityTable, grid: SpaceTimeGrid, s_index: int, x_index: int,
                            trim_mass: float = 1e-8) -> AronsonEnvelope:
-    """Fit the smallest two-sided Gaussian envelope constants for the density.
+    """Fit the smallest two-sided Gaussian envelope constants for the density
+    that ``solve_density`` started on ``grid`` at node (s_index, x_index).
 
     Points carrying less than ``trim_mass`` per node are excluded, as is the
     initial layer of slices (ENVELOPE_BURN_IN_FRAC): the discrete kernel
@@ -708,7 +705,7 @@ def aronson_envelope_check(density: DensityTable, spec: ObstacleProblemSpec,
     of order dt / (t - s), so envelope constants are only meaningful after the
     chain has mixed.  Both envelopes are monotone in C, so bisection applies.
     """
-    n_slices = len(density.t_nodes)
+    n_slices = len(density.values)
     if n_slices < 3:
         raise GridTooCoarse("density table has too few time slices to trim")
     first = max(1, int(ENVELOPE_BURN_IN_FRAC * (n_slices - 1)) + 1)
@@ -717,25 +714,28 @@ def aronson_envelope_check(density: DensityTable, spec: ObstacleProblemSpec,
     trim_mask[:, 0] = trim_mask[:, -1] = False
     if not trim_mask.any():
         raise GridTooCoarse("trimmed region is empty")
-    x0 = float(density.x_nodes[density.x_index])
+    x0 = float(grid.x_nodes[x_index])
+
+    def gap(C, side):
+        return _envelope_gap(density, grid, s_index, C, side, trim_mask, x0)
 
     def fit(side: str) -> float:
         lo, hi = 1.0, 1.0
-        if _envelope_gap(density, lo, side, trim_mask, x0) <= 0.0:
+        if gap(lo, side) <= 0.0:
             # C = 1 already works: tighten below 1 to report the smallest constant
             lo = 1.0 / ENVELOPE_C_MAX
-            if _envelope_gap(density, lo, side, trim_mask, x0) <= 0.0:
+            if gap(lo, side) <= 0.0:
                 return lo
             hi = 1.0
         else:
-            while _envelope_gap(density, hi, side, trim_mask, x0) > 0.0:
+            while gap(hi, side) > 0.0:
                 hi *= 2.0
                 if hi > ENVELOPE_C_MAX:
                     return float("inf")
             lo = hi / 2.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if _envelope_gap(density, mid, side, trim_mask, x0) > 0.0:
+            if gap(mid, side) > 0.0:
                 lo = mid
             else:
                 hi = mid

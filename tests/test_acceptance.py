@@ -69,7 +69,7 @@ def quad200(quad_scenario):
 @pytest.fixture(scope="module")
 def put_chain(put_scenario, put200):
     grid, _ = put200
-    return rbsde_chain_dp(put_scenario.spec, grid, 0, atm_index(grid))
+    return rbsde_chain_dp(put_scenario.spec, grid, 0)
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +180,7 @@ def test_criterion_6_binomial_oracle(put_scenario, put200, put_chain):
     ix = atm_index(grid)
     s0 = float(np.exp(grid.x_nodes[ix]))
     crr = binomial_american_put(s0, 1.0, 0.06, 0.3, 0.5, 2000)
-    gap = abs(put_chain.Y0 - crr)
+    gap = abs(put_chain.Y[0, ix] - crr)
     report("criterion-6 binomial-oracle", gap <= 5e-3,
            f"|chain-dp Y0 - CRR(2000)| = {gap:.2e} <= 5e-3")
 
@@ -192,7 +192,7 @@ def test_criterion_7_heat_kernel(heat_scenario):
     x0 = float(grid.x_nodes[center])
     dens = solve_density(spec, grid, 0, center)
     gauss = np.exp(-0.5 * (grid.x_nodes - x0) ** 2 / spec.T) / np.sqrt(2 * np.pi * spec.T)
-    l1 = float(np.sum(np.abs(dens.density()[-1, 1:-1] - gauss[1:-1])) * grid.dx)
+    l1 = float(np.sum(np.abs(dens.values[-1, 1:-1] / grid.dx - gauss[1:-1])) * grid.dx)
     report("criterion-7 heat-kernel", l1 <= 2e-2,
            f"L1 distance to the exact Gaussian {l1:.2e} <= 2e-2 at nx=nt=400")
 
@@ -271,14 +271,14 @@ def test_criterion_12_optimal_stopping(put_scenario, quad_scenario, put200, quad
     gap_ok = sv.gap <= 5e-3
     qgrid, qsol = quad200
     ix = atm_index(qgrid)
-    chain_q = rbsde_chain_dp(quad_scenario.spec, qgrid, 0, ix)
+    chain_q = rbsde_chain_dp(quad_scenario.spec, qgrid, 0)
     snell_q = snell_envelope_value(quad_scenario.spec, qgrid,
                                    frozen_driver_field(quad_scenario.spec, qgrid, qsol.u_values),
                                    0, ix)
-    exact_ok = abs(snell_q - chain_q.Y0) <= 1e-12
+    exact_ok = abs(snell_q - chain_q.Y[0, ix]) <= 1e-12
     report("criterion-12 optimal-stopping", gap_ok and exact_ok,
            f"rule-vs-snell gap {sv.gap:.2e} <= 5e-3; snell == chain-dp to "
-           f"{abs(snell_q - chain_q.Y0):.1e} when f is (y,z)-independent")
+           f"{abs(snell_q - chain_q.Y[0, ix]):.1e} when f is (y,z)-independent")
 
 
 def test_criterion_13_determinism(tmp_path):

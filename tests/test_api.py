@@ -21,10 +21,11 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 MAX_DEFAULTED = 25
 # parameters no caller set, folded into module constants, the checks' shared
 # objects and Monte Carlo settings, and their calibrated budgets, which they
-# now read from a ``VerifyContext``, and the provenance nothing read
+# now read from a ``VerifyContext``, and the provenance and start node nothing read
 REMOVED = {
     "grid.solve_density": ("mass_tol",),
     "problem.lipschitz_probe": ("t_range", "x_range", "value_scale"),
+    "stochastic.rbsde_chain_dp": ("x_index",),
     "solver.penalization_study": ("mono_tol",),
     "solver.picard_outer": ("max_outer", "outer_tol"),
     "solver.obstacle_stability": ("delta", "stability_C"),
@@ -117,9 +118,16 @@ def test_folded_parameters_stay_gone():
     never_read = [(verify.CheckReport, "provenance"), (grid.TransitionKernel, "t_index"),
                   (grid.DensityTable, "s_index"), (solver.PenalizationStudy, "monotone"),
                   (stochastic.RbsdeEstimate, "scheme"), (stochastic.RbsdeEstimate, "ci"),
-                  (grid.DiscreteOperator, "t_index"), (grid.DiscreteOperator, "t")]
+                  (grid.DiscreteOperator, "t_index"), (grid.DiscreteOperator, "t"),
+                  (stochastic.LsmcEstimate, "scheme")]
+    never_read += [(stochastic.RbsdeEstimate, name)
+                   for name in ("Z", "obstacle_slack", "Y0", "t_nodes")]
+    never_read += [(grid.DensityTable, name)
+                   for name in ("x_index", "t_nodes", "x_nodes", "dx")]
     assert [(cls.__name__, name) for cls, name in never_read
             if name in {f.name for f in dataclasses.fields(cls)}] == []
+    assert not hasattr(grid.DensityTable, "density")
+    assert not hasattr(grid.DiscreteOperator, "row_sums")
 
 
 def test_test_only_routines_stay_out_of_the_package():

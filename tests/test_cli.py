@@ -87,6 +87,36 @@ def test_numeric_failure_exits_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("sigma", ["0", "-0.3"])
+def test_put_nonpositive_sigma_exits_2(tmp_path, capsys, sigma):
+    """sigma = 0 divides by zero in the put's drift and sigma < 0 flips its
+    sign; both are scenario errors, reported before any work."""
+    cfg = tmp_path / "sigma.cfg"
+    cfg.write_text(scenario_path("american_put").read_text().replace(
+        "problem.sigma = 0.3", f"problem.sigma = {sigma}"))
+    code = run(["--scenario", cfg, "--out", tmp_path / "o", "stop-value"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: code=2 kind=ScenarioError") and err.count("\n") == 1
+    assert "sigma > 0" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_failed_allocation_exits_3(tmp_path, capsys, monkeypatch):
+    """A failed allocation is a numeric failure (exit 3 and one error line),
+    not a verification failure; the grid build raises it here, allocating
+    nothing."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 29.8 GiB for an array")
+
+    monkeypatch.setattr(SpaceTimeGrid, "build", no_memory)
+    code = run(["--scenario", scenario_path("constant"), "--out", tmp_path / "o", "solve"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: code=3 kind=MemoryError") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_scenario_parser_rejects_garbage(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("problem.family = constant\nproblem.T = 1\nbogus.key = 1\n")
@@ -215,9 +245,8 @@ def test_tolerance_overrides_reach_the_solver(tmp_path, monkeypatch):
 
     def record(fn):
         def wrapper(*args, **kwargs):
-            result = fn(*args, **kwargs)
-            recorded[fn.__name__] = (kwargs, result)
-            return result
+            recorded[fn.__name__] = kwargs
+            return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(parobs.cli, "solve_psor", record(parobs.cli.solve_psor))
@@ -228,10 +257,8 @@ def test_tolerance_overrides_reach_the_solver(tmp_path, monkeypatch):
     for method in ("psor", "penalized"):
         assert run(["--scenario", cfg, "--out", tmp_path / method, "solve",
                     "--method", method]) == 0
-    kwargs, sol = recorded["solve_psor"]
-    assert kwargs == {"lcp_tol": 1e-6, "inner_tol": 1e-11}
-    assert sol.diagnostics["lcp_tol"] == 1e-6
-    assert recorded["solve_penalized"][0] == {"inner_tol": 1e-11}
+    assert recorded["solve_psor"] == {"lcp_tol": 1e-6, "inner_tol": 1e-11}
+    assert recorded["solve_penalized"] == {"inner_tol": 1e-11}
 
 
 def _small_put(tmp_path, extra=()):

@@ -80,7 +80,7 @@ def test_row_sums_zero_for_variable_coefficient():
     for k in (0, 7, 20):
         op = assemble_operator(spec, grid, k)
         scale = float(np.max(np.abs(op.diag)))
-        assert np.max(np.abs(op.row_sums())) <= 1e-14 * scale
+        assert np.max(np.abs(op.lower + op.diag + op.upper)) <= 1e-14 * scale
         assert np.max(np.abs(op.apply(np.ones(grid.nx + 2)))) <= 1e-14 * scale
 
 
@@ -166,7 +166,7 @@ def test_density_close_to_gaussian_and_mass_conserved():
     assert np.min(dens.mass) >= 0.999
     assert dens.mass_ok
     gauss = np.exp(-0.5 * (grid.x_nodes - x0) ** 2 / spec.T) / np.sqrt(2 * np.pi * spec.T)
-    l1 = float(np.sum(np.abs(dens.density()[-1, 1:-1] - gauss[1:-1])) * grid.dx)
+    l1 = float(np.sum(np.abs(dens.values[-1, 1:-1] / grid.dx - gauss[1:-1])) * grid.dx)
     assert l1 <= 2e-2
     assert dens.values.min() >= 0.0
 
@@ -200,7 +200,7 @@ def test_density_refinement_first_order_or_better():
 
     def density_on_coarse(n):
         grid, dens = tables[n]
-        field = dens.density()[-1][None, :]
+        field = dens.values[-1][None, :] / grid.dx
         tiny = SpaceTimeGrid.build(spec, grid.nx, 1)
         return interp_space_time(tiny, np.vstack([field, field]), 0.0, g_coarse.x_nodes)
 
@@ -213,7 +213,7 @@ def test_aronson_envelope_unit_diffusion(heat_scenario):
     spec = heat_scenario.spec
     grid = SpaceTimeGrid.build(spec, 400, 400)
     dens = solve_density(spec, grid, 0, 201)
-    env = aronson_envelope_check(dens, spec)
+    env = aronson_envelope_check(dens, grid, 0, 201)
     assert env.passed
     assert env.C_high == pytest.approx(1.0, abs=5e-2)
     assert env.c_low == pytest.approx(1.0, abs=5e-2)
@@ -222,7 +222,7 @@ def test_aronson_envelope_unit_diffusion(heat_scenario):
 def test_aronson_envelope_sine_coefficient(sine_scenario):
     spec = sine_scenario.spec
     grid = SpaceTimeGrid.build(spec, 400, 400)
-    env = aronson_envelope_check(solve_density(spec, grid, 0, 201), spec)
+    env = aronson_envelope_check(solve_density(spec, grid, 0, 201), grid, 0, 201)
     assert env.passed
     assert env.C_high <= 4.0
 
@@ -232,7 +232,7 @@ def test_aronson_degenerate_grid_raises():
     grid = SpaceTimeGrid.build(spec, 6, 2)
     dens = solve_density(spec, grid, 0, 3)
     with pytest.raises(GridTooCoarse):
-        aronson_envelope_check(dens, spec, trim_mass=2.0)
+        aronson_envelope_check(dens, grid, 0, 3, trim_mass=2.0)
 
 
 def test_interp_space_time_matches_nodes():

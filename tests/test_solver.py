@@ -11,6 +11,7 @@ from parobs.problem import Coefficients, Driver, ObstacleData, ObstacleProblemSp
 from parobs.solver import (
     DEFAULT_LCP_TOL,
     PenalizedSolution,
+    _contact_tol,
     _lcp_step,
     contraction_gamma,
     obstacle_field,
@@ -140,13 +141,13 @@ def test_put_solution_structure(put_scenario):
     grid = SpaceTimeGrid.build(spec, 150, 100)
     sol = solve_psor(spec, grid)
     h_field = sol.diagnostics["h_field"]
-    assert np.min(sol.u_values - h_field) >= -sol.diagnostics["contact_tol"]
+    assert np.min(sol.u_values - h_field) >= -_contact_tol(spec, h_field)
     assert np.array_equal(sol.u_values[grid.nt], terminal_field(spec, grid))
     assert np.min(sol.r_values) >= 0.0
     assert np.all(sol.r_values[~sol.contact_mask] == 0.0)
     # complementarity
     comp = np.minimum(sol.u_values - h_field, sol.r_values)
-    assert np.max(comp[:, 1:-1]) <= sol.diagnostics["lcp_tol"] * max(1.0, np.max(sol.r_values))
+    assert np.max(comp[:, 1:-1]) <= DEFAULT_LCP_TOL * max(1.0, np.max(sol.r_values))
     # early-exercise boundary x*(t) nondecreasing toward expiry (one-node slack)
     front = []
     for k in range(grid.nt):
@@ -593,8 +594,8 @@ def test_march_builds_one_kernel_for_a_constant_coefficient(name, request, monke
         return with_a(lambda t, x: np.broadcast_to(np.asarray(a(t, x), float), np.shape(x)).copy())
 
     def chain(s):
-        est = rbsde_chain_dp(s, grid, s_index, x_index)
-        return [est.Y, est.Z, est.dK, est.Y0, est.obstacle_slack]
+        est = rbsde_chain_dp(s, grid, s_index)
+        return [est.Y, est.dK]
 
     def weighted(s):
         rep = check_weighted_bounds(VerifyContext(s, grid, mc))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from parobs.errors import MissingDerivative, RegressionSingular
 from parobs.grid import SpaceTimeGrid, solve_density
 from parobs.problem import Coefficients, Driver, ObstacleData, ObstacleProblemSpec, Weight
 from parobs.scenarios import build_family
-from parobs.solver import frozen_driver_field, solve_psor, z_field
+from parobs.solver import frozen_driver_field, obstacle_field, solve_psor
 from parobs.stochastic import (
     BLOCK_SIZE,
     moment_ratio_probe,
@@ -297,25 +298,24 @@ def test_g_integral_truncation_indicator_small(heat_scenario):
 def test_chain_dp_constant(constant_scenario):
     spec = constant_scenario.spec
     grid = SpaceTimeGrid.build(spec, 40, 30)
-    est = rbsde_chain_dp(spec, grid, 0, 20)
-    assert est.Y0 == pytest.approx(1.0, abs=1e-13)
-    assert np.max(np.abs(est.Z)) <= 1e-12
+    est = rbsde_chain_dp(spec, grid, 0)
+    assert est.Y[0, 20] == pytest.approx(1.0, abs=1e-13)
     assert np.max(est.dK) == 0.0
-    assert est.obstacle_slack == 0.0
+    assert np.max(obstacle_field(spec, grid) - est.Y) <= 0.0
 
 
 def test_chain_dp_inactive_equals_plain_solver(heat_scenario):
     spec = heat_scenario.spec
     grid = SpaceTimeGrid.build(spec, 80, 60)
-    est = rbsde_chain_dp(spec, grid, 0, 1)
+    est = rbsde_chain_dp(spec, grid, 0)
     free = unconstrained_march(spec, grid)
     assert np.max(np.abs(est.Y - free)) <= 1e-10
     assert np.max(est.dK) == 0.0
 
 
 def test_chain_dp_takes_one_sigma_row_per_step(sine_scenario):
-    """Z is sigma Du of Y slice by slice (``z_field``, to the bit), from one
-    a(t_k, x) row per step on the nx + 2 nodes."""
+    """The driver's sigma Du proxy takes one a(t_k, x) row per step on the
+    nx + 2 nodes."""
     spec = sine_scenario.spec
     grid = SpaceTimeGrid.build(spec, 50, 30)
     calls = []
@@ -327,27 +327,24 @@ def test_chain_dp_takes_one_sigma_row_per_step(sine_scenario):
     counted = dataclasses.replace(
         spec, coefficients=dataclasses.replace(spec.coefficients, a=counting_a))
     s_index = 4
-    est = rbsde_chain_dp(counted, grid, s_index, 10)
-    assert calls.count((grid.nx + 2,)) == grid.nt - s_index + 1
-    field = np.zeros((grid.nt + 1, grid.nx + 2))
-    field[s_index:] = est.Y
-    assert np.array_equal(est.Z, z_field(spec, grid, field)[s_index:])
+    rbsde_chain_dp(counted, grid, s_index)
+    assert calls.count((grid.nx + 2,)) == grid.nt - s_index
 
 
 def test_chain_dp_put_against_binomial(put_scenario):
     spec = put_scenario.spec
     grid = SpaceTimeGrid.build(spec, 200, 200)
     ix = int(round((0.0 - grid.x_nodes[0]) / grid.dx))
-    est = rbsde_chain_dp(spec, grid, 0, ix)
+    est = rbsde_chain_dp(spec, grid, 0)
     crr = binomial_american_put(float(np.exp(grid.x_nodes[ix])), 1.0, 0.06, 0.3, 0.5, 2000)
-    assert abs(est.Y0 - crr) <= 5e-3
+    assert abs(est.Y[0, ix] - crr) <= 5e-3
     assert np.min(est.dK) >= 0.0
 
 
 def test_chain_dp_monotone_in_obstacle(put_scenario):
     spec = put_scenario.spec
     grid = SpaceTimeGrid.build(spec, 60, 40)
-    base = rbsde_chain_dp(spec, grid, 0, 30).Y0
+    base = rbsde_chain_dp(spec, grid, 0).Y[0, 30]
     raised_obstacle = ObstacleData(
         h=lambda t, x: np.asarray(spec.obstacle.h(t, x), float) + 0.1,
         phi=lambda x: np.asarray(spec.obstacle.phi(x), float) + 0.1,
@@ -355,7 +352,7 @@ def test_chain_dp_monotone_in_obstacle(put_scenario):
     spec2 = ObstacleProblemSpec(coefficients=spec.coefficients, driver=spec.driver,
                                 obstacle=raised_obstacle, T=spec.T, weight=spec.weight,
                                 x_lo=spec.x_lo, x_hi=spec.x_hi)
-    assert rbsde_chain_dp(spec2, grid, 0, 30).Y0 >= base - 1e-12
+    assert rbsde_chain_dp(spec2, grid, 0).Y[0, 30] >= base - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +415,7 @@ def test_k_monotone_and_zero_at_start(put_scenario):
         K = _k_cumulative(_fields(est)[2])
         assert np.all(K[0] == 0.0)
         assert np.min(np.diff(K, axis=0)) >= 0.0
-    chain = rbsde_chain_dp(spec, SpaceTimeGrid.build(spec, 60, 40), 0, 20)
+    chain = rbsde_chain_dp(spec, SpaceTimeGrid.build(spec, 60, 40), 0)
     assert np.min(chain.dK) >= 0.0
 
 
@@ -479,9 +476,9 @@ def test_lsmc_accessors_match_storing_oracle(name, request):
     x0 = 0.5 * (spec.x_lo + spec.x_hi)
     ens = simulate_paths(spec, 0.0, x0, spec.T / 40, 3000, seed=32)
     stored = stored_simulate_paths(spec, 0.0, x0, spec.T / 40, 3000, seed=32)
-    for kind, n_penalty, est in (("reflected", 0, rbsde_reflected_mc(spec, ens, 3)),
-                                 ("penalized", 256, rbsde_penalized_mc(spec, ens, 256, 3))):
-        Y, Z, dK, y0, ci, slack = storing_lsmc(spec, stored, 3, kind, n_penalty)
+    for n_penalty, est in ((math.inf, rbsde_reflected_mc(spec, ens, 3)),
+                           (256, rbsde_penalized_mc(spec, ens, 256, 3))):
+        Y, Z, dK, y0, ci, slack = storing_lsmc(spec, stored, 3, n_penalty)
         assert (est.Y0, est.ci, est.obstacle_slack) == (y0, ci, slack)
         for k in range(ens.n_steps):
             y_k, z_k, dk_k = est.at(k)
@@ -496,6 +493,24 @@ def test_lsmc_accessors_match_storing_oracle(name, request):
             k_back += dK[k]
         assert np.array_equal(est.K_T, k_back)
         assert np.allclose(est.K_T, dK.sum(axis=0), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n_penalty", [16, 256, 4096, 16384])
+def test_penalized_dk_matches_the_penalty_increment(put_scenario, n_penalty):
+    """The penalized dK = y - c equals the penalty increment dt n (h - y)^+
+    of the same y up to rounding: within 1e-12 of max|dK| at every date."""
+    spec = put_scenario.spec
+    ens = simulate_paths(spec, 0.0, 0.0, spec.T / 40, 3000, seed=35)
+    est = rbsde_penalized_mc(spec, ens, n_penalty, 3)
+    drift, dk_max = 0.0, 0.0
+    for k in range(ens.n_steps):
+        y_k, _, dk_k = est.at(k)
+        h_k = np.asarray(spec.obstacle.h(float(ens.t_nodes[k]), ens.x(k)), dtype=float)
+        penalty = ens.dt_path * n_penalty * np.maximum(h_k - y_k, 0.0)
+        drift = max(drift, float(np.max(np.abs(dk_k - penalty))))
+        dk_max = max(dk_max, float(np.max(np.abs(dk_k))))
+    assert dk_max > 0.0
+    assert drift <= 1e-12 * dk_max
 
 
 def test_lsmc_forms_each_continuation_once(monkeypatch, put_scenario):
@@ -513,7 +528,7 @@ def test_lsmc_forms_each_continuation_once(monkeypatch, put_scenario):
                         lambda *args: calls.append(args[1] is None) or real(*args))
     est = rbsde_reflected_mc(spec, ens, 3)
     assert len(calls) == 2 * ens.n_steps
-    Y, _, _, y0, ci, slack = storing_lsmc(spec, stored, 3, "reflected")
+    Y, _, _, y0, ci, slack = storing_lsmc(spec, stored, 3)
     assert (est.Y0, est.ci, est.obstacle_slack) == (y0, ci, slack)
     assert all(np.array_equal(est.at(k)[0], Y[k]) for k in range(ens.n_steps))
 
@@ -614,18 +629,16 @@ def test_snell_equals_chain_dp_without_driver_dependence(quad_scenario):
     grid = SpaceTimeGrid.build(spec, 100, 80)
     sol = solve_psor(spec, grid)
     ix = 30
-    chain = rbsde_chain_dp(spec, grid, 0, ix)
+    chain = rbsde_chain_dp(spec, grid, 0)
     snell = snell_envelope_value(spec, grid, frozen_driver_field(spec, grid, sol.u_values),
                                  0, ix)
-    assert snell == chain.Y0  # bit-identical recursions when f ignores (y, z)
+    assert snell == chain.Y[0, ix]  # bit-identical recursions when f ignores (y, z)
 
 
 def test_chain_dp_skorokhod_exact(put_scenario):
     spec = put_scenario.spec
     grid = SpaceTimeGrid.build(spec, 80, 60)
-    chain = rbsde_chain_dp(spec, grid, 0, 40)
-    from parobs.solver import obstacle_field
-
+    chain = rbsde_chain_dp(spec, grid, 0)
     h_field = obstacle_field(spec, grid)
     assert np.max(np.abs((chain.Y - h_field) * chain.dK)) == 0.0
 

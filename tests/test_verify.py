@@ -236,7 +236,7 @@ def test_interval_measure_carries_the_law_only_to_the_last_slice_summed(
     t2 = spec.T if t2 is None else t2
     k1 = int(np.ceil(t1 / grid.dt - 1e-12))
     k_end = min(int(np.floor(t2 / grid.dt + 1e-12)), grid.nt)
-    chain = rbsde_chain_dp(spec, grid, k1, 0)
+    chain = rbsde_chain_dp(spec, grid, k1)
     f_mask = (grid.x_nodes >= -1.0 - 1e-12) & (grid.x_nodes <= 1.0 + 1e-12)
     f_mask[0] = f_mask[-1] = False
     w0 = np.zeros(grid.nx + 2)
@@ -268,8 +268,8 @@ def test_chain_from_slice_0_serves_later_starts_by_row_offset(request, name):
     one field from any start slice."""
     spec = request.getfixturevalue(name).spec
     grid = SpaceTimeGrid.build(spec, 60, 100)
-    whole = rbsde_chain_dp(spec, grid, 0, 0)
+    whole = rbsde_chain_dp(spec, grid, 0)
     for k1 in (1, 17, 50, 99):
-        late = rbsde_chain_dp(spec, grid, k1, 0)
-        for field in ("Y", "Z", "dK"):
+        late = rbsde_chain_dp(spec, grid, k1)
+        for field in ("Y", "dK"):
             assert np.array_equal(getattr(whole, field)[k1:], getattr(late, field)), (k1, field)
