@@ -23,14 +23,21 @@ every row, checkpoint and stream state is bit-identical for any worker count
 and any order in which the blocks run.
 
 A stored ensemble holds no increment row: it keeps X at checkpoint dates and,
-at each of them, every block's Philox state.  ``PathEnsemble.x(k)`` and
-``PathEnsemble.dw(k)`` replay the segment holding date k from its checkpoint,
-re-drawing the segment's normals from the saved states and re-running the
-Euler step, so every row is bit-identical to the forward pass (checkpointed
-reversal, after Griewank and Walther's ``revolve``).  The forward-only
-consumers (``moment_ratio_probe``, ``optimal_stopping_value``) read
-``PathEnsemble.rows()``, which steps one checkpoint segment of dates per
-call and holds only that segment; they fold each date as it is yielded.
+at each of them, every block's Philox state.  A segment replayed from its
+checkpoint re-draws the segment's normals from the saved states and re-runs
+the Euler step, so every row is bit-identical to the forward pass
+(checkpointed reversal, after Griewank and Walther's ``revolve``).  The
+passes over a stored ensemble (the LSMC backward fits, the forward distance
+pass of ``penalization_convergence_mc`` and ``verify``'s forward sweeps) read
+``(k, X_k, dW_k)`` from ``PathEnsemble._read``: one helper thread steps the
+next rows, backward segment by segment or forward one date ahead, into a
+fixed set of row slots while the pass works on the current date; see
+``_read_ahead``.  ``PathEnsemble.x(k)`` and ``PathEnsemble.dw(k)`` stay as
+random-access accessors, which replay and cache the one segment holding
+date k.  The forward-only consumers (``moment_ratio_probe``,
+``optimal_stopping_value``) read ``PathEnsemble.rows()``, which steps one
+checkpoint segment of dates per call and holds only that segment; they fold
+each date as it is yielded.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import itertools
 import math
 import os
 import threading
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,6 +150,94 @@ def _for_each_block(n_blocks: int, work) -> None:
         raise errors[min(errors)]
 
 
+class _Closed(Exception):
+    """Raised in a read-ahead helper whose reader has been closed."""
+
+
+class _Handoff:
+    """What a reader and its read-ahead helper share: ``capacity`` row
+    buffers of ``m`` floats, and the batches the helper has filled.  The
+    helper ``take``s a free row to write into, waiting while none is free,
+    and ``put``s each batch; the reader ``get``s the batches and ``give``s
+    rows back once their date has been read.  After ``close``, ``take``
+    raises ``_Closed``, and a helper waiting for a row is woken to raise it."""
+
+    def __init__(self, capacity: int, m: int):
+        import queue   # here, so that a run with no ensemble pass does not load it
+        self._free, self._ready = queue.SimpleQueue(), queue.SimpleQueue()
+        for _ in range(capacity):
+            self._free.put(np.empty(m))
+        self._closed = False
+
+    def take(self) -> np.ndarray:
+        row = None if self._closed else self._free.get()
+        if row is None:
+            raise _Closed
+        return row
+
+    def give(self, *rows) -> None:
+        """Return the slot rows among ``rows``: the writable ones (checkpoint
+        rows are read-only and stay with the ensemble)."""
+        for row in rows:
+            if row is not None and row.flags.writeable:
+                self._free.put(row)
+
+    def put(self, batch) -> None:
+        self._ready.put(batch)
+
+    def get(self):
+        return self._ready.get()
+
+    def close(self) -> None:
+        self._closed = True
+        self._free.put(None)
+
+
+def _read_ahead(batches, handoff: _Handoff):
+    """Yield the batches of the generator ``batches``, which one helper thread
+    runs ahead of the reader, writing only into rows it takes from
+    ``handoff``.
+
+    On one usable core no helper starts and ``batches`` runs inline.  An
+    exception raised in the helper is raised here, as itself.  However the
+    reader ends (exhausted, raising or closed), ``handoff`` is closed, which
+    wakes a helper waiting for a row, and the helper is joined.  The helper
+    must call no public parobs function (the bench tracer keeps one span
+    stack).
+    """
+    if _usable_cores() == 1:
+        yield from batches
+        return
+    done = object()
+
+    def run():
+        outcome = done
+        try:
+            for batch in batches:
+                handoff.put(batch)
+        except Exception as exc:  # raised in the reader; _Closed goes unread
+            outcome = exc
+        finally:
+            handoff.put(outcome)
+
+    helper = threading.Thread(target=run, name="parobs-reader")
+    helper.start()
+    try:
+        while (batch := handoff.get()) is not done:
+            if isinstance(batch, Exception):
+                raise batch
+            yield batch
+    finally:
+        handoff.close()
+        helper.join()
+
+
+def _read_only(row: np.ndarray) -> np.ndarray:
+    view = row.view()
+    view.flags.writeable = False
+    return view
+
+
 def _euler_step(coef, t: float, xk: np.ndarray, dt: float, dw: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
     """One Euler-Maruyama step of dX = (a_x / 2) dt + sqrt(a) dW on a row of paths."""
@@ -200,21 +296,28 @@ class PathEnsemble:
 
     A stored ensemble (``store_dw=True``) holds ``X`` at every
     ``X.stride``-th date and at T, and in ``dW`` every block's Philox state
-    at each of those dates; it holds no increment row.  ``x(k)`` and
-    ``dw(k)`` replay the segment holding date k: from its checkpoint each
-    block's stream re-draws the segment's normals, ``sqrt(dt_path) * z``
-    forms its increments and the same Euler step its X rows, so every row is
-    bit-identical to the one the forward pass computed.  One replayed
-    segment, both kinds of row, is cached; the old one is dropped before the
-    next is built, and each replay writes fresh arrays.  A streaming
+    at each of those dates; it holds no increment row.  A replayed segment
+    comes from its checkpoint: each block's stream re-draws the segment's
+    normals, ``sqrt(dt_path) * z`` forms its increments and the same Euler
+    step its X rows, so every row is bit-identical to the one the forward
+    pass computed.
+
+    The package's passes read ``_read(backward)``, which yields
+    ``(k, X_k, dW_k)`` for every date, backward (replaying segment j - 1
+    while the pass reads segment j) or forward (stepping fresh streams one
+    date ahead), from one helper thread; the rows are read-only views into
+    the reader's slots, valid until the next row is read.  ``x(k)`` and
+    ``dw(k)`` are random-access accessors for ``LsmcEstimate.at`` and
+    ``z_at``: they replay the segment holding date k on all usable cores and
+    cache that one segment, both kinds of row; the old one is dropped before
+    the next is built, and each replay writes fresh arrays.  A streaming
     ensemble (``store_dw=False``) holds no rows and no states.  ``rows()``
     reads either kind forward: it steps the paths again from fresh block
     streams, drawing the same normals, one segment of ``X.stride`` dates per
     call, and holds that one segment while its rows are read (1.6 MB at
     2e4 paths and 200 dates, 8 MB at 1e5 paths).  Held and replayed rows
-    are read-only.  Simulation, each replay and each streamed segment step
-    the blocks on all usable cores (``_step_block``); the bytes do not
-    depend on the worker count.
+    are read-only.  Every stepping route runs the blocks through
+    ``_step_block``; the bytes do not depend on the worker count.
     """
     spec: ObstacleProblemSpec = field(repr=False)
     s: float
@@ -268,6 +371,69 @@ class PathEnsemble:
             yield from segment[:-1]
             del segment
             yield xk
+
+    def _read(self, backward: bool):
+        """Yield ``(k, X_k, dW_k)`` for k = n_steps down to 0 when ``backward``,
+        else for k = 0 up to n_steps; ``dW_{n_steps}`` is None.
+
+        One helper thread (``_read_ahead``) steps the rows into slot rows
+        that the reader has given back.  Backward, it replays segment j - 1
+        date by date from its checkpoint while the reader reads segment j:
+        one segment's ``2 X.stride - 1`` X and dW rows plus one spare row, so
+        the reader does not wait at a segment boundary.  Forward, it steps
+        fresh streams one date ahead in five rows.  The rows yielded are
+        read-only, and a slot row is valid until the next date is read.
+        Close the reader (``contextlib.closing``) when a pass may stop early
+        or raise, so that its helper is joined.
+        """
+        n = self._stored_steps()
+        handoff = _Handoff(2 * self.X.stride if backward else 5, self.path_count)
+        batches = self._replayed(handoff.take) if backward else self._stepped(handoff.take)
+        with closing(_read_ahead(batches, handoff)) as ahead:
+            for batch in ahead:
+                for k, xk, dw in (reversed(batch) if backward else batch):
+                    yield k, _read_only(xk), None if k == n else _read_only(dw)
+                    handoff.give(xk, dw)
+
+    def _replayed(self, take):
+        """Batches for a backward read: first [(n_steps, X_T, None)], then per
+        segment, last to first, its dates' (k, X_k, dW_k) in date order,
+        replayed from the checkpoint into rows from ``take``."""
+        n, stride = self.n_steps, self.X.stride
+        yield [(n, self.X.rows[-1], None)]
+        for j in range(len(self.dW.states) - 1, -1, -1):
+            rngs = [_block_rng(self.seed, b, state)
+                    for b, state in enumerate(self.dW.states[j])]
+            stop = min((j + 1) * stride, n)
+            batch, xk = [], self.X.rows[j]
+            for k in range(j * stride, stop):
+                dw, x_next = take(), (take() if k + 1 < stop else None)
+                self._step_date(rngs, k, xk, dw, x_next)
+                batch.append((k, xk, dw))
+                xk = x_next
+            yield batch
+
+    def _stepped(self, take):
+        """Batches for a forward read: [(k, X_k, dW_k)] for each date, then
+        [(n_steps, X_T, None)], stepped from fresh streams into rows from
+        ``take``."""
+        rngs = [_block_rng(self.seed, b) for b in range(self._n_blocks)]
+        xk = take()
+        xk.fill(self.x_start)
+        for k in range(self.n_steps):
+            dw, x_next = take(), take()
+            self._step_date(rngs, k, xk, dw, x_next)
+            yield [(k, xk, dw)]
+            xk = x_next
+        yield [(self.n_steps, xk, None)]
+
+    def _step_date(self, rngs: list, k: int, xk: np.ndarray, dw: np.ndarray,
+                   x_next: np.ndarray | None) -> None:
+        """Date k on every block in turn (``_step_block``): dW_k into ``dw``
+        and, unless ``x_next`` is None, X_{k+1} into ``x_next``."""
+        x_rows = () if x_next is None else x_next[None]
+        for b, rng in enumerate(rngs):
+            self._step_block(b, rng, k, k + 1, xk, x_rows=x_rows, dw_rows=dw[None])
 
     @property
     def _n_blocks(self) -> int:
@@ -564,23 +730,33 @@ class LsmcEstimate:
     def at(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(Y_k, Z_k, dK_k) per path at date k, 0 <= k < ensemble.n_steps;
         bit-identical to the values of the backward pass."""
-        y, _, z, dk, _ = self._evaluate(k, self._basis_at(k))
+        xk = self._row(k)
+        y, _, z, dk, _ = self._evaluate(k, xk, self._basis_at(k, xk))
         return y, z, dk
 
     def z_at(self, k: int) -> np.ndarray:
         """Z_k alone, as in ``at(k)``, without re-running the value update."""
-        return _fitted(self.coef[k, 1], self._basis_at(k), self.ensemble.path_count)
+        return self._z(k, self._row(k))
 
-    def _basis_at(self, k: int) -> np.ndarray | None:
+    def _z(self, k: int, xk: np.ndarray) -> np.ndarray:
+        """Z_k from the row X_k."""
+        return _fitted(self.coef[k, 1], self._basis_at(k, xk), self.ensemble.path_count)
+
+    def _row(self, k: int) -> np.ndarray:
         n = self.ensemble.n_steps
         if not 0 <= k < n:
             raise IndexError(f"date {k} outside 0..{n - 1}")
-        return None if k == 0 else _basis(self.ensemble.x(k), self.basis_degree)
+        return self.ensemble.x(k)
 
-    def _evaluate(self, k: int, B: np.ndarray | None, cont: np.ndarray | None = None):
-        """The date-k update from ``coef[k]``: fitted continuation and Z, the
-        per-path implicit value step and the K increment.  ``cont``, when
-        given, is the fitted continuation the caller has already formed.
+    def _basis_at(self, k: int, xk: np.ndarray) -> np.ndarray | None:
+        return None if k == 0 else _basis(xk, self.basis_degree)
+
+    def _evaluate(self, k: int, xk: np.ndarray, B: np.ndarray | None,
+                  cont: np.ndarray | None = None):
+        """The date-k update from ``coef[k]`` on the row X_k: fitted
+        continuation and Z, the per-path implicit value step and the K
+        increment.  ``cont``, when given, is the fitted continuation the
+        caller has already formed.
 
         Returns (y, c, z, dK, h): fitted value, pre-reflection value, Z,
         K increment and obstacle, one entry per path.  dK = y - c at every
@@ -588,7 +764,6 @@ class LsmcEstimate:
         """
         m = self.ensemble.path_count
         t = float(self.t_nodes[k])
-        xk = self.ensemble.x(k)
         if cont is None:
             cont = _fitted(self.coef[k, 0], B, m)
         zk = _fitted(self.coef[k, 1], B, m)
@@ -646,40 +821,40 @@ def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree
                        coef=np.zeros((n, 2, basis_degree + 1)), K_T=np.zeros(m),
                        spec=spec, ensemble=ensemble, basis_degree=basis_degree)
 
-    x_n = ensemble.x(n)
-    V = np.asarray(obs.phi(x_n), dtype=float)
-    h_n = np.asarray(obs.h(float(ensemble.t_nodes[n]), x_n), dtype=float)
-    slack = max(0.0, float(np.max(h_n - V)))
-
-    for k in range(n - 1, -1, -1):
-        t = float(ensemble.t_nodes[k])
-        xk, dw = ensemble.x(k), ensemble.dw(k)
-        proj = _Projection(xk, basis_degree) if k > 0 else _StartProjection(basis_degree)
-        est.coef[k, 0] = proj.coef(V)
-        # centering the Z target with the fitted continuation changes nothing
-        # in expectation (E[C(X) dW] = 0) and removes the O(1/dt) variance
-        # carried by the level of V
-        cont = _fitted(est.coef[k, 0], proj.B, m)
-        z_target = (V - cont) * dw / dt
-        est.coef[k, 1] = proj.coef(z_target)
-        y_fit, c_fit, zk, dk, h_k = est._evaluate(k, proj.B, cont)
-        del cont
-        if k == 0:
-            batch_y0 = []
-            for sl in _batch_slices(m):
-                cont_b = np.full(sl.stop - sl.start, V[sl].mean())
-                zk_b = np.full(sl.stop - sl.start,
-                               ((V[sl] - V[sl].mean()) * dw[sl] / dt).mean())
-                yb, _ = est._resolve(t, xk[sl], cont_b, zk_b, h_k[sl])
-                batch_y0.append(float(yb.mean()))
-        vstar = V + dt * np.asarray(f(t, xk, y_fit, zk), dtype=float)
-        # same implicit scalar map applied to the realized value on the
-        # fitted active set, so accumulated regression noise is damped
-        # toward h instead of compounding through the stiff penalty
-        V = np.where(h_k >= c_fit, est._toward(vstar, h_k), vstar)
-        est.K_T += dk
-        slack = max(slack, float(np.max(h_k - y_fit)))
-        del xk, dw   # hold no row of this segment while the next one is replayed
+    with closing(ensemble._read(backward=True)) as rows:
+        _, x_n, _ = next(rows)
+        V = np.asarray(obs.phi(x_n), dtype=float)
+        h_n = np.asarray(obs.h(float(ensemble.t_nodes[n]), x_n), dtype=float)
+        slack = max(0.0, float(np.max(h_n - V)))
+        for k, xk, dw in rows:
+            t = float(ensemble.t_nodes[k])
+            proj = _Projection(xk, basis_degree) if k > 0 else _StartProjection(basis_degree)
+            est.coef[k, 0] = proj.coef(V)
+            # centering the Z target with the fitted continuation changes nothing
+            # in expectation (E[C(X) dW] = 0) and removes the O(1/dt) variance
+            # carried by the level of V
+            cont = _fitted(est.coef[k, 0], proj.B, m)
+            z_target = (V - cont) * dw / dt
+            est.coef[k, 1] = proj.coef(z_target)
+            y_fit, c_fit, zk, dk, h_k = est._evaluate(k, xk, proj.B, cont)
+            del cont
+            if k == 0:
+                batch_y0 = []
+                for sl in _batch_slices(m):
+                    cont_b = np.full(sl.stop - sl.start, V[sl].mean())
+                    zk_b = np.full(sl.stop - sl.start,
+                                   ((V[sl] - V[sl].mean()) * dw[sl] / dt).mean())
+                    yb, _ = est._resolve(t, xk[sl], cont_b, zk_b, h_k[sl])
+                    batch_y0.append(float(yb.mean()))
+            vstar = V + dt * np.asarray(f(t, xk, y_fit, zk), dtype=float)
+            # same implicit scalar map applied to the realized value on the
+            # fitted active set, so accumulated regression noise is damped
+            # toward h instead of compounding through the stiff penalty
+            V = np.where(h_k >= c_fit, est._toward(vstar, h_k), vstar)
+            est.K_T += dk
+            slack = max(slack, float(np.max(h_k - y_fit)))
+            # the next date's update runs with no other row of this one held
+            del z_target, c_fit, zk, dk, h_k, vstar
 
     est.Y0 = float(y_fit.mean())
     est.ci = 1.96 * float(np.std(batch_y0, ddof=1)) / np.sqrt(len(batch_y0))
@@ -692,8 +867,11 @@ def rbsde_penalized_mc(spec: ObstacleProblemSpec, ensemble: PathEnsemble, n_pena
     """Least-squares Monte Carlo for the BSDE with driver f + n (y - h)^-.
 
     The stiff penalty is resolved per path by the exact scalar implicit step,
-    and K grows by Y - C per date, which is n (Y - h)^- dt.
+    and K grows by Y - C per date, which is n (Y - h)^- dt.  The level must
+    be at least 1.
     """
+    if not n_penalty >= 1:   # NaN too
+        raise ValueError(f"n_penalty must be >= 1, got {n_penalty}")
     return _mc_backward(spec, ensemble, basis_degree, n_penalty)
 
 
@@ -738,15 +916,16 @@ def penalization_convergence_mc(spec: ObstacleProblemSpec, ensemble: PathEnsembl
     k_rms = np.zeros_like(y_rms)
     ref_K = np.zeros(m)
     pen_K = [np.zeros(m) for _ in pens]
-    for k in range(n_steps):
-        B = ref._basis_at(k)
-        ref_y, _, _, ref_dk, _ = ref._evaluate(k, B)
-        for j, pen in enumerate(pens):
-            pen_y, _, _, pen_dk, _ = pen._evaluate(k, B)
-            y_rms[j, k] = rms(pen_y - ref_y)
-            k_rms[j, k] = rms(pen_K[j] - ref_K)
-            pen_K[j] += pen_dk
-        ref_K += ref_dk
+    with closing(ensemble._read(backward=False)) as rows:
+        for k, xk, _ in itertools.islice(rows, n_steps):
+            B = ref._basis_at(k, xk)
+            ref_y, _, _, ref_dk, _ = ref._evaluate(k, xk, B)
+            for j, pen in enumerate(pens):
+                pen_y, _, _, pen_dk, _ = pen._evaluate(k, xk, B)
+                y_rms[j, k] = rms(pen_y - ref_y)
+                k_rms[j, k] = rms(pen_K[j] - ref_K)
+                pen_K[j] += pen_dk
+            ref_K += ref_dk
     for j in range(len(pens)):
         k_rms[j, n_steps] = rms(pen_K[j] - ref_K)
 

@@ -17,16 +17,17 @@ A check reads the objects it shares with other checks (the complementarity
 solution, the Monte Carlo ensemble and its reflected-LSMC fit, the forward
 sweep over that ensemble, the chain-dp field and the densities) from a
 ``VerifyContext``, which builds each of them once, on first read.  The sweep
-is one replay pass over the stored ensemble for ``representation-z`` and
-``ac-measure`` together: per date one replayed row, one interpolation stencil
-and one gather of sigma Du serve both checks.  The context keeps what it
-builds until it goes itself.  ``CHECKS`` is the one table of the checks
-``verify`` runs: per name, how the check is called.  ``run_checks`` runs
-names from it in order on one context.
+is one forward pass over the stored ensemble for ``representation-z`` and
+``ac-measure`` together: per date one row of X and dW from the ensemble's
+read-ahead reader, one interpolation stencil and one gather of sigma Du
+serve both checks.  The context keeps what it builds until it goes itself.
+``CHECKS`` is the one table of the checks ``verify`` runs: per name, how the
+check is called.  ``run_checks`` runs names from it in order on one context.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -273,11 +274,12 @@ def check_measure_identity(ctx: VerifyContext, s: float, x: float,
         mc = ctx.reflected_mc(s_idx, x_idx, ctx.seed)
         ens = mc.ensemble
         per_path = {name: np.zeros(ens.path_count) for name, _ in test_functions}
-        for k in range(ens.n_steps):
-            t = float(ens.t_nodes[k])
-            _, _, dk = mc.at(k)
-            for name, xi in test_functions:
-                per_path[name] += np.asarray(xi(t, ens.x(k)), dtype=float) * dk
+        with closing(ens._read(backward=False)) as path_rows:
+            for k, xk, _ in islice(path_rows, ens.n_steps):
+                t = float(ens.t_nodes[k])
+                dk = mc._evaluate(k, xk, mc._basis_at(k, xk))[3]
+                for name, xi in test_functions:
+                    per_path[name] += np.asarray(xi(t, xk), dtype=float) * dk
         for name, _ in test_functions:
             lefts[name] = float(per_path[name].mean())
             stat = max(stat, 1.96 * float(per_path[name].std(ddof=1)) / np.sqrt(ens.path_count))
@@ -359,7 +361,7 @@ def check_skorokhod(sol: ObstacleSolution, n_penalty: int | None = None) -> Chec
 
 class PathSweep(NamedTuple):
     """What ``representation-z`` and ``ac-measure`` read from one forward
-    pass over an ensemble (``_path_sweep``)."""
+    pass over an ensemble (``_path_sweep``); it holds no path row."""
     z_mse: float             # time integral of the mean squared sigma Du - Z gap
     residual: np.ndarray     # per-path backward-equation residual of (u, sigma Du, K~)
     k_tilde: np.ndarray      # per-path K~_T = int r(t, X_t) dt
@@ -369,8 +371,10 @@ def _path_sweep(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, sol: ObstacleSol
                 mc: LsmcEstimate) -> PathSweep:
     """The ``PathSweep`` of the ensemble of ``mc``, in one forward pass.
 
-    Per date: one replayed row of X and dW, one interpolation stencil that
-    serves u, sigma Du and r, and the fit's Z.
+    Per date: one row of X and dW from the ensemble's forward reader, whose
+    helper steps the next date meanwhile, one interpolation stencil that
+    serves u, sigma Du and r, and the fit's Z from that row.  Each row is
+    used only at its own date; the terminal row gives phi(X_T).
     """
     z_grid = z_field(spec, grid, sol.u_values)
     ensemble = mc.ensemble
@@ -379,21 +383,23 @@ def _path_sweep(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, sol: ObstacleSol
     z_mse = 0.0
     total = np.zeros(m)
     k_tilde = np.zeros(m)
-    for k in range(n):
-        t = float(ensemble.t_nodes[k])
-        xk = ensemble.x(k)
-        stencil = interp_stencil(grid, t, xk)
-        u_itp = stencil.gather(sol.u_values)
-        z_itp = stencil.gather(z_grid)
-        r_itp = stencil.gather(sol.r_values)
-        if k == 0:
-            u_start = u_itp
-        z_mse += float(np.mean((z_itp - mc.z_at(k)) ** 2)) * dt
-        fval = np.asarray(spec.driver.f(t, xk, u_itp, z_itp), dtype=float)
-        total += fval * dt + r_itp * dt - z_itp * ensemble.dw(k)
-        k_tilde += r_itp * dt
-    phi_T = np.asarray(spec.obstacle.phi(ensemble.x(n)), dtype=float)
-    return PathSweep(z_mse, phi_T + total - u_start, k_tilde)
+    with closing(ensemble._read(backward=False)) as rows:
+        for k, xk, dw in rows:
+            if k == n:
+                total += np.asarray(spec.obstacle.phi(xk), dtype=float)
+                break
+            t = float(ensemble.t_nodes[k])
+            stencil = interp_stencil(grid, t, xk)
+            u_itp = stencil.gather(sol.u_values)
+            z_itp = stencil.gather(z_grid)
+            r_itp = stencil.gather(sol.r_values)
+            if k == 0:
+                u_start = u_itp
+            z_mse += float(np.mean((z_itp - mc._z(k, xk)) ** 2)) * dt
+            fval = np.asarray(spec.driver.f(t, xk, u_itp, z_itp), dtype=float)
+            total += fval * dt + r_itp * dt - z_itp * dw
+            k_tilde += r_itp * dt
+    return PathSweep(z_mse, total - u_start, k_tilde)
 
 
 def check_ac_measure(ctx: VerifyContext) -> CheckReport:

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import tracemalloc
@@ -513,6 +514,16 @@ def test_penalized_dk_matches_the_penalty_increment(put_scenario, n_penalty):
     assert drift <= 1e-12 * dk_max
 
 
+@pytest.mark.parametrize("n_penalty", [-20, 0, math.nan])
+def test_penalized_mc_rejects_a_level_below_one(put_scenario, n_penalty):
+    """A level below 1, or NaN, raises ``ValueError`` as ``solve_penalized``
+    does (n = -20 returned a negative Y0, and dt n = -1 divided by zero)."""
+    spec = put_scenario.spec
+    ens = simulate_paths(spec, 0.0, 0.0, spec.T / 40, 3000, seed=35)
+    with pytest.raises(ValueError, match="n_penalty must be >= 1"):
+        rbsde_penalized_mc(spec, ens, n_penalty, 3)
+
+
 def test_lsmc_forms_each_continuation_once(monkeypatch, put_scenario):
     """The backward pass fits each date's continuation once, for the Z target
     and the value update alike (two ``_fitted`` calls per date, with Z's),
@@ -540,6 +551,40 @@ def test_reflected_mc_holds_no_path_by_date_field(put_scenario):
     est, peak = _traced_peak(lambda: rbsde_reflected_mc(spec, ens, 3))
     assert peak <= field_bytes / 4
     assert est.coef.shape == (200, 2, 4) and est.K_T.shape == (20_000,)
+
+
+def test_readers_hold_one_segment_plus_a_spare_row_pair(put_scenario, monkeypatch):
+    """A backward reader writes into at most one replay segment's X and dW
+    rows (2 stride - 1) plus one spare pair, and a forward reader into five
+    rows where ``x(k)`` and ``dw(k)`` cache a 19-row segment; a forward pass
+    peaks near those rows, and its rows equal the accessors'."""
+    import parobs.stochastic as stochastic
+
+    spec = put_scenario.spec
+    m = 20_000
+    ens = simulate_paths(spec, 0.0, 0.0, spec.T / 200, m, seed=33)
+    assert ens.X.stride == 10
+    taken = []
+    real_take = stochastic._Handoff.take
+    monkeypatch.setattr(stochastic._Handoff, "take",
+                        lambda self: taken.append(real_take(self)) or taken[-1])
+    for backward, bound in ((True, 2 * ens.X.stride + 1), (False, 5)):
+        taken.clear()
+        with contextlib.closing(ens._read(backward)) as rows:
+            for k, xk, dw in rows:
+                if k in (0, 95, ens.n_steps):
+                    assert np.array_equal(xk, ens.x(k)), (backward, k)
+                    assert dw is None if k == ens.n_steps else np.array_equal(dw, ens.dw(k))
+        assert 0 < len({id(row) for row in taken}) <= bound, backward
+    taken.clear()
+
+    def forward_pass():
+        with contextlib.closing(ens._read(False)) as rows:
+            for _ in rows:
+                pass
+
+    _, peak = _traced_peak(forward_pass)
+    assert peak <= 8 * m * 8   # five slot rows and the stepper's block rows; 6.3 rows measured
 
 
 def test_basis_degree_capped_and_path_floor():

@@ -1,6 +1,7 @@
-"""Block stepping on worker threads: the bytes do not depend on the worker
-count, errors surface in the caller, no thread outlives a call, and the
-bench tracer sees the same spans with helpers as without."""
+"""Block stepping on worker threads and the read-ahead readers' helper
+thread: the bytes do not depend on the worker count, errors surface in the
+caller, no thread outlives a call or a pass, and the bench tracer sees the
+same spans with helpers as without."""
 
 import dataclasses
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,9 @@ import pytest
 
 import parobs.stochastic as stochastic
 from parobs.cli import main
-from parobs.stochastic import BLOCK_SIZE, rbsde_reflected_mc, simulate_paths
+from parobs.errors import InnerDivergence
+from parobs.stochastic import (BLOCK_SIZE, penalization_convergence_mc, rbsde_reflected_mc,
+                               simulate_paths)
 
 from oracles import stored_simulate_paths
 
@@ -47,11 +51,29 @@ def started(monkeypatch):
     return names
 
 
+def _read_all(ens, backward):
+    """Every (k, X_k, dW_k) of a reader pass, copied."""
+    with closing(ens._read(backward)) as rows:
+        return [(k, x.copy(), None if dw is None else dw.copy()) for k, x, dw in rows]
+
+
+def _assert_reader_rows(ens, ref, backward, label):
+    rows = _read_all(ens, backward)
+    n = ens.n_steps
+    assert [k for k, _, _ in rows] == (list(range(n, -1, -1)) if backward
+                                       else list(range(n + 1))), label
+    for k, x, dw in rows:
+        assert np.array_equal(x, ref.X[k]), (label, backward, k)
+        assert (dw is None) if k == n else np.array_equal(dw, ref.dW[k]), (label, backward, k)
+
+
 @pytest.mark.parametrize("name", SCENARIO_FIXTURES)
 def test_rows_do_not_depend_on_the_worker_count(name, request, workers, started):
     """Every X_k, dW_k and streamed row equals the block-by-block storing
-    simulator's for 1, 2, 3 and 20 workers, and so do the checkpoints and
-    stream states of the 1-worker ensemble."""
+    simulator's for 1, 2, 3 and 20 workers, read by the accessors and by the
+    readers in both orders, and so do the checkpoints and stream states of
+    the 1-worker ensemble.  A reader pass starts one helper thread, and none
+    on one usable core, where it steps inline."""
     spec = request.getfixturevalue(name).spec
     x0 = 0.5 * (spec.x_lo + spec.x_hi)
     dt = spec.T / 20
@@ -70,6 +92,10 @@ def test_rows_do_not_depend_on_the_worker_count(name, request, workers, started)
             streamed = simulate_paths(spec, 0.0, x0, dt, m, seed=31, store_dw=False)
             for k, row in enumerate(streamed.rows()):
                 assert np.array_equal(row, ref.X[k]), (m, w, k)
+            for backward in (True, False):
+                started.clear()
+                _assert_reader_rows(ens, ref, backward, (m, w))
+                assert started == ([] if w == 1 else ["parobs-reader"]), (m, w, backward)
             if first is None:
                 first = ens
                 continue
@@ -108,17 +134,28 @@ def test_a_streamed_pass_steps_one_segment_per_call(constant_scenario, monkeypat
         assert len(calls) == -(-n // ens.X.stride), (store_dw, ens.X.stride)
 
 
-def test_reflected_fit_does_not_depend_on_the_worker_count(put_scenario, workers):
+def test_reflected_fit_does_not_depend_on_the_worker_count(put_scenario, workers, started):
+    """The reflected fit (a backward reader pass) and the convergence table
+    (backward passes and one forward pass) are bit-identical for 1, 2, 3 and
+    20 workers; each pass starts at most one helper, none on one core."""
     spec = put_scenario.spec
-    fits = []
+    fits, tables = [], []
     for w in WORKERS:
         workers(w)
         ens = simulate_paths(spec, 0.0, 0.0, spec.T / 20, 3 * BLOCK_SIZE + 123, seed=8)
+        started.clear()
         fits.append(rbsde_reflected_mc(spec, ens, 3))
+        assert started == ([] if w == 1 else ["parobs-reader"]), w
+        started.clear()
+        tables.append(penalization_convergence_mc(spec, ens, [16, 256], 3))
+        assert started == ([] if w == 1 else ["parobs-reader"] * 4), w   # 3 fits, 1 sweep
     for fit in fits[1:]:
         assert np.array_equal(fit.coef, fits[0].coef)
         assert np.array_equal(fit.K_T, fits[0].K_T)
         assert (fit.Y0, fit.ci) == (fits[0].Y0, fits[0].ci)
+    for table in tables[1:]:
+        for field in ("y_distance", "k_distance", "y_ci", "k_ci"):
+            assert np.array_equal(getattr(table, field), getattr(tables[0], field)), field
 
 
 def _failing(spec, fails):
@@ -153,6 +190,11 @@ def test_a_failing_block_surfaces_in_the_caller(constant_scenario, workers):
         replaying = dataclasses.replace(good, spec=bad)
         with pytest.raises(ZeroDivisionError, match="^tail block$"):
             replaying.x(1)
+        for backward in (True, False):   # raised in the readers' helper on 2+ cores
+            with pytest.raises(ZeroDivisionError, match="^tail block$"):
+                _read_all(replaying, backward)
+        with pytest.raises(ZeroDivisionError, match="^tail block$"):
+            rbsde_reflected_mc(spec, replaying, 3)
 
 
 def test_the_lowest_failing_block_wins(constant_scenario, workers):
@@ -231,6 +273,76 @@ def test_no_thread_outlives_a_stepping_call(sine_scenario, workers):
         with pytest.raises(ArithmeticError):
             dataclasses.replace(ens, spec=bad).x(1)
         assert threading.active_count() == before
+        for backward in (True, False):
+            with closing(ens._read(backward)) as rows:
+                for _ in rows:   # the helper may end before the last rows are read
+                    assert threading.active_count() <= before + (w > 1)
+            assert threading.active_count() == before
+            with pytest.raises(ArithmeticError):
+                _read_all(dataclasses.replace(ens, spec=bad), backward)
+            assert threading.active_count() == before
+
+
+def _close_within(rows, seconds=30.0):
+    """Close a reader on a watchdog thread; whether it finished in time."""
+    closer = threading.Thread(target=rows.close, daemon=True)
+    closer.start()
+    closer.join(seconds)
+    return not closer.is_alive()
+
+
+@pytest.mark.parametrize("backward", [True, False])
+def test_a_reader_that_stops_early_joins_its_helper(put_scenario, workers, backward):
+    """A reader closed after a few dates, or while its helper waits for a
+    slot row, returns at once and leaves no thread behind; so does a pass
+    that breaks out of a closed reader, on any worker count."""
+    spec = put_scenario.spec
+    ens = simulate_paths(spec, 0.0, 0.0, spec.T / 20, 3 * BLOCK_SIZE + 123, seed=9)
+    for w in WORKERS:
+        workers(w)
+        before = threading.active_count()
+        rows = ens._read(backward)
+        next(rows)
+        time.sleep(0.2)   # the helper fills every free slot, then waits for one
+        assert threading.active_count() == before + (w > 1)
+        assert _close_within(rows)
+        assert threading.active_count() == before
+        with closing(ens._read(backward)) as rows:
+            for k, _, _ in rows:
+                if k == 12:
+                    break
+        assert threading.active_count() == before
+
+
+def test_a_failing_consumer_surfaces_its_own_error(put_scenario, workers, monkeypatch):
+    """A pass whose consumer raises mid-pass (``_resolve`` at one date of the
+    backward fit, a sweep's body at one date) raises that error and leaves
+    no thread behind, on any worker count."""
+    spec = put_scenario.spec
+    ens = simulate_paths(spec, 0.0, 0.0, spec.T / 20, 3 * BLOCK_SIZE + 123, seed=10)
+    t_bad = float(ens.t_nodes[7])
+    real = stochastic.LsmcEstimate._resolve
+
+    def resolve(self, t, *args):
+        if t == t_bad:
+            raise InnerDivergence("stalled at date 7")
+        return real(self, t, *args)
+
+    for w in WORKERS:
+        workers(w)
+        before = threading.active_count()
+        with monkeypatch.context() as patch:
+            patch.setattr(stochastic.LsmcEstimate, "_resolve", resolve)
+            with pytest.raises(InnerDivergence, match="^stalled at date 7$"):
+                rbsde_reflected_mc(spec, ens, 3)
+        assert threading.active_count() == before
+        for backward in (True, False):
+            with pytest.raises(KeyError, match="date 7"):
+                with closing(ens._read(backward)) as rows:
+                    for k, _, _ in rows:
+                        if k == 7:
+                            raise KeyError("date 7")
+            assert threading.active_count() == before
 
 
 def test_importing_the_cli_starts_no_thread():
@@ -245,9 +357,11 @@ def test_importing_the_cli_starts_no_thread():
 
 def test_the_tracer_sees_the_same_spans_with_helpers(tmp_path, workers, started):
     """With the bench's tracer installed, ``verify --checks representation-z``
-    on the small put (with enough paths for three blocks) records the same
-    span names and parents with one worker as with two: the helpers call no
-    public function, so no span is opened off the caller's thread."""
+    on the small put (with enough paths for three blocks), a simulation, a
+    reflected fit and a forward sweep, records the same span names and
+    parents with one worker as with two: the block workers and the readers'
+    helpers call no public function, so no span is opened off the caller's
+    thread."""
     from test_api import _tracer
     from test_cli import _small_put
 
@@ -263,9 +377,12 @@ def test_the_tracer_sees_the_same_spans_with_helpers(tmp_path, workers, started)
                          "--checks", "representation-z"]) == 0
         finally:
             tracer.uninstall()
-        assert bool(started) == (w == 2)
+        # the simulation's block worker, then one reader helper each for the
+        # fit and the sweep
+        assert started == ([] if w == 1 else ["parobs-block"] + ["parobs-reader"] * 2)
         assert not tracer._stack
         spans[w] = [(name, tracer.spans[parent][0] if parent >= 0 else None)
                     for name, _, _, parent, _ in tracer.spans]
     assert spans[1] == spans[2]
-    assert "stochastic.simulate_paths" in {name for name, _ in spans[1]}
+    assert {"stochastic.simulate_paths", "stochastic.rbsde_reflected_mc",
+            "verify.check_representation_z"} <= {name for name, _ in spans[1]}
