@@ -42,3 +42,7 @@ class MissingDerivative(ParobsError):
 
 class RegressionSingular(ParobsError):
     """Regression basis is rank deficient on the sample (too rich, or no spread)."""
+
+
+class NonFiniteOutput(ParobsError):
+    """A command's result table holds a NaN or an infinite number."""

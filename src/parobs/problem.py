@@ -134,12 +134,6 @@ class HypothesisReport:
     entries: tuple[HypothesisEntry, ...]
     passed: bool
 
-    def entry(self, name: str) -> HypothesisEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
 
 _REL_TOL = 1e-12
 PROBE_T_RANGE = (0.0, 1.0)

@@ -32,9 +32,7 @@ pass of ``penalization_convergence_mc`` and ``verify``'s forward sweeps) read
 ``(k, X_k, dW_k)`` from ``PathEnsemble._read``: one helper thread steps the
 next rows, backward segment by segment or forward one date ahead, into a
 fixed set of row slots while the pass works on the current date; see
-``_read_ahead``.  ``PathEnsemble.x(k)`` and ``PathEnsemble.dw(k)`` stay as
-random-access accessors, which replay and cache the one segment holding
-date k.  The forward-only consumers (``moment_ratio_probe``,
+``_read_ahead``.  The forward-only consumers (``moment_ratio_probe``,
 ``optimal_stopping_value``) read ``PathEnsemble.rows()``, which steps one
 checkpoint segment of dates per call and holds only that segment; they fold
 each date as it is yielded.
@@ -249,7 +247,7 @@ def _euler_step(coef, t: float, xk: np.ndarray, dt: float, dw: np.ndarray,
 class _Checkpoints:
     """The X rows an ensemble holds: X at every ``stride``-th date and X_T,
     read-only.  ``nbytes`` counts them.  There is no date indexing: rows are
-    read through ``PathEnsemble.x`` and ``PathEnsemble.rows``, so a stale
+    read through ``PathEnsemble._read`` and ``PathEnsemble.rows``, so a stale
     ``ensemble.X[k]`` raises instead of reading a checkpoint row."""
 
     __slots__ = ("stride", "rows")
@@ -268,7 +266,7 @@ class _StreamStates:
     """What an ensemble holds in place of its increments: ``states[j]`` is
     every block's stream state at checkpoint j, its arrays read-only.
     ``nbytes`` counts those arrays.  There is no date indexing: increments
-    are re-drawn and read through ``PathEnsemble.dw``, so a stale
+    are re-drawn and read through ``PathEnsemble._read``, so a stale
     ``ensemble.dW[k]`` raises."""
 
     __slots__ = ("states",)
@@ -302,22 +300,18 @@ class PathEnsemble:
     step its X rows, so every row is bit-identical to the one the forward
     pass computed.
 
-    The package's passes read ``_read(backward)``, which yields
-    ``(k, X_k, dW_k)`` for every date, backward (replaying segment j - 1
-    while the pass reads segment j) or forward (stepping fresh streams one
-    date ahead), from one helper thread; the rows are read-only views into
-    the reader's slots, valid until the next row is read.  ``x(k)`` and
-    ``dw(k)`` are random-access accessors for ``LsmcEstimate.at`` and
-    ``z_at``: they replay the segment holding date k on all usable cores and
-    cache that one segment, both kinds of row; the old one is dropped before
-    the next is built, and each replay writes fresh arrays.  A streaming
-    ensemble (``store_dw=False``) holds no rows and no states.  ``rows()``
-    reads either kind forward: it steps the paths again from fresh block
-    streams, drawing the same normals, one segment of ``X.stride`` dates per
-    call, and holds that one segment while its rows are read (1.6 MB at
-    2e4 paths and 200 dates, 8 MB at 1e5 paths).  Held and replayed rows
-    are read-only.  Every stepping route runs the blocks through
-    ``_step_block``; the bytes do not depend on the worker count.
+    The package's passes over a stored ensemble read ``_read(backward)``,
+    which yields ``(k, X_k, dW_k)`` for every date, backward (replaying
+    segment j - 1 while the pass reads segment j) or forward (stepping fresh
+    streams one date ahead), from one helper thread; the rows are read-only
+    views into the reader's slots, valid until the next row is read.  A
+    streaming ensemble (``store_dw=False``) holds no rows and no states.
+    ``rows()`` reads either kind forward: it steps the paths again from fresh
+    block streams, drawing the same normals, one segment of ``X.stride``
+    dates per call, and holds that one segment while its rows are read
+    (1.6 MB at 2e4 paths and 200 dates, 8 MB at 1e5 paths).  Every stepping
+    route runs the blocks through ``_step_block``; the bytes do not depend on
+    the worker count.
     """
     spec: ObstacleProblemSpec = field(repr=False)
     s: float
@@ -328,30 +322,10 @@ class PathEnsemble:
     t_nodes: np.ndarray          # n_steps + 1 times from s to T
     X: _Checkpoints = field(repr=False)
     dW: _StreamStates | None = field(repr=False)   # None when streaming
-    _segment: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def n_steps(self) -> int:
         return len(self.t_nodes) - 1
-
-    def x(self, k: int) -> np.ndarray:
-        """X_k for 0 <= k <= n_steps, one entry per path (stored ensembles only)."""
-        n = self._stored_steps()
-        if not 0 <= k <= n:
-            raise IndexError(f"date {k} outside 0..{n}")
-        if k == n:
-            return self.X.rows[-1]
-        j, r = divmod(k, self.X.stride)
-        return self.X.rows[j] if r == 0 else self._segment_rows(j)[0][r - 1]
-
-    def dw(self, k: int) -> np.ndarray:
-        """The increment W_{k+1} - W_k for 0 <= k < n_steps, one entry per path
-        (stored ensembles only)."""
-        n = self._stored_steps()
-        if not 0 <= k < n:
-            raise IndexError(f"date {k} outside 0..{n - 1}")
-        j, r = divmod(k, self.X.stride)
-        return self._segment_rows(j)[1][r]
 
     def rows(self):
         """Yield X_0 .. X_{n_steps} in date order, stored or streaming alike.
@@ -386,7 +360,10 @@ class PathEnsemble:
         Close the reader (``contextlib.closing``) when a pass may stop early
         or raise, so that its helper is joined.
         """
-        n = self._stored_steps()
+        if self.dW is None:
+            raise ValueError("a streaming ensemble (store_dw=False) is read forward "
+                             "through rows()")
+        n = self.n_steps
         handoff = _Handoff(2 * self.X.stride if backward else 5, self.path_count)
         batches = self._replayed(handoff.take) if backward else self._stepped(handoff.take)
         with closing(_read_ahead(batches, handoff)) as ahead:
@@ -438,32 +415,6 @@ class PathEnsemble:
     @property
     def _n_blocks(self) -> int:
         return -(-self.path_count // BLOCK_SIZE)
-
-    def _stored_steps(self) -> int:
-        if self.dW is None:
-            raise ValueError("a streaming ensemble (store_dw=False) is read forward "
-                             "through rows()")
-        return self.n_steps
-
-    def _segment_rows(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._segment is None or self._segment[0] != j:
-            self._segment = None   # drop the old segment before the next is built
-            self._segment = (j, *self._replay(j))
-        return self._segment[1:]
-
-    def _replay(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Segment j: X at the dates strictly between checkpoint j and the next
-        one, and the increments of the dates from checkpoint j up to the next
-        one, re-drawn from the stream states held at checkpoint j."""
-        m = self.path_count
-        start = j * self.X.stride
-        stop = min(start + self.X.stride, self.n_steps)
-        rngs = [_block_rng(self.seed, b, state)
-                for b, state in enumerate(self.dW.states[j])]
-        xs, dws = np.empty((stop - start - 1, m)), np.empty((stop - start, m))
-        self._advance(rngs, start, stop, self.X.rows[j], x_rows=xs, dw_rows=dws)
-        xs.flags.writeable = dws.flags.writeable = False
-        return xs, dws
 
     def _advance(self, rngs: list, k0: int, k1: int, x0, **rows) -> None:
         """Step every block through dates [k0, k1) (``_step_block``), each
@@ -675,10 +626,6 @@ class _Projection:
         """Basis coefficients of the least-squares regression of ``target``."""
         return cho_solve_lower(self._factor, self.B @ target)
 
-    def fit(self, target: np.ndarray) -> np.ndarray:
-        """Fitted values of the least-squares regression of ``target`` on the basis."""
-        return _fitted(self.coef(target), self.B, target.size)
-
 
 class _StartProjection:
     """The start date's projection: all paths coincide, so there is no basis
@@ -711,42 +658,25 @@ class LsmcEstimate:
 
     ``coef[k]`` holds the continuation and Z coefficients on the Hermite
     basis of X_k, shaped (n, 2, basis_degree + 1); date 0 holds the two
-    sample means in column 0.  ``at(k)`` rebuilds the date's basis and re-runs
-    its value update, so Y, Z and dK are evaluated one date at a time and no
-    (n, m) field is ever held; ``z_at(k)`` skips the value update.  ``K_T``
-    is the per-path terminal K, summed in backward date order.
+    sample means in column 0.  A pass over the ensemble's reader rebuilds
+    each date's basis from its row X_k: ``_evaluate`` re-runs the date's
+    value update, bit-identical to the backward pass, and ``_z`` gives Z_k
+    alone, so Y, Z and dK are evaluated one date at a time and no (n, m)
+    field is ever held.  ``K_T`` is the per-path terminal K, summed in
+    backward date order.  The ensemble carries the spec and the dates.
     """
     n_penalty: float
     Y0: float
     ci: float
-    t_nodes: np.ndarray
     coef: np.ndarray = field(repr=False)
     K_T: np.ndarray = field(repr=False)
-    spec: ObstacleProblemSpec = field(repr=False)
     ensemble: PathEnsemble = field(repr=False)
     basis_degree: int
     obstacle_slack: float = 0.0
 
-    def at(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Y_k, Z_k, dK_k) per path at date k, 0 <= k < ensemble.n_steps;
-        bit-identical to the values of the backward pass."""
-        xk = self._row(k)
-        y, _, z, dk, _ = self._evaluate(k, xk, self._basis_at(k, xk))
-        return y, z, dk
-
-    def z_at(self, k: int) -> np.ndarray:
-        """Z_k alone, as in ``at(k)``, without re-running the value update."""
-        return self._z(k, self._row(k))
-
     def _z(self, k: int, xk: np.ndarray) -> np.ndarray:
         """Z_k from the row X_k."""
         return _fitted(self.coef[k, 1], self._basis_at(k, xk), self.ensemble.path_count)
-
-    def _row(self, k: int) -> np.ndarray:
-        n = self.ensemble.n_steps
-        if not 0 <= k < n:
-            raise IndexError(f"date {k} outside 0..{n - 1}")
-        return self.ensemble.x(k)
 
     def _basis_at(self, k: int, xk: np.ndarray) -> np.ndarray | None:
         return None if k == 0 else _basis(xk, self.basis_degree)
@@ -763,11 +693,11 @@ class LsmcEstimate:
         level, from the date's own backward equation Y = C + dK.
         """
         m = self.ensemble.path_count
-        t = float(self.t_nodes[k])
+        t = float(self.ensemble.t_nodes[k])
         if cont is None:
             cont = _fitted(self.coef[k, 0], B, m)
         zk = _fitted(self.coef[k, 1], B, m)
-        h_k = _full_row(self.spec.obstacle.h(t, xk), (m,))
+        h_k = _full_row(self.ensemble.spec.obstacle.h(t, xk), (m,))
         y, c = self._resolve(t, xk, cont, zk, h_k)
         return y, c, zk, y - c, h_k
 
@@ -780,7 +710,7 @@ class LsmcEstimate:
     def _resolve(self, t, xk, cont, zk, h_k):
         """Per-path implicit value update; returns (fitted y, pre-reflection c)."""
         dt = self.ensemble.dt_path
-        f = self.spec.driver.f
+        f = self.ensemble.spec.driver.f
         y = cont
         c = cont
         for _ in range(100):
@@ -802,9 +732,9 @@ def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree
     field: exercising (or penalizing against) the realized rollforward keeps
     the well-known upward bias of fitted-value iteration from compounding
     over many reflection dates.  Each date stores only its two coefficient
-    vectors; its fitted Y, Z, dK come from ``LsmcEstimate._evaluate``, the
-    same function the accessor calls.  At the start date all paths coincide,
-    so the regression degenerates to the plain mean there.
+    vectors; its fitted Y, Z, dK come from ``LsmcEstimate._evaluate``, which
+    every later pass over the estimate calls too.  At the start date all
+    paths coincide, so the regression degenerates to the plain mean there.
     """
     if ensemble.dW is None:
         raise ValueError("regression schemes need a stored ensemble (store_dw=True)")
@@ -817,9 +747,8 @@ def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree
     obs = spec.obstacle
     f = spec.driver.f
     est = LsmcEstimate(n_penalty=float(n_penalty), Y0=float("nan"), ci=float("nan"),
-                       t_nodes=ensemble.t_nodes.copy(),
                        coef=np.zeros((n, 2, basis_degree + 1)), K_T=np.zeros(m),
-                       spec=spec, ensemble=ensemble, basis_degree=basis_degree)
+                       ensemble=ensemble, basis_degree=basis_degree)
 
     with closing(ensemble._read(backward=True)) as rows:
         _, x_n, _ = next(rows)

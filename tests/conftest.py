@@ -1,4 +1,5 @@
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,13 @@ SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
 def scenario_path(name: str) -> Path:
     return SCENARIO_DIR / f"{name}.cfg"
+
+
+def read_all(ens, backward):
+    """Every (k, X_k, dW_k) of one reader pass over a stored ensemble, in the
+    pass's date order, copied; dW_{n_steps} is None."""
+    with closing(ens._read(backward)) as rows:
+        return [(k, x.copy(), None if dw is None else dw.copy()) for k, x, dw in rows]
 
 
 @pytest.fixture(scope="session")

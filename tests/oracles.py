@@ -258,9 +258,9 @@ def storing_lsmc(spec, ensemble, basis_degree, n_penalty=math.inf):
                 batch_y0.append(float(yb.mean()))
         else:
             proj = _Projection(xk, basis_degree)
-            cont = proj.fit(V)
+            cont = proj.coef(V) @ proj.B
             z_target = (V - cont) * ensemble.dW[k] / dt
-            zk = proj.fit(z_target)
+            zk = proj.coef(z_target) @ proj.B
         y_fit, c_fit = resolve(t, xk, cont, zk, h_k)
         dK[k] = y_fit - c_fit
         vstar = V + dt * np.asarray(f(t, xk, y_fit, zk), dtype=float)

@@ -54,8 +54,8 @@ MOVED_TO_ORACLES = (
 # public functions that no package code calls yet, each kept for a caller that
 # a ROADMAP item gives it
 UNCALLED_ALLOWED = {
-    "problem.lipschitz_probe",  # ROADMAP item 5 gives it a caller
-    "stochastic.penalization_convergence_mc",  # ROADMAP item 4 gives it a CLI route
+    "problem.lipschitz_probe",  # ROADMAP item 8 gives it a caller
+    "stochastic.penalization_convergence_mc",  # ROADMAP item 6 gives it a CLI route
 }
 # arguments the tracer's probes read from a bound call
 PROBE_PARAMETERS = {
@@ -119,7 +119,8 @@ def test_folded_parameters_stay_gone():
                   (grid.DensityTable, "s_index"), (solver.PenalizationStudy, "monotone"),
                   (stochastic.RbsdeEstimate, "scheme"), (stochastic.RbsdeEstimate, "ci"),
                   (grid.DiscreteOperator, "t_index"), (grid.DiscreteOperator, "t"),
-                  (stochastic.LsmcEstimate, "scheme")]
+                  (stochastic.LsmcEstimate, "scheme"), (stochastic.LsmcEstimate, "t_nodes"),
+                  (stochastic.LsmcEstimate, "spec")]
     never_read += [(stochastic.RbsdeEstimate, name)
                    for name in ("Z", "obstacle_slack", "Y0", "t_nodes")]
     never_read += [(grid.DensityTable, name)
@@ -128,6 +129,14 @@ def test_folded_parameters_stay_gone():
             if name in {f.name for f in dataclasses.fields(cls)}] == []
     assert not hasattr(grid.DensityTable, "density")
     assert not hasattr(grid.DiscreteOperator, "row_sums")
+    problem = importlib.import_module("parobs.problem")
+    # the random-access replay route and the methods only tests called
+    deleted = [(stochastic.PathEnsemble, ("x", "dw", "_segment_rows", "_replay",
+                                          "_stored_steps", "_segment")),
+               (stochastic.LsmcEstimate, ("at", "z_at", "_row")),
+               (stochastic._Projection, ("fit",)), (problem.HypothesisReport, ("entry",))]
+    assert [(cls.__name__, name) for cls, names in deleted for name in names
+            if hasattr(cls, name)] == []
 
 
 def test_test_only_routines_stay_out_of_the_package():
@@ -139,7 +148,8 @@ def test_test_only_routines_stay_out_of_the_package():
 
 
 def _uncalled_public_functions(src):
-    """module.name of every public module-level function in ``src/*.py``
+    """module.name of every public module-level function, and
+    module.Class.name of every public method of a class, in ``src/*.py``
     (``__init__.py`` aside) whose name no package module uses as a name or
     an attribute; imports and ``__all__`` strings are not uses."""
     defined, used = {}, set()
@@ -150,6 +160,10 @@ def _uncalled_public_functions(src):
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 defined[f"{path.stem}.{node.name}"] = node.name
+            elif isinstance(node, ast.ClassDef):
+                defined.update((f"{path.stem}.{node.name}.{item.name}", item.name)
+                               for item in node.body if isinstance(item, ast.FunctionDef)
+                               and not item.name.startswith("_"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -159,7 +173,9 @@ def _uncalled_public_functions(src):
 
 
 def test_every_public_function_has_a_caller_in_the_package():
-    """A routine only the tests call belongs in ``tests/oracles.py``."""
+    """A routine only the tests call belongs in ``tests/oracles.py``, and a
+    method only the tests call goes: the tests reach the same values
+    through the package's own passes.  No method is allowed uncalled."""
     assert _uncalled_public_functions(SRC) == UNCALLED_ALLOWED
 
 

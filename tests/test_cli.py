@@ -149,6 +149,31 @@ def test_zero_paths_exits_2_instead_of_writing_nan(tmp_path):
     assert not (tmp_path / "o" / "moments.csv").exists()
 
 
+def test_a_nonfinite_result_exits_3_without_a_csv(tmp_path, capsys):
+    """``problem.value = 1e300`` overflows the stopping rule's sample
+    variance, so ``rule_ci`` is inf: ``stop-value`` exits 3 with one
+    ``error:`` line and writes no stop_value.csv.  Every short table's
+    lines refuse NaN and inf alike."""
+    from parobs.cli import _csv_line
+    from parobs.errors import NonFiniteOutput
+
+    cfg = tmp_path / "huge_value.cfg"
+    cfg.write_text(scenario_path("constant").read_text().replace("problem.value = 1.0",
+                                                                 "problem.value = 1e300"))
+    with np.errstate(over="ignore"):   # the variance squares deviations near 1e284
+        code = run(["--scenario", cfg, "--out", tmp_path / "o", "stop-value"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line.split(" detail=")[0] for line in err.splitlines()
+            if line.startswith("error:")] == ["error: code=3 kind=NonFiniteOutput"]
+    assert not (tmp_path / "o" / "stop_value.csv").exists()
+    assert _csv_line(("check", 3, 1.5, np.float64(-2.0))) == "check,3,1.5,-2\n"
+    for bad in (np.nan, np.inf, -np.inf, np.float64("nan")):
+        with pytest.raises(NonFiniteOutput):
+            _csv_line(("check", 1.0, bad, 1))
+
+
 @pytest.mark.parametrize("line", ["problem.x_lo = -inf", "grid.nx = 0", "grid.nt = -3",
                                   "mc.dt_path = 0", "calibration.fk_bias = nan"])
 def test_scenario_parser_rejects_out_of_range_numbers(tmp_path, line):
@@ -374,7 +399,7 @@ def test_ac_measure_one_stencil_matches_three_interpolation_passes(tmp_path):
     """The shared sweep's one stencil per date gives ac-measure's sums of
     three interpolation passes over the stored paths and representation-z's
     sum of its own pass, bit for bit."""
-    from oracles import stored_simulate_paths, three_pass_ac_path_sums
+    from oracles import stored_simulate_paths, storing_lsmc, three_pass_ac_path_sums
     from parobs.grid import interp_space_time
     from parobs.solver import z_field
     from parobs.stochastic import rbsde_reflected_mc, simulate_paths
@@ -395,9 +420,10 @@ def test_ac_measure_one_stencil_matches_three_interpolation_passes(tmp_path):
     assert np.array_equal(k_tilde, ref_k_tilde)
     assert np.all(np.isfinite(residual))
     z_grid, ref_z_mse = z_field(spec, grid, sol.u_values), 0.0
+    _, Z, _, _, _, _ = storing_lsmc(spec, stored, 3)
     for k in range(stored.n_steps):
         zpde = interp_space_time(grid, z_grid, float(stored.t_nodes[k]), stored.X[k])
-        ref_z_mse += float(np.mean((zpde - mc.z_at(k)) ** 2)) * stored.dt_path
+        ref_z_mse += float(np.mean((zpde - Z[k]) ** 2)) * stored.dt_path
     assert z_mse == ref_z_mse > 0.0
 
 

@@ -58,7 +58,7 @@ def test_terminal_below_obstacle_fails_with_witness():
                  h=lambda t, x: np.ones_like(np.asarray(x, float)))
     report = validate_hypotheses(spec, probe_count=64, seed=0)
     assert not report.passed
-    entry = report.entry("terminal-dominates-obstacle")
+    entry = {e.name: e for e in report.entries}["terminal-dominates-obstacle"]
     assert not entry.passed
     assert entry.witness[0] == pytest.approx(spec.T)
 
@@ -66,7 +66,7 @@ def test_terminal_below_obstacle_fails_with_witness():
 def test_undeclared_ellipticity_fails():
     spec = _spec(a=lambda t, x: 2.0 * np.ones_like(np.asarray(x, float)), lam=1.0, big=1.5)
     report = validate_hypotheses(spec)
-    assert not report.entry("ellipticity").passed
+    assert not {e.name: e for e in report.entries}["ellipticity"].passed
 
 
 def test_evaluator_failure_on_nonfinite():

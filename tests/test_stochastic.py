@@ -24,6 +24,7 @@ from parobs.stochastic import (
     _Projection,
 )
 
+from conftest import read_all
 from oracles import (
     binomial_american_put,
     estimate_g_integral,
@@ -52,11 +53,6 @@ def _terminal(ens):
     return xk
 
 
-def _orders(n, seed=3):
-    """Dates 0 .. n - 1 read forward, backward and in a seeded random order."""
-    return range(n), range(n - 1, -1, -1), list(np.random.default_rng(seed).permutation(n))
-
-
 def test_paths_reproducible_and_prefix_stable():
     spec = _const_family()
     e1 = simulate_paths(spec, 0.0, 0.3, 0.05, 1000, seed=42)
@@ -64,16 +60,18 @@ def test_paths_reproducible_and_prefix_stable():
     bigger = simulate_paths(spec, 0.0, 0.3, 0.05, 1500, seed=42)
     other = simulate_paths(spec, 0.0, 0.3, 0.05, 1000, seed=43)
     ref = stored_simulate_paths(spec, 0.0, 0.3, 0.05, 1500, seed=42)
-    for order in _orders(e1.n_steps):
-        for k in order:
-            assert np.array_equal(e1.dw(k), e2.dw(k)) and np.array_equal(e1.dw(k), ref.dW[k, :1000])
-            assert np.array_equal(bigger.dw(k)[:1000], e1.dw(k))
-            assert np.array_equal(bigger.dw(k), ref.dW[k])
-    for k in range(e1.n_steps + 1):
-        assert np.array_equal(e1.x(k), e2.x(k))
-        assert np.array_equal(bigger.x(k)[:1000], e1.x(k))
-    assert not np.array_equal(other.x(e1.n_steps), e1.x(e1.n_steps))
-    assert not any(np.array_equal(other.dw(k), e1.dw(k)) for k in range(e1.n_steps))
+    n = e1.n_steps
+    for backward in (True, False):
+        rows = [read_all(ens, backward) for ens in (e1, e2, bigger, other)]
+        for (k, x1, dw1), (_, x2, dw2), (_, xb, dwb), (_, xo, dwo) in zip(*rows, strict=True):
+            assert np.array_equal(x1, x2) and np.array_equal(xb[:1000], x1), k
+            assert np.array_equal(xb, ref.X[k]), k
+            if k < n:
+                assert np.array_equal(dw1, dw2) and np.array_equal(dw1, ref.dW[k, :1000]), k
+                assert np.array_equal(dwb[:1000], dw1) and np.array_equal(dwb, ref.dW[k]), k
+                assert not np.array_equal(dwo, dw1), k
+            if k == n:
+                assert not np.array_equal(xo, x1)
 
 
 SCENARIO_FIXTURES = ["constant_scenario", "heat_scenario", "sine_scenario", "put_scenario",
@@ -84,7 +82,7 @@ SCENARIO_FIXTURES = ["constant_scenario", "heat_scenario", "sine_scenario", "put
 @pytest.mark.parametrize("start", [0.0, 0.25], ids=["s=0", "s=T/4"])
 def test_ensemble_rows_equal_the_storing_simulator(name, start, request):
     """Block stepping, checkpoints and segment replay give every X_k and dW_k
-    of the block-by-block storing simulator, read in any order."""
+    of the block-by-block storing simulator, read backward and forward."""
     spec = request.getfixturevalue(name).spec
     s, x0 = start * spec.T, 0.5 * (spec.x_lo + spec.x_hi)
     dt = (spec.T - s) / 40
@@ -93,14 +91,10 @@ def test_ensemble_rows_equal_the_storing_simulator(name, start, request):
     ens = simulate_paths(spec, s, x0, dt, m, seed=17)
     n = ens.n_steps
     assert n == ref.n_steps and np.array_equal(ens.t_nodes, ref.t_nodes)
-    for order in _orders(n + 1):
-        for k in order:
-            assert np.array_equal(ens.x(k), ref.X[k]), k
-            if k < n:
-                assert np.array_equal(ens.dw(k), ref.dW[k]), k
-    for order in _orders(n, seed=4):   # increments alone, re-drawn in any order
-        for k in order:
-            assert np.array_equal(ens.dw(k), ref.dW[k]), k
+    for backward in (True, False):
+        for k, x, dw in read_all(ens, backward):
+            assert np.array_equal(x, ref.X[k]), (backward, k)
+            assert dw is None if k == n else np.array_equal(dw, ref.dW[k]), (backward, k)
     streamed = simulate_paths(spec, s, x0, dt, m, seed=17, store_dw=False)
     for k, (a, b, c) in enumerate(zip(streamed.rows(), ens.rows(), ref.X, strict=True)):
         assert np.array_equal(a, c) and np.array_equal(b, c), k
@@ -118,50 +112,21 @@ def test_ensemble_holds_increments_and_checkpoints_only():
     for holder in (ens.X, ens.dW):
         with pytest.raises(TypeError):
             holder[3]   # no date indexing: a stale X[k] or dW[k] must not read a row
-    for bad in (ens.n_steps + 1, -1):
-        with pytest.raises(IndexError):
-            ens.x(bad)
-    for bad in (ens.n_steps, -1):
-        with pytest.raises(IndexError):
-            ens.dw(bad)
-    # replayed rows a caller holds survive the replay of another segment
-    held, held_dw = ens.x(15), ens.dw(15)
-    kept, kept_dw = held.copy(), held_dw.copy()
-    ens.x(95)
-    assert np.array_equal(held, kept) and np.array_equal(ens.x(15), kept)
-    assert np.array_equal(held_dw, kept_dw) and np.array_equal(ens.dw(15), kept_dw)
-    for row in (ens.x(8), ens.x(15), ens.dw(0), ens.dw(15), ens.x(ens.n_steps)):
-        with pytest.raises(ValueError):
-            row[0] = 1.0
+    for backward in (True, False):   # checkpoint, replayed and stepped rows alike
+        with contextlib.closing(ens._read(backward)) as rows:
+            for k, xk, dw in rows:
+                for row in (xk, dw) if k in (0, 8, 15, ens.n_steps) else ():
+                    if row is not None:
+                        with pytest.raises(ValueError):
+                            row[0] = 1.0
     for state in ens.dW.states:
         with pytest.raises(ValueError):
             state[0]["state"]["counter"][0] = 1
     streamed = simulate_paths(spec, 0.0, 0.0, 0.01, 3000, seed=5, store_dw=False)
     assert streamed.dW is None and streamed.X.nbytes == 0
-    for accessor in (streamed.x, streamed.dw):
+    for backward in (True, False):
         with pytest.raises(ValueError, match="rows"):
-            accessor(0)
-
-
-def test_replay_drops_the_old_segment_before_building_the_next():
-    """Moving to another segment frees the cached one (X and dW rows) before
-    the next is replayed, so at most one segment is alive."""
-    import weakref
-
-    spec = _const_family()
-    ens = simulate_paths(spec, 0.0, 0.0, 0.01, 3000, seed=5)
-    ens.x(15)
-    old = [weakref.ref(rows) for rows in ens._segment[1:]]
-    alive_at_replay = []
-    real_replay = ens._replay
-
-    def replay(j):
-        alive_at_replay.append([ref() is not None for ref in old])
-        return real_replay(j)
-
-    ens._replay = replay
-    ens.dw(95)
-    assert alive_at_replay == [[False, False]]
+            next(streamed._read(backward))
 
 
 def _traced_peak(fn):
@@ -199,18 +164,20 @@ def test_streaming_moment_probe_holds_no_path_by_date_field():
 def test_brownian_variance_and_increment_mean():
     spec = _const_family()
     ens = simulate_paths(spec, 0.0, 0.0, 0.01, 40_000, seed=7)
-    assert np.all(ens.x(0) == 0.0)
-    var = ens.x(ens.n_steps).var()
+    ref = stored_simulate_paths(spec, 0.0, 0.0, 0.01, 40_000, seed=7)
+    means = np.full(ens.n_steps, np.nan)
+    with contextlib.closing(ens._read(backward=False)) as rows:
+        for k, xk, dw in rows:
+            if k == 0:
+                assert np.all(xk == 0.0)
+            elif k == ens.n_steps:
+                var = xk.var()
+                break
+            assert np.array_equal(dw, ref.dW[k]), k
+            means[k] = abs(dw.mean())
     ci = 3.0 * np.sqrt(2.0 / ens.path_count)  # var of chi2 estimate ~ 2 T^2 / M
     assert abs(var - 1.0) <= ci
-    ref = stored_simulate_paths(spec, 0.0, 0.0, 0.01, 40_000, seed=7)
-    for order in _orders(ens.n_steps):
-        means = np.full(ens.n_steps, np.nan)
-        for k in order:
-            row = ens.dw(k)
-            assert np.array_equal(row, ref.dW[k]), k
-            means[k] = abs(row.mean())
-        assert np.max(means) <= 4.0 * np.sqrt(ens.dt_path / ens.path_count)
+    assert np.max(means) <= 4.0 * np.sqrt(ens.dt_path / ens.path_count)
 
 
 def test_scaled_diffusion_variance():
@@ -359,13 +326,26 @@ def test_chain_dp_monotone_in_obstacle(put_scenario):
 # ---------------------------------------------------------------------------
 # regression schemes
 
+def _lsmc_rows(est):
+    """(k, X_k, Y_k, Z_k, dK_k) per date k < n of an LSMC estimate, from one
+    forward reader pass through its date update, then (n, X_T, phi(X_T),
+    None, None); every row is copied."""
+    ens = est.ensemble
+    with contextlib.closing(ens._read(backward=False)) as rows:
+        for k, xk, _ in rows:
+            if k == ens.n_steps:
+                yield k, xk.copy(), np.array(ens.spec.obstacle.phi(xk), dtype=float), None, None
+                return
+            y, _, z, dk, _ = est._evaluate(k, xk, est._basis_at(k, xk))
+            yield k, xk.copy(), y, z, dk
+
+
 def _fields(est):
     """An LSMC estimate's per-date values stacked into (Y, Z, dK) fields, Y
     with its terminal row phi(X_T): (n + 1, m), (n, m), (n, m)."""
-    rows = [est.at(k) for k in range(est.ensemble.n_steps)]
-    y_T = np.asarray(est.spec.obstacle.phi(est.ensemble.x(est.ensemble.n_steps)), dtype=float)
-    return (np.vstack([r[0] for r in rows] + [y_T]), np.vstack([r[1] for r in rows]),
-            np.vstack([r[2] for r in rows]))
+    rows = list(_lsmc_rows(est))
+    return (np.vstack([r[2] for r in rows]), np.vstack([r[3] for r in rows[:-1]]),
+            np.vstack([r[4] for r in rows[:-1]]))
 
 
 def _k_cumulative(dK):
@@ -392,7 +372,7 @@ def test_penalized_mc_inactive_collapses_to_terminal_mean(heat_scenario):
     ens = simulate_paths(spec, 0.0, 0.0, 0.05, 4000, seed=22)
     est = rbsde_penalized_mc(spec, ens, 256, 3)
     _, _, dK = _fields(est)
-    assert est.Y0 == pytest.approx(float(np.mean(spec.obstacle.phi(ens.x(ens.n_steps)))), abs=1e-12)
+    assert est.Y0 == pytest.approx(float(np.mean(spec.obstacle.phi(_terminal(ens)))), abs=1e-12)
     assert np.max(dK) == 0.0
 
 
@@ -424,9 +404,10 @@ def test_discrete_skorokhod_flat_off_contact(put_scenario):
     spec = put_scenario.spec
     ens = simulate_paths(spec, 0.0, -0.2, spec.T / 100, 5000, seed=25)
     est = rbsde_reflected_mc(spec, ens, 3)
-    for k in range(ens.n_steps):
-        h_k = np.asarray(spec.obstacle.h(float(ens.t_nodes[k]), ens.x(k)), float)
-        y_k, _, dk_k = est.at(k)
+    for k, x_k, y_k, _, dk_k in _lsmc_rows(est):
+        if k == ens.n_steps:
+            continue
+        h_k = np.asarray(spec.obstacle.h(float(ens.t_nodes[k]), x_k), float)
         gap = (y_k - h_k) * dk_k
         assert np.max(np.abs(gap)) <= 1e-12  # dK > 0 only where Y = h exactly
 
@@ -452,7 +433,8 @@ def test_regression_singular_for_two_point_cloud():
         _Projection(x, 3)
     # a degree-0 fit needs no spread: it is the sample mean
     y = rng.standard_normal(5000)
-    assert np.allclose(_Projection(np.full(5000, 1.0), 0).fit(y), y.mean(), rtol=1e-14)
+    proj = _Projection(np.full(5000, 1.0), 0)
+    assert np.allclose(proj.coef(y) @ proj.B, y.mean(), rtol=1e-14)
 
 
 @pytest.mark.parametrize("cloud", ["gaussian", "uniform", "skewed"])
@@ -468,7 +450,7 @@ def test_projection_matches_lstsq_oracle(cloud):
         proj = _Projection(x, degree)
         for y in targets:  # one factorization serves both right-hand sides
             ref = lstsq_polynomial_fit(x, y, degree)
-            assert np.max(np.abs(proj.fit(y) - ref)) <= 1e-10 * np.max(np.abs(ref))
+            assert np.max(np.abs(proj.coef(y) @ proj.B - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("name", ["put_scenario", "sine_scenario"])
@@ -481,13 +463,11 @@ def test_lsmc_accessors_match_storing_oracle(name, request):
                            (256, rbsde_penalized_mc(spec, ens, 256, 3))):
         Y, Z, dK, y0, ci, slack = storing_lsmc(spec, stored, 3, n_penalty)
         assert (est.Y0, est.ci, est.obstacle_slack) == (y0, ci, slack)
-        for k in range(ens.n_steps):
-            y_k, z_k, dk_k = est.at(k)
-            assert np.array_equal(y_k, Y[k]) and np.array_equal(z_k, Z[k])
-            assert np.array_equal(dk_k, dK[k]) and np.array_equal(est.z_at(k), Z[k])
-        for accessor in (est.at, est.z_at):
-            with pytest.raises(IndexError):
-                accessor(ens.n_steps)
+        for k, x_k, y_k, z_k, dk_k in _lsmc_rows(est):
+            assert np.array_equal(y_k, Y[k]), k
+            if k < ens.n_steps:
+                assert np.array_equal(z_k, Z[k]) and np.array_equal(dk_k, dK[k]), k
+                assert np.array_equal(est._z(k, x_k), Z[k]), k
         # K_T is summed in the scheme's backward date order
         k_back = np.zeros(ens.path_count)
         for k in range(ens.n_steps - 1, -1, -1):
@@ -504,9 +484,10 @@ def test_penalized_dk_matches_the_penalty_increment(put_scenario, n_penalty):
     ens = simulate_paths(spec, 0.0, 0.0, spec.T / 40, 3000, seed=35)
     est = rbsde_penalized_mc(spec, ens, n_penalty, 3)
     drift, dk_max = 0.0, 0.0
-    for k in range(ens.n_steps):
-        y_k, _, dk_k = est.at(k)
-        h_k = np.asarray(spec.obstacle.h(float(ens.t_nodes[k]), ens.x(k)), dtype=float)
+    for k, x_k, y_k, _, dk_k in _lsmc_rows(est):
+        if k == ens.n_steps:
+            continue
+        h_k = np.asarray(spec.obstacle.h(float(ens.t_nodes[k]), x_k), dtype=float)
         penalty = ens.dt_path * n_penalty * np.maximum(h_k - y_k, 0.0)
         drift = max(drift, float(np.max(np.abs(dk_k - penalty))))
         dk_max = max(dk_max, float(np.max(np.abs(dk_k))))
@@ -541,7 +522,7 @@ def test_lsmc_forms_each_continuation_once(monkeypatch, put_scenario):
     assert len(calls) == 2 * ens.n_steps
     Y, _, _, y0, ci, slack = storing_lsmc(spec, stored, 3)
     assert (est.Y0, est.ci, est.obstacle_slack) == (y0, ci, slack)
-    assert all(np.array_equal(est.at(k)[0], Y[k]) for k in range(ens.n_steps))
+    assert all(np.array_equal(y_k, Y[k]) for k, _, y_k, _, _ in _lsmc_rows(est))
 
 
 def test_reflected_mc_holds_no_path_by_date_field(put_scenario):
@@ -556,14 +537,15 @@ def test_reflected_mc_holds_no_path_by_date_field(put_scenario):
 def test_readers_hold_one_segment_plus_a_spare_row_pair(put_scenario, monkeypatch):
     """A backward reader writes into at most one replay segment's X and dW
     rows (2 stride - 1) plus one spare pair, and a forward reader into five
-    rows where ``x(k)`` and ``dw(k)`` cache a 19-row segment; a forward pass
-    peaks near those rows, and its rows equal the accessors'."""
+    rows; a forward pass peaks near those rows, and the rows of both equal
+    the storing simulator's."""
     import parobs.stochastic as stochastic
 
     spec = put_scenario.spec
     m = 20_000
     ens = simulate_paths(spec, 0.0, 0.0, spec.T / 200, m, seed=33)
     assert ens.X.stride == 10
+    ref = stored_simulate_paths(spec, 0.0, 0.0, spec.T / 200, m, seed=33)
     taken = []
     real_take = stochastic._Handoff.take
     monkeypatch.setattr(stochastic._Handoff, "take",
@@ -573,9 +555,10 @@ def test_readers_hold_one_segment_plus_a_spare_row_pair(put_scenario, monkeypatc
         with contextlib.closing(ens._read(backward)) as rows:
             for k, xk, dw in rows:
                 if k in (0, 95, ens.n_steps):
-                    assert np.array_equal(xk, ens.x(k)), (backward, k)
-                    assert dw is None if k == ens.n_steps else np.array_equal(dw, ens.dw(k))
+                    assert np.array_equal(xk, ref.X[k]), (backward, k)
+                    assert dw is None if k == ens.n_steps else np.array_equal(dw, ref.dW[k])
         assert 0 < len({id(row) for row in taken}) <= bound, backward
+    del ref
     taken.clear()
 
     def forward_pass():

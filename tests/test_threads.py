@@ -21,6 +21,7 @@ from parobs.errors import InnerDivergence
 from parobs.stochastic import (BLOCK_SIZE, penalization_convergence_mc, rbsde_reflected_mc,
                                simulate_paths)
 
+from conftest import read_all
 from oracles import stored_simulate_paths
 
 SCENARIO_FIXTURES = ["constant_scenario", "heat_scenario", "sine_scenario", "put_scenario",
@@ -51,14 +52,8 @@ def started(monkeypatch):
     return names
 
 
-def _read_all(ens, backward):
-    """Every (k, X_k, dW_k) of a reader pass, copied."""
-    with closing(ens._read(backward)) as rows:
-        return [(k, x.copy(), None if dw is None else dw.copy()) for k, x, dw in rows]
-
-
 def _assert_reader_rows(ens, ref, backward, label):
-    rows = _read_all(ens, backward)
+    rows = read_all(ens, backward)
     n = ens.n_steps
     assert [k for k, _, _ in rows] == (list(range(n, -1, -1)) if backward
                                        else list(range(n + 1))), label
@@ -70,9 +65,9 @@ def _assert_reader_rows(ens, ref, backward, label):
 @pytest.mark.parametrize("name", SCENARIO_FIXTURES)
 def test_rows_do_not_depend_on_the_worker_count(name, request, workers, started):
     """Every X_k, dW_k and streamed row equals the block-by-block storing
-    simulator's for 1, 2, 3 and 20 workers, read by the accessors and by the
-    readers in both orders, and so do the checkpoints and stream states of
-    the 1-worker ensemble.  A reader pass starts one helper thread, and none
+    simulator's for 1, 2, 3 and 20 workers, read by the readers in both
+    orders, and so do the checkpoints and stream states of the 1-worker
+    ensemble.  A reader pass starts one helper thread, and none
     on one usable core, where it steps inline."""
     spec = request.getfixturevalue(name).spec
     x0 = 0.5 * (spec.x_lo + spec.x_hi)
@@ -85,10 +80,6 @@ def test_rows_do_not_depend_on_the_worker_count(name, request, workers, started)
             started.clear()
             ens = simulate_paths(spec, 0.0, x0, dt, m, seed=31)
             assert len(started) == min(w, -(-m // BLOCK_SIZE)) - 1, (m, w)
-            for k in range(ens.n_steps, -1, -1):
-                assert np.array_equal(ens.x(k), ref.X[k]), (m, w, k)
-                if k < ens.n_steps:
-                    assert np.array_equal(ens.dw(k), ref.dW[k]), (m, w, k)
             streamed = simulate_paths(spec, 0.0, x0, dt, m, seed=31, store_dw=False)
             for k, row in enumerate(streamed.rows()):
                 assert np.array_equal(row, ref.X[k]), (m, w, k)
@@ -188,11 +179,9 @@ def test_a_failing_block_surfaces_in_the_caller(constant_scenario, workers):
                 simulate_paths(bad, 0.0, 0.0, spec.T / 20, m, seed=2, store_dw=False).rows())
                 if k == 1)
         replaying = dataclasses.replace(good, spec=bad)
-        with pytest.raises(ZeroDivisionError, match="^tail block$"):
-            replaying.x(1)
         for backward in (True, False):   # raised in the readers' helper on 2+ cores
             with pytest.raises(ZeroDivisionError, match="^tail block$"):
-                _read_all(replaying, backward)
+                read_all(replaying, backward)
         with pytest.raises(ZeroDivisionError, match="^tail block$"):
             rbsde_reflected_mc(spec, replaying, 3)
 
@@ -246,7 +235,7 @@ def test_every_block_is_claimed_once_under_contention(put_scenario, workers):
             stochastic._for_each_block(64, done.append)
             runs.append(sorted(done))
         ens = simulate_paths(spec, 0.0, 0.0, spec.T / 10, m, seed=12)
-        rows = [ens.x(k) for k in range(ens.n_steps + 1)]
+        rows = list(ens.rows())   # one block-stepping call per segment
     finally:
         sys.setswitchinterval(interval)
     assert runs == [list(range(64))] * 50
@@ -262,16 +251,10 @@ def test_no_thread_outlives_a_stepping_call(sine_scenario, workers):
         before = threading.active_count()
         ens = simulate_paths(spec, 0.0, 0.0, spec.T / 20, m, seed=4)
         assert threading.active_count() == before
-        for k in (20, 13, 5, 0):
-            ens.x(k), ens.dw(min(k, 19))
-            assert threading.active_count() == before
         for _ in simulate_paths(spec, 0.0, 0.0, spec.T / 20, m, seed=4, store_dw=False).rows():
             assert threading.active_count() == before
         with pytest.raises(ArithmeticError):
             simulate_paths(bad, 0.0, 0.0, spec.T / 20, m, seed=4)
-        assert threading.active_count() == before
-        with pytest.raises(ArithmeticError):
-            dataclasses.replace(ens, spec=bad).x(1)
         assert threading.active_count() == before
         for backward in (True, False):
             with closing(ens._read(backward)) as rows:
@@ -279,7 +262,7 @@ def test_no_thread_outlives_a_stepping_call(sine_scenario, workers):
                     assert threading.active_count() <= before + (w > 1)
             assert threading.active_count() == before
             with pytest.raises(ArithmeticError):
-                _read_all(dataclasses.replace(ens, spec=bad), backward)
+                read_all(dataclasses.replace(ens, spec=bad), backward)
             assert threading.active_count() == before
 
 
