@@ -138,13 +138,10 @@ def cmd_study(args) -> int:
     if args.study == "penalization":
         schedule = [2**j for j in range(4, args.max_level + 1)]
         psor = solve_psor(sc.spec, grid, **sc.tolerances)
-        limit, study = penalization_study(sc.spec, grid, schedule, reference=psor,
-                                          **_penalized_tolerances(sc))
-        rows = []
-        for idx, n in enumerate(study.n_levels):
-            sup_inc = study.sup_increments[idx - 1] if idx >= 1 else 0.0
-            norm_inc = study.norm_increments[idx - 1] if idx >= 1 else 0.0
-            rows.append((n, sup_inc, norm_inc, study.distances_to_reference[idx]))
+        study = penalization_study(sc.spec, grid, schedule, psor, **_penalized_tolerances(sc))
+        # the first level has no increment
+        rows = zip(study.n_levels, [0.0, *study.sup_increments], [0.0, *study.norm_increments],
+                   study.distances_to_reference)
         write_csv(out / "penalization_study.csv", prov,
                   ["n", "sup_increment", "norm_increment", "distance_to_psor"],
                   [_csv_line(r) for r in rows])
@@ -218,7 +215,7 @@ def cmd_stop_value(args) -> int:
     x0 = 0.5 * (spec.x_lo + spec.x_hi)
     ens = simulate_paths(spec, 0.0, x0, float(sc.mc_params["dt_path"]),
                          int(sc.mc_params["paths"]), seed, store_dw=False)
-    sv = optimal_stopping_value(spec, grid, sol, ens, 0.0, x0)
+    sv = optimal_stopping_value(grid, sol, ens)
     write_csv(Path(args.out) / "stop_value.csv", _provenance(sc, seed),
               ["rule_value", "rule_ci", "snell_value", "gap"],
               [_csv_line((sv.rule_value, sv.rule_ci, sv.snell_value, sv.gap))])

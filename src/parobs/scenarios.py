@@ -108,6 +108,19 @@ def _pop_float(kv: dict, key: str, default=None) -> float:
     return _parse_number(key, kv.pop(key))
 
 
+def _zeros(v) -> np.ndarray:
+    return np.zeros_like(np.asarray(v, dtype=float))
+
+
+def _constant_a(a0: float) -> Coefficients:
+    """a(t, x) = a0, a scalar, so that one implicit kernel serves a whole march."""
+    return Coefficients(a=lambda t, x: a0, a_x=lambda t, x: 0.0, lambda_ell=a0, Lambda_ell=a0)
+
+
+def _zero_driver() -> Driver:
+    return Driver(f=lambda t, x, y, z: _zeros(y), L=0.0, M_growth=0.0, g=lambda t, x: _zeros(x))
+
+
 def build_family(family: str, params: dict) -> ObstacleProblemSpec:
     """Construct the problem spec for one builtin family.
 
@@ -123,12 +136,8 @@ def build_family(family: str, params: dict) -> ObstacleProblemSpec:
 
     if family == "constant":
         c = _pop_float(params, "problem.value", 1.0)
-        a0 = _pop_float(params, "problem.a0", 1.0)
-        coef = Coefficients(a=lambda t, x: a0, a_x=lambda t, x: 0.0,
-                            lambda_ell=a0, Lambda_ell=a0)
-        driver = Driver(f=lambda t, x, y, z: np.zeros_like(np.asarray(y, dtype=float)),
-                        L=0.0, M_growth=0.0,
-                        g=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)))
+        coef = _constant_a(_pop_float(params, "problem.a0", 1.0))
+        driver = _zero_driver()
         obstacle = ObstacleData(h=lambda t, x: np.full_like(np.asarray(x, dtype=float), c),
                                 phi=lambda x: np.full_like(np.asarray(x, dtype=float), c),
                                 h_growth=(abs(c) + 1.0, 0.0))
@@ -148,9 +157,7 @@ def build_family(family: str, params: dict) -> ObstacleProblemSpec:
             return amp * np.cos(np.asarray(x, dtype=float)) * np.exp(-t)
 
         coef = Coefficients(a=a_fn, a_x=a_x_fn, lambda_ell=a0 - amp, Lambda_ell=a0 + amp)
-        driver = Driver(f=lambda t, x, y, z: np.zeros_like(np.asarray(y, dtype=float)),
-                        L=0.0, M_growth=0.0,
-                        g=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)))
+        driver = _zero_driver()
         obstacle = ObstacleData(
             h=lambda t, x: np.full_like(np.asarray(x, dtype=float), level),
             phi=lambda x: bump_height * np.exp(-0.5 * (np.asarray(x, dtype=float) / bump_width) ** 2),
@@ -162,13 +169,11 @@ def build_family(family: str, params: dict) -> ObstacleProblemSpec:
         if not sigma > 0:  # kappa divides by sigma, and a negative sigma flips its sign
             raise ScenarioError(f"american-put needs sigma > 0, got {sigma}")
         kappa = (rate - 0.5 * sigma**2) / sigma  # drift carried by the z-argument
-        a0 = sigma**2
-        coef = Coefficients(a=lambda t, x: a0, a_x=lambda t, x: 0.0,
-                            lambda_ell=a0, Lambda_ell=a0)
+        coef = _constant_a(sigma**2)
         L = max(rate, abs(kappa))
         driver = Driver(f=lambda t, x, y, z: -rate * np.asarray(y, dtype=float) + kappa * np.asarray(z, dtype=float),
                         L=L, M_growth=L,
-                        g=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)))
+                        g=lambda t, x: _zeros(x))
         payoff = lambda x: np.maximum(strike - np.exp(np.asarray(x, dtype=float)), 0.0)
         obstacle = ObstacleData(h=lambda t, x: payoff(x), phi=payoff,
                                 h_growth=(strike, 0.0))
@@ -176,12 +181,8 @@ def build_family(family: str, params: dict) -> ObstacleProblemSpec:
         c0 = _pop_float(params, "problem.c0", 1.0)
         c1 = _pop_float(params, "problem.c1", 0.0)
         c2 = _pop_float(params, "problem.c2", -1.0)
-        a0 = _pop_float(params, "problem.a0", 1.0)
-        coef = Coefficients(a=lambda t, x: a0, a_x=lambda t, x: 0.0,
-                            lambda_ell=a0, Lambda_ell=a0)
-        driver = Driver(f=lambda t, x, y, z: np.zeros_like(np.asarray(y, dtype=float)),
-                        L=0.0, M_growth=0.0,
-                        g=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)))
+        coef = _constant_a(_pop_float(params, "problem.a0", 1.0))
+        driver = _zero_driver()
 
         def poly(x):
             x = np.asarray(x, dtype=float)

@@ -180,7 +180,7 @@ class PenalizationStudy:
     n_levels: list
     sup_increments: np.ndarray
     norm_increments: np.ndarray
-    distances_to_reference: np.ndarray | None = None
+    distances_to_reference: np.ndarray
 
 
 @dataclass
@@ -473,7 +473,7 @@ def _grad_sq(row: np.ndarray, rho2_mid: np.ndarray, dx: float) -> float:
 
 
 def _fold_ladder(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels, u_before: np.ndarray,
-                 h_field: np.ndarray, ref: np.ndarray | None, inner_tol: float = DEFAULT_INNER_TOL,
+                 h_field: np.ndarray, ref: np.ndarray, inner_tol: float = DEFAULT_INNER_TOL,
                  max_inner: int = DEFAULT_MAX_INNER) -> dict:
     """March the penalty levels ``n_levels`` in lockstep at ``inner_tol`` and
     ``max_inner`` and fold each slice into the study's statistics, per level
@@ -485,24 +485,21 @@ def _fold_ladder(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels, u_bef
     * ``terms``: row k's term of the space-time norm of u_j - u_{j-1};
     * ``gap``: max (h - u_j), at most 0 exactly when r_j = n_j (h - u_j)^+
       is 0 everywhere;
-    * ``dist``: max |u_j - ref|, when a reference field is given;
-    * ``counts``: the inner iterations per step; ``u_last``: the last
-      level's field.
+    * ``dist``: max |u_j - ref|.
 
-    ``done`` is the number of leading levels that completed and ``error``
-    the divergence that stopped the others (None when all did).
+    No level's field is held.  ``done`` is the number of leading levels that
+    completed and ``error`` the divergence that stopped the others (None
+    when all did).
     """
     nl = len(n_levels)
     rho2, rho2_mid = _weight_profile(grid, spec.weight)
     out = {"worst": np.full(nl, np.inf), "at": [None] * nl, "sup": np.zeros(nl),
            "terms": np.zeros((nl, grid.nt + 1)), "gap": np.full(nl, -np.inf),
-           "dist": np.zeros(nl), "counts": np.zeros((nl, grid.nt), dtype=int),
-           "u_last": np.empty((grid.nt + 1, grid.nx + 2)), "done": nl, "error": None}
+           "dist": np.zeros(nl), "done": nl, "error": None}
     worst, at, sup, terms, gap, dist = (out[key] for key in
                                         ("worst", "at", "sup", "terms", "gap", "dist"))
     try:
-        for k, rows, its in _penalized_march(spec, grid, n_levels, h_field, inner_tol,
-                                             max_inner):
+        for k, rows, _ in _penalized_march(spec, grid, n_levels, h_field, inner_tol, max_inner):
             live = len(rows)
             delta = rows - np.concatenate((u_before[k][None], rows[:-1]))
             lo = delta.min(axis=1)
@@ -513,57 +510,50 @@ def _fold_ladder(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels, u_bef
                                + np.sum((np.diff(delta, axis=1) / grid.dx) ** 2 * rho2_mid,
                                         axis=1) * grid.dx) * grid.dt
             gap[:live] = np.maximum(gap[:live], np.max(h_field[k] - rows, axis=1))
-            if ref is not None:
-                dist[:live] = np.maximum(dist[:live], np.max(np.abs(rows - ref[k]), axis=1))
-            if k < grid.nt:
-                out["counts"][:live, k] = its
-            if live == nl:
-                out["u_last"][k] = rows[-1]
+            dist[:live] = np.maximum(dist[:live], np.max(np.abs(rows - ref[k]), axis=1))
     except InnerDivergence as exc:
         out["done"], out["error"] = exc.level, exc
     return out
 
 
 def penalization_study(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedule,
-                       reference: ObstacleSolution | None = None, **tolerances):
-    """Run the penalty schedule, assert nodewise monotone increase, return the limit.
+                       reference: ObstacleSolution, **tolerances) -> PenalizationStudy:
+    """Run the penalty schedule, assert nodewise monotone increase, and record
+    each level's increments and its sup distance to the ``reference`` solution.
 
     The schedule must be nonempty and strictly increasing.  If a level
     produces an exactly inactive penalty (r = 0) the study short-circuits:
-    all later levels solve the same unconstrained problem.  With a
-    ``reference`` solution the study also records each level's sup distance
-    to it.  ``tolerances`` (``inner_tol``, ``max_inner``, as
-    ``solve_penalized`` takes them) reach every level's march.
+    all later levels solve the same unconstrained problem.  ``tolerances``
+    (``inner_tol``, ``max_inner``, as ``solve_penalized`` takes them) reach
+    every level's march.
 
     The first level marches alone, so an inactive obstacle costs one level;
-    the others march in lockstep (``_fold_ladder``), so the only fields held
-    are the first level's and the limit's.  The outcome is that of a
-    level-by-level run: in schedule order each level raises its divergence,
-    then its monotonicity violation against the level before, then ends the
-    study if its penalty is inactive.  A limit other than the first or the
-    last level marches once more, alone.
+    the others march in lockstep (``_fold_ladder``), so the only field held
+    is the first level's.  The outcome is that of a level-by-level run: in
+    schedule order each level raises its divergence, then its monotonicity
+    violation against the level before, then ends the study if its penalty
+    is inactive.
     """
     n_schedule = [int(n) for n in n_schedule]
     if not n_schedule:
         raise ValueError("n_schedule is empty")
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")
-    ref = None if reference is None else reference.u_values
-    limit = solve_penalized(spec, grid, n_schedule[0], **tolerances)
+    first = solve_penalized(spec, grid, n_schedule[0], **tolerances)
+    u_first, active = first.u_values, float(np.max(first.r_values)) != 0.0
+    del first  # the ladder holds the first level's field only
     levels, sups, norms = [n_schedule[0]], [], []
-    dists = [] if ref is None else [float(np.max(np.abs(limit.u_values - ref)))]
+    dists = [float(np.max(np.abs(u_first - reference.u_values)))]
 
-    if len(n_schedule) > 1 and float(np.max(limit.r_values)) != 0.0:
-        ladder, u_first, limit = n_schedule[1:], limit.u_values, None
-        h_field = obstacle_field(spec, grid)
-        folds = _fold_ladder(spec, grid, ladder, u_first, h_field, ref, **tolerances)
-        del u_first
+    if len(n_schedule) > 1 and active:
+        ladder = n_schedule[1:]
+        folds = _fold_ladder(spec, grid, ladder, u_first, obstacle_field(spec, grid),
+                             reference.u_values, **tolerances)
         for j, n in enumerate(ladder):
             if j == folds["done"]:
                 raise folds["error"]
             levels.append(n)
-            if ref is not None:
-                dists.append(float(folds["dist"][j]))
+            dists.append(float(folds["dist"][j]))
             worst = float(folds["worst"][j])
             if worst < -DEFAULT_MONO_TOL:
                 k, i = folds["at"][j]
@@ -576,22 +566,10 @@ def penalization_study(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedul
             norms.append(float(np.sqrt(np.cumsum(folds["terms"][j])[-1])))
             if folds["gap"][j] <= 0.0:
                 break
-        if j < len(ladder) - 1:
-            limit = solve_penalized(spec, grid, n, **tolerances)
-        else:
-            u = folds["u_last"]
-            limit = PenalizedSolution(n_penalty=n, u_values=u,
-                                      r_values=float(n) * np.maximum(h_field - u, 0.0),
-                                      inner_iteration_counts=folds["counts"][j])
 
-    limit = as_obstacle_solution(spec, grid, limit)
-    limit.method = "penalized-limit"
-    study = PenalizationStudy(
-        n_levels=levels,
-        sup_increments=np.asarray(sups), norm_increments=np.asarray(norms),
-        distances_to_reference=np.asarray(dists) if reference is not None else None,
-    )
-    return limit, study
+    return PenalizationStudy(n_levels=levels, sup_increments=np.asarray(sups),
+                             norm_increments=np.asarray(norms),
+                             distances_to_reference=np.asarray(dists))
 
 
 # ---------------------------------------------------------------------------

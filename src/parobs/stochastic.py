@@ -724,9 +724,9 @@ class LsmcEstimate:
         raise InnerDivergence(f"LSMC driver iteration stalled at level n = {self.n_penalty}")
 
 
-def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree: int,
-                 n_penalty: float) -> LsmcEstimate:
-    """The LSMC backward loop at penalty level ``n_penalty`` (inf: reflected).
+def _mc_backward(ensemble: PathEnsemble, basis_degree: int, n_penalty: float) -> LsmcEstimate:
+    """The LSMC backward loop at penalty level ``n_penalty`` (inf: reflected),
+    for the problem the ensemble was simulated under.
 
     The regression target is the realized per-path value V, not the fitted
     field: exercising (or penalizing against) the realized rollforward keeps
@@ -744,8 +744,8 @@ def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree
         raise ValueError("regression schemes need at least 1000 paths")
     n, m = ensemble.n_steps, ensemble.path_count
     dt = ensemble.dt_path
-    obs = spec.obstacle
-    f = spec.driver.f
+    obs = ensemble.spec.obstacle
+    f = ensemble.spec.driver.f
     est = LsmcEstimate(n_penalty=float(n_penalty), Y0=float("nan"), ci=float("nan"),
                        coef=np.zeros((n, 2, basis_degree + 1)), K_T=np.zeros(m),
                        ensemble=ensemble, basis_degree=basis_degree)
@@ -791,8 +791,7 @@ def _mc_backward(spec: ObstacleProblemSpec, ensemble: PathEnsemble, basis_degree
     return est
 
 
-def rbsde_penalized_mc(spec: ObstacleProblemSpec, ensemble: PathEnsemble, n_penalty: int,
-                       basis_degree: int = 3) -> LsmcEstimate:
+def rbsde_penalized_mc(ensemble: PathEnsemble, n_penalty: int, basis_degree: int) -> LsmcEstimate:
     """Least-squares Monte Carlo for the BSDE with driver f + n (y - h)^-.
 
     The stiff penalty is resolved per path by the exact scalar implicit step,
@@ -801,14 +800,13 @@ def rbsde_penalized_mc(spec: ObstacleProblemSpec, ensemble: PathEnsemble, n_pena
     """
     if not n_penalty >= 1:   # NaN too
         raise ValueError(f"n_penalty must be >= 1, got {n_penalty}")
-    return _mc_backward(spec, ensemble, basis_degree, n_penalty)
+    return _mc_backward(ensemble, basis_degree, n_penalty)
 
 
-def rbsde_reflected_mc(spec: ObstacleProblemSpec, ensemble: PathEnsemble,
-                       basis_degree: int = 3) -> LsmcEstimate:
+def rbsde_reflected_mc(ensemble: PathEnsemble, basis_degree: int) -> LsmcEstimate:
     """Discretely reflected LSMC, the level n = inf: Y = max(h, continuation
     + dt f), and K grows by the reflection deficit only where the obstacle binds."""
-    return _mc_backward(spec, ensemble, basis_degree, math.inf)
+    return _mc_backward(ensemble, basis_degree, math.inf)
 
 
 @dataclass
@@ -820,8 +818,8 @@ class ConvergenceTable:
     k_ci: np.ndarray
 
 
-def penalization_convergence_mc(spec: ObstacleProblemSpec, ensemble: PathEnsemble,
-                                n_schedule, basis_degree: int = 3) -> ConvergenceTable:
+def penalization_convergence_mc(ensemble: PathEnsemble, n_schedule,
+                                basis_degree: int) -> ConvergenceTable:
     """Sup-in-time estimator distances between the penalized and reflected
     schemes under common random numbers, per penalty level.
 
@@ -831,8 +829,8 @@ def penalization_convergence_mc(spec: ObstacleProblemSpec, ensemble: PathEnsembl
     built once for all of them.  Y carries no terminal row: it is phi(X_T)
     in both schemes, a distance of 0.
     """
-    ref = rbsde_reflected_mc(spec, ensemble, basis_degree)
-    pens = [rbsde_penalized_mc(spec, ensemble, int(n), basis_degree) for n in n_schedule]
+    ref = rbsde_reflected_mc(ensemble, basis_degree)
+    pens = [rbsde_penalized_mc(ensemble, int(n), basis_degree) for n in n_schedule]
     m, n_steps = ensemble.path_count, ensemble.n_steps
     slices = [slice(None)] + _batch_slices(m)
 
@@ -898,15 +896,16 @@ def snell_envelope_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     return float(V[x_index])
 
 
-def optimal_stopping_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
-                           sol: ObstacleSolution, ensemble: PathEnsemble,
-                           s: float, x: float) -> StoppingValue:
-    """Value of the first-contact stopping rule versus the exhaustive chain value.
+def optimal_stopping_value(grid: SpaceTimeGrid, sol: ObstacleSolution,
+                           ensemble: PathEnsemble) -> StoppingValue:
+    """Value of the first-contact stopping rule versus the exhaustive chain
+    value, both from the ensemble's start (s, x) under its problem.
 
     The rule stops at the first time u(t, X_t) touches the obstacle (within
     the contact tolerance); its value is estimated along the ensemble, with
     the running reward read from the solved field.
     """
+    spec, s, x = ensemble.spec, ensemble.s, ensemble.x_start
     h_field = obstacle_field(spec, grid)
     ctol = _contact_tol(spec, h_field)
     gap_field = sol.u_values - h_field
@@ -937,7 +936,8 @@ def optimal_stopping_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
         reward[alive] += np.asarray(spec.obstacle.phi(xk[alive]), dtype=float)  # xk is X_T
 
     rule_value = float(reward.mean())
-    rule_ci = 1.96 * float(reward.std(ddof=1)) / np.sqrt(m) if m > 1 else 0.0
+    with np.errstate(over="ignore"):  # an overflowing spread stays inf for the CSV writer to refuse
+        rule_ci = 1.96 * float(reward.std(ddof=1)) / np.sqrt(m) if m > 1 else 0.0
     s_index = int(np.clip(round(s / grid.dt), 0, grid.nt - 1))
     x_index = int(np.clip(round((x - grid.x_nodes[0]) / grid.dx), 0, grid.nx + 1))
     snell = snell_envelope_value(spec, grid, frozen_driver_field(spec, grid, sol.u_values),

@@ -154,7 +154,7 @@ class VerifyContext:
 
     @cached_property
     def sweep(self) -> PathSweep:
-        return _path_sweep(self.spec, self.grid, self.sol, self.lsmc)
+        return _path_sweep(self.grid, self.sol, self.lsmc)
 
     @cached_property
     def chain(self) -> RbsdeEstimate:
@@ -180,7 +180,7 @@ class VerifyContext:
     def _fit(self, s_idx: int, x_idx: int, seed: int) -> LsmcEstimate:
         ens = simulate_paths(self.spec, float(self.grid.t_nodes[s_idx]),
                              float(self.grid.x_nodes[x_idx]), self.dt_path, self.paths, seed)
-        return rbsde_reflected_mc(self.spec, ens, self.basis_degree)
+        return rbsde_reflected_mc(ens, self.basis_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -367,17 +367,18 @@ class PathSweep(NamedTuple):
     k_tilde: np.ndarray      # per-path K~_T = int r(t, X_t) dt
 
 
-def _path_sweep(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, sol: ObstacleSolution,
-                mc: LsmcEstimate) -> PathSweep:
-    """The ``PathSweep`` of the ensemble of ``mc``, in one forward pass.
+def _path_sweep(grid: SpaceTimeGrid, sol: ObstacleSolution, mc: LsmcEstimate) -> PathSweep:
+    """The ``PathSweep`` of the ensemble of ``mc``, in one forward pass,
+    under the ensemble's problem.
 
     Per date: one row of X and dW from the ensemble's forward reader, whose
     helper steps the next date meanwhile, one interpolation stencil that
     serves u, sigma Du and r, and the fit's Z from that row.  Each row is
     used only at its own date; the terminal row gives phi(X_T).
     """
-    z_grid = z_field(spec, grid, sol.u_values)
     ensemble = mc.ensemble
+    spec = ensemble.spec
+    z_grid = z_field(spec, grid, sol.u_values)
     n, m = ensemble.n_steps, ensemble.path_count
     dt = ensemble.dt_path
     z_mse = 0.0
@@ -450,11 +451,14 @@ def check_weighted_bounds(ctx: VerifyContext) -> CheckReport:
     lo, hi = ctx.calibration["weighted_lo"], ctx.calibration["weighted_hi"]
     rho = spec.weight.rho(grid.x_nodes)
 
-    # the rho dx start measure over interior starts, carried to every slice
+    # the rho dx start measure over interior starts, carried to every slice;
+    # the running-data sums fold each slice as it comes, the last one is kept
     w0 = np.zeros(grid.nx + 2)
     w0[1:-1] = grid.dx * rho[1:-1]
-    evo = list(evolve_law(spec, grid, w0, 0))
-    w_final = evo[-1][1]
+    g_num = g_den = 0.0
+    for _, w_final in evolve_law(spec, grid, w0, 0):
+        g_num += float(np.sum(w_final)) * grid.dt
+        g_den += float(np.sum(rho[1:-1]) * grid.dx) * grid.dt
 
     rows = {}
     worst = 0.0
@@ -466,10 +470,6 @@ def check_weighted_bounds(ctx: VerifyContext) -> CheckReport:
         rows[name] = R
         worst = max(worst, R / hi, lo / R if R > 0 else float("inf"))
 
-    g_num = g_den = 0.0
-    for _, w in evo:
-        g_num += float(np.sum(w)) * grid.dt
-        g_den += float(np.sum(rho[1:-1]) * grid.dx) * grid.dt
     R_g = g_num / g_den if g_den > 0 else float("inf")
     worst = max(worst, R_g / hi, lo / R_g if R_g > 0 else float("inf"))
 

@@ -459,13 +459,13 @@ def lone_penalized(spec, grid, n_penalty, inner_tol=1e-11, max_inner=200):
                              inner_iteration_counts=counts)
 
 
-def sequential_penalization_study(spec, grid, n_schedule, inner_tol=1e-11, reference=None):
+def sequential_penalization_study(spec, grid, n_schedule, reference, inner_tol=1e-11):
     """The penalization study as a loop over the levels, each solved whole by
     ``lone_penalized`` and compared with the one before: the loop the package
-    ran before it marched the levels in lockstep.  Returns (limit, study)."""
+    ran before it marched the levels in lockstep."""
     from parobs.errors import MonotonicityViolation
     from parobs.solver import (DEFAULT_MONO_TOL, PenalizationStudy, _grad_sq, _l2_sq,
-                               _weight_profile, as_obstacle_solution)
+                               _weight_profile)
 
     def space_time_norm(fld):
         rho2, rho2_mid = _weight_profile(grid, spec.weight)
@@ -480,8 +480,7 @@ def sequential_penalization_study(spec, grid, n_schedule, inner_tol=1e-11, refer
     for n in n_schedule:
         sol = lone_penalized(spec, grid, n, inner_tol=inner_tol)
         levels.append(n)
-        if reference is not None:
-            dists.append(float(np.max(np.abs(sol.u_values - reference.u_values))))
+        dists.append(float(np.max(np.abs(sol.u_values - reference.u_values))))
         if prev is not None:
             delta = sol.u_values - prev.u_values
             worst = float(delta.min())
@@ -496,11 +495,9 @@ def sequential_penalization_study(spec, grid, n_schedule, inner_tol=1e-11, refer
         prev = sol
         if float(np.max(sol.r_values)) == 0.0:
             break
-    limit = as_obstacle_solution(spec, grid, prev)
-    limit.method = "penalized-limit"
-    return limit, PenalizationStudy(
+    return PenalizationStudy(
         n_levels=levels, sup_increments=np.asarray(sups), norm_increments=np.asarray(norms),
-        distances_to_reference=np.asarray(dists) if reference is not None else None)
+        distances_to_reference=np.asarray(dists))
 
 
 def sequential_minimality(spec, grid, sol, n_schedule):

@@ -18,15 +18,20 @@ import parobs
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "parobs"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-MAX_DEFAULTED = 25
+MAX_DEFAULTED = 21
 # parameters no caller set, folded into module constants, the checks' shared
 # objects and Monte Carlo settings, and their calibrated budgets, which they
-# now read from a ``VerifyContext``, and the provenance and start node nothing read
+# now read from a ``VerifyContext``, the provenance and start node nothing read,
+# and the problem and start the Monte Carlo routines read from their ensemble
 REMOVED = {
     "grid.solve_density": ("mass_tol",),
     "problem.lipschitz_probe": ("t_range", "x_range", "value_scale"),
     "stochastic.rbsde_chain_dp": ("x_index",),
     "solver.penalization_study": ("mono_tol",),
+    "stochastic.rbsde_reflected_mc": ("spec",),
+    "stochastic.rbsde_penalized_mc": ("spec",),
+    "stochastic.penalization_convergence_mc": ("spec",),
+    "stochastic.optimal_stopping_value": ("spec", "s", "x"),
     "solver.picard_outer": ("max_outer", "outer_tol"),
     "solver.obstacle_stability": ("delta", "stability_C"),
     "verify.check_representation_u": ("mc_params", "sol", "probe0_mc", "chain",
@@ -108,13 +113,23 @@ def test_folded_parameters_stay_gone():
     back = [(q, p) for q, names in REMOVED.items() for p in names if p in _parameters(q)]
     assert back == []
     assert not hasattr(importlib.import_module("parobs.stochastic"), "solution_reward_field")
+    # the study's reference is required; the Monte Carlo fits and the path
+    # sweep take their problem from the ensemble, and nothing defaults a basis
+    assert _parameters("solver.penalization_study")["reference"].default is inspect.Parameter.empty
+    stochastic = importlib.import_module("parobs.stochastic")
     verify = importlib.import_module("parobs.verify")
+    assert "spec" not in inspect.signature(stochastic._mc_backward).parameters
+    assert list(inspect.signature(verify._path_sweep).parameters) == ["grid", "sol", "mc"]
+    assert [q for q in ("stochastic.rbsde_reflected_mc", "stochastic.rbsde_penalized_mc",
+                        "stochastic.penalization_convergence_mc")
+            if _parameters(q)["basis_degree"].default is not inspect.Parameter.empty] == []
     assert not hasattr(verify, "_chain_from") and not hasattr(verify, "_density_from")
     assert set(inspect.signature(verify.VerifyContext).parameters) == {
         "spec", "grid", "mc_params", "calibration", "tolerances"}
     grid = importlib.import_module("parobs.grid")
     solver = importlib.import_module("parobs.solver")
-    stochastic = importlib.import_module("parobs.stochastic")
+    assert [f.name for f in dataclasses.fields(solver.PenalizationStudy)
+            if f.default is not dataclasses.MISSING] == []
     never_read = [(verify.CheckReport, "provenance"), (grid.TransitionKernel, "t_index"),
                   (grid.DensityTable, "s_index"), (solver.PenalizationStudy, "monotone"),
                   (stochastic.RbsdeEstimate, "scheme"), (stochastic.RbsdeEstimate, "ci"),

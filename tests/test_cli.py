@@ -1,3 +1,6 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -151,22 +154,27 @@ def test_zero_paths_exits_2_instead_of_writing_nan(tmp_path):
 
 def test_a_nonfinite_result_exits_3_without_a_csv(tmp_path, capsys):
     """``problem.value = 1e300`` overflows the stopping rule's sample
-    variance, so ``rule_ci`` is inf: ``stop-value`` exits 3 with one
-    ``error:`` line and writes no stop_value.csv.  Every short table's
-    lines refuse NaN and inf alike."""
+    variance, so ``rule_ci`` is inf: ``stop-value`` exits 3, its whole
+    stderr the one ``error:`` line with no numpy warning above it, and
+    writes no stop_value.csv.  Every short table's lines refuse NaN and inf
+    alike."""
     from parobs.cli import _csv_line
     from parobs.errors import NonFiniteOutput
+
+    def to_stderr(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
     cfg = tmp_path / "huge_value.cfg"
     cfg.write_text(scenario_path("constant").read_text().replace("problem.value = 1.0",
                                                                  "problem.value = 1e300"))
-    with np.errstate(over="ignore"):   # the variance squares deviations near 1e284
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = to_stderr   # printed as a command-line run prints them
         code = run(["--scenario", cfg, "--out", tmp_path / "o", "stop-value"])
     assert code == 3
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert [line.split(" detail=")[0] for line in err.splitlines()
-            if line.startswith("error:")] == ["error: code=3 kind=NonFiniteOutput"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: code=3 kind=NonFiniteOutput detail=") and ",inf," in err[0]
     assert not (tmp_path / "o" / "stop_value.csv").exists()
     assert _csv_line(("check", 3, 1.5, np.float64(-2.0))) == "check,3,1.5,-2\n"
     for bad in (np.nan, np.inf, -np.inf, np.float64("nan")):
@@ -369,7 +377,7 @@ def test_verify_representation_u_matches_unshared_probes(tmp_path):
     assert (probes[0]["s"], probes[0]["x"]) == (0.0, float(ctx.grid.x_nodes[ctx.x_index]))
     for j, row in enumerate(probes):
         ens = simulate_paths(ctx.spec, row["s"], row["x"], ctx.dt_path, ctx.paths, ctx.seed + j)
-        own = rbsde_reflected_mc(ctx.spec, ens, ctx.basis_degree)
+        own = rbsde_reflected_mc(ens, ctx.basis_degree)
         assert (row["mc_Y0"], row["mc_ci"]) == (own.Y0, own.ci)
 
 
@@ -412,8 +420,8 @@ def test_ac_measure_one_stencil_matches_three_interpolation_passes(tmp_path):
     ens = simulate_paths(spec, 0.0, 0.0, 0.0125, 3000, seed=11)
     assert min(float(xk.min()) for xk in ens.rows()) < spec.x_lo
     assert max(float(xk.max()) for xk in ens.rows()) > spec.x_hi
-    mc = rbsde_reflected_mc(spec, ens, 3)
-    z_mse, residual, k_tilde = _path_sweep(spec, grid, sol, mc)
+    mc = rbsde_reflected_mc(ens, 3)
+    z_mse, residual, k_tilde = _path_sweep(grid, sol, mc)
     stored = stored_simulate_paths(spec, 0.0, 0.0, 0.0125, 3000, seed=11)
     ref_residual, ref_k_tilde = three_pass_ac_path_sums(spec, grid, stored, sol)
     assert np.array_equal(residual, ref_residual)

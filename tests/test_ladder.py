@@ -59,17 +59,10 @@ def test_lockstep_levels_are_their_lone_marches(name, request):
             assert np.array_equal(counts[level], sol.inner_iteration_counts)
 
 
-def _assert_same_study(got, want):
-    (limit, study), (ref_limit, ref_study) = got, want
+def _assert_same_study(study, ref_study):
     assert study.n_levels == ref_study.n_levels
     for key in ("sup_increments", "norm_increments", "distances_to_reference"):
         assert np.array_equal(getattr(study, key), getattr(ref_study, key)), key
-    assert limit.method == ref_limit.method == "penalized-limit"
-    for key in ("u_values", "r_values", "contact_mask"):
-        assert np.array_equal(getattr(limit, key), getattr(ref_limit, key)), key
-    assert limit.diagnostics["n_penalty"] == ref_limit.diagnostics["n_penalty"]
-    assert np.array_equal(limit.diagnostics["inner_iteration_counts"],
-                          ref_limit.diagnostics["inner_iteration_counts"])
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -77,21 +70,20 @@ def test_study_and_minimality_equal_their_level_loops(name, request):
     sc = request.getfixturevalue(name)
     grid = _grid(sc.spec)
     ctx = VerifyContext(sc.spec, grid, sc.mc_params)
-    _assert_same_study(penalization_study(sc.spec, grid, STUDY, reference=ctx.sol),
-                       sequential_penalization_study(sc.spec, grid, STUDY, reference=ctx.sol))
-    _assert_same_study(penalization_study(sc.spec, grid, STUDY[:1]),
-                       sequential_penalization_study(sc.spec, grid, STUDY[:1]))
+    _assert_same_study(penalization_study(sc.spec, grid, STUDY, ctx.sol),
+                       sequential_penalization_study(sc.spec, grid, STUDY, ctx.sol))
+    _assert_same_study(penalization_study(sc.spec, grid, STUDY[:1], ctx.sol),
+                       sequential_penalization_study(sc.spec, grid, STUDY[:1], ctx.sol))
     rep = check_minimality(ctx, MINIMALITY)
     overshoot, gap = sequential_minimality(sc.spec, grid, ctx.sol, MINIMALITY)
     assert (rep.details["overshoot"], rep.details["final_gap"]) == (overshoot, gap)
     assert rep.discrepancy == max(overshoot / solver_mod.DEFAULT_MONO_TOL, gap / 1e-3)
 
 
-def test_a_limit_inside_the_schedule_marches_again(monkeypatch, put_scenario):
-    """A level past the first whose penalty is inactive ends the study; when
-    it is not the last level its field, never held by the ladder, is marched
-    again alone.  Forced here on the put at level 256: the study must equal
-    the level loop run up to 256."""
+def test_an_inactive_level_inside_the_schedule_ends_the_study(monkeypatch, put_scenario):
+    """A level past the first whose penalty is inactive ends the study.
+    Forced here on the put at level 256: the study must equal the level loop
+    run up to 256."""
     spec = put_scenario.spec
     grid = _grid(spec)
     fold = solver_mod._fold_ladder
@@ -103,9 +95,8 @@ def test_a_limit_inside_the_schedule_marches_again(monkeypatch, put_scenario):
 
     monkeypatch.setattr(solver_mod, "_fold_ladder", inactive_at_256)
     ref = solve_psor(spec, grid)
-    _assert_same_study(penalization_study(spec, grid, STUDY, reference=ref),
-                       sequential_penalization_study(spec, grid, [16, 32, 64, 128, 256],
-                                                     reference=ref))
+    _assert_same_study(penalization_study(spec, grid, STUDY, ref),
+                       sequential_penalization_study(spec, grid, [16, 32, 64, 128, 256], ref))
 
 
 def _with_trigger(spec, grid, node, triggers):
@@ -140,9 +131,9 @@ def test_later_level_divergence_raises_as_the_level_loop(put_scenario):
     grid = SpaceTimeGrid.build(spec, 40, 20)
     bad = _with_trigger(spec, grid, 15, {0: 0.4148, 5: 0.4151})
     want = (InnerDivergence, "penalized inner iteration (n = 256) diverged at step 0")
-    assert _raised(lambda: sequential_penalization_study(bad, grid, STUDY)) == want
-    assert _raised(lambda: penalization_study(bad, grid, STUDY)) == want
     sol = solve_psor(spec, grid)
+    assert _raised(lambda: sequential_penalization_study(bad, grid, STUDY, sol)) == want
+    assert _raised(lambda: penalization_study(bad, grid, STUDY, sol)) == want
     assert _raised(lambda: sequential_minimality(bad, grid, sol, MINIMALITY)) == want
     ctx = VerifyContext(bad, grid, put_scenario.mc_params)
     ctx.sol = sol
@@ -173,9 +164,10 @@ def test_errors_keep_the_level_loop_order(schedule, threshold, kind):
     spec = _non_monotone_spec()
     grid = SpaceTimeGrid.build(spec, 8, 10)
     bad = _with_trigger(spec, grid, 1, {0: threshold})
-    want = _raised(lambda: sequential_penalization_study(bad, grid, schedule))
+    ref = solve_psor(spec, grid)
+    want = _raised(lambda: sequential_penalization_study(bad, grid, schedule, ref))
     assert want[0] is kind
-    assert _raised(lambda: penalization_study(bad, grid, schedule)) == want
+    assert _raised(lambda: penalization_study(bad, grid, schedule, ref)) == want
 
 
 def test_minimality_holds_less_than_one_field(sine_scenario):

@@ -163,11 +163,12 @@ def test_put_solution_structure(put_scenario):
 def test_penalization_monotone_and_gap(put_scenario):
     spec = put_scenario.spec
     grid = SpaceTimeGrid.build(spec, 100, 80)
-    limit, study = penalization_study(spec, grid, [2**j for j in range(4, 13, 2)])
-    assert np.all(np.diff(study.sup_increments) < 0)
     psor = solve_psor(spec, grid)
+    study = penalization_study(spec, grid, [2**j for j in range(4, 13, 2)], psor)
+    assert np.all(np.diff(study.sup_increments) < 0)
+    limit = solve_penalized(spec, grid, study.n_levels[-1])
     assert np.max(limit.u_values - psor.u_values) <= 1e-7  # approach from below
-    assert np.max(np.abs(limit.u_values - psor.u_values)) <= 2e-3
+    assert study.distances_to_reference[-1] <= 2e-3
     # gap shrinks like 1/n against the psor oracle
     gaps = [np.abs(solve_penalized(spec, grid, n).u_values - psor.u_values).max()
             for n in (256, 1024, 4096)]
@@ -178,9 +179,9 @@ def test_penalization_monotone_and_gap(put_scenario):
 def test_penalization_study_short_circuits_when_inactive(heat_scenario):
     spec = heat_scenario.spec
     grid = SpaceTimeGrid.build(spec, 60, 40)
-    limit, study = penalization_study(spec, grid, [16, 32, 64, 128])
+    study = penalization_study(spec, grid, [16, 32, 64, 128], solve_psor(spec, grid))
     assert study.n_levels == [16]
-    assert np.max(limit.r_values) == 0.0
+    assert np.max(solve_penalized(spec, grid, study.n_levels[-1]).r_values) == 0.0
     assert study.sup_increments.size == 0
 
 
@@ -204,7 +205,7 @@ def test_monotonicity_violation_guard():
                       x_lo=-3.0, x_hi=3.0, h_growth=(1.0, 0.0))
     grid = SpaceTimeGrid.build(spec, 8, 10)
     with pytest.raises(MonotonicityViolation, match="between n = 2 and n = 4"):
-        penalization_study(spec, grid, [2, 4, 8])
+        penalization_study(spec, grid, [2, 4, 8], solve_psor(spec, grid))
 
 
 def test_inner_divergence_for_stiff_driver():

@@ -358,8 +358,8 @@ def _k_cumulative(dK):
 def test_mc_schemes_exact_on_constant(constant_scenario):
     spec = constant_scenario.spec
     ens = simulate_paths(spec, 0.0, 0.0, 0.05, 4000, seed=21)
-    for est in (rbsde_reflected_mc(spec, ens, 2),
-                rbsde_penalized_mc(spec, ens, 64, 2)):
+    for est in (rbsde_reflected_mc(ens, 2),
+                rbsde_penalized_mc(ens, 64, 2)):
         _, Z, dK = _fields(est)
         assert est.Y0 == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(dK)) <= 1e-12
@@ -370,7 +370,7 @@ def test_mc_schemes_exact_on_constant(constant_scenario):
 def test_penalized_mc_inactive_collapses_to_terminal_mean(heat_scenario):
     spec = heat_scenario.spec
     ens = simulate_paths(spec, 0.0, 0.0, 0.05, 4000, seed=22)
-    est = rbsde_penalized_mc(spec, ens, 256, 3)
+    est = rbsde_penalized_mc(ens, 256, 3)
     _, _, dK = _fields(est)
     assert est.Y0 == pytest.approx(float(np.mean(spec.obstacle.phi(_terminal(ens)))), abs=1e-12)
     assert np.max(dK) == 0.0
@@ -379,7 +379,7 @@ def test_penalized_mc_inactive_collapses_to_terminal_mean(heat_scenario):
 def test_reflected_mc_contact_everywhere(quad_scenario):
     spec = quad_scenario.spec
     ens = simulate_paths(spec, 0.0, 0.0, spec.T / 100, 20_000, seed=23)
-    est = rbsde_reflected_mc(spec, ens, 3)
+    est = rbsde_reflected_mc(ens, 3)
     Y, _, dK = _fields(est)
     h_vals = np.array([spec.obstacle.h(float(t), xk) for t, xk in zip(ens.t_nodes, ens.rows())])
     # Y sticks to the obstacle except for fit extrapolation at extreme paths
@@ -392,7 +392,7 @@ def test_reflected_mc_contact_everywhere(quad_scenario):
 def test_k_monotone_and_zero_at_start(put_scenario):
     spec = put_scenario.spec
     ens = simulate_paths(spec, 0.0, -0.2, spec.T / 100, 5000, seed=24)
-    for est in (rbsde_reflected_mc(spec, ens, 3), rbsde_penalized_mc(spec, ens, 256, 3)):
+    for est in (rbsde_reflected_mc(ens, 3), rbsde_penalized_mc(ens, 256, 3)):
         K = _k_cumulative(_fields(est)[2])
         assert np.all(K[0] == 0.0)
         assert np.min(np.diff(K, axis=0)) >= 0.0
@@ -403,7 +403,7 @@ def test_k_monotone_and_zero_at_start(put_scenario):
 def test_discrete_skorokhod_flat_off_contact(put_scenario):
     spec = put_scenario.spec
     ens = simulate_paths(spec, 0.0, -0.2, spec.T / 100, 5000, seed=25)
-    est = rbsde_reflected_mc(spec, ens, 3)
+    est = rbsde_reflected_mc(ens, 3)
     for k, x_k, y_k, _, dk_k in _lsmc_rows(est):
         if k == ens.n_steps:
             continue
@@ -416,14 +416,14 @@ def test_regression_singular_for_degenerate_cloud():
     spec = _const_family(a0=1e-30)
     ens = simulate_paths(spec, 0.0, 1.0, 0.1, 1024, seed=26)
     with pytest.raises(RegressionSingular):
-        rbsde_reflected_mc(spec, ens, 3)
+        rbsde_reflected_mc(ens, 3)
 
 
 def test_regression_singular_for_degenerate_cloud_at_origin():
     spec = _const_family(a0=1e-30)
     ens = simulate_paths(spec, 0.0, 0.0, 0.1, 1024, seed=26)
     with pytest.raises(RegressionSingular):
-        rbsde_reflected_mc(spec, ens, 3)
+        rbsde_reflected_mc(ens, 3)
 
 
 def test_regression_singular_for_two_point_cloud():
@@ -459,8 +459,8 @@ def test_lsmc_accessors_match_storing_oracle(name, request):
     x0 = 0.5 * (spec.x_lo + spec.x_hi)
     ens = simulate_paths(spec, 0.0, x0, spec.T / 40, 3000, seed=32)
     stored = stored_simulate_paths(spec, 0.0, x0, spec.T / 40, 3000, seed=32)
-    for n_penalty, est in ((math.inf, rbsde_reflected_mc(spec, ens, 3)),
-                           (256, rbsde_penalized_mc(spec, ens, 256, 3))):
+    for n_penalty, est in ((math.inf, rbsde_reflected_mc(ens, 3)),
+                           (256, rbsde_penalized_mc(ens, 256, 3))):
         Y, Z, dK, y0, ci, slack = storing_lsmc(spec, stored, 3, n_penalty)
         assert (est.Y0, est.ci, est.obstacle_slack) == (y0, ci, slack)
         for k, x_k, y_k, z_k, dk_k in _lsmc_rows(est):
@@ -482,7 +482,7 @@ def test_penalized_dk_matches_the_penalty_increment(put_scenario, n_penalty):
     of the same y up to rounding: within 1e-12 of max|dK| at every date."""
     spec = put_scenario.spec
     ens = simulate_paths(spec, 0.0, 0.0, spec.T / 40, 3000, seed=35)
-    est = rbsde_penalized_mc(spec, ens, n_penalty, 3)
+    est = rbsde_penalized_mc(ens, n_penalty, 3)
     drift, dk_max = 0.0, 0.0
     for k, x_k, y_k, _, dk_k in _lsmc_rows(est):
         if k == ens.n_steps:
@@ -502,7 +502,7 @@ def test_penalized_mc_rejects_a_level_below_one(put_scenario, n_penalty):
     spec = put_scenario.spec
     ens = simulate_paths(spec, 0.0, 0.0, spec.T / 40, 3000, seed=35)
     with pytest.raises(ValueError, match="n_penalty must be >= 1"):
-        rbsde_penalized_mc(spec, ens, n_penalty, 3)
+        rbsde_penalized_mc(ens, n_penalty, 3)
 
 
 def test_lsmc_forms_each_continuation_once(monkeypatch, put_scenario):
@@ -518,7 +518,7 @@ def test_lsmc_forms_each_continuation_once(monkeypatch, put_scenario):
     real = stochastic._fitted
     monkeypatch.setattr(stochastic, "_fitted",
                         lambda *args: calls.append(args[1] is None) or real(*args))
-    est = rbsde_reflected_mc(spec, ens, 3)
+    est = rbsde_reflected_mc(ens, 3)
     assert len(calls) == 2 * ens.n_steps
     Y, _, _, y0, ci, slack = storing_lsmc(spec, stored, 3)
     assert (est.Y0, est.ci, est.obstacle_slack) == (y0, ci, slack)
@@ -529,7 +529,7 @@ def test_reflected_mc_holds_no_path_by_date_field(put_scenario):
     spec = put_scenario.spec
     ens = simulate_paths(spec, 0.0, 0.0, spec.T / 200, 20_000, seed=33)
     field_bytes = ens.n_steps * ens.path_count * 8  # one (n, m) float64 field: 32 MB
-    est, peak = _traced_peak(lambda: rbsde_reflected_mc(spec, ens, 3))
+    est, peak = _traced_peak(lambda: rbsde_reflected_mc(ens, 3))
     assert peak <= field_bytes / 4
     assert est.coef.shape == (200, 2, 4) and est.K_T.shape == (20_000,)
 
@@ -574,18 +574,18 @@ def test_basis_degree_capped_and_path_floor():
     spec = _const_family()
     ens = simulate_paths(spec, 0.0, 0.0, 0.1, 1200, seed=27)
     with pytest.raises(ValueError):
-        rbsde_reflected_mc(spec, ens, 7)
+        rbsde_reflected_mc(ens, 7)
     with pytest.raises(ValueError, match="0..6"):
-        rbsde_reflected_mc(spec, ens, -1)
+        rbsde_reflected_mc(ens, -1)
     small = simulate_paths(spec, 0.0, 0.0, 0.1, 200, seed=27)
     with pytest.raises(ValueError):
-        rbsde_reflected_mc(spec, small, 3)
+        rbsde_reflected_mc(small, 3)
 
 
 def test_convergence_table_zero_on_constant(constant_scenario):
     spec = constant_scenario.spec
     ens = simulate_paths(spec, 0.0, 0.0, 0.1, 2000, seed=28)
-    tab = penalization_convergence_mc(spec, ens, [4, 16, 64], 2)
+    tab = penalization_convergence_mc(ens, [4, 16, 64], 2)
     assert np.max(tab.y_distance) <= 1e-12
     assert np.max(tab.k_distance) <= 1e-12
 
@@ -593,7 +593,7 @@ def test_convergence_table_zero_on_constant(constant_scenario):
 def test_convergence_table_inactive_within_noise(heat_scenario):
     spec = heat_scenario.spec
     ens = simulate_paths(spec, 0.0, 0.0, 0.05, 4000, seed=29)
-    tab = penalization_convergence_mc(spec, ens, [16, 256], 3)
+    tab = penalization_convergence_mc(ens, [16, 256], 3)
     assert np.max(tab.y_distance) <= 1e-10
     assert np.max(tab.k_distance) <= 1e-10
 
@@ -615,7 +615,7 @@ def test_convergence_sweep_builds_each_basis_once(put_scenario, monkeypatch):
 
     real_basis = stochastic._basis
     monkeypatch.setattr(stochastic, "_basis", counted)
-    tab = penalization_convergence_mc(spec, ens, schedule, 3)
+    tab = penalization_convergence_mc(ens, schedule, 3)
     n = ens.n_steps
     # one basis per date k > 0 in each backward pass, then one per date in the sweep
     assert len(calls) == (len(schedule) + 1) * (n - 1) + (n - 1)
@@ -634,7 +634,7 @@ def test_stopping_constant_scenario(constant_scenario):
     grid = SpaceTimeGrid.build(spec, 40, 30)
     sol = solve_psor(spec, grid)
     ens = simulate_paths(spec, 0.0, 0.0, spec.T / 30, 2000, seed=30)
-    sv = optimal_stopping_value(spec, grid, sol, ens, 0.0, 0.0)
+    sv = optimal_stopping_value(grid, sol, ens)
     assert sv.rule_value == pytest.approx(1.0, abs=1e-12)
     assert sv.snell_value == pytest.approx(1.0, abs=1e-12)
     assert sv.gap <= 1e-12
@@ -645,7 +645,7 @@ def test_stopping_inactive_obstacle_never_stops(heat_scenario):
     grid = SpaceTimeGrid.build(spec, 100, 80)
     sol = solve_psor(spec, grid)
     ens = simulate_paths(spec, 0.0, 0.0, spec.T / 80, 20_000, seed=31)
-    sv = optimal_stopping_value(spec, grid, sol, ens, 0.0, 0.0)
+    sv = optimal_stopping_value(grid, sol, ens)
     # rule never triggers: value = E phi(X_T), the plain solution
     ix = int(round((0.0 - grid.x_nodes[0]) / grid.dx))
     assert abs(sv.rule_value - sol.u_values[0, ix]) <= 3.0 * sv.rule_ci + 5e-3
@@ -675,8 +675,8 @@ def test_estimates_deterministic_for_fixed_inputs(put_scenario):
     spec = put_scenario.spec
     e1 = simulate_paths(spec, 0.0, -0.1, spec.T / 50, 4000, seed=99)
     e2 = simulate_paths(spec, 0.0, -0.1, spec.T / 50, 4000, seed=99)
-    a = rbsde_reflected_mc(spec, e1, 3)
-    b = rbsde_reflected_mc(spec, e2, 3)
+    a = rbsde_reflected_mc(e1, 3)
+    b = rbsde_reflected_mc(e2, 3)
     assert a.Y0 == b.Y0 and a.ci == b.ci
     (a_Y, _, a_dK), (b_Y, _, b_dK) = _fields(a), _fields(b)
     assert np.array_equal(a_Y, b_Y) and np.array_equal(a_dK, b_dK)

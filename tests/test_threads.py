@@ -135,10 +135,10 @@ def test_reflected_fit_does_not_depend_on_the_worker_count(put_scenario, workers
         workers(w)
         ens = simulate_paths(spec, 0.0, 0.0, spec.T / 20, 3 * BLOCK_SIZE + 123, seed=8)
         started.clear()
-        fits.append(rbsde_reflected_mc(spec, ens, 3))
+        fits.append(rbsde_reflected_mc(ens, 3))
         assert started == ([] if w == 1 else ["parobs-reader"]), w
         started.clear()
-        tables.append(penalization_convergence_mc(spec, ens, [16, 256], 3))
+        tables.append(penalization_convergence_mc(ens, [16, 256], 3))
         assert started == ([] if w == 1 else ["parobs-reader"] * 4), w   # 3 fits, 1 sweep
     for fit in fits[1:]:
         assert np.array_equal(fit.coef, fits[0].coef)
@@ -183,7 +183,7 @@ def test_a_failing_block_surfaces_in_the_caller(constant_scenario, workers):
             with pytest.raises(ZeroDivisionError, match="^tail block$"):
                 read_all(replaying, backward)
         with pytest.raises(ZeroDivisionError, match="^tail block$"):
-            rbsde_reflected_mc(spec, replaying, 3)
+            rbsde_reflected_mc(replaying, 3)
 
 
 def test_the_lowest_failing_block_wins(constant_scenario, workers):
@@ -317,7 +317,7 @@ def test_a_failing_consumer_surfaces_its_own_error(put_scenario, workers, monkey
         with monkeypatch.context() as patch:
             patch.setattr(stochastic.LsmcEstimate, "_resolve", resolve)
             with pytest.raises(InnerDivergence, match="^stalled at date 7$"):
-                rbsde_reflected_mc(spec, ens, 3)
+                rbsde_reflected_mc(ens, 3)
         assert threading.active_count() == before
         for backward in (True, False):
             with pytest.raises(KeyError, match="date 7"):

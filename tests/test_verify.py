@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from contextlib import closing
 
 import numpy as np
@@ -148,6 +149,22 @@ def test_weighted_bounds_unit_ratio_and_quadrature_oracle(heat_scenario):
     assert np.isfinite(rep.details["kernel_bound_max_ratio"])
 
 
+def test_weighted_bounds_holds_one_law_row(sine_scenario):
+    """The law is carried slice by slice and folded as it comes: at nx = 800
+    the check peaks at its step kernel and a few rows, under half of the
+    nt + 1 law rows that a list of the whole law held (120 rows)."""
+    spec = sine_scenario.spec
+    grid = SpaceTimeGrid.build(spec, 800, 100)
+    ctx = VerifyContext(spec, grid, sine_scenario.mc_params)
+    tracemalloc.start()
+    try:
+        check_weighted_bounds(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * grid.nt * (grid.nx + 2) * 8
+
+
 def test_minimality_equalities(heat_scenario, quad_scenario):
     grid_h = SpaceTimeGrid.build(heat_scenario.spec, 60, 40)
     rep_h = check_minimality(VerifyContext(heat_scenario.spec, grid_h, heat_scenario.mc_params),
@@ -209,7 +226,7 @@ def test_mc_z_estimator_against_closed_form_gradient(heat_scenario):
     ens = simulate_paths(spec, 0.0, 0.0, spec.T / 100, 20_000, 15)
     from parobs.stochastic import rbsde_reflected_mc
 
-    mc = rbsde_reflected_mc(spec, ens, 3)
+    mc = rbsde_reflected_mc(ens, 3)
     acc = 0.0
     with closing(ens._read(backward=False)) as rows:
         for k, xk, _ in itertools.islice(rows, ens.n_steps):
