@@ -67,11 +67,13 @@ def _load(args) -> tuple[Scenario, SpaceTimeGrid, int]:
     if args.seed is not None and args.seed < 0:
         raise ScenarioError(f"--seed must be non-negative, got {args.seed}")
     sc = load_scenario(args.scenario)
+    # the grid's steps are checked before the hypothesis probes, which
+    # overflow on a truncation no float64 grid can carry
+    grid = SpaceTimeGrid.build(sc.spec, int(sc.grid_params["nx"]), int(sc.grid_params["nt"]))
     report = validate_hypotheses(sc.spec)
     if not report.passed:
         failing = [e.name for e in report.entries if not e.passed]
         raise ScenarioError(f"scenario {sc.name} fails hypotheses: {failing}")
-    grid = SpaceTimeGrid.build(sc.spec, int(sc.grid_params["nx"]), int(sc.grid_params["nt"]))
     seed = args.seed if args.seed is not None else int(sc.mc_params["seed"])
     return sc, grid, seed
 

@@ -64,10 +64,15 @@ class SpaceTimeGrid:
     def build(cls, spec: ObstacleProblemSpec, nx: int, nt: int) -> "SpaceTimeGrid":
         if nx < 1 or nt < 1:
             raise ValueError("nx and nt must be positive")
+        dx, dt = (spec.x_hi - spec.x_lo) / (nx + 1), spec.T / nt
+        # dx * dx, where a float's dx**2 raises OverflowError; past dt Lambda /
+        # dx^2 = 1 / eps the identity in the step matrix I - dt A rounds away
+        if not (0.0 < dx * dx < np.inf and 0.0 < dt < np.inf
+                and dt * spec.coefficients.Lambda_ell * np.finfo(float).eps <= dx * dx):
+            raise ValueError(f"grid steps out of range: dx = {dx:.3g}, dt = {dt:.3g}; "
+                             "need finite dx^2 > 0 and dt Lambda / dx^2 <= 1 / eps")
         x_nodes = np.linspace(spec.x_lo, spec.x_hi, nx + 2)
         t_nodes = np.linspace(0.0, spec.T, nt + 1)
-        dx = (spec.x_hi - spec.x_lo) / (nx + 1)
-        dt = spec.T / nt
         return cls(nx=nx, nt=nt, dx=dx, dt=dt, x_nodes=x_nodes, t_nodes=t_nodes)
 
 

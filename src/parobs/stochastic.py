@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import cho_factor_lower, cho_solve_lower
-from .errors import InnerDivergence, MissingDerivative, RegressionSingular
+from .errors import MissingDerivative, RegressionSingular
 from .grid import SpaceTimeGrid, _full_row, _step_kernels, interp_space_time
 from .problem import ObstacleProblemSpec
 from .solver import (
@@ -61,7 +61,6 @@ from .solver import (
     obstacle_field,
     terminal_field,
     z_field,
-    _abs_max,
     _contact_tol,
     _sigma_row,
 )
@@ -546,7 +545,8 @@ class RbsdeEstimate:
 
 
 def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int) -> RbsdeEstimate:
-    """Exact reflected backward dynamic programming on the grid chain.
+    """Reflected backward dynamic programming on the grid chain, with the
+    explicit step Y = max(h, c), c = cont + dt f(t, x, cont, z).
 
     Conditional expectations are exact kernel applications, so the estimate
     carries no regression noise and no confidence interval.
@@ -567,17 +567,9 @@ def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int)
         j = k - s_index
         cont = kern.apply(Y[j + 1])
         z_proxy = _sigma_row(spec, grid, t) * central_gradient(cont, grid.dx)
-        y = cont.copy()
-        for _ in range(100):
-            c = cont + dt * np.asarray(spec.driver.f(t, grid.x_nodes, y, z_proxy), dtype=float)
-            if np.max(np.abs(c - y)) <= 1e-13 * (1.0 + np.max(np.abs(c))):
-                y = c
-                break
-            y = c
-        else:
-            raise InnerDivergence(f"chain-dp driver iteration stalled at step {k}")
-        Y[j] = np.maximum(h_field[k], y)
-        dK[j] = np.maximum(h_field[k] - y, 0.0)
+        c = cont + dt * np.asarray(spec.driver.f(t, grid.x_nodes, cont, z_proxy), dtype=float)
+        Y[j] = np.maximum(h_field[k], c)
+        dK[j] = np.maximum(h_field[k] - c, 0.0)
         if clamp:
             Y[j, 0], Y[j, -1] = bnd[k]
             dK[j, 0] = dK[j, -1] = 0.0
@@ -672,7 +664,6 @@ class LsmcEstimate:
     K_T: np.ndarray = field(repr=False)
     ensemble: PathEnsemble = field(repr=False)
     basis_degree: int
-    obstacle_slack: float = 0.0
 
     def _z(self, k: int, xk: np.ndarray) -> np.ndarray:
         """Z_k from the row X_k."""
@@ -684,9 +675,9 @@ class LsmcEstimate:
     def _evaluate(self, k: int, xk: np.ndarray, B: np.ndarray | None,
                   cont: np.ndarray | None = None):
         """The date-k update from ``coef[k]`` on the row X_k: fitted
-        continuation and Z, the per-path implicit value step and the K
-        increment.  ``cont``, when given, is the fitted continuation the
-        caller has already formed.
+        continuation and Z, the per-path explicit value step (``_resolve``)
+        and the K increment.  ``cont``, when given, is the fitted
+        continuation the caller has already formed.
 
         Returns (y, c, z, dK, h): fitted value, pre-reflection value, Z,
         K increment and obstacle, one entry per path.  dK = y - c at every
@@ -708,20 +699,16 @@ class LsmcEstimate:
         return h if math.isinf(w) else (a + w * h) / (1.0 + w)
 
     def _resolve(self, t, xk, cont, zk, h_k):
-        """Per-path implicit value update; returns (fitted y, pre-reflection c)."""
-        dt = self.ensemble.dt_path
-        f = self.ensemble.spec.driver.f
-        y = cont
-        c = cont
-        for _ in range(100):
-            c = cont + dt * np.asarray(f(t, xk, y, zk), dtype=float)
-            # exact scalar solve of y = c + dt n (y - h)^-: the penalty is
-            # damped by 1 / (1 + dt n), so the update is stable for all n
-            y_new = np.maximum(self._toward(c, h_k), c)
-            if _abs_max(y_new - y) <= 1e-13 * (1.0 + _abs_max(y_new)):
-                return y_new, c
-            y = y_new
-        raise InnerDivergence(f"LSMC driver iteration stalled at level n = {self.n_penalty}")
+        """Per-path explicit value step; returns (fitted y, pre-reflection c).
+
+        One driver call, at the continuation: c = cont + dt f(t, x, cont, z)
+        (Bouchard and Touzi 2004; Gobet, Lemor and Warin 2005), within order
+        L dt^2 of the step implicit in y.  y = max((c + w h) / (1 + w), c)
+        solves y = c + dt n (y - h)^- exactly, so it is stable for all n.
+        """
+        c = cont + self.ensemble.dt_path * np.asarray(
+            self.ensemble.spec.driver.f(t, xk, cont, zk), dtype=float)
+        return np.maximum(self._toward(c, h_k), c), c
 
 
 def _mc_backward(ensemble: PathEnsemble, basis_degree: int, n_penalty: float) -> LsmcEstimate:
@@ -744,7 +731,6 @@ def _mc_backward(ensemble: PathEnsemble, basis_degree: int, n_penalty: float) ->
         raise ValueError("regression schemes need at least 1000 paths")
     n, m = ensemble.n_steps, ensemble.path_count
     dt = ensemble.dt_path
-    obs = ensemble.spec.obstacle
     f = ensemble.spec.driver.f
     est = LsmcEstimate(n_penalty=float(n_penalty), Y0=float("nan"), ci=float("nan"),
                        coef=np.zeros((n, 2, basis_degree + 1)), K_T=np.zeros(m),
@@ -752,9 +738,7 @@ def _mc_backward(ensemble: PathEnsemble, basis_degree: int, n_penalty: float) ->
 
     with closing(ensemble._read(backward=True)) as rows:
         _, x_n, _ = next(rows)
-        V = np.asarray(obs.phi(x_n), dtype=float)
-        h_n = np.asarray(obs.h(float(ensemble.t_nodes[n]), x_n), dtype=float)
-        slack = max(0.0, float(np.max(h_n - V)))
+        V = np.asarray(ensemble.spec.obstacle.phi(x_n), dtype=float)
         for k, xk, dw in rows:
             t = float(ensemble.t_nodes[k])
             proj = _Projection(xk, basis_degree) if k > 0 else _StartProjection(basis_degree)
@@ -776,27 +760,25 @@ def _mc_backward(ensemble: PathEnsemble, basis_degree: int, n_penalty: float) ->
                     yb, _ = est._resolve(t, xk[sl], cont_b, zk_b, h_k[sl])
                     batch_y0.append(float(yb.mean()))
             vstar = V + dt * np.asarray(f(t, xk, y_fit, zk), dtype=float)
-            # same implicit scalar map applied to the realized value on the
-            # fitted active set, so accumulated regression noise is damped
+            # the value step's penalty map applied to the realized value on
+            # the fitted active set, so accumulated regression noise is damped
             # toward h instead of compounding through the stiff penalty
             V = np.where(h_k >= c_fit, est._toward(vstar, h_k), vstar)
             est.K_T += dk
-            slack = max(slack, float(np.max(h_k - y_fit)))
             # the next date's update runs with no other row of this one held
             del z_target, c_fit, zk, dk, h_k, vstar
 
     est.Y0 = float(y_fit.mean())
     est.ci = 1.96 * float(np.std(batch_y0, ddof=1)) / np.sqrt(len(batch_y0))
-    est.obstacle_slack = slack
     return est
 
 
 def rbsde_penalized_mc(ensemble: PathEnsemble, n_penalty: int, basis_degree: int) -> LsmcEstimate:
     """Least-squares Monte Carlo for the BSDE with driver f + n (y - h)^-.
 
-    The stiff penalty is resolved per path by the exact scalar implicit step,
-    and K grows by Y - C per date, which is n (Y - h)^- dt.  The level must
-    be at least 1.
+    The driver is evaluated at the continuation (the explicit value step),
+    the stiff penalty by its exact scalar implicit step, and K grows by
+    Y - C per date, which is n (Y - h)^- dt.  The level must be at least 1.
     """
     if not n_penalty >= 1:   # NaN too
         raise ValueError(f"n_penalty must be >= 1, got {n_penalty}")
@@ -804,8 +786,8 @@ def rbsde_penalized_mc(ensemble: PathEnsemble, n_penalty: int, basis_degree: int
 
 
 def rbsde_reflected_mc(ensemble: PathEnsemble, basis_degree: int) -> LsmcEstimate:
-    """Discretely reflected LSMC, the level n = inf: Y = max(h, continuation
-    + dt f), and K grows by the reflection deficit only where the obstacle binds."""
+    """Discretely reflected LSMC, the level n = inf: Y = max(h, C + dt f(t, X,
+    C, Z)), C the continuation; K grows by the deficit where the obstacle binds."""
     return _mc_backward(ensemble, basis_degree, math.inf)
 
 

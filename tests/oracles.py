@@ -199,15 +199,21 @@ def lstsq_polynomial_fit(x, y, degree):
     return design @ coef
 
 
-def storing_lsmc(spec, ensemble, basis_degree, n_penalty=math.inf):
+def storing_lsmc(spec, ensemble, basis_degree, n_penalty=math.inf, implicit=False):
     """The LSMC backward loop with every field stored: Y (n + 1, m), Z and dK
-    (n, m), plus Y0, its batch CI and the obstacle slack.
+    (n, m), plus Y0 and its batch CI.
 
     ``n_penalty`` is the level n, inf for the reflected scheme; ``ensemble``
     holds X whole, as ``stored_simulate_paths`` returns it.  Same arithmetic
     as the package schemes, dK = y - c included, but it materializes the
     per-date values as it goes instead of keeping regression coefficients,
     so it is the reference their accessors must reproduce bit for bit.
+
+    With ``implicit`` the value step is the one the package ran before it
+    took the explicit step: the driver iterated to 1e-13 in y, y = max((c +
+    w h) / (1 + w), c) with c = cont + dt f(t, x, y, z), up to 100 times.
+    It is the reference the explicit step is held to within a stated
+    tolerance, and equal to it bit for bit for a driver free of y.
     """
     from parobs.stochastic import _Projection
 
@@ -223,8 +229,10 @@ def storing_lsmc(spec, ensemble, basis_degree, n_penalty=math.inf):
         return h if math.isinf(w) else (a + w * h) / (1.0 + w)
 
     def resolve(t, xk, cont, zk, h_k):
+        if not implicit:
+            c = cont + dt * np.asarray(f(t, xk, cont, zk), dtype=float)
+            return np.maximum(toward(c, h_k), c), c
         y = cont
-        c = cont
         for _ in range(100):
             c = cont + dt * np.asarray(f(t, xk, y, zk), dtype=float)
             y_new = np.maximum(toward(c, h_k), c)
@@ -238,8 +246,6 @@ def storing_lsmc(spec, ensemble, basis_degree, n_penalty=math.inf):
     dK = np.zeros((n, m))
     V = np.asarray(obs.phi(ensemble.X[n]), dtype=float)
     Y[n] = V.copy()
-    h_n = np.asarray(obs.h(float(ensemble.t_nodes[n]), ensemble.X[n]), dtype=float)
-    slack = max(0.0, float(np.max(h_n - Y[n])))
     batch_y0 = None
     for k in range(n - 1, -1, -1):
         t = float(ensemble.t_nodes[k])
@@ -267,10 +273,9 @@ def storing_lsmc(spec, ensemble, basis_degree, n_penalty=math.inf):
         V = np.where(h_k >= c_fit, toward(vstar, h_k), vstar)
         Y[k] = y_fit
         Z[k] = zk
-        slack = max(slack, float(np.max(h_k - y_fit)))
     y0 = float(Y[0].mean())
     ci = 1.96 * float(np.std(batch_y0, ddof=1)) / np.sqrt(len(batch_y0))
-    return Y, Z, dK, y0, ci, slack
+    return Y, Z, dK, y0, ci
 
 
 def stored_convergence_table(spec, ensemble, n_schedule, basis_degree):
@@ -292,11 +297,11 @@ def stored_convergence_table(spec, ensemble, n_schedule, basis_degree):
             K[k + 1] = K[k] + dK[k]
         return K
 
-    Y_ref, _, dK_ref, _, _, _ = storing_lsmc(spec, ensemble, basis_degree)
+    Y_ref, _, dK_ref, _, _ = storing_lsmc(spec, ensemble, basis_degree)
     K_ref = running_k(dK_ref)
     y_sup, k_sup = [], []
     for n_penalty in n_schedule:
-        Y, _, dK, _, _, _ = storing_lsmc(spec, ensemble, basis_degree, n_penalty)
+        Y, _, dK, _, _ = storing_lsmc(spec, ensemble, basis_degree, n_penalty)
         dy, dk = Y[:n] - Y_ref[:n], running_k(dK) - K_ref
         y_sup.append([max(0.0, max(float(np.sqrt(np.mean(d[sl] * d[sl]))) for d in dy))
                       for sl in slices])
@@ -307,6 +312,43 @@ def stored_convergence_table(spec, ensemble, n_schedule, basis_degree):
         return 1.96 * np.std(batches, axis=1, ddof=1) / np.sqrt(batches.shape[1])
 
     return y_sup[:, 0], k_sup[:, 0], ci(y_sup[:, 1:]), ci(k_sup[:, 1:])
+
+
+def implicit_chain_dp(spec, grid, s_index):
+    """Chain-dp's (Y, dK) with the value step implicit in the driver's y: per
+    slice ``c = cont + dt f(t, x, y, z)`` iterated from y = cont to 1e-13,
+    up to 100 times, then Y = max(h, c), as the package computed it before
+    it took the explicit step ``f(t, x, cont, z)``.  The reference the
+    explicit step is held to within a stated tolerance."""
+    from parobs.grid import _step_kernels
+    from parobs.solver import (boundary_values, central_gradient, obstacle_field,
+                               terminal_field, _sigma_row)
+
+    clamp = spec.boundary_mode == "clamp-to-data"
+    h_field = obstacle_field(spec, grid)
+    bnd = boundary_values(spec, grid, h_field) if clamp else None
+    Y = np.empty((grid.nt - s_index + 1, grid.nx + 2))
+    dK = np.zeros_like(Y)
+    Y[-1] = terminal_field(spec, grid)
+    for k, t, kern in _step_kernels(spec, grid, s_index):
+        j = k - s_index
+        cont = kern.apply(Y[j + 1])
+        z_proxy = _sigma_row(spec, grid, t) * central_gradient(cont, grid.dx)
+        y = cont.copy()
+        for _ in range(100):
+            c = cont + grid.dt * np.asarray(spec.driver.f(t, grid.x_nodes, y, z_proxy), dtype=float)
+            converged = np.max(np.abs(c - y)) <= 1e-13 * (1.0 + np.max(np.abs(c)))
+            y = c
+            if converged:
+                break
+        else:
+            raise RuntimeError(f"chain-dp driver iteration stalled at step {k}")
+        Y[j] = np.maximum(h_field[k], y)
+        dK[j] = np.maximum(h_field[k] - y, 0.0)
+        if clamp:
+            Y[j, 0], Y[j, -1] = bnd[k]
+            dK[j, 0] = dK[j, -1] = 0.0
+    return Y, dK
 
 
 def three_pass_ac_path_sums(spec, grid, ensemble, sol):

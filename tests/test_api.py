@@ -135,7 +135,7 @@ def test_folded_parameters_stay_gone():
                   (stochastic.RbsdeEstimate, "scheme"), (stochastic.RbsdeEstimate, "ci"),
                   (grid.DiscreteOperator, "t_index"), (grid.DiscreteOperator, "t"),
                   (stochastic.LsmcEstimate, "scheme"), (stochastic.LsmcEstimate, "t_nodes"),
-                  (stochastic.LsmcEstimate, "spec")]
+                  (stochastic.LsmcEstimate, "spec"), (stochastic.LsmcEstimate, "obstacle_slack")]
     never_read += [(stochastic.RbsdeEstimate, name)
                    for name in ("Z", "obstacle_slack", "Y0", "t_nodes")]
     never_read += [(grid.DensityTable, name)

@@ -143,6 +143,38 @@ def test_nonfinite_horizon_exits_2_before_solving(tmp_path, capsys):
     assert "kind=ScenarioError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new", [
+    ("problem.x_hi = 8.0", "problem.x_hi = 1e300"),   # dx^2 overflows
+    ("problem.T = 1.0", "problem.T = 1e300"),         # dt / dx^2 beyond 1 / eps
+], ids=["x_hi", "T"])
+def test_grid_steps_out_of_range_exit_2_before_solving(tmp_path, capsys, monkeypatch, old, new):
+    """A truncation or horizon whose grid steps float64 cannot carry is
+    rejected where the grid is built: exit 2, the whole stderr one ``error:`` line with no
+    numpy warning above it, and no solve (x_hi = 1e300 raised an
+    ``OverflowError`` traceback from ``dx**2``, and T = 1e300 ran the solver
+    into ``LcpStall``, exit 3)."""
+    import parobs.cli
+
+    def to_stderr(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran before the scenario was rejected")
+
+    monkeypatch.setattr(parobs.cli, "solve_psor", no_solve)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(scenario_path("constant").read_text().replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = to_stderr   # printed as a command-line run prints them
+        code = run(["--scenario", cfg, "--out", tmp_path / "o", "solve"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: code=2 kind=ValueError detail=grid steps out of range")
+    assert not (tmp_path / "o").exists()
+
+
 def test_zero_paths_exits_2_instead_of_writing_nan(tmp_path):
     cfg = tmp_path / "zero_paths.cfg"
     cfg.write_text(scenario_path("constant").read_text().replace("mc.paths = 2000",
@@ -428,7 +460,7 @@ def test_ac_measure_one_stencil_matches_three_interpolation_passes(tmp_path):
     assert np.array_equal(k_tilde, ref_k_tilde)
     assert np.all(np.isfinite(residual))
     z_grid, ref_z_mse = z_field(spec, grid, sol.u_values), 0.0
-    _, Z, _, _, _, _ = storing_lsmc(spec, stored, 3)
+    _, Z, _, _, _ = storing_lsmc(spec, stored, 3)
     for k in range(stored.n_steps):
         zpde = interp_space_time(grid, z_grid, float(stored.t_nodes[k]), stored.X[k])
         ref_z_mse += float(np.mean((zpde - Z[k]) ** 2)) * stored.dt_path
