@@ -113,9 +113,8 @@ def cmd_solve(args) -> int:
         pen = solve_penalized(sc.spec, grid, args.penalty,
                               **_penalized_tolerances(sc))
         sol = as_obstacle_solution(sc.spec, grid, pen)
-        diag_rows = [(k, grid.t_nodes[k], pen.inner_iteration_counts[k], 0)
-                     for k in range(grid.nt)]
-        diag_header = ["step", "t", "inner_iterations", "unused"]
+        diag_rows = zip(range(grid.nt), grid.t_nodes, pen.inner_iteration_counts)
+        diag_header = ["step", "t", "inner_iterations"]
     else:
         raise ScenarioError(f"unknown method {args.method!r}")
     prov = _provenance(sc, seed) + f" method={args.method}"

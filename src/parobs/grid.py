@@ -89,11 +89,6 @@ class DiscreteOperator:
     diag: np.ndarray
     upper: np.ndarray
 
-    def apply(self, u_full: np.ndarray) -> np.ndarray:
-        """(A u) at interior nodes; u_full includes boundary values."""
-        return (self.lower * u_full[:-2] + self.diag * u_full[1:-1]
-                + self.upper * u_full[2:])
-
 
 def _full_row(values, shape) -> np.ndarray:
     """``values`` as a float array of ``shape``, copied only to convert or broadcast."""

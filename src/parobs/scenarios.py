@@ -14,13 +14,14 @@ Schema (all numeric values parse as floats unless noted):
     mc.basis_degree      = regression basis degree (int)
     tolerances.*         = optional solver tolerance overrides, keys and defaults in
                            verify.TOLERANCE_DEFAULTS
-    calibration.*        = frozen budgets, keys and defaults in verify.CALIBRATION_DEFAULTS
+    calibration.*        = frozen budgets (positive), keys and defaults in
+                           verify.CALIBRATION_DEFAULTS
 
 Lines starting with '#' are comments.  Unknown keys are rejected in every
 section so typos cannot silently change a run, and so are non-finite numbers,
-grid.nx, grid.nt, mc.paths, mc.dt_path or a tolerances.* value <= 0, a
-negative mc.seed and an mc.basis_degree outside 0..6; american-put rejects
-problem.sigma <= 0.
+grid.nx, grid.nt, mc.paths, mc.dt_path or a tolerances.* or calibration.*
+value <= 0, a negative mc.seed and an mc.basis_degree outside 0..6;
+american-put rejects problem.sigma <= 0 and a sigma whose square overflows.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ _KEYS = {  # the numeric sections' keys; build_family checks problem.*
 _INT_KEYS = {"grid.nx", "grid.nt", "mc.paths", "mc.seed", "mc.basis_degree",
              "tolerances.max_inner"}
 _POSITIVE_KEYS = {"grid.nx", "grid.nt", "mc.paths", "mc.dt_path", "tolerances.lcp_tol",
-                  "tolerances.inner_tol", "tolerances.max_inner"}
+                  "tolerances.inner_tol", "tolerances.max_inner",
+                  *(f"calibration.{key}" for key in CALIBRATION_DEFAULTS)}
 _RANGES = {"mc.seed": (0, np.inf), "mc.basis_degree": (0, MAX_BASIS_DEGREE)}  # bounds included
 
 
@@ -166,8 +168,9 @@ def build_family(family: str, params: dict) -> ObstacleProblemSpec:
         strike = _pop_float(params, "problem.strike", 1.0)
         rate = _pop_float(params, "problem.rate", 0.06)
         sigma = _pop_float(params, "problem.sigma", 0.2)
-        if not sigma > 0:  # kappa divides by sigma, and a negative sigma flips its sign
-            raise ScenarioError(f"american-put needs sigma > 0, got {sigma}")
+        # kappa divides by sigma, a negative sigma flips its sign, and a = sigma^2
+        if not (sigma > 0 and np.isfinite(sigma * sigma)):
+            raise ScenarioError(f"american-put needs sigma > 0 with sigma^2 finite, got {sigma}")
         kappa = (rate - 0.5 * sigma**2) / sigma  # drift carried by the z-argument
         coef = _constant_a(sigma**2)
         L = max(rate, abs(kappa))

@@ -164,7 +164,6 @@ class ObstacleSolution:
     u_values: np.ndarray
     r_values: np.ndarray
     contact_mask: np.ndarray
-    method: str
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -354,15 +353,14 @@ def solve_penalized(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_penalty: i
 
 def as_obstacle_solution(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
                          pen: PenalizedSolution) -> ObstacleSolution:
-    """View a penalized solve as an obstacle solution (for exports and checks)."""
+    """View a penalized solve as an obstacle solution: its contact set for
+    ``solution.csv``, and in ``diagnostics`` the obstacle field ``h_field``
+    that the Skorokhod functional reads."""
     h_field = obstacle_field(spec, grid)
     return ObstacleSolution(
         u_values=pen.u_values, r_values=pen.r_values,
         contact_mask=h_field - pen.u_values >= -_contact_tol(spec, h_field),
-        method="penalized",
-        diagnostics={"n_penalty": pen.n_penalty, "h_field": h_field,
-                     "inner_iteration_counts": pen.inner_iteration_counts},
-    )
+        diagnostics={"h_field": h_field})
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +441,7 @@ def solve_psor(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     r[:-1, 1:-1] = np.where(binding, np.maximum(resid[:, 1:-1], 0.0) / dt, 0.0)
     ctol = _contact_tol(spec, h_field)
     return ObstacleSolution(
-        u_values=u, r_values=r, contact_mask=u - h_field <= ctol, method="psor",
+        u_values=u, r_values=r, contact_mask=u - h_field <= ctol,
         diagnostics={
             "sweep_counts": sweep_counts,
             "refine_counts": refine_counts,

@@ -506,11 +506,13 @@ def _batch_slices(m: int):
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
-def moment_ratio_probe(ensemble: PathEnsemble, p_exponent: float = 4.0) -> MomentRatio:
+def moment_ratio_probe(ensemble: PathEnsemble, p_exponent: float) -> MomentRatio:
     """Ratio of the p-th moment of the running sup to the terminal p-th moment.
 
     Defined for finite p >= 4 only (the range the estimate is proved for);
-    the CI is 1.96 times the spread of the ratio over ten contiguous path
+    ``p_exponent`` has no default, the ``moments`` command's ``--p`` being
+    its one source.  The ratio is NaN when the terminal moment is zero.  The
+    CI is 1.96 times the spread of the ratio over ten contiguous path
     batches.
     """
     if not (np.isfinite(p_exponent) and p_exponent >= 4):
@@ -530,7 +532,8 @@ def moment_ratio_probe(ensemble: PathEnsemble, p_exponent: float = 4.0) -> Momen
         if d > 0:
             ratios.append(float(sup_p[sl].mean()) / d)
     ci = 1.96 * float(np.std(ratios, ddof=1)) / np.sqrt(len(ratios)) if len(ratios) > 1 else 0.0
-    return MomentRatio(p=p_exponent, ratio=num / den, ci=ci, sup_moment=num, terminal_moment=den)
+    ratio = num / den if den > 0 else float("nan")
+    return MomentRatio(p=p_exponent, ratio=ratio, ci=ci, sup_moment=num, terminal_moment=den)
 
 
 # ---------------------------------------------------------------------------

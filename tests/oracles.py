@@ -400,6 +400,74 @@ def per_value_solution_csv(path, provenance, grid, sol):
                 fh.write(",".join(cell(v) for v in row) + "\n")
 
 
+def operator_apply(op, u_full):
+    """(A u) at the interior nodes of the flux-form operator ``op`` on one
+    slice; ``u_full`` includes the boundary values."""
+    return op.lower * u_full[:-2] + op.diag * u_full[1:-1] + op.upper * u_full[2:]
+
+
+# the Skorokhod functional of a penalized solution at level n is of size C / n
+SKOROKHOD_PENALTY_CONSTANT = 10.0
+
+
+def reflected_mc_measure_identity(ctx, s, x):
+    """``measure-identity`` with its left side E int xi dK from reflected-mc K
+    along the paths of ``ctx.reflected_mc`` from the snapped start with the
+    context's seed, and a statistical part of 1.96 standard errors: the
+    route ``check_measure_identity`` took with ``method="reflected-mc"``,
+    which no command ran.  Same ``CheckReport`` as that route, bit for bit.
+
+    The route is only quantitative when the regression basis spans the
+    value function: its per-date increments (h - C)^+ inherit the full basis
+    misfit, which swamps increments of size r dt on kinked payoffs.
+    """
+    from contextlib import closing
+    from itertools import islice
+
+    from parobs.verify import (_TINY, REL_BUDGET, _report, _snap_indices,
+                               default_test_functions)
+
+    spec, grid, sol = ctx.spec, ctx.grid, ctx.sol
+    test_functions = default_test_functions(spec)
+    s_idx, x_idx = _snap_indices(grid, s, x)
+
+    # left side first, so the fit runs with no density held
+    lefts = {name: 0.0 for name, _ in test_functions}
+    stat = 0.0
+    mc = ctx.reflected_mc(s_idx, x_idx, ctx.seed)
+    ens = mc.ensemble
+    per_path = {name: np.zeros(ens.path_count) for name, _ in test_functions}
+    with closing(ens._read(backward=False)) as path_rows:
+        for k, xk, _ in islice(path_rows, ens.n_steps):
+            t = float(ens.t_nodes[k])
+            dk = mc._evaluate(k, xk, mc._basis_at(k, xk))[3]
+            for name, xi in test_functions:
+                per_path[name] += np.asarray(xi(t, xk), dtype=float) * dk
+    for name, _ in test_functions:
+        lefts[name] = float(per_path[name].mean())
+        stat = max(stat, 1.96 * float(per_path[name].std(ddof=1)) / np.sqrt(ens.path_count))
+
+    # right side: sum of xi p r over cells, one pass per test function
+    dens = ctx.density(s_idx, x_idx)
+    rights = {name: 0.0 for name, _ in test_functions}
+    for rel_k, k in enumerate(range(s_idx, grid.nt)):
+        t = float(grid.t_nodes[k])
+        pm = dens.values[rel_k]
+        row = pm * sol.r_values[k] * grid.dt
+        for name, xi in test_functions:
+            rights[name] += float(np.sum(np.asarray(xi(t, grid.x_nodes), dtype=float) * row))
+
+    rows = {}
+    worst = 0.0
+    for name, _ in test_functions:
+        l, r = lefts[name], rights[name]
+        scale = max(abs(l), abs(r))
+        rel = 0.0 if scale < _TINY else abs(l - r) / scale
+        rows[name] = {"left": l, "right": r, "rel": rel}
+        worst = max(worst, rel / REL_BUDGET)
+    return _report("measure-identity", worst, 1.0, REL_BUDGET, stat, rows)
+
+
 def reference_banded_solve(ab, b):
     """``scipy.linalg.solve_banded((1, 1), ab, b)``: the wrapper the package's
     direct LAPACK ``dgtsv`` call must match bit for bit."""

@@ -40,7 +40,8 @@ from parobs.verify import (
 )
 
 from conftest import scenario_path
-from oracles import binomial_american_put, energy_identity_residual
+from oracles import (binomial_american_put, energy_identity_residual,
+                     reflected_mc_measure_identity)
 
 SCHEDULE = [2**j for j in range(4, 15)]
 
@@ -159,15 +160,14 @@ def test_criterion_4_feynman_kac(put_scenario, put200, put_chain):
 def test_criterion_5_measure_identity(put_scenario, quad_scenario, put200, quad200):
     results = []
     for sc, (grid, _) in ((put_scenario, put200), (quad_scenario, quad200)):
-        rep = check_measure_identity(VerifyContext(sc.spec, grid, sc.mc_params), 0.0, 0.0,
-                                     method="chain-dp")
+        rep = check_measure_identity(VerifyContext(sc.spec, grid, sc.mc_params), 0.0, 0.0)
         worst = max(v["rel"] for v in rep.details.values())
         results.append((f"{sc.name} chain", worst))
         assert rep.passed
     mcp = dict(quad_scenario.mc_params)
     mcp["paths"] = 100_000
-    rep_mc = check_measure_identity(VerifyContext(quad_scenario.spec, quad200[0], mcp), 0.0, 0.0,
-                                    method="reflected-mc")
+    rep_mc = reflected_mc_measure_identity(VerifyContext(quad_scenario.spec, quad200[0], mcp),
+                                           0.0, 0.0)
     worst_mc = max(v["rel"] for v in rep_mc.details.values())
     results.append((f"{quad_scenario.name} reflected-mc", worst_mc))
     passed = rep_mc.passed and all(w <= 5e-2 for _, w in results)

@@ -18,11 +18,12 @@ import parobs
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "parobs"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-MAX_DEFAULTED = 21
+MAX_DEFAULTED = 18
 # parameters no caller set, folded into module constants, the checks' shared
 # objects and Monte Carlo settings, and their calibrated budgets, which they
 # now read from a ``VerifyContext``, the provenance and start node nothing read,
-# and the problem and start the Monte Carlo routines read from their ensemble
+# the problem and start the Monte Carlo routines read from their ensemble, and
+# the routes and levels only tests took (now in ``tests/oracles.py``)
 REMOVED = {
     "grid.solve_density": ("mass_tol",),
     "problem.lipschitz_probe": ("t_range", "x_range", "value_scale"),
@@ -39,9 +40,9 @@ REMOVED = {
     "verify.check_representation_z": ("ensemble", "sol", "basis_degree", "mc", "z_budget",
                                       "provenance"),
     "verify.check_measure_identity": ("rel_budget", "test_functions", "sol", "mc_params",
-                                      "chain", "dens", "provenance"),
+                                      "chain", "dens", "provenance", "method"),
     "verify.check_interval_measure": ("rel_budget", "sol", "chain", "provenance"),
-    "verify.check_skorokhod": ("psor_budget", "penalty_constant", "provenance"),
+    "verify.check_skorokhod": ("psor_budget", "penalty_constant", "provenance", "n_penalty"),
     "verify.check_ac_measure": ("k_bias_constant", "ensemble", "sol", "basis_degree", "mc",
                                 "chain", "dens", "residual_budget", "provenance"),
     "verify.check_minimality": ("mono_tol", "sol_psor", "provenance"),
@@ -54,7 +55,8 @@ MOVED_TO_ORACLES = (
     "energy_identity_residual", "apriori_norm_report", "AprioriReport",
     "obstacle_replacement_check", "solve_unconstrained", "aronson_envelope_check",
     "AronsonEnvelope", "_envelope_gap", "ENVELOPE_C_MAX", "ENVELOPE_BURN_IN_FRAC",
-    "estimate_g_integral", "GIntegral", "GridTooCoarse",
+    "estimate_g_integral", "GIntegral", "GridTooCoarse", "reflected_mc_measure_identity",
+    "SKOROKHOD_PENALTY_CONSTANT", "operator_apply",
 )
 # public functions that no package code calls yet, each kept for a caller that
 # a ROADMAP item gives it
@@ -116,6 +118,9 @@ def test_folded_parameters_stay_gone():
     # the study's reference is required; the Monte Carlo fits and the path
     # sweep take their problem from the ensemble, and nothing defaults a basis
     assert _parameters("solver.penalization_study")["reference"].default is inspect.Parameter.empty
+    # the moments command's --p is the exponent's one default
+    assert _parameters("stochastic.moment_ratio_probe")["p_exponent"].default is \
+        inspect.Parameter.empty
     stochastic = importlib.import_module("parobs.stochastic")
     verify = importlib.import_module("parobs.verify")
     assert "spec" not in inspect.signature(stochastic._mc_backward).parameters
@@ -135,7 +140,8 @@ def test_folded_parameters_stay_gone():
                   (stochastic.RbsdeEstimate, "scheme"), (stochastic.RbsdeEstimate, "ci"),
                   (grid.DiscreteOperator, "t_index"), (grid.DiscreteOperator, "t"),
                   (stochastic.LsmcEstimate, "scheme"), (stochastic.LsmcEstimate, "t_nodes"),
-                  (stochastic.LsmcEstimate, "spec"), (stochastic.LsmcEstimate, "obstacle_slack")]
+                  (stochastic.LsmcEstimate, "spec"), (stochastic.LsmcEstimate, "obstacle_slack"),
+                  (solver.ObstacleSolution, "method")]
     never_read += [(stochastic.RbsdeEstimate, name)
                    for name in ("Z", "obstacle_slack", "Y0", "t_nodes")]
     never_read += [(grid.DensityTable, name)
@@ -149,7 +155,8 @@ def test_folded_parameters_stay_gone():
     deleted = [(stochastic.PathEnsemble, ("x", "dw", "_segment_rows", "_replay",
                                           "_stored_steps", "_segment")),
                (stochastic.LsmcEstimate, ("at", "z_at", "_row")),
-               (stochastic._Projection, ("fit",)), (problem.HypothesisReport, ("entry",))]
+               (stochastic._Projection, ("fit",)), (problem.HypothesisReport, ("entry",)),
+               (grid.DiscreteOperator, ("apply",))]
     assert [(cls.__name__, name) for cls, names in deleted for name in names
             if hasattr(cls, name)] == []
 

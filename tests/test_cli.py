@@ -1,5 +1,6 @@
 import sys
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -15,6 +16,18 @@ from oracles import per_value_solution_csv
 
 def run(args):
     return main([str(a) for a in args])
+
+
+@contextmanager
+def warnings_to_stderr():
+    """Every warning printed to stderr, as a command-line run prints them."""
+    def to_stderr(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = to_stderr
+        yield
 
 
 def test_solve_constant_psor(tmp_path):
@@ -41,6 +54,8 @@ def test_solve_penalized_writes_measure_field(tmp_path):
     assert np.max(np.abs(interior[:, 2] - (1.0 - interior[:, 1] ** 2))) <= 2e-3
     active = interior[interior[:, 0] < 0.5]
     assert np.quantile(np.abs(active[:, 3] - 1.0), 0.95) <= 1e-2
+    diag = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    assert diag[1] == "step,t,inner_iterations" and diag[2].startswith("0,0,")
 
 
 def test_missing_scenario_exits_2(tmp_path, capsys):
@@ -90,10 +105,11 @@ def test_numeric_failure_exits_3(tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("sigma", ["0", "-0.3"])
+@pytest.mark.parametrize("sigma", ["0", "-0.3", "1e300"])
 def test_put_nonpositive_sigma_exits_2(tmp_path, capsys, sigma):
-    """sigma = 0 divides by zero in the put's drift and sigma < 0 flips its
-    sign; both are scenario errors, reported before any work."""
+    """sigma = 0 divides by zero in the put's drift, sigma < 0 flips its
+    sign and sigma = 1e300 overflows a = sigma^2; all are scenario errors,
+    reported before any work."""
     cfg = tmp_path / "sigma.cfg"
     cfg.write_text(scenario_path("american_put").read_text().replace(
         "problem.sigma = 0.3", f"problem.sigma = {sigma}"))
@@ -101,7 +117,7 @@ def test_put_nonpositive_sigma_exits_2(tmp_path, capsys, sigma):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: code=2 kind=ScenarioError") and err.count("\n") == 1
-    assert "sigma > 0" in err
+    assert "sigma > 0 with sigma^2 finite" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -193,15 +209,10 @@ def test_a_nonfinite_result_exits_3_without_a_csv(tmp_path, capsys):
     from parobs.cli import _csv_line
     from parobs.errors import NonFiniteOutput
 
-    def to_stderr(message, category, filename, lineno, file=None, line=None):
-        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
-
     cfg = tmp_path / "huge_value.cfg"
     cfg.write_text(scenario_path("constant").read_text().replace("problem.value = 1.0",
                                                                  "problem.value = 1e300"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        warnings.showwarning = to_stderr   # printed as a command-line run prints them
+    with warnings_to_stderr():
         code = run(["--scenario", cfg, "--out", tmp_path / "o", "stop-value"])
     assert code == 3
     err = capsys.readouterr().err.splitlines()
@@ -212,6 +223,29 @@ def test_a_nonfinite_result_exits_3_without_a_csv(tmp_path, capsys):
     for bad in (np.nan, np.inf, -np.inf, np.float64("nan")):
         with pytest.raises(NonFiniteOutput):
             _csv_line(("check", 1.0, bad, 1))
+
+
+@pytest.mark.parametrize("old, new, command, csv", [
+    ("problem.a0 = 1.0", "problem.a0 = 1e-300", ["moments"], "moments.csv"),
+    ("problem.alpha = 1.0", "problem.alpha = 1e30",
+     ["verify", "--checks", "weighted-bounds"], "verify_report.csv"),
+    ("problem.x_lo = -8.0", "problem.x_lo = -1e30",
+     ["verify", "--checks", "weighted-bounds"], "verify_report.csv"),
+], ids=["moments-a0", "weighted-bounds-alpha", "weighted-bounds-x_lo"])
+def test_a_zero_normalizer_exits_3_without_a_warning(tmp_path, capsys, old, new, command, csv):
+    """A zero terminal moment (paths that never leave 0) leaves ``moments``'
+    ratio NaN, and a weight or bump that underflows to 0 on every node
+    leaves ``weighted-bounds``' ratios infinite; each exits 3 with its one
+    ``error:`` line, no division warning above it, and no CSV."""
+    cfg = tmp_path / "zero_norm.cfg"
+    cfg.write_text(scenario_path("constant").read_text().replace(old, new))
+    with warnings_to_stderr():
+        code = run(["--scenario", cfg, "--out", tmp_path / "o", *command])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: code=3 kind=NonFiniteOutput detail=")
+    assert not (tmp_path / "o" / csv).exists()
 
 
 @pytest.mark.parametrize("line", ["problem.x_lo = -inf", "grid.nx = 0", "grid.nt = -3",
@@ -468,7 +502,8 @@ def test_ac_measure_one_stencil_matches_three_interpolation_passes(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["mc.basis_degree = -1", "mc.basis_degree = 7",
-                                  "mc.seed = -5"])
+                                  "mc.seed = -5", "calibration.ac_residual_budget = 0",
+                                  "calibration.weighted_hi = 0", "calibration.z_budget = -1"])
 def test_mc_keys_out_of_range_exit_2_before_solving(tmp_path, capsys, monkeypatch, line):
     import parobs.cli
 
@@ -484,7 +519,7 @@ def test_mc_keys_out_of_range_exit_2_before_solving(tmp_path, capsys, monkeypatc
     code = run(["--scenario", cfg, "--out", tmp_path / "o", "verify"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "kind=ScenarioError" in err and key in err
+    assert "kind=ScenarioError" in err and key in err and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 
@@ -728,7 +763,7 @@ def test_solution_csv_matches_per_value_writer_on_awkward_values(tmp_path):
     r = np.array([[0.0, -1e-300, 12345678901234567.0, 0.30000000000000004],
                   [-5e-324, 1.0, 1e22, np.pi]])
     contact = np.array([[True, False, True, False], [False, False, True, True]])
-    sol = ObstacleSolution(u_values=u, r_values=r, contact_mask=contact, method="synthetic")
+    sol = ObstacleSolution(u_values=u, r_values=r, contact_mask=contact)
     write_csv(tmp_path / "solution.csv", "synthetic", ["t", "x", "u", "r", "contact"],
               _solution_slabs(grid, sol))
     per_value_solution_csv(tmp_path / "oracle.csv", "synthetic", grid, sol)

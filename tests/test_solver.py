@@ -282,7 +282,7 @@ def test_picard_no_contraction_guard(monkeypatch, put_scenario):
         u = np.full((grid_.nt + 1, grid_.nx + 2), (-3.0) ** state["m"])
         return solver_mod.ObstacleSolution(u_values=u, r_values=np.zeros_like(u),
                                            contact_mask=np.zeros(u.shape, dtype=bool),
-                                           method="psor", diagnostics={})
+                                           diagnostics={})
 
     monkeypatch.setattr(solver_mod, "solve_psor", fake_psor)
     with pytest.raises(NoContraction):
