@@ -62,7 +62,6 @@ from .stochastic import (
     rbsde_penalized_mc,
     rbsde_reflected_mc,
     simulate_paths,
-    snell_envelope_value,
 )
 from .verify import (
     CheckReport,

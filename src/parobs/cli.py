@@ -133,6 +133,9 @@ def cmd_study(args) -> int:
     if args.study == "penalization" and args.max_level < 4:
         raise ScenarioError(f"--max-level must be at least 4 (the schedule starts "
                             f"at 2^4), got {args.max_level}")
+    if args.study == "penalization" and args.max_level > 1023:
+        raise ValueError(f"penalty level n = 2^{args.max_level} is not a finite float; "
+                         f"--max-level must be at most 1023")
     sc, grid, seed = _load(args)
     out = Path(args.out)
     prov = _provenance(sc, seed) + f" study={args.study}"

@@ -255,9 +255,9 @@ def solve_backward_step(kern: TransitionKernel, rhs_full: np.ndarray,
 
 
 def _step_kernels(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int = 0,
-                  mode: str | None = None, backward: bool = True):
-    """(k, t_k, implicit kernel of step k in ``mode``) for the steps
-    k = s_index .. nt - 1, from the last down when ``backward``, else up.
+                  backward: bool = True):
+    """(k, t_k, implicit kernel of step k in the spec's boundary mode) for the
+    steps k = s_index .. nt - 1, from the last down when ``backward``, else up.
 
     The bands depend on a(t_k, .) alone.  While ``a`` returns a scalar (the
     constant-coefficient families), a kernel is built only when that scalar
@@ -275,21 +275,20 @@ def _step_kernels(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int =
             a = spec.coefficients.a(t, mid)
             scalar = np.ndim(a) == 0
         if not scalar or kern is None or a != a_kern:
-            kern, a_kern = transition_kernel(spec, grid, k, mode=mode), a
+            kern, a_kern = transition_kernel(spec, grid, k, mode=spec.boundary_mode), a
         yield k, t, kern
 
 
-def evolve_law(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, w0: np.ndarray, s_index: int,
-               mode: str | None = None):
+def evolve_law(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, w0: np.ndarray, s_index: int):
     """Carry the law (or any start measure) w0 at slice s_index forward by the
     implicit kernels: yields (k, w_k), w_{k+1} = P_k^T w_k, for k = s_index .. nt.
 
-    ``mode`` defaults to the spec's boundary mode; reflecting rows conserve
-    total mass, clamp-to-data rows keep what reaches the boundary nodes.
+    The kernels take the spec's boundary mode: reflecting rows conserve total
+    mass, clamp-to-data rows keep what reaches the boundary nodes.
     """
     w = w0
     yield s_index, w
-    for k, _, kern in _step_kernels(spec, grid, s_index, mode, backward=False):
+    for k, _, kern in _step_kernels(spec, grid, s_index, backward=False):
         w = kern.apply_T(w)
         yield k + 1, w
 

@@ -242,6 +242,9 @@ def load_scenario(path) -> Scenario:
     calibration = take("calibration")
     if kv:
         raise ScenarioError(f"unused keys: {sorted(kv)}")
+    lo, hi = ({**CALIBRATION_DEFAULTS, **calibration}[k] for k in ("weighted_lo", "weighted_hi"))
+    if lo > hi:
+        raise ScenarioError(f"calibration.weighted_lo = {lo} exceeds weighted_hi = {hi}")
     grid_params.setdefault("nx", 200)
     grid_params.setdefault("nt", 200)
     mc_params.setdefault("paths", 10_000)

@@ -31,7 +31,8 @@ that need several rows at one t (the marcher's inner iterates, the chain-dp
 step) take the sigma row once per step.
 Besides the ``DEFAULT_*`` tolerances, ``PICARD_MAX_OUTER`` and
 ``PICARD_OUTER_TOL`` end ``picard_outer``, and ``STABILITY_C`` is the
-distance ratio ``obstacle_stability`` passes.
+distance ratio ``obstacle_stability`` passes.  Both solve specs of their own:
+the driver frozen along an iterate (``frozen_driver``), the obstacle replaced.
 
 The reflection measure is represented by the nonnegative cell density r with
 cell mass r dx dt; the continuum measure need not be absolutely continuous, so
@@ -41,14 +42,14 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InnerDivergence, LcpStall, MonotonicityViolation, NoContraction
 from .grid import (SpaceTimeGrid, _banded_matvec, _full_row, _step_kernels, _tridiagonal_solve,
                    solve_backward_step)
-from .problem import ObstacleProblemSpec, Weight
+from .problem import Driver, ObstacleProblemSpec, Weight
 
 __all__ = [
     "PenalizedSolution",
@@ -62,7 +63,7 @@ __all__ = [
     "central_gradient",
     "sigma_du",
     "z_field",
-    "frozen_driver_field",
+    "frozen_driver",
     "solve_penalized",
     "as_obstacle_solution",
     "solve_psor",
@@ -85,12 +86,11 @@ STABILITY_C = 3.0
 # ---------------------------------------------------------------------------
 # grid fields
 
-def obstacle_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, h=None) -> np.ndarray:
-    """The obstacle (``spec``'s, or the function ``h(t, x)``) on every grid slice."""
-    h = spec.obstacle.h if h is None else h
+def obstacle_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid) -> np.ndarray:
+    """The obstacle h(t, x) on every grid slice."""
     out = np.empty((grid.nt + 1, grid.nx + 2))
     for k, t in enumerate(grid.t_nodes):
-        out[k] = h(float(t), grid.x_nodes)
+        out[k] = spec.obstacle.h(float(t), grid.x_nodes)
     return out
 
 
@@ -141,10 +141,11 @@ def z_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, u: np.ndarray) -> np
 
 
 def _driver_row(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, t: float,
-                u_row: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """f(t, x, u, sigma Du) on all nodes, ``sigma`` the ``_sigma_row`` at t;
-    on a stack of rows u, one evaluation of f for all of them."""
-    z = sigma * central_gradient(u_row, grid.dx)
+                u_row: np.ndarray, sigma: np.ndarray | None) -> np.ndarray:
+    """f(t, x, u, sigma Du) on all nodes, ``sigma`` the ``_sigma_row`` at t, or
+    None for a driver with L = 0, free of (y, z), which is given z = 0; on a
+    stack of rows u, one evaluation of f for all of them."""
+    z = 0.0 if sigma is None else sigma * central_gradient(u_row, grid.dx)
     return _full_row(spec.driver.f(t, grid.x_nodes, u_row, z), u_row.shape)
 
 
@@ -209,8 +210,8 @@ def _diverged(label: str, level: int, what: str) -> InnerDivergence:
 
 
 def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, labels, h_field: np.ndarray,
-           exact: bool = True, driver_field: np.ndarray | None = None,
-           inner_tol: float = DEFAULT_INNER_TOL, max_inner: int = DEFAULT_MAX_INNER):
+           exact: bool = True, inner_tol: float = DEFAULT_INNER_TOL,
+           max_inner: int = DEFAULT_MAX_INNER):
     """Backward implicit Euler from u(T) = phi with the driver lagged in each
     step, for a ladder of levels (one per entry of ``labels``) in lockstep,
     ``h_field`` the obstacle on every slice.
@@ -221,11 +222,11 @@ def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, labels, h_fiel
     hold the clamp-to-data values, to their
     next iterates.  A level's step ends when its iterate moves by at most
     ``inner_tol``, or after one ``exact`` solve when b does not depend on v
-    (L = 0 or a frozen driver); the level is then frozen while the others
-    iterate, so each level's arithmetic and iteration count are those of its
-    lone march.  The levels of a step share one kernel (``grid._step_kernels``:
-    one per march for a constant a) and one sigma row; their driver rows and
-    right-hand sides are formed together.
+    (L = 0); the level is then frozen while the others iterate, so each
+    level's arithmetic and iteration count are those of its lone march.  The
+    levels of a step share one kernel (``grid._step_kernels``: one per march
+    for a constant a) and one sigma row, none when L = 0; their driver rows
+    and right-hand sides are formed together.
 
     Yields (k, u_k, its_k) for k = nt .. 0: the slice of each live level and
     its iterations in step k (zeros at k = nt).  No field is held.  A level
@@ -237,14 +238,14 @@ def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, labels, h_fiel
     dt = grid.dt
     u_next = np.tile(terminal_field(spec, grid), (len(labels), 1))
     bnd = boundary_values(spec, grid, h_field) if spec.boundary_mode == "clamp-to-data" else None
-    once = exact and (spec.driver.L <= 0.0 or driver_field is not None)
+    once = exact and spec.driver.L <= 0.0
     scale = 1.0 + _abs_max(u_next[0]) + _abs_max(h_field)
     blowup = 1e12 * scale  # an iterate above it has diverged
     error = None
     yield grid.nt, u_next, np.zeros(len(labels), dtype=int)
 
     for k, t, kern in _step_kernels(spec, grid):
-        sigma = _sigma_row(spec, grid, t) if driver_field is None else None
+        sigma = _sigma_row(spec, grid, t) if spec.driver.L > 0.0 else None
         live = len(u_next)
         v = u_next.copy()
         if bnd is not None:
@@ -253,8 +254,7 @@ def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, labels, h_fiel
         # the levels still iterating in this step, their iterates and u_{k+1}
         rows, cur, base = np.arange(live), v, u_next
         for m in range(max_inner):
-            f = _driver_row(spec, grid, t, cur, sigma) if driver_field is None else driver_field[k]
-            b = base + dt * f
+            b = base + dt * _driver_row(spec, grid, t, cur, sigma)
             if bnd is not None:
                 b[:, 0], b[:, -1] = bnd[k]
             new = solve(k, kern, b, cur, rows)
@@ -408,9 +408,7 @@ def _lcp_step(ab: np.ndarray, b: np.ndarray, h_row: np.ndarray, v0: np.ndarray,
 
 def solve_psor(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
                lcp_tol: float = DEFAULT_LCP_TOL, inner_tol: float = DEFAULT_INNER_TOL,
-               max_inner: int = DEFAULT_MAX_INNER,
-               driver_field: np.ndarray | None = None,
-               obstacle_field_override: np.ndarray | None = None) -> ObstacleSolution:
+               max_inner: int = DEFAULT_MAX_INNER) -> ObstacleSolution:
     """Backward stepping with an exact complementarity solve (``_lcp_step``) per step.
 
     The name is kept from the projected-SOR step this replaced, because
@@ -419,7 +417,7 @@ def solve_psor(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     ``sweep_counts`` are the active-set solves per step, summed over the
     driver refinements that ``refine_counts`` counts.
     """
-    h_field = obstacle_field(spec, grid) if obstacle_field_override is None else obstacle_field_override
+    h_field = obstacle_field(spec, grid)
     dt = grid.dt
     resid = np.empty((grid.nt, grid.nx + 2))
     sweep_counts = np.zeros(grid.nt, dtype=int)
@@ -431,8 +429,8 @@ def solve_psor(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
         return v[None]
 
     u, refine_counts = _one_level(_march(
-        spec, grid, lcp, ["driver refinement"], h_field, driver_field=driver_field,
-        inner_tol=inner_tol, max_inner=max_inner), grid)
+        spec, grid, lcp, ["driver refinement"], h_field, inner_tol=inner_tol,
+        max_inner=max_inner), grid)
     # residual-based measure density on the binding set; the support uses
     # the tighter lcp_tol so that min(u - h, r) stays below lcp_tol even
     # though r carries a 1/dt amplification of the step residual
@@ -599,18 +597,19 @@ def v_gamma_norm(grid: SpaceTimeGrid, weight: Weight, fld: np.ndarray, gamma: fl
     return float(np.sqrt(sup_term + l2_term + 0.5 * lam * grad_term))
 
 
-def frozen_driver_field(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
-                        u: np.ndarray) -> np.ndarray:
-    """f(t, x, u, sigma Du) on every slice of a grid field u (``_driver_row``)."""
-    out = np.empty_like(u)
-    for k, t in enumerate(grid.t_nodes):
-        t = float(t)
-        out[k] = _driver_row(spec, grid, t, u[k], _sigma_row(spec, grid, t))
-    return out
+def frozen_driver(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
+                  u: np.ndarray) -> ObstacleProblemSpec:
+    """``spec`` with its driver frozen along a grid field u, L = M_growth = 0:
+    f(t, x, y, z) is the row f(t, x, u_k, sigma Du_k) of the grid time t = t_k
+    whatever x, y and z, so only the grid routes may take the result."""
+    rows = {t: _driver_row(spec, grid, t, u[k], _sigma_row(spec, grid, t))
+            for k, t in enumerate(grid.t_nodes.tolist())}
+    return replace(spec, driver=Driver(f=lambda t, x, y, z: rows[t], L=0.0, M_growth=0.0,
+                                       g=lambda t, x: np.abs(rows[t])))
 
 
 def picard_outer(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, **tolerances):
-    """Iterate v -> ``solve_psor`` of the linear obstacle problem with frozen driver.
+    """Iterate v -> ``solve_psor(frozen_driver(spec, grid, v))``, the linear problem.
 
     Distances between consecutive iterates are measured in the e^{gamma t}
     weighted norm with the contraction exponent from ``contraction_gamma``.
@@ -622,13 +621,13 @@ def picard_outer(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, **tolerances):
     lam = spec.coefficients.lambda_ell
     v = np.zeros((grid.nt + 1, grid.nx + 2))
     if spec.driver.L == 0.0:
-        sol = solve_psor(spec, grid, driver_field=frozen_driver_field(spec, grid, v), **tolerances)
+        sol = solve_psor(frozen_driver(spec, grid, v), grid, **tolerances)
         return sol, PicardTrace(gamma=gamma, distances=[], ratios=[])
 
     distances, ratios = [], []
     expanding = 0
     for _ in range(PICARD_MAX_OUTER):
-        sol = solve_psor(spec, grid, driver_field=frozen_driver_field(spec, grid, v), **tolerances)
+        sol = solve_psor(frozen_driver(spec, grid, v), grid, **tolerances)
         d = v_gamma_norm(grid, spec.weight, sol.u_values - v, gamma, lam)
         distances.append(d)
         if len(distances) >= 2 and distances[-2] > 0:
@@ -654,19 +653,21 @@ def picard_outer(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, **tolerances):
 
 def obstacle_stability(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, h1, h2,
                        **tolerances) -> StabilityReport:
-    """Sup-norm solution distance against sup-norm obstacle distance (both by
-    ``solve_psor``, which ``tolerances`` reach).
+    """Sup-norm solution distance against sup-norm obstacle distance, ``spec``
+    solved by ``solve_psor`` (which ``tolerances`` reach) with its obstacle
+    replaced by ``h1`` and by ``h2``.
 
     Both obstacles must stay below the terminal value at T.
     """
     phi = terminal_field(spec, grid)
-    fields = [obstacle_field(spec, grid, h) for h in (h1, h2)]
-    for hf in fields:
-        if np.max(hf[grid.nt] - phi) > 1e-12 * (1.0 + np.max(np.abs(phi))):
+    for h in (h1, h2):
+        h_end = np.asarray(h(float(grid.t_nodes[grid.nt]), grid.x_nodes), dtype=float)
+        if np.max(h_end - phi) > 1e-12 * (1.0 + np.max(np.abs(phi))):
             raise ValueError("obstacle exceeds the terminal value at T")
-    sols = [solve_psor(spec, grid, obstacle_field_override=hf, **tolerances) for hf in fields]
+    sols = [solve_psor(replace(spec, obstacle=replace(spec.obstacle, h=h)), grid, **tolerances)
+            for h in (h1, h2)]
     du = float(np.max(np.abs(sols[0].u_values - sols[1].u_values)))
-    dh = float(np.max(np.abs(fields[0] - fields[1])))
+    dh = float(np.max(np.abs(sols[0].diagnostics["h_field"] - sols[1].diagnostics["h_field"])))
     if dh == 0.0:
         ratio = 0.0 if du == 0.0 else float("inf")
     else:

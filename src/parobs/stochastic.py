@@ -9,6 +9,8 @@ Three routes estimate the RBSDE triple (Y, Z, K):
 * ``rbsde_reflected_mc``: discretely reflected least-squares Monte Carlo, the
   same date update at n = inf, the limit of the penalized BSDEs.
 
+The exhaustive stopping value is chain-dp under the driver frozen along u.
+
 Paths are generated from counter-based Philox streams keyed by (seed, block)
 (Salmon et al., SC 2011); the block layout is a fixed module constant, and
 the first paths of a larger ensemble coincide with a smaller one.  One
@@ -57,7 +59,7 @@ from .solver import (
     ObstacleSolution,
     boundary_values,
     central_gradient,
-    frozen_driver_field,
+    frozen_driver,
     obstacle_field,
     terminal_field,
     z_field,
@@ -78,7 +80,6 @@ __all__ = [
     "rbsde_penalized_mc",
     "rbsde_reflected_mc",
     "penalization_convergence_mc",
-    "snell_envelope_value",
     "optimal_stopping_value",
 ]
 
@@ -523,8 +524,8 @@ def moment_ratio_probe(ensemble: PathEnsemble, p_exponent: float) -> MomentRatio
             sup = np.abs(xk)
         else:
             np.maximum(sup, np.abs(xk), out=sup)
-    sup_p = sup**p_exponent
-    term_p = np.abs(xk) ** p_exponent
+    with np.errstate(over="ignore"):  # an overflowing moment stays inf for the CSV writer to refuse
+        sup_p, term_p = sup**p_exponent, np.abs(xk) ** p_exponent
     num, den = float(sup_p.mean()), float(term_p.mean())
     ratios = []
     for sl in _batch_slices(ensemble.path_count):
@@ -862,25 +863,6 @@ class StoppingValue:
     gap: float
 
 
-def snell_envelope_value(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
-                         reward_field: np.ndarray, s_index: int, x_index: int) -> float:
-    """Exhaustive optimal-stopping value on the grid chain by backward induction.
-
-    ``reward_field`` is the running reward f evaluated along the solved field,
-    one row per time slice.
-    """
-    clamp = spec.boundary_mode == "clamp-to-data"
-    h_field = obstacle_field(spec, grid)
-    bnd = boundary_values(spec, grid, h_field) if clamp else None
-    V = terminal_field(spec, grid).copy()
-    for k, _, kern in _step_kernels(spec, grid, s_index):
-        cont = kern.apply(V)
-        V = np.maximum(h_field[k], cont + grid.dt * reward_field[k])
-        if clamp:
-            V[0], V[-1] = bnd[k]
-    return float(V[x_index])
-
-
 def optimal_stopping_value(grid: SpaceTimeGrid, sol: ObstacleSolution,
                            ensemble: PathEnsemble) -> StoppingValue:
     """Value of the first-contact stopping rule versus the exhaustive chain
@@ -888,7 +870,8 @@ def optimal_stopping_value(grid: SpaceTimeGrid, sol: ObstacleSolution,
 
     The rule stops at the first time u(t, X_t) touches the obstacle (within
     the contact tolerance); its value is estimated along the ensemble, with
-    the running reward read from the solved field.
+    the running reward read from the solved field.  The exhaustive value is
+    ``rbsde_chain_dp`` of the driver frozen along that field (``frozen_driver``).
     """
     spec, s, x = ensemble.spec, ensemble.s, ensemble.x_start
     h_field = obstacle_field(spec, grid)
@@ -925,7 +908,7 @@ def optimal_stopping_value(grid: SpaceTimeGrid, sol: ObstacleSolution,
         rule_ci = 1.96 * float(reward.std(ddof=1)) / np.sqrt(m) if m > 1 else 0.0
     s_index = int(np.clip(round(s / grid.dt), 0, grid.nt - 1))
     x_index = int(np.clip(round((x - grid.x_nodes[0]) / grid.dx), 0, grid.nx + 1))
-    snell = snell_envelope_value(spec, grid, frozen_driver_field(spec, grid, sol.u_values),
-                                 s_index, x_index)
+    frozen = frozen_driver(spec, grid, sol.u_values)
+    snell = float(rbsde_chain_dp(frozen, grid, s_index).Y[0, x_index])
     return StoppingValue(rule_value=rule_value, rule_ci=rule_ci, snell_value=snell,
                          gap=abs(rule_value - snell))

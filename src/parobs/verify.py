@@ -28,7 +28,7 @@ check is called.  ``run_checks`` runs names from it in order on one context.
 from __future__ import annotations
 
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
 from typing import Callable, NamedTuple
@@ -300,13 +300,13 @@ def check_interval_measure(ctx: VerifyContext, t1: float, t2: float,
 
     right = 0.0
     if k2 > k1 and k1 < grid.nt:
-        # evolve the dx start measure with the mass-conserving reflecting
-        # kernel: the continuum identity integrates starts over all of R, so
-        # flux through the truncation must cancel rather than absorb; the
-        # law is carried only as far as the last slice summed
+        # evolve the dx start measure under the spec's reflecting twin, whose
+        # kernels conserve mass: the continuum identity integrates starts over
+        # all of R, so flux through the truncation must cancel rather than
+        # absorb; the law is carried only as far as the last slice summed
         w0 = np.zeros(grid.nx + 2)
         w0[1:-1] = grid.dx
-        laws = evolve_law(spec, grid, w0, k1, mode="reflecting")
+        laws = evolve_law(replace(spec, boundary_mode="reflecting"), grid, w0, k1)
         for k, w in islice(laws, min(k2, grid.nt) - k1):
             right += float(np.sum(w[f_mask] * ctx.chain.dK[k, f_mask]))
 

@@ -8,6 +8,7 @@ these routines."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -748,17 +749,61 @@ def unconstrained_march(spec, grid, inner_tol=1e-11, max_inner=200):
     return u
 
 
+def tabulated_obstacle(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
+                       h_field: np.ndarray) -> ObstacleProblemSpec:
+    """``spec`` with its obstacle h replaced by a grid table: h(t, x) is the
+    row of ``h_field`` at the grid time t, whatever x, so only the grid
+    routes may take the result."""
+    rows = {float(t): h_field[k] for k, t in enumerate(grid.t_nodes)}
+    return dataclasses.replace(spec, obstacle=dataclasses.replace(spec.obstacle,
+                                                                  h=lambda t, x: rows[t]))
+
+
 def obstacle_replacement_check(spec: ObstacleProblemSpec, grid: SpaceTimeGrid) -> float:
     """Max nodewise gap between the solutions with obstacles h and h v u_free,
     where u_free solves the unconstrained problem (both gaps vanish in the
-    continuum)."""
-    from parobs.solver import obstacle_field, solve_psor
+    continuum); the obstacle h v u_free is a tabulated spec."""
+    from parobs.solver import solve_psor
 
     u_free = unconstrained_march(spec, grid)
-    h_field = obstacle_field(spec, grid)
-    sol_h = solve_psor(spec, grid, obstacle_field_override=h_field)
-    sol_max = solve_psor(spec, grid, obstacle_field_override=np.maximum(h_field, u_free))
+    sol_h = solve_psor(spec, grid)
+    h_max = np.maximum(sol_h.diagnostics["h_field"], u_free)
+    sol_max = solve_psor(tabulated_obstacle(spec, grid, h_max), grid)
     return float(np.max(np.abs(sol_h.u_values - sol_max.u_values)))
+
+
+def frozen_reward_field(spec, grid, u):
+    """f(t, x, u, sigma Du) on every slice of a grid field u (``_driver_row``):
+    the running reward of the Snell recursion, one row per time slice."""
+    from parobs.solver import _driver_row, _sigma_row
+
+    out = np.empty_like(u)
+    for k, t in enumerate(grid.t_nodes):
+        t = float(t)
+        out[k] = _driver_row(spec, grid, t, u[k], _sigma_row(spec, grid, t))
+    return out
+
+
+def snell_recursion(spec, grid, reward_field, s_index, x_index):
+    """Exhaustive optimal-stopping value on the grid chain by backward induction.
+
+    ``reward_field`` is the running reward f evaluated along the solved field,
+    one row per time slice.  The recursion the package ran before the
+    exhaustive value became chain-dp under the frozen driver.
+    """
+    from parobs.grid import _step_kernels
+    from parobs.solver import boundary_values, obstacle_field, terminal_field
+
+    clamp = spec.boundary_mode == "clamp-to-data"
+    h_field = obstacle_field(spec, grid)
+    bnd = boundary_values(spec, grid, h_field) if clamp else None
+    V = terminal_field(spec, grid).copy()
+    for k, _, kern in _step_kernels(spec, grid, s_index):
+        cont = kern.apply(V)
+        V = np.maximum(h_field[k], cont + grid.dt * reward_field[k])
+        if clamp:
+            V[0], V[-1] = bnd[k]
+    return float(V[x_index])
 
 
 ENVELOPE_C_MAX = 64.0

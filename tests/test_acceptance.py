@@ -16,7 +16,6 @@ import pytest
 from parobs.grid import SpaceTimeGrid, solve_density
 from parobs.solver import (
     contraction_gamma,
-    frozen_driver_field,
     penalization_study,
     picard_outer,
     solve_penalized,
@@ -29,7 +28,6 @@ from parobs.stochastic import (
     rbsde_chain_dp,
     rbsde_reflected_mc,
     simulate_paths,
-    snell_envelope_value,
 )
 from parobs.verify import (
     VerifyContext,
@@ -40,8 +38,8 @@ from parobs.verify import (
 )
 
 from conftest import scenario_path
-from oracles import (binomial_american_put, energy_identity_residual,
-                     reflected_mc_measure_identity)
+from oracles import (binomial_american_put, energy_identity_residual, frozen_reward_field,
+                     reflected_mc_measure_identity, snell_recursion)
 
 SCHEDULE = [2**j for j in range(4, 15)]
 
@@ -272,9 +270,8 @@ def test_criterion_12_optimal_stopping(put_scenario, quad_scenario, put200, quad
     qgrid, qsol = quad200
     ix = atm_index(qgrid)
     chain_q = rbsde_chain_dp(quad_scenario.spec, qgrid, 0)
-    snell_q = snell_envelope_value(quad_scenario.spec, qgrid,
-                                   frozen_driver_field(quad_scenario.spec, qgrid, qsol.u_values),
-                                   0, ix)
+    snell_q = snell_recursion(quad_scenario.spec, qgrid,
+                              frozen_reward_field(quad_scenario.spec, qgrid, qsol.u_values), 0, ix)
     exact_ok = abs(snell_q - chain_q.Y[0, ix]) <= 1e-12
     report("criterion-12 optimal-stopping", gap_ok and exact_ok,
            f"rule-vs-snell gap {sv.gap:.2e} <= 5e-3; snell == chain-dp to "

@@ -18,12 +18,14 @@ import parobs
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "parobs"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-MAX_DEFAULTED = 18
+MAX_DEFAULTED = 14
 # parameters no caller set, folded into module constants, the checks' shared
 # objects and Monte Carlo settings, and their calibrated budgets, which they
 # now read from a ``VerifyContext``, the provenance and start node nothing read,
 # the problem and start the Monte Carlo routines read from their ensemble, and
-# the routes and levels only tests took (now in ``tests/oracles.py``)
+# the routes and levels only tests took (now in ``tests/oracles.py``), and the
+# problem data passed beside the spec: a frozen driver, a shifted obstacle
+# and a boundary mode are now specs of their own
 REMOVED = {
     "grid.solve_density": ("mass_tol",),
     "problem.lipschitz_probe": ("t_range", "x_range", "value_scale"),
@@ -48,15 +50,21 @@ REMOVED = {
     "verify.check_minimality": ("mono_tol", "sol_psor", "provenance"),
     "verify.check_weighted_bounds": ("weight", "phis", "g", "spec", "grid", "bounds",
                                      "provenance"),
+    "solver.solve_psor": ("driver_field", "obstacle_field_override"),
+    "solver.obstacle_field": ("h",),
+    "grid.evolve_law": ("mode",),
 }
 # names that belong to ``tests/oracles.py``, not the package: routines no
-# command runs, their result types and constants, and the obstacle-free solve
+# command runs, their result types and constants, the obstacle-free solve,
+# and the Snell recursion with its reward table, which stop-value replaced by
+# chain-dp under ``solver.frozen_driver``
 MOVED_TO_ORACLES = (
     "energy_identity_residual", "apriori_norm_report", "AprioriReport",
     "obstacle_replacement_check", "solve_unconstrained", "aronson_envelope_check",
     "AronsonEnvelope", "_envelope_gap", "ENVELOPE_C_MAX", "ENVELOPE_BURN_IN_FRAC",
     "estimate_g_integral", "GIntegral", "GridTooCoarse", "reflected_mc_measure_identity",
-    "SKOROKHOD_PENALTY_CONSTANT", "operator_apply",
+    "SKOROKHOD_PENALTY_CONSTANT", "operator_apply", "snell_envelope_value", "snell_recursion",
+    "frozen_driver_field", "frozen_reward_field", "tabulated_obstacle",
 )
 # public functions that no package code calls yet, each kept for a caller that
 # a ROADMAP item gives it
@@ -133,6 +141,9 @@ def test_folded_parameters_stay_gone():
         "spec", "grid", "mc_params", "calibration", "tolerances"}
     grid = importlib.import_module("parobs.grid")
     solver = importlib.import_module("parobs.solver")
+    # the frozen driver and the boundary mode reach the marchers through the spec
+    marchers = [inspect.signature(fn).parameters for fn in (solver._march, grid._step_kernels)]
+    assert [p for p in ("driver_field", "mode") for params in marchers if p in params] == []
     assert [f.name for f in dataclasses.fields(solver.PenalizationStudy)
             if f.default is not dataclasses.MISSING] == []
     never_read = [(verify.CheckReport, "provenance"), (grid.TransitionKernel, "t_index"),

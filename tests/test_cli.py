@@ -248,6 +248,43 @@ def test_a_zero_normalizer_exits_3_without_a_warning(tmp_path, capsys, old, new,
     assert not (tmp_path / "o" / csv).exists()
 
 
+def test_moments_with_a_huge_p_exits_3_without_a_warning(tmp_path, capsys):
+    """``--p 1e300`` overflows both moments to inf: ``moments`` exits 3 with
+    its one ``error:`` line, no overflow warning above it, and no CSV."""
+    with warnings_to_stderr():
+        code = run(["--scenario", scenario_path("constant"), "--out", tmp_path / "o",
+                    "moments", "--p", "1e300"])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: code=3 kind=NonFiniteOutput detail=")
+    assert not (tmp_path / "o" / "moments.csv").exists()
+
+
+@pytest.mark.parametrize("lines", [
+    ["calibration.weighted_lo = 3.0", "calibration.weighted_hi = 1.0"],
+    ["calibration.weighted_hi = 0.1"],
+    ["calibration.weighted_lo = 6.0"],
+], ids=["both", "hi-against-default-lo", "lo-against-default-hi"])
+def test_weighted_lo_above_weighted_hi_exits_2(tmp_path, capsys, lines):
+    """A resolved ``weighted_lo`` above ``weighted_hi`` is an invalid
+    scenario, whether both keys are given or one against the other's
+    default: loading it raises ``ScenarioError``, and ``verify`` exits 2 with
+    one ``error:`` line before any check runs."""
+    text = "".join(row + "\n" for row in scenario_path("constant").read_text().splitlines()
+                   if not row.startswith("calibration.weighted_"))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "".join(line + "\n" for line in lines))
+    with pytest.raises(ScenarioError, match="weighted_lo"):
+        load_scenario(cfg)
+    code = run(["--scenario", cfg, "--out", tmp_path / "o", "verify", "--checks",
+                "weighted-bounds"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: code=2 kind=ScenarioError"), err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("line", ["problem.x_lo = -inf", "grid.nx = 0", "grid.nt = -3",
                                   "mc.dt_path = 0", "calibration.fk_bias = nan"])
 def test_scenario_parser_rejects_out_of_range_numbers(tmp_path, line):
@@ -692,6 +729,26 @@ def test_penalization_study_max_level_below_schedule_start_exits_2(tmp_path, cap
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--max-level" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_penalization_study_max_level_beyond_float_range_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch):
+    """The level 2^1024 is not a finite float, so ``--max-level 1024`` is
+    refused with one ``error:`` line before the scenario loads: no PSOR
+    reference and no penalty level is solved first."""
+    import parobs.cli
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("the scenario was loaded before --max-level was rejected")
+
+    monkeypatch.setattr(parobs.cli, "load_scenario", no_load)
+    code = run(["--scenario", scenario_path("american_put"), "--out", tmp_path / "o",
+                "study", "--study", "penalization", "--max-level", 1024])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: code=2"), err
+    assert "2^1024" in err[0] and "--max-level" in err[0]
     assert not (tmp_path / "o").exists()
 
 

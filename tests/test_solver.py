@@ -29,6 +29,7 @@ from oracles import (
     energy_identity_residual,
     obstacle_replacement_check,
     psor_lcp_solve,
+    snell_recursion,
     unconstrained_march,
 )
 
@@ -369,6 +370,19 @@ def test_obstacle_stability_identical_and_shifted():
     assert shifted.passed
 
 
+def test_obstacle_stability_refuses_an_obstacle_above_phi_before_solving(heat_scenario,
+                                                                        monkeypatch):
+    """Each obstacle is checked against phi at T before either is solved."""
+    spec = heat_scenario.spec
+    grid = SpaceTimeGrid.build(spec, 40, 30)
+    monkeypatch.setattr(solver_mod, "solve_psor", lambda *a, **k: pytest.fail("solved"))
+    h1 = spec.obstacle.h
+    above = lambda t, x: np.asarray(spec.obstacle.phi(x), float) + 1e-6
+    for pair in ((h1, above), (above, h1)):
+        with pytest.raises(ValueError, match="terminal value"):
+            obstacle_stability(spec, grid, *pair)
+
+
 def test_obstacle_stability_deactivated_pair(heat_scenario):
     spec = heat_scenario.spec
     grid = SpaceTimeGrid.build(spec, 40, 30)
@@ -526,6 +540,30 @@ def test_driver_and_sigma_rows_equal_the_broadcast_copies(put_scenario):
     assert solver_mod._driver_row(s, grid, t, u_row, sigma) is stored
 
 
+def test_frozen_driver_is_a_spec_whose_march_forms_no_sigma_row(put_scenario, monkeypatch):
+    """``frozen_driver`` tabulates f(t, x, u, sigma Du) along u on the grid's
+    slices, with L = M_growth = 0: its f returns the row of the grid time t
+    whatever (x, y, z).  A march of it, as of any driver with L = 0, takes one
+    exact solve per step and forms no sigma row; the put's own march forms
+    one per step."""
+    spec = put_scenario.spec
+    grid = SpaceTimeGrid.build(spec, 40, 20)
+    u = solve_psor(spec, grid).u_values
+    frozen = solver_mod.frozen_driver(spec, grid, u)
+    assert (frozen.driver.L, frozen.driver.M_growth) == (0.0, 0.0)
+    assert dataclasses.replace(frozen, driver=spec.driver) == spec
+    for k, t in enumerate(grid.t_nodes.tolist()):
+        row = solver_mod._driver_row(spec, grid, t, u[k], solver_mod._sigma_row(spec, grid, t))
+        assert np.array_equal(frozen.driver.f(t, None, None, None), row)
+    calls = []
+    real = solver_mod._sigma_row
+    monkeypatch.setattr(solver_mod, "_sigma_row", lambda *a: calls.append(a[2]) or real(*a))
+    sol = solve_psor(frozen, grid)
+    assert calls == [] and np.all(sol.diagnostics["refine_counts"] == 1)
+    solve_psor(spec, grid)
+    assert len(calls) == grid.nt
+
+
 @pytest.mark.parametrize("family", ["constant", "american-put", "custom-polynomial"])
 def test_constant_coefficient_families_return_scalars(family):
     """The families with a constant coefficient return the scalars a0 and
@@ -572,13 +610,14 @@ def _arrays(result):
                                   "put_scenario", "quad_scenario"])
 def test_march_builds_one_kernel_for_a_constant_coefficient(name, request, monkeypatch):
     """Every loop over step kernels takes them from ``grid._step_kernels``:
-    the solvers' march, chain-dp, the Snell recursion, ``evolve_law`` and the
+    the solvers' march, chain-dp, the Snell recursion of the oracles,
+    ``evolve_law`` (of the spec and of its reflecting twin) and the
     weighted-bounds check.  A coefficient that returns a scalar builds one
     kernel per loop, and a scalar that changes with t one per change; every
     output equals that of the same coefficient returned as full rows, one
     kernel per step, bit for bit."""
     from parobs.grid import evolve_law
-    from parobs.stochastic import rbsde_chain_dp, snell_envelope_value
+    from parobs.stochastic import rbsde_chain_dp
     from parobs.verify import VerifyContext, check_weighted_bounds
 
     spec = request.getfixturevalue(name).spec
@@ -612,9 +651,10 @@ def test_march_builds_one_kernel_for_a_constant_coefficient(name, request, monke
         (lambda s: _arrays(solve_psor(s, grid)), 1, nt),
         (lambda s: _arrays(solve_penalized(s, grid, 256)), 1, nt),
         (chain, 1, late),
-        (lambda s: [snell_envelope_value(s, grid, reward, s_index, x_index)], 1, late),
+        (lambda s: [snell_recursion(s, grid, reward, s_index, x_index)], 1, late),
         (lambda s: [w for _, w in evolve_law(s, grid, w0, s_index)], 1, late),
-        (lambda s: [w for _, w in evolve_law(s, grid, w0, s_index, mode="reflecting")], 1, late),
+        (lambda s: [w for _, w in evolve_law(dataclasses.replace(s, boundary_mode="reflecting"),
+                                             grid, w0, s_index)], 1, late),
         (weighted, 2, nt),
     )
     a_spec = spec.coefficients.a

@@ -10,7 +10,7 @@ from parobs.errors import MissingDerivative, RegressionSingular
 from parobs.grid import SpaceTimeGrid, solve_density
 from parobs.problem import Coefficients, Driver, ObstacleData, ObstacleProblemSpec, Weight
 from parobs.scenarios import build_family
-from parobs.solver import frozen_driver_field, obstacle_field, solve_psor
+from parobs.solver import obstacle_field, solve_psor
 from parobs.stochastic import (
     BLOCK_SIZE,
     N_BATCHES,
@@ -21,7 +21,6 @@ from parobs.stochastic import (
     rbsde_penalized_mc,
     rbsde_reflected_mc,
     simulate_paths,
-    snell_envelope_value,
     _Projection,
 )
 
@@ -29,10 +28,12 @@ from conftest import read_all
 from oracles import (
     binomial_american_put,
     estimate_g_integral,
+    frozen_reward_field,
     implicit_chain_dp,
     lstsq_polynomial_fit,
     stored_convergence_table,
     stored_simulate_paths,
+    snell_recursion,
     storing_lsmc,
     unconstrained_march,
 )
@@ -726,9 +727,29 @@ def test_snell_equals_chain_dp_without_driver_dependence(quad_scenario):
     sol = solve_psor(spec, grid)
     ix = 30
     chain = rbsde_chain_dp(spec, grid, 0)
-    snell = snell_envelope_value(spec, grid, frozen_driver_field(spec, grid, sol.u_values),
-                                 0, ix)
+    snell = snell_recursion(spec, grid, frozen_reward_field(spec, grid, sol.u_values), 0, ix)
     assert snell == chain.Y[0, ix]  # bit-identical recursions when f ignores (y, z)
+
+
+@pytest.mark.parametrize("name", ["constant_scenario", "heat_scenario", "sine_scenario",
+                                  "put_scenario", "quad_scenario"])
+def test_stop_value_snell_is_chain_dp_under_the_frozen_driver(request, name):
+    """stop-value's exhaustive value, chain-dp on the spec whose driver is
+    frozen along the solved field, equals the Snell recursion with that
+    field's reward, bit for bit: each step is cont + dt reward_k, max(h, .)
+    and clamped edges.  The put's driver depends on (y, z), so there the
+    frozen driver is what makes the two agree."""
+    spec = request.getfixturevalue(name).spec
+    grid = SpaceTimeGrid.build(spec, 60, 40)
+    sol = solve_psor(spec, grid)
+    reward = frozen_reward_field(spec, grid, sol.u_values)
+    x0 = 0.5 * (spec.x_lo + spec.x_hi) + 0.3
+    for s_index in (0, 13):
+        s = float(grid.t_nodes[s_index])
+        ens = simulate_paths(spec, s, x0, (spec.T - s) / 9, 200, seed=3)
+        x_index = int(np.clip(round((x0 - grid.x_nodes[0]) / grid.dx), 0, grid.nx + 1))
+        sv = optimal_stopping_value(grid, sol, ens)
+        assert sv.snell_value == snell_recursion(spec, grid, reward, s_index, x_index), s_index
 
 
 def test_chain_dp_skorokhod_exact(put_scenario):

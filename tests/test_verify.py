@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 from contextlib import closing
@@ -264,7 +265,7 @@ def test_interval_measure_carries_the_law_only_to_the_last_slice_summed(
     w0 = np.zeros(grid.nx + 2)
     w0[1:-1] = grid.dx
     right = 0.0
-    for k, w in evolve_law(spec, grid, w0, k1, mode="reflecting"):
+    for k, w in evolve_law(dataclasses.replace(spec, boundary_mode="reflecting"), grid, w0, k1):
         if k >= k_end:
             break
         right += float(np.sum(w[f_mask] * chain.dK[k - k1, f_mask]))
