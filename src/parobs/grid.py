@@ -16,7 +16,8 @@ recursions (``apply``)
 and the forward laws (``evolve_law``, by ``apply_T``).  Every banded solve
 in the package goes through ``_tridiagonal_solve``, which calls LAPACK
 ``dgtsv`` directly: the routine ``scipy.linalg.solve_banded`` ends in for
-(1, 1) bands, without the wrapper's per-call cost.  ``dgtsv`` is bound by
+(1, 1) bands, without the wrapper's per-call cost.  A penalty ladder's
+levels take one call, as one block-diagonal system.  ``dgtsv`` is bound by
 ``parobs._lapack`` from scipy's compiled wrapper without importing
 ``scipy.linalg``; ``LinAlgError`` is numpy's class, which scipy re-exports.
 ``MASS_TOL`` is a density's allowed mass loss.
@@ -137,31 +138,31 @@ def _tridiagonal_solve(ab: np.ndarray, b: np.ndarray, diag: np.ndarray | None = 
 
     ``diag``, when given, replaces the main diagonal ``ab[1]``.  One LAPACK
     ``dgtsv`` call, the routine ``solve_banded((1, 1), ab, b)`` ends in, so
-    the result is the same to the bit; b may be 1-D or (n, k).  A batch of L
-    systems that share the off-diagonals passes ``diag`` and b as (L, n):
-    row l of the result solves with diag[l] and b[l], one ``dgtsv`` call per
-    row after one finiteness check of the whole batch.  Kept from
-    ``solve_banded``: ``ValueError`` for NaN or inf anywhere in ab, diag or
-    b, ``LinAlgError`` for a singular system, and no input is overwritten.
+    the result is the same to the bit; b may be 1-D or (n, k).  A ladder of
+    L systems that share the off-diagonals passes ``diag`` and b as (L, n),
+    and row l of the result solves with diag[l] and b[l]: the one call solves
+    the block-diagonal system of all L n unknowns, with zero couplings.
+    ``dgtsv`` exchanges no rows across a zero subdiagonal entry, and the
+    couplings only add zeros, so each block is its lone solve (a zero entry
+    may change sign).  Kept from ``solve_banded``: ``ValueError`` for NaN or
+    inf anywhere in ab, diag or b, ``LinAlgError`` for a singular system or
+    ladder level, and no input is overwritten.
     """
     if not (np.isfinite(ab).all() and np.isfinite(b).all()
             and (diag is None or np.isfinite(diag).all())):
         raise ValueError("array must not contain infs or NaNs")
-    if diag is not None and diag.ndim == 2:
-        x = np.empty(b.shape)
-        for row, d, rhs in zip(x, diag, b):
-            row[:] = _gtsv(ab, d, rhs)
-        return x
-    return _gtsv(ab, ab[1] if diag is None else diag, b)
-
-
-def _gtsv(ab: np.ndarray, diag: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x, info = dgtsv(ab[2, :-1], diag, ab[0, 1:], b)[3:]
+    if diag is None or diag.ndim == 1:
+        dl, d, du, rhs = ab[2, :-1], ab[1] if diag is None else diag, ab[0, 1:], b
+    else:
+        off = np.zeros((2,) + diag.shape)   # each level's sub- and superdiagonal, then a zero
+        off[0, :, :-1], off[1, :, :-1] = ab[2, :-1], ab[0, 1:]
+        (dl, du), d, rhs = off.reshape(2, -1)[:, :-1], diag.ravel(), b.ravel()
+    x, info = dgtsv(dl, d, du, rhs)[3:]
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
-    return x
+    return x.reshape(b.shape)
 
 
 def _banded_transpose(ab: np.ndarray) -> np.ndarray:
@@ -247,7 +248,8 @@ def solve_backward_step(kern: TransitionKernel, rhs_full: np.ndarray,
     the implicit kernel's bands; ``extra_diag`` (length nx + 2) is the
     implicit penalty term.  Without it the step is ``kern.apply(rhs)``.
     The shared bands are not copied: only the sum diagonal is new.  With
-    rhs and extra_diag of shape (L, nx + 2), row l solves its own system.
+    rhs and extra_diag of shape (L, nx + 2), row l solves its own system, and
+    the L systems take one ``dgtsv`` call.
     """
     if kern.scheme != "implicit":
         raise ValueError("a backward step needs the implicit kernel")

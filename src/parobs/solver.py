@@ -18,17 +18,17 @@ level axis: the levels of a penalty ladder march in lockstep, sharing each
 step's kernel and sigma row, and a level whose iterate has converged is
 frozen while the others iterate, so every level is bit for bit its lone
 march; a single solve is a ladder of one.  ``penalization_study`` and
-``verify.check_minimality`` march their levels together and fold each slice
-as it comes, holding no level's field.  The step object is the grid's
-implicit ``transition_kernel``, the banded M = I - dt A that is also the
-chain's transition law, built once per march when a(t, x) returns a constant
-scalar; the routes differ only in what they do with it per iterate:
-``solve_backward_step`` with one penalty diagonal per level, or
-``_lcp_step`` on ``kern.bands``; each banded solve is the grid's
-``_tridiagonal_solve``.  ``sigma_du`` forms sigma Du on a grid row: the
-sigma row sqrt(a(t, x)) (``_sigma_row``) times ``central_gradient``.  Loops
-that need several rows at one t (the marcher's inner iterates, the chain-dp
-step) take the sigma row once per step.
+``verify.check_minimality`` march their whole schedules together and fold
+each slice as it comes, holding no level's field.  The step object is the
+grid's implicit ``transition_kernel``, the banded M = I - dt A that is also
+the chain's transition law, built once per march when a(t, x) returns a
+constant scalar; the routes differ only in what they do with it per iterate:
+``solve_backward_step`` with one penalty diagonal per level, all levels in
+one block-diagonal LAPACK call, or ``_lcp_step`` on ``kern.bands``; each
+banded solve is the grid's ``_tridiagonal_solve``.  ``sigma_du`` forms sigma
+Du on a grid row: the sigma row sqrt(a(t, x)) (``_sigma_row``) times
+``central_gradient``.  Loops that need several rows at one t (the marcher's
+inner iterates, the chain-dp step) take the sigma row once per step.
 Besides the ``DEFAULT_*`` tolerances, ``PICARD_MAX_OUTER`` and
 ``PICARD_OUTER_TOL`` end ``picard_outer``, and ``STABILITY_C`` is the
 distance ratio ``obstacle_stability`` passes.  Both solve specs of their own:
@@ -301,7 +301,9 @@ def _one_level(march, grid: SpaceTimeGrid):
 # penalized route
 
 def _finite_level(n) -> float:
-    """Penalty level n as a float, or ``ValueError`` naming it when it is not finite."""
+    """Penalty level n as a float; ``ValueError`` below 1 or past float range."""
+    if n < 1:
+        raise ValueError("n_penalty must be >= 1")
     try:
         level = float(n)
     except OverflowError:
@@ -314,8 +316,8 @@ def _finite_level(n) -> float:
 def _penalized_march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels,
                      h_field: np.ndarray, inner_tol: float, max_inner: int):
     """``_march`` of the penalized step for the penalty levels ``n_levels``
-    in lockstep, ``h_field`` the obstacle on every slice.  A level that is
-    not a finite float raises ``ValueError``."""
+    in lockstep, ``h_field`` the obstacle on every slice.  A level below 1
+    or not a finite float raises ``ValueError`` before any step."""
     mode = spec.boundary_mode
     dtn = grid.dt * np.array([_finite_level(n) for n in n_levels])[:, None]
 
@@ -341,8 +343,6 @@ def solve_penalized(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_penalty: i
     term by 1 / (1 + dt n) and keeps the inner fixed point contractive for
     every n; only the driver lag limits dt.  A penalty ladder of one level.
     """
-    if n_penalty < 1:
-        raise ValueError("n_penalty must be >= 1")
     h_field = obstacle_field(spec, grid)
     u, counts = _one_level(_penalized_march(spec, grid, [n_penalty], h_field, inner_tol,
                                             max_inner), grid)
@@ -468,20 +468,18 @@ def _grad_sq(row: np.ndarray, rho2_mid: np.ndarray, dx: float) -> float:
     return float(np.sum(g**2 * rho2_mid) * dx)
 
 
-def _fold_ladder(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels, u_before: np.ndarray,
-                 h_field: np.ndarray, ref: np.ndarray, inner_tol: float = DEFAULT_INNER_TOL,
+def _fold_ladder(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels, h_field: np.ndarray,
+                 ref: np.ndarray, inner_tol: float = DEFAULT_INNER_TOL,
                  max_inner: int = DEFAULT_MAX_INNER) -> dict:
     """March the penalty levels ``n_levels`` in lockstep at ``inner_tol`` and
-    ``max_inner`` and fold each slice into the study's statistics, per level
-    j, with ``u_before`` the field of the level before the first:
+    ``max_inner`` and fold each slice into the study's statistics, per level j:
 
-    * ``worst``, ``at``: the min of u_j - u_{j-1} and its first (k, i) in C
-      order, as ``np.argmin`` of the whole field would find it;
-    * ``sup``: max |u_j - u_{j-1}|;
-    * ``terms``: row k's term of the space-time norm of u_j - u_{j-1};
     * ``gap``: max (h - u_j), at most 0 exactly when r_j = n_j (h - u_j)^+
-      is 0 everywhere;
-    * ``dist``: max |u_j - ref|.
+      is 0 everywhere; ``dist``: max |u_j - ref|;
+    * for j >= 1, of the increment d = u_j - u_{j-1}: ``worst``, ``at``, its
+      min and the min's first (k, i) in C order, as ``np.argmin`` of the
+      whole field would find it; ``sup``, max |d|; ``terms``, row k's term
+      of its space-time norm.
 
     No level's field is held.  ``done`` is the number of leading levels that
     completed and ``error`` the divergence that stopped the others (None
@@ -497,14 +495,15 @@ def _fold_ladder(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels, u_bef
     try:
         for k, rows, _ in _penalized_march(spec, grid, n_levels, h_field, inner_tol, max_inner):
             live = len(rows)
-            delta = rows - np.concatenate((u_before[k][None], rows[:-1]))
+            inc = slice(1, live)   # the levels with an increment, row j - 1 of delta
+            delta = rows[1:] - rows[:-1]
             lo = delta.min(axis=1)
-            for j in np.flatnonzero(lo <= worst[:live]):  # slices come in falling k
-                worst[j], at[j] = lo[j], (k, int(np.argmin(delta[j])))
-            sup[:live] = np.maximum(sup[:live], np.max(np.abs(delta), axis=1))
-            terms[:live, k] = (np.sum(delta**2 * rho2, axis=1) * grid.dx
-                               + np.sum((np.diff(delta, axis=1) / grid.dx) ** 2 * rho2_mid,
-                                        axis=1) * grid.dx) * grid.dt
+            for j in np.flatnonzero(lo <= worst[inc]):  # slices come in falling k
+                worst[j + 1], at[j + 1] = lo[j], (k, int(np.argmin(delta[j])))
+            sup[inc] = np.maximum(sup[inc], np.max(np.abs(delta), axis=1))
+            terms[inc, k] = (np.sum(delta**2 * rho2, axis=1) * grid.dx
+                             + np.sum((np.diff(delta, axis=1) / grid.dx) ** 2 * rho2_mid,
+                                      axis=1) * grid.dx) * grid.dt
             gap[:live] = np.maximum(gap[:live], np.max(h_field[k] - rows, axis=1))
             dist[:live] = np.maximum(dist[:live], np.max(np.abs(rows - ref[k]), axis=1))
     except InnerDivergence as exc:
@@ -517,51 +516,41 @@ def penalization_study(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedul
     """Run the penalty schedule, assert nodewise monotone increase, and record
     each level's increments and its sup distance to the ``reference`` solution.
 
-    The schedule must be nonempty and strictly increasing.  If a level
-    produces an exactly inactive penalty (r = 0) the study short-circuits:
-    all later levels solve the same unconstrained problem.  ``tolerances``
-    (``inner_tol``, ``max_inner``, as ``solve_penalized`` takes them) reach
-    every level's march.
-
-    The first level marches alone, so an inactive obstacle costs one level;
-    the others march in lockstep (``_fold_ladder``), so the only field held
-    is the first level's.  The outcome is that of a level-by-level run: in
-    schedule order each level raises its divergence, then its monotonicity
-    violation against the level before, then ends the study if its penalty
-    is inactive.
+    The schedule must be nonempty, strictly increasing and start at n >= 1.
+    If a level produces an exactly inactive penalty (r = 0) the study
+    short-circuits: all later levels solve the same unconstrained problem.
+    The whole schedule is one lockstep march (``_fold_ladder``), which
+    ``tolerances`` (``inner_tol``, ``max_inner``) reach, and no level's field
+    is held.  The outcome is that of a level-by-level run: in schedule order
+    each level raises its divergence, then its monotonicity violation
+    against the level before, then ends the study if its penalty is inactive.
     """
     n_schedule = [int(n) for n in n_schedule]
     if not n_schedule:
         raise ValueError("n_schedule is empty")
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")
-    first = solve_penalized(spec, grid, n_schedule[0], **tolerances)
-    u_first, active = first.u_values, float(np.max(first.r_values)) != 0.0
-    del first  # the ladder holds the first level's field only
-    levels, sups, norms = [n_schedule[0]], [], []
-    dists = [float(np.max(np.abs(u_first - reference.u_values)))]
-
-    if len(n_schedule) > 1 and active:
-        ladder = n_schedule[1:]
-        folds = _fold_ladder(spec, grid, ladder, u_first, obstacle_field(spec, grid),
-                             reference.u_values, **tolerances)
-        for j, n in enumerate(ladder):
-            if j == folds["done"]:
-                raise folds["error"]
-            levels.append(n)
-            dists.append(float(folds["dist"][j]))
+    folds = _fold_ladder(spec, grid, n_schedule, obstacle_field(spec, grid), reference.u_values,
+                         **tolerances)
+    levels, sups, norms, dists = [], [], [], []
+    for j, n in enumerate(n_schedule):
+        if j == folds["done"]:
+            raise folds["error"]
+        levels.append(n)
+        dists.append(float(folds["dist"][j]))
+        if j:
             worst = float(folds["worst"][j])
             if worst < -DEFAULT_MONO_TOL:
                 k, i = folds["at"][j]
                 raise MonotonicityViolation(
                     f"u_n decreased by {-worst:.3e} at t = {grid.t_nodes[k]:.6g}, "
-                    f"x = {grid.x_nodes[i]:.6g} between n = {n_schedule[j]} and n = {n}; "
+                    f"x = {grid.x_nodes[i]:.6g} between n = {n_schedule[j - 1]} and n = {n}; "
                     f"inner_tol may be too loose")
             sups.append(float(folds["sup"][j]))
             # the row terms summed in forward order: cumsum adds sequentially
             norms.append(float(np.sqrt(np.cumsum(folds["terms"][j])[-1])))
-            if folds["gap"][j] <= 0.0:
-                break
+        if folds["gap"][j] <= 0.0:
+            break
 
     return PenalizationStudy(n_levels=levels, sup_increments=np.asarray(sups),
                              norm_increments=np.asarray(norms),

@@ -9,7 +9,10 @@ Three routes estimate the RBSDE triple (Y, Z, K):
 * ``rbsde_reflected_mc``: discretely reflected least-squares Monte Carlo, the
   same date update at n = inf, the limit of the penalized BSDEs.
 
-The exhaustive stopping value is chain-dp under the driver frozen along u.
+Both fits are one-level calls of one backward pass with a level axis
+(``_mc_backward``), which fits ``penalization_convergence_mc``'s reflected
+scheme and whole penalty ladder at once.  The exhaustive stopping value is
+chain-dp under the driver frozen along u.
 
 Paths are generated from counter-based Philox streams keyed by (seed, block)
 (Salmon et al., SC 2011); the block layout is a fixed module constant, and
@@ -58,12 +61,12 @@ from .problem import ObstacleProblemSpec
 from .solver import (
     ObstacleSolution,
     boundary_values,
-    central_gradient,
     frozen_driver,
     obstacle_field,
     terminal_field,
     z_field,
     _contact_tol,
+    _driver_row,
     _sigma_row,
 )
 
@@ -550,7 +553,8 @@ class RbsdeEstimate:
 
 def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int) -> RbsdeEstimate:
     """Reflected backward dynamic programming on the grid chain, with the
-    explicit step Y = max(h, c), c = cont + dt f(t, x, cont, z).
+    explicit step Y = max(h, c), c = cont + dt f(t, x, cont, z), z = sigma
+    D cont; a driver with L = 0 is given z = 0, and no sigma row is formed.
 
     Conditional expectations are exact kernel applications, so the estimate
     carries no regression noise and no confidence interval.
@@ -570,8 +574,8 @@ def rbsde_chain_dp(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, s_index: int)
     for k, t, kern in _step_kernels(spec, grid, s_index):
         j = k - s_index
         cont = kern.apply(Y[j + 1])
-        z_proxy = _sigma_row(spec, grid, t) * central_gradient(cont, grid.dx)
-        c = cont + dt * np.asarray(spec.driver.f(t, grid.x_nodes, cont, z_proxy), dtype=float)
+        sigma = _sigma_row(spec, grid, t) if spec.driver.L > 0.0 else None
+        c = cont + dt * _driver_row(spec, grid, t, cont, sigma)
         Y[j] = np.maximum(h_field[k], c)
         dK[j] = np.maximum(h_field[k] - c, 0.0)
         if clamp:
@@ -714,19 +718,54 @@ class LsmcEstimate:
             self.ensemble.spec.driver.f(t, xk, cont, zk), dtype=float)
         return np.maximum(self._toward(c, h_k), c), c
 
+    def _fit_date(self, k: int, xk: np.ndarray, dw: np.ndarray, proj, V: np.ndarray) -> np.ndarray:
+        """Backward date k on the date's projection ``proj``: fit ``coef[k]``
+        to the realized value V of date k + 1, add dK to ``K_T``, set ``Y0``
+        and ``ci`` at k = 0, and return the realized value of date k."""
+        m, dt = self.ensemble.path_count, self.ensemble.dt_path
+        t = float(self.ensemble.t_nodes[k])
+        self.coef[k, 0] = proj.coef(V)
+        # centering the Z target with the fitted continuation changes nothing
+        # in expectation (E[C(X) dW] = 0) and removes the O(1/dt) variance
+        # carried by the level of V
+        cont = _fitted(self.coef[k, 0], proj.B, m)
+        self.coef[k, 1] = proj.coef((V - cont) * dw / dt)
+        y_fit, c_fit, zk, dk, h_k = self._evaluate(k, xk, proj.B, cont)
+        del cont
+        if k == 0:
+            batch_y0 = []
+            for sl in _batch_slices(m):
+                cont_b = np.full(sl.stop - sl.start, V[sl].mean())
+                zk_b = np.full(sl.stop - sl.start, ((V[sl] - V[sl].mean()) * dw[sl] / dt).mean())
+                yb, _ = self._resolve(t, xk[sl], cont_b, zk_b, h_k[sl])
+                batch_y0.append(float(yb.mean()))
+            self.Y0 = float(y_fit.mean())
+            self.ci = 1.96 * float(np.std(batch_y0, ddof=1)) / np.sqrt(len(batch_y0))
+        vstar = V + dt * np.asarray(self.ensemble.spec.driver.f(t, xk, y_fit, zk), dtype=float)
+        self.K_T += dk
+        # the value step's penalty map applied to the realized value on the
+        # fitted active set, so accumulated regression noise is damped toward
+        # h instead of compounding through the stiff penalty
+        return np.where(h_k >= c_fit, self._toward(vstar, h_k), vstar)
 
-def _mc_backward(ensemble: PathEnsemble, basis_degree: int, n_penalty: float) -> LsmcEstimate:
-    """The LSMC backward loop at penalty level ``n_penalty`` (inf: reflected),
-    for the problem the ensemble was simulated under.
+
+def _mc_backward(ensemble: PathEnsemble, basis_degree: int, levels: tuple) -> list:
+    """One ``LsmcEstimate`` per penalty level of ``levels`` (each >= 1; inf:
+    reflected) from one LSMC backward pass, for the problem the ensemble was
+    simulated under.  Per date the levels share one reader row, one Hermite
+    basis and one Gram factor (``_Projection``); each keeps its own V,
+    coefficients, value step and K (``LsmcEstimate._fit_date``), so each is
+    bit for bit its one-level fit.
 
     The regression target is the realized per-path value V, not the fitted
     field: exercising (or penalizing against) the realized rollforward keeps
     the well-known upward bias of fitted-value iteration from compounding
-    over many reflection dates.  Each date stores only its two coefficient
-    vectors; its fitted Y, Z, dK come from ``LsmcEstimate._evaluate``, which
-    every later pass over the estimate calls too.  At the start date all
-    paths coincide, so the regression degenerates to the plain mean there.
+    over many reflection dates.  At the start date all paths coincide, so
+    the regression degenerates to the plain mean there.
     """
+    bad = [level for level in levels if not level >= 1]   # NaN too
+    if bad:
+        raise ValueError(f"n_penalty must be >= 1, got {bad[0]}")
     if ensemble.dW is None:
         raise ValueError("regression schemes need a stored ensemble (store_dw=True)")
     if not 0 <= basis_degree <= MAX_BASIS_DEGREE:
@@ -734,47 +773,18 @@ def _mc_backward(ensemble: PathEnsemble, basis_degree: int, n_penalty: float) ->
     if ensemble.path_count < 1000:
         raise ValueError("regression schemes need at least 1000 paths")
     n, m = ensemble.n_steps, ensemble.path_count
-    dt = ensemble.dt_path
-    f = ensemble.spec.driver.f
-    est = LsmcEstimate(n_penalty=float(n_penalty), Y0=float("nan"), ci=float("nan"),
-                       coef=np.zeros((n, 2, basis_degree + 1)), K_T=np.zeros(m),
-                       ensemble=ensemble, basis_degree=basis_degree)
+    ests = [LsmcEstimate(n_penalty=float(level), Y0=float("nan"), ci=float("nan"),
+                         coef=np.zeros((n, 2, basis_degree + 1)), K_T=np.zeros(m),
+                         ensemble=ensemble, basis_degree=basis_degree) for level in levels]
 
     with closing(ensemble._read(backward=True)) as rows:
         _, x_n, _ = next(rows)
-        V = np.asarray(ensemble.spec.obstacle.phi(x_n), dtype=float)
+        V = [np.asarray(ensemble.spec.obstacle.phi(x_n), dtype=float)] * len(ests)
         for k, xk, dw in rows:
-            t = float(ensemble.t_nodes[k])
             proj = _Projection(xk, basis_degree) if k > 0 else _StartProjection(basis_degree)
-            est.coef[k, 0] = proj.coef(V)
-            # centering the Z target with the fitted continuation changes nothing
-            # in expectation (E[C(X) dW] = 0) and removes the O(1/dt) variance
-            # carried by the level of V
-            cont = _fitted(est.coef[k, 0], proj.B, m)
-            z_target = (V - cont) * dw / dt
-            est.coef[k, 1] = proj.coef(z_target)
-            y_fit, c_fit, zk, dk, h_k = est._evaluate(k, xk, proj.B, cont)
-            del cont
-            if k == 0:
-                batch_y0 = []
-                for sl in _batch_slices(m):
-                    cont_b = np.full(sl.stop - sl.start, V[sl].mean())
-                    zk_b = np.full(sl.stop - sl.start,
-                                   ((V[sl] - V[sl].mean()) * dw[sl] / dt).mean())
-                    yb, _ = est._resolve(t, xk[sl], cont_b, zk_b, h_k[sl])
-                    batch_y0.append(float(yb.mean()))
-            vstar = V + dt * np.asarray(f(t, xk, y_fit, zk), dtype=float)
-            # the value step's penalty map applied to the realized value on
-            # the fitted active set, so accumulated regression noise is damped
-            # toward h instead of compounding through the stiff penalty
-            V = np.where(h_k >= c_fit, est._toward(vstar, h_k), vstar)
-            est.K_T += dk
-            # the next date's update runs with no other row of this one held
-            del z_target, c_fit, zk, dk, h_k, vstar
-
-    est.Y0 = float(y_fit.mean())
-    est.ci = 1.96 * float(np.std(batch_y0, ddof=1)) / np.sqrt(len(batch_y0))
-    return est
+            for j, est in enumerate(ests):
+                V[j] = est._fit_date(k, xk, dw, proj, V[j])
+    return ests
 
 
 def rbsde_penalized_mc(ensemble: PathEnsemble, n_penalty: int, basis_degree: int) -> LsmcEstimate:
@@ -784,15 +794,13 @@ def rbsde_penalized_mc(ensemble: PathEnsemble, n_penalty: int, basis_degree: int
     the stiff penalty by its exact scalar implicit step, and K grows by
     Y - C per date, which is n (Y - h)^- dt.  The level must be at least 1.
     """
-    if not n_penalty >= 1:   # NaN too
-        raise ValueError(f"n_penalty must be >= 1, got {n_penalty}")
-    return _mc_backward(ensemble, basis_degree, n_penalty)
+    return _mc_backward(ensemble, basis_degree, (n_penalty,))[0]
 
 
 def rbsde_reflected_mc(ensemble: PathEnsemble, basis_degree: int) -> LsmcEstimate:
     """Discretely reflected LSMC, the level n = inf: Y = max(h, C + dt f(t, X,
     C, Z)), C the continuation; K grows by the deficit where the obstacle binds."""
-    return _mc_backward(ensemble, basis_degree, math.inf)
+    return _mc_backward(ensemble, basis_degree, (math.inf,))[0]
 
 
 @dataclass
@@ -809,14 +817,14 @@ def penalization_convergence_mc(ensemble: PathEnsemble, n_schedule,
     """Sup-in-time estimator distances between the penalized and reflected
     schemes under common random numbers, per penalty level.
 
-    The RMS distances are streamed forward date by date through the
-    estimates' date updates, with K accumulated in forward date order; all
-    levels share the ensemble and the basis degree, so each date's basis is
-    built once for all of them.  Y carries no terminal row: it is phi(X_T)
-    in both schemes, a distance of 0.
+    Every level must be at least 1, checked before any work.  One backward
+    pass (``_mc_backward``) fits the reflected scheme and every level, and
+    the RMS distances are streamed forward date by date through the
+    estimates' date updates, with K accumulated in forward date order; each
+    pass builds each date's basis once for all levels.  Y carries no
+    terminal row: it is phi(X_T) in both schemes, a distance of 0.
     """
-    ref = rbsde_reflected_mc(ensemble, basis_degree)
-    pens = [rbsde_penalized_mc(ensemble, int(n), basis_degree) for n in n_schedule]
+    ref, *pens = _mc_backward(ensemble, basis_degree, (math.inf, *map(int, n_schedule)))
     m, n_steps = ensemble.path_count, ensemble.n_steps
     slices = [slice(None)] + _batch_slices(m)
 

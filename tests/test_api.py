@@ -69,8 +69,11 @@ MOVED_TO_ORACLES = (
 # public functions that no package code calls yet, each kept for a caller that
 # a ROADMAP item gives it
 UNCALLED_ALLOWED = {
-    "problem.lipschitz_probe",  # ROADMAP item 8 gives it a caller
-    "stochastic.penalization_convergence_mc",  # ROADMAP item 6 gives it a CLI route
+    "problem.lipschitz_probe",  # ROADMAP item 9 gives it a caller
+    "stochastic.penalization_convergence_mc",  # ROADMAP item 2 gives it a CLI route
+    # the one-level penalized fit: the convergence table fits its levels in
+    # one backward pass, and the bench tracer wraps this name
+    "stochastic.rbsde_penalized_mc",
 }
 # arguments the tracer's probes read from a bound call
 PROBE_PARAMETERS = {

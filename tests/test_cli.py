@@ -686,15 +686,15 @@ def test_stability_study_stops_at_max_inner(tmp_path, capsys):
 
 
 def test_penalization_study_honours_max_inner(tmp_path, monkeypatch):
-    """Every level of the study, the one marched alone and the lockstep
-    ladder after it, marches at the scenario's inner_tol and max_inner."""
+    """The study's one lockstep march, which carries every level, runs at
+    the scenario's inner_tol and max_inner."""
     import parobs.solver
 
     seen = _record_penalized_tolerances(monkeypatch, parobs.solver)
     code = run(["--scenario", _small_put(tmp_path, _TOLERANCES), "--out", tmp_path / "o",
                 "study", "--study", "penalization", "--max-level", "6"])
     assert code == 0
-    assert seen == [(1e-10, 150)] * 2  # level 2^4 alone, then 2^5 and 2^6 in lockstep
+    assert seen == [(1e-10, 150)]  # levels 2^4, 2^5 and 2^6 in lockstep
 
 
 @pytest.mark.parametrize("key", ["lcp_tol", "inner_tol"])

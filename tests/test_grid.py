@@ -505,6 +505,53 @@ def test_tridiagonal_solve_batches_diagonals_row_by_row():
         _tridiagonal_solve(ab_zero_row, b, singular)
 
 
+def test_a_ladder_is_one_block_diagonal_dgtsv_call(monkeypatch):
+    """(L, n) diagonals for L = 1 .. 12 are solved by one ``dgtsv`` call, and
+    every level equals its own ``dgtsv`` solve bit for bit, also where a
+    subdiagonal entry outweighs the diagonal and ``dgtsv`` exchanges rows.
+    A NaN or inf anywhere in the ladder raises ``ValueError``, and one
+    singular level raises ``LinAlgError``."""
+    import parobs.grid as grid_mod
+    from parobs._lapack import dgtsv
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1].size)
+        return dgtsv(*args)
+
+    monkeypatch.setattr(grid_mod, "dgtsv", counting)
+    rng = np.random.default_rng(53)
+    pivoted = 0
+    for levels in range(1, 13):
+        n = int(rng.integers(2, 60))
+        ab = rng.normal(size=(3, n))
+        diag = rng.normal(size=(levels, n)) * rng.choice([0.05, 4.0], size=(levels, n))
+        pivoted += int(np.sum(np.abs(ab[2, :-1]) > np.abs(diag[:, :-1])))
+        b = rng.normal(size=(levels, n))
+        calls.clear()
+        x = _tridiagonal_solve(ab, b, diag)
+        assert calls == [levels * n]
+        for row, d, rhs in zip(x, diag, b):
+            want, info = dgtsv(ab[2, :-1], d, ab[0, 1:], rhs)[3:]
+            assert info == 0 and row.tobytes() == want.tobytes()
+        for bad in (np.nan, np.inf, -np.inf):
+            for target in (ab, diag, b):
+                broken = target.copy()
+                broken[tuple(int(rng.integers(0, size)) for size in broken.shape)] = bad
+                args = [broken if t is target else t for t in (ab, b, diag)]
+                with pytest.raises(ValueError):
+                    _tridiagonal_solve(*args)
+        decoupled = ab.copy()
+        decoupled[0, 1] = decoupled[2, 0] = 0.0   # row 0 of a level is then diag[0] alone
+        _tridiagonal_solve(decoupled, b, diag)
+        singular = diag.copy()
+        singular[int(rng.integers(0, levels)), 0] = 0.0
+        with pytest.raises(LinAlgError, match="singular"):
+            _tridiagonal_solve(decoupled, b, singular)
+    assert pivoted > 50
+
+
 def test_no_module_imports_solve_banded():
     """One banded-solve entry point: ``grid._tridiagonal_solve``."""
     src = Path(parobs.__file__).parent

@@ -185,3 +185,48 @@ def test_minimality_holds_less_than_one_field(sine_scenario):
         tracemalloc.stop()
     assert rep.passed
     assert peak < (grid.nt + 1) * (grid.nx + 2) * 8
+
+
+def test_study_holds_less_than_three_fields(put_scenario):
+    """At nx = 800 the penalization study holds, beyond its reference, less
+    than three (nt + 1, nx + 2) fields: its obstacle field and the ladder's
+    rows, with no level's field.  Marching the first level alone held four."""
+    spec = put_scenario.spec
+    grid = SpaceTimeGrid.build(spec, 800, 100)
+    ref = solve_psor(spec, grid)
+    tracemalloc.start()
+    try:
+        study = penalization_study(spec, grid, STUDY, ref)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert study.n_levels == STUDY
+    assert peak < 3 * (grid.nt + 1) * (grid.nx + 2) * 8
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_study_makes_one_dgtsv_call_per_ladder_iterate(name, request, monkeypatch):
+    """The study calls no ``solve_penalized``: its whole schedule is one
+    march, whose every iterate solves all its live levels by one ``dgtsv``
+    call."""
+    import parobs.grid as grid_mod
+
+    spec = request.getfixturevalue(name).spec
+    grid = _grid(spec)
+    ref = solve_psor(spec, grid)
+    counts = {"dgtsv": 0, "step": 0, "solve_penalized": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(grid_mod, "dgtsv", counted("dgtsv", grid_mod.dgtsv))
+    monkeypatch.setattr(solver_mod, "solve_backward_step",
+                        counted("step", solver_mod.solve_backward_step))
+    monkeypatch.setattr(solver_mod, "solve_penalized",
+                        counted("solve_penalized", solver_mod.solve_penalized))
+    penalization_study(spec, grid, STUDY, ref)
+    assert counts["solve_penalized"] == 0
+    assert counts["dgtsv"] == counts["step"] >= grid.nt

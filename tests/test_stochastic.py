@@ -285,8 +285,9 @@ def test_chain_dp_inactive_equals_plain_solver(heat_scenario):
 
 
 def test_chain_dp_takes_one_sigma_row_per_step(sine_scenario):
-    """The driver's sigma Du proxy takes one a(t_k, x) row per step on the
-    nx + 2 nodes."""
+    """A driver that reads z takes one a(t_k, x) row per step on the nx + 2
+    nodes for its sigma Du proxy; sine_coef's own driver, with L = 0, takes
+    none."""
     spec = sine_scenario.spec
     grid = SpaceTimeGrid.build(spec, 50, 30)
     calls = []
@@ -297,9 +298,39 @@ def test_chain_dp_takes_one_sigma_row_per_step(sine_scenario):
 
     counted = dataclasses.replace(
         spec, coefficients=dataclasses.replace(spec.coefficients, a=counting_a))
+    reads_z = Driver(f=lambda t, x, y, z: 0.1 * np.asarray(z, dtype=float), L=0.1, M_growth=0.1,
+                     g=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)))
     s_index = 4
     rbsde_chain_dp(counted, grid, s_index)
+    assert calls.count((grid.nx + 2,)) == 0
+    calls.clear()
+    rbsde_chain_dp(dataclasses.replace(counted, driver=reads_z), grid, s_index)
     assert calls.count((grid.nx + 2,)) == grid.nt - s_index
+
+
+def test_chain_dp_forms_no_sigma_row_for_a_driver_with_l_zero(heat_scenario, monkeypatch):
+    """heat_bump's driver has L = 0: chain-dp gives it z = 0 and forms no sigma
+    row, and its Y and dK are bit for bit those of the recursion that forms
+    sigma Du on every step (``implicit_chain_dp``, whose loop ends at once on
+    a driver free of y)."""
+    import parobs.solver as solver_mod
+    import parobs.stochastic as stochastic
+
+    spec = heat_scenario.spec
+    grid = SpaceTimeGrid.build(spec, 80, 60)
+    Y, dK = implicit_chain_dp(spec, grid, 3)
+    calls = []
+    real = solver_mod._sigma_row
+
+    def counting(spec_, grid_, t):
+        calls.append(t)
+        return real(spec_, grid_, t)
+
+    for module in (solver_mod, stochastic):
+        monkeypatch.setattr(module, "_sigma_row", counting)
+    est = rbsde_chain_dp(spec, grid, 3)
+    assert calls == []
+    assert est.Y.tobytes() == Y.tobytes() and est.dK.tobytes() == dK.tobytes()
 
 
 def test_chain_dp_put_against_binomial(put_scenario):
@@ -667,9 +698,56 @@ def test_convergence_table_inactive_within_noise(heat_scenario):
     assert np.max(tab.k_distance) <= 1e-10
 
 
+def test_each_level_of_a_ladder_fit_is_its_one_level_fit(put_scenario):
+    """One backward pass over the levels (inf, 16, 256, 4096) fits each level
+    bit for bit as its own one-level pass: coefficients, K_T, Y0 and ci."""
+    import parobs.stochastic as stochastic
+
+    spec = put_scenario.spec
+    ens = simulate_paths(spec, 0.0, 0.5 * (spec.x_lo + spec.x_hi), spec.T / 40, 3000, seed=35)
+    levels = (math.inf, 16.0, 256.0, 4096.0)
+    ladder = stochastic._mc_backward(ens, 3, levels)
+    assert [est.n_penalty for est in ladder] == list(levels)
+    for est in ladder:
+        lone = (rbsde_reflected_mc(ens, 3) if math.isinf(est.n_penalty)
+                else rbsde_penalized_mc(ens, est.n_penalty, 3))
+        assert est.coef.tobytes() == lone.coef.tobytes()
+        assert est.K_T.tobytes() == lone.K_T.tobytes()
+        assert (est.Y0, est.ci) == (lone.Y0, lone.ci)
+    assert len({est.Y0 for est in ladder}) == len(levels)
+
+
+def test_convergence_table_reads_the_ensemble_once_each_way(put_scenario, monkeypatch):
+    """The convergence table opens one backward reader for the reflected
+    scheme and all its levels, and one forward reader for its sweep; a
+    schedule holding a level below 1 raises the ``rbsde_penalized_mc``
+    error before any read."""
+    import parobs.stochastic as stochastic
+
+    spec = put_scenario.spec
+    ens = simulate_paths(spec, 0.0, 0.5 * (spec.x_lo + spec.x_hi), spec.T / 20, 2000, seed=36)
+    reads, real = [], stochastic.PathEnsemble._read
+
+    def counting(self, backward):
+        reads.append(backward)
+        return real(self, backward)
+
+    monkeypatch.setattr(stochastic.PathEnsemble, "_read", counting)
+    penalization_convergence_mc(ens, [16, 64, 256, 1024], 3)
+    assert reads == [True, False]
+    reads.clear()
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match="n_penalty must be >= 1") as info:
+            penalization_convergence_mc(ens, [16, 256, bad], 3)
+        with pytest.raises(ValueError) as lone:
+            rbsde_penalized_mc(ens, bad, 3)
+        assert str(info.value) == str(lone.value)
+    assert reads == []
+
+
 def test_convergence_sweep_builds_each_basis_once(put_scenario, monkeypatch):
-    """The forward sweep builds each date's basis once for every level, and
-    its table equals the one from fields held whole, bit for bit."""
+    """The backward pass and the forward sweep each build each date's basis
+    once for every level, and the table equals the one from fields held whole, bit for bit."""
     import parobs.stochastic as stochastic
 
     spec = put_scenario.spec
@@ -686,8 +764,8 @@ def test_convergence_sweep_builds_each_basis_once(put_scenario, monkeypatch):
     monkeypatch.setattr(stochastic, "_basis", counted)
     tab = penalization_convergence_mc(ens, schedule, 3)
     n = ens.n_steps
-    # one basis per date k > 0 in each backward pass, then one per date in the sweep
-    assert len(calls) == (len(schedule) + 1) * (n - 1) + (n - 1)
+    # one basis per date k > 0 in the backward pass, then one per date in the sweep
+    assert len(calls) == (n - 1) + (n - 1)
     stored = stored_simulate_paths(spec, 0.0, x0, spec.T / 40, 3000, seed=34)
     ref = stored_convergence_table(spec, stored, schedule, 3)
     for got, want in zip((tab.y_distance, tab.k_distance, tab.y_ci, tab.k_ci), ref, strict=True):
