@@ -21,7 +21,9 @@ Lines starting with '#' are comments.  Unknown keys are rejected in every
 section so typos cannot silently change a run, and so are non-finite numbers,
 grid.nx, grid.nt, mc.paths, mc.dt_path or a tolerances.* or calibration.*
 value <= 0, a negative mc.seed and an mc.basis_degree outside 0..6;
-american-put rejects problem.sigma <= 0 and a sigma whose square overflows.
+american-put rejects problem.sigma <= 0 and a sigma whose square overflows,
+and sine-coef a problem.bump_width <= 0 or one so narrow that
+(x / bump_width)^2 overflows on the truncation.
 """
 
 from __future__ import annotations
@@ -150,6 +152,11 @@ def build_family(family: str, params: dict) -> ObstacleProblemSpec:
             raise ScenarioError("sine-coef needs 0 <= amp < a0 for ellipticity")
         bump_height = _pop_float(params, "problem.bump_height", 1.0)
         bump_width = _pop_float(params, "problem.bump_width", 1.0)
+        # phi squares x / bump_width on the truncation
+        reach = max(abs(x_lo), abs(x_hi)) / bump_width if bump_width > 0 else np.inf
+        if not np.isfinite(reach * reach):
+            raise ScenarioError("sine-coef needs problem.bump_width > 0 with (x / bump_width)^2 "
+                                f"finite on [x_lo, x_hi], got {bump_width}")
         level = _pop_float(params, "problem.obstacle_level", -10.0)
 
         def a_fn(t, x):

@@ -15,9 +15,9 @@ Both run on one backward marcher (``_march``) that owns the time loop, the
 clamp-to-data boundary values max(h(t, x_b), phi(x_b)), the lagged-driver
 fixed point within each step and the divergence guard.  It carries a leading
 level axis: the levels of a penalty ladder march in lockstep, sharing each
-step's kernel and sigma row, and a level whose iterate has converged is
-frozen while the others iterate, so every level is bit for bit its lone
-march; a single solve is a ladder of one.  ``penalization_study`` and
+step's kernel and sigma row, and a level whose step has ended is frozen
+while the others iterate, so every level is bit for bit its lone march; a
+single solve is a ladder of one.  ``penalization_study`` and
 ``verify.check_minimality`` march their whole schedules together and fold
 each slice as it comes, holding no level's field.  The step object is the
 grid's implicit ``transition_kernel``, the banded M = I - dt A that is also
@@ -42,6 +42,7 @@ module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -210,8 +211,7 @@ def _diverged(label: str, level: int, what: str) -> InnerDivergence:
 
 
 def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, labels, h_field: np.ndarray,
-           exact: bool = True, inner_tol: float = DEFAULT_INNER_TOL,
-           max_inner: int = DEFAULT_MAX_INNER):
+           inner_tol: float = DEFAULT_INNER_TOL, max_inner: int = DEFAULT_MAX_INNER):
     """Backward implicit Euler from u(T) = phi with the driver lagged in each
     step, for a ladder of levels (one per entry of ``labels``) in lockstep,
     ``h_field`` the obstacle on every slice.
@@ -219,17 +219,18 @@ def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, labels, h_fiel
     Row l of an iterate belongs to level l.  ``solve(k, kern, b, v, rows)``
     maps the step's implicit kernel, the iterates v of the levels ``rows``
     and their b = u_{k+1} + dt f(t_k, ., v, sigma D v), whose edge entries
-    hold the clamp-to-data values, to their
-    next iterates.  A level's step ends when its iterate moves by at most
-    ``inner_tol``, or after one ``exact`` solve when b does not depend on v
-    (L = 0); the level is then frozen while the others iterate, so each
-    level's arithmetic and iteration count are those of its lone march.  The
+    hold the clamp-to-data values, to (next iterates, final): ``final``, per
+    level or one flag for all, says that the route knows its next solve would
+    return the row unchanged.  A level's step ends when its iterate moves by
+    at most ``inner_tol`` or its row is final, and the row it has is
+    accepted; the level is then frozen while the others iterate, so each
+    level's arithmetic and solve count are those of its lone march.  The
     levels of a step share one kernel (``grid._step_kernels``: one per march
     for a constant a) and one sigma row, none when L = 0; their driver rows
     and right-hand sides are formed together.
 
     Yields (k, u_k, its_k) for k = nt .. 0: the slice of each live level and
-    its iterations in step k (zeros at k = nt).  No field is held.  A level
+    the solves it made in step k (zeros at k = nt).  No field is held.  A level
     that diverges stops with every later level, so the live levels are a
     leading run of the ladder; the first diverged level's ``InnerDivergence``,
     its ``level`` attribute set, is raised when no level is left or after
@@ -238,7 +239,6 @@ def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, labels, h_fiel
     dt = grid.dt
     u_next = np.tile(terminal_field(spec, grid), (len(labels), 1))
     bnd = boundary_values(spec, grid, h_field) if spec.boundary_mode == "clamp-to-data" else None
-    once = exact and spec.driver.L <= 0.0
     scale = 1.0 + _abs_max(u_next[0]) + _abs_max(h_field)
     blowup = 1e12 * scale  # an iterate above it has diverged
     error = None
@@ -257,10 +257,10 @@ def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, labels, h_fiel
             b = base + dt * _driver_row(spec, grid, t, cur, sigma)
             if bnd is not None:
                 b[:, 0], b[:, -1] = bnd[k]
-            new = solve(k, kern, b, cur, rows)
+            new, final = solve(k, kern, b, cur, rows)
             diff = np.abs(new - cur).max(axis=1)
             bad = ~np.isfinite(diff) | (np.abs(new).max(axis=1) > blowup)
-            done = (diff <= inner_tol) | once
+            done = (diff <= inner_tol) | final
             cur = new
             if not (bad.any() or done.any()):
                 continue
@@ -317,19 +317,31 @@ def _penalized_march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels,
                      h_field: np.ndarray, inner_tol: float, max_inner: int):
     """``_march`` of the penalized step for the penalty levels ``n_levels``
     in lockstep, ``h_field`` the obstacle on every slice.  A level below 1
-    or not a finite float raises ``ValueError`` before any step."""
-    mode = spec.boundary_mode
+    or not a finite float raises ``ValueError`` before any step.
+
+    A solve reads its iterate v through b and the active set {v < h}, the
+    clamp-to-data edge nodes excluded.  With L = 0, b does not depend on v,
+    so a row whose active set is the one its solve used is final: the next
+    solve would return it bit for bit (Forsyth and Vetzal 2002).  With
+    L > 0 no row is final before it moves by at most ``inner_tol``, and no
+    set is compared."""
     dtn = grid.dt * np.array([_finite_level(n) for n in n_levels])[:, None]
+    repeats = spec.driver.L <= 0.0
+
+    def active_set(v, k):
+        active = v < h_field[k]
+        if spec.boundary_mode == "clamp-to-data":
+            active[:, 0] = active[:, -1] = False
+        return active
 
     def penalized(k, kern, b, v, rows):
-        active = v < h_field[k]
-        if mode == "clamp-to-data":
-            active[:, 0] = active[:, -1] = False
+        active = active_set(v, k)
         dtn_rows = dtn[rows]
-        return solve_backward_step(kern, b + dtn_rows * h_field[k] * active, dtn_rows * active)
+        new = solve_backward_step(kern, b + dtn_rows * h_field[k] * active, dtn_rows * active)
+        return new, repeats and (active_set(new, k) == active).all(axis=1)
 
     return _march(spec, grid, penalized, [f"penalized inner iteration (n = {n})" for n in n_levels],
-                  h_field, exact=False, inner_tol=inner_tol, max_inner=max_inner)
+                  h_field, inner_tol=inner_tol, max_inner=max_inner)
 
 
 def solve_penalized(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_penalty: int,
@@ -342,6 +354,9 @@ def solve_penalized(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_penalty: i
     current active set, which is the node-wise exact damping of the penalty
     term by 1 / (1 + dt n) and keeps the inner fixed point contractive for
     every n; only the driver lag limits dt.  A penalty ladder of one level.
+    A step ends when its iterate moves by at most ``inner_tol`` or, for a
+    driver with L = 0, as soon as a solve's row keeps the active set that
+    solve used; ``inner_iteration_counts`` are the solves made per step.
     """
     h_field = obstacle_field(spec, grid)
     u, counts = _one_level(_penalized_march(spec, grid, [n_penalty], h_field, inner_tol,
@@ -421,12 +436,13 @@ def solve_psor(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     dt = grid.dt
     resid = np.empty((grid.nt, grid.nx + 2))
     sweep_counts = np.zeros(grid.nt, dtype=int)
+    final = spec.driver.L <= 0.0   # the step is exact, and with L = 0 b is free of v
 
     def lcp(k, kern, b, v, rows):
         v, solves, resid[k] = _lcp_step(kern.bands, b[0], h_field[k], v[0], spec.boundary_mode,
                                         lcp_tol)
         sweep_counts[k] += solves
-        return v[None]
+        return v[None], final
 
     u, refine_counts = _one_level(_march(
         spec, grid, lcp, ["driver refinement"], h_field, inner_tol=inner_tol,
@@ -561,28 +577,39 @@ def penalization_study(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedul
 # Picard outer loop
 
 def contraction_gamma(spec: ObstacleProblemSpec) -> float:
-    """Weight exponent making the frozen-driver map a strict contraction."""
+    """Weight exponent making the frozen-driver map a strict contraction;
+    ``ValueError`` when the weight e^{gamma T} is beyond float range."""
     lam = spec.coefficients.lambda_ell
     big = spec.coefficients.Lambda_ell
     L = spec.driver.L
-    return 1.0 + 4.0 * L**2 + 8.0 * big**2 * L**2 / lam + big / (2.0 * lam)
+    try:
+        gamma = 1.0 + 4.0 * L**2 + 8.0 * big**2 * L**2 / lam + big / (2.0 * lam)
+        weight = math.exp(gamma * spec.T)
+    except OverflowError:   # L**2 or the weight past float range
+        weight = math.inf
+    if not math.isfinite(weight):
+        raise ValueError(f"contraction weight e^(gamma T) beyond float range for L = {L:g}, "
+                         f"lambda = {lam:g}, Lambda = {big:g}, T = {spec.T:g}")
+    return gamma
 
 
 def v_gamma_norm(grid: SpaceTimeGrid, weight: Weight, fld: np.ndarray, gamma: float,
                  lam: float) -> float:
     """Exponentially weighted solution norm: sup-in-time of the weighted L2
     norm plus the space-time weighted L2 norms of the field and its gradient,
-    all under the multiplier e^{gamma t}."""
+    all under the multiplier e^{gamma t}.  A field whose squares pass float
+    range has an infinite norm, which the caller reports."""
     wk = np.exp(gamma * grid.t_nodes)
     rho2, rho2_mid = _weight_profile(grid, weight)
     sup_term = 0.0
     l2_term = 0.0
     grad_term = 0.0
-    for k in range(grid.nt + 1):
-        sl = _l2_sq(fld[k], rho2, grid.dx)
-        sup_term = max(sup_term, wk[k] * sl)
-        l2_term += wk[k] * sl * grid.dt
-        grad_term += wk[k] * _grad_sq(fld[k], rho2_mid, grid.dx) * grid.dt
+    with np.errstate(over="ignore"):
+        for k in range(grid.nt + 1):
+            sl = _l2_sq(fld[k], rho2, grid.dx)
+            sup_term = max(sup_term, wk[k] * sl)
+            l2_term += wk[k] * sl * grid.dt
+            grad_term += wk[k] * _grad_sq(fld[k], rho2_mid, grid.dx) * grid.dt
     return float(np.sqrt(sup_term + l2_term + 0.5 * lam * grad_term))
 
 

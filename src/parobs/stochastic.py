@@ -642,6 +642,12 @@ class _StartProjection:
         return c
 
 
+def _obstacle_row(ensemble: PathEnsemble, k: int, xk: np.ndarray) -> np.ndarray:
+    """h(t_k, X_k), one entry per path: one evaluation per date serves every level."""
+    return _full_row(ensemble.spec.obstacle.h(float(ensemble.t_nodes[k]), xk),
+                     (ensemble.path_count,))
+
+
 def _fitted(c: np.ndarray, B: np.ndarray | None, m: int) -> np.ndarray:
     """Fitted values c @ B of basis coefficients; with no basis (the start date,
     where all paths coincide) the fit is the constant c[0]."""
@@ -680,25 +686,25 @@ class LsmcEstimate:
     def _basis_at(self, k: int, xk: np.ndarray) -> np.ndarray | None:
         return None if k == 0 else _basis(xk, self.basis_degree)
 
-    def _evaluate(self, k: int, xk: np.ndarray, B: np.ndarray | None,
+    def _evaluate(self, k: int, xk: np.ndarray, B: np.ndarray | None, h_k: np.ndarray,
                   cont: np.ndarray | None = None):
-        """The date-k update from ``coef[k]`` on the row X_k: fitted
-        continuation and Z, the per-path explicit value step (``_resolve``)
-        and the K increment.  ``cont``, when given, is the fitted
-        continuation the caller has already formed.
+        """The date-k update from ``coef[k]`` on the row X_k, its obstacle
+        row ``h_k`` (``_obstacle_row``): fitted continuation and Z, the
+        per-path explicit value step (``_resolve``) and the K increment.
+        ``cont``, when given, is the fitted continuation the caller has
+        already formed.
 
-        Returns (y, c, z, dK, h): fitted value, pre-reflection value, Z,
-        K increment and obstacle, one entry per path.  dK = y - c at every
-        level, from the date's own backward equation Y = C + dK.
+        Returns (y, c, z, dK): fitted value, pre-reflection value, Z and K
+        increment, one entry per path.  dK = y - c at every level, from the
+        date's own backward equation Y = C + dK.
         """
         m = self.ensemble.path_count
         t = float(self.ensemble.t_nodes[k])
         if cont is None:
             cont = _fitted(self.coef[k, 0], B, m)
         zk = _fitted(self.coef[k, 1], B, m)
-        h_k = _full_row(self.ensemble.spec.obstacle.h(t, xk), (m,))
         y, c = self._resolve(t, xk, cont, zk, h_k)
-        return y, c, zk, y - c, h_k
+        return y, c, zk, y - c
 
     def _toward(self, a: np.ndarray, h: np.ndarray) -> np.ndarray:
         """(a + w h) / (1 + w) with w = dt n: a moved toward the obstacle h
@@ -718,10 +724,12 @@ class LsmcEstimate:
             self.ensemble.spec.driver.f(t, xk, cont, zk), dtype=float)
         return np.maximum(self._toward(c, h_k), c), c
 
-    def _fit_date(self, k: int, xk: np.ndarray, dw: np.ndarray, proj, V: np.ndarray) -> np.ndarray:
-        """Backward date k on the date's projection ``proj``: fit ``coef[k]``
-        to the realized value V of date k + 1, add dK to ``K_T``, set ``Y0``
-        and ``ci`` at k = 0, and return the realized value of date k."""
+    def _fit_date(self, k: int, xk: np.ndarray, dw: np.ndarray, proj, h_k: np.ndarray,
+                  V: np.ndarray) -> np.ndarray:
+        """Backward date k on the date's projection ``proj`` and obstacle
+        row ``h_k``: fit ``coef[k]`` to the realized value V of date k + 1,
+        add dK to ``K_T``, set ``Y0`` and ``ci`` at k = 0, and return the
+        realized value of date k."""
         m, dt = self.ensemble.path_count, self.ensemble.dt_path
         t = float(self.ensemble.t_nodes[k])
         self.coef[k, 0] = proj.coef(V)
@@ -730,7 +738,7 @@ class LsmcEstimate:
         # carried by the level of V
         cont = _fitted(self.coef[k, 0], proj.B, m)
         self.coef[k, 1] = proj.coef((V - cont) * dw / dt)
-        y_fit, c_fit, zk, dk, h_k = self._evaluate(k, xk, proj.B, cont)
+        y_fit, c_fit, zk, dk = self._evaluate(k, xk, proj.B, h_k, cont)
         del cont
         if k == 0:
             batch_y0 = []
@@ -752,10 +760,10 @@ class LsmcEstimate:
 def _mc_backward(ensemble: PathEnsemble, basis_degree: int, levels: tuple) -> list:
     """One ``LsmcEstimate`` per penalty level of ``levels`` (each >= 1; inf:
     reflected) from one LSMC backward pass, for the problem the ensemble was
-    simulated under.  Per date the levels share one reader row, one Hermite
-    basis and one Gram factor (``_Projection``); each keeps its own V,
-    coefficients, value step and K (``LsmcEstimate._fit_date``), so each is
-    bit for bit its one-level fit.
+    simulated under.  Per date the levels share one reader row, one obstacle
+    row, one Hermite basis and one Gram factor (``_Projection``); each keeps
+    its own V, coefficients, value step and K (``LsmcEstimate._fit_date``),
+    so each is bit for bit its one-level fit.
 
     The regression target is the realized per-path value V, not the fitted
     field: exercising (or penalizing against) the realized rollforward keeps
@@ -782,8 +790,9 @@ def _mc_backward(ensemble: PathEnsemble, basis_degree: int, levels: tuple) -> li
         V = [np.asarray(ensemble.spec.obstacle.phi(x_n), dtype=float)] * len(ests)
         for k, xk, dw in rows:
             proj = _Projection(xk, basis_degree) if k > 0 else _StartProjection(basis_degree)
+            h_k = _obstacle_row(ensemble, k, xk)
             for j, est in enumerate(ests):
-                V[j] = est._fit_date(k, xk, dw, proj, V[j])
+                V[j] = est._fit_date(k, xk, dw, proj, h_k, V[j])
     return ests
 
 
@@ -821,8 +830,8 @@ def penalization_convergence_mc(ensemble: PathEnsemble, n_schedule,
     pass (``_mc_backward``) fits the reflected scheme and every level, and
     the RMS distances are streamed forward date by date through the
     estimates' date updates, with K accumulated in forward date order; each
-    pass builds each date's basis once for all levels.  Y carries no
-    terminal row: it is phi(X_T) in both schemes, a distance of 0.
+    pass builds each date's basis and obstacle row once for all levels.  Y
+    carries no terminal row: it is phi(X_T) in both schemes, a distance of 0.
     """
     ref, *pens = _mc_backward(ensemble, basis_degree, (math.inf, *map(int, n_schedule)))
     m, n_steps = ensemble.path_count, ensemble.n_steps
@@ -839,10 +848,10 @@ def penalization_convergence_mc(ensemble: PathEnsemble, n_schedule,
     pen_K = [np.zeros(m) for _ in pens]
     with closing(ensemble._read(backward=False)) as rows:
         for k, xk, _ in itertools.islice(rows, n_steps):
-            B = ref._basis_at(k, xk)
-            ref_y, _, _, ref_dk, _ = ref._evaluate(k, xk, B)
+            B, h_k = ref._basis_at(k, xk), _obstacle_row(ensemble, k, xk)
+            ref_y, _, _, ref_dk = ref._evaluate(k, xk, B, h_k)
             for j, pen in enumerate(pens):
-                pen_y, _, _, pen_dk, _ = pen._evaluate(k, xk, B)
+                pen_y, _, _, pen_dk = pen._evaluate(k, xk, B, h_k)
                 y_rms[j, k] = rms(pen_y - ref_y)
                 k_rms[j, k] = rms(pen_K[j] - ref_K)
                 pen_K[j] += pen_dk

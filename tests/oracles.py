@@ -425,6 +425,7 @@ def reflected_mc_measure_identity(ctx, s, x):
     from contextlib import closing
     from itertools import islice
 
+    from parobs.stochastic import _obstacle_row
     from parobs.verify import (_TINY, REL_BUDGET, _report, _snap_indices,
                                default_test_functions)
 
@@ -441,7 +442,7 @@ def reflected_mc_measure_identity(ctx, s, x):
     with closing(ens._read(backward=False)) as path_rows:
         for k, xk, _ in islice(path_rows, ens.n_steps):
             t = float(ens.t_nodes[k])
-            dk = mc._evaluate(k, xk, mc._basis_at(k, xk))[3]
+            dk = mc._evaluate(k, xk, mc._basis_at(k, xk), _obstacle_row(ens, k, xk))[3]
             for name, xi in test_functions:
                 per_path[name] += np.asarray(xi(t, xk), dtype=float) * dk
     for name, _ in test_functions:
@@ -523,8 +524,11 @@ def mass_vector_evolution(spec, grid, start_index, rho=None):
 def lone_penalized(spec, grid, n_penalty, inner_tol=1e-11, max_inner=200):
     """One penalty level marched alone, as the package did before its levels
     marched in lockstep: one implicit kernel built per step, one row per
-    iterate.  Returns a ``PenalizedSolution``; the lockstep levels must match
-    it bit for bit, iteration counts included."""
+    iterate, each step ended only when its iterate moves by at most
+    ``inner_tol``.  Returns a ``PenalizedSolution``, which the lockstep
+    levels must match bit for bit.  Its ``confirmed`` attribute marks the
+    steps whose last solve only confirmed the row before it: a second or
+    later iteration that moved nothing at all."""
     from parobs.errors import InnerDivergence
     from parobs.grid import solve_backward_step, transition_kernel
     from parobs.solver import (PenalizedSolution, _driver_row, _sigma_row, boundary_values,
@@ -539,6 +543,7 @@ def lone_penalized(spec, grid, n_penalty, inner_tol=1e-11, max_inner=200):
     bnd = boundary_values(spec, grid, h_field) if spec.boundary_mode == "clamp-to-data" else None
     scale = 1.0 + float(np.max(np.abs(u[grid.nt]))) + float(np.max(np.abs(h_field)))
     counts = np.zeros(grid.nt, dtype=int)
+    confirmed = np.zeros(grid.nt, dtype=bool)
     for k in range(grid.nt - 1, -1, -1):
         kern = transition_kernel(spec, grid, k)
         t = float(grid.t_nodes[k])
@@ -559,15 +564,17 @@ def lone_penalized(spec, grid, n_penalty, inner_tol=1e-11, max_inner=200):
             if not np.isfinite(diff) or np.max(np.abs(v)) > 1e12 * scale:
                 raise InnerDivergence(f"{label} diverged at step {k}")
             if diff <= inner_tol:
-                counts[k] = m + 1
+                counts[k], confirmed[k] = m + 1, m >= 1 and diff == 0.0
                 break
         else:
             raise InnerDivergence(f"{label} did not converge within {max_inner} iterations "
                                   f"at step {k}; reduce dt relative to L")
         u[k] = v
     r = float(n_penalty) * np.maximum(h_field - u, 0.0)
-    return PenalizedSolution(n_penalty=n_penalty, u_values=u, r_values=r,
-                             inner_iteration_counts=counts)
+    sol = PenalizedSolution(n_penalty=n_penalty, u_values=u, r_values=r,
+                            inner_iteration_counts=counts)
+    sol.confirmed = confirmed
+    return sol
 
 
 def sequential_penalization_study(spec, grid, n_schedule, reference, inner_tol=1e-11):

@@ -121,6 +121,25 @@ def test_put_nonpositive_sigma_exits_2(tmp_path, capsys, sigma):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key, code", [
+    ("problem.rate", 2),     # L**2 overflowed
+    ("problem.strike", 3),   # the norm's squares overflow
+])
+def test_picard_study_beyond_float_range_prints_one_error_line(tmp_path, capsys, key, code):
+    """A put whose contraction weight e^(gamma T) is beyond float range is
+    rejected before any solve (rate = 1e300 raised an ``OverflowError``
+    traceback from ``contraction_gamma``, exit 1).  A solution whose weighted
+    norm overflows is a numeric failure (strike = 1e300 printed numpy's
+    overflow warning above the ``error:`` line).  Either way the whole stderr
+    is one ``error:`` line."""
+    cfg = _small_put(tmp_path, ((key, "1e300"),))
+    with warnings_to_stderr():
+        code_got = run(["--scenario", cfg, "--out", tmp_path / "o", "study", "--study", "picard"])
+    assert code_got == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: code={code} "), err
+
+
 def test_failed_allocation_exits_3(tmp_path, capsys, monkeypatch):
     """A failed allocation is a numeric failure (exit 3 and one error line),
     not a verification failure; the grid build raises it here, allocating
@@ -285,16 +304,38 @@ def test_weighted_lo_above_weighted_hi_exits_2(tmp_path, capsys, lines):
     assert not (tmp_path / "o").exists()
 
 
+_SCENARIO_OF = {"problem.bump_width": "sine_coef"}   # family keys; the rest are constant's
+
+
 @pytest.mark.parametrize("line", ["problem.x_lo = -inf", "grid.nx = 0", "grid.nt = -3",
-                                  "mc.dt_path = 0", "calibration.fk_bias = nan"])
-def test_scenario_parser_rejects_out_of_range_numbers(tmp_path, line):
+                                  "mc.dt_path = 0", "calibration.fk_bias = nan",
+                                  "problem.bump_width = 0", "problem.bump_width = 1e-300"])
+def test_scenario_parser_rejects_out_of_range_numbers(tmp_path, capsys, monkeypatch, line):
+    """An out-of-range value fails the scenario's load: ``solve`` and
+    ``stop-value`` exit 2 with one ``error:`` line, no warning and no solve.
+    (A sine-coef bump width of 0 or 1e-300 made phi's x / width divide by
+    zero or overflow its square, and both commands exited 0.)"""
+    import parobs.cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran before the scenario was rejected")
+
     key = line.split(" =", 1)[0]
-    text = "".join(row + "\n" for row in scenario_path("constant").read_text().splitlines()
+    name = _SCENARIO_OF.get(key, "constant")
+    text = "".join(row + "\n" for row in scenario_path(name).read_text().splitlines()
                    if not row.startswith(key + " "))
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text + line + "\n")
     with pytest.raises(ScenarioError, match=key):
         load_scenario(cfg)
+    monkeypatch.setattr(parobs.cli, "solve_psor", no_solve)
+    monkeypatch.setattr(parobs.cli, "solve_penalized", no_solve)
+    for command in (["solve"], ["stop-value"]):
+        with warnings_to_stderr():
+            assert run(["--scenario", cfg, "--out", tmp_path / "o", *command]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: code=2 kind=ScenarioError"), err
+    assert not (tmp_path / "o").exists()
 
 
 def test_penalization_study_csv(tmp_path):
@@ -683,6 +724,28 @@ def test_stability_study_stops_at_max_inner(tmp_path, capsys):
         assert run(["--scenario", cfg, "--out", tmp_path / "o", *command]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: code=3") and "within 1 iterations" in err
+
+
+def test_a_step_that_keeps_its_active_set_ends_within_max_inner_1(tmp_path):
+    """heat_bump's driver has L = 0 and its obstacle never binds, so each
+    step's first penalized solve keeps the empty active set it used, which
+    ends the step.  Under ``tolerances.max_inner = 1`` the penalized solve
+    therefore writes the default run's solution with one solve per step,
+    where a second solve that only confirmed the row used to pass the limit
+    (exit 3)."""
+    command = ["solve", "--method", "penalized"]
+    assert run(["--scenario", scenario_path("heat_bump"), "--out", tmp_path / "base",
+                *command]) == 0
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(scenario_path("heat_bump").read_text() + "tolerances.max_inner = 1\n")
+    assert run(["--scenario", cfg, "--out", tmp_path / "one", *command]) == 0
+
+    def body(run_dir, name):   # the provenance line names the scenario file's hash
+        return (tmp_path / run_dir / name).read_text().splitlines()[1:]
+
+    assert body("one", "solution.csv") == body("base", "solution.csv")
+    assert body("one", "diagnostics.csv") == body("base", "diagnostics.csv")
+    assert {row.rsplit(",", 1)[1] for row in body("one", "diagnostics.csv")[1:]} == {"1"}
 
 
 def test_penalization_study_honours_max_inner(tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ from parobs.grid import SpaceTimeGrid
 from parobs.problem import Coefficients, Driver, ObstacleData, ObstacleProblemSpec, Weight
 from parobs.solver import (_penalized_march, obstacle_field, penalization_study, solve_penalized,
                            solve_psor)
-from parobs.verify import VerifyContext, check_minimality
+from parobs.verify import CHECKS, VerifyContext, check_minimality
 
 from oracles import (lone_penalized, sequential_minimality, sequential_penalization_study)
 
@@ -46,6 +46,12 @@ def _lockstep(spec, grid, levels):
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_lockstep_levels_are_their_lone_marches(name, request):
+    """Every lockstep level is bit for bit its lone march and the old loop
+    (``lone_penalized``), which ends a step only when the iterate stops
+    moving.  With L = 0 a step ends when its row keeps the active set its
+    solve used, so it makes one solve fewer than the old loop exactly where
+    the old loop's last solve only confirmed the row before it; with L > 0
+    (the put) the counts are the old loop's."""
     spec = request.getfixturevalue(name).spec
     grid = _grid(spec)
     h_field = obstacle_field(spec, grid)
@@ -56,7 +62,43 @@ def test_lockstep_levels_are_their_lone_marches(name, request):
         for sol in (lone, one):
             assert np.array_equal(u[level], sol.u_values)
             assert np.array_equal(float(n) * np.maximum(h_field - u[level], 0.0), sol.r_values)
-            assert np.array_equal(counts[level], sol.inner_iteration_counts)
+        assert np.array_equal(counts[level], one.inner_iteration_counts)
+        saved = lone.confirmed if spec.driver.L <= 0.0 else 0
+        assert np.array_equal(counts[level], lone.inner_iteration_counts - saved)
+
+
+def _dgtsv_calls(monkeypatch, fn) -> int:
+    """The ``dgtsv`` calls that ``fn()`` makes."""
+    import parobs.grid as grid_mod
+
+    calls, real = [], grid_mod.dgtsv
+    monkeypatch.setattr(grid_mod, "dgtsv", lambda *args: calls.append(1) or real(*args))
+    fn()
+    monkeypatch.setattr(grid_mod, "dgtsv", real)
+    return len(calls)
+
+
+def test_minimality_makes_one_dgtsv_call_per_step(sine_scenario, monkeypatch):
+    """On sine_coef (L = 0, an obstacle that never binds) each level's first
+    solve keeps the empty active set it used, so at the benchmark's grid the
+    check's ladder makes one block solve per step: 200, where solving again
+    to see the rows not move made 400."""
+    spec = sine_scenario.spec
+    grid = SpaceTimeGrid.build(spec, 800, 200)
+    ctx = VerifyContext(spec, grid, sine_scenario.mc_params)
+    ctx.sol
+    assert _dgtsv_calls(monkeypatch, lambda: CHECKS["minimality"](ctx)) == grid.nt == 200
+
+
+def test_the_put_makes_the_old_loops_solves(put_scenario, monkeypatch):
+    """The put's driver has L > 0: its penalized steps end only when the
+    iterate stops moving, with as many solves as the old loop made."""
+    spec = put_scenario.spec
+    grid = _grid(spec)
+    old = int(lone_penalized(spec, grid, 1024).inner_iteration_counts.sum())
+    pen = []
+    assert _dgtsv_calls(monkeypatch, lambda: pen.append(solve_penalized(spec, grid, 1024))) == old
+    assert int(pen[0].inner_iteration_counts.sum()) == old == 170
 
 
 def _assert_same_study(study, ref_study):

@@ -21,6 +21,7 @@ from parobs.stochastic import (
     rbsde_penalized_mc,
     rbsde_reflected_mc,
     simulate_paths,
+    _obstacle_row,
     _Projection,
 )
 
@@ -370,7 +371,7 @@ def _lsmc_rows(est):
             if k == ens.n_steps:
                 yield k, xk.copy(), np.array(ens.spec.obstacle.phi(xk), dtype=float), None, None
                 return
-            y, _, z, dk, _ = est._evaluate(k, xk, est._basis_at(k, xk))
+            y, _, z, dk = est._evaluate(k, xk, est._basis_at(k, xk), _obstacle_row(ens, k, xk))
             yield k, xk.copy(), y, z, dk
 
 
@@ -771,6 +772,30 @@ def test_convergence_sweep_builds_each_basis_once(put_scenario, monkeypatch):
     for got, want in zip((tab.y_distance, tab.k_distance, tab.y_ci, tab.k_ci), ref, strict=True):
         assert np.array_equal(got, want)
     assert np.all(tab.y_distance > 0.0) and np.all(tab.k_distance > 0.0)
+
+
+def test_each_pass_evaluates_the_obstacle_once_per_date(put_scenario):
+    """The convergence table's backward pass and forward sweep each evaluate
+    h(t_k, X_k) once per date for the reflected scheme and all its levels,
+    not once per level; a one-level fit makes one call per date too."""
+    spec = put_scenario.spec
+    calls = []
+
+    def counted(t, x):
+        calls.append(t)
+        return spec.obstacle.h(t, x)
+
+    counting = dataclasses.replace(spec, obstacle=dataclasses.replace(spec.obstacle, h=counted))
+    ens = simulate_paths(counting, 0.0, 0.5 * (spec.x_lo + spec.x_hi), spec.T / 20, 2000,
+                         seed=37)
+    n = ens.n_steps
+    assert calls == []
+    penalization_convergence_mc(ens, [16, 256, 4096], 3)
+    dates = ens.t_nodes[:n].tolist()
+    assert calls == dates[::-1] + dates
+    calls.clear()
+    rbsde_reflected_mc(ens, 3)
+    assert calls == dates[::-1]
 
 
 # ---------------------------------------------------------------------------
