@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -205,8 +206,9 @@ def cmd_simulate(args) -> int:
     x0 = 0.5 * (spec.x_lo + spec.x_hi)
     ens = simulate_paths(spec, 0.0, x0, float(mc["dt_path"]), int(mc["paths"]), seed,
                          store_dw=False)
-    rows = [(t, float(xk.mean()), float(xk.var()), float(xk.min()), float(xk.max()))
-            for t, xk in zip(ens.t_nodes, ens.rows())]
+    with closing(ens._read(backward=False)) as path_rows:
+        rows = [(ens.t_nodes[k], float(xk.mean()), float(xk.var()), float(xk.min()),
+                 float(xk.max())) for k, xk, _ in path_rows]
     write_csv(Path(args.out) / "ensemble_summary.csv", _provenance(sc, seed),
               ["t", "mean", "var", "min", "max"], [_csv_line(r) for r in rows])
     return 0

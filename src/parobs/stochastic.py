@@ -20,27 +20,26 @@ the first paths of a larger ensemble coincide with a smaller one.  One
 per-block routine steps every consumer's paths: it advances one block of
 ``BLOCK_SIZE`` paths through a run of dates on that block's own stream,
 drawing one full row of normals per date and running the Euler step on the
-block's slice.  The blocks of a call are claimed from one shared counter by
-the calling thread and ``min(cores, n_blocks) - 1`` helper threads, ``cores``
-being the CPUs this process may run on, and the helpers are joined before the
-call returns.  A block writes only its own slices of rows the caller owns, so
-every row, checkpoint and stream state is bit-identical for any worker count
-and any order in which the blocks run.
+block's slice.  The blocks of a stored simulation are claimed from one shared
+counter by the calling thread and ``min(cores, n_blocks) - 1`` helper
+threads, ``cores`` being the CPUs this process may run on, and the helpers
+are joined before it returns.  A block writes only its own slices of rows the
+caller owns, so every row, checkpoint and stream state is bit-identical for
+any worker count and any order in which the blocks run.
 
 A stored ensemble holds no increment row: it keeps X at checkpoint dates and,
 at each of them, every block's Philox state.  A segment replayed from its
 checkpoint re-draws the segment's normals from the saved states and re-runs
 the Euler step, so every row is bit-identical to the forward pass
-(checkpointed reversal, after Griewank and Walther's ``revolve``).  The
-passes over a stored ensemble (the LSMC backward fits, the forward distance
-pass of ``penalization_convergence_mc`` and ``verify``'s forward sweeps) read
+(checkpointed reversal, after Griewank and Walther's ``revolve``).  Every
+pass over an ensemble (the LSMC backward fits, the forward distance pass of
+``penalization_convergence_mc``, ``verify``'s forward sweeps,
+``moment_ratio_probe`` and ``optimal_stopping_value``) reads
 ``(k, X_k, dW_k)`` from ``PathEnsemble._read``: one helper thread steps the
 next rows, backward segment by segment or forward one date ahead, into a
 fixed set of row slots while the pass works on the current date; see
-``_read_ahead``.  The forward-only consumers (``moment_ratio_probe``,
-``optimal_stopping_value``) read ``PathEnsemble.rows()``, which steps one
-checkpoint segment of dates per call and holds only that segment; they fold
-each date as it is yielded.
+``_read_ahead``.  A forward read steps fresh streams, so it reads a streaming
+ensemble too; only the stored pass of ``simulate_paths`` steps on all cores.
 """
 
 from __future__ import annotations
@@ -250,8 +249,8 @@ def _euler_step(coef, t: float, xk: np.ndarray, dt: float, dw: np.ndarray,
 class _Checkpoints:
     """The X rows an ensemble holds: X at every ``stride``-th date and X_T,
     read-only.  ``nbytes`` counts them.  There is no date indexing: rows are
-    read through ``PathEnsemble._read`` and ``PathEnsemble.rows``, so a stale
-    ``ensemble.X[k]`` raises instead of reading a checkpoint row."""
+    read through ``PathEnsemble._read``, so a stale ``ensemble.X[k]`` raises
+    instead of reading a checkpoint row."""
 
     __slots__ = ("stride", "rows")
 
@@ -303,18 +302,14 @@ class PathEnsemble:
     step its X rows, so every row is bit-identical to the one the forward
     pass computed.
 
-    The package's passes over a stored ensemble read ``_read(backward)``,
-    which yields ``(k, X_k, dW_k)`` for every date, backward (replaying
-    segment j - 1 while the pass reads segment j) or forward (stepping fresh
-    streams one date ahead), from one helper thread; the rows are read-only
-    views into the reader's slots, valid until the next row is read.  A
-    streaming ensemble (``store_dw=False``) holds no rows and no states.
-    ``rows()`` reads either kind forward: it steps the paths again from fresh
-    block streams, drawing the same normals, one segment of ``X.stride``
-    dates per call, and holds that one segment while its rows are read
-    (1.6 MB at 2e4 paths and 200 dates, 8 MB at 1e5 paths).  Every stepping
-    route runs the blocks through ``_step_block``; the bytes do not depend on
-    the worker count.
+    A streaming ensemble (``store_dw=False``) holds no rows and no states.
+    Every pass reads ``_read(backward)``, which yields ``(k, X_k, dW_k)``
+    for every date, backward (replaying segment j - 1 while the pass reads
+    segment j; stored ensembles only) or forward (stepping fresh streams one
+    date ahead, either kind), from one helper thread; the rows are read-only
+    views into the reader's slots, valid until the next row is read.  Both
+    directions and the stored pass run the blocks through ``_step_block``;
+    the bytes do not depend on the worker count.
     """
     spec: ObstacleProblemSpec = field(repr=False)
     s: float
@@ -330,25 +325,6 @@ class PathEnsemble:
     def n_steps(self) -> int:
         return len(self.t_nodes) - 1
 
-    def rows(self):
-        """Yield X_0 .. X_{n_steps} in date order, stored or streaming alike.
-
-        Fresh block streams step ``X.stride`` dates per ``_advance`` call into
-        one segment buffer, whose rows are yielded before the next segment is
-        stepped, so a pass holds one segment (``X.stride`` rows of
-        ``path_count``) and makes ``ceil(n_steps / X.stride)`` stepping calls.
-        """
-        rngs = [_block_rng(self.seed, b) for b in range(self._n_blocks)]
-        xk = np.full(self.path_count, self.x_start)
-        yield xk
-        for k0 in range(0, self.n_steps, self.X.stride):
-            segment = np.empty((min(self.X.stride, self.n_steps - k0), self.path_count))
-            self._advance(rngs, k0, k0 + len(segment), xk, x_rows=segment)
-            xk = segment[-1].copy()   # the next segment starts from it, this one dropped
-            yield from segment[:-1]
-            del segment
-            yield xk
-
     def _read(self, backward: bool):
         """Yield ``(k, X_k, dW_k)`` for k = n_steps down to 0 when ``backward``,
         else for k = 0 up to n_steps; ``dW_{n_steps}`` is None.
@@ -358,14 +334,15 @@ class PathEnsemble:
         date by date from its checkpoint while the reader reads segment j:
         one segment's ``2 X.stride - 1`` X and dW rows plus one spare row, so
         the reader does not wait at a segment boundary.  Forward, it steps
-        fresh streams one date ahead in five rows.  The rows yielded are
-        read-only, and a slot row is valid until the next date is read.
-        Close the reader (``contextlib.closing``) when a pass may stop early
-        or raise, so that its helper is joined.
+        fresh streams one date ahead in five rows, and reads a streaming
+        ensemble too.  The rows yielded are read-only, and a slot row is
+        valid until the next date is read.  Close the reader
+        (``contextlib.closing``) so that its helper is joined however the
+        pass ends.
         """
-        if self.dW is None:
-            raise ValueError("a streaming ensemble (store_dw=False) is read forward "
-                             "through rows()")
+        if backward and self.dW is None:
+            raise ValueError("a streaming ensemble (store_dw=False) has no checkpoints "
+                             "to read backward from")
         n = self.n_steps
         handoff = _Handoff(2 * self.X.stride if backward else 5, self.path_count)
         batches = self._replayed(handoff.take) if backward else self._stepped(handoff.take)
@@ -411,50 +388,43 @@ class PathEnsemble:
                    x_next: np.ndarray | None) -> None:
         """Date k on every block in turn (``_step_block``): dW_k into ``dw``
         and, unless ``x_next`` is None, X_{k+1} into ``x_next``."""
-        x_rows = () if x_next is None else x_next[None]
         for b, rng in enumerate(rngs):
-            self._step_block(b, rng, k, k + 1, xk, x_rows=x_rows, dw_rows=dw[None])
+            self._step_block(b, rng, k, k + 1, xk, dw=dw, x_next=x_next)
 
     @property
     def _n_blocks(self) -> int:
         return -(-self.path_count // BLOCK_SIZE)
 
-    def _advance(self, rngs: list, k0: int, k1: int, x0, **rows) -> None:
-        """Step every block through dates [k0, k1) (``_step_block``), each
-        block on its own stream ``rngs[b]``, on the blocks' worker threads."""
-        _for_each_block(len(rngs),
-                        lambda b: self._step_block(b, rngs[b], k0, k1, x0, **rows))
-
     def _step_block(self, b: int, rng: np.random.Generator, k0: int, k1: int, x0,
-                    x_rows: np.ndarray | None = None, dw_rows: np.ndarray | None = None,
+                    dw: np.ndarray | None = None, x_next: np.ndarray | None = None,
                     marks: np.ndarray | None = None, states: list | None = None) -> None:
         """Advance block b's paths from X_{k0} through dates [k0, k1).
 
         Per date the block's stream ``rng`` draws one full ``BLOCK_SIZE`` row,
         ``sqrt(dt_path) * z`` forms the block's increments and ``_euler_step``
         its next X.  ``x0`` is X_{k0}, a full row or the scalar start.  Only
-        block b's slices of the caller's rows are written: date k's increment
-        to ``dw_rows[k - k0]`` and X_{k+1} to ``x_rows[k - k0]`` (no step is
-        taken past the last row of a given ``x_rows``); with ``marks``, X at
-        every ``X.stride``-th date and X_{k1} to ``marks``, and the stream's
-        state at each such date to ``states[k // stride][b]``.
+        block b's slices of the caller's rows are written: with ``dw`` (one
+        date, k1 = k0 + 1) the increment to ``dw`` and, unless ``x_next`` is
+        None, X_{k1} to ``x_next``; with ``marks``, X at every
+        ``X.stride``-th date and X_{k1} to ``marks``, and the stream's state
+        at each such date to ``states[k // stride][b]``.
         """
         lo, hi = b * BLOCK_SIZE, min((b + 1) * BLOCK_SIZE, self.path_count)
         coef, dt, sdt = self.spec.coefficients, self.dt_path, np.sqrt(self.dt_path)
         stride = self.X.stride
         z = np.empty(BLOCK_SIZE)
         xk = x0[lo:hi] if np.ndim(x0) else np.full(hi - lo, x0)
-        for i, k in enumerate(range(k0, k1)):
+        for k in range(k0, k1):
             if marks is not None and k % stride == 0:
                 marks[k // stride, lo:hi] = xk
                 states[k // stride][b] = rng.bit_generator.state
             rng.standard_normal(out=z)
-            dw = z[:hi - lo] if dw_rows is None else dw_rows[i, lo:hi]
-            np.multiply(sdt, z[:hi - lo], out=dw)
-            if x_rows is None:
-                xk = _euler_step(coef, float(self.t_nodes[k]), xk, dt, dw)
-            elif i < len(x_rows):
-                xk = _euler_step(coef, float(self.t_nodes[k]), xk, dt, dw, out=x_rows[i, lo:hi])
+            dw_k = z[:hi - lo] if dw is None else dw[lo:hi]
+            np.multiply(sdt, z[:hi - lo], out=dw_k)
+            if dw is None:
+                xk = _euler_step(coef, float(self.t_nodes[k]), xk, dt, dw_k)
+            elif x_next is not None:
+                _euler_step(coef, float(self.t_nodes[k]), xk, dt, dw_k, out=x_next[lo:hi])
         if marks is not None:
             marks[-1, lo:hi] = xk
 
@@ -467,7 +437,8 @@ def simulate_paths(spec: ObstacleProblemSpec, s: float, x: float, dt_path: float
     continuously differentiable coefficients; ``a_x`` must be supplied.  With
     ``store_dw`` the paths are simulated here and kept replayable: X
     checkpoints plus the stream states that re-draw the increments between
-    them.  Without it nothing is simulated until ``rows()`` is read.
+    them, stepped on all cores (``_for_each_block``).  Without it nothing is
+    simulated until the ensemble is read forward (``PathEnsemble._read``).
     """
     coef = spec.coefficients
     if coef.a_x is None:
@@ -489,8 +460,9 @@ def simulate_paths(spec: ObstacleProblemSpec, s: float, x: float, dt_path: float
         return ens
     marks = np.empty((len(range(0, n_steps, stride)) + 1, path_count))
     states = [[None] * ens._n_blocks for _ in range(len(marks) - 1)]
-    ens._advance([_block_rng(seed, b) for b in range(ens._n_blocks)], 0, n_steps,
-                 ens.x_start, marks=marks, states=states)
+    rngs = [_block_rng(seed, b) for b in range(ens._n_blocks)]
+    _for_each_block(len(rngs), lambda b: ens._step_block(b, rngs[b], 0, n_steps, ens.x_start,
+                                                         marks=marks, states=states))
     states = [tuple(state) for state in states]
     ens.X, ens.dW = _Checkpoints(stride, marks), _StreamStates(states)
     return ens
@@ -522,13 +494,14 @@ def moment_ratio_probe(ensemble: PathEnsemble, p_exponent: float) -> MomentRatio
     if not (np.isfinite(p_exponent) and p_exponent >= 4):
         raise ValueError(f"p_exponent must be a finite number >= 4, got {p_exponent}")
     sup = None
-    for xk in ensemble.rows():   # the running sup is folded date by date
-        if sup is None:
-            sup = np.abs(xk)
-        else:
-            np.maximum(sup, np.abs(xk), out=sup)
-    with np.errstate(over="ignore"):  # an overflowing moment stays inf for the CSV writer to refuse
-        sup_p, term_p = sup**p_exponent, np.abs(xk) ** p_exponent
+    with closing(ensemble._read(backward=False)) as rows:
+        for _, xk, _ in rows:   # the running sup is folded date by date
+            if sup is None:
+                sup = np.abs(xk)
+            else:
+                np.maximum(sup, np.abs(xk), out=sup)
+        with np.errstate(over="ignore"):  # an overflowing moment stays inf for the CSV writer to refuse
+            sup_p, term_p = sup**p_exponent, np.abs(xk) ** p_exponent
     num, den = float(sup_p.mean()), float(term_p.mean())
     ratios = []
     for sl in _batch_slices(ensemble.path_count):
@@ -900,25 +873,26 @@ def optimal_stopping_value(grid: SpaceTimeGrid, sol: ObstacleSolution,
     dt = ensemble.dt_path
     reward = np.zeros(m)
     alive = np.ones(m, dtype=bool)
-    for k, xk in enumerate(ensemble.rows()):
-        if k == n or not alive.any():
-            break
-        t = float(ensemble.t_nodes[k])
-        g = interp_space_time(grid, gap_field, t, xk[alive])
-        idx = np.flatnonzero(alive)
-        stop_now = g <= ctol
-        stopping = idx[stop_now]
-        if stopping.size:
-            reward[stopping] += np.asarray(spec.obstacle.h(t, xk[stopping]), dtype=float)
-            alive[stopping] = False
-        running = idx[~stop_now]
-        if running.size:
-            u_itp = interp_space_time(grid, sol.u_values, t, xk[running])
-            z_itp = interp_space_time(grid, z_grid, t, xk[running])
-            fval = np.asarray(spec.driver.f(t, xk[running], u_itp, z_itp), dtype=float)
-            reward[running] += np.broadcast_to(fval, running.shape) * dt
-    if alive.any():
-        reward[alive] += np.asarray(spec.obstacle.phi(xk[alive]), dtype=float)  # xk is X_T
+    with closing(ensemble._read(backward=False)) as rows:
+        for k, xk, _ in rows:
+            if k == n or not alive.any():
+                break
+            t = float(ensemble.t_nodes[k])
+            g = interp_space_time(grid, gap_field, t, xk[alive])
+            idx = np.flatnonzero(alive)
+            stop_now = g <= ctol
+            stopping = idx[stop_now]
+            if stopping.size:
+                reward[stopping] += np.asarray(spec.obstacle.h(t, xk[stopping]), dtype=float)
+                alive[stopping] = False
+            running = idx[~stop_now]
+            if running.size:
+                u_itp = interp_space_time(grid, sol.u_values, t, xk[running])
+                z_itp = interp_space_time(grid, z_grid, t, xk[running])
+                fval = np.asarray(spec.driver.f(t, xk[running], u_itp, z_itp), dtype=float)
+                reward[running] += np.broadcast_to(fval, running.shape) * dt
+        if alive.any():
+            reward[alive] += np.asarray(spec.obstacle.phi(xk[alive]), dtype=float)  # xk is X_T
 
     rule_value = float(reward.mean())
     with np.errstate(over="ignore"):  # an overflowing spread stays inf for the CSV writer to refuse

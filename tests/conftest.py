@@ -16,10 +16,18 @@ def scenario_path(name: str) -> Path:
 
 
 def read_all(ens, backward):
-    """Every (k, X_k, dW_k) of one reader pass over a stored ensemble, in the
-    pass's date order, copied; dW_{n_steps} is None."""
+    """Every (k, X_k, dW_k) of one reader pass, in the pass's date order,
+    copied; dW_{n_steps} is None.  A streaming ensemble is read forward only."""
     with closing(ens._read(backward)) as rows:
         return [(k, x.copy(), None if dw is None else dw.copy()) for k, x, dw in rows]
+
+
+def x_rows(ens):
+    """Yield a copy of X_0 .. X_{n_steps} from one closed forward reader
+    pass, holding one row at a time where ``read_all`` holds them all."""
+    with closing(ens._read(backward=False)) as rows:
+        for _, x, _ in rows:
+            yield x.copy()
 
 
 @pytest.fixture(scope="session")

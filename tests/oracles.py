@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -422,7 +423,6 @@ def reflected_mc_measure_identity(ctx, s, x):
     value function: its per-date increments (h - C)^+ inherit the full basis
     misfit, which swamps increments of size r dt on kinked payoffs.
     """
-    from contextlib import closing
     from itertools import islice
 
     from parobs.stochastic import _obstacle_row
@@ -916,10 +916,11 @@ def estimate_g_integral(ensemble: PathEnsemble, g) -> GIntegral:
     """Monte Carlo estimate of E integral_s^T |g(t, X_t)|^2 dt (trapezoid in t)."""
     n, m = ensemble.n_steps, ensemble.path_count
     acc = np.zeros(m)
-    for k, xk in enumerate(ensemble.rows()):
-        w = 0.5 if k in (0, n) else 1.0
-        vals = np.asarray(g(float(ensemble.t_nodes[k]), xk), dtype=float)
-        acc += w * np.broadcast_to(vals, (m,)) ** 2
+    with closing(ensemble._read(backward=False)) as rows:
+        for k, xk, _ in rows:
+            w = 0.5 if k in (0, n) else 1.0
+            vals = np.asarray(g(float(ensemble.t_nodes[k]), xk), dtype=float)
+            acc += w * np.broadcast_to(vals, (m,)) ** 2
     acc *= ensemble.dt_path
     value = float(acc.mean())
     ci = 1.96 * float(acc.std(ddof=1)) / np.sqrt(m) if m > 1 else 0.0

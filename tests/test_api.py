@@ -165,9 +165,10 @@ def test_folded_parameters_stay_gone():
     assert not hasattr(grid.DensityTable, "density")
     assert not hasattr(grid.DiscreteOperator, "row_sums")
     problem = importlib.import_module("parobs.problem")
-    # the random-access replay route and the methods only tests called
+    # the random-access replay route, the methods only tests called and the
+    # segment-per-call forward route
     deleted = [(stochastic.PathEnsemble, ("x", "dw", "_segment_rows", "_replay",
-                                          "_stored_steps", "_segment")),
+                                          "_stored_steps", "_segment", "rows", "_advance")),
                (stochastic.LsmcEstimate, ("at", "z_at", "_row")),
                (stochastic._Projection, ("fit",)), (problem.HypothesisReport, ("entry",)),
                (grid.DiscreteOperator, ("apply",))]

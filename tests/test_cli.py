@@ -1,4 +1,5 @@
 import sys
+import threading
 import warnings
 from contextlib import contextmanager
 
@@ -10,7 +11,7 @@ from parobs.errors import ScenarioError
 from parobs.grid import SpaceTimeGrid
 from parobs.scenarios import load_scenario
 
-from conftest import scenario_path
+from conftest import scenario_path, x_rows
 from oracles import per_value_solution_csv
 
 
@@ -438,15 +439,22 @@ def test_tolerance_overrides_reach_the_solver(tmp_path, monkeypatch):
     assert recorded["solve_penalized"] == {"inner_tol": 1e-11}
 
 
-def _small_put(tmp_path, extra=()):
-    text = scenario_path("american_put").read_text()
-    for key, value in (("grid.nx", "40"), ("grid.nt", "40"), ("mc.paths", "2000"),
-                       ("mc.dt_path", "0.0125"), *extra):
+def _scenario_with(tmp_path, name, pairs, stem):
+    """``scenarios/<name>.cfg`` with each (key, value) of ``pairs`` set,
+    written to ``tmp_path / <stem>.cfg``."""
+    text = scenario_path(name).read_text()
+    for key, value in pairs:
         text = "".join(row + "\n" for row in text.splitlines() if not row.startswith(key + " "))
         text += f"{key} = {value}\n"
-    cfg = tmp_path / "small_put.cfg"
+    cfg = tmp_path / f"{stem}.cfg"
     cfg.write_text(text)
     return cfg
+
+
+def _small_put(tmp_path, extra=()):
+    return _scenario_with(tmp_path, "american_put",
+                          (("grid.nx", "40"), ("grid.nt", "40"), ("mc.paths", "2000"),
+                           ("mc.dt_path", "0.0125"), *extra), "small_put")
 
 
 def test_verify_all_shares_one_reflected_mc_estimate(tmp_path, monkeypatch):
@@ -562,8 +570,8 @@ def test_ac_measure_one_stencil_matches_three_interpolation_passes(tmp_path):
     spec, grid, sol = _small_put_setup(tmp_path, (("problem.x_lo", "-0.4"),
                                                   ("problem.x_hi", "0.4")))
     ens = simulate_paths(spec, 0.0, 0.0, 0.0125, 3000, seed=11)
-    assert min(float(xk.min()) for xk in ens.rows()) < spec.x_lo
-    assert max(float(xk.max()) for xk in ens.rows()) > spec.x_hi
+    assert min(float(xk.min()) for xk in x_rows(ens)) < spec.x_lo
+    assert max(float(xk.max()) for xk in x_rows(ens)) > spec.x_hi
     mc = rbsde_reflected_mc(ens, 3)
     z_mse, residual, k_tilde = _path_sweep(grid, sol, mc)
     stored = stored_simulate_paths(spec, 0.0, 0.0, 0.0125, 3000, seed=11)
@@ -946,3 +954,59 @@ def test_penalty_level_beyond_float_range_exits_2(tmp_path, command):
     assert len(lines) == 1 and lines[0].startswith("error: code=2 kind=ValueError")
     assert "penalty level" in lines[0]
     assert "Traceback" not in out.stderr
+
+
+FUZZ_VALUES = ("0", "-1", "nan", "inf", "1e300", "1e-300", "2.5")
+FUZZ_KEYS = {"constant": ("mc.paths", "mc.dt_path", "mc.seed"),
+             "small_put": ("mc.paths", "mc.dt_path", "mc.seed", "problem.strike",
+                           "problem.rate")}
+FUZZ_CSV = {"simulate": "ensemble_summary.csv", "moments": "moments.csv",
+            "stop-value": "stop_value.csv"}
+
+
+@pytest.mark.parametrize("command", list(FUZZ_CSV))
+@pytest.mark.parametrize("scenario", list(FUZZ_KEYS))
+def test_seeded_fuzz_of_the_forward_commands(tmp_path, capsys, scenario, command):
+    """Every key of ``FUZZ_KEYS`` set to each of ``FUZZ_VALUES``, one key at
+    a time, then ``command`` run in process: the exit code is 0 to 3, a
+    nonzero exit prints exactly one ``error:`` line, an exit 0 prints
+    nothing and writes a CSV with no NaN or inf, nothing escapes as an
+    exception (a traceback on the command line), no warning is printed and
+    no thread outlives the call.
+
+    No draw is skipped: none asks for a large array.  ``mc.paths`` and
+    ``mc.seed`` parse as ints, so every non-integer draw is a scenario
+    error, and 0 and -1 paths fail the positivity check before any
+    ensemble is sized.  ``mc.dt_path = 1e-300`` asks ``simulate_paths`` for
+    about 1e300 dates, which ``np.arange`` refuses (``ValueError``) before
+    allocating; 1e300 and 2.5 exceed the horizon.
+    """
+    failures = []
+    for i, (key, value) in enumerate((key, value) for key in FUZZ_KEYS[scenario]
+                                     for value in FUZZ_VALUES):
+        cfg = (_small_put(tmp_path, ((key, value),)) if scenario == "small_put"
+               else _scenario_with(tmp_path, scenario, ((key, value),), scenario))
+        out = tmp_path / f"o{i}"
+        before = threading.active_count()
+        with warnings_to_stderr():
+            try:
+                code = run(["--scenario", cfg, "--out", out, command])
+            except Exception as exc:   # printed as a traceback on the command line
+                failures.append((key, value, f"escaped {type(exc).__name__}: {exc}"))
+                capsys.readouterr()
+                continue
+        err = capsys.readouterr().err.splitlines()
+        if code not in (0, 1, 2, 3):
+            failures.append((key, value, f"exit {code}"))
+        if code == 0:
+            if err:
+                failures.append((key, value, f"stderr at exit 0: {err}"))
+            body = (out / FUZZ_CSV[command]).read_text().splitlines()[2:]
+            cells = np.array([line.split(",") for line in body], dtype=float)
+            if not np.isfinite(cells).all():
+                failures.append((key, value, "non-finite CSV cell at exit 0"))
+        elif len(err) != 1 or not err[0].startswith(f"error: code={code} "):
+            failures.append((key, value, f"exit {code} with stderr {err}"))
+        if threading.active_count() != before:
+            failures.append((key, value, "a thread outlived the call"))
+    assert failures == []

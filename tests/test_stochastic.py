@@ -1,11 +1,13 @@
 import contextlib
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import parobs.stochastic as stochastic
 from parobs.errors import MissingDerivative, RegressionSingular
 from parobs.grid import SpaceTimeGrid, solve_density
 from parobs.problem import Coefficients, Driver, ObstacleData, ObstacleProblemSpec, Weight
@@ -25,7 +27,7 @@ from parobs.stochastic import (
     _Projection,
 )
 
-from conftest import read_all
+from conftest import read_all, x_rows
 from oracles import (
     binomial_american_put,
     estimate_g_integral,
@@ -52,7 +54,7 @@ def _const_family(a0=1.0, value=1.0, T=1.0):
 
 def _terminal(ens):
     """X_T of an ensemble, read forward without holding the other dates."""
-    for xk in ens.rows():
+    for xk in x_rows(ens):
         pass
     return xk
 
@@ -86,7 +88,8 @@ SCENARIO_FIXTURES = ["constant_scenario", "heat_scenario", "sine_scenario", "put
 @pytest.mark.parametrize("start", [0.0, 0.25], ids=["s=0", "s=T/4"])
 def test_ensemble_rows_equal_the_storing_simulator(name, start, request):
     """Block stepping, checkpoints and segment replay give every X_k and dW_k
-    of the block-by-block storing simulator, read backward and forward."""
+    of the block-by-block storing simulator, read backward and forward, and
+    a forward read of a streaming ensemble gives them too."""
     spec = request.getfixturevalue(name).spec
     s, x0 = start * spec.T, 0.5 * (spec.x_lo + spec.x_hi)
     dt = (spec.T - s) / 40
@@ -100,13 +103,16 @@ def test_ensemble_rows_equal_the_storing_simulator(name, start, request):
             assert np.array_equal(x, ref.X[k]), (backward, k)
             assert dw is None if k == n else np.array_equal(dw, ref.dW[k]), (backward, k)
     streamed = simulate_paths(spec, s, x0, dt, m, seed=17, store_dw=False)
-    for k, (a, b, c) in enumerate(zip(streamed.rows(), ens.rows(), ref.X, strict=True)):
-        assert np.array_equal(a, c) and np.array_equal(b, c), k
+    for k, x, dw in read_all(streamed, backward=False):
+        assert np.array_equal(x, ref.X[k]), k
+        assert dw is None if k == n else np.array_equal(dw, ref.dW[k]), k
 
 
-def test_ensemble_holds_increments_and_checkpoints_only():
+def test_ensemble_holds_increments_and_checkpoints_only(monkeypatch):
     """A stored ensemble holds X checkpoints and, in place of its increments,
-    one Philox state per block and checkpoint: no increment row."""
+    one Philox state per block and checkpoint: no increment row.  A streaming
+    ensemble holds neither: it is read forward, and a backward read raises
+    before any thread starts."""
     spec = _const_family()
     ens = simulate_paths(spec, 0.0, 0.0, 0.01, 3000, seed=5)   # n = 100, stride 8
     assert ens.X.stride == 8   # ceil(sqrt(100 / 2))
@@ -128,9 +134,13 @@ def test_ensemble_holds_increments_and_checkpoints_only():
             state[0]["state"]["counter"][0] = 1
     streamed = simulate_paths(spec, 0.0, 0.0, 0.01, 3000, seed=5, store_dw=False)
     assert streamed.dW is None and streamed.X.nbytes == 0
-    for backward in (True, False):
-        with pytest.raises(ValueError, match="rows"):
-            next(streamed._read(backward))
+    assert [k for k, _, _ in read_all(streamed, backward=False)] == list(range(101))
+    started = []
+    monkeypatch.setattr(stochastic, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self.name))
+    with pytest.raises(ValueError, match="backward"):
+        next(streamed._read(backward=True))
+    assert started == []
 
 
 def _traced_peak(fn):
@@ -315,7 +325,6 @@ def test_chain_dp_forms_no_sigma_row_for_a_driver_with_l_zero(heat_scenario, mon
     sigma Du on every step (``implicit_chain_dp``, whose loop ends at once on
     a driver free of y)."""
     import parobs.solver as solver_mod
-    import parobs.stochastic as stochastic
 
     spec = heat_scenario.spec
     grid = SpaceTimeGrid.build(spec, 80, 60)
@@ -419,7 +428,7 @@ def test_reflected_mc_contact_everywhere(quad_scenario):
     ens = simulate_paths(spec, 0.0, 0.0, spec.T / 100, 20_000, seed=23)
     est = rbsde_reflected_mc(ens, 3)
     Y, _, dK = _fields(est)
-    h_vals = np.array([spec.obstacle.h(float(t), xk) for t, xk in zip(ens.t_nodes, ens.rows())])
+    h_vals = np.array([spec.obstacle.h(float(t), xk) for t, xk in zip(ens.t_nodes, x_rows(ens))])
     # Y sticks to the obstacle except for fit extrapolation at extreme paths
     assert np.mean(np.abs(Y - h_vals)) <= 5e-3
     assert np.quantile(np.abs(Y - h_vals), 0.99) <= 2e-2
@@ -547,8 +556,6 @@ def test_lsmc_forms_each_continuation_once(monkeypatch, put_scenario):
     """The backward pass fits each date's continuation once, for the Z target
     and the value update alike (two ``_fitted`` calls per date, with Z's),
     and stays bit-identical to the storing oracle."""
-    import parobs.stochastic as stochastic
-
     spec = put_scenario.spec
     ens = simulate_paths(spec, 0.0, 0.0, spec.T / 40, 3000, seed=34)
     stored = stored_simulate_paths(spec, 0.0, 0.0, spec.T / 40, 3000, seed=34)
@@ -640,8 +647,6 @@ def test_readers_hold_one_segment_plus_a_spare_row_pair(put_scenario, monkeypatc
     rows (2 stride - 1) plus one spare pair, and a forward reader into five
     rows; a forward pass peaks near those rows, and the rows of both equal
     the storing simulator's."""
-    import parobs.stochastic as stochastic
-
     spec = put_scenario.spec
     m = 20_000
     ens = simulate_paths(spec, 0.0, 0.0, spec.T / 200, m, seed=33)
@@ -702,8 +707,6 @@ def test_convergence_table_inactive_within_noise(heat_scenario):
 def test_each_level_of_a_ladder_fit_is_its_one_level_fit(put_scenario):
     """One backward pass over the levels (inf, 16, 256, 4096) fits each level
     bit for bit as its own one-level pass: coefficients, K_T, Y0 and ci."""
-    import parobs.stochastic as stochastic
-
     spec = put_scenario.spec
     ens = simulate_paths(spec, 0.0, 0.5 * (spec.x_lo + spec.x_hi), spec.T / 40, 3000, seed=35)
     levels = (math.inf, 16.0, 256.0, 4096.0)
@@ -723,8 +726,6 @@ def test_convergence_table_reads_the_ensemble_once_each_way(put_scenario, monkey
     scheme and all its levels, and one forward reader for its sweep; a
     schedule holding a level below 1 raises the ``rbsde_penalized_mc``
     error before any read."""
-    import parobs.stochastic as stochastic
-
     spec = put_scenario.spec
     ens = simulate_paths(spec, 0.0, 0.5 * (spec.x_lo + spec.x_hi), spec.T / 20, 2000, seed=36)
     reads, real = [], stochastic.PathEnsemble._read
@@ -749,8 +750,6 @@ def test_convergence_table_reads_the_ensemble_once_each_way(put_scenario, monkey
 def test_convergence_sweep_builds_each_basis_once(put_scenario, monkeypatch):
     """The backward pass and the forward sweep each build each date's basis
     once for every level, and the table equals the one from fields held whole, bit for bit."""
-    import parobs.stochastic as stochastic
-
     spec = put_scenario.spec
     x0 = 0.5 * (spec.x_lo + spec.x_hi)
     ens = simulate_paths(spec, 0.0, x0, spec.T / 40, 3000, seed=34)

@@ -18,8 +18,10 @@ import pytest
 import parobs.stochastic as stochastic
 from parobs.cli import main
 from parobs.errors import InnerDivergence
-from parobs.stochastic import (BLOCK_SIZE, penalization_convergence_mc, rbsde_reflected_mc,
-                               simulate_paths)
+from parobs.grid import SpaceTimeGrid
+from parobs.solver import solve_psor
+from parobs.stochastic import (BLOCK_SIZE, moment_ratio_probe, optimal_stopping_value,
+                               penalization_convergence_mc, rbsde_reflected_mc, simulate_paths)
 
 from conftest import read_all
 from oracles import stored_simulate_paths
@@ -64,11 +66,11 @@ def _assert_reader_rows(ens, ref, backward, label):
 
 @pytest.mark.parametrize("name", SCENARIO_FIXTURES)
 def test_rows_do_not_depend_on_the_worker_count(name, request, workers, started):
-    """Every X_k, dW_k and streamed row equals the block-by-block storing
-    simulator's for 1, 2, 3 and 20 workers, read by the readers in both
-    orders, and so do the checkpoints and stream states of the 1-worker
-    ensemble.  A reader pass starts one helper thread, and none
-    on one usable core, where it steps inline."""
+    """Every X_k and dW_k equals the block-by-block storing simulator's for
+    1, 2, 3 and 20 workers, read by the readers in both orders and, for a
+    streaming ensemble, forward, and so do the checkpoints and stream states
+    of the 1-worker ensemble.  A reader pass starts one helper thread, and
+    none on one usable core, where it steps inline."""
     spec = request.getfixturevalue(name).spec
     x0 = 0.5 * (spec.x_lo + spec.x_hi)
     dt = spec.T / 20
@@ -81,11 +83,9 @@ def test_rows_do_not_depend_on_the_worker_count(name, request, workers, started)
             ens = simulate_paths(spec, 0.0, x0, dt, m, seed=31)
             assert len(started) == min(w, -(-m // BLOCK_SIZE)) - 1, (m, w)
             streamed = simulate_paths(spec, 0.0, x0, dt, m, seed=31, store_dw=False)
-            for k, row in enumerate(streamed.rows()):
-                assert np.array_equal(row, ref.X[k]), (m, w, k)
-            for backward in (True, False):
+            for ensemble, backward in ((ens, True), (ens, False), (streamed, False)):
                 started.clear()
-                _assert_reader_rows(ens, ref, backward, (m, w))
+                _assert_reader_rows(ensemble, ref, backward, (m, w))
                 assert started == ([] if w == 1 else ["parobs-reader"]), (m, w, backward)
             if first is None:
                 first = ens
@@ -102,10 +102,11 @@ def _states(ens):
 
 
 @pytest.mark.parametrize("n", [1, 7, 20, 200])
-def test_a_streamed_pass_steps_one_segment_per_call(constant_scenario, monkeypatch, n):
-    """A pass of ``rows()`` over n dates makes ceil(n / X.stride) stepping
-    calls, one per checkpoint segment, for a streaming and a stored
-    ensemble alike, and yields the storing simulator's rows."""
+def test_a_forward_pass_steps_on_one_helper(constant_scenario, monkeypatch, workers, started, n):
+    """A forward pass over n dates, of a streaming or a stored ensemble,
+    makes no ``_for_each_block`` call and starts at most one helper (none on
+    one core), and yields the storing simulator's rows; only the stored
+    simulation claims blocks, in one call."""
     spec = constant_scenario.spec
     calls = []
     real = stochastic._for_each_block
@@ -117,12 +118,16 @@ def test_a_streamed_pass_steps_one_segment_per_call(constant_scenario, monkeypat
     monkeypatch.setattr(stochastic, "_for_each_block", counted)
     ref = stored_simulate_paths(spec, 0.0, 0.0, spec.T / n, 1000, seed=3)
     for store_dw in (False, True):
-        ens = simulate_paths(spec, 0.0, 0.0, spec.T / n, 1000, seed=3, store_dw=store_dw)
         calls.clear()
-        for k, row in enumerate(ens.rows()):
-            assert np.array_equal(row, ref.X[k]), (store_dw, k)
-        assert ens.n_steps == k == n
-        assert len(calls) == -(-n // ens.X.stride), (store_dw, ens.X.stride)
+        ens = simulate_paths(spec, 0.0, 0.0, spec.T / n, 1000, seed=3, store_dw=store_dw)
+        assert ens.n_steps == n and calls == ([1] if store_dw else [])
+        for w in WORKERS:
+            workers(w)
+            calls.clear()
+            started.clear()
+            _assert_reader_rows(ens, ref, False, (store_dw, w))
+            assert calls == [], (store_dw, w)
+            assert started == ([] if w == 1 else ["parobs-reader"]), (store_dw, w)
 
 
 def test_reflected_fit_does_not_depend_on_the_worker_count(put_scenario, workers, started):
@@ -175,9 +180,8 @@ def test_a_failing_block_surfaces_in_the_caller(constant_scenario, workers):
         with pytest.raises(ZeroDivisionError, match="^tail block$"):
             simulate_paths(bad, 0.0, 0.0, spec.T / 20, m, seed=2)
         with pytest.raises(ZeroDivisionError, match="^tail block$"):
-            next(r for k, r in enumerate(
-                simulate_paths(bad, 0.0, 0.0, spec.T / 20, m, seed=2, store_dw=False).rows())
-                if k == 1)
+            read_all(simulate_paths(bad, 0.0, 0.0, spec.T / 20, m, seed=2, store_dw=False),
+                     backward=False)
         replaying = dataclasses.replace(good, spec=bad)
         for backward in (True, False):   # raised in the readers' helper on 2+ cores
             with pytest.raises(ZeroDivisionError, match="^tail block$"):
@@ -220,8 +224,8 @@ def test_the_lowest_failing_block_wins(constant_scenario, workers):
 def test_every_block_is_claimed_once_under_contention(put_scenario, workers):
     """With more workers than cores and a short switch interval, the shared
     claim counter hands out every block exactly once (a lost update would
-    run a block twice or skip one), and the rows stay the storing
-    simulator's."""
+    run a block twice or skip one), and the stored pass's checkpoints and
+    stream states replay the storing simulator's rows."""
     spec = put_scenario.spec
     m = 5 * BLOCK_SIZE + 7
     ref = stored_simulate_paths(spec, 0.0, 0.0, spec.T / 10, m, seed=12)
@@ -234,12 +238,15 @@ def test_every_block_is_claimed_once_under_contention(put_scenario, workers):
             done = []
             stochastic._for_each_block(64, done.append)
             runs.append(sorted(done))
-        ens = simulate_paths(spec, 0.0, 0.0, spec.T / 10, m, seed=12)
-        rows = list(ens.rows())   # one block-stepping call per segment
+        ens = simulate_paths(spec, 0.0, 0.0, spec.T / 10, m, seed=12)   # 6 blocks, 6 threads
+        rows = read_all(ens, backward=True)
     finally:
         sys.setswitchinterval(interval)
     assert runs == [list(range(64))] * 50
-    assert all(np.array_equal(row, ref.X[k]) for k, row in enumerate(rows))
+    assert [k for k, _, _ in rows] == list(range(ens.n_steps, -1, -1))
+    for k, x, dw in rows:
+        assert np.array_equal(x, ref.X[k]), k
+        assert dw is None if k == ens.n_steps else np.array_equal(dw, ref.dW[k]), k
 
 
 def test_no_thread_outlives_a_stepping_call(sine_scenario, workers):
@@ -251,18 +258,17 @@ def test_no_thread_outlives_a_stepping_call(sine_scenario, workers):
         before = threading.active_count()
         ens = simulate_paths(spec, 0.0, 0.0, spec.T / 20, m, seed=4)
         assert threading.active_count() == before
-        for _ in simulate_paths(spec, 0.0, 0.0, spec.T / 20, m, seed=4, store_dw=False).rows():
-            assert threading.active_count() == before
         with pytest.raises(ArithmeticError):
             simulate_paths(bad, 0.0, 0.0, spec.T / 20, m, seed=4)
         assert threading.active_count() == before
-        for backward in (True, False):
-            with closing(ens._read(backward)) as rows:
+        streamed = simulate_paths(spec, 0.0, 0.0, spec.T / 20, m, seed=4, store_dw=False)
+        for ensemble, backward in ((ens, True), (ens, False), (streamed, False)):
+            with closing(ensemble._read(backward)) as rows:
                 for _ in rows:   # the helper may end before the last rows are read
                     assert threading.active_count() <= before + (w > 1)
             assert threading.active_count() == before
             with pytest.raises(ArithmeticError):
-                read_all(dataclasses.replace(ens, spec=bad), backward)
+                read_all(dataclasses.replace(ensemble, spec=bad), backward)
             assert threading.active_count() == before
 
 
@@ -326,6 +332,67 @@ def test_a_failing_consumer_surfaces_its_own_error(put_scenario, workers, monkey
                         if k == 7:
                             raise KeyError("date 7")
             assert threading.active_count() == before
+
+
+def test_a_stopping_pass_that_raises_joins_its_helper(put_scenario, workers):
+    """``optimal_stopping_value`` on a streaming ensemble whose driver raises
+    at one date raises that error and leaves no thread behind."""
+    spec = put_scenario.spec
+    grid = SpaceTimeGrid.build(spec, 40, 40)
+    sol = solve_psor(spec, grid)
+    real_f = spec.driver.f
+    t_bad = 7 * (spec.T / 20)
+
+    def f(t, x, y, z):
+        if t == t_bad:
+            raise FloatingPointError("driver at date 7")
+        return real_f(t, x, y, z)
+
+    bad = dataclasses.replace(spec, driver=dataclasses.replace(spec.driver, f=f))
+    for w in WORKERS:
+        workers(w)
+        before = threading.active_count()
+        ens = simulate_paths(bad, 0.0, 0.0, spec.T / 20, 3 * BLOCK_SIZE + 123, seed=5,
+                             store_dw=False)
+        assert float(ens.t_nodes[7]) == t_bad
+        with pytest.raises(FloatingPointError, match="^driver at date 7$") as caught:
+            optimal_stopping_value(grid, sol, ens)
+        # counted while the traceback, and so the pass's frame, is still held
+        assert threading.active_count() == before and caught.tb is not None
+
+
+def test_a_moment_pass_whose_helper_raises_surfaces_the_error(constant_scenario, workers):
+    """``moment_ratio_probe`` on a streaming ensemble whose ``a_x`` raises on
+    the tail block from T / 2 on (in the reader's helper on 2+ cores) raises
+    that error, with its own type and text, and leaves no thread behind."""
+    spec = constant_scenario.spec
+    bad = _failing(spec, {123: lambda t: LookupError("tail block") if t >= spec.T / 2 else None})
+    for w in WORKERS:
+        workers(w)
+        before = threading.active_count()
+        ens = simulate_paths(bad, 0.0, 0.0, spec.T / 20, 2 * BLOCK_SIZE + 123, seed=6,
+                             store_dw=False)
+        with pytest.raises(LookupError, match="^tail block$") as caught:
+            moment_ratio_probe(ens, 4.0)
+        assert threading.active_count() == before and caught.tb is not None
+
+
+def test_a_stopping_pass_that_ends_at_date_0_joins_its_helper(quad_scenario, workers):
+    """On obstacle_quad ``u = h`` everywhere, so every path stops at date 0
+    and ``optimal_stopping_value`` breaks out of its forward pass while the
+    helper waits for a slot row; the pass leaves no thread behind."""
+    spec = quad_scenario.spec
+    grid = SpaceTimeGrid.build(spec, 40, 40)
+    sol = solve_psor(spec, grid)
+    for w in WORKERS:
+        workers(w)
+        before = threading.active_count()
+        ens = simulate_paths(spec, 0.0, 0.0, spec.T / 20, 3 * BLOCK_SIZE + 123, seed=7,
+                             store_dw=False)
+        sv = optimal_stopping_value(grid, sol, ens)
+        assert sv.rule_value == pytest.approx(float(spec.obstacle.h(0.0, 0.0)), abs=1e-12)
+        assert sv.rule_ci == pytest.approx(0.0, abs=1e-12)
+        assert threading.active_count() == before
 
 
 def test_importing_the_cli_starts_no_thread():
