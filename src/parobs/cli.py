@@ -199,13 +199,16 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _paths(sc: Scenario, seed: int, x: float):
+    """The scenario's ensemble from (0, x), with ``mc.dt_path``, ``mc.paths``
+    and ``seed``: checked here, and stepped only when a command reads it."""
+    mc = sc.mc_params
+    return simulate_paths(sc.spec, 0.0, x, float(mc["dt_path"]), int(mc["paths"]), seed)
+
+
 def cmd_simulate(args) -> int:
     sc, grid, seed = _load(args)
-    spec = sc.spec
-    mc = sc.mc_params
-    x0 = 0.5 * (spec.x_lo + spec.x_hi)
-    ens = simulate_paths(spec, 0.0, x0, float(mc["dt_path"]), int(mc["paths"]), seed,
-                         store_dw=False)
+    ens = _paths(sc, seed, 0.5 * (sc.spec.x_lo + sc.spec.x_hi))
     with closing(ens._read(backward=False)) as path_rows:
         rows = [(ens.t_nodes[k], float(xk.mean()), float(xk.var()), float(xk.min()),
                  float(xk.max())) for k, xk, _ in path_rows]
@@ -216,11 +219,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_stop_value(args) -> int:
     sc, grid, seed = _load(args)
-    spec = sc.spec
-    sol = solve_psor(spec, grid, **sc.tolerances)
-    x0 = 0.5 * (spec.x_lo + spec.x_hi)
-    ens = simulate_paths(spec, 0.0, x0, float(sc.mc_params["dt_path"]),
-                         int(sc.mc_params["paths"]), seed, store_dw=False)
+    # the paths start on the node where the exhaustive value is read
+    _, x_index = grid.nearest_node(0.0, 0.5 * (sc.spec.x_lo + sc.spec.x_hi))
+    ens = _paths(sc, seed, float(grid.x_nodes[x_index]))
+    sol = solve_psor(sc.spec, grid, **sc.tolerances)
     sv = optimal_stopping_value(grid, sol, ens)
     write_csv(Path(args.out) / "stop_value.csv", _provenance(sc, seed),
               ["rule_value", "rule_ci", "snell_value", "gap"],
@@ -233,11 +235,7 @@ def cmd_moments(args) -> int:
     if not (np.isfinite(args.p) and args.p >= 4):
         raise ScenarioError(f"--p must be a finite number >= 4, got {args.p}")
     sc, grid, seed = _load(args)
-    spec = sc.spec
-    x0 = 0.5 * (spec.x_lo + spec.x_hi)
-    ens = simulate_paths(spec, 0.0, x0, float(sc.mc_params["dt_path"]),
-                         int(sc.mc_params["paths"]), seed, store_dw=False)
-    mr = moment_ratio_probe(ens, args.p)
+    mr = moment_ratio_probe(_paths(sc, seed, 0.5 * (sc.spec.x_lo + sc.spec.x_hi)), args.p)
     write_csv(Path(args.out) / "moments.csv", _provenance(sc, seed),
               ["p", "ratio", "ci", "sup_moment", "terminal_moment"],
               [_csv_line((mr.p, mr.ratio, mr.ci, mr.sup_moment, mr.terminal_moment))])

@@ -76,6 +76,13 @@ class SpaceTimeGrid:
         t_nodes = np.linspace(0.0, spec.T, nt + 1)
         return cls(nx=nx, nt=nt, dx=dx, dt=dt, x_nodes=x_nodes, t_nodes=t_nodes)
 
+    def nearest_node(self, t: float, x: float) -> tuple[int, int]:
+        """The (time, space) indices of the node nearest (t, x): a slice a
+        backward pass can start from (0 .. nt - 1) and an interior node
+        (1 .. nx), never a boundary node, whose value the boundary mode sets."""
+        return (int(np.clip(round(t / self.dt), 0, self.nt - 1)),
+                int(np.clip(round((x - self.x_nodes[0]) / self.dx), 1, self.nx)))
+
 
 @dataclass(frozen=True)
 class DiscreteOperator:

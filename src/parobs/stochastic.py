@@ -16,30 +16,19 @@ chain-dp under the driver frozen along u.
 
 Paths are generated from counter-based Philox streams keyed by (seed, block)
 (Salmon et al., SC 2011); the block layout is a fixed module constant, and
-the first paths of a larger ensemble coincide with a smaller one.  One
-per-block routine steps every consumer's paths: it advances one block of
-``BLOCK_SIZE`` paths through a run of dates on that block's own stream,
-drawing one full row of normals per date and running the Euler step on the
-block's slice.  The blocks of a stored simulation are claimed from one shared
-counter by the calling thread and ``min(cores, n_blocks) - 1`` helper
-threads, ``cores`` being the CPUs this process may run on, and the helpers
-are joined before it returns.  A block writes only its own slices of rows the
-caller owns, so every row, checkpoint and stream state is bit-identical for
-any worker count and any order in which the blocks run.
-
-A stored ensemble holds no increment row: it keeps X at checkpoint dates and,
-at each of them, every block's Philox state.  A segment replayed from its
-checkpoint re-draws the segment's normals from the saved states and re-runs
-the Euler step, so every row is bit-identical to the forward pass
-(checkpointed reversal, after Griewank and Walther's ``revolve``).  Every
-pass over an ensemble (the LSMC backward fits, the forward distance pass of
-``penalization_convergence_mc``, ``verify``'s forward sweeps,
-``moment_ratio_probe`` and ``optimal_stopping_value``) reads
-``(k, X_k, dW_k)`` from ``PathEnsemble._read``: one helper thread steps the
-next rows, backward segment by segment or forward one date ahead, into a
-fixed set of row slots while the pass works on the current date; see
-``_read_ahead``.  A forward read steps fresh streams, so it reads a streaming
-ensemble too; only the stored pass of ``simulate_paths`` steps on all cores.
+the first paths of a larger ensemble coincide with a smaller one.
+``_step_block`` advances one block of ``BLOCK_SIZE`` paths one date on the
+block's own stream: one full row of normals and the Euler step on the
+block's rows.  ``simulate_paths`` steps nothing: every pass over an ensemble
+reads ``(k, X_k, dW_k)`` from ``PathEnsemble._read``.  The first backward
+read records X at checkpoint dates and every block's Philox state there, on
+the calling thread and ``min(cores, n_blocks) - 1`` helpers
+(``_for_each_block``, ``cores`` being the CPUs this process may run on); a
+block writes only its own slices, so every row, checkpoint and stream state
+is bit-identical for any worker count.  A backward read replays each segment
+from its checkpoint (checkpointed reversal, after Griewank and Walther's
+``revolve``), and one helper thread steps the next rows into a fixed set of
+slots while the pass works on the current date (``_read_ahead``).
 """
 
 from __future__ import annotations
@@ -88,6 +77,10 @@ __all__ = [
 BLOCK_SIZE = 8192  # fixed stream granularity; part of the reproducibility contract
 N_BATCHES = 10
 MAX_BASIS_DEGREE = 6
+# Every pass steps every date, and a backward read holds about 3 sqrt(n / 2)
+# rows of paths; at 1e5 dates (500 times the put's 200) a 1e5-path pass steps
+# 1e10 path dates and holds 0.5 GB, so a larger count is a mistyped dt_path.
+MAX_PATH_DATES = 100_000
 
 
 def _block_rng(seed: int, b: int, state: dict | None = None) -> np.random.Generator:
@@ -294,22 +287,17 @@ class PathEnsemble:
     """Euler-Maruyama paths from (s, x_start), held as X checkpoints and the
     stream states that re-draw their increments.
 
-    A stored ensemble (``store_dw=True``) holds ``X`` at every
-    ``X.stride``-th date and at T, and in ``dW`` every block's Philox state
-    at each of those dates; it holds no increment row.  A replayed segment
-    comes from its checkpoint: each block's stream re-draws the segment's
-    normals, ``sqrt(dt_path) * z`` forms its increments and the same Euler
-    step its X rows, so every row is bit-identical to the one the forward
-    pass computed.
+    Until its first backward read an ensemble holds no rows and no states.
+    That read records ``X`` at every ``X.stride``-th date and at T, and in
+    ``dW`` every block's Philox state at each of those dates; it holds no
+    increment row.  A replayed segment comes from its checkpoint: each
+    block's stream re-draws the segment's normals, ``sqrt(dt_path) * z``
+    forms its increments and the same Euler step its X rows, so every row is
+    bit-identical to the one the recording pass computed.
 
-    A streaming ensemble (``store_dw=False``) holds no rows and no states.
-    Every pass reads ``_read(backward)``, which yields ``(k, X_k, dW_k)``
-    for every date, backward (replaying segment j - 1 while the pass reads
-    segment j; stored ensembles only) or forward (stepping fresh streams one
-    date ahead, either kind), from one helper thread; the rows are read-only
-    views into the reader's slots, valid until the next row is read.  Both
-    directions and the stored pass run the blocks through ``_step_block``;
-    the bytes do not depend on the worker count.
+    Every pass reads ``_read(backward)``; the recording pass and both
+    directions step the blocks through ``_step_block``, and the bytes do
+    not depend on the worker count.
     """
     spec: ObstacleProblemSpec = field(repr=False)
     s: float
@@ -319,7 +307,7 @@ class PathEnsemble:
     seed: int
     t_nodes: np.ndarray          # n_steps + 1 times from s to T
     X: _Checkpoints = field(repr=False)
-    dW: _StreamStates | None = field(repr=False)   # None when streaming
+    dW: _StreamStates | None = field(repr=False)   # None until read backward
 
     @property
     def n_steps(self) -> int:
@@ -329,20 +317,21 @@ class PathEnsemble:
         """Yield ``(k, X_k, dW_k)`` for k = n_steps down to 0 when ``backward``,
         else for k = 0 up to n_steps; ``dW_{n_steps}`` is None.
 
-        One helper thread (``_read_ahead``) steps the rows into slot rows
-        that the reader has given back.  Backward, it replays segment j - 1
-        date by date from its checkpoint while the reader reads segment j:
-        one segment's ``2 X.stride - 1`` X and dW rows plus one spare row, so
-        the reader does not wait at a segment boundary.  Forward, it steps
-        fresh streams one date ahead in five rows, and reads a streaming
-        ensemble too.  The rows yielded are read-only, and a slot row is
-        valid until the next date is read.  Close the reader
+        The first backward read records the checkpoints and stream states
+        (``_record``) before anything else; later reads reuse them, and a
+        forward read never records them.  Then one helper thread
+        (``_read_ahead``) steps the rows into slot rows that the reader has
+        given back.  Backward, it replays segment j - 1 date by date from its
+        checkpoint while the reader reads segment j: one segment's
+        ``2 X.stride - 1`` X and dW rows plus one spare row, so the reader
+        does not wait at a segment boundary.  Forward, it steps fresh streams
+        one date ahead in five rows.  The rows yielded are read-only, and a
+        slot row is valid until the next date is read.  Close the reader
         (``contextlib.closing``) so that its helper is joined however the
         pass ends.
         """
         if backward and self.dW is None:
-            raise ValueError("a streaming ensemble (store_dw=False) has no checkpoints "
-                             "to read backward from")
+            self._record()
         n = self.n_steps
         handoff = _Handoff(2 * self.X.stride if backward else 5, self.path_count)
         batches = self._replayed(handoff.take) if backward else self._stepped(handoff.take)
@@ -351,6 +340,29 @@ class PathEnsemble:
                 for k, xk, dw in (reversed(batch) if backward else batch):
                     yield k, _read_only(xk), None if k == n else _read_only(dw)
                     handoff.give(xk, dw)
+
+    def _record(self) -> None:
+        """Step every block through every date on all cores
+        (``_for_each_block``), keeping X at every ``X.stride``-th date and at
+        T in ``X``, and each block's stream state at each of those dates in
+        ``dW``.  A block steps its own rows in place, so no full row is
+        allocated beside the checkpoints."""
+        n, stride = self.n_steps, self.X.stride
+        marks = np.empty((len(range(0, n, stride)) + 1, self.path_count))
+        states = [[None] * self._n_blocks for _ in range(len(marks) - 1)]
+
+        def record_block(b):
+            rng, sl = _block_rng(self.seed, b), self._block_slice(b)
+            xk = np.full(marks[0, sl].size, self.x_start)
+            dw = np.empty_like(xk)
+            for k in range(n):
+                if k % stride == 0:
+                    marks[k // stride, sl], states[k // stride][b] = xk, rng.bit_generator.state
+                self._step_block(rng, k, xk, dw, xk)
+            marks[-1, sl] = xk
+
+        _for_each_block(self._n_blocks, record_block)
+        self.X, self.dW = _Checkpoints(stride, marks), _StreamStates(map(tuple, states))
 
     def _replayed(self, take):
         """Batches for a backward read: first [(n_steps, X_T, None)], then per
@@ -386,66 +398,52 @@ class PathEnsemble:
 
     def _step_date(self, rngs: list, k: int, xk: np.ndarray, dw: np.ndarray,
                    x_next: np.ndarray | None) -> None:
-        """Date k on every block in turn (``_step_block``): dW_k into ``dw``
-        and, unless ``x_next`` is None, X_{k+1} into ``x_next``."""
+        """Date k on every block in turn (``_step_block`` on the block's
+        slices of the full rows): dW_k into ``dw`` and, unless ``x_next`` is
+        None, X_{k+1} into ``x_next``."""
         for b, rng in enumerate(rngs):
-            self._step_block(b, rng, k, k + 1, xk, dw=dw, x_next=x_next)
+            sl = self._block_slice(b)
+            self._step_block(rng, k, xk[sl], dw[sl], None if x_next is None else x_next[sl])
 
     @property
     def _n_blocks(self) -> int:
         return -(-self.path_count // BLOCK_SIZE)
 
-    def _step_block(self, b: int, rng: np.random.Generator, k0: int, k1: int, x0,
-                    dw: np.ndarray | None = None, x_next: np.ndarray | None = None,
-                    marks: np.ndarray | None = None, states: list | None = None) -> None:
-        """Advance block b's paths from X_{k0} through dates [k0, k1).
+    @staticmethod
+    def _block_slice(b: int) -> slice:
+        return slice(b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)   # clipped to the paths
 
-        Per date the block's stream ``rng`` draws one full ``BLOCK_SIZE`` row,
-        ``sqrt(dt_path) * z`` forms the block's increments and ``_euler_step``
-        its next X.  ``x0`` is X_{k0}, a full row or the scalar start.  Only
-        block b's slices of the caller's rows are written: with ``dw`` (one
-        date, k1 = k0 + 1) the increment to ``dw`` and, unless ``x_next`` is
-        None, X_{k1} to ``x_next``; with ``marks``, X at every
-        ``X.stride``-th date and X_{k1} to ``marks``, and the stream's state
-        at each such date to ``states[k // stride][b]``.
-        """
-        lo, hi = b * BLOCK_SIZE, min((b + 1) * BLOCK_SIZE, self.path_count)
-        coef, dt, sdt = self.spec.coefficients, self.dt_path, np.sqrt(self.dt_path)
-        stride = self.X.stride
-        z = np.empty(BLOCK_SIZE)
-        xk = x0[lo:hi] if np.ndim(x0) else np.full(hi - lo, x0)
-        for k in range(k0, k1):
-            if marks is not None and k % stride == 0:
-                marks[k // stride, lo:hi] = xk
-                states[k // stride][b] = rng.bit_generator.state
-            rng.standard_normal(out=z)
-            dw_k = z[:hi - lo] if dw is None else dw[lo:hi]
-            np.multiply(sdt, z[:hi - lo], out=dw_k)
-            if dw is None:
-                xk = _euler_step(coef, float(self.t_nodes[k]), xk, dt, dw_k)
-            elif x_next is not None:
-                _euler_step(coef, float(self.t_nodes[k]), xk, dt, dw_k, out=x_next[lo:hi])
-        if marks is not None:
-            marks[-1, lo:hi] = xk
+    def _step_block(self, rng: np.random.Generator, k: int, xk: np.ndarray, dw: np.ndarray,
+                    x_next: np.ndarray | None) -> None:
+        """Date k on one block's rows: the block's stream ``rng`` draws one
+        full ``BLOCK_SIZE`` row, ``sqrt(dt_path) * z`` over the block's paths
+        goes to ``dw`` and, unless ``x_next`` is None, the Euler step from
+        ``xk`` to ``x_next``, which may be ``xk`` itself."""
+        z = rng.standard_normal(BLOCK_SIZE)
+        np.multiply(np.sqrt(self.dt_path), z[:dw.size], out=dw)
+        if x_next is not None:
+            _euler_step(self.spec.coefficients, float(self.t_nodes[k]), xk, self.dt_path, dw,
+                        out=x_next)
 
 
 def simulate_paths(spec: ObstacleProblemSpec, s: float, x: float, dt_path: float,
-                   path_count: int, seed: int, store_dw: bool = True) -> PathEnsemble:
+                   path_count: int, seed: int) -> PathEnsemble:
     """Euler-Maruyama paths of dX = (a_x / 2) dt + sqrt(a) dW started at (s, x).
 
     The drift a_x / 2 is the Ito form of the divergence-form generator for
-    continuously differentiable coefficients; ``a_x`` must be supplied.  With
-    ``store_dw`` the paths are simulated here and kept replayable: X
-    checkpoints plus the stream states that re-draw the increments between
-    them, stepped on all cores (``_for_each_block``).  Without it nothing is
-    simulated until the ensemble is read forward (``PathEnsemble._read``).
+    continuously differentiable coefficients; ``a_x`` must be supplied.
+    Nothing is stepped here: a read of the ensemble steps its paths
+    (``PathEnsemble._read``).
     """
     coef = spec.coefficients
     if coef.a_x is None:
         raise MissingDerivative("path simulation needs the coefficient derivative a_x")
     horizon = spec.T - s
-    if dt_path <= 0 or dt_path > horizon + 1e-15:
+    if not 0 < dt_path <= horizon + 1e-15:   # NaN too
         raise ValueError("need 0 < dt_path <= T - s")
+    if not horizon / dt_path < MAX_PATH_DATES + 0.5:   # before any count is rounded or sized
+        raise ValueError(f"dt_path = {dt_path:.3g} makes more than {MAX_PATH_DATES} path "
+                         f"dates on [{s:.3g}, T = {spec.T:.3g}]")
     n_steps = int(round(horizon / dt_path))
     if abs(n_steps * dt_path - horizon) > 1e-9 * max(1.0, spec.T):
         raise ValueError("dt_path must divide T - s")
@@ -453,19 +451,9 @@ def simulate_paths(spec: ObstacleProblemSpec, s: float, x: float, dt_path: float
     # a replayed segment holds two rows per date (X and dW), so ceil(sqrt(n/2))
     # dates between checkpoints balances the checkpoint rows against them
     stride = math.isqrt(max(n_steps - 1, 0) // 2) + 1
-    ens = PathEnsemble(spec=spec, s=s, x_start=float(x), dt_path=dt_path,
-                       path_count=path_count, seed=seed, t_nodes=t_nodes,
-                       X=_Checkpoints(stride, np.empty((0, path_count))), dW=None)
-    if not store_dw:
-        return ens
-    marks = np.empty((len(range(0, n_steps, stride)) + 1, path_count))
-    states = [[None] * ens._n_blocks for _ in range(len(marks) - 1)]
-    rngs = [_block_rng(seed, b) for b in range(ens._n_blocks)]
-    _for_each_block(len(rngs), lambda b: ens._step_block(b, rngs[b], 0, n_steps, ens.x_start,
-                                                         marks=marks, states=states))
-    states = [tuple(state) for state in states]
-    ens.X, ens.dW = _Checkpoints(stride, marks), _StreamStates(states)
-    return ens
+    return PathEnsemble(spec=spec, s=s, x_start=float(x), dt_path=dt_path,
+                        path_count=path_count, seed=seed, t_nodes=t_nodes,
+                        X=_Checkpoints(stride, np.empty((0, path_count))), dW=None)
 
 
 @dataclass
@@ -747,8 +735,6 @@ def _mc_backward(ensemble: PathEnsemble, basis_degree: int, levels: tuple) -> li
     bad = [level for level in levels if not level >= 1]   # NaN too
     if bad:
         raise ValueError(f"n_penalty must be >= 1, got {bad[0]}")
-    if ensemble.dW is None:
-        raise ValueError("regression schemes need a stored ensemble (store_dw=True)")
     if not 0 <= basis_degree <= MAX_BASIS_DEGREE:
         raise ValueError(f"basis degree must lie in 0..{MAX_BASIS_DEGREE}")
     if ensemble.path_count < 1000:
@@ -855,8 +841,10 @@ class StoppingValue:
 
 def optimal_stopping_value(grid: SpaceTimeGrid, sol: ObstacleSolution,
                            ensemble: PathEnsemble) -> StoppingValue:
-    """Value of the first-contact stopping rule versus the exhaustive chain
-    value, both from the ensemble's start (s, x) under its problem.
+    """Value of the first-contact stopping rule from the ensemble's start
+    (s, x) versus the exhaustive chain value at the grid node nearest it
+    (``SpaceTimeGrid.nearest_node``), under the ensemble's problem; the two
+    share one start when (s, x) is that node.
 
     The rule stops at the first time u(t, X_t) touches the obstacle (within
     the contact tolerance); its value is estimated along the ensemble, with
@@ -897,8 +885,7 @@ def optimal_stopping_value(grid: SpaceTimeGrid, sol: ObstacleSolution,
     rule_value = float(reward.mean())
     with np.errstate(over="ignore"):  # an overflowing spread stays inf for the CSV writer to refuse
         rule_ci = 1.96 * float(reward.std(ddof=1)) / np.sqrt(m) if m > 1 else 0.0
-    s_index = int(np.clip(round(s / grid.dt), 0, grid.nt - 1))
-    x_index = int(np.clip(round((x - grid.x_nodes[0]) / grid.dx), 0, grid.nx + 1))
+    s_index, x_index = grid.nearest_node(s, x)
     frozen = frozen_driver(spec, grid, sol.u_values)
     snell = float(rbsde_chain_dp(frozen, grid, s_index).Y[0, x_index])
     return StoppingValue(rule_value=rule_value, rule_ci=rule_ci, snell_value=snell,

@@ -17,7 +17,7 @@ A check reads the objects it shares with other checks (the complementarity
 solution, the Monte Carlo ensemble and its reflected-LSMC fit, the forward
 sweep over that ensemble, the chain-dp field and the densities) from a
 ``VerifyContext``, which builds each of them once, on first read.  The sweep
-is one forward pass over the stored ensemble for ``representation-z`` and
+is one forward pass over the fit's ensemble for ``representation-z`` and
 ``ac-measure`` together: per date one row of X and dW from the ensemble's
 read-ahead reader, one interpolation stencil and one gather of sigma Du
 serve both checks.  The context keeps what it builds until it goes itself.
@@ -103,12 +103,6 @@ def _report(name, discrepancy, budget, bias, stat, details):
                        passed=bool(discrepancy <= budget), details=details)
 
 
-def _snap_indices(grid: SpaceTimeGrid, s: float, x: float):
-    s_idx = int(np.clip(round(s / grid.dt), 0, grid.nt - 1))
-    x_idx = int(np.clip(round((x - grid.x_nodes[0]) / grid.dx), 1, grid.nx))
-    return s_idx, x_idx
-
-
 class VerifyContext:
     """One verify run's inputs and the objects its checks share.
 
@@ -141,7 +135,7 @@ class VerifyContext:
         self.calibration = {**CALIBRATION_DEFAULTS, **(calibration or {})}
         self.tolerances = {**TOLERANCE_DEFAULTS, **(tolerances or {})}
         self.probe_x = 0.5 * (spec.x_lo + spec.x_hi)
-        _, self.x_index = _snap_indices(grid, 0.0, self.probe_x)
+        _, self.x_index = grid.nearest_node(0.0, self.probe_x)
 
     @cached_property
     def sol(self) -> ObstacleSolution:
@@ -201,7 +195,7 @@ def check_representation_u(ctx: VerifyContext, probes) -> CheckReport:
     ratios = [0.0] * len(probes)
     stats = [0.0] * len(probes)
     for j in ([*range(1, len(probes)), 0] if probes else []):
-        s_idx, x_idx = _snap_indices(grid, *probes[j])
+        s_idx, x_idx = grid.nearest_node(*probes[j])
         s_snap, x_snap = float(grid.t_nodes[s_idx]), float(grid.x_nodes[x_idx])
         u_val = float(sol.u_values[s_idx, x_idx])
         mc = ctx.reflected_mc(s_idx, x_idx, ctx.seed + j)
@@ -253,7 +247,7 @@ def check_measure_identity(ctx: VerifyContext, s: float, x: float) -> CheckRepor
     """
     spec, grid, sol = ctx.spec, ctx.grid, ctx.sol
     test_functions = default_test_functions(spec)
-    s_idx, x_idx = _snap_indices(grid, s, x)
+    s_idx, x_idx = grid.nearest_node(s, x)
 
     # one pass: xi p dK on the chain (left) and xi p r dt over cells (right);
     # the chain-dp field is built before the density is solved

@@ -17,7 +17,8 @@ def scenario_path(name: str) -> Path:
 
 def read_all(ens, backward):
     """Every (k, X_k, dW_k) of one reader pass, in the pass's date order,
-    copied; dW_{n_steps} is None.  A streaming ensemble is read forward only."""
+    copied; dW_{n_steps} is None.  The first backward pass records the
+    ensemble's checkpoints."""
     with closing(ens._read(backward)) as rows:
         return [(k, x.copy(), None if dw is None else dw.copy()) for k, x, dw in rows]
 

@@ -426,12 +426,11 @@ def reflected_mc_measure_identity(ctx, s, x):
     from itertools import islice
 
     from parobs.stochastic import _obstacle_row
-    from parobs.verify import (_TINY, REL_BUDGET, _report, _snap_indices,
-                               default_test_functions)
+    from parobs.verify import _TINY, REL_BUDGET, _report, default_test_functions
 
     spec, grid, sol = ctx.spec, ctx.grid, ctx.sol
     test_functions = default_test_functions(spec)
-    s_idx, x_idx = _snap_indices(grid, s, x)
+    s_idx, x_idx = grid.nearest_node(s, x)
 
     # left side first, so the fit runs with no density held
     lefts = {name: 0.0 for name, _ in test_functions}

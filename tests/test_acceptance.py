@@ -220,9 +220,9 @@ def test_criterion_9_moment_inequality(heat_scenario, sine_scenario):
     for sc in (heat_scenario, sine_scenario):
         spec = sc.spec
         base = moment_ratio_probe(
-            simulate_paths(spec, 0.0, 0.0, spec.T / 50, 250_000, 77, store_dw=False), 4.0)
+            simulate_paths(spec, 0.0, 0.0, spec.T / 50, 250_000, 77), 4.0)
         fine = moment_ratio_probe(
-            simulate_paths(spec, 0.0, 0.0, spec.T / 100, 1_000_000, 77, store_dw=False), 4.0)
+            simulate_paths(spec, 0.0, 0.0, spec.T / 100, 1_000_000, 77), 4.0)
         shift = abs(fine.ratio - base.ratio) / base.ratio
         rows.append((sc.name, base.ratio, fine.ratio, shift))
     elapsed = time.time() - t0

@@ -12,13 +12,14 @@ import importlib
 import inspect
 import pkgutil
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import parobs
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "parobs"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-MAX_DEFAULTED = 14
+MAX_DEFAULTED = 13
 # parameters no caller set, folded into module constants, the checks' shared
 # objects and Monte Carlo settings, and their calibrated budgets, which they
 # now read from a ``VerifyContext``, the provenance and start node nothing read,
@@ -53,6 +54,7 @@ REMOVED = {
     "solver.solve_psor": ("driver_field", "obstacle_field_override"),
     "solver.obstacle_field": ("h",),
     "grid.evolve_law": ("mode",),
+    "stochastic.simulate_paths": ("store_dw",),
 }
 # names that belong to ``tests/oracles.py``, not the package: routines no
 # command runs, their result types and constants, the obstacle-free solve,
@@ -135,6 +137,9 @@ def test_folded_parameters_stay_gone():
     stochastic = importlib.import_module("parobs.stochastic")
     verify = importlib.import_module("parobs.verify")
     assert "spec" not in inspect.signature(stochastic._mc_backward).parameters
+    # one block, one date: the run-of-dates mode with its marks and states is gone
+    assert list(inspect.signature(stochastic.PathEnsemble._step_block).parameters) == [
+        "self", "rng", "k", "xk", "dw", "x_next"]
     assert list(inspect.signature(verify._path_sweep).parameters) == ["grid", "sol", "mc"]
     assert [q for q in ("stochastic.rbsde_reflected_mc", "stochastic.rbsde_penalized_mc",
                         "stochastic.penalization_convergence_mc")
@@ -238,22 +243,26 @@ def test_names_the_benchmark_binds_are_present():
 def test_ensembles_keep_the_attributes_the_tracer_reads():
     """The tracer sizes every ``simulate_paths`` result by ``X.nbytes`` and
     ``dW``, counts draws from ``n_steps`` and ``path_count``, and keys each
-    LSMC call by its ensemble's seed, start and step."""
+    LSMC call by its ensemble's seed, start and step; ``dW`` is None until
+    the first backward read records it."""
     from parobs.scenarios import build_family
     from parobs.stochastic import simulate_paths
 
     assert list(_parameters("stochastic.simulate_paths")) == [
-        "spec", "s", "x", "dt_path", "path_count", "seed", "store_dw"]
+        "spec", "s", "x", "dt_path", "path_count", "seed"]
     spec = build_family("constant", {"problem.T": 1.0, "problem.x_lo": -8.0,
                                      "problem.x_hi": 8.0, "problem.alpha": 1.0,
                                      "problem.value": 1.0, "problem.a0": 1.0})
     probes = _tracer()._probes()
-    for store_dw in (True, False):
-        ens = simulate_paths(spec, 0.0, 0.5, 0.1, 1000, 3, store_dw=store_dw)
+    ens = simulate_paths(spec, 0.0, 0.5, 0.1, 1000, 3)
+    for recorded in (False, True):
+        if recorded:
+            with closing(ens._read(backward=True)) as rows:
+                next(rows)
         held = probes["stochastic.simulate_paths"]({}, ens)
         assert held == {"used": 10 * 1000, "drawn": 10 * 8192,
-                        "bytes": ens.X.nbytes + (ens.dW.nbytes if store_dw else 0)}
-        assert (ens.dW is not None) == store_dw
+                        "bytes": ens.X.nbytes + (ens.dW.nbytes if recorded else 0)}
+        assert (ens.dW is not None) == recorded and (ens.X.nbytes > 0) == recorded
         key = probes["stochastic.rbsde_reflected_mc"]({"ensemble": ens, "basis_degree": 3},
                                                       None)["key"]
         assert key == (3, 0.0, 0.5, 0.1, 1000, 3)

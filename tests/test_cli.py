@@ -823,6 +823,60 @@ def test_penalization_study_max_level_beyond_float_range_exits_2_before_any_solv
     assert not (tmp_path / "o").exists()
 
 
+def test_stop_value_reads_both_values_at_the_paths_start(tmp_path):
+    """With ``problem.strike = 2.5`` the small put's obstacle binds at every
+    path's start, so each path stops at date 0 with reward h(0, X_0).  The
+    paths start on the grid node where the exhaustive value is read (x = 0
+    lies between nodes at nx = 40), and chain-dp gives h there too: the rule
+    value is the mean of 2000 copies of that h, and the gap is that mean's
+    rounding alone."""
+    cfg = _small_put(tmp_path, (("problem.strike", "2.5"),))
+    assert run(["--scenario", cfg, "--out", tmp_path / "o", "stop-value"]) == 0
+    rule_value, _, snell_value, gap = map(float, (tmp_path / "o" / "stop_value.csv")
+                                          .read_text().splitlines()[2].split(","))
+    spec = load_scenario(cfg).spec
+    grid = SpaceTimeGrid.build(spec, 40, 40)
+    _, x_index = grid.nearest_node(0.0, 0.0)
+    h = float(spec.obstacle.h(0.0, grid.x_nodes[x_index]))
+    assert snell_value == h and rule_value == float(np.full(2000, h).mean())
+    assert gap == abs(rule_value - h) <= 4 * np.spacing(h)
+
+
+def _bounded_arange(monkeypatch, limit=10**7):
+    """``np.arange(n)`` with n above ``limit`` raises instead of allocating,
+    so that a date count past its cap fails a test rather than filling the
+    machine's shared memory."""
+    real = np.arange
+
+    def arange(*args, **kwargs):
+        if len(args) == 1 and not kwargs and args[0] > limit:
+            raise AssertionError(f"np.arange({args[0]}) would allocate")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", arange)
+
+
+@pytest.mark.parametrize("command", ["simulate", "moments", "stop-value"])
+def test_too_many_path_dates_exit_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    """``mc.dt_path = 1e-9`` asks for 5e8 dates of the small put's paths: each
+    forward command exits 2 with one ``error:`` line naming the cap, before
+    the date array is sized or a solve runs."""
+    import parobs.cli
+    from parobs.stochastic import MAX_PATH_DATES
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before dt_path was refused")
+
+    _bounded_arange(monkeypatch)
+    monkeypatch.setattr(parobs.cli, "solve_psor", no_solve)
+    cfg = _small_put(tmp_path, (("mc.dt_path", "1e-9"),))
+    assert run(["--scenario", cfg, "--out", tmp_path / "o", command]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: code=2 kind=ValueError"), err
+    assert f"more than {MAX_PATH_DATES} path dates" in err[0]
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_and_stop_value_hold_no_increments(tmp_path, monkeypatch):
     import parobs.cli
     from parobs.stochastic import simulate_paths
@@ -956,17 +1010,23 @@ def test_penalty_level_beyond_float_range_exits_2(tmp_path, command):
     assert "Traceback" not in out.stderr
 
 
-FUZZ_VALUES = ("0", "-1", "nan", "inf", "1e300", "1e-300", "2.5")
+FUZZ_VALUES = ("0", "-1", "nan", "inf", "1e300", "1e-300", "1e-9", "2.5")
 FUZZ_KEYS = {"constant": ("mc.paths", "mc.dt_path", "mc.seed"),
              "small_put": ("mc.paths", "mc.dt_path", "mc.seed", "problem.strike",
-                           "problem.rate")}
+                           "problem.rate"),
+             "small_sine": ("problem.a0", "problem.amp", "problem.bump_height",
+                            "problem.bump_width", "problem.obstacle_level")}
+SMALL = (("grid.nx", "40"), ("grid.nt", "40"), ("mc.paths", "2000"))
+FUZZ_SCENARIOS = {"constant": ("constant", ()),
+                  "small_put": ("american_put", SMALL + (("mc.dt_path", "0.0125"),)),
+                  "small_sine": ("sine_coef", SMALL + (("mc.dt_path", "0.025"),))}
 FUZZ_CSV = {"simulate": "ensemble_summary.csv", "moments": "moments.csv",
             "stop-value": "stop_value.csv"}
 
 
 @pytest.mark.parametrize("command", list(FUZZ_CSV))
 @pytest.mark.parametrize("scenario", list(FUZZ_KEYS))
-def test_seeded_fuzz_of_the_forward_commands(tmp_path, capsys, scenario, command):
+def test_seeded_fuzz_of_the_forward_commands(tmp_path, capsys, monkeypatch, scenario, command):
     """Every key of ``FUZZ_KEYS`` set to each of ``FUZZ_VALUES``, one key at
     a time, then ``command`` run in process: the exit code is 0 to 3, a
     nonzero exit prints exactly one ``error:`` line, an exit 0 prints
@@ -977,15 +1037,17 @@ def test_seeded_fuzz_of_the_forward_commands(tmp_path, capsys, scenario, command
     No draw is skipped: none asks for a large array.  ``mc.paths`` and
     ``mc.seed`` parse as ints, so every non-integer draw is a scenario
     error, and 0 and -1 paths fail the positivity check before any
-    ensemble is sized.  ``mc.dt_path = 1e-300`` asks ``simulate_paths`` for
-    about 1e300 dates, which ``np.arange`` refuses (``ValueError``) before
-    allocating; 1e300 and 2.5 exceed the horizon.
+    ensemble is sized.  ``mc.dt_path = 1e-9`` and ``1e-300`` ask
+    ``simulate_paths`` for more dates than its cap, which it refuses before
+    sizing the date array (``np.arange`` is guarded, so an escape fails the
+    draw without allocating); 1e300 and 2.5 exceed the horizon.
     """
+    _bounded_arange(monkeypatch)
+    name, base = FUZZ_SCENARIOS[scenario]
     failures = []
     for i, (key, value) in enumerate((key, value) for key in FUZZ_KEYS[scenario]
                                      for value in FUZZ_VALUES):
-        cfg = (_small_put(tmp_path, ((key, value),)) if scenario == "small_put"
-               else _scenario_with(tmp_path, scenario, ((key, value),), scenario))
+        cfg = _scenario_with(tmp_path, name, (*base, (key, value)), scenario)
         out = tmp_path / f"o{i}"
         before = threading.active_count()
         with warnings_to_stderr():

@@ -1,7 +1,6 @@
 import contextlib
 import dataclasses
 import math
-import threading
 import tracemalloc
 
 import numpy as np
@@ -88,8 +87,8 @@ SCENARIO_FIXTURES = ["constant_scenario", "heat_scenario", "sine_scenario", "put
 @pytest.mark.parametrize("start", [0.0, 0.25], ids=["s=0", "s=T/4"])
 def test_ensemble_rows_equal_the_storing_simulator(name, start, request):
     """Block stepping, checkpoints and segment replay give every X_k and dW_k
-    of the block-by-block storing simulator, read backward and forward, and
-    a forward read of a streaming ensemble gives them too."""
+    of the block-by-block storing simulator, read forward before the first
+    backward read records the checkpoints, backward, and forward again."""
     spec = request.getfixturevalue(name).spec
     s, x0 = start * spec.T, 0.5 * (spec.x_lo + spec.x_hi)
     dt = (spec.T - s) / 40
@@ -98,24 +97,24 @@ def test_ensemble_rows_equal_the_storing_simulator(name, start, request):
     ens = simulate_paths(spec, s, x0, dt, m, seed=17)
     n = ens.n_steps
     assert n == ref.n_steps and np.array_equal(ens.t_nodes, ref.t_nodes)
-    for backward in (True, False):
+    for backward in (False, True, False):
         for k, x, dw in read_all(ens, backward):
             assert np.array_equal(x, ref.X[k]), (backward, k)
             assert dw is None if k == n else np.array_equal(dw, ref.dW[k]), (backward, k)
-    streamed = simulate_paths(spec, s, x0, dt, m, seed=17, store_dw=False)
-    for k, x, dw in read_all(streamed, backward=False):
-        assert np.array_equal(x, ref.X[k]), k
-        assert dw is None if k == n else np.array_equal(dw, ref.dW[k]), k
 
 
-def test_ensemble_holds_increments_and_checkpoints_only(monkeypatch):
-    """A stored ensemble holds X checkpoints and, in place of its increments,
-    one Philox state per block and checkpoint: no increment row.  A streaming
-    ensemble holds neither: it is read forward, and a backward read raises
-    before any thread starts."""
+def test_ensemble_holds_increments_and_checkpoints_only():
+    """An ensemble holds nothing until its first backward read, which records
+    X checkpoints and, in place of its increments, one Philox state per
+    block and checkpoint: no increment row.  A forward read records
+    nothing."""
     spec = _const_family()
     ens = simulate_paths(spec, 0.0, 0.0, 0.01, 3000, seed=5)   # n = 100, stride 8
     assert ens.X.stride == 8   # ceil(sqrt(100 / 2))
+    assert [k for k, _, _ in read_all(ens, backward=False)] == list(range(101))
+    assert ens.dW is None and ens.X.nbytes == 0
+    with contextlib.closing(ens._read(backward=True)) as rows:
+        next(rows)
     # 13 checkpoints (dates 0, 8, .., 96) plus X_T; one block of 3000 paths,
     # whose state is a 4-word counter, a 2-word key and a 4-word buffer
     assert ens.X.nbytes == 14 * 3000 * 8 and ens.dW.nbytes == 13 * 1 * 10 * 8
@@ -132,15 +131,6 @@ def test_ensemble_holds_increments_and_checkpoints_only(monkeypatch):
     for state in ens.dW.states:
         with pytest.raises(ValueError):
             state[0]["state"]["counter"][0] = 1
-    streamed = simulate_paths(spec, 0.0, 0.0, 0.01, 3000, seed=5, store_dw=False)
-    assert streamed.dW is None and streamed.X.nbytes == 0
-    assert [k for k, _, _ in read_all(streamed, backward=False)] == list(range(101))
-    started = []
-    monkeypatch.setattr(stochastic, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self.name))
-    with pytest.raises(ValueError, match="backward"):
-        next(streamed._read(backward=True))
-    assert started == []
 
 
 def _traced_peak(fn):
@@ -154,11 +144,13 @@ def _traced_peak(fn):
 
 
 def test_stored_simulation_peaks_near_its_increments():
-    """A stored simulation holds its 21 checkpoint rows and the stepper's
-    working rows, far below the (n, m) increment field it used to hold."""
+    """The recording pass of a first backward read holds its 21 checkpoint
+    rows and the stepper's working rows, far below the (n, m) increment
+    field a stored simulation used to hold."""
     spec = _const_family()
     n, m = 200, 20_000
-    ens, peak = _traced_peak(lambda: simulate_paths(spec, 0.0, 0.0, spec.T / n, m, seed=6))
+    ens = simulate_paths(spec, 0.0, 0.0, spec.T / n, m, seed=6)
+    _, peak = _traced_peak(ens._record)
     assert ens.n_steps == n and ens.X.nbytes == 21 * m * 8
     assert peak <= n * m * 8 / 5   # 0.14 of the field measured; 1.11 while dW was held
 
@@ -166,7 +158,7 @@ def test_stored_simulation_peaks_near_its_increments():
 def test_streaming_moment_probe_holds_no_path_by_date_field():
     spec = _const_family()
     n, m = 200, 20_000
-    ens = simulate_paths(spec, 0.0, 0.0, spec.T / n, m, seed=6, store_dw=False)
+    ens = simulate_paths(spec, 0.0, 0.0, spec.T / n, m, seed=6)
     mr, peak = _traced_peak(lambda: moment_ratio_probe(ens, 4.0))
     assert peak <= n * m * 8 / 8
     ref = stored_simulate_paths(spec, 0.0, 0.0, spec.T / n, m, seed=6, store_dw=False)
@@ -196,7 +188,7 @@ def test_brownian_variance_and_increment_mean():
 
 def test_scaled_diffusion_variance():
     spec = _const_family(a0=4.0)
-    ens = simulate_paths(spec, 0.0, 1.0, 0.01, 40_000, seed=11, store_dw=False)
+    ens = simulate_paths(spec, 0.0, 1.0, 0.01, 40_000, seed=11)
     assert abs(_terminal(ens).var() - 4.0) <= 4.0 * 3.0 * np.sqrt(2.0 / ens.path_count)
 
 
@@ -216,7 +208,7 @@ def test_sine_law_matches_grid_density(sine_scenario):
     center = int(round((0.0 - grid.x_nodes[0]) / grid.dx))
     dens = solve_density(spec, grid, 0, center)
     ens = simulate_paths(spec, 0.0, float(grid.x_nodes[center]), spec.T / 200, 100_000,
-                         seed=5, store_dw=False)
+                         seed=5)
     # histogram on blocks of 4 cells to keep per-bin noise below the budget
     stride = 4
     edges = grid.x_nodes[::stride]
@@ -232,21 +224,21 @@ def test_sine_law_matches_grid_density(sine_scenario):
 
 def test_moment_probe_requires_p_at_least_four():
     spec = _const_family()
-    ens = simulate_paths(spec, 0.0, 0.0, 0.1, 100, seed=1, store_dw=False)
+    ens = simulate_paths(spec, 0.0, 0.0, 0.1, 100, seed=1)
     with pytest.raises(ValueError):
         moment_ratio_probe(ens, 2.0)
 
 
 def test_moment_probe_degenerate_diffusion_ratio_one():
     spec = _const_family(a0=1e-12)
-    ens = simulate_paths(spec, 0.0, 5.0, 0.05, 2000, seed=3, store_dw=False)
+    ens = simulate_paths(spec, 0.0, 5.0, 0.05, 2000, seed=3)
     mr = moment_ratio_probe(ens, 4.0)
     assert mr.ratio == pytest.approx(1.0, abs=1e-4)
 
 
 def test_moment_probe_brownian_range():
     spec = _const_family()
-    ens = simulate_paths(spec, 0.0, 0.0, 0.02, 200_000, seed=9, store_dw=False)
+    ens = simulate_paths(spec, 0.0, 0.0, 0.02, 200_000, seed=9)
     mr = moment_ratio_probe(ens, 4.0)
     assert 1.0 <= mr.ratio <= 3.5
     assert mr.ci > 0
@@ -254,7 +246,7 @@ def test_moment_probe_brownian_range():
 
 def test_g_integral_exact_for_constant():
     spec = _const_family()
-    ens = simulate_paths(spec, 0.0, 0.0, 0.05, 500, seed=2, store_dw=False)
+    ens = simulate_paths(spec, 0.0, 0.0, 0.05, 500, seed=2)
     gi = estimate_g_integral(ens, lambda t, x: np.ones_like(np.asarray(x, float)))
     assert gi.value == pytest.approx(1.0, abs=1e-12)
     assert gi.ci == 0.0
@@ -262,14 +254,14 @@ def test_g_integral_exact_for_constant():
 
 def test_g_integral_linear_probe():
     spec = _const_family()
-    ens = simulate_paths(spec, 0.0, 0.0, 0.01, 50_000, seed=4, store_dw=False)
+    ens = simulate_paths(spec, 0.0, 0.0, 0.01, 50_000, seed=4)
     gi = estimate_g_integral(ens, lambda t, x: np.asarray(x, float))
     assert abs(gi.value - 0.5) <= 3.0 * gi.ci + 0.01  # int_0^1 t dt = 1/2
 
 
 def test_g_integral_truncation_indicator_small(heat_scenario):
     spec = heat_scenario.spec
-    ens = simulate_paths(spec, 0.0, 0.0, 0.02, 20_000, seed=12, store_dw=False)
+    ens = simulate_paths(spec, 0.0, 0.0, 0.02, 20_000, seed=12)
     gi = estimate_g_integral(ens, lambda t, x: (np.abs(np.asarray(x, float)) > 7.0).astype(float))
     assert gi.value <= 1e-4
 
@@ -636,6 +628,8 @@ def test_explicit_value_step_within_its_order_of_the_implicit_one(put_scenario, 
 def test_reflected_mc_holds_no_path_by_date_field(put_scenario):
     spec = put_scenario.spec
     ens = simulate_paths(spec, 0.0, 0.0, spec.T / 200, 20_000, seed=33)
+    with contextlib.closing(ens._read(backward=True)) as rows:
+        next(rows)   # the checkpoints are recorded before the traced fit
     field_bytes = ens.n_steps * ens.path_count * 8  # one (n, m) float64 field: 32 MB
     est, peak = _traced_peak(lambda: rbsde_reflected_mc(ens, 3))
     assert peak <= field_bytes / 4

@@ -41,6 +41,21 @@ def workers(monkeypatch):
 
 
 @pytest.fixture
+def counted_blocks(monkeypatch):
+    """The block counts of the ``_for_each_block`` calls made since the
+    fixture was set up."""
+    calls = []
+    real = stochastic._for_each_block
+
+    def counted(n_blocks, work):
+        calls.append(n_blocks)
+        real(n_blocks, work)
+
+    monkeypatch.setattr(stochastic, "_for_each_block", counted)
+    return calls
+
+
+@pytest.fixture
 def started(monkeypatch):
     """The names of the threads started since the fixture was set up."""
     names = []
@@ -67,10 +82,11 @@ def _assert_reader_rows(ens, ref, backward, label):
 @pytest.mark.parametrize("name", SCENARIO_FIXTURES)
 def test_rows_do_not_depend_on_the_worker_count(name, request, workers, started):
     """Every X_k and dW_k equals the block-by-block storing simulator's for
-    1, 2, 3 and 20 workers, read by the readers in both orders and, for a
-    streaming ensemble, forward, and so do the checkpoints and stream states
-    of the 1-worker ensemble.  A reader pass starts one helper thread, and
-    none on one usable core, where it steps inline."""
+    1, 2, 3 and 20 workers, read forward before and after the checkpoints are
+    recorded and backward, and so do the checkpoints and stream states of the
+    1-worker ensemble.  ``simulate_paths`` starts no thread; a reader pass
+    starts one helper thread, and none on one usable core, where it steps
+    inline, after the first backward read's block workers."""
     spec = request.getfixturevalue(name).spec
     x0 = 0.5 * (spec.x_lo + spec.x_hi)
     dt = spec.T / 20
@@ -81,12 +97,14 @@ def test_rows_do_not_depend_on_the_worker_count(name, request, workers, started)
             workers(w)
             started.clear()
             ens = simulate_paths(spec, 0.0, x0, dt, m, seed=31)
-            assert len(started) == min(w, -(-m // BLOCK_SIZE)) - 1, (m, w)
-            streamed = simulate_paths(spec, 0.0, x0, dt, m, seed=31, store_dw=False)
-            for ensemble, backward in ((ens, True), (ens, False), (streamed, False)):
+            assert started == [], (m, w)
+            blocks = ["parobs-block"] * (min(w, -(-m // BLOCK_SIZE)) - 1)
+            reader = [] if w == 1 else ["parobs-reader"]
+            for backward, threads in ((False, reader), (True, blocks + reader),
+                                      (True, reader), (False, reader)):
                 started.clear()
-                _assert_reader_rows(ensemble, ref, backward, (m, w))
-                assert started == ([] if w == 1 else ["parobs-reader"]), (m, w, backward)
+                _assert_reader_rows(ens, ref, backward, (m, w))
+                assert started == threads, (m, w, backward)
             if first is None:
                 first = ens
                 continue
@@ -102,38 +120,61 @@ def _states(ens):
 
 
 @pytest.mark.parametrize("n", [1, 7, 20, 200])
-def test_a_forward_pass_steps_on_one_helper(constant_scenario, monkeypatch, workers, started, n):
-    """A forward pass over n dates, of a streaming or a stored ensemble,
-    makes no ``_for_each_block`` call and starts at most one helper (none on
-    one core), and yields the storing simulator's rows; only the stored
-    simulation claims blocks, in one call."""
+def test_a_forward_pass_steps_on_one_helper(constant_scenario, counted_blocks, workers,
+                                            started, n):
+    """A forward pass over n dates, before or after the checkpoints are
+    recorded, makes no ``_for_each_block`` call and starts at most one helper
+    (none on one core), and yields the storing simulator's rows; only the
+    first backward read claims blocks, in one call."""
     spec = constant_scenario.spec
-    calls = []
-    real = stochastic._for_each_block
-
-    def counted(n_blocks, work):
-        calls.append(n_blocks)
-        real(n_blocks, work)
-
-    monkeypatch.setattr(stochastic, "_for_each_block", counted)
     ref = stored_simulate_paths(spec, 0.0, 0.0, spec.T / n, 1000, seed=3)
-    for store_dw in (False, True):
-        calls.clear()
-        ens = simulate_paths(spec, 0.0, 0.0, spec.T / n, 1000, seed=3, store_dw=store_dw)
-        assert ens.n_steps == n and calls == ([1] if store_dw else [])
+    ens = simulate_paths(spec, 0.0, 0.0, spec.T / n, 1000, seed=3)
+    assert ens.n_steps == n and counted_blocks == []
+    for recorded in (False, True):
+        if recorded:
+            read_all(ens, backward=True)
+            assert counted_blocks == [1]
         for w in WORKERS:
             workers(w)
-            calls.clear()
+            counted_blocks.clear()
             started.clear()
-            _assert_reader_rows(ens, ref, False, (store_dw, w))
-            assert calls == [], (store_dw, w)
-            assert started == ([] if w == 1 else ["parobs-reader"]), (store_dw, w)
+            _assert_reader_rows(ens, ref, False, (recorded, w))
+            assert counted_blocks == [], (recorded, w)
+            assert started == ([] if w == 1 else ["parobs-reader"]), (recorded, w)
+
+
+def test_only_the_first_backward_read_records(put_scenario, counted_blocks, workers):
+    """``simulate_paths`` and any number of forward reads make no
+    ``_for_each_block`` call and record nothing; the first backward read
+    makes one call, a second read none.  The recorded checkpoints, and the
+    rows and increments replayed from them, equal the storing simulator's bit
+    for bit."""
+    spec = put_scenario.spec
+    m = 3 * BLOCK_SIZE + 123
+    ref = stored_simulate_paths(spec, 0.0, 0.0, spec.T / 20, m, seed=13)
+    workers(2)
+    ens = simulate_paths(spec, 0.0, 0.0, spec.T / 20, m, seed=13)
+    for _ in range(3):
+        _assert_reader_rows(ens, ref, False, "forward")
+    assert counted_blocks == [] and ens.dW is None and ens.X.nbytes == 0
+    _assert_reader_rows(ens, ref, True, "first backward")
+    assert counted_blocks == [4]
+    n, stride = ens.n_steps, ens.X.stride
+    assert np.array_equal(ens.X.rows, ref.X[[*range(0, n, stride), n]])
+    assert len(ens.dW.states) == len(range(0, n, stride))
+    rows, states = ens.X.rows, ens.dW.states
+    _assert_reader_rows(ens, ref, True, "second backward")
+    _assert_reader_rows(ens, ref, False, "forward after")
+    assert counted_blocks == [4]
+    assert ens.X.rows is rows and ens.dW.states is states   # kept, not recorded again
 
 
 def test_reflected_fit_does_not_depend_on_the_worker_count(put_scenario, workers, started):
-    """The reflected fit (a backward reader pass) and the convergence table
-    (one backward pass and one forward pass) are bit-identical for 1, 2, 3 and
-    20 workers; each pass starts at most one helper, none on one core."""
+    """The reflected fit (a backward reader pass, the ensemble's first) and
+    the convergence table (one backward pass and one forward pass) are
+    bit-identical for 1, 2, 3 and 20 workers; each pass starts at most one
+    helper, none on one core, and the fit's recording one block worker per
+    further core and block."""
     spec = put_scenario.spec
     fits, tables = [], []
     for w in WORKERS:
@@ -141,7 +182,8 @@ def test_reflected_fit_does_not_depend_on_the_worker_count(put_scenario, workers
         ens = simulate_paths(spec, 0.0, 0.0, spec.T / 20, 3 * BLOCK_SIZE + 123, seed=8)
         started.clear()
         fits.append(rbsde_reflected_mc(ens, 3))
-        assert started == ([] if w == 1 else ["parobs-reader"]), w
+        assert started == ["parobs-block"] * (min(w, 4) - 1) + ([] if w == 1 else
+                                                                ["parobs-reader"]), w
         started.clear()
         tables.append(penalization_convergence_mc(ens, [16, 256], 3))
         assert started == ([] if w == 1 else ["parobs-reader"] * 2), w   # 1 fit pass, 1 sweep
@@ -170,18 +212,20 @@ def _failing(spec, fails):
 
 def test_a_failing_block_surfaces_in_the_caller(constant_scenario, workers):
     """A coefficient that raises on the tail block raises in the caller with
-    its own type and text, for any worker count, in every stepping call."""
+    its own type and text, for any worker count, in every stepping pass: the
+    recording of the first backward read, a replay and a forward read."""
     spec = constant_scenario.spec
     m = 2 * BLOCK_SIZE + 123
     bad = _failing(spec, {123: lambda t: ZeroDivisionError("tail block")})
     good = simulate_paths(spec, 0.0, 0.0, spec.T / 20, m, seed=2)
+    read_all(good, backward=True)   # records the checkpoints that ``replaying`` replays
     for w in WORKERS:
         workers(w)
-        with pytest.raises(ZeroDivisionError, match="^tail block$"):
-            simulate_paths(bad, 0.0, 0.0, spec.T / 20, m, seed=2)
-        with pytest.raises(ZeroDivisionError, match="^tail block$"):
-            read_all(simulate_paths(bad, 0.0, 0.0, spec.T / 20, m, seed=2, store_dw=False),
-                     backward=False)
+        for backward in (True, False):   # the recording pass, then a forward read
+            unread = simulate_paths(bad, 0.0, 0.0, spec.T / 20, m, seed=2)
+            with pytest.raises(ZeroDivisionError, match="^tail block$"):
+                read_all(unread, backward)
+            assert unread.dW is None and unread.X.nbytes == 0
         replaying = dataclasses.replace(good, spec=bad)
         for backward in (True, False):   # raised in the readers' helper on 2+ cores
             with pytest.raises(ZeroDivisionError, match="^tail block$"):
@@ -192,7 +236,9 @@ def test_a_failing_block_surfaces_in_the_caller(constant_scenario, workers):
 
 def test_the_lowest_failing_block_wins(constant_scenario, workers):
     """When several blocks fail, the lowest block's exception is raised, even
-    when a higher block fails first."""
+    when a higher block fails first: from the first backward read's
+    recording, which leaves no thread behind, and from ``_for_each_block``
+    itself."""
     spec = constant_scenario.spec
     # the tail block fails at once, the two full blocks only from t = T / 2 on
     bad = _failing(spec, {
@@ -201,8 +247,11 @@ def test_the_lowest_failing_block_wins(constant_scenario, workers):
     })
     for w in WORKERS:
         workers(w)
+        before = threading.active_count()
+        ens = simulate_paths(bad, 0.0, 0.0, spec.T / 20, 2 * BLOCK_SIZE + 123, seed=2)
         with pytest.raises(KeyError, match="full block"):
-            simulate_paths(bad, 0.0, 0.0, spec.T / 20, 2 * BLOCK_SIZE + 123, seed=2)
+            read_all(ens, backward=True)
+        assert threading.active_count() == before, w
 
     order = []
 
@@ -225,7 +274,8 @@ def test_every_block_is_claimed_once_under_contention(put_scenario, workers):
     """With more workers than cores and a short switch interval, the shared
     claim counter hands out every block exactly once (a lost update would
     run a block twice or skip one), and the stored pass's checkpoints and
-    stream states replay the storing simulator's rows."""
+    stream states, recorded by the first backward read, replay the storing
+    simulator's rows."""
     spec = put_scenario.spec
     m = 5 * BLOCK_SIZE + 7
     ref = stored_simulate_paths(spec, 0.0, 0.0, spec.T / 10, m, seed=12)
@@ -238,8 +288,8 @@ def test_every_block_is_claimed_once_under_contention(put_scenario, workers):
             done = []
             stochastic._for_each_block(64, done.append)
             runs.append(sorted(done))
-        ens = simulate_paths(spec, 0.0, 0.0, spec.T / 10, m, seed=12)   # 6 blocks, 6 threads
-        rows = read_all(ens, backward=True)
+        ens = simulate_paths(spec, 0.0, 0.0, spec.T / 10, m, seed=12)
+        rows = read_all(ens, backward=True)   # records on 6 blocks, 6 threads
     finally:
         sys.setswitchinterval(interval)
     assert runs == [list(range(64))] * 50
@@ -259,16 +309,16 @@ def test_no_thread_outlives_a_stepping_call(sine_scenario, workers):
         ens = simulate_paths(spec, 0.0, 0.0, spec.T / 20, m, seed=4)
         assert threading.active_count() == before
         with pytest.raises(ArithmeticError):
-            simulate_paths(bad, 0.0, 0.0, spec.T / 20, m, seed=4)
+            read_all(simulate_paths(bad, 0.0, 0.0, spec.T / 20, m, seed=4), backward=True)
         assert threading.active_count() == before
-        streamed = simulate_paths(spec, 0.0, 0.0, spec.T / 20, m, seed=4, store_dw=False)
-        for ensemble, backward in ((ens, True), (ens, False), (streamed, False)):
-            with closing(ensemble._read(backward)) as rows:
+        # forward before and after the first backward read, which records
+        for backward in (False, True, True, False):
+            with closing(ens._read(backward)) as rows:
                 for _ in rows:   # the helper may end before the last rows are read
                     assert threading.active_count() <= before + (w > 1)
             assert threading.active_count() == before
             with pytest.raises(ArithmeticError):
-                read_all(dataclasses.replace(ensemble, spec=bad), backward)
+                read_all(dataclasses.replace(ens, spec=bad), backward)
             assert threading.active_count() == before
 
 
@@ -335,7 +385,7 @@ def test_a_failing_consumer_surfaces_its_own_error(put_scenario, workers, monkey
 
 
 def test_a_stopping_pass_that_raises_joins_its_helper(put_scenario, workers):
-    """``optimal_stopping_value`` on a streaming ensemble whose driver raises
+    """``optimal_stopping_value`` on an ensemble whose driver raises
     at one date raises that error and leaves no thread behind."""
     spec = put_scenario.spec
     grid = SpaceTimeGrid.build(spec, 40, 40)
@@ -352,8 +402,7 @@ def test_a_stopping_pass_that_raises_joins_its_helper(put_scenario, workers):
     for w in WORKERS:
         workers(w)
         before = threading.active_count()
-        ens = simulate_paths(bad, 0.0, 0.0, spec.T / 20, 3 * BLOCK_SIZE + 123, seed=5,
-                             store_dw=False)
+        ens = simulate_paths(bad, 0.0, 0.0, spec.T / 20, 3 * BLOCK_SIZE + 123, seed=5)
         assert float(ens.t_nodes[7]) == t_bad
         with pytest.raises(FloatingPointError, match="^driver at date 7$") as caught:
             optimal_stopping_value(grid, sol, ens)
@@ -362,7 +411,7 @@ def test_a_stopping_pass_that_raises_joins_its_helper(put_scenario, workers):
 
 
 def test_a_moment_pass_whose_helper_raises_surfaces_the_error(constant_scenario, workers):
-    """``moment_ratio_probe`` on a streaming ensemble whose ``a_x`` raises on
+    """``moment_ratio_probe`` on an ensemble whose ``a_x`` raises on
     the tail block from T / 2 on (in the reader's helper on 2+ cores) raises
     that error, with its own type and text, and leaves no thread behind."""
     spec = constant_scenario.spec
@@ -370,8 +419,7 @@ def test_a_moment_pass_whose_helper_raises_surfaces_the_error(constant_scenario,
     for w in WORKERS:
         workers(w)
         before = threading.active_count()
-        ens = simulate_paths(bad, 0.0, 0.0, spec.T / 20, 2 * BLOCK_SIZE + 123, seed=6,
-                             store_dw=False)
+        ens = simulate_paths(bad, 0.0, 0.0, spec.T / 20, 2 * BLOCK_SIZE + 123, seed=6)
         with pytest.raises(LookupError, match="^tail block$") as caught:
             moment_ratio_probe(ens, 4.0)
         assert threading.active_count() == before and caught.tb is not None
@@ -387,8 +435,7 @@ def test_a_stopping_pass_that_ends_at_date_0_joins_its_helper(quad_scenario, wor
     for w in WORKERS:
         workers(w)
         before = threading.active_count()
-        ens = simulate_paths(spec, 0.0, 0.0, spec.T / 20, 3 * BLOCK_SIZE + 123, seed=7,
-                             store_dw=False)
+        ens = simulate_paths(spec, 0.0, 0.0, spec.T / 20, 3 * BLOCK_SIZE + 123, seed=7)
         sv = optimal_stopping_value(grid, sol, ens)
         assert sv.rule_value == pytest.approx(float(spec.obstacle.h(0.0, 0.0)), abs=1e-12)
         assert sv.rule_ci == pytest.approx(0.0, abs=1e-12)
@@ -427,8 +474,8 @@ def test_the_tracer_sees_the_same_spans_with_helpers(tmp_path, workers, started)
                          "--checks", "representation-z"]) == 0
         finally:
             tracer.uninstall()
-        # the simulation's block worker, then one reader helper each for the
-        # fit and the sweep
+        # the fit's first backward read's block worker, then one reader
+        # helper each for the fit and the sweep
         assert started == ([] if w == 1 else ["parobs-block"] + ["parobs-reader"] * 2)
         assert not tracer._stack
         spans[w] = [(name, tracer.spans[parent][0] if parent >= 0 else None)
