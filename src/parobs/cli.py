@@ -79,14 +79,6 @@ def _load(args) -> tuple[Scenario, SpaceTimeGrid, int]:
     return sc, grid, seed
 
 
-def _penalized_tolerances(sc: Scenario) -> dict:
-    """The scenario's tolerance overrides but ``lcp_tol``, which penalized solves lack.
-
-    The complementarity routes take every ``tolerances.*`` key, so they are
-    passed ``sc.tolerances`` as it is."""
-    return {key: value for key, value in sc.tolerances.items() if key != "lcp_tol"}
-
-
 def _solution_slabs(grid, sol):
     """solution.csv's lines, one text block per time slab.  Each x node is
     formatted once, and each slab is one %-format of a line template repeated
@@ -106,13 +98,12 @@ def cmd_solve(args) -> int:
     sc, grid, seed = _load(args)
     out = Path(args.out)
     if args.method == "psor":
-        sol = solve_psor(sc.spec, grid, **sc.tolerances)
+        sol = solve_psor(sc.spec, grid)
         diag_rows = [(k, grid.t_nodes[k], sol.diagnostics["sweep_counts"][k],
                       sol.diagnostics["refine_counts"][k]) for k in range(grid.nt)]
         diag_header = ["step", "t", "psor_sweeps", "driver_refines"]
     elif args.method == "penalized":
-        pen = solve_penalized(sc.spec, grid, args.penalty,
-                              **_penalized_tolerances(sc))
+        pen = solve_penalized(sc.spec, grid, args.penalty)
         sol = as_obstacle_solution(sc.spec, grid, pen)
         diag_rows = zip(range(grid.nt), grid.t_nodes, pen.inner_iteration_counts)
         diag_header = ["step", "t", "inner_iterations"]
@@ -142,8 +133,7 @@ def cmd_study(args) -> int:
     prov = _provenance(sc, seed) + f" study={args.study}"
     if args.study == "penalization":
         schedule = [2**j for j in range(4, args.max_level + 1)]
-        psor = solve_psor(sc.spec, grid, **sc.tolerances)
-        study = penalization_study(sc.spec, grid, schedule, psor, **_penalized_tolerances(sc))
+        study = penalization_study(sc.spec, grid, schedule, solve_psor(sc.spec, grid))
         # the first level has no increment
         rows = zip(study.n_levels, [0.0, *study.sup_increments], [0.0, *study.norm_increments],
                    study.distances_to_reference)
@@ -151,7 +141,7 @@ def cmd_study(args) -> int:
                   ["n", "sup_increment", "norm_increment", "distance_to_psor"],
                   [_csv_line(r) for r in rows])
     elif args.study == "picard":
-        sol, trace = picard_outer(sc.spec, grid, **sc.tolerances)
+        sol, trace = picard_outer(sc.spec, grid)
         rows = [(i + 1, d, trace.ratios[i - 1] if i >= 1 else 0.0)
                 for i, d in enumerate(trace.distances)]
         write_csv(out / "picard_study.csv", prov + f" gamma={_f17(trace.gamma)}",
@@ -161,7 +151,7 @@ def cmd_study(args) -> int:
         eps = args.eps
         h1 = sc.spec.obstacle.h
         h2 = lambda t, x: np.asarray(h1(t, x), dtype=float) - eps
-        rep = obstacle_stability(sc.spec, grid, h1, h2, **sc.tolerances)
+        rep = obstacle_stability(sc.spec, grid, h1, h2)
         write_csv(out / "stability_study.csv", prov,
                   ["eps", "solution_distance", "obstacle_distance", "ratio", "passed"],
                   [_csv_line((eps, rep.solution_distance, rep.obstacle_distance, rep.ratio,
@@ -175,7 +165,7 @@ def cmd_verify(args) -> int:
     names = select_checks(args.checks)  # checked before the scenario is loaded
     sc, grid, seed = _load(args)
     mc = {**sc.mc_params, "seed": seed}
-    reports = run_checks(VerifyContext(sc.spec, grid, mc, sc.calibration, sc.tolerances), names)
+    reports = run_checks(VerifyContext(sc.spec, grid, mc, sc.calibration), names)
     out = Path(args.out)
     prov = _provenance(sc, seed)
     rows = [(r.name, r.discrepancy, r.budget, r.bias_part, r.stat_part, int(r.passed))
@@ -222,7 +212,7 @@ def cmd_stop_value(args) -> int:
     # the paths start on the node where the exhaustive value is read
     _, x_index = grid.nearest_node(0.0, 0.5 * (sc.spec.x_lo + sc.spec.x_hi))
     ens = _paths(sc, seed, float(grid.x_nodes[x_index]))
-    sol = solve_psor(sc.spec, grid, **sc.tolerances)
+    sol = solve_psor(sc.spec, grid)
     sv = optimal_stopping_value(grid, sol, ens)
     write_csv(Path(args.out) / "stop_value.csv", _provenance(sc, seed),
               ["rule_value", "rule_ci", "snell_value", "gap"],

@@ -1,7 +1,10 @@
 """Problem data: coefficients, driver, obstacle, weight, and hypothesis checks.
 
-All model symbols live here.  Evaluators follow one calling convention:
-``t`` is a scalar, the remaining arguments are numpy arrays (or scalars) that
+All model symbols live here, and so do the defaults of the tolerances that
+end a discrete step (``DEFAULT_LCP_TOL``, ``DEFAULT_INNER_TOL``,
+``DEFAULT_MAX_INNER``), which every solve reads from its
+``ObstacleProblemSpec``.  Evaluators follow one calling convention: ``t`` is
+a scalar, the remaining arguments are numpy arrays (or scalars) that
 broadcast together, and the result broadcasts against the arguments: a
 coefficient that does not depend on (t, x) may return a scalar.  Evaluators must
 be pure; every object in this module is immutable after construction and safe
@@ -35,6 +38,10 @@ __all__ = [
     "validate_hypotheses",
     "lipschitz_probe",
 ]
+
+DEFAULT_LCP_TOL = 1e-10
+DEFAULT_INNER_TOL = 1e-11
+DEFAULT_MAX_INNER = 200
 
 
 @dataclass(frozen=True)
@@ -101,7 +108,11 @@ class Weight:
 
 @dataclass(frozen=True)
 class ObstacleProblemSpec:
-    """Full problem statement on the truncated cylinder [0, T] x [x_lo, x_hi]."""
+    """Full problem statement on the truncated cylinder [0, T] x [x_lo, x_hi],
+    with the tolerances its discrete steps stop at: ``lcp_tol`` ends a
+    complementarity step, and ``inner_tol`` and ``max_inner`` end the
+    lagged-driver fixed point of every step.  A spec derived by ``replace``
+    (a frozen driver, a shifted obstacle, a reflecting twin) keeps them."""
 
     coefficients: Coefficients
     driver: Driver
@@ -111,6 +122,9 @@ class ObstacleProblemSpec:
     x_lo: float = -8.0
     x_hi: float = 8.0
     boundary_mode: str = "clamp-to-data"
+    lcp_tol: float = DEFAULT_LCP_TOL
+    inner_tol: float = DEFAULT_INNER_TOL
+    max_inner: int = DEFAULT_MAX_INNER
 
     def __post_init__(self):
         if not (np.isfinite(self.T) and self.T > 0):

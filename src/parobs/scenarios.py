@@ -12,8 +12,9 @@ Schema (all numeric values parse as floats unless noted):
     mc.paths, mc.seed    = ensemble size and master seed (ints)
     mc.dt_path           = path step
     mc.basis_degree      = regression basis degree (int)
-    tolerances.*         = optional solver tolerance overrides, keys and defaults in
-                           verify.TOLERANCE_DEFAULTS
+    tolerances.*         = optional solver tolerances lcp_tol, inner_tol and
+                           max_inner (int), set on the spec; defaults are the
+                           ObstacleProblemSpec field defaults
     calibration.*        = frozen budgets (positive), keys and defaults in
                            verify.CALIBRATION_DEFAULTS
 
@@ -29,7 +30,7 @@ and sine-coef a problem.bump_width <= 0 or one so narrow that
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import ScenarioError
 from .problem import Coefficients, Driver, ObstacleData, ObstacleProblemSpec, Weight
 from .stochastic import MAX_BASIS_DEGREE
-from .verify import CALIBRATION_DEFAULTS, TOLERANCE_DEFAULTS
+from .verify import CALIBRATION_DEFAULTS
 
 __all__ = ["Scenario", "load_scenario", "build_family", "FAMILIES"]
 
@@ -45,7 +46,7 @@ _SECTIONS = ("scenario", "problem", "grid", "mc", "tolerances", "calibration")
 _KEYS = {  # the numeric sections' keys; build_family checks problem.*
     "grid": ("nx", "nt"),
     "mc": ("paths", "seed", "dt_path", "basis_degree"),
-    "tolerances": tuple(TOLERANCE_DEFAULTS),
+    "tolerances": ("lcp_tol", "inner_tol", "max_inner"),
     "calibration": tuple(CALIBRATION_DEFAULTS),
 }
 _INT_KEYS = {"grid.nx", "grid.nt", "mc.paths", "mc.seed", "mc.basis_degree",
@@ -258,6 +259,6 @@ def load_scenario(path) -> Scenario:
     mc_params.setdefault("seed", 20260808)
     mc_params.setdefault("dt_path", spec.T / grid_params["nt"])
     mc_params.setdefault("basis_degree", 3)
-    return Scenario(name=name, spec=spec, grid_params=grid_params, mc_params=mc_params,
-                    tolerances=tolerances, calibration=calibration, family=family,
-                    content_hash=digest, path=str(path))
+    return Scenario(name=name, spec=replace(spec, **tolerances), grid_params=grid_params,
+                    mc_params=mc_params, tolerances=tolerances, calibration=calibration,
+                    family=family, content_hash=digest, path=str(path))

@@ -29,10 +29,12 @@ banded solve is the grid's ``_tridiagonal_solve``.  ``sigma_du`` forms sigma
 Du on a grid row: the sigma row sqrt(a(t, x)) (``_sigma_row``) times
 ``central_gradient``.  Loops that need several rows at one t (the marcher's
 inner iterates, the chain-dp step) take the sigma row once per step.
-Besides the ``DEFAULT_*`` tolerances, ``PICARD_MAX_OUTER`` and
+Every solve stops at the tolerances of the spec it is given (``lcp_tol``,
+``inner_tol``, ``max_inner``).  ``PICARD_MAX_OUTER`` and
 ``PICARD_OUTER_TOL`` end ``picard_outer``, and ``STABILITY_C`` is the
-distance ratio ``obstacle_stability`` passes.  Both solve specs of their own:
-the driver frozen along an iterate (``frozen_driver``), the obstacle replaced.
+distance ratio ``obstacle_stability`` passes.  Both solve specs of their own,
+made by ``replace`` and so keeping those tolerances: the driver frozen along
+an iterate (``frozen_driver``), the obstacle replaced.
 
 The reflection measure is represented by the nonnegative cell density r with
 cell mass r dx dt; the continuum measure need not be absolutely continuous, so
@@ -50,7 +52,8 @@ import numpy as np
 from .errors import InnerDivergence, LcpStall, MonotonicityViolation, NoContraction
 from .grid import (SpaceTimeGrid, _banded_matvec, _full_row, _step_kernels, _tridiagonal_solve,
                    solve_backward_step)
-from .problem import Driver, ObstacleProblemSpec, Weight
+# DEFAULT_LCP_TOL is read here by the benchmark's output gates and the tests
+from .problem import DEFAULT_LCP_TOL, Driver, ObstacleProblemSpec, Weight  # noqa: F401
 
 __all__ = [
     "PenalizedSolution",
@@ -75,10 +78,7 @@ __all__ = [
     "obstacle_stability",
 ]
 
-DEFAULT_INNER_TOL = 1e-11
-DEFAULT_LCP_TOL = 1e-10
 DEFAULT_MONO_TOL = 1e-8
-DEFAULT_MAX_INNER = 200
 PICARD_MAX_OUTER = 50
 PICARD_OUTER_TOL = 1e-8
 STABILITY_C = 3.0
@@ -210,8 +210,7 @@ def _diverged(label: str, level: int, what: str) -> InnerDivergence:
     return err
 
 
-def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, labels, h_field: np.ndarray,
-           inner_tol: float = DEFAULT_INNER_TOL, max_inner: int = DEFAULT_MAX_INNER):
+def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, labels, h_field: np.ndarray):
     """Backward implicit Euler from u(T) = phi with the driver lagged in each
     step, for a ladder of levels (one per entry of ``labels``) in lockstep,
     ``h_field`` the obstacle on every slice.
@@ -222,12 +221,13 @@ def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, labels, h_fiel
     hold the clamp-to-data values, to (next iterates, final): ``final``, per
     level or one flag for all, says that the route knows its next solve would
     return the row unchanged.  A level's step ends when its iterate moves by
-    at most ``inner_tol`` or its row is final, and the row it has is
-    accepted; the level is then frozen while the others iterate, so each
-    level's arithmetic and solve count are those of its lone march.  The
-    levels of a step share one kernel (``grid._step_kernels``: one per march
-    for a constant a) and one sigma row, none when L = 0; their driver rows
-    and right-hand sides are formed together.
+    at most the spec's ``inner_tol`` or its row is final, within the spec's
+    ``max_inner`` solves, and the row it has is accepted; the level is then
+    frozen while the others iterate, so each level's arithmetic and solve
+    count are those of its lone march.  The levels of a step share one
+    kernel (``grid._step_kernels``: one per march for a constant a) and one
+    sigma row, none when L = 0; their driver rows and right-hand sides are
+    formed together.
 
     Yields (k, u_k, its_k) for k = nt .. 0: the slice of each live level and
     the solves it made in step k (zeros at k = nt).  No field is held.  A level
@@ -236,7 +236,7 @@ def _march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, solve, labels, h_fiel
     its ``level`` attribute set, is raised when no level is left or after
     slice 0, as a level-by-level run would raise first.
     """
-    dt = grid.dt
+    dt, inner_tol, max_inner = grid.dt, spec.inner_tol, spec.max_inner
     u_next = np.tile(terminal_field(spec, grid), (len(labels), 1))
     bnd = boundary_values(spec, grid, h_field) if spec.boundary_mode == "clamp-to-data" else None
     scale = 1.0 + _abs_max(u_next[0]) + _abs_max(h_field)
@@ -314,7 +314,7 @@ def _finite_level(n) -> float:
 
 
 def _penalized_march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels,
-                     h_field: np.ndarray, inner_tol: float, max_inner: int):
+                     h_field: np.ndarray):
     """``_march`` of the penalized step for the penalty levels ``n_levels``
     in lockstep, ``h_field`` the obstacle on every slice.  A level below 1
     or not a finite float raises ``ValueError`` before any step.
@@ -323,8 +323,8 @@ def _penalized_march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels,
     clamp-to-data edge nodes excluded.  With L = 0, b does not depend on v,
     so a row whose active set is the one its solve used is final: the next
     solve would return it bit for bit (Forsyth and Vetzal 2002).  With
-    L > 0 no row is final before it moves by at most ``inner_tol``, and no
-    set is compared."""
+    L > 0 no row is final before it moves by at most the spec's
+    ``inner_tol``, and no set is compared."""
     dtn = grid.dt * np.array([_finite_level(n) for n in n_levels])[:, None]
     repeats = spec.driver.L <= 0.0
 
@@ -341,12 +341,11 @@ def _penalized_march(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels,
         return new, repeats and (active_set(new, k) == active).all(axis=1)
 
     return _march(spec, grid, penalized, [f"penalized inner iteration (n = {n})" for n in n_levels],
-                  h_field, inner_tol=inner_tol, max_inner=max_inner)
+                  h_field)
 
 
-def solve_penalized(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_penalty: int,
-                    inner_tol: float = DEFAULT_INNER_TOL,
-                    max_inner: int = DEFAULT_MAX_INNER) -> PenalizedSolution:
+def solve_penalized(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
+                    n_penalty: int) -> PenalizedSolution:
     """Backward implicit Euler for the penalized equation at level n.
 
     Each step solves (I - dt A) u_k = u_{k+1} + dt [f(t_k, ., u_k, sigma D u_k)
@@ -354,13 +353,13 @@ def solve_penalized(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_penalty: i
     current active set, which is the node-wise exact damping of the penalty
     term by 1 / (1 + dt n) and keeps the inner fixed point contractive for
     every n; only the driver lag limits dt.  A penalty ladder of one level.
-    A step ends when its iterate moves by at most ``inner_tol`` or, for a
-    driver with L = 0, as soon as a solve's row keeps the active set that
-    solve used; ``inner_iteration_counts`` are the solves made per step.
+    A step ends when its iterate moves by at most the spec's ``inner_tol``
+    or, for a driver with L = 0, as soon as a solve's row keeps the active
+    set that solve used; ``inner_iteration_counts`` are the solves made per
+    step.
     """
     h_field = obstacle_field(spec, grid)
-    u, counts = _one_level(_penalized_march(spec, grid, [n_penalty], h_field, inner_tol,
-                                            max_inner), grid)
+    u, counts = _one_level(_penalized_march(spec, grid, [n_penalty], h_field), grid)
     r = float(n_penalty) * np.maximum(h_field - u, 0.0)
     return PenalizedSolution(n_penalty=n_penalty, u_values=u, r_values=r,
                              inner_iteration_counts=counts)
@@ -421,10 +420,9 @@ def _lcp_step(ab: np.ndarray, b: np.ndarray, h_row: np.ndarray, v0: np.ndarray,
                    f"(residual {np.max(np.abs(np.minimum(v - h_row, w))):.3e})")
 
 
-def solve_psor(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
-               lcp_tol: float = DEFAULT_LCP_TOL, inner_tol: float = DEFAULT_INNER_TOL,
-               max_inner: int = DEFAULT_MAX_INNER) -> ObstacleSolution:
-    """Backward stepping with an exact complementarity solve (``_lcp_step``) per step.
+def solve_psor(spec: ObstacleProblemSpec, grid: SpaceTimeGrid) -> ObstacleSolution:
+    """Backward stepping with an exact complementarity solve (``_lcp_step``)
+    per step, at the spec's ``lcp_tol``.
 
     The name is kept from the projected-SOR step this replaced, because
     ``solve --method psor`` and the callers across the package use it.  The
@@ -433,7 +431,7 @@ def solve_psor(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
     driver refinements that ``refine_counts`` counts.
     """
     h_field = obstacle_field(spec, grid)
-    dt = grid.dt
+    dt, lcp_tol = grid.dt, spec.lcp_tol
     resid = np.empty((grid.nt, grid.nx + 2))
     sweep_counts = np.zeros(grid.nt, dtype=int)
     final = spec.driver.L <= 0.0   # the step is exact, and with L = 0 b is free of v
@@ -444,9 +442,7 @@ def solve_psor(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
         sweep_counts[k] += solves
         return v[None], final
 
-    u, refine_counts = _one_level(_march(
-        spec, grid, lcp, ["driver refinement"], h_field, inner_tol=inner_tol,
-        max_inner=max_inner), grid)
+    u, refine_counts = _one_level(_march(spec, grid, lcp, ["driver refinement"], h_field), grid)
     # residual-based measure density on the binding set; the support uses
     # the tighter lcp_tol so that min(u - h, r) stays below lcp_tol even
     # though r carries a 1/dt amplification of the step residual
@@ -485,10 +481,9 @@ def _grad_sq(row: np.ndarray, rho2_mid: np.ndarray, dx: float) -> float:
 
 
 def _fold_ladder(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels, h_field: np.ndarray,
-                 ref: np.ndarray, inner_tol: float = DEFAULT_INNER_TOL,
-                 max_inner: int = DEFAULT_MAX_INNER) -> dict:
-    """March the penalty levels ``n_levels`` in lockstep at ``inner_tol`` and
-    ``max_inner`` and fold each slice into the study's statistics, per level j:
+                 ref: np.ndarray) -> dict:
+    """March the penalty levels ``n_levels`` in lockstep and fold each slice
+    into the study's statistics, per level j:
 
     * ``gap``: max (h - u_j), at most 0 exactly when r_j = n_j (h - u_j)^+
       is 0 everywhere; ``dist``: max |u_j - ref|;
@@ -509,7 +504,7 @@ def _fold_ladder(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels, h_fie
     worst, at, sup, terms, gap, dist = (out[key] for key in
                                         ("worst", "at", "sup", "terms", "gap", "dist"))
     try:
-        for k, rows, _ in _penalized_march(spec, grid, n_levels, h_field, inner_tol, max_inner):
+        for k, rows, _ in _penalized_march(spec, grid, n_levels, h_field):
             live = len(rows)
             inc = slice(1, live)   # the levels with an increment, row j - 1 of delta
             delta = rows[1:] - rows[:-1]
@@ -528,26 +523,25 @@ def _fold_ladder(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_levels, h_fie
 
 
 def penalization_study(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, n_schedule,
-                       reference: ObstacleSolution, **tolerances) -> PenalizationStudy:
+                       reference: ObstacleSolution) -> PenalizationStudy:
     """Run the penalty schedule, assert nodewise monotone increase, and record
     each level's increments and its sup distance to the ``reference`` solution.
 
     The schedule must be nonempty, strictly increasing and start at n >= 1.
     If a level produces an exactly inactive penalty (r = 0) the study
     short-circuits: all later levels solve the same unconstrained problem.
-    The whole schedule is one lockstep march (``_fold_ladder``), which
-    ``tolerances`` (``inner_tol``, ``max_inner``) reach, and no level's field
-    is held.  The outcome is that of a level-by-level run: in schedule order
-    each level raises its divergence, then its monotonicity violation
-    against the level before, then ends the study if its penalty is inactive.
+    The whole schedule is one lockstep march (``_fold_ladder``), and no
+    level's field is held.  The outcome is that of a level-by-level run: in
+    schedule order each level raises its divergence, then its monotonicity
+    violation against the level before, then ends the study if its penalty
+    is inactive.
     """
     n_schedule = [int(n) for n in n_schedule]
     if not n_schedule:
         raise ValueError("n_schedule is empty")
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")
-    folds = _fold_ladder(spec, grid, n_schedule, obstacle_field(spec, grid), reference.u_values,
-                         **tolerances)
+    folds = _fold_ladder(spec, grid, n_schedule, obstacle_field(spec, grid), reference.u_values)
     levels, sups, norms, dists = [], [], [], []
     for j, n in enumerate(n_schedule):
         if j == folds["done"]:
@@ -624,26 +618,24 @@ def frozen_driver(spec: ObstacleProblemSpec, grid: SpaceTimeGrid,
                                        g=lambda t, x: np.abs(rows[t])))
 
 
-def picard_outer(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, **tolerances):
+def picard_outer(spec: ObstacleProblemSpec, grid: SpaceTimeGrid):
     """Iterate v -> ``solve_psor(frozen_driver(spec, grid, v))``, the linear problem.
 
     Distances between consecutive iterates are measured in the e^{gamma t}
     weighted norm with the contraction exponent from ``contraction_gamma``.
     Drivers with L = 0 need one pass and produce an empty trace.
-    ``tolerances`` (``lcp_tol``, ``inner_tol``, ``max_inner``) reach every
-    ``solve_psor``.
     """
     gamma = contraction_gamma(spec)
     lam = spec.coefficients.lambda_ell
     v = np.zeros((grid.nt + 1, grid.nx + 2))
     if spec.driver.L == 0.0:
-        sol = solve_psor(frozen_driver(spec, grid, v), grid, **tolerances)
+        sol = solve_psor(frozen_driver(spec, grid, v), grid)
         return sol, PicardTrace(gamma=gamma, distances=[], ratios=[])
 
     distances, ratios = [], []
     expanding = 0
     for _ in range(PICARD_MAX_OUTER):
-        sol = solve_psor(frozen_driver(spec, grid, v), grid, **tolerances)
+        sol = solve_psor(frozen_driver(spec, grid, v), grid)
         d = v_gamma_norm(grid, spec.weight, sol.u_values - v, gamma, lam)
         distances.append(d)
         if len(distances) >= 2 and distances[-2] > 0:
@@ -667,11 +659,9 @@ def picard_outer(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, **tolerances):
 # ---------------------------------------------------------------------------
 # obstacle stability
 
-def obstacle_stability(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, h1, h2,
-                       **tolerances) -> StabilityReport:
+def obstacle_stability(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, h1, h2) -> StabilityReport:
     """Sup-norm solution distance against sup-norm obstacle distance, ``spec``
-    solved by ``solve_psor`` (which ``tolerances`` reach) with its obstacle
-    replaced by ``h1`` and by ``h2``.
+    solved by ``solve_psor`` with its obstacle replaced by ``h1`` and by ``h2``.
 
     Both obstacles must stay below the terminal value at T.
     """
@@ -680,8 +670,7 @@ def obstacle_stability(spec: ObstacleProblemSpec, grid: SpaceTimeGrid, h1, h2,
         h_end = np.asarray(h(float(grid.t_nodes[grid.nt]), grid.x_nodes), dtype=float)
         if np.max(h_end - phi) > 1e-12 * (1.0 + np.max(np.abs(phi))):
             raise ValueError("obstacle exceeds the terminal value at T")
-    sols = [solve_psor(replace(spec, obstacle=replace(spec.obstacle, h=h)), grid, **tolerances)
-            for h in (h1, h2)]
+    sols = [solve_psor(replace(spec, obstacle=replace(spec.obstacle, h=h)), grid) for h in (h1, h2)]
     du = float(np.max(np.abs(sols[0].u_values - sols[1].u_values)))
     dh = float(np.max(np.abs(sols[0].diagnostics["h_field"] - sols[1].diagnostics["h_field"])))
     if dh == 0.0:

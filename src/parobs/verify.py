@@ -9,9 +9,9 @@ Multi-part checks are normalized: ``discrepancy`` is the worst measured-over-
 allowed ratio and the budget is 1, so pass <=> discrepancy <= budget always
 holds; the raw per-part numbers live in ``details``.  ``CALIBRATION_DEFAULTS``
 holds each ``calibration.*`` budget a scenario leaves out; the fixed budgets
-are the other module constants.  A check reads its calibrated budgets and the
-solver tolerances from the ``VerifyContext`` it is given; its own arguments
-say only what to check.
+are the other module constants.  A check reads its calibrated budgets from
+the ``VerifyContext`` it is given, and its solves stop at the tolerances of
+the context's spec; its own arguments say only what to check.
 
 A check reads the objects it shares with other checks (the complementarity
 solution, the Monte Carlo ensemble and its reflected-LSMC fit, the forward
@@ -46,8 +46,7 @@ from .grid import (
     transition_kernel,  # noqa: F401  (not called here; the bench's tracer tests bind it)
 )
 from .problem import ObstacleProblemSpec
-from .solver import (DEFAULT_INNER_TOL, DEFAULT_LCP_TOL, DEFAULT_MAX_INNER, DEFAULT_MONO_TOL,
-                     ObstacleSolution, _penalized_march, solve_psor, z_field)
+from .solver import DEFAULT_MONO_TOL, ObstacleSolution, _penalized_march, solve_psor, z_field
 from .stochastic import (
     LsmcEstimate,
     RbsdeEstimate,
@@ -76,8 +75,6 @@ __all__ = [
 _TINY = 1e-12
 CALIBRATION_DEFAULTS = {"fk_bias": 1.0, "z_budget": 0.05, "ac_residual_budget": 5e-2,
                         "weighted_lo": 0.2, "weighted_hi": 5.0}
-TOLERANCE_DEFAULTS = {"lcp_tol": DEFAULT_LCP_TOL, "inner_tol": DEFAULT_INNER_TOL,
-                      "max_inner": DEFAULT_MAX_INNER}
 REL_BUDGET = 5e-2
 CHAIN_BUDGET = 1e-3
 SKOROKHOD_PSOR_BUDGET = 1e-8
@@ -107,12 +104,11 @@ class VerifyContext:
     """One verify run's inputs and the objects its checks share.
 
     ``mc_params`` holds ``paths``, ``dt_path``, ``seed`` and ``basis_degree``;
-    ``calibration`` overrides ``CALIBRATION_DEFAULTS`` and ``tolerances``
-    overrides ``TOLERANCE_DEFAULTS``.  Both are resolved once, here, and the
-    checks read them from the context: the tolerances reach the
-    complementarity solve and ``minimality``'s penalized march.  Each shared
-    object is built on first read, so a run whose checks never read one never
-    builds it, and kept as long as the context:
+    ``calibration`` overrides ``CALIBRATION_DEFAULTS``, resolved once, here,
+    and read by the checks from the context.  The complementarity solve and
+    ``minimality``'s penalized march stop at the tolerances of ``spec``.
+    Each shared object is built on first read, so a run whose checks never
+    read one never builds it, and kept as long as the context:
 
     * ``sol``: the complementarity (PSOR) solution;
     * ``lsmc``: the reflected-LSMC fit on the run's ensemble (its
@@ -126,20 +122,19 @@ class VerifyContext:
     """
 
     def __init__(self, spec: ObstacleProblemSpec, grid: SpaceTimeGrid, mc_params: dict,
-                 calibration: dict | None = None, tolerances: dict | None = None):
+                 calibration: dict | None = None):
         self.spec, self.grid = spec, grid
         self.paths = int(mc_params["paths"])
         self.dt_path = float(mc_params["dt_path"])
         self.seed = int(mc_params["seed"])
         self.basis_degree = int(mc_params["basis_degree"])
         self.calibration = {**CALIBRATION_DEFAULTS, **(calibration or {})}
-        self.tolerances = {**TOLERANCE_DEFAULTS, **(tolerances or {})}
         self.probe_x = 0.5 * (spec.x_lo + spec.x_hi)
         _, self.x_index = grid.nearest_node(0.0, self.probe_x)
 
     @cached_property
     def sol(self) -> ObstacleSolution:
-        return solve_psor(self.spec, self.grid, **self.tolerances)
+        return solve_psor(self.spec, self.grid)
 
     @cached_property
     def lsmc(self) -> LsmcEstimate:
@@ -459,8 +454,7 @@ def check_weighted_bounds(ctx: VerifyContext) -> CheckReport:
 def check_minimality(ctx: VerifyContext, n_schedule, gap_budget: float = 1e-3) -> CheckReport:
     """Penalized solutions approach the unique complementarity solution from below.
 
-    The levels march in lockstep against the obstacle field of ``ctx.sol``,
-    at the context's ``inner_tol`` and ``max_inner``;
+    The levels march in lockstep against the obstacle field of ``ctx.sol``;
     each slice is folded into every level's overshoot max(u_n - u) and the
     last level's gap max |u_n - u|, so no level's field is held.  A level
     that diverges raises as a level-by-level run would: the first in the
@@ -470,8 +464,7 @@ def check_minimality(ctx: VerifyContext, n_schedule, gap_budget: float = 1e-3) -
     levels = [int(n) for n in n_schedule]
     over = np.full(len(levels), -np.inf)
     gap = 0.0
-    for k, rows, _ in _penalized_march(ctx.spec, ctx.grid, levels, ctx.sol.diagnostics["h_field"],
-                                       ctx.tolerances["inner_tol"], ctx.tolerances["max_inner"]):
+    for k, rows, _ in _penalized_march(ctx.spec, ctx.grid, levels, ctx.sol.diagnostics["h_field"]):
         d = rows - sol[k]
         over[:len(d)] = np.maximum(over[:len(d)], np.max(d, axis=1))
         gap = max(gap, float(np.max(np.abs(d[-1]))))

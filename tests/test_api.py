@@ -19,25 +19,28 @@ import parobs
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "parobs"
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-MAX_DEFAULTED = 13
+MAX_DEFAULTED = 8
 # parameters no caller set, folded into module constants, the checks' shared
 # objects and Monte Carlo settings, and their calibrated budgets, which they
 # now read from a ``VerifyContext``, the provenance and start node nothing read,
 # the problem and start the Monte Carlo routines read from their ensemble, and
 # the routes and levels only tests took (now in ``tests/oracles.py``), and the
 # problem data passed beside the spec: a frozen driver, a shifted obstacle
-# and a boundary mode are now specs of their own
+# and a boundary mode are now specs of their own, and the solver tolerances
+# are fields of the spec
 REMOVED = {
     "grid.solve_density": ("mass_tol",),
     "problem.lipschitz_probe": ("t_range", "x_range", "value_scale"),
     "stochastic.rbsde_chain_dp": ("x_index",),
-    "solver.penalization_study": ("mono_tol",),
+    "solver.penalization_study": ("mono_tol", "tolerances", "inner_tol", "max_inner"),
     "stochastic.rbsde_reflected_mc": ("spec",),
     "stochastic.rbsde_penalized_mc": ("spec",),
     "stochastic.penalization_convergence_mc": ("spec",),
     "stochastic.optimal_stopping_value": ("spec", "s", "x"),
-    "solver.picard_outer": ("max_outer", "outer_tol"),
-    "solver.obstacle_stability": ("delta", "stability_C"),
+    "solver.picard_outer": ("max_outer", "outer_tol", "tolerances", "lcp_tol", "inner_tol",
+                            "max_inner"),
+    "solver.obstacle_stability": ("delta", "stability_C", "tolerances", "lcp_tol", "inner_tol",
+                                  "max_inner"),
     "verify.check_representation_u": ("mc_params", "sol", "probe0_mc", "chain",
                                       "bias_constant", "chain_budget", "provenance"),
     "verify.check_representation_z": ("ensemble", "sol", "basis_degree", "mc", "z_budget",
@@ -51,7 +54,9 @@ REMOVED = {
     "verify.check_minimality": ("mono_tol", "sol_psor", "provenance"),
     "verify.check_weighted_bounds": ("weight", "phis", "g", "spec", "grid", "bounds",
                                      "provenance"),
-    "solver.solve_psor": ("driver_field", "obstacle_field_override"),
+    "solver.solve_psor": ("driver_field", "obstacle_field_override", "lcp_tol", "inner_tol",
+                          "max_inner"),
+    "solver.solve_penalized": ("inner_tol", "max_inner"),
     "solver.obstacle_field": ("h",),
     "grid.evolve_law": ("mode",),
     "stochastic.simulate_paths": ("store_dw",),
@@ -71,8 +76,8 @@ MOVED_TO_ORACLES = (
 # public functions that no package code calls yet, each kept for a caller that
 # a ROADMAP item gives it
 UNCALLED_ALLOWED = {
-    "problem.lipschitz_probe",  # ROADMAP item 9 gives it a caller
-    "stochastic.penalization_convergence_mc",  # ROADMAP item 2 gives it a CLI route
+    "problem.lipschitz_probe",  # ROADMAP item 10 gives it a caller
+    "stochastic.penalization_convergence_mc",  # ROADMAP item 5 gives it a CLI route
     # the one-level penalized fit: the convergence table fits its levels in
     # one backward pass, and the bench tracer wraps this name
     "stochastic.rbsde_penalized_mc",
@@ -146,12 +151,23 @@ def test_folded_parameters_stay_gone():
             if _parameters(q)["basis_degree"].default is not inspect.Parameter.empty] == []
     assert not hasattr(verify, "_chain_from") and not hasattr(verify, "_density_from")
     assert set(inspect.signature(verify.VerifyContext).parameters) == {
-        "spec", "grid", "mc_params", "calibration", "tolerances"}
+        "spec", "grid", "mc_params", "calibration"}
+    assert not hasattr(verify, "TOLERANCE_DEFAULTS")
     grid = importlib.import_module("parobs.grid")
+    spec = importlib.import_module("parobs.scenarios").build_family(
+        "constant", {"problem.T": 1.0, "problem.x_lo": -8.0, "problem.x_hi": 8.0})
+    ctx = verify.VerifyContext(spec, grid.SpaceTimeGrid.build(spec, 10, 10),
+                               {"paths": 10, "dt_path": 0.1, "seed": 0, "basis_degree": 1})
+    assert not hasattr(ctx, "tolerances")
+    assert not hasattr(importlib.import_module("parobs.cli"), "_penalized_tolerances")
     solver = importlib.import_module("parobs.solver")
-    # the frozen driver and the boundary mode reach the marchers through the spec
-    marchers = [inspect.signature(fn).parameters for fn in (solver._march, grid._step_kernels)]
-    assert [p for p in ("driver_field", "mode") for params in marchers if p in params] == []
+    # the frozen driver, the boundary mode and the tolerances reach the
+    # marchers through the spec
+    marchers = [inspect.signature(fn).parameters
+                for fn in (solver._march, grid._step_kernels, solver._penalized_march,
+                           solver._fold_ladder)]
+    assert [p for p in ("driver_field", "mode", "inner_tol", "max_inner")
+            for params in marchers if p in params] == []
     assert [f.name for f in dataclasses.fields(solver.PenalizationStudy)
             if f.default is not dataclasses.MISSING] == []
     never_read = [(verify.CheckReport, "provenance"), (grid.TransitionKernel, "t_index"),

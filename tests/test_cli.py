@@ -414,29 +414,36 @@ def test_unknown_key_in_any_section_exits_2(tmp_path, capsys, line):
     assert not (tmp_path / "o").exists()
 
 
+def _tolerances(spec):
+    """A spec's solver tolerances: (lcp_tol, inner_tol, max_inner)."""
+    return spec.lcp_tol, spec.inner_tol, spec.max_inner
+
+
+def _record_specs(monkeypatch, module, *names):
+    """Record the tolerances of the spec, the first argument, of every call
+    to each of ``names`` through ``module``: name -> list of tuples."""
+    recorded = {name: [] for name in names}
+    for name in names:
+        def wrapper(spec, *args, _name=name, _real=getattr(module, name)):
+            recorded[_name].append(_tolerances(spec))
+            return _real(spec, *args)
+        monkeypatch.setattr(module, name, wrapper)
+    return recorded
+
+
 def test_tolerance_overrides_reach_the_solver(tmp_path, monkeypatch):
-    """``solve --method psor`` passes every ``tolerances.*`` key to
-    ``solve_psor``; ``--method penalized`` passes all but ``lcp_tol``."""
+    """``solve`` hands both methods the spec that carries every
+    ``tolerances.*`` key; the penalized route reads all but ``lcp_tol``."""
     import parobs.cli
 
-    recorded = {}
-
-    def record(fn):
-        def wrapper(*args, **kwargs):
-            recorded[fn.__name__] = kwargs
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(parobs.cli, "solve_psor", record(parobs.cli.solve_psor))
-    monkeypatch.setattr(parobs.cli, "solve_penalized", record(parobs.cli.solve_penalized))
+    recorded = _record_specs(monkeypatch, parobs.cli, "solve_psor", "solve_penalized")
     cfg = tmp_path / "loose.cfg"
     cfg.write_text(scenario_path("constant").read_text()
                    + "tolerances.lcp_tol = 1e-6\ntolerances.inner_tol = 1e-11\n")
     for method in ("psor", "penalized"):
         assert run(["--scenario", cfg, "--out", tmp_path / method, "solve",
                     "--method", method]) == 0
-    assert recorded["solve_psor"] == {"lcp_tol": 1e-6, "inner_tol": 1e-11}
-    assert recorded["solve_penalized"] == {"inner_tol": 1e-11}
+    assert recorded == {"solve_psor": [(1e-6, 1e-11, 200)], "solve_penalized": [(1e-6, 1e-11, 200)]}
 
 
 def _scenario_with(tmp_path, name, pairs, stem):
@@ -647,80 +654,45 @@ def test_moments_bad_exponent_exits_2_before_simulating(tmp_path, capsys, monkey
                          ids=["stop-value", "study-penalization"])
 def test_tolerance_overrides_reach_stop_value_and_study(tmp_path, monkeypatch, command):
     import parobs.cli
-    from parobs.solver import penalization_study, solve_psor
 
-    recorded = {}
-
-    def record(fn):
-        def wrapper(*args, **kwargs):
-            recorded[fn.__name__] = kwargs
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(parobs.cli, "solve_psor", record(solve_psor))
-    monkeypatch.setattr(parobs.cli, "penalization_study", record(penalization_study))
+    recorded = _record_specs(monkeypatch, parobs.cli, "solve_psor", "penalization_study")
     cfg = tmp_path / "tol.cfg"
     cfg.write_text(scenario_path("constant").read_text()
                    + "tolerances.lcp_tol = 1e-3\ntolerances.inner_tol = 1e-11\n")
     assert run(["--scenario", cfg, "--out", tmp_path / "o", *command]) == 0
-    assert recorded["solve_psor"] == {"lcp_tol": 0.001, "inner_tol": 1e-11}
-    if command[0] == "study":
-        assert recorded["penalization_study"]["inner_tol"] == 1e-11
+    assert recorded["solve_psor"] == [(0.001, 1e-11, 200)]
+    assert recorded["penalization_study"] == ([(0.001, 1e-11, 200)] if command[0] == "study"
+                                              else [])
 
 
 _TOLERANCES = (("tolerances.lcp_tol", "1e-9"), ("tolerances.inner_tol", "1e-10"),
                ("tolerances.max_inner", "150"))
 
 
-def _record_penalized_tolerances(monkeypatch, module):
-    """Record (inner_tol, max_inner) of every ``_penalized_march`` that
-    ``module`` starts."""
-    import parobs.solver
-
-    seen, real = [], parobs.solver._penalized_march
-
-    def recorded(spec, grid, n_levels, h_field, inner_tol, max_inner):
-        seen.append((inner_tol, max_inner))
-        return real(spec, grid, n_levels, h_field, inner_tol, max_inner)
-
-    monkeypatch.setattr(module, "_penalized_march", recorded)
-    return seen
-
-
 def test_verify_minimality_and_solution_read_the_context_tolerances(tmp_path, monkeypatch):
     """``tolerances.*`` reach the shared complementarity solve and every
-    penalty level that ``minimality`` marches."""
+    penalty level that ``minimality`` marches, on the context's spec."""
     import parobs.verify
 
-    seen = _record_penalized_tolerances(monkeypatch, parobs.verify)
-    psor = []
-    real_psor = parobs.verify.solve_psor
-    monkeypatch.setattr(parobs.verify, "solve_psor",
-                        lambda *a, **kw: psor.append(kw) or real_psor(*a, **kw))
+    recorded = _record_specs(monkeypatch, parobs.verify, "solve_psor", "_penalized_march")
     code = run(["--scenario", _small_put(tmp_path, _TOLERANCES), "--out", tmp_path / "o",
                 "verify", "--checks", "minimality"])
     assert code == 0
-    assert psor == [{"lcp_tol": 1e-9, "inner_tol": 1e-10, "max_inner": 150}]
-    assert seen == [(1e-10, 150)]
+    assert recorded == {"solve_psor": [(1e-9, 1e-10, 150)],
+                        "_penalized_march": [(1e-9, 1e-10, 150)]}
 
 
 @pytest.mark.parametrize("study", ["picard", "stability"])
 def test_picard_and_stability_studies_honour_tolerances(tmp_path, monkeypatch, study):
+    """Every solve of the frozen-driver and shifted-obstacle specs carries
+    the scenario's tolerances."""
     import parobs.solver
 
-    calls, real = [], parobs.solver.solve_psor
-
-    def recorded(*args, **kwargs):
-        calls.append({k: v for k, v in kwargs.items() if k in ("lcp_tol", "inner_tol",
-                                                                "max_inner")})
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(parobs.solver, "solve_psor", recorded)
+    calls = _record_specs(monkeypatch, parobs.solver, "solve_psor")["solve_psor"]
     code = run(["--scenario", _small_put(tmp_path, _TOLERANCES), "--out", tmp_path / "o",
                 "study", "--study", study])
     assert code == 0
-    assert calls and all(c == {"lcp_tol": 1e-9, "inner_tol": 1e-10, "max_inner": 150}
-                         for c in calls)
+    assert calls and all(c == (1e-9, 1e-10, 150) for c in calls)
 
 
 def test_stability_study_stops_at_max_inner(tmp_path, capsys):
@@ -757,15 +729,41 @@ def test_a_step_that_keeps_its_active_set_ends_within_max_inner_1(tmp_path):
 
 
 def test_penalization_study_honours_max_inner(tmp_path, monkeypatch):
-    """The study's one lockstep march, which carries every level, runs at
-    the scenario's inner_tol and max_inner."""
+    """The study's one lockstep march, which carries every level, runs on
+    a spec with the scenario's inner_tol and max_inner."""
     import parobs.solver
 
-    seen = _record_penalized_tolerances(monkeypatch, parobs.solver)
+    seen = _record_specs(monkeypatch, parobs.solver, "_penalized_march")["_penalized_march"]
     code = run(["--scenario", _small_put(tmp_path, _TOLERANCES), "--out", tmp_path / "o",
                 "study", "--study", "penalization", "--max-level", "6"])
     assert code == 0
-    assert seen == [(1e-10, 150)]  # levels 2^4, 2^5 and 2^6 in lockstep
+    assert seen == [(1e-9, 1e-10, 150)]  # levels 2^4, 2^5 and 2^6 in lockstep
+
+
+def test_derived_specs_keep_the_scenario_tolerances(tmp_path, monkeypatch):
+    """A scenario's three ``tolerances.*`` keys land on its spec, and every
+    spec derived from it by ``replace`` keeps them: the frozen driver, both
+    shifted-obstacle specs of the stability study and the reflecting twin
+    that ``interval-measure`` evolves its law under."""
+    import parobs.solver
+    import parobs.verify
+    from parobs.solver import frozen_driver, obstacle_stability
+    from parobs.verify import VerifyContext, check_interval_measure
+
+    sc = load_scenario(_small_put(tmp_path, _TOLERANCES))
+    assert _tolerances(sc.spec) == (1e-9, 1e-10, 150)
+    assert sc.tolerances == {"lcp_tol": 1e-9, "inner_tol": 1e-10, "max_inner": 150}
+    grid = SpaceTimeGrid.build(sc.spec, 40, 40)
+    frozen = frozen_driver(sc.spec, grid, np.zeros((grid.nt + 1, grid.nx + 2)))
+    assert _tolerances(frozen) == (1e-9, 1e-10, 150)
+    solves = _record_specs(monkeypatch, parobs.solver, "solve_psor")["solve_psor"]
+    h1 = sc.spec.obstacle.h
+    obstacle_stability(sc.spec, grid, h1, lambda t, x: h1(t, x) - 1e-3)
+    assert solves == [(1e-9, 1e-10, 150)] * 2
+    laws = _record_specs(monkeypatch, parobs.verify, "evolve_law")["evolve_law"]
+    check_interval_measure(VerifyContext(sc.spec, grid, sc.mc_params), 0.0, sc.spec.T,
+                           (sc.spec.x_lo, sc.spec.x_hi))
+    assert laws == [(1e-9, 1e-10, 150)]
 
 
 @pytest.mark.parametrize("key", ["lcp_tol", "inner_tol"])
@@ -1024,35 +1022,22 @@ FUZZ_CSV = {"simulate": "ensemble_summary.csv", "moments": "moments.csv",
             "stop-value": "stop_value.csv"}
 
 
-@pytest.mark.parametrize("command", list(FUZZ_CSV))
-@pytest.mark.parametrize("scenario", list(FUZZ_KEYS))
-def test_seeded_fuzz_of_the_forward_commands(tmp_path, capsys, monkeypatch, scenario, command):
-    """Every key of ``FUZZ_KEYS`` set to each of ``FUZZ_VALUES``, one key at
-    a time, then ``command`` run in process: the exit code is 0 to 3, a
-    nonzero exit prints exactly one ``error:`` line, an exit 0 prints
-    nothing and writes a CSV with no NaN or inf, nothing escapes as an
-    exception (a traceback on the command line), no warning is printed and
-    no thread outlives the call.
-
-    No draw is skipped: none asks for a large array.  ``mc.paths`` and
-    ``mc.seed`` parse as ints, so every non-integer draw is a scenario
-    error, and 0 and -1 paths fail the positivity check before any
-    ensemble is sized.  ``mc.dt_path = 1e-9`` and ``1e-300`` ask
-    ``simulate_paths`` for more dates than its cap, which it refuses before
-    sizing the date array (``np.arange`` is guarded, so an escape fails the
-    draw without allocating); 1e300 and 2.5 exceed the horizon.
-    """
-    _bounded_arange(monkeypatch)
+def _fuzz(tmp_path, capsys, scenario, draws, argv, csvs):
+    """The contract failures of ``argv`` run in process on the fuzz scenario
+    ``scenario`` with each (key, value) of ``draws`` set, one draw at a time:
+    an exit code outside 0 to 3, a nonzero exit that does not print exactly
+    one ``error:`` line, an exit 0 that prints anything or whose ``csvs``
+    hold a NaN or inf, an exception that escapes (a traceback on the command
+    line), a printed warning, or a thread that outlives the call."""
     name, base = FUZZ_SCENARIOS[scenario]
     failures = []
-    for i, (key, value) in enumerate((key, value) for key in FUZZ_KEYS[scenario]
-                                     for value in FUZZ_VALUES):
+    for i, (key, value) in enumerate(draws):
         cfg = _scenario_with(tmp_path, name, (*base, (key, value)), scenario)
         out = tmp_path / f"o{i}"
         before = threading.active_count()
         with warnings_to_stderr():
             try:
-                code = run(["--scenario", cfg, "--out", out, command])
+                code = run(["--scenario", cfg, "--out", out, *argv])
             except Exception as exc:   # printed as a traceback on the command line
                 failures.append((key, value, f"escaped {type(exc).__name__}: {exc}"))
                 capsys.readouterr()
@@ -1063,12 +1048,58 @@ def test_seeded_fuzz_of_the_forward_commands(tmp_path, capsys, monkeypatch, scen
         if code == 0:
             if err:
                 failures.append((key, value, f"stderr at exit 0: {err}"))
-            body = (out / FUZZ_CSV[command]).read_text().splitlines()[2:]
-            cells = np.array([line.split(",") for line in body], dtype=float)
-            if not np.isfinite(cells).all():
-                failures.append((key, value, "non-finite CSV cell at exit 0"))
+            for csv in csvs:
+                body = (out / csv).read_text().splitlines()[2:]
+                cells = np.array([line.split(",") for line in body], dtype=float)
+                if not np.isfinite(cells).all():
+                    failures.append((key, value, f"non-finite {csv} cell at exit 0"))
         elif len(err) != 1 or not err[0].startswith(f"error: code={code} "):
             failures.append((key, value, f"exit {code} with stderr {err}"))
         if threading.active_count() != before:
             failures.append((key, value, "a thread outlived the call"))
-    assert failures == []
+    return failures
+
+
+@pytest.mark.parametrize("command", list(FUZZ_CSV))
+@pytest.mark.parametrize("scenario", list(FUZZ_KEYS))
+def test_seeded_fuzz_of_the_forward_commands(tmp_path, capsys, monkeypatch, scenario, command):
+    """Every key of ``FUZZ_KEYS`` set to each of ``FUZZ_VALUES``, one key at
+    a time, then ``command`` run in process under the contract of ``_fuzz``.
+
+    No draw is skipped: none asks for a large array.  ``mc.paths`` and
+    ``mc.seed`` parse as ints, so every non-integer draw is a scenario
+    error, and 0 and -1 paths fail the positivity check before any
+    ensemble is sized.  ``mc.dt_path = 1e-9`` and ``1e-300`` ask
+    ``simulate_paths`` for more dates than its cap, which it refuses before
+    sizing the date array (``np.arange`` is guarded, so an escape fails the
+    draw without allocating); 1e300 and 2.5 exceed the horizon.
+    """
+    _bounded_arange(monkeypatch)
+    draws = [(key, value) for key in FUZZ_KEYS[scenario] for value in FUZZ_VALUES]
+    assert _fuzz(tmp_path, capsys, scenario, draws, [command], [FUZZ_CSV[command]]) == []
+
+
+# the grid commands that solve, with the CSVs an exit 0 writes
+FUZZ_SOLVES = {
+    "solve-psor": (["solve", "--method", "psor"], ["solution.csv", "diagnostics.csv"]),
+    "solve-penalized": (["solve", "--method", "penalized"], ["solution.csv", "diagnostics.csv"]),
+    "study-picard": (["study", "--study", "picard"], ["picard_study.csv"]),
+    "study-stability": (["study", "--study", "stability"], ["stability_study.csv"]),
+    "study-penalization": (["study", "--study", "penalization", "--max-level", "6"],
+                           ["penalization_study.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", list(FUZZ_SOLVES))
+def test_seeded_fuzz_of_the_tolerance_keys(tmp_path, capsys, command):
+    """Each ``tolerances.*`` key set to each of ``FUZZ_VALUES`` on the small
+    put, one key per draw, then a solving command run in process under the
+    contract of ``_fuzz``.  One key at a time bounds the work: a huge
+    ``max_inner`` with a tiny ``inner_tol`` would iterate as long as it is
+    asked to.  ``max_inner`` parses as an int, so only its integer draws
+    reach the positivity check; ``inner_tol = 1e-300`` is below round-off,
+    and the penalized routes exit 3 at ``max_inner``.
+    """
+    draws = [(f"tolerances.{key}", value) for key in ("lcp_tol", "inner_tol", "max_inner")
+             for value in FUZZ_VALUES]
+    assert _fuzz(tmp_path, capsys, "small_put", draws, *FUZZ_SOLVES[command]) == []

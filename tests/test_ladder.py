@@ -35,8 +35,7 @@ def _lockstep(spec, grid, levels):
     """Every level's field and iteration counts from one lockstep march."""
     u = np.empty((len(levels), grid.nt + 1, grid.nx + 2))
     counts = np.zeros((len(levels), grid.nt), dtype=int)
-    for k, rows, its in _penalized_march(spec, grid, levels, obstacle_field(spec, grid), 1e-11,
-                                         200):
+    for k, rows, its in _penalized_march(spec, grid, levels, obstacle_field(spec, grid)):
         assert len(rows) == len(levels)
         u[:, k] = rows
         if k < grid.nt:

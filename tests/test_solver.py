@@ -224,7 +224,7 @@ def test_zero_lcp_tolerance_terminates(put_scenario):
     # active-set step still ends, when its active set repeats
     spec = put_scenario.spec
     grid = SpaceTimeGrid.build(spec, 40, 10)
-    sol = solve_psor(spec, grid, lcp_tol=0.0)
+    sol = solve_psor(dataclasses.replace(spec, lcp_tol=0.0), grid)
     h_field = sol.diagnostics["h_field"]
     off = ~sol.contact_mask
     assert np.all(np.minimum(sol.u_values - h_field, sol.r_values)[off] == 0.0)

@@ -3,15 +3,18 @@
     python tools/compare_outputs.py <git-ref>
 
 Extracts <git-ref> with ``git archive`` into a temporary directory, then runs
-55 command x scenario pairs against both trees: ``solve`` with both methods,
-``study`` penalization, picard and stability, ``verify`` with three check
-lists (``all``, the benchmark's grid-side subset, and the Monte Carlo checks
-out of their default order, so that ``representation-u`` runs after the
-shared reflected-LSMC fit already exists and its probes 1 and 2 simulate
-while that fit is held), ``simulate``, ``stop-value`` and ``moments``,
-each on the five scenarios under ``scenarios/``.  Each tree runs with its own
-``src`` on PYTHONPATH and its own scenario files, under the same relative
-paths, so error text that names a path matches too.  Any difference in the
+76 command x scenario pairs against both trees.  55 run ``solve`` with both
+methods, ``study`` penalization, picard and stability, ``verify`` with three
+check lists (``all``, the benchmark's grid-side subset, and the Monte Carlo
+checks out of their default order, so that ``representation-u`` runs after
+the shared reflected-LSMC fit already exists and its probes 1 and 2 simulate
+while that fit is held), ``simulate``, ``stop-value`` and ``moments``, each
+on the five scenarios under ``scenarios/``.  21 run the seven commands that
+solve on the grid on three ``VARIANTS``: shipped scenarios with
+``tolerances.*`` lines appended, written into each run root, so that a route
+that drops a tolerance shows.  Each tree runs with its own ``src`` on
+PYTHONPATH and its own scenario files, under the same relative paths, so
+error text that names a path matches too.  Any difference in the
 CSVs or ``verify_report.txt`` (compared by sha256 digest and size), stdout,
 stderr or exit code is reported.  Each line also shows both sides' wall
 seconds, CPU seconds (user plus system, summed over the child's threads, so
@@ -51,6 +54,17 @@ COMMANDS = {
     "stop-value": ["stop-value"],
     "moments": ["moments"],
 }
+# generated scenarios: name -> (shipped scenario, lines appended to it).  On
+# the put every line moves some output, so a dropped override shows; every
+# heat_bump step ends after one solve whatever max_inner is, so heat_max1
+# shows a route that needs a second solve per step (exit 3) instead
+VARIANTS = {
+    "put_tol": ("american_put", ("tolerances.lcp_tol = 1e-4", "tolerances.inner_tol = 1e-6")),
+    "put_max1": ("american_put", ("tolerances.max_inner = 1",)),
+    "heat_max1": ("heat_bump", ("tolerances.max_inner = 1",)),
+}
+VARIANT_COMMANDS = ("solve-psor", "solve-penalized", "study-penalization", "study-picard",
+                    "study-stability", "verify-grid", "stop-value")
 # one thread per BLAS and OpenMP pool, so the two concurrent runs do not
 # contend; both trees run under the same settings
 ENV_PINS = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -68,7 +82,8 @@ def run_pair(tree: Path, run_root: Path, command: str, scenario: str) -> dict:
     """One CLI call in ``run_root``; returns its exit code, streams, output
     files' digests, wall and CPU seconds and peak RSS in MB."""
     out = Path("out") / f"{command}-{scenario}"
-    argv = [sys.executable, "-m", "parobs.cli", "--scenario", f"scenarios/{scenario}.cfg",
+    cfg = f"{'variants' if scenario in VARIANTS else 'scenarios'}/{scenario}.cfg"
+    argv = [sys.executable, "-m", "parobs.cli", "--scenario", cfg,
             "--out", str(out), *COMMANDS[command]]
     env = {**os.environ, **ENV_PINS, "PYTHONPATH": str(tree / "src")}
     with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
@@ -116,7 +131,13 @@ def main(argv=None) -> int:
             roots[side] = tmp / f"run-{side}"
             roots[side].mkdir()
             (roots[side] / "scenarios").symlink_to(tree / "scenarios")
+            (roots[side] / "variants").mkdir()
+            for name, (scenario, lines) in VARIANTS.items():
+                text = (tree / "scenarios" / f"{scenario}.cfg").read_text()
+                (roots[side] / "variants" / f"{name}.cfg").write_text(
+                    text + "".join(line + "\n" for line in lines))
         pairs = [(c, s) for c in COMMANDS for s in SCENARIOS]
+        pairs += [(c, v) for v in VARIANTS for c in VARIANT_COMMANDS]
         with ThreadPoolExecutor(max_workers=2) as pool:
             futures = {(side, c, s): pool.submit(run_pair, tree, roots[side], c, s)
                        for c, s in pairs
